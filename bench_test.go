@@ -9,6 +9,7 @@
 package gridsched_test
 
 import (
+	"fmt"
 	"testing"
 
 	"gridsched/internal/benchsuite"
@@ -85,3 +86,14 @@ func BenchmarkWorkloadGeneration(b *testing.B) { benchsuite.WorkloadGeneration(b
 // BenchmarkEndToEndSimulation measures a complete 600-task, 4-site run
 // under combined.2 (scheduling + storage + network + kernel).
 func BenchmarkEndToEndSimulation(b *testing.B) { benchsuite.EndToEndSimulation(b) }
+
+// BenchmarkServiceSnapshotPause measures one compacting checkpoint with 1,
+// 4, and 16 half-drained 6,000-task Coadd jobs resident: the
+// stop-the-world pause (pause-ms/op) and the bytes written
+// (snapshot-B/op) must track the ledgers, not the resident workload bytes
+// (PERFORMANCE.md, PR 12).
+func BenchmarkServiceSnapshotPause(b *testing.B) {
+	for _, jobs := range []int{1, 4, 16} {
+		b.Run(fmt.Sprintf("jobs=%d", jobs), benchsuite.ServiceSnapshotPause(jobs))
+	}
+}

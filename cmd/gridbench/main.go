@@ -31,6 +31,7 @@ import (
 	"os"
 	"regexp"
 	"runtime"
+	"sort"
 	"strconv"
 	"strings"
 	"testing"
@@ -45,6 +46,9 @@ type result struct {
 	NsPerOp     float64 `json:"nsPerOp"`
 	BytesPerOp  int64   `json:"bytesPerOp"`
 	AllocsPerOp int64   `json:"allocsPerOp"`
+	// Extra carries the benchmark's own b.ReportMetric values by unit
+	// (e.g. ServiceSnapshotPause's "pause-ms/op").
+	Extra map[string]float64 `json:"extra,omitempty"`
 }
 
 type report struct {
@@ -100,6 +104,9 @@ func run(args []string, stdout *os.File) error {
 		{"ServiceDispatchPartitioned/parts=1", benchsuite.ServiceDispatchPartitioned(1)},
 		{"ServiceDispatchPartitioned/parts=2", benchsuite.ServiceDispatchPartitioned(2)},
 		{"ServiceDispatchPartitioned/parts=4", benchsuite.ServiceDispatchPartitioned(4)},
+		{"ServiceSnapshotPause/jobs=1", benchsuite.ServiceSnapshotPause(1)},
+		{"ServiceSnapshotPause/jobs=4", benchsuite.ServiceSnapshotPause(4)},
+		{"ServiceSnapshotPause/jobs=16", benchsuite.ServiceSnapshotPause(16)},
 	}
 
 	var re *regexp.Regexp
@@ -127,10 +134,20 @@ func run(args []string, stdout *os.File) error {
 			NsPerOp:     float64(r.T.Nanoseconds()) / float64(r.N),
 			BytesPerOp:  r.AllocedBytesPerOp(),
 			AllocsPerOp: r.AllocsPerOp(),
+			Extra:       r.Extra,
 		}
 		rep.Results = append(rep.Results, res)
-		fmt.Fprintf(stdout, "%-28s %10d iter %14.0f ns/op %10d B/op %8d allocs/op\n",
+		fmt.Fprintf(stdout, "%-28s %10d iter %14.0f ns/op %10d B/op %8d allocs/op",
 			res.Name, res.Iterations, res.NsPerOp, res.BytesPerOp, res.AllocsPerOp)
+		units := make([]string, 0, len(res.Extra))
+		for unit := range res.Extra {
+			units = append(units, unit)
+		}
+		sort.Strings(units)
+		for _, unit := range units {
+			fmt.Fprintf(stdout, " %12.4g %s", res.Extra[unit], unit)
+		}
+		fmt.Fprintln(stdout)
 	}
 
 	data, err := json.MarshalIndent(rep, "", "  ")

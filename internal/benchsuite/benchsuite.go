@@ -167,6 +167,80 @@ func ServiceDispatchJournaled(mode journal.Mode) func(b *testing.B) {
 	}
 }
 
+// ServiceSnapshotPause measures one compacting checkpoint with `jobs`
+// half-drained 6,000-task Coadd jobs resident — ROADMAP's "snapshot pause
+// vs resident jobs". Each iteration is one pull + report followed by the
+// checkpoint they trigger (SnapshotEvery is 2). ns/op is the whole
+// checkpoint as the triggering request sees it; the two reported metrics
+// are what every other request sees and what the disk sees:
+//
+//	pause-ms/op     mean lockAll→unlockAll stop-the-world span
+//	snapshot-B/op   bytes the checkpoint wrote
+//
+// Resident workload bytes grow 16x from jobs=1 to jobs=16; neither metric
+// may follow them — both track the ledgers (~21 B per dispatch or report
+// since submit), the only per-job state a checkpoint rewrites.
+func ServiceSnapshotPause(jobs int) func(b *testing.B) {
+	return func(b *testing.B) {
+		dir, err := os.MkdirTemp("", "gridsched-bench-snapshot-*")
+		must(err, "data dir")
+		defer os.RemoveAll(dir)
+		cfg := service.Config{
+			Topology:      service.Topology{Sites: 4, WorkersPerSite: 4, CapacityFiles: 6000},
+			NewScheduler:  gridsched.SchedulerFactory(),
+			DataDir:       dir,
+			Fsync:         journal.SyncBatch,
+			SnapshotEvery: 1 << 30,
+		}
+		// Build the half-drained state with checkpoints out of reach, close
+		// (which checkpoints once), and reopen with one due every iteration.
+		svc, err := service.New(cfg)
+		must(err, "service")
+		w, err := gridsched.NewCoaddWorkload(gridsched.DefaultCoaddSeed, 6000)
+		must(err, "workload")
+		for i := 0; i < jobs; i++ {
+			_, err := svc.SubmitByName(fmt.Sprintf("coadd-%d", i), "combined.2", w, int64(i), "")
+			must(err, "submit")
+		}
+		step := func(svc *service.Service, workerID string) {
+			resp, err := svc.Pull(nil, workerID, 0)
+			must(err, "pull")
+			if resp.Status != api.StatusAssigned {
+				panic("benchsuite: snapshot-pause jobs drained; lower -benchtime")
+			}
+			_, err = svc.Report(resp.Assignment.ID, workerID, api.OutcomeSuccess)
+			must(err, "report")
+		}
+		reg, err := svc.Register(0)
+		must(err, "register")
+		for i := 0; i < jobs*3000; i++ {
+			step(svc, reg.WorkerID)
+		}
+		svc.Close()
+		cfg.SnapshotEvery = 2
+		svc, err = service.New(cfg)
+		must(err, "reopen")
+		defer svc.Close()
+		reg, err = svc.Register(0)
+		must(err, "register")
+
+		c := svc.Counters()
+		snaps0, pause0 := c.Snapshots.Load(), c.SnapshotPauseTotalNanos.Load()
+		var written int64
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			step(svc, reg.WorkerID)
+			written += c.SnapshotBytes.Load()
+		}
+		b.StopTimer()
+		if got := c.Snapshots.Load() - snaps0; got != int64(b.N) {
+			panic(fmt.Sprintf("benchsuite: %d checkpoints over %d iterations", got, b.N))
+		}
+		b.ReportMetric(float64(c.SnapshotPauseTotalNanos.Load()-pause0)/1e6/float64(b.N), "pause-ms/op")
+		b.ReportMetric(float64(written)/float64(b.N), "snapshot-B/op")
+	}
+}
+
 // dispatchWorkload: one file per task so staging cost is constant and the
 // benchmark isolates the service dispatch path, not the cache.
 func dispatchWorkload(tasks int) *workload.Workload {

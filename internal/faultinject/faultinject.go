@@ -1,5 +1,5 @@
 // Package faultinject is the fault-injection harness behind the
-// replication and durability gauntlets. It deliberately breaks the three
+// replication and durability gauntlets. It deliberately breaks the
 // substrates gridschedd depends on, on cue and deterministically:
 //
 //   - File wraps a journal.File and fails writes or fsyncs on demand,
@@ -10,6 +10,9 @@
 //     replication stream without the kernel's help.
 //   - Proc runs a subprocess under kill -9 control, the only honest way
 //     to test crash recovery and leader failover.
+//   - Steps stops a multi-step durable operation (a checkpoint) at a
+//     named step boundary, so every crash ordering between its fsyncs and
+//     renames is reachable on demand rather than by racing a kill.
 //
 // Everything here is test infrastructure: no production code path
 // imports this package.

@@ -55,6 +55,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -603,12 +604,17 @@ func (c *countingReader) Read(p []byte) (int, error) {
 	return n, err
 }
 
+// tempMark sits between a file's final name and the random suffix of its
+// in-flight temp file; RemoveTemp finds crash leftovers by it.
+const tempMark = ".tmp"
+
 // WriteFileAtomic durably replaces path with data: write to a temp file in
 // the same directory, fsync it, rename over path, fsync the directory.
-// Readers see either the old or the new content, never a mix.
+// Readers see either the old or the new content, never a mix, and a file
+// visible under its final name is complete and durable.
 func WriteFileAtomic(path string, data []byte) error {
 	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*")
+	tmp, err := os.CreateTemp(dir, filepath.Base(path)+tempMark+"*")
 	if err != nil {
 		return err
 	}
@@ -628,6 +634,25 @@ func WriteFileAtomic(path string, data []byte) error {
 		return err
 	}
 	return syncDir(dir)
+}
+
+// RemoveTemp deletes the temp files a crash between WriteFileAtomic's
+// create and rename left in dir; without it every such crash leaks one
+// file forever. Call it only while nothing is writing into dir.
+func RemoveTemp(dir string) error {
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		return err
+	}
+	for _, ent := range entries {
+		if !strings.Contains(ent.Name(), tempMark) {
+			continue
+		}
+		if err := os.Remove(filepath.Join(dir, ent.Name())); err != nil && !os.IsNotExist(err) {
+			return err
+		}
+	}
+	return nil
 }
 
 func syncDir(dir string) error {

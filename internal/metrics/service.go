@@ -52,17 +52,21 @@ type ServiceCounters struct {
 	JournalBytes     atomic.Int64 // frame bytes written to the log
 	JournalFsyncs    atomic.Int64 // fsync(2) calls issued by the log writer
 	Snapshots        atomic.Int64 // snapshots written
-	SnapshotBytes    atomic.Int64 // size of the most recent snapshot
+	SnapshotBytes    atomic.Int64 // bytes the most recent checkpoint wrote (manifest + new workload files)
 	ReplayRecords    atomic.Int64 // snapshot ledger + log records replayed at startup
 	ReplayNanos      atomic.Int64 // time the startup replay took
 	RecoveredExpired atomic.Int64 // in-flight leases expired by recovery
 
 	// Stop-the-world snapshot pause (the lockAll hold across state
 	// collection, marshal, file replacement, and log rotation): last
-	// observed and running maximum, in nanoseconds. Rendered at /metrics
-	// in milliseconds as gridsched_snapshot_pause_ms.
-	SnapshotPauseLastNanos atomic.Int64
-	SnapshotPauseMaxNanos  atomic.Int64
+	// observed, running maximum, and running total, in nanoseconds.
+	// Rendered at /metrics as gridsched_snapshot_pause_ms (last, max) and
+	// gridsched_snapshot_pause_seconds_total; with
+	// gridsched_snapshots_total the total gives the mean pause, and its
+	// rate is the share of wall time dispatch spends stalled.
+	SnapshotPauseLastNanos  atomic.Int64
+	SnapshotPauseMaxNanos   atomic.Int64
+	SnapshotPauseTotalNanos atomic.Int64
 }
 
 // ObserveDispatch folds one dispatch duration into the latency summary.
@@ -80,6 +84,7 @@ func (c *ServiceCounters) ObserveDispatch(nanos int64) {
 // ObserveSnapshotPause records one stop-the-world snapshot pause.
 func (c *ServiceCounters) ObserveSnapshotPause(nanos int64) {
 	c.SnapshotPauseLastNanos.Store(nanos)
+	c.SnapshotPauseTotalNanos.Add(nanos)
 	for {
 		cur := c.SnapshotPauseMaxNanos.Load()
 		if nanos <= cur || c.SnapshotPauseMaxNanos.CompareAndSwap(cur, nanos) {
@@ -149,8 +154,11 @@ func (c *ServiceCounters) WriteText(w io.Writer) error {
 	_, err := fmt.Fprintf(w,
 		"# TYPE gridsched_snapshot_pause_ms gauge\n"+
 			"gridsched_snapshot_pause_ms{stat=\"last\"} %g\n"+
-			"gridsched_snapshot_pause_ms{stat=\"max\"} %g\n",
+			"gridsched_snapshot_pause_ms{stat=\"max\"} %g\n"+
+			"# TYPE gridsched_snapshot_pause_seconds_total counter\n"+
+			"gridsched_snapshot_pause_seconds_total %g\n",
 		float64(c.SnapshotPauseLastNanos.Load())/nsPerMs,
-		float64(c.SnapshotPauseMaxNanos.Load())/nsPerMs)
+		float64(c.SnapshotPauseMaxNanos.Load())/nsPerMs,
+		float64(c.SnapshotPauseTotalNanos.Load())/nsPerSec)
 	return err
 }

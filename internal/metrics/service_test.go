@@ -34,7 +34,7 @@ func TestServiceCountersWriteText(t *testing.T) {
 func TestSnapshotPauseGauges(t *testing.T) {
 	c := NewServiceCounters()
 	c.ObserveSnapshotPause(2_500_000) // 2.5ms
-	c.ObserveSnapshotPause(1_000_000) // 1ms: last moves, max stays
+	c.ObserveSnapshotPause(1_000_000) // 1ms: last moves, max stays, total adds
 
 	var sb strings.Builder
 	if err := c.WriteText(&sb); err != nil {
@@ -45,6 +45,8 @@ func TestSnapshotPauseGauges(t *testing.T) {
 		"# TYPE gridsched_snapshot_pause_ms gauge",
 		`gridsched_snapshot_pause_ms{stat="last"} 1`,
 		`gridsched_snapshot_pause_ms{stat="max"} 2.5`,
+		"# TYPE gridsched_snapshot_pause_seconds_total counter",
+		"gridsched_snapshot_pause_seconds_total 0.0035\n",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("missing %q in:\n%s", want, out)

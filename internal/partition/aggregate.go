@@ -16,7 +16,7 @@ import (
 // handleJobs merges every partition's job list, ordered by the minted
 // sequence number (globally unique across partitions by construction).
 func (rt *Router) handleJobs(w http.ResponseWriter, r *http.Request) {
-	parts := fanOut[[]api.JobStatus](rt, r.Context(), "/v1/jobs")
+	parts, denied := fanOut[[]api.JobStatus](rt, r.Context(), r.Header.Get("Authorization"), "/v1/jobs")
 	merged := []api.JobStatus{}
 	for _, p := range parts {
 		if p != nil {
@@ -24,7 +24,7 @@ func (rt *Router) handleJobs(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	sort.Slice(merged, func(i, k int) bool { return idSeq(merged[i].ID) < idSeq(merged[k].ID) })
-	finishAggregate(w, parts, merged)
+	finishAggregate(w, parts, denied, merged)
 }
 
 // idSeq is the numeric part of a minted id, for ordering only (routing
@@ -43,7 +43,7 @@ func idSeq(id string) int64 {
 // runs the full configured topology — so ordering is by site, slot, then
 // id, which groups the per-partition replicas of a slot together.
 func (rt *Router) handleWorkers(w http.ResponseWriter, r *http.Request) {
-	parts := fanOut[[]api.WorkerStatus](rt, r.Context(), "/v1/workers")
+	parts, denied := fanOut[[]api.WorkerStatus](rt, r.Context(), r.Header.Get("Authorization"), "/v1/workers")
 	merged := []api.WorkerStatus{}
 	for _, p := range parts {
 		if p != nil {
@@ -60,7 +60,7 @@ func (rt *Router) handleWorkers(w http.ResponseWriter, r *http.Request) {
 		}
 		return a.WorkerID < b.WorkerID
 	})
-	finishAggregate(w, parts, merged)
+	finishAggregate(w, parts, denied, merged)
 }
 
 // handleTenants merges per-partition tenant rows by name: monotone
@@ -69,8 +69,8 @@ func (rt *Router) handleWorkers(w http.ResponseWriter, r *http.Request) {
 // windows. Quotas (MaxInFlight) are enforced per partition, so the
 // aggregated row reports the per-partition cap, not a global one.
 func (rt *Router) handleTenants(w http.ResponseWriter, r *http.Request) {
-	parts := fanOut[[]api.TenantStatus](rt, r.Context(), "/v1/tenants")
-	finishAggregate(w, parts, mergeTenants(parts))
+	parts, denied := fanOut[[]api.TenantStatus](rt, r.Context(), r.Header.Get("Authorization"), "/v1/tenants")
+	finishAggregate(w, parts, denied, mergeTenants(parts))
 }
 
 func mergeTenants(parts []*[]api.TenantStatus) []api.TenantStatus {
@@ -143,6 +143,9 @@ func (rt *Router) handleTenantQuota(w http.ResponseWriter, r *http.Request) {
 				return
 			}
 			req.Header.Set("Content-Type", "application/json")
+			if auth := r.Header.Get("Authorization"); auth != "" {
+				req.Header.Set("Authorization", auth)
+			}
 			resp, err := rt.client.Do(req)
 			if err != nil {
 				rt.mark(i, err)
@@ -184,7 +187,7 @@ func (rt *Router) handleTenantQuota(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	finishAggregate(w, statuses, mergeTenants(statuses)[0])
+	finishAggregate(w, statuses, nil, mergeTenants(statuses)[0])
 }
 
 // topology probes every partition's /readyz and assembles the deployment
@@ -194,7 +197,7 @@ func (rt *Router) topology(ctx context.Context) api.PartitionTopology {
 		Count:      len(rt.urls),
 		Partitions: make([]api.PartitionInfo, len(rt.urls)),
 	}
-	parts := fanOut[api.Readiness](rt, ctx, "/readyz")
+	parts, _ := fanOut[api.Readiness](rt, ctx, "", "/readyz") // unauthenticated probe
 	for i := range rt.urls {
 		info := api.PartitionInfo{Index: i, URL: rt.urls[i]}
 		if parts[i] != nil {
@@ -237,7 +240,7 @@ func (rt *Router) handleReadyz(w http.ResponseWriter, r *http.Request) {
 // handleHealthz sums live-partition job/worker gauges; unreachable
 // partitions are excluded and named in the PartitionsDownHeader.
 func (rt *Router) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	parts := fanOut[api.Health](rt, r.Context(), "/healthz")
+	parts, _ := fanOut[api.Health](rt, r.Context(), "", "/healthz") // unauthenticated probe
 	sum := api.Health{Status: "ok"}
 	for _, p := range parts {
 		if p != nil {
@@ -246,7 +249,7 @@ func (rt *Router) handleHealthz(w http.ResponseWriter, r *http.Request) {
 			sum.OpenJobs += p.OpenJobs
 		}
 	}
-	finishAggregate(w, parts, sum)
+	finishAggregate(w, parts, nil, sum)
 }
 
 // handleMetrics federates /metrics: each partition's exposition text is

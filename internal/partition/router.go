@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -265,7 +266,7 @@ func (rt *Router) handleRegister(w http.ResponseWriter, r *http.Request) {
 // reports zero — fall back to round-robin. Registration is rare, so the
 // health probe per call is cheap.
 func (rt *Router) placeWorker(ctx context.Context) int {
-	parts := fanOut[api.Health](rt, ctx, "/healthz")
+	parts, _ := fanOut[api.Health](rt, ctx, "", "/healthz") // unauthenticated probe
 	maxOpen := 0
 	for _, p := range parts {
 		if p != nil && p.OpenJobs > maxOpen {
@@ -284,35 +285,59 @@ func (rt *Router) placeWorker(ctx context.Context) int {
 	return busiest[int(rt.rr.Add(1)-1)%len(busiest)]
 }
 
-// fanOut performs one aggregate leg against every partition and decodes
-// each JSON response into a fresh V. Failed partitions (transport error
-// or non-2xx) come back as nil entries with health marked.
-func fanOut[V any](rt *Router, ctx context.Context, path string) []*V {
-	out := make([]*V, len(rt.urls))
+// refusal is a partition's 401 or 403 to an aggregate leg: the partition
+// is up and said no, so the caller — not the deployment — has something to
+// fix, and gets that status back instead of "unreachable".
+type refusal struct {
+	code int
+	msg  string
+}
+
+func (e *refusal) Error() string { return e.msg }
+
+// fanOut performs one aggregate leg against every partition, presenting
+// the caller's Authorization header (auth, "" for none) to each, and
+// decodes each JSON response into a fresh V. Failed partitions (transport
+// error or non-2xx) come back as nil entries with health marked; denied is
+// the lowest-indexed partition's refusal when any refused the credentials.
+func fanOut[V any](rt *Router, ctx context.Context, auth, path string) (out []*V, denied *refusal) {
+	out = make([]*V, len(rt.urls))
+	refused := make([]*refusal, len(rt.urls))
 	var wg sync.WaitGroup
 	for i := range rt.urls {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
 			var v V
-			if err := rt.getJSON(ctx, i, path, &v); err != nil {
-				rt.mark(i, err)
+			err := rt.getJSON(ctx, i, auth, path, &v)
+			if errors.As(err, &refused[i]) {
+				rt.mark(i, nil) // it answered; the credentials are the problem
 				return
 			}
-			rt.mark(i, nil)
-			out[i] = &v
+			rt.mark(i, err)
+			if err == nil {
+				out[i] = &v
+			}
 		}(i)
 	}
 	wg.Wait()
-	return out
+	for _, r := range refused {
+		if r != nil {
+			return out, r
+		}
+	}
+	return out, nil
 }
 
-func (rt *Router) getJSON(ctx context.Context, i int, path string, v any) error {
+func (rt *Router) getJSON(ctx context.Context, i int, auth, path string, v any) error {
 	ctx, cancel := context.WithTimeout(ctx, rt.aggTO)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, rt.urls[i]+path, nil)
 	if err != nil {
 		return err
+	}
+	if auth != "" {
+		req.Header.Set("Authorization", auth)
 	}
 	resp, err := rt.client.Do(req)
 	if err != nil {
@@ -324,19 +349,28 @@ func (rt *Router) getJSON(ctx context.Context, i int, path string, v any) error 
 		return err
 	}
 	if resp.StatusCode/100 != 2 {
+		msg := fmt.Sprintf("partition %d: HTTP %d", i, resp.StatusCode)
 		var e api.ErrorResponse
 		if json.Unmarshal(data, &e) == nil && e.Error != "" {
-			return fmt.Errorf("partition %d: %s", i, e.Error)
+			msg = fmt.Sprintf("partition %d: %s", i, e.Error)
 		}
-		return fmt.Errorf("partition %d: HTTP %d", i, resp.StatusCode)
+		if resp.StatusCode == http.StatusUnauthorized || resp.StatusCode == http.StatusForbidden {
+			return &refusal{code: resp.StatusCode, msg: msg}
+		}
+		return errors.New(msg)
 	}
 	return json.Unmarshal(data, v)
 }
 
-// finishAggregate annotates a partially successful fan-out: a 200 with
-// the PartitionsDownHeader naming unreachable partitions, or a 503 when
-// no partition answered at all.
-func finishAggregate[V any](w http.ResponseWriter, parts []*V, body any) {
+// finishAggregate answers a fan-out: a partition's refusal of the
+// caller's credentials as that status; otherwise a 200 with the
+// PartitionsDownHeader naming unreachable partitions, or a 503 when no
+// partition answered at all.
+func finishAggregate[V any](w http.ResponseWriter, parts []*V, denied *refusal, body any) {
+	if denied != nil {
+		writeError(w, denied.code, denied.msg)
+		return
+	}
 	var downIdx []string
 	alive := 0
 	for i, p := range parts {

@@ -3,6 +3,7 @@ package partition_test
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -13,6 +14,7 @@ import (
 	"time"
 
 	"gridsched"
+	"gridsched/internal/middleware"
 	"gridsched/internal/partition"
 	"gridsched/internal/service"
 	"gridsched/internal/service/api"
@@ -33,6 +35,14 @@ type testDeployment struct {
 
 func newDeployment(t *testing.T, parts int) *testDeployment {
 	t.Helper()
+	return newDeploymentBehind(t, parts, func(h http.Handler) http.Handler { return h })
+}
+
+// newDeploymentBehind is newDeployment with every partition's handler
+// wrapped by ingress (e.g. the token-auth chain); the router stays bare,
+// as cmd/gridrouter runs it.
+func newDeploymentBehind(t *testing.T, parts int, ingress func(http.Handler) http.Handler) *testDeployment {
+	t.Helper()
 	d := &testDeployment{}
 	urls := make([]string, parts)
 	for i := 0; i < parts; i++ {
@@ -46,7 +56,7 @@ func newDeployment(t *testing.T, parts int) *testDeployment {
 			t.Fatal(err)
 		}
 		t.Cleanup(svc.Close)
-		ts := httptest.NewServer(svc.Handler())
+		ts := httptest.NewServer(ingress(svc.Handler()))
 		t.Cleanup(ts.Close)
 		d.servers = append(d.servers, ts)
 		d.clients = append(d.clients, client.New(ts.URL, nil))
@@ -268,6 +278,101 @@ func TestRouterAggregation(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("keyed forward to dead partition: HTTP %d, want 503", resp.StatusCode)
+	}
+}
+
+// TestRouterAggregationForwardsAuth: with -auth-tokens on the partitions
+// the router's fan-outs present the caller's bearer token, so aggregated
+// reads and the quota fan-out work exactly as they do against one
+// gridschedd — and a caller the partitions refuse hears 401/403, not a
+// 503 claiming the partitions are down.
+func TestRouterAggregationForwardsAuth(t *testing.T) {
+	tokens := middleware.NewTokenStore(map[string]middleware.Principal{
+		"tok-astro": {Tenant: "astro"},
+		"tok-admin": {Admin: true},
+	})
+	d := newDeploymentBehind(t, 2, func(h http.Handler) http.Handler {
+		return middleware.Ingress(middleware.Config{Tokens: tokens, Log: io.Discard}, h)
+	})
+	ctx := context.Background()
+	d.cl.AuthToken = "tok-astro"
+
+	perPart := make([]int, 2)
+	for k := 0; k < 6; k++ {
+		sid := fmt.Sprintf("auth-%d", k)
+		if _, err := d.cl.SubmitJobIdempotent(ctx, api.SubmitJobRequest{
+			Name: "auth", Algorithm: "workqueue", Workload: testWorkload(2), SubmissionID: sid,
+		}); err != nil {
+			t.Fatal(err)
+		}
+		perPart[partition.SubmitOwner(sid, 2)]++
+	}
+	if perPart[0] == 0 || perPart[1] == 0 {
+		t.Fatalf("submissions all hashed to one partition (%v); pick different ids", perPart)
+	}
+	if _, err := d.cl.Register(ctx, nil); err != nil {
+		t.Fatal(err)
+	}
+
+	jobs, err := d.cl.Jobs(ctx)
+	if err != nil || len(jobs) != 6 {
+		t.Fatalf("aggregated jobs with a tenant token: %d jobs, err %v (want 6)", len(jobs), err)
+	}
+	workers, err := d.cl.Workers(ctx)
+	if err != nil || len(workers) != 1 {
+		t.Fatalf("aggregated workers with a tenant token: %d workers, err %v (want 1)", len(workers), err)
+	}
+	tenants, err := d.cl.Tenants(ctx)
+	if err != nil || len(tenants) != 1 || tenants[0].Tenant != "astro" || tenants[0].RunningJobs != 6 {
+		t.Fatalf("aggregated tenants with a tenant token: %+v, err %v", tenants, err)
+	}
+
+	// Refusals come back as the partitions gave them.
+	wantStatus := func(what string, err error, code int) {
+		t.Helper()
+		var ae *client.APIError
+		if !errors.As(err, &ae) || ae.StatusCode != code {
+			t.Fatalf("%s: got %v, want HTTP %d", what, err, code)
+		}
+	}
+	anon := client.New(d.router.URL, nil)
+	_, err = anon.Jobs(ctx)
+	wantStatus("jobs without a token", err, http.StatusUnauthorized)
+	_, err = anon.Workers(ctx)
+	wantStatus("workers without a token", err, http.StatusUnauthorized)
+	_, err = anon.Tenants(ctx)
+	wantStatus("tenants without a token", err, http.StatusUnauthorized)
+	_, err = d.cl.SetTenantQuota(ctx, "astro", 3)
+	wantStatus("quota with a tenant token", err, http.StatusForbidden)
+	// A refusal is an answer: the partitions must not have been marked down.
+	resp, err := http.Get(d.router.URL + "/v1/partitions")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var topo api.PartitionTopology
+	if err := json.NewDecoder(resp.Body).Decode(&topo); err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	for _, p := range topo.Partitions {
+		if !p.Up {
+			t.Fatalf("partition %d reported down after refusing a token: %+v", p.Index, p)
+		}
+	}
+
+	// The admin's quota override lands on every partition.
+	admin := client.New(d.router.URL, nil)
+	admin.AuthToken = "tok-admin"
+	st, err := admin.SetTenantQuota(ctx, "astro", 3)
+	if err != nil || st.MaxInFlight != 3 {
+		t.Fatalf("quota with the admin token: %+v, err %v", st, err)
+	}
+	for i, direct := range d.clients {
+		direct.AuthToken = "tok-admin"
+		rows, err := direct.Tenants(ctx)
+		if err != nil || len(rows) != 1 || rows[0].MaxInFlight != 3 {
+			t.Fatalf("partition %d after the quota fan-out: %+v, err %v", i, rows, err)
+		}
 	}
 }
 

@@ -267,13 +267,14 @@ func newSourceEnv(t *testing.T) *sourceEnv {
 	return &sourceEnv{
 		w: w,
 		src: &replicate.Source{
-			WALPath:      walPath,
-			SnapshotPath: filepath.Join(dir, "snapshot.json"),
-			LastLSN:      w.LastLSN,
-			Notify:       w.AppendNotify,
-			Rotations:    w.Rotations,
-			Done:         done,
-			Heartbeat:    50 * time.Millisecond,
+			WALPath: walPath,
+			// No checkpoint until a test installs one.
+			Snapshot:  func(uint64) (uint64, []byte, error) { return 0, nil, nil },
+			LastLSN:   w.LastLSN,
+			Notify:    w.AppendNotify,
+			Rotations: w.Rotations,
+			Done:      done,
+			Heartbeat: 50 * time.Millisecond,
 		},
 		done: done,
 	}
@@ -349,8 +350,11 @@ func TestSourceSnapshotCatchUp(t *testing.T) {
 	env := newSourceEnv(t)
 	// Leader state: snapshot covering LSNs 1..5, live WAL holding 6.
 	snap := []byte(`{"lastLsn":5,"version":1}`)
-	if err := journal.WriteFileAtomic(env.src.SnapshotPath, snap); err != nil {
-		t.Fatal(err)
+	env.src.Snapshot = func(next uint64) (uint64, []byte, error) {
+		if next > 5 {
+			return 5, nil, nil
+		}
+		return 5, snap, nil
 	}
 	// Seed the writer's LSN sequence at 5 so the next append is 6.
 	env.w.Close()

@@ -2,7 +2,6 @@ package replicate
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"io"
 	"os"
@@ -13,13 +12,18 @@ import (
 
 // Source streams a leader's WAL to one follower connection. The fields
 // point at the live journal owned by internal/service; Serve never takes
-// a service lock — it reads the WAL file and the snapshot file the same
-// way recovery would, synchronized only by the writer's append
-// notifications and rotation counter.
+// a service lock — it reads the WAL file and the checkpoint the same way
+// recovery would, synchronized only by the writer's append notifications
+// and rotation counter.
 type Source struct {
-	// WALPath and SnapshotPath locate the leader's live journal.
-	WALPath      string
-	SnapshotPath string
+	// WALPath locates the leader's live journal.
+	WALPath string
+	// Snapshot returns the leader's current checkpoint as one
+	// self-contained document, with the LSN it covers, when that LSN is
+	// at least next — the position the stream owes. A nil document means
+	// the checkpoint (lsn, 0 when there is none) does not reach next. The
+	// document's format is the owner's business; it travels opaque.
+	Snapshot func(next uint64) (lsn uint64, doc []byte, err error)
 	// LastLSN, Notify and Rotations come from the live journal.Writer.
 	LastLSN   func() uint64
 	Notify    func() <-chan struct{}
@@ -30,30 +34,6 @@ type Source struct {
 	Heartbeat time.Duration
 	// OnFrame, if set, is called once per streamed frame (metrics).
 	OnFrame func()
-}
-
-// snapshotHeader is the one field of the service snapshot the streamer
-// needs: the LSN it covers.
-type snapshotHeader struct {
-	LastLSN uint64 `json:"lastLsn"`
-}
-
-// readSnapshot loads the current snapshot file, if any, and the LSN it
-// covers. The file is replaced atomically (rename), so a read sees a
-// complete old or new snapshot, never a torn one.
-func readSnapshot(path string) (lsn uint64, data []byte, ok bool, err error) {
-	data, err = os.ReadFile(path)
-	if os.IsNotExist(err) {
-		return 0, nil, false, nil
-	}
-	if err != nil {
-		return 0, nil, false, err
-	}
-	var h snapshotHeader
-	if err := json.Unmarshal(data, &h); err != nil {
-		return 0, nil, false, err
-	}
-	return h.LastLSN, data, true, nil
 }
 
 // Serve streams frames with LSN > from to w until ctx or Done ends, or a
@@ -95,12 +75,12 @@ func (s *Source) Serve(ctx context.Context, w io.Writer, from uint64) error {
 		// Snapshot catch-up: whenever the snapshot already covers the
 		// position we owe, it is both the only complete source (the tail
 		// may have rotated) and the cheapest one.
-		snapLSN, data, ok, err := readSnapshot(s.SnapshotPath)
+		snapLSN, doc, err := s.Snapshot(next)
 		if err != nil {
 			return err
 		}
-		if ok && snapLSN >= next {
-			if err := enc.Snapshot(snapLSN, data); err != nil {
+		if doc != nil {
+			if err := enc.Snapshot(snapLSN, doc); err != nil {
 				return err
 			}
 			if err := flush(); err != nil {

@@ -20,6 +20,7 @@ package api
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
@@ -85,6 +86,14 @@ const (
 	msgReportBatchRequest  = 12
 	msgReportBatchResponse = 13
 )
+
+// storedWorkloadHeader heads a stored workload (EncodeWorkload). Stored
+// documents outlive the process that wrote them, so they carry their own
+// magic and version rather than the wire's: a binVersion bump that leaves
+// the workload fields alone must not orphan every data dir. Changing
+// binWriter.workload's layout means bumping the last byte here and
+// teaching DecodeWorkload the old one.
+var storedWorkloadHeader = []byte{'G', 'W', 1}
 
 // MaxFramePayload bounds one stream frame (and one binary message read
 // through ReadFrame): large enough for any real lease batch, small enough
@@ -320,6 +329,36 @@ func (binaryCodec) Unmarshal(data []byte, v any) error {
 	return r.err
 }
 
+// EncodeWorkload renders w as a standalone binary document:
+// storedWorkloadHeader followed by the workload fields exactly as a binary
+// SubmitJobRequest carries them.
+func EncodeWorkload(w *workload.Workload) []byte {
+	// Coadd-shaped workloads run ~2.5 bytes per file reference; reserve
+	// from the task count so the common case grows the buffer a few times,
+	// not dozens.
+	bw := binWriter{b: make([]byte, 0, 64+len(w.Name)+256*len(w.Tasks))}
+	bw.b = append(bw.b, storedWorkloadHeader...)
+	bw.workload(w)
+	return bw.b
+}
+
+// DecodeWorkload is EncodeWorkload's strict inverse: wrong header,
+// truncation, and trailing bytes are all errors.
+func DecodeWorkload(data []byte) (*workload.Workload, error) {
+	if !bytes.HasPrefix(data, storedWorkloadHeader) {
+		return nil, fmt.Errorf("api: not a gridsched stored workload (%d bytes)", len(data))
+	}
+	r := binReader{b: data, off: len(storedWorkloadHeader)}
+	w := r.workload()
+	if r.err == nil && r.off != len(r.b) {
+		return nil, fmt.Errorf("api: %d trailing bytes after stored workload", len(r.b)-r.off)
+	}
+	if r.err != nil {
+		return nil, r.err
+	}
+	return w, nil
+}
+
 // binWriter appends binary fields. Marshal never fails for the supported
 // types, so err stays nil; it exists to mirror binReader's shape.
 type binWriter struct {
@@ -358,18 +397,22 @@ func (w *binWriter) submitJobRequest(m *SubmitJobRequest) {
 	w.i64(m.Seed)
 	w.bool(m.Workload != nil)
 	if m.Workload != nil {
-		w.str(m.Workload.Name)
-		w.i64(int64(m.Workload.NumFiles))
-		w.u64(uint64(len(m.Workload.Tasks)))
-		for _, t := range m.Workload.Tasks {
-			w.task(t)
-		}
+		w.workload(m.Workload)
 	}
 	w.str(m.SubmissionID)
 	w.str(m.Tenant)
 	w.i64(int64(m.Weight))
 	w.strs(m.Requires)
 	w.i64(m.DeadlineMillis)
+}
+
+func (w *binWriter) workload(wl *workload.Workload) {
+	w.str(wl.Name)
+	w.i64(int64(wl.NumFiles))
+	w.u64(uint64(len(wl.Tasks)))
+	for _, t := range wl.Tasks {
+		w.task(t)
+	}
 }
 
 func (w *binWriter) task(t workload.Task) {
@@ -655,22 +698,26 @@ func (r *binReader) submitJobRequest(m *SubmitJobRequest) {
 	m.Algorithm = r.str()
 	m.Seed = r.i64()
 	if r.bool() {
-		wl := &workload.Workload{}
-		wl.Name = r.str()
-		wl.NumFiles = int(r.i64())
-		if n := r.count(); n > 0 {
-			wl.Tasks = make([]workload.Task, n)
-			for i := range wl.Tasks {
-				r.task(&wl.Tasks[i])
-			}
-		}
-		m.Workload = wl
+		m.Workload = r.workload()
 	}
 	m.SubmissionID = r.str()
 	m.Tenant = r.str()
 	m.Weight = int(r.i64())
 	m.Requires = r.strs()
 	m.DeadlineMillis = r.i64()
+}
+
+func (r *binReader) workload() *workload.Workload {
+	wl := &workload.Workload{}
+	wl.Name = r.str()
+	wl.NumFiles = int(r.i64())
+	if n := r.count(); n > 0 {
+		wl.Tasks = make([]workload.Task, n)
+		for i := range wl.Tasks {
+			r.task(&wl.Tasks[i])
+		}
+	}
+	return wl
 }
 
 func (r *binReader) task(t *workload.Task) {

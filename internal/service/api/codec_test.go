@@ -159,6 +159,45 @@ func TestBinaryStrictDecode(t *testing.T) {
 	}
 }
 
+// TestStoredWorkloadRoundTrip covers the standalone workload document
+// gridschedd keeps per running job: it round-trips, shares no header with
+// a wire message, and is as strict as the wire decoder.
+func TestStoredWorkloadRoundTrip(t *testing.T) {
+	w := &workload.Workload{
+		Name: "coadd", NumFiles: 9,
+		Tasks: []workload.Task{
+			{ID: 0, Files: []workload.FileID{0, 3, 8}},
+			{ID: 1, Files: []workload.FileID{2}},
+		},
+	}
+	data := api.EncodeWorkload(w)
+	got, err := api.DecodeWorkload(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, w) {
+		t.Fatalf("round trip: got %+v, want %+v", got, w)
+	}
+	for n := 0; n < len(data); n++ {
+		if _, err := api.DecodeWorkload(data[:n]); err == nil {
+			t.Fatalf("decode of %d/%d-byte prefix succeeded", n, len(data))
+		}
+	}
+	if _, err := api.DecodeWorkload(append(append([]byte{}, data...), 0)); err == nil {
+		t.Fatal("decode with a trailing byte succeeded")
+	}
+	if err := api.Binary.Unmarshal(data, &api.SubmitJobRequest{}); err == nil {
+		t.Fatal("stored workload accepted as a wire message")
+	}
+	submit, err := api.Binary.Marshal(&api.SubmitJobRequest{Workload: w})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := api.DecodeWorkload(submit); err == nil {
+		t.Fatal("wire message accepted as a stored workload")
+	}
+}
+
 func TestBinaryRejectsUnknownEnumOnEncode(t *testing.T) {
 	if _, err := api.Binary.Marshal(&api.ReportRequest{WorkerID: "w", Outcome: "maybe"}); err == nil {
 		t.Fatal("out-of-vocabulary outcome encoded")

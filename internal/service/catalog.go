@@ -111,7 +111,8 @@ func (c *catalog) loadSnapshot(snap *snapshot) {
 			j.speculated = sj.Speculated
 		} else {
 			j.done = make(map[workload.TaskID]struct{})
-			for _, e := range sj.Ledger {
+			for i := 0; i < sj.Ledger.len(); i++ {
+				e := sj.Ledger.at(i)
 				c.foldEvent(j, e.Op, e.Task, e.Ts)
 			}
 		}

@@ -1,0 +1,440 @@
+// Checkpoints: the on-disk form of everything the journal no longer has to
+// hold. A checkpoint is a small mutable catalogue plus bulk immutable
+// files, all regular files directly inside Config.DataDir:
+//
+//	snapshot.json       the manifest: counters, tenants, worker telemetry,
+//	                    and one entry per resident job — a status summary
+//	                    for completed jobs, a packed replay ledger for
+//	                    running ones. Replaced atomically each checkpoint.
+//	workload-<job>.bin  a running job's workload (api.EncodeWorkload),
+//	                    written once: workloads never change after submit,
+//	                    so a checkpoint only writes the files of jobs that
+//	                    arrived since the last one.
+//
+// A checkpoint therefore costs what changed — the ledgers and a few
+// counters — not what is resident. Crash safety rests on three orderings:
+// a workload file is durable before any manifest that relies on it is
+// renamed in; the manifest is durable before the journal it supersedes is
+// rotated; and a workload file is removed only after a durable manifest
+// stopped relying on it. A crash between any two steps leaves at worst
+// unreferenced files, which the next recovery sweeps.
+//
+// The same document travels as the replication catch-up message, there
+// with every running job's workload inline: one self-contained body,
+// assembled from these files on the leader (checkpointDocument) and split
+// back into them on the follower (writeCheckpoint). The service, the
+// follower, and the replication source all read through readCheckpoint
+// and write through writeCheckpoint.
+package service
+
+import (
+	"encoding/base64"
+	"encoding/binary"
+	"encoding/json"
+	"fmt"
+	"os"
+	"path/filepath"
+	"strings"
+
+	"gridsched/internal/journal"
+	"gridsched/internal/service/api"
+	"gridsched/internal/workload"
+)
+
+// Persistence layout inside Config.DataDir.
+const (
+	walFile        = "wal.log"
+	snapshotFile   = "snapshot.json"
+	workloadPrefix = "workload-"
+	workloadSuffix = ".bin"
+)
+
+func workloadPath(dir, jobID string) string {
+	return filepath.Join(dir, workloadPrefix+jobID+workloadSuffix)
+}
+
+// Ledger ops: the per-job replay history, a compact projection of the
+// job's journal records. Replaying a ledger through the job's freshly
+// rebuilt scheduler reproduces its dispatch state exactly (see recovery.go).
+const (
+	ledgerDispatch = uint8(iota)
+	ledgerSuccess
+	ledgerFailure
+	ledgerExpire
+	// ledgerSpecDispatch is a speculative twin grant: the task was
+	// re-leased alongside a live primary without consulting the
+	// scheduler. Replay restages the batch and NoteBatches it, but issues
+	// no ReplayAssign.
+	ledgerSpecDispatch
+)
+
+// ledgerRec is one replayable scheduler-affecting event. The JSON tags are
+// the version-1 snapshot form, which packedLedger still reads.
+type ledgerRec struct {
+	Op     uint8           `json:"op"`
+	Task   workload.TaskID `json:"t"`
+	Site   int32           `json:"s"`
+	Worker int32           `json:"w"`
+	Ts     int64           `json:"ms,omitempty"` // unix milliseconds
+}
+
+// ledgerRecSize is one packed ledger record: op u8, task u32, site u32,
+// worker u32, ts u64, little-endian.
+const ledgerRecSize = 1 + 4 + 4 + 4 + 8
+
+// packedLedger is a job's append-only replay ledger as a flat array of
+// fixed-width records. It is the in-memory form too, so checkpointing a
+// ledger is a base64 pass over bytes that already exist (encoding/json
+// renders a byte slice as one base64 string) instead of a reflected JSON
+// object per event.
+type packedLedger []byte
+
+func (l packedLedger) len() int { return len(l) / ledgerRecSize }
+
+func (l packedLedger) at(i int) ledgerRec {
+	b := l[i*ledgerRecSize : (i+1)*ledgerRecSize]
+	return ledgerRec{
+		Op:     b[0],
+		Task:   workload.TaskID(binary.LittleEndian.Uint32(b[1:])),
+		Site:   int32(binary.LittleEndian.Uint32(b[5:])),
+		Worker: int32(binary.LittleEndian.Uint32(b[9:])),
+		Ts:     int64(binary.LittleEndian.Uint64(b[13:])),
+	}
+}
+
+func (l packedLedger) add(e ledgerRec) packedLedger {
+	l = append(l, e.Op)
+	l = binary.LittleEndian.AppendUint32(l, uint32(e.Task))
+	l = binary.LittleEndian.AppendUint32(l, uint32(e.Site))
+	l = binary.LittleEndian.AppendUint32(l, uint32(e.Worker))
+	return binary.LittleEndian.AppendUint64(l, uint64(e.Ts))
+}
+
+// UnmarshalJSON reads the packed base64 string, or the version-1 form: a
+// JSON array with one object per event.
+func (l *packedLedger) UnmarshalJSON(data []byte) error {
+	if len(data) > 0 && data[0] == '[' {
+		var recs []ledgerRec
+		if err := json.Unmarshal(data, &recs); err != nil {
+			return err
+		}
+		packed := make(packedLedger, 0, len(recs)*ledgerRecSize)
+		for _, e := range recs {
+			packed = packed.add(e)
+		}
+		*l = packed
+		return nil
+	}
+	var s string
+	if err := json.Unmarshal(data, &s); err != nil {
+		return err
+	}
+	packed, err := base64.StdEncoding.DecodeString(s)
+	if err != nil {
+		return fmt.Errorf("packed ledger: %w", err)
+	}
+	if len(packed)%ledgerRecSize != 0 {
+		return fmt.Errorf("packed ledger: %d bytes is not a whole number of %d-byte records", len(packed), ledgerRecSize)
+	}
+	*l = packed
+	return nil
+}
+
+// carryCounters preserves the monotone totals of deleted jobs across
+// snapshots, so the global /metrics counters stay exact over restarts.
+type carryCounters struct {
+	Jobs          int64 `json:"jobs"`
+	CompletedJobs int64 `json:"completedJobs"`
+	Dispatched    int64 `json:"dispatched"`
+	Completions   int64 `json:"completions"`
+	Failures      int64 `json:"failures"`
+	Cancellations int64 `json:"cancellations"`
+	Expired       int64 `json:"expired"`
+	Speculated    int64 `json:"speculated,omitempty"`
+}
+
+// snapshot is the checkpoint document: everything the service needs so
+// that log records at or below LastLSN can be discarded. Completed jobs
+// shrink to their status summary; running jobs carry their replay ledger
+// and — in their workload file, or inline in a replication message — their
+// workload. Scheduler internals (weight-class indexes, RNG state) are
+// deliberately NOT serialized — they are reconstructed by replaying the
+// ledger through a freshly built scheduler, which reproduces the exact
+// state (including pending random draws) of the crashed process.
+type snapshot struct {
+	Version int   `json:"version"`
+	Seq     int64 `json:"seq"`
+	// Partition identity the data dir was written under (see
+	// Config.PartitionIndex). Count 0 marks a pre-partitioning snapshot,
+	// which recovers only as the standalone identity 0 of 1 — the only
+	// identity such a dir can have minted ids for.
+	PartitionIndex int           `json:"partitionIndex,omitempty"`
+	PartitionCount int           `json:"partitionCount,omitempty"`
+	LastLSN        uint64        `json:"lastLsn"`
+	Carry          carryCounters `json:"carry"`
+	// VTime is the fair-share arbiter's virtual time floor and Tenants its
+	// per-tenant durable state; journal tail records re-apply charges on
+	// top (see recovery.go). Both absent in pre-fair-share snapshots,
+	// which recover with all tags zero — submission order, the old
+	// behavior.
+	VTime   uint64       `json:"vtime,omitempty"`
+	Tenants []snapTenant `json:"tenants,omitempty"` // sorted by name
+	Jobs    []snapJob    `json:"jobs"`              // submission order
+	// Workers is the per-slot telemetry (duration/failure EWMAs); journal
+	// tail records fold on top in LSN order. Sorted by (site, worker).
+	// Absent in pre-context snapshots, which recover with cold telemetry.
+	Workers []snapWorker `json:"workers,omitempty"`
+}
+
+// snapWorker is one worker slot's accumulated telemetry in a snapshot.
+// Fixed-point accumulators are serialized raw so restore is bit-exact.
+type snapWorker struct {
+	Site     int   `json:"site"`
+	Worker   int   `json:"worker"`
+	DurEwma  int64 `json:"durEwma,omitempty"`
+	FailEwma int64 `json:"failEwma,omitempty"`
+	Samples  int64 `json:"samples,omitempty"`
+	Events   int64 `json:"events"`
+}
+
+// snapTenant is one tenant's durable state in a snapshot: its quota
+// override and its exact cumulative dispatch total (in-flight counts and
+// share windows are liveness state and restart empty).
+type snapTenant struct {
+	Name       string `json:"name"`
+	Quota      int    `json:"quota,omitempty"`
+	Dispatches int64  `json:"dispatches,omitempty"`
+}
+
+// snapshotVersion 2 moved workloads out of the manifest into per-job files
+// and packed the ledgers. Version 1 documents (everything inline, one JSON
+// object per ledger event) still load; the next checkpoint rewrites them.
+const snapshotVersion = 2
+
+// snapJob is one resident job in a snapshot.
+type snapJob struct {
+	ID         string `json:"id"`
+	Name       string `json:"name"`
+	Algorithm  string `json:"algorithm"`
+	Seed       int64  `json:"seed"`
+	Submission string `json:"submission,omitempty"`
+	State      string `json:"state"`
+	Tasks      int    `json:"tasks"`
+	Submitted  int64  `json:"submittedMs"`
+	Finished   int64  `json:"finishedMs,omitempty"`
+	// Fair-share state: resolved tenant and weight, plus (running jobs
+	// only) the arbiter's virtual finish tag, restored exactly so the
+	// post-recovery dispatch order matches an uninterrupted run.
+	Tenant string `json:"tenant,omitempty"`
+	Weight int    `json:"weight,omitempty"`
+	Fair   uint64 `json:"fair,omitempty"`
+
+	// Context-aware scheduling: the job's required worker tags and soft
+	// deadline (unix millis, 0 = none), restored verbatim.
+	Requires []string `json:"requires,omitempty"`
+	Deadline int64    `json:"deadline,omitempty"`
+
+	// Running jobs: replay inputs. Workload is set in memory and in a
+	// replication message; a manifest on disk never carries it (the job's
+	// workload file does).
+	Workload *workload.Workload `json:"workload,omitempty"`
+	Ledger   packedLedger       `json:"ledger,omitempty"`
+
+	// Completed jobs: the surviving summary.
+	Dispatched int   `json:"dispatched,omitempty"`
+	Completed  int   `json:"completed,omitempty"`
+	Failed     int   `json:"failed,omitempty"`
+	Cancelled  int   `json:"cancelled,omitempty"`
+	Expired    int   `json:"expired,omitempty"`
+	Speculated int   `json:"speculated,omitempty"`
+	Transfers  int64 `json:"transfers,omitempty"`
+}
+
+// decodeSnapshot parses a checkpoint document — a manifest or a
+// replication message, in any version this binary reads.
+func decodeSnapshot(data []byte) (*snapshot, error) {
+	var snap snapshot
+	if err := json.Unmarshal(data, &snap); err != nil {
+		return nil, err
+	}
+	if snap.Version < 1 || snap.Version > snapshotVersion {
+		return nil, fmt.Errorf("snapshot version %d, this binary reads 1 through %d", snap.Version, snapshotVersion)
+	}
+	for i := range snap.Jobs {
+		// Job ids name files; refuse anything but the minted j<n> form
+		// before one reaches a path.
+		if id := snap.Jobs[i].ID; !strings.HasPrefix(id, "j") || idNum(id) == 0 {
+			return nil, fmt.Errorf("snapshot job id %q is not of the form j<n>", id)
+		}
+	}
+	return &snap, nil
+}
+
+// readManifest parses dir's snapshot.json without touching workload
+// files; nil when the dir holds no checkpoint yet.
+func readManifest(dir string) (*snapshot, error) {
+	path := filepath.Join(dir, snapshotFile)
+	data, err := os.ReadFile(path)
+	if os.IsNotExist(err) {
+		return nil, nil
+	}
+	if err != nil {
+		return nil, err
+	}
+	snap, err := decodeSnapshot(data)
+	if err != nil {
+		return nil, fmt.Errorf("service: corrupt snapshot %s: %w", path, err)
+	}
+	return snap, nil
+}
+
+// loadWorkloads fills in every running job's workload that snap does not
+// carry inline from the job's workload file, returning the ids it loaded
+// that way. A referenced file that is missing or does not decode to the
+// job's task count is an error (wrapping fs.ErrNotExist when missing, so a
+// reader racing a live checkpoint can tell and retry).
+func loadWorkloads(dir string, snap *snapshot) (stored map[string]struct{}, err error) {
+	stored = make(map[string]struct{})
+	for i := range snap.Jobs {
+		sj := &snap.Jobs[i]
+		if sj.State != api.JobRunning || sj.Workload != nil {
+			continue
+		}
+		path := workloadPath(dir, sj.ID)
+		data, err := os.ReadFile(path)
+		if err != nil {
+			return nil, fmt.Errorf("service: snapshot job %s: workload file: %w", sj.ID, err)
+		}
+		w, err := api.DecodeWorkload(data)
+		if err != nil {
+			return nil, fmt.Errorf("service: snapshot job %s: workload file %s: %w", sj.ID, path, err)
+		}
+		if len(w.Tasks) != sj.Tasks {
+			return nil, fmt.Errorf("service: snapshot job %s: workload file %s holds %d tasks, manifest says %d",
+				sj.ID, path, len(w.Tasks), sj.Tasks)
+		}
+		sj.Workload = w
+		stored[sj.ID] = struct{}{}
+	}
+	return stored, nil
+}
+
+// readCheckpoint loads dir's checkpoint in full: the manifest, plus every
+// running job's workload. stored names the jobs whose workload lives in a
+// workload file (all of them, unless the manifest is version 1). Nil snap
+// and an empty stored when the dir holds no checkpoint yet.
+func readCheckpoint(dir string) (snap *snapshot, stored map[string]struct{}, err error) {
+	snap, err = readManifest(dir)
+	if err != nil {
+		return nil, nil, err
+	}
+	if snap == nil {
+		return nil, map[string]struct{}{}, nil
+	}
+	stored, err = loadWorkloads(dir, snap)
+	if err != nil {
+		return nil, nil, err
+	}
+	return snap, stored, nil
+}
+
+// saveWorkloads writes the workload file of every running job in jobs
+// that stored does not list yet, and lists it. Each file is durable under
+// its final name (file and directory fsynced) before the call returns.
+// Returns the bytes written.
+func saveWorkloads(dir string, jobs []snapJob, stored map[string]struct{}) (int64, error) {
+	var written int64
+	for i := range jobs {
+		sj := &jobs[i]
+		if sj.State != api.JobRunning || sj.Workload == nil {
+			continue
+		}
+		if _, ok := stored[sj.ID]; ok {
+			continue
+		}
+		data := api.EncodeWorkload(sj.Workload)
+		if err := journal.WriteFileAtomic(workloadPath(dir, sj.ID), data); err != nil {
+			return written, err
+		}
+		stored[sj.ID] = struct{}{}
+		written += int64(len(data))
+	}
+	return written, nil
+}
+
+// writeCheckpoint makes snap dir's checkpoint: first the workload file of
+// every running job not in stored, then the manifest — snap minus the
+// inline workloads — replacing snapshot.json atomically. It drops snap's
+// inline workloads to do so (every one is in its file by then), which is
+// all the callers still need of snap. Rotating the journal and removing
+// retired workload files are the caller's next steps, in that order.
+// Returns the bytes written.
+func writeCheckpoint(dir string, snap *snapshot, stored map[string]struct{}) (int64, error) {
+	written, err := saveWorkloads(dir, snap.Jobs, stored)
+	if err != nil {
+		return written, err
+	}
+	for i := range snap.Jobs {
+		snap.Jobs[i].Workload = nil
+	}
+	data, err := json.Marshal(snap)
+	if err != nil {
+		return written, err
+	}
+	if err := journal.WriteFileAtomic(filepath.Join(dir, snapshotFile), data); err != nil {
+		return written, err
+	}
+	return written + int64(len(data)), nil
+}
+
+// sweepDataDir removes what a crash mid-checkpoint can strand in dir:
+// atomic-write temp files, and workload files no checkpoint refers to
+// (keep lists the job ids the current manifest relies on). Call it only
+// while nothing is writing into dir.
+func sweepDataDir(dir string, keep map[string]struct{}) error {
+	if err := journal.RemoveTemp(dir); err != nil {
+		return err
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		return err
+	}
+	for _, ent := range entries {
+		id, ok := strings.CutPrefix(ent.Name(), workloadPrefix)
+		if !ok {
+			continue
+		}
+		if id, ok = strings.CutSuffix(id, workloadSuffix); !ok {
+			continue
+		}
+		if _, ok := keep[id]; ok {
+			continue
+		}
+		if err := os.Remove(filepath.Join(dir, ent.Name())); err != nil && !os.IsNotExist(err) {
+			return err
+		}
+	}
+	return nil
+}
+
+// checkpointDocument assembles dir's checkpoint as one self-contained
+// document — the replication catch-up message — when it covers journal
+// position next. A nil document means it does not (or none exists yet),
+// which costs only the manifest read.
+func checkpointDocument(dir string, next uint64) (lsn uint64, doc []byte, err error) {
+	snap, err := readManifest(dir)
+	if snap == nil || err != nil {
+		return 0, nil, err
+	}
+	if snap.LastLSN < next {
+		return snap.LastLSN, nil, nil
+	}
+	if _, err := loadWorkloads(dir, snap); err != nil {
+		return 0, nil, err
+	}
+	doc, err = json.Marshal(snap)
+	if err != nil {
+		return 0, nil, err
+	}
+	return snap.LastLSN, doc, nil
+}

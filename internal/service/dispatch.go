@@ -458,7 +458,7 @@ func (s *Service) tryJobLocked(sh *shard, j *job, workerID string, ref core.Work
 	}
 	c.mu.Unlock()
 	if s.pst != nil {
-		j.ledger = append(j.ledger, ledgerRec{
+		j.ledger = j.ledger.add(ledgerRec{
 			Op: ledgerDispatch, Task: task.ID,
 			Site: int32(ref.Site), Worker: int32(ref.Worker),
 			Ts: now.UnixMilli(),
@@ -588,7 +588,7 @@ func (s *Service) trySpeculateLocked(sh *shard, j *job, workerID string, ref cor
 		}
 		c.mu.Unlock()
 		if s.pst != nil {
-			j.ledger = append(j.ledger, ledgerRec{
+			j.ledger = j.ledger.add(ledgerRec{
 				Op: ledgerSpecDispatch, Task: task.ID,
 				Site: int32(ref.Site), Worker: int32(ref.Worker),
 				Ts: now.UnixMilli(),

@@ -33,3 +33,20 @@ func (s *Service) SnapshotForTest() error {
 func (s *Service) SweepForTest() {
 	s.sweep(s.now())
 }
+
+// Checkpoint step boundaries, for SetCheckpointStepHookForTest.
+const (
+	StepWorkloadsSaved  = stepWorkloadsSaved
+	StepManifestRenamed = stepManifestRenamed
+	StepJournalRotated  = stepJournalRotated
+)
+
+// SetCheckpointStepHookForTest installs fn to be told every checkpoint
+// step boundary as it is reached; an error from fn abandons the checkpoint
+// at that boundary, which is how the crash-ordering tests die between two
+// steps (faultinject.Steps).
+func (s *Service) SetCheckpointStepHookForTest(fn func(step string) error) {
+	s.snapMu.Lock()
+	defer s.snapMu.Unlock()
+	s.pst.atStep = fn
+}

@@ -105,30 +105,31 @@ func NewFollower(cfg Config, fcfg FollowerConfig) (*Follower, error) {
 }
 
 func (f *Follower) walPath() string { return filepath.Join(f.svcCfg.DataDir, walFile) }
-func (f *Follower) snapPath() string {
-	return filepath.Join(f.svcCfg.DataDir, snapshotFile)
-}
 
 // openLocal loads whatever replicated state already exists on disk:
-// snapshot into the catalog, journal tail folded on top, writer opened at
-// the validated prefix — a restartable follower, not a from-scratch one.
+// checkpoint into the catalog, journal tail folded on top, writer opened
+// at the validated prefix — a restartable follower, not a from-scratch
+// one. The checkpoint is read in full, workload files included, exactly
+// as the recovery that promotion runs will read it: a data dir promotion
+// would refuse is refused here, while the leader is still alive.
 func (f *Follower) openLocal() error {
-	if err := os.MkdirAll(f.svcCfg.DataDir, 0o755); err != nil {
+	dir := f.svcCfg.DataDir
+	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
-	snap, err := readLocalSnapshot(f.snapPath())
+	snap, stored, err := readCheckpoint(dir)
 	if err != nil {
 		return err
 	}
-	cat := newCatalog(f.svcCfg.DefaultWeight, f.svcCfg.TenantMaxInFlight)
-	if snap != nil {
-		if snap.Version != snapshotVersion {
-			return fmt.Errorf("service: snapshot version %d (want %d)", snap.Version, snapshotVersion)
-		}
-		cat.loadSnapshot(snap)
+	// A crash inside ApplySnapshot strands what a crash inside a leader's
+	// checkpoint does.
+	if err := sweepDataDir(dir, stored); err != nil {
+		return err
 	}
+	cat := newCatalog(f.svcCfg.DefaultWeight, f.svcCfg.TenantMaxInFlight)
 	after := uint64(0)
 	if snap != nil {
+		cat.loadSnapshot(snap)
 		after = snap.LastLSN
 	}
 	info, err := journal.ReadLog(f.walPath(), after, func(lsn uint64, payload []byte) error {
@@ -150,23 +151,6 @@ func (f *Follower) openLocal() error {
 	f.w, f.cat, f.last = w, cat, last
 	f.repl.LocalLSN.Store(int64(last))
 	return nil
-}
-
-// readLocalSnapshot parses the follower's on-disk snapshot, nil when none
-// exists yet.
-func readLocalSnapshot(path string) (*snapshot, error) {
-	data, err := os.ReadFile(path)
-	if os.IsNotExist(err) {
-		return nil, nil
-	}
-	if err != nil {
-		return nil, err
-	}
-	var snap snapshot
-	if err := json.Unmarshal(data, &snap); err != nil {
-		return nil, fmt.Errorf("service: snapshot %s: %w", path, err)
-	}
-	return &snap, nil
 }
 
 func (f *Follower) touchContact() { f.lastContact.Store(time.Now().UnixNano()) }
@@ -267,27 +251,34 @@ func (f *Follower) ApplyFrame(lsn uint64, payload []byte) error {
 	return nil
 }
 
-// ApplySnapshot installs a full catch-up snapshot: the on-disk snapshot
-// file is replaced atomically, the local WAL resets to an empty log
-// seeded at the snapshot's LSN (exactly the state a leader has right
-// after rotation), and the catalog is rebuilt.
+// ApplySnapshot installs a full catch-up snapshot: the self-contained
+// document is split into the checkpoint files a leader keeps (every
+// workload rewritten from the message, then the manifest, the order a
+// leader's checkpoint uses), the local WAL resets to an empty log seeded
+// at the snapshot's LSN (exactly the state a leader has right after
+// rotation), the catalog is rebuilt, and workload files the new manifest
+// does not list are removed.
 func (f *Follower) ApplySnapshot(lsn uint64, data []byte) error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if f.w == nil {
 		return fmt.Errorf("service: follower is promoting")
 	}
-	var snap snapshot
-	if err := json.Unmarshal(data, &snap); err != nil {
+	snap, err := decodeSnapshot(data)
+	if err != nil {
 		return fmt.Errorf("%w: undecodable snapshot: %v", replicate.ErrDiverged, err)
-	}
-	if snap.Version != snapshotVersion {
-		return fmt.Errorf("%w: snapshot version %d (want %d)", replicate.ErrDiverged, snap.Version, snapshotVersion)
 	}
 	if snap.LastLSN != lsn {
 		return fmt.Errorf("%w: snapshot body covers lsn %d, header says %d", replicate.ErrDiverged, snap.LastLSN, lsn)
 	}
-	if err := journal.WriteFileAtomic(f.snapPath(), data); err != nil {
+	for i := range snap.Jobs {
+		if sj := &snap.Jobs[i]; sj.State == api.JobRunning && sj.Workload == nil {
+			return fmt.Errorf("%w: snapshot job %s running but has no workload", replicate.ErrDiverged, sj.ID)
+		}
+	}
+	dir := f.svcCfg.DataDir
+	stored := make(map[string]struct{})
+	if _, err := writeCheckpoint(dir, snap, stored); err != nil {
 		return fmt.Errorf("%w: %v", errFollowerWAL, err)
 	}
 	if err := f.w.Close(); err != nil {
@@ -300,8 +291,11 @@ func (f *Follower) ApplySnapshot(lsn uint64, data []byte) error {
 		return fmt.Errorf("%w: %v", errFollowerWAL, err)
 	}
 	f.w = w
+	if err := sweepDataDir(dir, stored); err != nil {
+		log.Printf("gridschedd: follower data dir sweep after snapshot: %v", err)
+	}
 	cat := newCatalog(f.svcCfg.DefaultWeight, f.svcCfg.TenantMaxInFlight)
-	cat.loadSnapshot(&snap)
+	cat.loadSnapshot(snap)
 	f.cat = cat
 	f.last = lsn
 	f.repl.SnapshotsApplied.Add(1)

@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 	"time"
@@ -18,7 +20,13 @@ import (
 // leaderURL into its own temp data dir.
 func startFollower(t *testing.T, leaderURL string) *service.Follower {
 	t.Helper()
-	fl, err := service.NewFollower(durableConfig(t.TempDir()), service.FollowerConfig{
+	return startFollowerIn(t, t.TempDir(), leaderURL)
+}
+
+// startFollowerIn is startFollower over a data dir the test can inspect.
+func startFollowerIn(t *testing.T, dir, leaderURL string) *service.Follower {
+	t.Helper()
+	fl, err := service.NewFollower(durableConfig(dir), service.FollowerConfig{
 		Leader:       leaderURL,
 		ReconnectMax: 100 * time.Millisecond,
 	})
@@ -198,14 +206,17 @@ func TestFollowerReadyzAndRedirect(t *testing.T) {
 
 // TestFollowerSnapshotCatchUp connects the standby after the leader has
 // already snapshotted and rotated its WAL away: the only complete source
-// is the snapshot, which must be shipped and installed.
+// is the snapshot, which must be shipped — one self-contained message,
+// assembled from the leader's manifest and workload files — and installed
+// as the same files, in a data dir ordinary recovery accepts.
 func TestFollowerSnapshotCatchUp(t *testing.T) {
 	s, err := service.New(durableConfig(t.TempDir()))
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(s.Close)
-	if _, err := s.SubmitByName("pre", "rest", syntheticWorkload(10, 3), 3, ""); err != nil {
+	jobID, err := s.SubmitByName("pre", "rest", syntheticWorkload(10, 3), 3, "")
+	if err != nil {
 		t.Fatal(err)
 	}
 	pullSequence(t, s, 4)
@@ -216,7 +227,13 @@ func TestFollowerSnapshotCatchUp(t *testing.T) {
 
 	srv := httptest.NewServer(s.Handler())
 	t.Cleanup(srv.Close)
-	fl := startFollower(t, srv.URL)
+	dir := t.TempDir()
+	// A workload file no checkpoint refers to, as an interrupted earlier
+	// catch-up would leave; the follower must not keep it.
+	if err := os.WriteFile(filepath.Join(dir, workloadFileOf("j999")), []byte("stale"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	fl := startFollowerIn(t, dir, srv.URL)
 	waitCaughtUp(t, fl, s)
 
 	if got := fl.ReplicationCounters().SnapshotsApplied.Load(); got == 0 {
@@ -228,6 +245,37 @@ func TestFollowerSnapshotCatchUp(t *testing.T) {
 	gotJobs = normalizeForFollower(gotJobs)
 	if len(gotJobs) != 1 || !reflect.DeepEqual(gotJobs[0], wantJobs[0]) {
 		t.Fatalf("after snapshot catch-up:\nfollower %+v\nleader   %+v", gotJobs, wantJobs)
+	}
+
+	// On disk the follower holds what a leader holds: the manifest without
+	// the workload, the workload in its own file, nothing else.
+	want := []string{"snapshot.json", "wal.log", workloadFileOf(jobID)}
+	if got := dirNames(t, dir); !reflect.DeepEqual(got, want) {
+		t.Fatalf("follower data dir holds %v, want %v", got, want)
+	}
+	if _, jobs := manifestJobs(t, dir); jobs[jobID]["workload"] != nil {
+		t.Fatal("follower manifest carries the workload inline")
+	}
+	// And ordinary recovery accepts it: promotion is New() over that dir.
+	wantStatus, err := s.JobStatus(jobID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.CrashForTest()
+	promoted, err := fl.Promote()
+	if err != nil {
+		t.Fatalf("promotion over the caught-up data dir: %v", err)
+	}
+	defer promoted.Close()
+	gotStatus, err := promoted.JobStatus(jobID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if gotStatus.Completed != wantStatus.Completed || gotStatus.Remaining != wantStatus.Remaining {
+		t.Fatalf("promoted job %+v, leader had %+v", gotStatus, wantStatus)
+	}
+	if rest := pullSequence(t, promoted, -1); len(rest) != wantStatus.Remaining {
+		t.Fatalf("promoted node drained %d tasks, want %d", len(rest), wantStatus.Remaining)
 	}
 }
 

@@ -274,7 +274,7 @@ func (s *Service) applyReportLocked(sh *shard, a *assignment, outcome string, no
 		if outcome == api.OutcomeSuccess {
 			op = ledgerSuccess
 		}
-		j.ledger = append(j.ledger, ledgerRec{
+		j.ledger = j.ledger.add(ledgerRec{
 			Op: op, Task: a.task.ID,
 			Site: int32(a.ref.Site), Worker: int32(a.ref.Worker),
 			Ts: now.UnixMilli(),

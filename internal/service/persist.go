@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"log"
+	"os"
 	"path/filepath"
 	"sort"
 	"sync/atomic"
@@ -13,12 +14,6 @@ import (
 	"gridsched/internal/journal"
 	"gridsched/internal/service/api"
 	"gridsched/internal/workload"
-)
-
-// Persistence layout inside Config.DataDir.
-const (
-	walFile      = "wal.log"
-	snapshotFile = "snapshot.json"
 )
 
 // Journal record ops. The write-ahead log records every externally visible
@@ -79,137 +74,10 @@ type record struct {
 	Spec bool `json:"spec,omitempty"`
 }
 
-// Ledger ops: the per-job replay history, a compact projection of the
-// job's journal records. Replaying a ledger through the job's freshly
-// rebuilt scheduler reproduces its dispatch state exactly (see recovery.go).
-const (
-	ledgerDispatch = uint8(iota)
-	ledgerSuccess
-	ledgerFailure
-	ledgerExpire
-	// ledgerSpecDispatch is a speculative twin grant: the task was
-	// re-leased alongside a live primary without consulting the
-	// scheduler. Replay restages the batch and NoteBatches it, but issues
-	// no ReplayAssign.
-	ledgerSpecDispatch
-)
-
-// ledgerRec is one replayable scheduler-affecting event.
-type ledgerRec struct {
-	Op     uint8           `json:"op"`
-	Task   workload.TaskID `json:"t"`
-	Site   int32           `json:"s"`
-	Worker int32           `json:"w"`
-	Ts     int64           `json:"ms,omitempty"` // unix milliseconds
-}
-
-// carryCounters preserves the monotone totals of deleted jobs across
-// snapshots, so the global /metrics counters stay exact over restarts.
-type carryCounters struct {
-	Jobs          int64 `json:"jobs"`
-	CompletedJobs int64 `json:"completedJobs"`
-	Dispatched    int64 `json:"dispatched"`
-	Completions   int64 `json:"completions"`
-	Failures      int64 `json:"failures"`
-	Cancellations int64 `json:"cancellations"`
-	Expired       int64 `json:"expired"`
-	Speculated    int64 `json:"speculated,omitempty"`
-}
-
-// snapshot is the atomically-replaced checkpoint: everything the service
-// needs so that log records at or below LastLSN can be discarded.
-// Completed jobs shrink to their status summary; running jobs carry their
-// workload and replay ledger. Scheduler internals (weight-class indexes,
-// RNG state) are deliberately NOT serialized — they are reconstructed by
-// replaying the ledger through a freshly built scheduler, which reproduces
-// the exact state (including pending random draws) of the crashed process.
-type snapshot struct {
-	Version int   `json:"version"`
-	Seq     int64 `json:"seq"`
-	// Partition identity the data dir was written under (see
-	// Config.PartitionIndex). Count 0 marks a pre-partitioning snapshot,
-	// which recovers only as the standalone identity 0 of 1 — the only
-	// identity such a dir can have minted ids for.
-	PartitionIndex int           `json:"partitionIndex,omitempty"`
-	PartitionCount int           `json:"partitionCount,omitempty"`
-	LastLSN        uint64        `json:"lastLsn"`
-	Carry          carryCounters `json:"carry"`
-	// VTime is the fair-share arbiter's virtual time floor and Tenants its
-	// per-tenant durable state; journal tail records re-apply charges on
-	// top (see recovery.go). Both absent in pre-fair-share snapshots,
-	// which recover with all tags zero — submission order, the old
-	// behavior.
-	VTime   uint64       `json:"vtime,omitempty"`
-	Tenants []snapTenant `json:"tenants,omitempty"` // sorted by name
-	Jobs    []snapJob    `json:"jobs"`              // submission order
-	// Workers is the per-slot telemetry (duration/failure EWMAs); journal
-	// tail records fold on top in LSN order. Sorted by (site, worker).
-	// Absent in pre-context snapshots, which recover with cold telemetry.
-	Workers []snapWorker `json:"workers,omitempty"`
-}
-
-// snapWorker is one worker slot's accumulated telemetry in a snapshot.
-// Fixed-point accumulators are serialized raw so restore is bit-exact.
-type snapWorker struct {
-	Site     int   `json:"site"`
-	Worker   int   `json:"worker"`
-	DurEwma  int64 `json:"durEwma,omitempty"`
-	FailEwma int64 `json:"failEwma,omitempty"`
-	Samples  int64 `json:"samples,omitempty"`
-	Events   int64 `json:"events"`
-}
-
-// snapTenant is one tenant's durable state in a snapshot: its quota
-// override and its exact cumulative dispatch total (in-flight counts and
-// share windows are liveness state and restart empty).
-type snapTenant struct {
-	Name       string `json:"name"`
-	Quota      int    `json:"quota,omitempty"`
-	Dispatches int64  `json:"dispatches,omitempty"`
-}
-
-const snapshotVersion = 1
-
-// snapJob is one resident job in a snapshot.
-type snapJob struct {
-	ID         string `json:"id"`
-	Name       string `json:"name"`
-	Algorithm  string `json:"algorithm"`
-	Seed       int64  `json:"seed"`
-	Submission string `json:"submission,omitempty"`
-	State      string `json:"state"`
-	Tasks      int    `json:"tasks"`
-	Submitted  int64  `json:"submittedMs"`
-	Finished   int64  `json:"finishedMs,omitempty"`
-	// Fair-share state: resolved tenant and weight, plus (running jobs
-	// only) the arbiter's virtual finish tag, restored exactly so the
-	// post-recovery dispatch order matches an uninterrupted run.
-	Tenant string `json:"tenant,omitempty"`
-	Weight int    `json:"weight,omitempty"`
-	Fair   uint64 `json:"fair,omitempty"`
-
-	// Context-aware scheduling: the job's required worker tags and soft
-	// deadline (unix millis, 0 = none), restored verbatim.
-	Requires []string `json:"requires,omitempty"`
-	Deadline int64    `json:"deadline,omitempty"`
-
-	// Running jobs: replay inputs.
-	Workload *workload.Workload `json:"workload,omitempty"`
-	Ledger   []ledgerRec        `json:"ledger,omitempty"`
-
-	// Completed jobs: the surviving summary.
-	Dispatched int   `json:"dispatched,omitempty"`
-	Completed  int   `json:"completed,omitempty"`
-	Failed     int   `json:"failed,omitempty"`
-	Cancelled  int   `json:"cancelled,omitempty"`
-	Expired    int   `json:"expired,omitempty"`
-	Speculated int   `json:"speculated,omitempty"`
-	Transfers  int64 `json:"transfers,omitempty"`
-}
-
 // persistence is the journaling state of a Service with Config.DataDir
 // set. carry is guarded by the coordinator mutex; sinceSnapshot is
-// atomic; stage serializes appends (commit.go).
+// atomic; stage serializes appends (commit.go); stored and atStep belong
+// to the checkpoint path and are guarded by snapMu.
 type persistence struct {
 	dir            string
 	w              *journal.Writer
@@ -217,6 +85,27 @@ type persistence struct {
 	journalMetrics *journal.Metrics
 	carry          carryCounters
 	sinceSnapshot  atomic.Int64 // records appended since the last snapshot
+	// stored lists the running jobs whose workload file is durable in dir,
+	// so each checkpoint writes only the files of jobs new since the last.
+	stored map[string]struct{}
+	// atStep, when set, is told each checkpoint step boundary as it is
+	// reached; an error abandons the checkpoint right there. Tests set it
+	// to die between steps — nothing else does.
+	atStep func(step string) error
+}
+
+// Checkpoint step boundaries, in order (see Service.snapshot).
+const (
+	stepWorkloadsSaved  = "workloads-saved"  // new workload files durable, manifest untouched
+	stepManifestRenamed = "manifest-renamed" // manifest durable, journal not yet rotated
+	stepJournalRotated  = "journal-rotated"  // journal rotated, retired workload files still present
+)
+
+func (p *persistence) reached(step string) error {
+	if p.atStep == nil {
+		return nil
+	}
+	return p.atStep(step)
 }
 
 // refreshJournalMetrics copies the log writer's counters into the service
@@ -231,8 +120,7 @@ func (s *Service) refreshJournalMetrics() {
 	s.counters.JournalFsyncs.Store(m.Fsyncs.Load())
 }
 
-func (s *Service) walPath() string      { return filepath.Join(s.pst.dir, walFile) }
-func (s *Service) snapshotPath() string { return filepath.Join(s.pst.dir, snapshotFile) }
+func (s *Service) walPath() string { return filepath.Join(s.pst.dir, walFile) }
 
 // appendRecord journals rec through the commit stage. Callers hold the
 // lock that owns rec's state change (the job's shard, or the coordinator
@@ -244,10 +132,25 @@ func (s *Service) snapshotPath() string { return filepath.Join(s.pst.dir, snapsh
 // acquires, so a snapshot can never claim (via LastLSN) to cover a record
 // whose effect it does not contain.
 func (s *Service) appendRecord(rec *record) (uint64, error) {
+	payload, err := encodeRecord(rec)
+	if err != nil {
+		return 0, err
+	}
+	return s.appendEncoded(payload)
+}
+
+func encodeRecord(rec *record) ([]byte, error) {
 	payload, err := json.Marshal(rec)
 	if err != nil {
-		return 0, errf(500, "service: journal encode: %v", err)
+		return nil, errf(500, "service: journal encode: %v", err)
 	}
+	return payload, nil
+}
+
+// appendEncoded is appendRecord for a payload encoded ahead of time, for
+// the one record big enough that encoding it inside the critical section
+// would stall everyone else: a submit, which carries its workload.
+func (s *Service) appendEncoded(payload []byte) (uint64, error) {
 	lsn, err := s.pst.stage.append(payload)
 	if err != nil {
 		return 0, errf(503, "service: journal append: %v", err)
@@ -264,9 +167,9 @@ func (s *Service) appendRecord(rec *record) (uint64, error) {
 func (s *Service) appendRecords(recs []*record) (uint64, error) {
 	payloads := make([][]byte, len(recs))
 	for i, rec := range recs {
-		p, err := json.Marshal(rec)
+		p, err := encodeRecord(rec)
 		if err != nil {
-			return 0, errf(500, "service: journal encode: %v", err)
+			return 0, err
 		}
 		payloads[i] = p
 	}
@@ -310,7 +213,8 @@ func (s *Service) waitDurable(lsn uint64) error {
 }
 
 // snapshotIfDue snapshots once enough records accumulated. Callers must
-// hold no service lock: the snapshot is stop-the-world (lockAll).
+// hold no service lock: the snapshot's middle step is stop-the-world
+// (lockAll).
 func (s *Service) snapshotIfDue() {
 	if s.pst == nil || s.pst.sinceSnapshot.Load() < int64(s.cfg.SnapshotEvery) {
 		return
@@ -327,16 +231,93 @@ func (s *Service) snapshotIfDue() {
 	}
 }
 
-// snapshot serializes the full service state and rotates the log.
-// Stop-the-world under every shard plus the coordinator (lockAll): for
-// the workload sizes gridschedd serves this is milliseconds, and it runs
-// only every SnapshotEvery records. With all stripes held no append can
-// be in flight, so LastLSN names a frozen log position whose every
-// record's effect the snapshot contains. Callers hold snapMu.
+// snapshot checkpoints the full service state and rotates the log, in
+// three steps (checkpoint.go has the layout and why the order is safe):
+//
+//  1. No service-wide lock: write the workload file of every running job
+//     that has none yet. Workloads are immutable after submit, so a shard
+//     is held only long enough to list its jobs.
+//  2. Stop-the-world under every shard plus the coordinator (lockAll):
+//     capture the mutable state, replace the manifest, rotate the log.
+//     With all stripes held no append can be in flight, so LastLSN names a
+//     frozen log position whose every record's effect the manifest
+//     contains. The pause is the manifest's encode (the packed ledgers and
+//     a few counters — nothing proportional to workload bytes) plus three
+//     fsyncs: manifest, directory, truncated log.
+//  3. Unlocked again: remove the workload files of jobs the manifest no
+//     longer lists as running.
+//
+// Callers hold snapMu.
 func (s *Service) snapshot() error {
+	dir := s.pst.dir
+	var pending []snapJob
+	for _, sh := range s.shards {
+		sh.mu.Lock()
+		for _, j := range sh.jobs {
+			if _, ok := s.pst.stored[j.id]; !ok && j.state == api.JobRunning {
+				pending = append(pending, snapJob{ID: j.id, State: j.state, Workload: j.w})
+			}
+		}
+		sh.mu.Unlock()
+	}
+	written, err := saveWorkloads(dir, pending, s.pst.stored)
+	if err != nil {
+		return err
+	}
+	if err := s.pst.reached(stepWorkloadsSaved); err != nil {
+		return err
+	}
+
+	snap, n, err := s.checkpointLocked()
+	written += n
+	if err != nil {
+		return err
+	}
+	s.counters.Snapshots.Add(1)
+	s.counters.SnapshotBytes.Store(written)
+	if err := s.pst.reached(stepJournalRotated); err != nil {
+		return err
+	}
+
+	running := make(map[string]struct{}, len(s.pst.stored))
+	for i := range snap.Jobs {
+		if snap.Jobs[i].State == api.JobRunning {
+			running[snap.Jobs[i].ID] = struct{}{}
+		}
+	}
+	for id := range s.pst.stored {
+		if _, ok := running[id]; ok {
+			continue
+		}
+		// A failed removal strands an unreferenced file, which the next
+		// recovery sweeps; it is not worth failing a checkpoint that is
+		// already durable.
+		if err := os.Remove(workloadPath(dir, id)); err != nil && !os.IsNotExist(err) {
+			log.Printf("gridschedd: remove retired workload file: %v", err)
+		}
+		delete(s.pst.stored, id)
+	}
+	return nil
+}
+
+// checkpointLocked is snapshot's stop-the-world step: capture, manifest,
+// rotation, all inside one lockAll. Returns the captured snapshot and the
+// bytes written.
+func (s *Service) checkpointLocked() (*snapshot, int64, error) {
 	pauseStart := time.Now()
 	s.lockAll()
-	snap := snapshot{
+	// The locks stay held through the manifest replacement AND the
+	// rotation: Rotate truncates the whole log, so an append landing
+	// between the LastLSN capture and the truncation would be destroyed
+	// without being represented in the manifest. With every stripe held no
+	// such append can exist. The full lockAll→unlockAll span is the
+	// stop-the-world pause every in-flight request rides out; record it so
+	// the pause is visible in /metrics rather than only as tail latency.
+	defer func() {
+		s.unlockAll()
+		s.counters.ObserveSnapshotPause(time.Since(pauseStart).Nanoseconds())
+	}()
+	snap := &snapshot{
 		Version:        snapshotVersion,
 		Seq:            s.seq.Load(),
 		PartitionIndex: s.cfg.PartitionIndex,
@@ -390,7 +371,9 @@ func (s *Service) snapshot() error {
 			sj.Speculated = j.speculated
 		} else {
 			// Running jobs re-derive speculated (and the rest of the
-			// counters' replayable parts) from the ledger.
+			// counters' replayable parts) from the ledger. A job submitted
+			// since step 1 has no workload file yet; writeCheckpoint writes
+			// it here, under the locks — one workload, rarely.
 			sj.Workload = j.w
 			sj.Ledger = j.ledger
 			sj.Fair = j.fair
@@ -398,31 +381,18 @@ func (s *Service) snapshot() error {
 		snap.Jobs = append(snap.Jobs, sj)
 	}
 	snap.Workers = s.tel.snapshotWorkers()
-	// The locks stay held through the file replacement AND the rotation:
-	// Rotate truncates the whole log, so an append landing between the
-	// LastLSN capture and the truncation would be destroyed without being
-	// represented in the snapshot. With every stripe held no such append
-	// can exist. The full lockAll→unlockAll span is the stop-the-world
-	// pause every in-flight request rides out; record it so the pause is
-	// visible in /metrics rather than only as tail latency.
-	defer func() {
-		s.unlockAll()
-		s.counters.ObserveSnapshotPause(time.Since(pauseStart).Nanoseconds())
-	}()
-	data, err := json.Marshal(&snap)
+	written, err := writeCheckpoint(s.pst.dir, snap, s.pst.stored)
 	if err != nil {
-		return err
+		return nil, written, err
 	}
-	if err := journal.WriteFileAtomic(s.snapshotPath(), data); err != nil {
-		return err
+	if err := s.pst.reached(stepManifestRenamed); err != nil {
+		return nil, written, err
 	}
 	if err := s.pst.w.Rotate(); err != nil {
-		return err
+		return nil, written, err
 	}
 	s.pst.sinceSnapshot.Store(0)
-	s.counters.Snapshots.Add(1)
-	s.counters.SnapshotBytes.Store(int64(len(data)))
-	return nil
+	return snap, written, nil
 }
 
 // replayAssignSched drives sched into the post-dispatch state for (id, at):

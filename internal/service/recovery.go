@@ -31,7 +31,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
-	"path/filepath"
 	"sort"
 	"time"
 
@@ -87,34 +86,26 @@ func (s *Service) recover() error {
 	if err := os.MkdirAll(s.pst.dir, 0o755); err != nil {
 		return err
 	}
-	// Sweep snapshot temp files orphaned by a crash between CreateTemp and
-	// rename; without this every crash-during-snapshot leaks one file into
-	// the data dir forever.
-	if stale, err := filepath.Glob(s.snapshotPath() + ".tmp*"); err == nil {
-		for _, p := range stale {
-			_ = os.Remove(p)
-		}
-	}
 	rs := &recoveryState{grants: make(map[grantKey]int64)}
 
-	// 1. Snapshot.
-	var snap snapshot
-	data, err := os.ReadFile(s.snapshotPath())
-	switch {
-	case os.IsNotExist(err):
+	// 1. Checkpoint: the manifest plus the running jobs' workload files,
+	// then a sweep of whatever a crash mid-checkpoint stranded — temp
+	// files, and workload files the manifest does not rely on (written
+	// ahead of a manifest that never landed, or outliving one that retired
+	// them). Without the sweep every such crash leaks a file forever.
+	snap, stored, err := readCheckpoint(s.pst.dir)
+	if err != nil {
+		return err
+	}
+	s.pst.stored = stored
+	if err := sweepDataDir(s.pst.dir, stored); err != nil {
+		return err
+	}
+	if snap == nil {
 		// Fresh data dir: keep the partition-seeded sequence New installed
 		// rather than clobbering it with the zero value.
-		snap.Version = snapshotVersion
-		snap.Seq = s.seq.Load()
-	case err != nil:
-		return err
-	default:
-		if err := json.Unmarshal(data, &snap); err != nil {
-			return fmt.Errorf("service: corrupt snapshot %s: %w", s.snapshotPath(), err)
-		}
-		if snap.Version != snapshotVersion {
-			return fmt.Errorf("service: snapshot version %d, this binary speaks %d", snap.Version, snapshotVersion)
-		}
+		snap = &snapshot{Version: snapshotVersion, Seq: s.seq.Load()}
+	} else {
 		// Partition identity check: ids in this dir were minted in the
 		// recorded partition's residue class, so recovering under any other
 		// identity would mis-route every one of them. Pre-partitioning
@@ -285,7 +276,8 @@ func (s *Service) restoreSnapJob(rs *recoveryState, sj *snapJob) error {
 		// jobs lost their ledgers; a tail report on one folds without a
 		// duration sample — the one corner where a recovered EWMA can lag
 		// the uninterrupted one by a sample.)
-		for _, e := range sj.Ledger {
+		for i := 0; i < sj.Ledger.len(); i++ {
+			e := sj.Ledger.at(i)
 			k := grantKey{job: sj.ID, task: int32(e.Task), site: e.Site, worker: e.Worker}
 			switch e.Op {
 			case ledgerDispatch, ledgerSpecDispatch:
@@ -392,7 +384,7 @@ func (s *Service) applyLogRecord(rs *recoveryState, rec *record) error {
 			j.cancelled++
 			return nil
 		}
-		j.ledger = append(j.ledger, ledgerRec{
+		j.ledger = j.ledger.add(ledgerRec{
 			Op: op, Task: rec.Task, Site: int32(rec.Site), Worker: int32(rec.Worker), Ts: rec.Ts,
 		})
 	case opDelete:
@@ -435,9 +427,12 @@ func (s *Service) replayJob(j *job) (int, error) {
 	}
 
 	open := make(map[openKey]*openExec)
-	for i, e := range j.ledger {
-		if err := s.replayEvent(j, e, open); err != nil {
-			return i, fmt.Errorf("ledger event %d/%d: %w", i, len(j.ledger), err)
+	// Completion mid-replay releases j.ledger; the events still to come
+	// (reports of cancelled replicas) replay from this copy of the header.
+	ledger := j.ledger
+	for i, n := 0, ledger.len(); i < n; i++ {
+		if err := s.replayEvent(j, ledger.at(i), open); err != nil {
+			return i, fmt.Errorf("ledger event %d/%d: %w", i, n, err)
 		}
 	}
 
@@ -466,17 +461,17 @@ func (s *Service) replayJob(j *job) (int, error) {
 				Op: opExpire, Ts: now, Job: j.id,
 				Task: e.Task, Site: int(k.site), Worker: int(k.worker),
 			})
-			j.ledger = append(j.ledger, e)
+			j.ledger = j.ledger.add(e)
 			// These are fresh journal records, so fold them into telemetry
 			// like any live expiry — the post-recovery snapshot covers them.
 			s.tel.observeFailure(core.WorkerRef{Site: int(k.site), Worker: int(k.worker)})
 			if err := s.replayEvent(j, e, open); err != nil {
-				return len(j.ledger), err
+				return j.ledger.len(), err
 			}
 			s.counters.RecoveredExpired.Add(1)
 		}
 	}
-	return len(j.ledger), nil
+	return j.ledger.len(), nil
 }
 
 // replayEvent applies one ledger event, keeping open in sync with what the

@@ -1,6 +1,8 @@
 package service
 
 import (
+	"errors"
+	"io/fs"
 	"net/http"
 	"strconv"
 	"time"
@@ -45,12 +47,12 @@ func (s *Service) handleReplicationStream(w http.ResponseWriter, r *http.Request
 		return
 	}
 	src := &replicate.Source{
-		WALPath:      s.walPath(),
-		SnapshotPath: s.snapshotPath(),
-		LastLSN:      s.pst.w.LastLSN,
-		Notify:       s.pst.w.AppendNotify,
-		Rotations:    s.pst.w.Rotations,
-		Done:         s.sweepStop, // closed by Close/CrashForTest
+		WALPath:   s.walPath(),
+		Snapshot:  s.catchUpSnapshot,
+		LastLSN:   s.pst.w.LastLSN,
+		Notify:    s.pst.w.AppendNotify,
+		Rotations: s.pst.w.Rotations,
+		Done:      s.sweepStop, // closed by Close/CrashForTest
 		OnFrame: func() {
 			s.repl.FramesStreamed.Add(1)
 		},
@@ -65,6 +67,24 @@ func (s *Service) handleReplicationStream(w http.ResponseWriter, r *http.Request
 	// without this a single follower connection would blow through any
 	// load-shedding p99 bound (same reasoning as long-poll pulls).
 	middleware.ObserveParked(r.Context(), time.Since(start))
+}
+
+// catchUpSnapshot is the replication source's view of the checkpoint: the
+// self-contained document when it covers journal position next, nil when
+// it does not. It reads the data dir like recovery would, under no service
+// lock, so a checkpoint can retire a workload file between the manifest
+// read and the file read; the manifest that did so is already in place,
+// and reading again resolves against it. Checkpoints are hundreds of
+// milliseconds apart, so a file still missing on the third read is gone
+// for good and the error stands.
+func (s *Service) catchUpSnapshot(next uint64) (lsn uint64, doc []byte, err error) {
+	for range 3 {
+		lsn, doc, err = checkpointDocument(s.pst.dir, next)
+		if !errors.Is(err, fs.ErrNotExist) {
+			break
+		}
+	}
+	return lsn, doc, err
 }
 
 // readiness assembles the leader's /readyz body.

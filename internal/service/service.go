@@ -361,9 +361,10 @@ type job struct {
 	heapIdx int
 	// ledger is the job's replay history (journaling only): the ordered
 	// dispatch/report/expiry events that, replayed through a freshly built
-	// scheduler, reproduce its exact state. Serialized into snapshots;
-	// released on completion with the rest of the heavy state.
-	ledger []ledgerRec
+	// scheduler, reproduce its exact state. Kept in its packed snapshot
+	// form (checkpoint.go); released on completion with the rest of the
+	// heavy state.
+	ledger packedLedger
 
 	// Context-aware scheduling state (docs/SCHEDULING.md). requires and
 	// deadlineMs are immutable after registration and journaled with the
@@ -770,6 +771,26 @@ func (s *Service) submitJob(req api.SubmitJobRequest, sched core.Scheduler) (str
 
 	n := s.nextSeq()
 	j.id, j.seq = fmt.Sprintf("j%d", n), n
+	// Everything the submit record says is settled by now, so encode it
+	// before taking any lock: it carries the workload, and marshalling a
+	// 6,000-task one takes tens of milliseconds the shard and the
+	// coordinator — i.e. all dispatch — would otherwise sit out.
+	var payload []byte
+	if s.pst != nil {
+		var err error
+		// Tenant and weight are journaled resolved (weight never zero), so
+		// replay is independent of the server's default-weight setting.
+		payload, err = encodeRecord(&record{
+			Op: opSubmit, Ts: now.UnixMilli(), Job: j.id,
+			Name: name, Algorithm: req.Algorithm, Seed: req.Seed, Submission: submissionID,
+			Tenant: j.tenant, Weight: j.weight,
+			Requires: j.requires, Deadline: j.deadlineMs,
+			Workload: w,
+		})
+		if err != nil {
+			return "", err
+		}
+	}
 	sh := s.shardOf(j.id)
 	sh.mu.Lock()
 	if s.closed.Load() {
@@ -789,15 +810,7 @@ func (s *Service) submitJob(req api.SubmitJobRequest, sched core.Scheduler) (str
 	var lsn uint64
 	if s.pst != nil {
 		var err error
-		// Tenant and weight are journaled resolved (weight never zero), so
-		// replay is independent of the server's default-weight setting.
-		lsn, err = s.appendRecord(&record{
-			Op: opSubmit, Ts: now.UnixMilli(), Job: j.id,
-			Name: name, Algorithm: req.Algorithm, Seed: req.Seed, Submission: submissionID,
-			Tenant: j.tenant, Weight: j.weight,
-			Requires: j.requires, Deadline: j.deadlineMs,
-			Workload: w,
-		})
+		lsn, err = s.appendEncoded(payload)
 		if err != nil {
 			c.mu.Unlock()
 			sh.mu.Unlock()

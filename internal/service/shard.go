@@ -137,7 +137,7 @@ func (s *Service) expireAssignmentLocked(sh *shard, a *assignment, now time.Time
 			Task: a.task.ID, Site: a.ref.Site, Worker: a.ref.Worker,
 		})
 		if j.state == api.JobRunning {
-			j.ledger = append(j.ledger, ledgerRec{
+			j.ledger = j.ledger.add(ledgerRec{
 				Op: ledgerExpire, Task: a.task.ID,
 				Site: int32(a.ref.Site), Worker: int32(a.ref.Worker),
 				Ts: now.UnixMilli(),
