@@ -102,11 +102,10 @@ type WorkerRef struct {
 // — engines reuse the backing buffers across batches, so an
 // implementation that needs the file lists later must copy them.
 //
-// Concurrency contract: implementations are not safe for concurrent use.
-// The simulator is single-threaded; the gridschedd service
-// (internal/service) serializes all scheduler access under its own lock.
-// Embedders driving a scheduler from multiple goroutines directly must
-// wrap it in NewSynchronized or serialize calls themselves.
+// Concurrency contract: implementations are not safe for concurrent use;
+// the engine serializes access. The simulator is single-threaded; the
+// gridschedd service (internal/service) makes every scheduler call under
+// the owning job's shard lock.
 type Scheduler interface {
 	Name() string
 	AttachSite(site int)

@@ -179,8 +179,8 @@ func (a *arbiter) remove(j *job) {
 	}
 }
 
-// charge advances a job's fair tag for one dispatch and moves the virtual
-// time floor. The identical computation runs during recovery when journal
+// charge advances a job's fair tag for one dispatch, moves the virtual
+// time floor, and re-sifts the job. Recovery runs it too, when journal
 // tail dispatch records are re-applied, which is what makes the tags — and
 // therefore the post-recovery dispatch order — exact.
 func (a *arbiter) charge(j *job) {
@@ -190,12 +190,16 @@ func (a *arbiter) charge(j *job) {
 	}
 	j.fair = start + fairScale/uint64(j.weight)
 	a.vtime = start
+	if j.heapIdx >= 0 {
+		a.down(j.heapIdx)
+	}
 }
 
-// admit registers a newly running job: tag at the current virtual time,
-// tenant weight bumped, heap entry created.
-func (a *arbiter) admit(j *job) {
-	j.fair = a.vtime
+// admit registers a running job with tag fair — the current virtual time
+// for a new submission, the checkpointed tag for a restored job: tenant
+// weight bumped, heap entry created.
+func (a *arbiter) admit(j *job, fair uint64) {
+	j.fair = fair
 	t := a.tenant(j.tenant)
 	t.weight += int64(j.weight)
 	t.running++

@@ -28,6 +28,7 @@ import (
 	"gridsched/internal/core"
 	"gridsched/internal/metrics"
 	"gridsched/internal/service/api"
+	"gridsched/internal/workload"
 )
 
 // coordinator is the dispatch-decision state. See the file comment.
@@ -213,7 +214,7 @@ func (s *Service) pull(done <-chan struct{}, workerID string, wait time.Duration
 		// never lost.
 		ch := s.hub.wait()
 		dispatchStart := time.Now()
-		a, resp, lsn := s.dispatchOnce(w.id, ref, tags, now)
+		a, wire, lsn := s.dispatchOnce(w.id, ref, tags, now)
 
 		s.reg.mu.Lock()
 		w.pulling = false
@@ -242,7 +243,11 @@ func (s *Service) pull(done <-chan struct{}, workerID string, wait time.Duration
 				// queue.
 				return nil, parked, err
 			}
-			return resp, parked, nil
+			return &api.PullResponse{
+				Status:     api.StatusAssigned,
+				Assignment: &wire,
+				OpenJobs:   int(s.counters.OpenJobs.Load()),
+			}, parked, nil
 		}
 
 		// Surface idleness promptly when a job finishes while we wait:
@@ -288,21 +293,16 @@ func (s *Service) pull(done <-chan struct{}, workerID string, wait time.Duration
 // between the grant and the attach (deregistered or swept mid-dispatch),
 // returning the task to the queue as if the lease expired instantly.
 func (s *Service) requeueOrphan(a *assignment) {
-	sh := s.shardOf(a.job.id)
-	sh.mu.Lock()
-	if sh.assignments[a.id] == a {
-		s.expireAssignmentLocked(sh, a, s.now())
-	}
-	sh.mu.Unlock()
+	s.expireLease(a, s.now())
 	s.hub.broadcast()
 }
 
 // dispatchOnce offers the worker to runnable jobs in fair-share order —
 // most underserved tenant-weighted job first — and dispatches the first
 // task any scheduler grants it. Returns the granted assignment (nil when
-// nothing was dispatchable), the wire response, and the dispatch record's
-// LSN for the caller's durability wait.
-func (s *Service) dispatchOnce(workerID string, ref core.WorkerRef, tags []string, now time.Time) (*assignment, *api.PullResponse, uint64) {
+// nothing was dispatchable), its wire form, and the dispatch record's LSN
+// for the caller's durability wait.
+func (s *Service) dispatchOnce(workerID string, ref core.WorkerRef, tags []string, now time.Time) (*assignment, api.Assignment, uint64) {
 	c := s.coord
 	scratch := candPool.Get().(*candScratch)
 	defer func() {
@@ -346,21 +346,21 @@ func (s *Service) dispatchOnce(workerID string, ref core.WorkerRef, tags []strin
 			} else {
 				sh.mu.Lock()
 			}
-			a, resp, lsn, granted := s.tryJobLocked(sh, cd.j, workerID, ref, tags, now)
+			a, wire, lsn := s.tryJobLocked(sh, cd.j, workerID, ref, tags, now)
 			sh.mu.Unlock()
-			if granted {
+			if a != nil {
 				scratch.retry = retry
-				return a, resp, lsn
+				return a, wire, lsn
 			}
 		}
 	}
 	scratch.retry = retry
-	return nil, nil, 0
+	return nil, api.Assignment{}, 0
 }
 
-// tryJobLocked asks one job's scheduler for a task for the worker and, on
-// a grant, stages the batch, charges the fair tag, journals the dispatch,
-// and creates the lease. Callers hold sh.mu.
+// tryJobLocked decides whether the job has a task for the worker — a
+// speculative twin of a queued straggler first, else whatever the job's
+// scheduler picks — and grants it. Callers hold sh.mu.
 //
 // Quota is enforced by reservation: the tenant's slot is reserved under
 // the coordinator BEFORE NextFor runs (NextFor mutates scheduler state —
@@ -369,18 +369,15 @@ func (s *Service) dispatchOnce(workerID string, ref core.WorkerRef, tags []strin
 // and converted to an in-flight charge or released afterwards. The
 // reservation keeps concurrent pulls from overshooting a cap that a
 // pre-check alone would allow.
-func (s *Service) tryJobLocked(sh *shard, j *job, workerID string, ref core.WorkerRef, tags []string, now time.Time) (*assignment, *api.PullResponse, uint64, bool) {
+func (s *Service) tryJobLocked(sh *shard, j *job, workerID string, ref core.WorkerRef, tags []string, now time.Time) (*assignment, api.Assignment, uint64) {
 	if sh.jobs[j.id] != j || j.state != api.JobRunning || j.sched == nil {
-		return nil, nil, 0, false
+		return nil, api.Assignment{}, 0
 	}
 	if !tagsSatisfy(j.requires, tags) {
 		// Capability constraint: enforced here, before the scheduler is
 		// consulted, so an ineligible worker leaves no trace in scheduler
 		// state (or its RNG stream) and recovery replay stays exact.
-		return nil, nil, 0, false
-	}
-	if a, resp, lsn, ok := s.trySpeculateLocked(sh, j, workerID, ref, now); ok {
-		return a, resp, lsn, true
+		return nil, api.Assignment{}, 0
 	}
 	c := s.coord
 	c.mu.Lock()
@@ -388,60 +385,94 @@ func (s *Service) tryJobLocked(sh *shard, j *job, workerID string, ref core.Work
 	if q := c.quotaFor(t, s.cfg.TenantMaxInFlight); q > 0 && t.inFlight+t.reserved >= q {
 		t.throttles++
 		c.mu.Unlock()
-		return nil, nil, 0, false
+		return nil, api.Assignment{}, 0
 	}
 	t.reserved++
 	c.mu.Unlock()
 
+	if task, ok := s.stragglerForLocked(j, ref); ok {
+		return s.grantLocked(sh, j, t, task, true, workerID, ref, now)
+	}
 	task, status := j.sched.NextFor(ref)
-	if status != core.Assigned {
-		c.mu.Lock()
-		t.reserved--
-		c.mu.Unlock()
-		switch status {
-		case core.Wait:
-			// Nothing for this worker now; the caller tries the next-most
-			// underserved job.
-		case core.Done:
-			// The scheduler has nothing pending, but in-flight leases may
-			// still fail and requeue — only Remaining()==0 ends the job.
-			if j.sched.Remaining() == 0 {
-				s.completeJobLocked(sh, j, now)
-			}
-		default:
-			panicf("service: unknown scheduler status %v", status)
+	if status == core.Assigned {
+		return s.grantLocked(sh, j, t, task, false, workerID, ref, now)
+	}
+	c.mu.Lock()
+	t.reserved--
+	c.mu.Unlock()
+	switch status {
+	case core.Wait:
+		// Nothing for this worker now; the caller tries the next-most
+		// underserved job.
+	case core.Done:
+		// The scheduler has nothing pending, but in-flight leases may
+		// still fail and requeue — only Remaining()==0 ends the job.
+		if j.sched.Remaining() == 0 {
+			s.completeJob(j, now.UnixMilli())
+			s.jobCompleted()
 		}
-		return nil, nil, 0, false
+	default:
+		panicf("service: unknown scheduler status %v", status)
 	}
+	return nil, api.Assignment{}, 0
+}
 
-	fetched, evicted, err := j.stores[ref.Site].CommitBatchInto(task.Files, sh.fetchBuf[:0], sh.evictBuf[:0])
-	if err != nil {
-		// Submit validated capacity >= max task size.
-		panicf("service: stage job %s task %d at site %d: %v", j.id, task.ID, ref.Site, err)
+// stragglerForLocked picks the straggling task this worker may run a
+// speculative twin of, if the sweeper queued one. The twin rides entirely
+// above the scheduler: NextFor never runs — apply re-stages the primary's
+// task and the scheduler only observes the storage change through
+// NoteBatch — and the twin answers to the scheduler under the PRIMARY's
+// ref, so every later callback resolves to the one execution the scheduler
+// knows about. First report wins; the loser hits the cancelled rejection.
+// Callers hold the job's shard.
+func (s *Service) stragglerForLocked(j *job, ref core.WorkerRef) (workload.Task, bool) {
+	// Scan the queue (sweep-sorted by task id) for the first entry whose
+	// primary is still live and whose replicas all run on OTHER workers —
+	// a worker must never race itself. Entries whose primary is gone
+	// (reported or expired since the sweep) are dropped and unmarked so
+	// the sweeper may re-queue the task if a later lease straggles too.
+	for qi := 0; qi < len(j.specPending); {
+		id := j.specPending[qi]
+		if j.find(id, ref) != nil {
+			qi++ // eligible for another worker; keep queued
+			continue
+		}
+		j.specPending = append(j.specPending[:qi], j.specPending[qi+1:]...)
+		if j.primary(id) != nil {
+			return j.w.Tasks[id], true
+		}
+		delete(j.specMarked, id)
 	}
-	sh.fetchBuf, sh.evictBuf = fetched[:0], evicted[:0]
-	j.sched.NoteBatch(ref.Site, task.Files, fetched, evicted)
-	j.transfers += int64(len(fetched))
-	j.dispatched++
+	return workload.Task{}, false
+}
+
+// grantLocked leases the decided task to the worker: journal → apply →
+// lease. It is the one grant tail — a scheduler pick and a speculative
+// twin differ only in the event's op and in the fair charge. Callers hold
+// sh.mu and one reserved quota slot of t.
+func (s *Service) grantLocked(sh *shard, j *job, t *tenantState, task workload.Task, spec bool, workerID string, ref core.WorkerRef, now time.Time) (*assignment, api.Assignment, uint64) {
 	a := &assignment{
-		id:       s.nextID("a"),
+		id:       s.nextID('a'),
 		job:      j,
-		task:     task,
 		workerID: workerID,
-		ref:      ref,
 		deadline: now.Add(s.cfg.LeaseTTL),
-		staged:   len(fetched),
-		granted:  now.UnixMilli(),
-		schedRef: ref, // primary: the scheduler saw this very ref
 	}
-
+	e := ledgerRec{Op: ledgerDispatch, Task: task.ID, Site: int32(ref.Site), Worker: int32(ref.Worker), Ts: now.UnixMilli()}
+	if spec {
+		e.Op = ledgerSpecDispatch
+	}
 	var lsn uint64
+	c := s.coord
 	c.mu.Lock()
 	t.reserved--
 	t.inFlight++
 	t.dispatches++
-	c.charge(j)
-	c.down(j.heapIdx)
+	if !spec {
+		// A twin is neither charged nor re-sifted: it redoes work the job
+		// was charged for at the primary's grant; billing it again would
+		// penalize a job for its straggler.
+		c.charge(j)
+	}
 	c.window.Observe(j.tenant)
 	if s.pst != nil {
 		// Appended inside the coordinator critical section: the WAL order
@@ -451,166 +482,26 @@ func (s *Service) tryJobLocked(sh *shard, j *job, workerID string, ref core.Work
 		// append cannot abort — mustAppend fail-stops on journal I/O
 		// errors.
 		lsn = s.mustAppend(&record{
-			Op: opDispatch, Ts: now.UnixMilli(), Job: j.id,
+			Op: opDispatch, Ts: e.Ts, Job: j.id,
 			Task: task.ID, Site: ref.Site, Worker: ref.Worker,
-			Assignment: a.id,
+			Assignment: a.id, Spec: spec,
 		})
 	}
 	c.mu.Unlock()
-	if s.pst != nil {
-		j.ledger = j.ledger.add(ledgerRec{
-			Op: ledgerDispatch, Task: task.ID,
-			Site: int32(ref.Site), Worker: int32(ref.Worker),
-			Ts: now.UnixMilli(),
-		})
-	}
+	res := s.mustApply(sh, j, e, true)
+	a.x, a.staged = res.x, res.staged
 	sh.assignments[a.id] = a
 	s.noteDeadline(a.deadline)
 	s.counters.Assignments.Add(1)
 	s.counters.ActiveLeases.Add(1)
-	resp := &api.PullResponse{
-		Status: api.StatusAssigned,
-		Assignment: &api.Assignment{
-			ID:             a.id,
-			JobID:          j.id,
-			Task:           task,
-			Staged:         a.staged,
-			LeaseTTLMillis: s.cfg.LeaseTTL.Milliseconds(),
-		},
-		OpenJobs: int(s.counters.OpenJobs.Load()),
-	}
-	return a, resp, lsn, true
-}
-
-// trySpeculateLocked grants the worker a speculative twin of a straggling
-// lease, if the sweeper queued one this worker can safely duplicate. The
-// twin rides entirely above the scheduler: NextFor never runs — the
-// primary's task is re-staged directly and the scheduler only observes
-// the storage change through NoteBatch — and the twin's schedRef is the
-// PRIMARY's ref, so every later scheduler callback resolves to the one
-// execution the scheduler knows about. First report wins; the loser hits
-// the existing stale/cancelled rejection. Callers hold sh.mu.
-func (s *Service) trySpeculateLocked(sh *shard, j *job, workerID string, ref core.WorkerRef, now time.Time) (*assignment, *api.PullResponse, uint64, bool) {
-	if !s.cfg.Speculation || len(j.specPending) == 0 {
-		return nil, nil, 0, false
-	}
-	// Scan the queue (sweep-sorted by task id) for the first entry whose
-	// primary is still live and whose replicas all run on OTHER workers —
-	// a worker must never race itself. Entries whose primary is gone
-	// (reported or expired since the sweep) are dropped and unmarked so
-	// the sweeper may re-queue the task if a later lease straggles too.
-	for qi := 0; qi < len(j.specPending); {
-		taskID := j.specPending[qi]
-		var primary *assignment
-		conflict := false
-		for _, a := range sh.assignments {
-			if a.job != j || a.task.ID != taskID {
-				continue
-			}
-			if a.ref == ref {
-				conflict = true
-				break
-			}
-			if a.cancelled || a.speculative {
-				continue
-			}
-			// Deterministic pick among scheduler-created replicas: lowest
-			// (site, worker). Replay derives the same schedRef by the same
-			// rule from its open-execution map (recovery.go).
-			if primary == nil || a.ref.Site < primary.ref.Site ||
-				(a.ref.Site == primary.ref.Site && a.ref.Worker < primary.ref.Worker) {
-				primary = a
-			}
-		}
-		if conflict {
-			qi++ // eligible for another worker; keep queued
-			continue
-		}
-		if primary == nil {
-			delete(j.specMarked, taskID)
-			j.specPending = append(j.specPending[:qi], j.specPending[qi+1:]...)
-			continue
-		}
-
-		// Quota by reservation, exactly like the primary path: the slot is
-		// held before any irreversible mutation (staging moves store and
-		// scheduler-locality state).
-		c := s.coord
-		c.mu.Lock()
-		t := c.tenant(j.tenant)
-		if q := c.quotaFor(t, s.cfg.TenantMaxInFlight); q > 0 && t.inFlight+t.reserved >= q {
-			t.throttles++
-			c.mu.Unlock()
-			return nil, nil, 0, false
-		}
-		t.reserved++
-		c.mu.Unlock()
-
-		task := primary.task
-		j.specPending = append(j.specPending[:qi], j.specPending[qi+1:]...)
-		fetched, evicted, err := j.stores[ref.Site].CommitBatchInto(task.Files, sh.fetchBuf[:0], sh.evictBuf[:0])
-		if err != nil {
-			panicf("service: stage speculative job %s task %d at site %d: %v", j.id, task.ID, ref.Site, err)
-		}
-		sh.fetchBuf, sh.evictBuf = fetched[:0], evicted[:0]
-		j.sched.NoteBatch(ref.Site, task.Files, fetched, evicted)
-		j.transfers += int64(len(fetched))
-		j.dispatched++
-		j.speculated++
-		a := &assignment{
-			id:          s.nextID("a"),
-			job:         j,
-			task:        task,
-			workerID:    workerID,
-			ref:         ref,
-			deadline:    now.Add(s.cfg.LeaseTTL),
-			staged:      len(fetched),
-			granted:     now.UnixMilli(),
-			speculative: true,
-			schedRef:    primary.schedRef,
-		}
-
-		var lsn uint64
-		c.mu.Lock()
-		t.reserved--
-		t.inFlight++
-		t.dispatches++
-		// No fair charge and no heap re-sift: the twin redoes work the job
-		// was already charged for at the primary's grant; billing it again
-		// would penalize a job for its straggler.
-		c.window.Observe(j.tenant)
-		if s.pst != nil {
-			lsn = s.mustAppend(&record{
-				Op: opDispatch, Ts: now.UnixMilli(), Job: j.id,
-				Task: task.ID, Site: ref.Site, Worker: ref.Worker,
-				Assignment: a.id, Spec: true,
-			})
-		}
-		c.mu.Unlock()
-		if s.pst != nil {
-			j.ledger = j.ledger.add(ledgerRec{
-				Op: ledgerSpecDispatch, Task: task.ID,
-				Site: int32(ref.Site), Worker: int32(ref.Worker),
-				Ts: now.UnixMilli(),
-			})
-		}
-		sh.assignments[a.id] = a
-		s.noteDeadline(a.deadline)
-		s.counters.Assignments.Add(1)
-		s.counters.ActiveLeases.Add(1)
+	if spec {
 		s.counters.SpeculativeDispatches.Add(1)
-		resp := &api.PullResponse{
-			Status: api.StatusAssigned,
-			Assignment: &api.Assignment{
-				ID:             a.id,
-				JobID:          j.id,
-				Task:           task,
-				Staged:         a.staged,
-				LeaseTTLMillis: s.cfg.LeaseTTL.Milliseconds(),
-			},
-			OpenJobs: int(s.counters.OpenJobs.Load()),
-		}
-		return a, resp, lsn, true
 	}
-	return nil, nil, 0, false
+	return a, api.Assignment{
+		ID:             a.id,
+		JobID:          j.id,
+		Task:           task,
+		Staged:         a.staged,
+		LeaseTTLMillis: s.cfg.LeaseTTL.Milliseconds(),
+	}, lsn
 }

@@ -2,14 +2,12 @@ package service
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"log"
 	"net/http"
 	"os"
 	"path/filepath"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -22,12 +20,14 @@ import (
 
 // Follower is a hot standby: it streams the leader's WAL
 // (internal/replicate), persists every frame through its own
-// journal.Writer, and keeps a read-only catalog of job and tenant state
-// folded from the very records recovery would replay. It serves status
-// endpoints and rejects mutations with a leader redirect; Promote ends
-// the stream and runs the full recovery path (New) over the replicated
-// data dir — the same code path the kill -9 gauntlet proves bit-exact —
-// returning a live leader Service.
+// journal.Writer, and applies it to a replica of the leader's state — the
+// same restore and applyRecord recovery runs, over job shells with no
+// scheduler attached (jobstate.go), so the standby's counters and states
+// move exactly as the leader's did and cost no scheduler work. It serves
+// status endpoints from the replica and rejects mutations with a leader
+// redirect; Promote ends the stream and runs the full recovery path (New)
+// over the replicated data dir — the same code path the kill -9 gauntlet
+// proves bit-exact — returning a live leader Service.
 type Follower struct {
 	svcCfg Config // normalized; used verbatim at promotion
 	cfg    FollowerConfig
@@ -35,9 +35,11 @@ type Follower struct {
 	repl *metrics.ReplicationCounters
 	jmet *journal.Metrics
 
-	mu     sync.Mutex
-	w      *journal.Writer
-	cat    *catalog
+	mu sync.Mutex
+	w  *journal.Writer
+	// st is the replica: a never-started Service state (newState) whose
+	// jobs are shells. mu serializes applies against reads.
+	st     *Service
 	last   uint64 // last LSN applied locally
 	halted error  // terminal stream divergence; nil while healthy
 
@@ -69,9 +71,9 @@ type FollowerConfig struct {
 }
 
 // NewFollower opens (or resumes) the replicated data dir under cfg.DataDir
-// and starts streaming from the leader. The local state is validated the
-// same way recovery would — snapshot load plus journal tail scan — but
-// folded into a read-only catalog instead of live schedulers.
+// and starts streaming from the leader. The local state is loaded the way
+// recovery would — checkpoint, then the journal tail record by record —
+// minus the schedulers.
 func NewFollower(cfg Config, fcfg FollowerConfig) (*Follower, error) {
 	if err := cfg.normalize(); err != nil {
 		return nil, err
@@ -107,7 +109,7 @@ func NewFollower(cfg Config, fcfg FollowerConfig) (*Follower, error) {
 func (f *Follower) walPath() string { return filepath.Join(f.svcCfg.DataDir, walFile) }
 
 // openLocal loads whatever replicated state already exists on disk:
-// checkpoint into the catalog, journal tail folded on top, writer opened
+// checkpoint into the replica, journal tail applied on top, writer opened
 // at the validated prefix — a restartable follower, not a from-scratch
 // one. The checkpoint is read in full, workload files included, exactly
 // as the recovery that promotion runs will read it: a data dir promotion
@@ -126,20 +128,15 @@ func (f *Follower) openLocal() error {
 	if err := sweepDataDir(dir, stored); err != nil {
 		return err
 	}
-	cat := newCatalog(f.svcCfg.DefaultWeight, f.svcCfg.TenantMaxInFlight)
+	st := f.newReplica()
 	after := uint64(0)
 	if snap != nil {
-		cat.loadSnapshot(snap)
+		if _, err := st.restore(snap); err != nil {
+			return err
+		}
 		after = snap.LastLSN
 	}
-	info, err := journal.ReadLog(f.walPath(), after, func(lsn uint64, payload []byte) error {
-		var rec record
-		if err := json.Unmarshal(payload, &rec); err != nil {
-			return fmt.Errorf("service: journal record %d: %w", lsn, err)
-		}
-		cat.applyRecord(&rec)
-		return nil
-	})
+	info, err := journal.ReadLog(f.walPath(), after, st.applyFrame)
 	if err != nil {
 		return err
 	}
@@ -148,9 +145,17 @@ func (f *Follower) openLocal() error {
 	if err != nil {
 		return err
 	}
-	f.w, f.cat, f.last = w, cat, last
+	f.w, f.st, f.last = w, st, last
 	f.repl.LocalLSN.Store(int64(last))
 	return nil
+}
+
+// newReplica builds an empty replica state: the service's configuration
+// minus the scheduler factory, so every job in it stays a shell.
+func (f *Follower) newReplica() *Service {
+	cfg := f.svcCfg
+	cfg.NewScheduler = nil
+	return newState(cfg)
 }
 
 func (f *Follower) touchContact() { f.lastContact.Store(time.Now().UnixNano()) }
@@ -185,7 +190,7 @@ func (f *Follower) run() {
 			// Halt rather than diverge: applying past a gap, a rewinding
 			// snapshot, or a poisoned local journal could only produce a
 			// log that disagrees with the leader's. The follower keeps
-			// serving its (valid-prefix) catalog; an operator restarts it
+			// serving its (valid-prefix) replica; an operator restarts it
 			// to re-sync, or promotes it if the leader is gone.
 			f.mu.Lock()
 			f.halted = err
@@ -215,7 +220,7 @@ func (f *Follower) run() {
 // since a poisoned writer can never apply another frame.
 var errFollowerWAL = errors.New("service: follower journal failed")
 
-// ApplyFrame persists one streamed record and folds it into the catalog.
+// ApplyFrame persists one streamed record and applies it to the replica.
 // replicate.Replay has already proven lsn is exactly last+1.
 func (f *Follower) ApplyFrame(lsn uint64, payload []byte) error {
 	f.mu.Lock()
@@ -232,14 +237,12 @@ func (f *Follower) ApplyFrame(lsn uint64, payload []byte) error {
 		// this can only mean local and leader histories disagree.
 		return fmt.Errorf("%w: local writer assigned lsn %d, stream says %d", replicate.ErrDiverged, got, lsn)
 	}
-	var rec record
-	if err := json.Unmarshal(payload, &rec); err != nil {
+	if err := f.st.applyFrame(lsn, payload); err != nil {
 		// The bytes are already durable and identical to the leader's;
 		// recovery at promotion would fail on them exactly as the leader
-		// would. Surface it now instead of serving a stale catalog.
-		return fmt.Errorf("%w: undecodable record at lsn %d: %v", replicate.ErrDiverged, lsn, err)
+		// would. Surface it now instead of serving a stale replica.
+		return fmt.Errorf("%w: unreplayable record at lsn %d: %v", replicate.ErrDiverged, lsn, err)
 	}
-	f.cat.applyRecord(&rec)
 	f.last = lsn
 	f.repl.FramesApplied.Add(1)
 	f.repl.LocalLSN.Store(int64(lsn))
@@ -256,7 +259,7 @@ func (f *Follower) ApplyFrame(lsn uint64, payload []byte) error {
 // workload rewritten from the message, then the manifest, the order a
 // leader's checkpoint uses), the local WAL resets to an empty log seeded
 // at the snapshot's LSN (exactly the state a leader has right after
-// rotation), the catalog is rebuilt, and workload files the new manifest
+// rotation), the replica is rebuilt, and workload files the new manifest
 // does not list are removed.
 func (f *Follower) ApplySnapshot(lsn uint64, data []byte) error {
 	f.mu.Lock()
@@ -271,10 +274,12 @@ func (f *Follower) ApplySnapshot(lsn uint64, data []byte) error {
 	if snap.LastLSN != lsn {
 		return fmt.Errorf("%w: snapshot body covers lsn %d, header says %d", replicate.ErrDiverged, snap.LastLSN, lsn)
 	}
-	for i := range snap.Jobs {
-		if sj := &snap.Jobs[i]; sj.State == api.JobRunning && sj.Workload == nil {
-			return fmt.Errorf("%w: snapshot job %s running but has no workload", replicate.ErrDiverged, sj.ID)
-		}
+	// Restore before writeCheckpoint drops the inline workloads (a running
+	// job without one is refused); a document recovery could not load is
+	// refused with nothing on disk touched.
+	st := f.newReplica()
+	if _, err := st.restore(snap); err != nil {
+		return fmt.Errorf("%w: unloadable snapshot: %v", replicate.ErrDiverged, err)
 	}
 	dir := f.svcCfg.DataDir
 	stored := make(map[string]struct{})
@@ -294,9 +299,7 @@ func (f *Follower) ApplySnapshot(lsn uint64, data []byte) error {
 	if err := sweepDataDir(dir, stored); err != nil {
 		log.Printf("gridschedd: follower data dir sweep after snapshot: %v", err)
 	}
-	cat := newCatalog(f.svcCfg.DefaultWeight, f.svcCfg.TenantMaxInFlight)
-	cat.loadSnapshot(snap)
-	f.cat = cat
+	f.st = st
 	f.last = lsn
 	f.repl.SnapshotsApplied.Add(1)
 	f.repl.LocalLSN.Store(int64(lsn))
@@ -401,29 +404,49 @@ func (f *Follower) lag() uint64 {
 }
 
 // Handler is the follower's HTTP surface: read-only status from the
-// catalog, truthful probes, and a 421 + leader-redirect for everything
-// mutating. Mount it behind the same ingress chain as a leader.
+// replica — rendered by the leader's own read paths; liveness-only fields
+// (in-flight leases, share windows, throttles, workers) are zero here —
+// truthful probes, and a 421 + leader-redirect for everything mutating.
+// Mount it behind the same ingress chain as a leader.
 func (f *Follower) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /v1/jobs", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, f.snapshotJobs())
+		f.mu.Lock()
+		jobs := f.st.Jobs()
+		f.mu.Unlock()
+		writeJSON(w, http.StatusOK, jobs)
 	})
 	mux.HandleFunc("GET /v1/jobs/{id}", func(w http.ResponseWriter, r *http.Request) {
-		st, ok := f.snapshotJob(r.PathValue("id"))
-		if !ok {
-			writeError(w, errf(http.StatusNotFound, "service: unknown job %q", r.PathValue("id")))
+		f.mu.Lock()
+		st, err := f.st.JobStatus(r.PathValue("id"))
+		f.mu.Unlock()
+		if err != nil {
+			writeError(w, err)
 			return
 		}
 		writeJSON(w, http.StatusOK, st)
 	})
 	mux.HandleFunc("GET /v1/tenants", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, f.snapshotTenants())
+		f.mu.Lock()
+		tenants := f.st.Tenants()
+		f.mu.Unlock()
+		writeJSON(w, http.StatusOK, tenants)
 	})
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
+		// No worker registers with a standby, and nothing maintains the
+		// live service's gauges here: count the shells.
+		h := api.Health{Status: "ok"}
 		f.mu.Lock()
-		jobs := len(f.cat.jobs)
+		for _, sh := range f.st.shards {
+			for _, j := range sh.jobs {
+				h.Jobs++
+				if j.state == api.JobRunning {
+					h.OpenJobs++
+				}
+			}
+		}
 		f.mu.Unlock()
-		writeJSON(w, http.StatusOK, api.Health{Status: "ok", Jobs: jobs})
+		writeJSON(w, http.StatusOK, h)
 	})
 	mux.HandleFunc("GET /readyz", f.handleReadyz)
 	mux.HandleFunc("GET /metrics", f.handleMetrics)
@@ -465,33 +488,5 @@ func (f *Follower) redirectToLeader(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-func (f *Follower) snapshotJobs() []api.JobStatus {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.cat.jobStatuses()
-}
-
-func (f *Follower) snapshotJob(id string) (api.JobStatus, bool) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	j, ok := f.cat.jobs[id]
-	if !ok {
-		return api.JobStatus{}, false
-	}
-	return j.status(), true
-}
-
-func (f *Follower) snapshotTenants() []api.TenantStatus {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.cat.tenantStatuses()
-}
-
 // ReplicationCounters exposes the follower's metrics for embedding.
 func (f *Follower) ReplicationCounters() *metrics.ReplicationCounters { return f.repl }
-
-// sortJobStatuses orders by numeric job id — the same submission order
-// the leader's Jobs() uses.
-func sortJobStatuses(sts []api.JobStatus) {
-	sort.Slice(sts, func(i, k int) bool { return idNum(sts[i].ID) < idNum(sts[k].ID) })
-}

@@ -2,6 +2,7 @@ package service_test
 
 import (
 	"encoding/json"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -94,39 +95,11 @@ func normalizeTenants(sts []api.TenantStatus) []api.TenantStatus {
 	return out
 }
 
-// TestFollowerMirrorsLeader drives a mixed workload on a leader — two
-// tenants, a quota override, a completed job, a half-done job — and
-// checks the standby's /v1/jobs and /v1/tenants converge to the leader's
-// view, field by field.
-func TestFollowerMirrorsLeader(t *testing.T) {
-	s, err := service.New(durableConfig(t.TempDir()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(s.Close)
-	srv := httptest.NewServer(s.Handler())
-	t.Cleanup(srv.Close)
-	fl := startFollower(t, srv.URL)
-
-	// Job 1 (tenant A): driven to completion.
-	done, err := s.SubmitByName("astro", "rest", syntheticWorkload(12, 3), 7, "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := pullSequence(t, s, -1); len(got) != 12 {
-		t.Fatalf("drained %d tasks", len(got))
-	}
-	// Job 2 (tenant B): half-done, still running.
-	if _, err := s.SubmitJob(api.SubmitJobRequest{
-		Name: "bio", Algorithm: "combined.2", Workload: syntheticWorkload(20, 3), Seed: 11, Tenant: "tb",
-	}); err != nil {
-		t.Fatal(err)
-	}
-	pullSequence(t, s, 5)
-	if _, err := s.SetTenantQuota("tb", 3); err != nil {
-		t.Fatal(err)
-	}
-
+// assertFollowerMirrors waits for the standby to catch up and checks its
+// /v1/jobs, /v1/tenants and /healthz against the leader's view, field by
+// field (modulo the live-only fields the normalizers blank).
+func assertFollowerMirrors(t *testing.T, fl *service.Follower, s *service.Service) {
+	t.Helper()
 	waitCaughtUp(t, fl, s)
 
 	var gotJobs []api.JobStatus
@@ -156,12 +129,313 @@ func TestFollowerMirrorsLeader(t *testing.T) {
 		}
 	}
 
-	// Single-job view agrees too.
-	var one api.JobStatus
-	getJSON(t, fl.Handler(), "/v1/jobs/"+done, &one)
-	if one.State != api.JobCompleted || one.Completed != 12 {
-		t.Fatalf("completed job on follower: %+v", one)
+	// "Jobs still running" is replicated state: the standby reports the
+	// leader's figure (workers are liveness, and stay zero).
+	var gotHealth api.Health
+	getJSON(t, fl.Handler(), "/healthz", &gotHealth)
+	want := s.Health()
+	if gotHealth.Jobs != want.Jobs || gotHealth.OpenJobs != want.OpenJobs {
+		t.Errorf("follower /healthz %+v, leader %+v", gotHealth, want)
 	}
+}
+
+// TestFollowerMirrorsLeader drives workloads on a journaled leader with a
+// standby attached and checks the standby converges to the leader's view.
+//
+// "mixed": two tenants, a quota override, a completed job, a half-done job.
+//
+// "differential": one seeded schedule through everything the job state
+// machine does — grants to several slots, success and failure reports,
+// lease expiry, worker deregistration, a speculative twin that wins and
+// one that loses, a job completing with a replica still in flight, a
+// DELETE — cut at several points, before and after a forced snapshot. At
+// every cut three derivations of the same state must agree: the leader
+// (live apply), the standby (apply over shells), and a service recovered
+// from a copy of the leader's data dir (apply under replay), worker EWMAs
+// included.
+func TestFollowerMirrorsLeader(t *testing.T) {
+	t.Run("mixed", func(t *testing.T) {
+		s, err := service.New(durableConfig(t.TempDir()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(s.Close)
+		srv := httptest.NewServer(s.Handler())
+		t.Cleanup(srv.Close)
+		fl := startFollower(t, srv.URL)
+
+		// Job 1 (tenant A): driven to completion.
+		done, err := s.SubmitByName("astro", "rest", syntheticWorkload(12, 3), 7, "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := pullSequence(t, s, -1); len(got) != 12 {
+			t.Fatalf("drained %d tasks", len(got))
+		}
+		// Job 2 (tenant B): half-done, still running.
+		if _, err := s.SubmitJob(api.SubmitJobRequest{
+			Name: "bio", Algorithm: "combined.2", Workload: syntheticWorkload(20, 3), Seed: 11, Tenant: "tb",
+		}); err != nil {
+			t.Fatal(err)
+		}
+		pullSequence(t, s, 5)
+		if _, err := s.SetTenantQuota("tb", 3); err != nil {
+			t.Fatal(err)
+		}
+
+		assertFollowerMirrors(t, fl, s)
+		if h := s.Health(); h.Jobs != 2 || h.OpenJobs != 1 {
+			t.Fatalf("leader health %+v, want 2 jobs, 1 open", h)
+		}
+
+		// Single-job view agrees too.
+		var one api.JobStatus
+		getJSON(t, fl.Handler(), "/v1/jobs/"+done, &one)
+		if one.State != api.JobCompleted || one.Completed != 12 {
+			t.Fatalf("completed job on follower: %+v", one)
+		}
+	})
+	t.Run("differential", testMirrorDifferential)
+}
+
+// mirror is the differential harness: a leader under a fake clock, its
+// standby, and the three-way check.
+type mirror struct {
+	t   *testing.T
+	clk *policyClock
+	dir string
+	s   *service.Service
+	fl  *service.Follower
+	rng *rand.Rand
+}
+
+// submit adds a job only workers tagged tag may run, so each phase of the
+// schedule draws from the job it means to.
+func (m *mirror) submit(tag, algo, tenant string, tasks int) string {
+	m.t.Helper()
+	id, err := m.s.SubmitJob(api.SubmitJobRequest{
+		Name: tag, Algorithm: algo, Workload: syntheticWorkload(tasks, 2), Seed: 7,
+		Tenant: tenant, Requires: []string{tag},
+	})
+	if err != nil {
+		m.t.Fatal(err)
+	}
+	return id
+}
+
+func (m *mirror) register(site int, tag string) string {
+	m.t.Helper()
+	reg, err := m.s.RegisterWorker(site, []string{tag})
+	if err != nil {
+		m.t.Fatal(err)
+	}
+	return reg.WorkerID
+}
+
+func (m *mirror) mustPull(workerID string) *api.Assignment {
+	m.t.Helper()
+	a := pull(m.t, m.s, workerID)
+	if a == nil {
+		m.t.Fatalf("worker %s starved", workerID)
+	}
+	return a
+}
+
+// report ends a lease after ms of virtual time and returns the reply.
+func (m *mirror) report(a *api.Assignment, workerID, outcome string, ms int64) *api.ReportResponse {
+	m.t.Helper()
+	m.clk.ms.Add(ms)
+	rep, err := m.s.Report(a.ID, workerID, outcome)
+	if err != nil || !rep.Accepted || rep.Stale {
+		m.t.Fatalf("report %s on %s: %+v (err=%v)", outcome, a.ID, rep, err)
+	}
+	return rep
+}
+
+// stageTwin brings the tagged job to mid-speculation: slow holds a
+// straggling primary, fast completed three tasks at 100ms each, and the
+// sweep at +1000ms got fast a speculative twin of the straggler.
+func (m *mirror) stageTwin(tag string) (slow, fast string, primary, twin *api.Assignment) {
+	m.t.Helper()
+	slow, fast = m.register(0, tag), m.register(1, tag)
+	primary = m.mustPull(slow)
+	for i := 0; i < 3; i++ {
+		m.report(m.mustPull(fast), fast, api.OutcomeSuccess, 100)
+	}
+	m.clk.ms.Add(1000)
+	m.s.SweepForTest()
+	twin = m.mustPull(fast)
+	if twin.Task.ID != primary.Task.ID {
+		m.t.Fatalf("twin runs task %d, straggler holds task %d", twin.Task.ID, primary.Task.ID)
+	}
+	return slow, fast, primary, twin
+}
+
+// churn runs n seeded pull/report rounds over two workers of the tagged
+// job: mostly successes, some failures, and some leases simply held.
+func (m *mirror) churn(tag string, n int) {
+	m.t.Helper()
+	ws := []string{m.register(0, tag), m.register(1, tag), m.register(1, tag)}
+	for i := 0; i < n; i++ {
+		w := ws[m.rng.Intn(len(ws))]
+		resp, err := m.s.Pull(nil, w, 0)
+		if err != nil {
+			continue // still holds a lease from an earlier round
+		}
+		if resp.Status != api.StatusAssigned {
+			continue
+		}
+		switch p := m.rng.Float64(); {
+		case p < 0.65:
+			m.report(resp.Assignment, w, api.OutcomeSuccess, 20+m.rng.Int63n(60))
+		case p < 0.85:
+			m.report(resp.Assignment, w, api.OutcomeFailure, 5)
+		}
+	}
+}
+
+// allSlotsTelemetry registers a worker into every slot of s and returns
+// the per-slot EWMAs (telemetry is only visible through a registration).
+func allSlotsTelemetry(t *testing.T, s *service.Service) []api.WorkerStatus {
+	t.Helper()
+	var ids []string
+	for site := 0; site < 2; site++ {
+		for k := 0; k < 4; k++ {
+			reg, err := s.RegisterWorker(site, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ids = append(ids, reg.WorkerID)
+		}
+	}
+	ws := s.Workers()
+	for i := range ws {
+		ws[i].WorkerID, ws[i].ExpiresAtUnix = "", 0
+	}
+	for _, id := range ids {
+		if err := s.Deregister(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return ws
+}
+
+// cut is the three-way check. The standby is compared as the leader
+// stands, leases in flight and all. A recovered service has expired every
+// open lease, so the leader is then brought to the same place the only way
+// a live one can be — every worker deregisters — and must equal the
+// recovery in every JobStatus field, tenant state and slot EWMA; the
+// standby, having streamed those expiries, must still mirror it.
+func (m *mirror) cut(name string) {
+	m.t.Helper()
+	assertFollowerMirrors(m.t, m.fl, m.s)
+
+	rec, err := service.New(specDurableConfig(copyDirForTest(m.t, m.dir), m.clk))
+	if err != nil {
+		m.t.Fatalf("cut %s: recovery from a copy of the leader's data dir: %v", name, err)
+	}
+	defer rec.Close()
+	for _, w := range m.s.Workers() {
+		if err := m.s.Deregister(w.WorkerID); err != nil {
+			m.t.Fatal(err)
+		}
+	}
+	if got, want := rec.Jobs(), m.s.Jobs(); !reflect.DeepEqual(got, want) {
+		m.t.Errorf("cut %s: jobs\nrecovered %+v\nleader    %+v", name, got, want)
+	}
+	if got, want := normalizeTenants(rec.Tenants()), normalizeTenants(m.s.Tenants()); !reflect.DeepEqual(got, want) {
+		m.t.Errorf("cut %s: tenants\nrecovered %+v\nleader    %+v", name, got, want)
+	}
+	if got, want := allSlotsTelemetry(m.t, rec), allSlotsTelemetry(m.t, m.s); !reflect.DeepEqual(got, want) {
+		m.t.Errorf("cut %s: worker telemetry\nrecovered %+v\nleader    %+v", name, got, want)
+	}
+	assertFollowerMirrors(m.t, m.fl, m.s)
+	if m.t.Failed() {
+		m.t.FailNow()
+	}
+}
+
+func testMirrorDifferential(t *testing.T) {
+	m := &mirror{
+		t:   t,
+		clk: &policyClock{base: time.Unix(1_700_000_000, 0)},
+		dir: t.TempDir(),
+		rng: rand.New(rand.NewSource(20260926)),
+	}
+	cfg := specDurableConfig(m.dir, m.clk)
+	cfg.SnapshotEvery = 1 << 20 // only the forced snapshots below
+	s, err := service.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(s.Close)
+	srv := httptest.NewServer(s.Handler())
+	t.Cleanup(srv.Close)
+	m.s, m.fl = s, startFollower(t, srv.URL)
+
+	// Phase 1 — journal tail only. A replicating scheduler under seeded
+	// churn next to a job cut mid-speculation: primary and twin both open.
+	bulk := m.submit("bulk", "storage-affinity", "tb", 40)
+	m.submit("first", "workqueue", "", 8)
+	m.churn("bulk", 14)
+	m.stageTwin("first")
+	m.cut("mid-speculation, no snapshot yet")
+
+	// Phase 2 — a lease and its worker's registration expire by the clock.
+	held := m.register(0, "bulk")
+	m.mustPull(held)
+	m.clk.ms.Add(2 * time.Hour.Milliseconds())
+	m.s.SweepForTest()
+	if _, err := m.s.Pull(nil, held, 0); err == nil {
+		t.Fatal("worker survived two lease TTLs of silence")
+	}
+	// A twin that wins: its report completes the task, the straggling
+	// primary is cancelled and says so when it finally reports. The
+	// snapshot lands between the two, so the primary's grant is in the
+	// snapshot's ledger and its end in the tail.
+	m.submit("wins", "rest", "ta", 8)
+	slow, fast, primary, twin := m.stageTwin("wins")
+	if rep := m.report(twin, fast, api.OutcomeSuccess, 50); rep.Cancelled {
+		t.Fatalf("winning twin: %+v", rep)
+	}
+	if err := m.s.SnapshotForTest(); err != nil {
+		t.Fatal(err)
+	}
+	if rep := m.report(primary, slow, api.OutcomeSuccess, 400); !rep.Cancelled {
+		t.Fatalf("beaten primary: %+v", rep)
+	}
+	if _, err := m.s.SetTenantQuota("tb", 3); err != nil {
+		t.Fatal(err)
+	}
+	m.churn("bulk", 10)
+	m.cut("twin won, snapshot plus tail")
+
+	// Phase 3 — a twin that loses, to the report that completes its job:
+	// the job finishes with the twin still in flight. The snapshot
+	// summarises the completed job; the twin's end arrives in the tail.
+	last := m.submit("last", "workqueue", "tc", 4)
+	slow, fast, primary, twin = m.stageTwin("last")
+	if rep := m.report(primary, slow, api.OutcomeSuccess, 10); rep.JobState != api.JobCompleted {
+		t.Fatalf("primary's report should complete the job: %+v", rep)
+	}
+	if err := m.s.SnapshotForTest(); err != nil {
+		t.Fatal(err)
+	}
+	if rep := m.report(twin, fast, api.OutcomeFailure, 10); !rep.Cancelled {
+		t.Fatalf("losing twin: %+v", rep)
+	}
+	m.cut("job completed under a live twin")
+
+	// Phase 4 — retention: the completed job is deleted and, being its
+	// tenant's only anchor, takes the tenant with it; the bulk job drains on.
+	if err := m.s.DeleteJob(last); err != nil {
+		t.Fatal(err)
+	}
+	m.churn("bulk", 200)
+	if st, err := m.s.JobStatus(bulk); err != nil || st.Completed == 0 {
+		t.Fatalf("bulk job after churn: %+v (err=%v)", st, err)
+	}
+	m.cut("after a delete")
 }
 
 // TestFollowerReadyzAndRedirect pins the follower's HTTP contract: truthful

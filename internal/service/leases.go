@@ -2,10 +2,15 @@
 // deregister, heartbeat, report — single and batched). The registry is a
 // leaf lock guarding worker registrations, (site, worker) slots, and each
 // worker's outstanding-lease set; everything lease-state-ful about an
-// assignment itself (deadline, cancellation, the live lease table) lives
-// on the owning job's shard. A report or heartbeat therefore touches two
-// locks back to back — registry to resolve the assignment, shard to act
-// on it — and never blocks traffic for unrelated jobs.
+// assignment itself (deadline, the live lease table, and the job-table
+// execution it leases) lives on the owning job's shard. A report or
+// heartbeat therefore touches two locks back to back — registry to resolve
+// the assignment, shard to act on it — and never blocks traffic for
+// unrelated jobs. What a report or an expiry does to the job is not
+// decided here: the lease paths journal the event, hand it to the job
+// state machine's apply (jobstate.go), and do the live-only rest — metrics
+// counters, wakeups, finishLease — from what apply says happened
+// (shard.go: endLeaseLocked).
 package service
 
 import (
@@ -139,12 +144,7 @@ func (s *Service) Deregister(workerID string) error {
 	r.mu.Unlock()
 	now := s.now()
 	for _, a := range orphans {
-		sh := s.shardOf(a.job.id)
-		sh.mu.Lock()
-		if sh.assignments[a.id] == a {
-			s.expireAssignmentLocked(sh, a, now)
-		}
-		sh.mu.Unlock()
+		s.expireLease(a, now)
 	}
 	s.hub.broadcast()
 	s.snapshotIfDue()
@@ -186,7 +186,7 @@ func (s *Service) Heartbeat(assignmentID, workerID string) (*api.HeartbeatRespon
 		return &api.HeartbeatResponse{State: api.HeartbeatGone}, nil
 	}
 	a.deadline = now.Add(s.cfg.LeaseTTL)
-	if a.cancelled {
+	if a.x.cancelled {
 		return &api.HeartbeatResponse{State: api.HeartbeatCancelled}, nil
 	}
 	return &api.HeartbeatResponse{State: api.HeartbeatActive}, nil
@@ -217,14 +217,14 @@ func (s *Service) Report(assignmentID, workerID, outcome string) (*api.ReportRes
 	// with the assignment intact, and the worker's retry (or eventual
 	// lease expiry) keeps state and log agreeing.
 	var lsn uint64
-	if rec := s.reportRecord(sh, a, outcome, now); rec != nil {
+	if rec := s.leaseRecord(sh, a, opReport, outcome, now); rec != nil {
 		var err error
 		if lsn, err = s.appendRecord(rec); err != nil {
 			sh.mu.Unlock()
 			return nil, err
 		}
 	}
-	resp, wake := s.applyReportLocked(sh, a, outcome, now)
+	resp, wake := s.reportLocked(sh, a, outcome, now)
 	sh.mu.Unlock()
 	s.finishLease(a)
 	if wake {
@@ -237,144 +237,26 @@ func (s *Service) Report(assignmentID, workerID, outcome string) (*api.ReportRes
 	return resp, nil
 }
 
-// reportRecord builds the WAL record for a report, or nil when the report
-// must not be journaled. Journal only while the job record is resident: a
-// cancelled replica's lease can outlive its completed-then-DELETEd job,
-// and a record naming a dropped job id would be unreplayable after the
-// next snapshot no longer carries the job (recovery would refuse the data
-// dir). The report still counts in memory; it just isn't history anyone
-// can replay. Callers hold sh.mu.
-func (s *Service) reportRecord(sh *shard, a *assignment, outcome string, now time.Time) *record {
-	if s.pst == nil || sh.jobs[a.job.id] != a.job {
-		return nil
+// reportLocked applies one validated, already-journaled (when due) report
+// to its job and renders the reply. Callers hold sh.mu, have verified the
+// lease is live (sh.assignments[a.id] == a), and must finishLease(a) after
+// unlocking. wake asks for a hub broadcast: parked pulls only care about
+// events that can make new work dispatchable (a failure requeues the task;
+// a freed quota slot unthrottles a tenant — finishLease handles that one)
+// or change the open-job count (jobCompleted broadcasts itself). A plain
+// success or a cancelled replica frees no work for anyone else, so the
+// common case does not wake the whole herd just to find nothing.
+func (s *Service) reportLocked(sh *shard, a *assignment, outcome string, now time.Time) (resp *api.ReportResponse, wake bool) {
+	op := ledgerFailure
+	if outcome == api.OutcomeSuccess {
+		op = ledgerSuccess
 	}
-	return &record{
-		Op: opReport, Ts: now.UnixMilli(), Job: a.job.id,
-		Task: a.task.ID, Site: a.ref.Site, Worker: a.ref.Worker,
-		Outcome: outcome,
-	}
-}
-
-// applyReportLocked applies one validated, already-journaled (when due)
-// report to its job: ledger, scheduler callbacks, counters, job
-// completion. Callers hold sh.mu, have verified the lease is live
-// (sh.assignments[a.id] == a), and must finishLease(a) after unlocking.
-// wake asks for a hub broadcast — see the comment inside for why most
-// reports do not wake anyone.
-func (s *Service) applyReportLocked(sh *shard, a *assignment, outcome string, now time.Time) (*api.ReportResponse, bool) {
-	j := a.job
-	// recorded mirrors reportRecord's journaling condition: with
-	// journaling on, telemetry folds exactly when a WAL record was
-	// written, which is what keeps the EWMAs a pure function of the
-	// record stream (recovery folds the same records back). Without
-	// journaling it degrades to "job resident".
-	recorded := sh.jobs[j.id] == j
-	if s.pst != nil && recorded && j.state == api.JobRunning {
-		op := ledgerFailure
-		if outcome == api.OutcomeSuccess {
-			op = ledgerSuccess
-		}
-		j.ledger = j.ledger.add(ledgerRec{
-			Op: op, Task: a.task.ID,
-			Site: int32(a.ref.Site), Worker: int32(a.ref.Worker),
-			Ts: now.UnixMilli(),
-		})
-	}
-	delete(sh.assignments, a.id)
-	if a.speculative {
-		// The twin ended (whichever way): the task may be speculated again
-		// if a remaining lease straggles too.
-		delete(j.specMarked, a.task.ID)
-	}
-	if recorded {
-		// Telemetry folds by outcome alone, cancelled or not — the journal
-		// record carries only the outcome, and live must match replay.
-		if outcome == api.OutcomeSuccess {
-			s.tel.observeSuccess(a.ref, now.UnixMilli()-a.granted, a.granted > 0)
-		} else {
-			s.tel.observeFailure(a.ref)
-		}
-	}
-	resp := &api.ReportResponse{Accepted: true}
-	// Long-poll wakeups are targeted: parked pulls only care about events
-	// that can make new work dispatchable (a failure requeues the task, a
-	// freed quota slot unthrottles a tenant — finishLease handles that
-	// one) or change the open-job count (completion of the job's last
-	// task, which completeJobLocked broadcasts itself). A plain success or
-	// a cancelled replica frees no work for anyone else, so the common
-	// case does not wake the whole herd just to find nothing.
-	wake := false
-	switch {
-	case a.cancelled:
-		// Covers replicas obsoleted by another completion AND any
-		// execution that outlived its job: completeJobLocked cancel-marks
-		// every assignment still in flight for the job, so no report can
-		// reach a completed job's (released) scheduler or resurrect a task
-		// another worker already finished.
-		j.cancelled++
-		s.counters.Cancellations.Add(1)
-		if a.speculative {
-			s.counters.SpeculationLosses.Add(1)
-		}
-		resp.Cancelled = true
-	case outcome == api.OutcomeFailure:
-		j.failed++
-		s.counters.Failures.Add(1)
-		if a.speculative {
-			s.counters.SpeculationLosses.Add(1)
-		}
-		// Sibling rule: when the scheduler's view of this execution
-		// survives in a live primary/twin sibling (same schedRef), the
-		// failure must not requeue the task — the scheduler still sees one
-		// running execution, and it is still running.
-		if j.sched != nil && !liveSiblingLocked(sh, a) {
-			j.sched.OnExecutionFailed(a.task.ID, a.schedRef)
-		}
-		wake = true
-	default:
-		if a.granted > 0 {
-			j.durs.add(now.UnixMilli() - a.granted)
-		}
-		if a.speculative {
-			s.counters.SpeculationWins.Add(1)
-		}
-		victims := j.sched.OnTaskComplete(a.task.ID, a.schedRef)
-		j.completed++
-		s.counters.Completions.Add(1)
-		for _, v := range victims {
-			s.cancelExecutionLocked(sh, j, a.task.ID, v)
-		}
-		// First report wins: cancel-mark every OTHER live execution of the
-		// task. The victims loop above covers replicas the scheduler knows
-		// about; this covers the ones it does not — a speculative twin, or
-		// the straggling primary a winning twin just beat. Their eventual
-		// reports come back cancelled, never as a second completion.
-		for _, other := range sh.assignments {
-			if other.job == j && other.task.ID == a.task.ID && !other.cancelled {
-				other.cancelled = true
-			}
-		}
-		delete(j.specMarked, a.task.ID)
-		if j.sched.Remaining() == 0 {
-			s.completeJobLocked(sh, j, now) // broadcasts
-		}
-	}
-	resp.JobState = j.state
-	return resp, wake
-}
-
-// liveSiblingLocked reports whether another live, non-cancelled execution
-// of a's task shares a's schedRef — i.e. a is one half of a primary/twin
-// pair whose other half still runs. Scheduler-created replicas carry
-// their own refs and are never siblings. Callers hold sh.mu.
-func liveSiblingLocked(sh *shard, a *assignment) bool {
-	for _, other := range sh.assignments {
-		if other != a && other.job == a.job && other.task.ID == a.task.ID &&
-			!other.cancelled && other.schedRef == a.schedRef {
-			return true
-		}
-	}
-	return false
+	s.endLeaseLocked(sh, a, op, now)
+	return &api.ReportResponse{
+		Accepted:  true,
+		Cancelled: a.x.cancelled,
+		JobState:  a.job.state,
+	}, op == ledgerFailure && !a.x.cancelled
 }
 
 // ReportBatch ends up to a stream's worth of assignments (at most
@@ -412,7 +294,7 @@ func (s *Service) ReportBatch(workerID string, items []api.ReportItem) (*api.Rep
 	// Duplicate assignment ids inside one batch resolve for the FIRST
 	// occurrence only: a later duplicate is what a second Report call would
 	// be — the lease is gone by then — so it must come back Stale, not be
-	// applied twice (twice through applyReportLocked would double-journal
+	// applied twice (twice through reportLocked would double-journal
 	// and double-count, and if the first apply completed the job the second
 	// would find j.sched nil).
 	r := s.reg
@@ -461,7 +343,7 @@ func (s *Service) ReportBatch(workerID string, items []api.ReportItem) (*api.Rep
 				results[i] = api.ReportResponse{Stale: true}
 				continue
 			}
-			if rec := s.reportRecord(sh, a, items[i].Outcome, now); rec != nil {
+			if rec := s.leaseRecord(sh, a, opReport, items[i].Outcome, now); rec != nil {
 				recs = append(recs, rec)
 			}
 			live = append(live, i)
@@ -478,7 +360,7 @@ func (s *Service) ReportBatch(workerID string, items []api.ReportItem) (*api.Rep
 		}
 		for _, i := range live {
 			a := as[i]
-			resp, w := s.applyReportLocked(sh, a, items[i].Outcome, now)
+			resp, w := s.reportLocked(sh, a, items[i].Outcome, now)
 			results[i] = *resp
 			wake = wake || w
 			finished = append(finished, a)

@@ -70,7 +70,7 @@ type record struct {
 	Outcome    string          `json:"outcome,omitempty"`    // opReport
 	// Spec marks an opDispatch as a speculative twin grant: replayed
 	// without a scheduler NextFor and without a fair charge, exactly as
-	// it was granted (see trySpeculateLocked / replayEvent).
+	// it was granted (see stragglerForLocked / replay).
 	Spec bool `json:"spec,omitempty"`
 }
 

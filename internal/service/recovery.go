@@ -1,30 +1,36 @@
-// Recovery rebuilds a Service from Config.DataDir: load the snapshot,
-// replay the write-ahead log tail on top of it, and reconstruct every
-// running job's scheduler, site stores, and counters exactly as the
-// crashed process left them.
+// Recovery rebuilds a Service from Config.DataDir: load the checkpoint,
+// apply the write-ahead log tail on top of it, and every running job's
+// scheduler, site stores, and counters are exactly as the crashed process
+// left them.
 //
 // Scheduler state is reconstructed by *command replay*, not
 // deserialization: the factory rebuilds the scheduler from (algorithm,
-// workload, seed) — fully deterministic — and the job's ledger drives it
+// workload, seed) — fully deterministic — and the job's history drives it
 // through the same dispatch/complete/fail sequence the original instance
 // saw. That reproduces internal state the schedulers could never
 // serialize portably, in particular the ChooseTask(n) RNG stream: a
 // recovered worker-centric scheduler makes the same future random draws an
 // uninterrupted run would have made.
 //
+// Replay is not a second implementation of the live paths. Each journaled
+// event goes through the one apply the live path put it through
+// (jobstate.go), with ReplayAssign standing in for the NextFor that decided
+// it: a checkpointed job's ledger first, then the log tail record by
+// record in LSN order — the order worker telemetry and the arbiter's
+// charges depend on. restore and applyRecord are also all a standby runs
+// (follower.go), over a state with no scheduler factory.
+//
 // Worker registrations and leases are NOT recovered — they are liveness
 // state about processes that may not have survived the outage. Every
-// assignment open at crash time is expired through the scheduler's normal
-// failure path (journaled, so a second crash replays identically), and
-// workers re-register on their next pull; the client loop does this
-// transparently.
+// execution open at crash time is expired through the same apply
+// (journaled, so a second crash replays identically), and workers
+// re-register on their next pull; the client loop does this transparently.
 //
 // Recovery runs single-threaded from New, before the sweeper starts and
 // before the service is reachable, so it touches shard and coordinator
-// state without contention; it still goes through the locked helpers it
-// shares with the live paths. The shard stripe count is irrelevant to
-// what is recovered: jobs land on whatever stripe the current Config
-// routes them to.
+// state without contention. The shard stripe count is irrelevant to what
+// is recovered: jobs land on whatever stripe the current Config routes
+// them to.
 package service
 
 import (
@@ -37,47 +43,8 @@ import (
 	"gridsched/internal/core"
 	"gridsched/internal/journal"
 	"gridsched/internal/service/api"
-	"gridsched/internal/storage"
 	"gridsched/internal/workload"
 )
-
-// openKey identifies one in-flight execution during replay. At most one
-// live assignment exists per (task, worker slot): the service grants a
-// worker one assignment at a time, and a slot is vacated only after its
-// assignment ended.
-type openKey struct {
-	task   int32
-	site   int32
-	worker int32
-}
-
-// openExec mirrors an assignment's replay-relevant state: cancelled, the
-// speculative-twin flag, and schedRef — the worker ref the scheduler
-// associates with the execution (the primary's ref for a twin).
-type openExec struct {
-	cancelled bool
-	spec      bool
-	schedRef  core.WorkerRef
-}
-
-// grantKey identifies one granted lease across the whole log for the
-// telemetry fold: the success-report duration sample is report Ts minus
-// grant Ts, and the grant may live in the snapshot's ledgers or the tail.
-type grantKey struct {
-	job    string
-	task   int32
-	site   int32
-	worker int32
-}
-
-// recoveryState carries the submission-ordered job list recovery builds
-// up from the snapshot and the log tail, plus the open-grant timestamps
-// feeding the telemetry fold.
-type recoveryState struct {
-	order   []*job
-	deletes []string
-	grants  map[grantKey]int64 // grant Ts (unix millis) of still-open leases
-}
 
 // recover loads DataDir and rebuilds state. Called from New, before the
 // sweeper starts and before the service is reachable.
@@ -86,7 +53,6 @@ func (s *Service) recover() error {
 	if err := os.MkdirAll(s.pst.dir, 0o755); err != nil {
 		return err
 	}
-	rs := &recoveryState{grants: make(map[grantKey]int64)}
 
 	// 1. Checkpoint: the manifest plus the running jobs' workload files,
 	// then a sweep of whatever a crash mid-checkpoint stranded — temp
@@ -121,41 +87,23 @@ func (s *Service) recover() error {
 	}
 	s.seq.Store(snap.Seq)
 	s.pst.carry = snap.Carry
-	// Fair-share state: the arbiter's virtual time and per-tenant durable
-	// state come from the snapshot; tail records then re-apply charges and
-	// quota changes in log order, exactly as the live paths did.
-	s.coord.vtime = snap.VTime
-	for _, st := range snap.Tenants {
-		t := s.coord.tenant(st.Name)
-		t.quota, t.dispatches = st.Quota, st.Dispatches
-	}
-	// Worker telemetry: the snapshot's fixed-point accumulators restore
-	// bit-exact; tail records fold on top in LSN order (applyLogRecord),
-	// reproducing the crashed process's EWMAs exactly.
-	s.tel.restoreWorkers(snap.Workers)
-	for i := range snap.Jobs {
-		if err := s.restoreSnapJob(rs, &snap.Jobs[i]); err != nil {
-			return err
-		}
-	}
-
-	// 2. Log tail: records the snapshot does not cover. They extend the
-	// per-job ledgers (and create/delete jobs) but are not applied yet.
-	info, err := journal.ReadLog(s.walPath(), snap.LastLSN, func(lsn uint64, payload []byte) error {
-		var rec record
-		if err := json.Unmarshal(payload, &rec); err != nil {
-			return fmt.Errorf("service: journal record %d: %w", lsn, err)
-		}
-		return s.applyLogRecord(rs, &rec)
-	})
+	replayed, err := s.restore(snap)
 	if err != nil {
 		return err
 	}
 
+	// 2. Log tail: the records the checkpoint does not cover, each applied
+	// as it is read.
+	info, err := journal.ReadLog(s.walPath(), snap.LastLSN, s.applyFrame)
+	if err != nil {
+		return err
+	}
+	replayed += info.Records
+
 	// 3. Open the writer over the validated prefix (truncating any torn
-	// tail) before replay: replay appends the expiry records for
-	// assignments that were in flight at the crash. The commit stage
-	// comes up with the writer — replay appends go through it too.
+	// tail): step 4 appends the expiry records for executions that were in
+	// flight at the crash. The commit stage comes up with the writer —
+	// those appends go through it too.
 	lastLSN := max(snap.LastLSN, info.LastLSN)
 	met := &journal.Metrics{}
 	w, err := journal.OpenWriter(s.walPath(), s.cfg.Fsync, s.cfg.FsyncInterval, lastLSN, info.ValidSize, met)
@@ -166,56 +114,19 @@ func (s *Service) recover() error {
 	s.pst.stage = newCommitStage(w)
 	s.pst.journalMetrics = met
 
-	// 4. Replay each resident job's ledger through a rebuilt scheduler,
-	// then expire whatever was still in flight.
-	replayed := info.Records
-	for _, j := range rs.order {
-		if j.state == api.JobCompleted {
-			continue
-		}
-		n, err := s.replayJob(j)
-		if err != nil {
-			return fmt.Errorf("service: replay job %s (%s): %w", j.id, j.algorithm, err)
-		}
-		replayed += n
+	// 4. Expire whatever is still in flight: the workers holding those
+	// leases predate the restart.
+	n, err := s.expireRecovered()
+	if err != nil {
+		return err
 	}
-	for _, id := range rs.deletes {
-		sh := s.shardOf(id)
-		j := sh.jobs[id]
-		if j == nil {
-			return fmt.Errorf("service: journal deletes unknown job %s", id)
-		}
-		if j.state != api.JobCompleted {
-			return fmt.Errorf("service: journal deletes running job %s", id)
-		}
-		sh.mu.Lock()
-		s.dropJobLocked(sh, j)
-		sh.mu.Unlock()
-	}
+	replayed += n
 
-	// 5. Rebuild the monotone counters from carry + resident jobs, and the
-	// arbiter's runnable set: every still-running job enters the heap with
-	// its recovered tag, and its tenant's weight/running gauges return.
-	// (Tenant record counts were anchored at materialization, before the
-	// deletes above ran against them; in-flight counts stay zero: step 4
-	// expired every recovered lease.)
+	// 5. Rebuild the monotone counters from carry + resident jobs. (The
+	// arbiter's runnable set and the tenants' gauges came back as the jobs
+	// did; in-flight counts stay zero: step 4 expired every recovered
+	// lease.)
 	s.restoreCounters()
-	for _, sh := range s.shards {
-		for _, j := range sh.jobs {
-			if j.state == api.JobRunning {
-				t := s.coord.tenant(j.tenant)
-				t.weight += int64(j.weight)
-				t.running++
-				s.coord.push(j)
-			}
-		}
-	}
-	// Sweep anchorless tenant states: replaying a set-then-revert opQuota
-	// pair (or loading a legacy snapshot) can materialize tenants the live
-	// process had already pruned, and recovery must not resurrect them.
-	for name := range s.coord.tenants {
-		s.coord.prune(name)
-	}
 
 	// 6. Compact: a fresh snapshot makes the next restart O(snapshot) and
 	// clears the replayed tail. Skipped for a pristine data dir.
@@ -234,11 +145,42 @@ func (s *Service) recover() error {
 	return nil
 }
 
-// restoreSnapJob materializes one snapshot entry as a resident job shell.
-// Running jobs get their scheduler and stores in replayJob.
-func (s *Service) restoreSnapJob(rs *recoveryState, sj *snapJob) error {
+// restore loads a checkpoint into a fresh state: the arbiter's virtual
+// time and per-tenant durable state, the worker telemetry (fixed-point
+// accumulators, bit-exact), and every resident job. Tail records then
+// charge, fold and apply on top in LSN order, exactly as the live paths
+// did. Returns the number of ledger events replayed.
+func (s *Service) restore(snap *snapshot) (int, error) {
+	c := s.coord
+	c.vtime = snap.VTime
+	for _, st := range snap.Tenants {
+		t := c.tenant(st.Name)
+		t.quota, t.dispatches = st.Quota, st.Dispatches
+	}
+	s.tel.restoreWorkers(snap.Workers)
+	events := 0
+	for i := range snap.Jobs {
+		sj := &snap.Jobs[i]
+		if err := s.restoreJob(sj); err != nil {
+			return events, fmt.Errorf("service: snapshot job %s (%s): %w", sj.ID, sj.Algorithm, err)
+		}
+		events += sj.Ledger.len()
+	}
+	// A legacy snapshot can list tenants the live process had already
+	// pruned; recovery must not resurrect them.
+	for name := range c.tenants {
+		c.prune(name)
+	}
+	return events, nil
+}
+
+// restoreJob materializes one checkpoint entry: a completed job as its
+// summary, a running job as a shell whose ledger replays through apply.
+// The events are not fresh — the job keeps the ledger it came with, and
+// the checkpoint's telemetry already folded them.
+func (s *Service) restoreJob(sj *snapJob) error {
 	if sj.State != api.JobRunning && sj.State != api.JobCompleted {
-		return fmt.Errorf("service: snapshot job %s in state %q", sj.ID, sj.State)
+		return fmt.Errorf("in state %q", sj.State)
 	}
 	j := &job{
 		id:           sj.ID,
@@ -249,7 +191,6 @@ func (s *Service) restoreSnapJob(rs *recoveryState, sj *snapJob) error {
 		tenant:       sj.Tenant,
 		weight:       normalizeWeight(sj.Weight, s.cfg.DefaultWeight),
 		seq:          idNum(sj.ID),
-		fair:         sj.Fair,
 		heapIdx:      -1,
 		tasks:        sj.Tasks,
 		state:        sj.State,
@@ -266,79 +207,92 @@ func (s *Service) restoreSnapJob(rs *recoveryState, sj *snapJob) error {
 		j.speculated = sj.Speculated
 	} else {
 		if sj.Workload == nil {
-			return fmt.Errorf("service: snapshot job %s running but has no workload", sj.ID)
+			return fmt.Errorf("running but has no workload")
 		}
-		j.w = sj.Workload
-		j.ledger = sj.Ledger
-		// Seed the open-grant timestamps from the snapshot ledger: a tail
-		// success report's duration sample is measured from a grant the
-		// snapshot may already carry. (Closed leases of completed snapshot
-		// jobs lost their ledgers; a tail report on one folds without a
-		// duration sample — the one corner where a recovered EWMA can lag
-		// the uninterrupted one by a sample.)
-		for i := 0; i < sj.Ledger.len(); i++ {
-			e := sj.Ledger.at(i)
-			k := grantKey{job: sj.ID, task: int32(e.Task), site: e.Site, worker: e.Worker}
-			switch e.Op {
-			case ledgerDispatch, ledgerSpecDispatch:
-				rs.grants[k] = e.Ts
-			default:
-				delete(rs.grants, k)
-			}
+		if err := s.rebuild(j, sj.Workload); err != nil {
+			return err
+		}
+		if s.pst != nil {
+			j.ledger = sj.Ledger
 		}
 	}
-	s.addRecoveredJob(rs, j)
+	s.coord.mu.Lock()
+	s.addJobLocked(j, sj.Fair)
+	s.coord.mu.Unlock()
+	s.bumpSeqFromID(j.id)
+	// Completion mid-replay releases j.ledger; the events still to come
+	// (ends of cancelled replicas) replay from the snapshot's own header.
+	for i, n := 0, sj.Ledger.len(); i < n; i++ {
+		if err := s.replay(j, sj.Ledger.at(i), false); err != nil {
+			return fmt.Errorf("ledger event %d/%d: %w", i, n, err)
+		}
+	}
 	return nil
 }
 
-// applyLogRecord folds one tail record into the job shells. Deletions are
-// collected and applied after replay: a delete always refers to a job that
-// completed earlier in the log, and completion is only known once the
-// ledger has been replayed.
-func (s *Service) applyLogRecord(rs *recoveryState, rec *record) error {
+// rebuild attaches a freshly built scheduler and stores to a recovered
+// running job. A state with no scheduler factory — a standby — keeps the
+// bare shell, and does not hold on to the workload.
+func (s *Service) rebuild(j *job, w *workload.Workload) error {
+	if s.cfg.NewScheduler == nil {
+		return nil
+	}
+	if err := w.Validate(); err != nil {
+		return err
+	}
+	if err := s.cfg.CheckWorkload(w); err != nil {
+		return err
+	}
+	sched, err := s.buildScheduler(j.algorithm, w, j.seed)
+	if err != nil {
+		return err
+	}
+	return s.attach(j, w, sched)
+}
+
+// applyFrame decodes one journal frame and applies it (journal.ReadLog's
+// callback shape).
+func (s *Service) applyFrame(lsn uint64, payload []byte) error {
+	var rec record
+	if err := json.Unmarshal(payload, &rec); err != nil {
+		return fmt.Errorf("service: journal record %d: %w", lsn, err)
+	}
+	return s.applyRecord(&rec)
+}
+
+// applyRecord applies one journal record to the state, in log order.
+func (s *Service) applyRecord(rec *record) error {
+	c := s.coord
 	switch rec.Op {
 	case opSubmit:
 		if rec.Workload == nil {
 			return fmt.Errorf("service: submit record %s has no workload", rec.Job)
 		}
-		j := &job{
-			id:           rec.Job,
-			name:         rec.Name,
-			algorithm:    rec.Algorithm,
-			seed:         rec.Seed,
-			submissionID: rec.Submission,
-			tenant:       rec.Tenant,
-			weight:       normalizeWeight(rec.Weight, s.cfg.DefaultWeight),
-			seq:          idNum(rec.Job),
-			fair:         s.coord.vtime, // exactly what admit gave it live
-			heapIdx:      -1,
-			tasks:        len(rec.Workload.Tasks),
-			w:            rec.Workload,
-			state:        api.JobRunning,
-			requires:     rec.Requires,
-			deadlineMs:   rec.Deadline,
-			submitted:    time.UnixMilli(rec.Ts),
+		j := s.newJob(rec)
+		if err := s.rebuild(j, rec.Workload); err != nil {
+			return fmt.Errorf("service: replay job %s (%s): %w", j.id, j.algorithm, err)
 		}
-		s.addRecoveredJob(rs, j)
+		c.mu.Lock()
+		s.addJobLocked(j, c.vtime) // exactly the tag admission gave it live
+		c.mu.Unlock()
+		s.bumpSeqFromID(j.id)
+		if j.tasks == 0 {
+			s.completeJob(j, rec.Ts)
+		}
 	case opQuota:
-		s.coord.tenant(rec.Tenant).quota = rec.Quota
-	case opDispatch, opReport, opExpire:
-		// Fold worker telemetry FIRST, before any early return: the record
-		// exists, so the live process folded the observation when it wrote
-		// it — even when the job is unknown or already completed here.
-		ref := core.WorkerRef{Site: rec.Site, Worker: rec.Worker}
-		gk := grantKey{job: rec.Job, task: int32(rec.Task), site: int32(rec.Site), worker: int32(rec.Worker)}
-		switch {
-		case rec.Op == opDispatch:
-			rs.grants[gk] = rec.Ts
-		case rec.Op == opReport && rec.Outcome == api.OutcomeSuccess:
-			g, hasGrant := rs.grants[gk]
-			delete(rs.grants, gk)
-			s.tel.observeSuccess(ref, rec.Ts-g, hasGrant)
-		default: // failure report or expiry
-			delete(rs.grants, gk)
-			s.tel.observeFailure(ref)
+		c.tenant(rec.Tenant).quota = rec.Quota
+		c.prune(rec.Tenant)
+	case opDelete:
+		sh := s.shardOf(rec.Job)
+		j := sh.jobs[rec.Job]
+		if j == nil {
+			return fmt.Errorf("service: journal deletes unknown job %s", rec.Job)
 		}
+		if j.state != api.JobCompleted {
+			return fmt.Errorf("service: journal deletes running job %s", rec.Job)
+		}
+		s.dropJobLocked(sh, j)
+	case opDispatch, opReport, opExpire:
 		j := s.shardOf(rec.Job).jobs[rec.Job]
 		if j == nil {
 			// A report/expiry naming a job neither the snapshot nor the
@@ -346,21 +300,20 @@ func (s *Service) applyLogRecord(rs *recoveryState, rec *record) error {
 			// its deleted job, written by a pre-residency-guard binary;
 			// there is nothing left to apply it to. A dispatch into an
 			// unknown job, by contrast, can only be corruption.
-			if rec.Op == opReport || rec.Op == opExpire {
-				return nil
+			if rec.Op == opDispatch {
+				return fmt.Errorf("service: journal dispatch record for unknown job %s", rec.Job)
 			}
-			return fmt.Errorf("service: journal %s record for unknown job %s", rec.Op, rec.Job)
+			return nil
 		}
-		op := ledgerExpire
+		e := ledgerRec{Op: ledgerExpire, Task: rec.Task, Site: int32(rec.Site), Worker: int32(rec.Worker), Ts: rec.Ts}
 		switch {
 		case rec.Op == opDispatch:
-			op = ledgerDispatch
 			s.bumpSeqFromID(rec.Assignment)
+			c.tenant(j.tenant).dispatches++
 			if rec.Spec {
 				// A speculative twin never charged the arbiter live; replay
-				// must not either. The tenant's dispatch total did move.
-				op = ledgerSpecDispatch
-				s.coord.tenant(j.tenant).dispatches++
+				// must not either.
+				e.Op = ledgerSpecDispatch
 				break
 			}
 			// Re-apply the fair-share charge in log order: tags and the
@@ -368,256 +321,96 @@ func (s *Service) applyLogRecord(rs *recoveryState, rec *record) error {
 			// process (the live path appends dispatch records in charge
 			// order, under the coordinator), so the recovered arbiter
 			// makes the same choices an uninterrupted one would have.
-			s.coord.charge(j)
-			s.coord.tenant(j.tenant).dispatches++
+			e.Op = ledgerDispatch
+			c.charge(j)
 		case rec.Op == opReport && rec.Outcome == api.OutcomeSuccess:
-			op = ledgerSuccess
+			e.Op = ledgerSuccess
 		case rec.Op == opReport:
-			op = ledgerFailure
+			e.Op = ledgerFailure
 		}
-		// Records for jobs the snapshot already saw completed are leftover
-		// reports/expiries of cancelled replicas; only the counter survives.
-		if j.state == api.JobCompleted {
-			if op == ledgerDispatch || op == ledgerSpecDispatch {
-				return fmt.Errorf("service: journal dispatches into completed job %s", j.id)
-			}
-			j.cancelled++
-			return nil
+		if err := s.replay(j, e, true); err != nil {
+			return fmt.Errorf("service: replay job %s (%s): %w", j.id, j.algorithm, err)
 		}
-		j.ledger = j.ledger.add(ledgerRec{
-			Op: op, Task: rec.Task, Site: int32(rec.Site), Worker: int32(rec.Worker), Ts: rec.Ts,
-		})
-	case opDelete:
-		rs.deletes = append(rs.deletes, rec.Job)
 	default:
 		return fmt.Errorf("service: unknown journal op %q", rec.Op)
 	}
 	return nil
 }
 
-// replayJob rebuilds a running job's scheduler and stores and drives them
-// through the job's ledger, mirroring the live mutation paths
-// (tryJobLocked, Report, expireAssignmentLocked) event for event. Returns
-// the number of ledger events replayed.
-func (s *Service) replayJob(j *job) (int, error) {
-	if err := j.w.Validate(); err != nil {
-		return 0, err
-	}
-	if err := s.cfg.CheckWorkload(j.w); err != nil {
-		return 0, err
-	}
-	sched, err := s.buildScheduler(j.algorithm, j.w, j.seed)
-	if err != nil {
-		return 0, err
-	}
-	j.sched = sched
-	j.stores = nil
-	for i := 0; i < s.cfg.Sites; i++ {
-		st, err := storage.New(s.cfg.CapacityFiles, s.cfg.Policy)
-		if err != nil {
-			return 0, err
-		}
-		st.Reserve(j.w.NumFiles)
-		j.stores = append(j.stores, st)
-		sched.AttachSite(i)
-	}
-	if len(j.w.Tasks) == 0 {
-		s.completeJobReplay(j, j.submitted.UnixMilli())
-		return 0, nil
-	}
-
-	open := make(map[openKey]*openExec)
-	// Completion mid-replay releases j.ledger; the events still to come
-	// (reports of cancelled replicas) replay from this copy of the header.
-	ledger := j.ledger
-	for i, n := 0, ledger.len(); i < n; i++ {
-		if err := s.replayEvent(j, ledger.at(i), open); err != nil {
-			return i, fmt.Errorf("ledger event %d/%d: %w", i, n, err)
-		}
-	}
-
-	// Expire everything still in flight: the workers holding those leases
-	// predate the restart. Journaled like a live expiry so a second crash
-	// replays the same way.
-	if len(open) > 0 && j.state == api.JobRunning {
-		now := s.now().UnixMilli()
-		keys := make([]openKey, 0, len(open))
-		for k := range open {
-			keys = append(keys, k)
-		}
-		// Deterministic order (map iteration is not): by task, site, worker.
-		sort.Slice(keys, func(a, b int) bool {
-			if keys[a].task != keys[b].task {
-				return keys[a].task < keys[b].task
-			}
-			if keys[a].site != keys[b].site {
-				return keys[a].site < keys[b].site
-			}
-			return keys[a].worker < keys[b].worker
-		})
-		for _, k := range keys {
-			e := ledgerRec{Op: ledgerExpire, Task: workload.TaskID(k.task), Site: k.site, Worker: k.worker, Ts: now}
-			s.mustAppend(&record{
-				Op: opExpire, Ts: now, Job: j.id,
-				Task: e.Task, Site: int(k.site), Worker: int(k.worker),
-			})
-			j.ledger = j.ledger.add(e)
-			// These are fresh journal records, so fold them into telemetry
-			// like any live expiry — the post-recovery snapshot covers them.
-			s.tel.observeFailure(core.WorkerRef{Site: int(k.site), Worker: int(k.worker)})
-			if err := s.replayEvent(j, e, open); err != nil {
-				return j.ledger.len(), err
-			}
-			s.counters.RecoveredExpired.Add(1)
-		}
-	}
-	return j.ledger.len(), nil
-}
-
-// replayEvent applies one ledger event, keeping open in sync with what the
-// live assignment table would have held.
-func (s *Service) replayEvent(j *job, e ledgerRec, open map[openKey]*openExec) error {
-	key := openKey{task: int32(e.Task), site: e.Site, worker: e.Worker}
-	ref := core.WorkerRef{Site: int(e.Site), Worker: int(e.Worker)}
-	switch e.Op {
-	case ledgerDispatch, ledgerSpecDispatch:
-		if j.state != api.JobRunning || j.sched == nil {
-			return fmt.Errorf("dispatch of task %d into %s job", e.Task, j.state)
-		}
-		if int(e.Task) < 0 || int(e.Task) >= len(j.w.Tasks) {
+// replay applies one journaled event to j. The journal is outside input,
+// so a dispatch's coordinates are bounds-checked before anything indexes
+// with them; then the recorded decision is forced on the scheduler —
+// ReplayAssign in place of NextFor, nothing for a twin, which was granted
+// above the scheduler — and the event takes the live path's apply.
+func (s *Service) replay(j *job, e ledgerRec, fresh bool) error {
+	if e.Op == ledgerDispatch || e.Op == ledgerSpecDispatch {
+		ref := core.WorkerRef{Site: int(e.Site), Worker: int(e.Worker)}
+		if int(e.Task) < 0 || int(e.Task) >= j.tasks {
 			return fmt.Errorf("dispatch of unknown task %d", e.Task)
 		}
 		if ref.Site < 0 || ref.Site >= s.cfg.Sites || ref.Worker < 0 || ref.Worker >= s.cfg.WorkersPerSite {
 			return fmt.Errorf("dispatch at %+v outside the configured pool", ref)
 		}
-		if open[key] != nil {
-			return fmt.Errorf("task %d already in flight at %+v", e.Task, ref)
-		}
-		schedRef := ref
-		if e.Op == ledgerSpecDispatch {
-			// A twin was granted above the scheduler: no ReplayAssign. Its
-			// schedRef is the live primary's ref, re-derived by the same
-			// deterministic rule the grant used — lowest (site, worker)
-			// among the task's open non-speculative executions.
-			found := false
-			for k, o := range open {
-				if k.task != int32(e.Task) || o.spec || o.cancelled {
-					continue
-				}
-				r := core.WorkerRef{Site: int(k.site), Worker: int(k.worker)}
-				if !found || r.Site < schedRef.Site ||
-					(r.Site == schedRef.Site && r.Worker < schedRef.Worker) {
-					schedRef, found = r, true
-				}
-			}
-			if !found {
-				return fmt.Errorf("speculative dispatch of task %d with no live primary", e.Task)
-			}
-		} else if err := replayAssignSched(j.sched, e.Task, ref); err != nil {
-			return err
-		}
-		sh := s.shardOf(j.id)
-		task := j.w.Tasks[e.Task]
-		fetched, evicted, err := j.stores[ref.Site].CommitBatchInto(task.Files, sh.fetchBuf[:0], sh.evictBuf[:0])
-		if err != nil {
-			return fmt.Errorf("stage task %d at site %d: %w", e.Task, ref.Site, err)
-		}
-		sh.fetchBuf, sh.evictBuf = fetched[:0], evicted[:0]
-		j.sched.NoteBatch(ref.Site, task.Files, fetched, evicted)
-		j.transfers += int64(len(fetched))
-		j.dispatched++
-		if e.Op == ledgerSpecDispatch {
-			j.speculated++
-		}
-		open[key] = &openExec{spec: e.Op == ledgerSpecDispatch, schedRef: schedRef}
-	case ledgerSuccess, ledgerFailure, ledgerExpire:
-		o := open[key]
-		if o == nil {
-			return fmt.Errorf("%d on task %d at %+v with no open execution", e.Op, e.Task, ref)
-		}
-		delete(open, key)
-		switch {
-		case o.cancelled:
-			j.cancelled++
-		case e.Op == ledgerSuccess:
-			victims := j.sched.OnTaskComplete(e.Task, o.schedRef)
-			j.completed++
-			for _, v := range victims {
-				vk := openKey{task: int32(e.Task), site: int32(v.Site), worker: int32(v.Worker)}
-				if vo := open[vk]; vo != nil {
-					vo.cancelled = true
-				}
-			}
-			// First-report-wins blanket cancel, mirroring applyReportLocked:
-			// every other open execution of the task is obsolete.
-			for k2, o2 := range open {
-				if k2.task == int32(e.Task) && !o2.cancelled {
-					o2.cancelled = true
-				}
-			}
-			if j.sched.Remaining() == 0 {
-				s.completeJobReplay(j, e.Ts)
-				// Mirror completeJobLocked's cancellation sweep: whatever is
-				// still in flight is an obsolete replica.
-				for _, vo := range open {
-					vo.cancelled = true
-				}
-			}
-		case e.Op == ledgerFailure:
-			j.failed++
-			if j.sched != nil && !openSibling(open, int32(e.Task), o.schedRef) {
-				j.sched.OnExecutionFailed(e.Task, o.schedRef)
-			}
-		default: // ledgerExpire
-			j.expired++
-			if j.sched != nil && !openSibling(open, int32(e.Task), o.schedRef) {
-				j.sched.OnExecutionFailed(e.Task, o.schedRef)
+		if e.Op == ledgerDispatch && j.sched != nil {
+			if err := replayAssignSched(j.sched, e.Task, ref); err != nil {
+				return err
 			}
 		}
-	default:
-		return fmt.Errorf("unknown ledger op %d", e.Op)
 	}
-	return nil
+	_, err := s.apply(s.shardOf(j.id), j, e, fresh)
+	return err
 }
 
-// openSibling mirrors liveSiblingLocked for replay: another open,
-// non-cancelled execution of the task shares schedRef, so the failed or
-// expired half of a primary/twin pair must not requeue the task.
-func openSibling(open map[openKey]*openExec, task int32, schedRef core.WorkerRef) bool {
-	for k, o := range open {
-		if k.task == task && !o.cancelled && o.schedRef == schedRef {
-			return true
+// expireRecovered expires every execution still open after replay,
+// journaled like a live expiry so a second crash replays the same way, and
+// returns how many. Deterministic order (map iteration is not): jobs in
+// submission order, executions by task, site, worker. A completed job's
+// leftovers are cancelled replicas nobody will report for; they just go.
+func (s *Service) expireRecovered() (int, error) {
+	var jobs []*job
+	for _, sh := range s.shards {
+		for _, j := range sh.jobs {
+			if j.state == api.JobRunning && len(j.execs) > 0 {
+				jobs = append(jobs, j)
+			}
+			if j.state == api.JobCompleted {
+				j.execs = nil
+			}
 		}
 	}
-	return false
-}
-
-// completeJobReplay is completeJobLocked minus the live-only concerns
-// (broadcast, arbiter retirement, counters — rebuilt afterwards).
-func (s *Service) completeJobReplay(j *job, tsMillis int64) {
-	j.state = api.JobCompleted
-	j.finished = time.UnixMilli(tsMillis)
-	j.w, j.sched, j.stores, j.ledger = nil, nil, nil, nil
-}
-
-// addRecoveredJob registers a job shell during recovery: into its shard,
-// the submission index, the replay order, and its tenant's record count.
-// The record is anchored HERE, at materialization — not in the post-replay
-// sweep — so a journal-tail delete (dropJobLocked, which decrements)
-// always runs against a count that included the job, exactly as the live
-// path does; counting later would drive the tenant negative and defeat
-// pruning forever.
-func (s *Service) addRecoveredJob(rs *recoveryState, j *job) {
-	if j.state == api.JobRunning && j.deadlineMs > 0 && s.now().UnixMilli() >= j.deadlineMs {
-		j.urgent.Store(true) // sweeps refine this; seed the overdue case now
+	sort.Slice(jobs, func(a, b int) bool { return jobs[a].seq < jobs[b].seq })
+	now := s.now().UnixMilli()
+	expired := 0
+	for _, j := range jobs {
+		var open []*exec
+		for _, x := range j.execs {
+			for ; x != nil; x = x.next {
+				open = append(open, x)
+			}
+		}
+		sort.Slice(open, func(a, b int) bool {
+			if open[a].task != open[b].task {
+				return open[a].task < open[b].task
+			}
+			if open[a].ref.Site != open[b].ref.Site {
+				return open[a].ref.Site < open[b].ref.Site
+			}
+			return open[a].ref.Worker < open[b].ref.Worker
+		})
+		for _, x := range open {
+			rec := &record{
+				Op: opExpire, Ts: now, Job: j.id,
+				Task: x.task, Site: x.ref.Site, Worker: x.ref.Worker,
+			}
+			s.mustAppend(rec)
+			if err := s.applyRecord(rec); err != nil {
+				return expired, err
+			}
+			s.counters.RecoveredExpired.Add(1)
+			expired++
+		}
 	}
-	s.shardOf(j.id).jobs[j.id] = j
-	if j.submissionID != "" {
-		s.coord.submissions[j.submissionID] = j.id
-	}
-	s.coord.tenant(j.tenant).records++
-	rs.order = append(rs.order, j)
-	s.bumpSeqFromID(j.id)
+	return expired, nil
 }
 
 // restoreCounters rebuilds the monotone /metrics totals as carry (deleted

@@ -62,6 +62,7 @@ import (
 	"runtime"
 	"slices"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -326,15 +327,18 @@ func errf(code int, format string, args ...any) *Error {
 	return &Error{Code: code, Msg: fmt.Sprintf(format, args...)}
 }
 
-// job is one resident workload with its own scheduler and site stores.
-// On completion the workload, scheduler, and stores are released (set to
-// nil) so a long-running daemon does not accumulate every finished job's
-// heavy state; the status summary fields survive.
+// job is one resident workload. Its replicated state — state, the
+// counters, the table of open executions, the ledger — changes only
+// through apply (jobstate.go). Workload, scheduler and site stores are
+// attachments: a leader's running job has them, a standby's shell never
+// does, and completion releases them (with the ledger) so a long-running
+// daemon does not accumulate every finished job's heavy state; the status
+// summary fields survive.
 //
 // Locking: id, name, algorithm, seed, submissionID, tenant, weight, and
 // seq are immutable after registration. fair and heapIdx belong to the
-// coordinator. Everything else — scheduler, stores, ledger, state, and
-// the counters — belongs to the job's shard.
+// coordinator. Everything else — scheduler, stores, ledger, execs, state,
+// and the counters — belongs to the job's shard.
 type job struct {
 	id           string
 	name         string
@@ -365,6 +369,9 @@ type job struct {
 	// form (checkpoint.go); released on completion with the rest of the
 	// heavy state.
 	ledger packedLedger
+	// execs is the table of open executions, keyed by task; a task's
+	// replicas chain through exec.next. Nil while nothing is open.
+	execs map[workload.TaskID]*exec
 
 	// Context-aware scheduling state (docs/SCHEDULING.md). requires and
 	// deadlineMs are immutable after registration and journaled with the
@@ -420,32 +427,17 @@ type worker struct {
 	wake chan struct{}
 }
 
-// assignment is one leased task execution. id, job, task, workerID, ref,
-// granted, speculative, schedRef, and staged are immutable; deadline and
-// cancelled are guarded by the owning job's shard.
+// assignment is a live lease on one execution: the lease-only state
+// around the job-table entry x (which holds task, slot, speculative and
+// cancelled). Everything but deadline is immutable; deadline is guarded by
+// the owning job's shard.
 type assignment struct {
-	id        string
-	job       *job
-	task      workload.Task
-	workerID  string
-	ref       core.WorkerRef
-	deadline  time.Time
-	cancelled bool // obsoleted by another replica's completion
-	staged    int
-	// granted is the journaled grant timestamp (unix millis): the Ts of
-	// the opDispatch record. A success report's journaled Ts minus
-	// granted is the duration sample folded into worker telemetry, which
-	// keeps the telemetry a pure function of the record stream.
-	granted int64
-	// speculative marks a straggler twin granted by the sweeper outside
-	// the scheduler's view (the scheduler never saw a NextFor for it).
-	speculative bool
-	// schedRef is the worker ref the scheduler associates with this
-	// execution: the assignment's own ref for a primary, the PRIMARY's
-	// ref for a speculative twin. Every scheduler callback for the
-	// assignment must use schedRef, never ref — the scheduler only knows
-	// about one execution per (task, ref) and the twin is invisible.
-	schedRef core.WorkerRef
+	id       string
+	job      *job
+	x        *exec
+	workerID string
+	deadline time.Time
+	staged   int
 }
 
 // hub is the long-poll wakeup primitive: waiters grab the current channel
@@ -530,11 +522,31 @@ func New(cfg Config) (*Service, error) {
 	if _, err := rand.Read(nonce[:]); err != nil {
 		return nil, err
 	}
+	s := newState(cfg)
+	s.instance = hex.EncodeToString(nonce[:])
+	if cfg.DataDir != "" {
+		s.pst = &persistence{dir: cfg.DataDir}
+		if err := s.recover(); err != nil {
+			if s.pst.w != nil {
+				_ = s.pst.w.Close()
+			}
+			return nil, err
+		}
+	}
+	s.ready.Store(true)
+	go s.sweeper()
+	return s, nil
+}
+
+// newState builds a service's state domains over a normalized cfg, empty
+// and with nothing running: no sweeper, no journal. New turns it into a
+// live service; a Follower keeps one as its read-only replica of the
+// leader (restore + applyRecord), with no scheduler factory.
+func newState(cfg Config) *Service {
 	s := &Service{
 		cfg:       cfg,
 		counters:  metrics.NewServiceCounters(),
 		repl:      &metrics.ReplicationCounters{},
-		instance:  hex.EncodeToString(nonce[:]),
 		coord:     newCoordinator(),
 		reg:       newRegistry(cfg.Sites, cfg.WorkersPerSite),
 		hub:       newHub(),
@@ -552,18 +564,7 @@ func New(cfg Config) (*Service, error) {
 	// ≡ PartitionIndex (mod PartitionCount). Standalone (0 of 1) yields
 	// the classic 1, 2, 3, …
 	s.seq.Store(int64(cfg.PartitionIndex))
-	if cfg.DataDir != "" {
-		s.pst = &persistence{dir: cfg.DataDir}
-		if err := s.recover(); err != nil {
-			if s.pst.w != nil {
-				_ = s.pst.w.Close()
-			}
-			return nil, err
-		}
-	}
-	s.ready.Store(true)
-	go s.sweeper()
-	return s, nil
+	return s
 }
 
 // Counters exposes the service's metrics (also rendered at /metrics).
@@ -632,8 +633,10 @@ func (s *Service) nextSeq() int64 {
 	return s.seq.Add(int64(s.cfg.PartitionCount))
 }
 
-func (s *Service) nextID(prefix string) string {
-	return fmt.Sprintf("%s%d", prefix, s.nextSeq())
+// nextID mints "<prefix><seq>" in one allocation (it runs per grant).
+func (s *Service) nextID(prefix byte) string {
+	var buf [20]byte
+	return string(strconv.AppendInt(append(buf[:0], prefix), s.nextSeq(), 10))
 }
 
 // Submit adds a job built around a caller-constructed scheduler. The
@@ -738,56 +741,29 @@ func (s *Service) submitJob(req api.SubmitJobRequest, sched core.Scheduler) (str
 		return "", errf(http.StatusServiceUnavailable, "service: closed")
 	}
 	now := s.now()
-	j := &job{
-		name:         name,
-		algorithm:    req.Algorithm,
-		seed:         req.Seed,
-		submissionID: submissionID,
-		tenant:       req.Tenant,
-		weight:       normalizeWeight(req.Weight, s.cfg.DefaultWeight),
-		heapIdx:      -1,
-		tasks:        len(w.Tasks),
-		w:            w,
-		sched:        sched,
-		state:        api.JobRunning,
-		requires:     slices.Clone(req.Requires),
-		deadlineMs:   req.DeadlineMillis,
-		submitted:    now,
+	// The submit record is the job's definition in every role: recovery and
+	// the standby build their shell from it with the same newJob. Tenant and
+	// weight go in resolved (weight never zero), so replay is independent of
+	// the server's default-weight setting.
+	rec := &record{
+		Op: opSubmit, Ts: now.UnixMilli(), Job: s.nextID('j'),
+		Name: name, Algorithm: req.Algorithm, Seed: req.Seed, Submission: submissionID,
+		Tenant: req.Tenant, Weight: normalizeWeight(req.Weight, s.cfg.DefaultWeight),
+		Requires: slices.Clone(req.Requires), Deadline: req.DeadlineMillis,
+		Workload: w,
 	}
-	if j.deadlineMs > 0 && now.UnixMilli() >= j.deadlineMs {
-		// Already past deadline at submission: urgent from the start; the
-		// sweeper keeps the flag current from here on.
-		j.urgent.Store(true)
+	j := s.newJob(rec)
+	if err := s.attach(j, w, sched); err != nil {
+		return "", err
 	}
-	for i := 0; i < s.cfg.Sites; i++ {
-		st, err := storage.New(s.cfg.CapacityFiles, s.cfg.Policy)
-		if err != nil {
-			return "", err
-		}
-		st.Reserve(w.NumFiles)
-		j.stores = append(j.stores, st)
-		sched.AttachSite(i)
-	}
-
-	n := s.nextSeq()
-	j.id, j.seq = fmt.Sprintf("j%d", n), n
-	// Everything the submit record says is settled by now, so encode it
-	// before taking any lock: it carries the workload, and marshalling a
+	// Everything the record says is settled by now, so encode it before
+	// taking any lock: it carries the workload, and marshalling a
 	// 6,000-task one takes tens of milliseconds the shard and the
 	// coordinator — i.e. all dispatch — would otherwise sit out.
 	var payload []byte
 	if s.pst != nil {
 		var err error
-		// Tenant and weight are journaled resolved (weight never zero), so
-		// replay is independent of the server's default-weight setting.
-		payload, err = encodeRecord(&record{
-			Op: opSubmit, Ts: now.UnixMilli(), Job: j.id,
-			Name: name, Algorithm: req.Algorithm, Seed: req.Seed, Submission: submissionID,
-			Tenant: j.tenant, Weight: j.weight,
-			Requires: j.requires, Deadline: j.deadlineMs,
-			Workload: w,
-		})
-		if err != nil {
+		if payload, err = encodeRecord(rec); err != nil {
 			return "", err
 		}
 	}
@@ -817,17 +793,13 @@ func (s *Service) submitJob(req api.SubmitJobRequest, sched core.Scheduler) (str
 			return "", err
 		}
 	}
-	c.admit(j)
-	c.tenant(j.tenant).records++
-	if submissionID != "" {
-		c.submissions[submissionID] = j.id
-	}
+	s.addJobLocked(j, c.vtime)
 	c.mu.Unlock()
-	sh.jobs[j.id] = j
 	s.counters.JobsSubmitted.Add(1)
 	s.counters.OpenJobs.Add(1)
-	if len(w.Tasks) == 0 {
-		s.completeJobLocked(sh, j, now)
+	if j.tasks == 0 {
+		s.completeJob(j, rec.Ts)
+		s.jobCompleted()
 	}
 	sh.mu.Unlock()
 	s.hub.broadcast()
@@ -890,7 +862,7 @@ func (s *Service) JobStatus(jobID string) (*api.JobStatus, error) {
 // shard is locked just long enough to copy its jobs' summaries, so a
 // status listing never blocks dispatch on the other stripes.
 func (s *Service) Jobs() []api.JobStatus {
-	var out []api.JobStatus
+	out := []api.JobStatus{} // an empty listing is [] on the wire, in either role
 	for _, sh := range s.shards {
 		sh.mu.Lock()
 		for _, j := range sh.jobs {
@@ -903,12 +875,9 @@ func (s *Service) Jobs() []api.JobStatus {
 	return out
 }
 
-// jobStatusLocked copies one job's summary. Callers hold the job's shard.
+// jobStatusLocked copies one job's summary, in either role. Callers hold
+// the job's shard.
 func jobStatusLocked(j *job) api.JobStatus {
-	remaining := 0
-	if j.sched != nil {
-		remaining = j.sched.Remaining()
-	}
 	st := api.JobStatus{
 		ID:              j.id,
 		Name:            j.name,
@@ -917,7 +886,7 @@ func jobStatusLocked(j *job) api.JobStatus {
 		Tenant:          j.tenant,
 		Weight:          j.weight,
 		Tasks:           j.tasks,
-		Remaining:       remaining,
+		Remaining:       j.remaining(),
 		Dispatched:      j.dispatched,
 		Completed:       j.completed,
 		Failed:          j.failed,

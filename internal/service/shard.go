@@ -1,7 +1,8 @@
 // Job-state shards. Every job is owned by exactly one lock stripe,
 // selected by the numeric part of its id, and everything mutable about the
-// job — scheduler, site stores, replay ledger, per-job counters, and the
-// assignment leases granted from it — is guarded by that stripe's mutex.
+// job — scheduler, site stores, replay ledger, per-job counters, the table
+// of open executions, and the assignment leases granted on them — is
+// guarded by that stripe's mutex.
 // Submits, reports, heartbeats, and lease expiries on different jobs
 // therefore never contend; only the brief which-job decision (dispatch.go)
 // and the WAL total order (commit.go) are shared.
@@ -19,7 +20,6 @@ import (
 	"sync"
 	"time"
 
-	"gridsched/internal/core"
 	"gridsched/internal/service/api"
 	"gridsched/internal/workload"
 )
@@ -70,110 +70,107 @@ func (s *Service) unlockAll() {
 	}
 }
 
-// completeJobLocked transitions a job to completed (idempotent) and
-// releases its heavy state, cancel-marking every assignment still in
-// flight for it first. The marking is what makes releasing the scheduler
-// safe against late reports and lease expiries: both route cancelled
-// executions to counting paths that never touch the scheduler. The sweep
-// is over the shard's own lease table — an assignment always lives on its
-// job's shard — so no cross-shard coordination is needed. See
-// TestCompletedJobInFlightReport*.
-func (s *Service) completeJobLocked(sh *shard, j *job, now time.Time) {
-	if j.state == api.JobCompleted {
-		return
+// mustApply is apply on the live paths, where the event was just decided
+// against this very table: an error is a broken invariant, not bad input.
+func (s *Service) mustApply(sh *shard, j *job, e ledgerRec, fresh bool) applied {
+	res, err := s.apply(sh, j, e, fresh)
+	if err != nil {
+		panicf("service: job %s: %v", j.id, err)
 	}
-	j.state = api.JobCompleted
-	j.finished = now
-	c := s.coord
-	c.mu.Lock()
-	c.retire(j)
-	c.mu.Unlock()
-	for _, a := range sh.assignments {
-		if a.job == j {
-			a.cancelled = true
-		}
-	}
-	j.w, j.sched, j.stores, j.ledger = nil, nil, nil, nil
+	return res
+}
+
+// jobCompleted is the live side of a job's completion: the gauges move and
+// every parked pull wakes (the open-job count changed).
+func (s *Service) jobCompleted() {
 	s.counters.JobsCompleted.Add(1)
 	s.counters.OpenJobs.Add(-1)
 	s.hub.broadcast()
 }
 
-// cancelExecutionLocked marks the assignment running task id of j at ref
-// (if any) as cancelled; the worker learns at its next heartbeat. The
-// scan over the shard's lease table (bounded by the worker pool size)
-// replaces the old slot-table lookup: it needs no registry lock and
-// cannot miss an assignment granted moments ago, because grants insert
-// into the table under this same shard lock.
-func (s *Service) cancelExecutionLocked(sh *shard, j *job, id workload.TaskID, ref core.WorkerRef) {
-	for _, a := range sh.assignments {
-		if a.job == j && a.ref == ref && a.task.ID == id {
-			a.cancelled = true
-			return
+// endLeaseLocked ends a live lease with a report (ledgerSuccess,
+// ledgerFailure) or without one (ledgerExpire): the event is applied to
+// the job and the live-only effects follow from what it did. Whoever
+// journals the event does so first. Callers hold sh.mu, have verified the
+// lease is live (sh.assignments[a.id] == a), and must finishLease(a).
+func (s *Service) endLeaseLocked(sh *shard, a *assignment, op uint8, now time.Time) {
+	delete(sh.assignments, a.id)
+	j, x := a.job, a.x
+	// Residency guard: a cancelled replica's lease can outlive its
+	// completed-then-DELETEd job. Its end still counts in memory, but it is
+	// not history anyone can replay — no journal record (leaseRecord), so
+	// no telemetry fold either: the EWMAs stay a function of the journal.
+	res := s.mustApply(sh, j, ledgerRec{
+		Op: op, Task: x.task, Site: int32(x.ref.Site), Worker: int32(x.ref.Worker), Ts: now.UnixMilli(),
+	}, sh.jobs[j.id] == j)
+	switch {
+	case x.cancelled:
+		s.counters.Cancellations.Add(1)
+	case op == ledgerSuccess:
+		if x.granted > 0 {
+			j.durs.add(now.UnixMilli() - x.granted)
 		}
+		delete(j.specMarked, x.task)
+		s.counters.Completions.Add(1)
+	case op == ledgerFailure:
+		s.counters.Failures.Add(1)
+	default:
+		s.counters.LeasesExpired.Add(1)
+	}
+	if x.spec {
+		// The twin ended (whichever way): the task may be speculated again
+		// if a remaining lease straggles too.
+		delete(j.specMarked, x.task)
+		if op == ledgerSuccess && !x.cancelled {
+			s.counters.SpeculationWins.Add(1)
+		} else {
+			s.counters.SpeculationLosses.Add(1)
+		}
+	}
+	if res.completed {
+		s.jobCompleted()
 	}
 }
 
-// expireAssignmentLocked ends a lease without a report: the task is
-// requeued through the scheduler's failure path (unless the execution was
-// already cancelled — a replica obsoleted by a completion, or any lease
-// that outlived its job — in which case there is nothing to requeue).
-// The expiry is journaled like every other scheduler-affecting event: a
-// later dispatch record of the requeued task only replays if the expiry
-// that made it pending replays first. Callers hold sh.mu and must have
-// verified the assignment is still live (sh.assignments[a.id] == a).
-func (s *Service) expireAssignmentLocked(sh *shard, a *assignment, now time.Time) {
-	delete(sh.assignments, a.id)
-	j := a.job
-	if a.speculative {
-		delete(j.specMarked, a.task.ID)
+// expireLeaseLocked ends a lease without a report — past its deadline, or
+// its worker gone: unless the execution was already cancelled, the task is
+// requeued through the scheduler's failure path. The expiry is journaled
+// like every other scheduler-affecting event: a later dispatch record of
+// the requeued task only replays if the expiry that made it pending
+// replays first. Callers hold sh.mu and have verified the lease is live.
+func (s *Service) expireLeaseLocked(sh *shard, a *assignment, now time.Time) {
+	if rec := s.leaseRecord(sh, a, opExpire, "", now); rec != nil {
+		s.mustAppend(rec)
 	}
-	// Same residency guard as Report: never journal history for a job id
-	// that snapshots no longer carry.
-	recorded := sh.jobs[j.id] == j
-	if s.pst != nil && recorded {
-		s.mustAppend(&record{
-			Op: opExpire, Ts: now.UnixMilli(), Job: j.id,
-			Task: a.task.ID, Site: a.ref.Site, Worker: a.ref.Worker,
-		})
-		if j.state == api.JobRunning {
-			j.ledger = j.ledger.add(ledgerRec{
-				Op: ledgerExpire, Task: a.task.ID,
-				Site: int32(a.ref.Site), Worker: int32(a.ref.Worker),
-				Ts: now.UnixMilli(),
-			})
-		}
-	}
-	if recorded {
-		// Telemetry treats every recorded expiry as a failure event on the
-		// slot that let the lease lapse, cancelled or not — the journal
-		// record carries no cancelled bit and replay must fold the same.
-		s.tel.observeFailure(a.ref)
-	}
-	if a.cancelled {
-		j.cancelled++
-		s.counters.Cancellations.Add(1)
-		if a.speculative {
-			s.counters.SpeculationLosses.Add(1)
-		}
-	} else {
-		j.expired++
-		s.counters.LeasesExpired.Add(1)
-		if a.speculative {
-			s.counters.SpeculationLosses.Add(1)
-		}
-		// Sibling rule (see applyReportLocked): while the other half of a
-		// primary/twin pair still runs, the scheduler's one known execution
-		// of the task is alive and the expiry must not requeue it. This is
-		// also what keeps worker deregistration sound mid-speculation:
-		// expiring the primary leaves the twin as the task's execution,
-		// expiring the twin leaves the primary — only when the LAST of the
-		// pair dies does the task go back to the scheduler.
-		if j.sched != nil && !liveSiblingLocked(sh, a) {
-			j.sched.OnExecutionFailed(a.task.ID, a.schedRef)
-		}
-	}
+	s.endLeaseLocked(sh, a, ledgerExpire, now)
 	s.finishLease(a)
+}
+
+// expireLease expires a — an orphan whose worker deregistered, was swept,
+// or reopened its stream — unless a concurrent report already ended it.
+func (s *Service) expireLease(a *assignment, now time.Time) {
+	sh := s.shardOf(a.job.id)
+	sh.mu.Lock()
+	if sh.assignments[a.id] == a {
+		s.expireLeaseLocked(sh, a, now)
+	}
+	sh.mu.Unlock()
+}
+
+// leaseRecord builds the WAL record for the end of a lease (opReport with
+// its outcome, or opExpire), or nil when it must not be journaled. Journal
+// only while the job record is resident: a record naming a dropped job id
+// would be unreplayable after the next snapshot no longer carries the job
+// (recovery would refuse the data dir). Callers hold sh.mu.
+func (s *Service) leaseRecord(sh *shard, a *assignment, op, outcome string, now time.Time) *record {
+	if s.pst == nil || sh.jobs[a.job.id] != a.job {
+		return nil
+	}
+	return &record{
+		Op: op, Ts: now.UnixMilli(), Job: a.job.id,
+		Task: a.x.task, Site: a.x.ref.Site, Worker: a.x.ref.Worker,
+		Outcome: outcome,
+	}
 }
 
 // finishLease is the single point where a lease ends (report, expiry,
@@ -310,12 +307,7 @@ func (s *Service) sweep(now time.Time) {
 	}
 	s.reg.mu.Unlock()
 	for _, a := range orphans {
-		sh := s.shardOf(a.job.id)
-		sh.mu.Lock()
-		if sh.assignments[a.id] == a {
-			s.expireAssignmentLocked(sh, a, now)
-		}
-		sh.mu.Unlock()
+		s.expireLease(a, now)
 	}
 
 	deadlines := false
@@ -324,7 +316,7 @@ func (s *Service) sweep(now time.Time) {
 		var stragglers []specStage
 		for _, a := range sh.assignments {
 			if now.After(a.deadline) {
-				s.expireAssignmentLocked(sh, a, now)
+				s.expireLeaseLocked(sh, a, now)
 				changed = true
 				continue
 			}
@@ -334,12 +326,12 @@ func (s *Service) sweep(now time.Time) {
 			// for a speculative twin. Staged first, queued after, sorted —
 			// the assignment-map iteration order must never leak into the
 			// queue order (determinism).
-			if s.cfg.Speculation && !a.cancelled && !a.speculative && a.granted > 0 {
+			if x := a.x; s.cfg.Speculation && !x.cancelled && !x.spec && x.granted > 0 {
 				j := a.job
-				if sh.jobs[j.id] == j && j.state == api.JobRunning && !j.specMarked[a.task.ID] &&
-					shouldSpeculate(now.UnixMilli()-a.granted, &j.durs,
+				if sh.jobs[j.id] == j && j.state == api.JobRunning && !j.specMarked[x.task] &&
+					shouldSpeculate(now.UnixMilli()-x.granted, &j.durs,
 						s.cfg.SpeculationPercentile, s.cfg.SpeculationFactor, s.cfg.SpeculationMinSamples) {
-					stragglers = append(stragglers, specStage{j: j, task: a.task.ID})
+					stragglers = append(stragglers, specStage{j: j, task: x.task})
 				}
 			}
 		}

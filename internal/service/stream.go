@@ -119,14 +119,9 @@ func (s *Service) claimStream(workerID string) (*worker, error) {
 	}
 	r.mu.Unlock()
 	for _, a := range orphans {
-		sh := s.shardOf(a.job.id)
-		sh.mu.Lock()
 		// A concurrent report (the client retrying its pending batch) may
-		// have already ended the lease; only expire what is still live.
-		if sh.assignments[a.id] == a {
-			s.expireAssignmentLocked(sh, a, now)
-		}
-		sh.mu.Unlock()
+		// have already ended the lease; only what is still live expires.
+		s.expireLease(a, now)
 	}
 	if len(orphans) > 0 {
 		s.hub.broadcast()
@@ -198,7 +193,7 @@ func (s *Service) streamLeases(ctx context.Context, w io.Writer, flusher http.Fl
 		var maxLSN uint64
 		dispatchStart := time.Now()
 		for free > 0 {
-			a, resp, lsn := s.dispatchOnce(wk.id, ref, tags, now)
+			a, wire, lsn := s.dispatchOnce(wk.id, ref, tags, now)
 			if a == nil {
 				break
 			}
@@ -215,7 +210,7 @@ func (s *Service) streamLeases(ctx context.Context, w io.Writer, flusher http.Fl
 			if lsn > maxLSN {
 				maxLSN = lsn
 			}
-			lb.Assignments = append(lb.Assignments, *resp.Assignment)
+			lb.Assignments = append(lb.Assignments, wire)
 			free--
 		}
 		if len(lb.Assignments) > 0 {
@@ -286,7 +281,7 @@ func (s *Service) renewHeldLeases(held []*assignment, now time.Time) []string {
 		sh.mu.Lock()
 		if sh.assignments[a.id] == a {
 			a.deadline = deadline
-			if a.cancelled {
+			if a.x.cancelled {
 				cancelled = append(cancelled, a.id)
 			}
 		}
