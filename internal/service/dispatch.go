@@ -360,7 +360,8 @@ func (s *Service) dispatchOnce(workerID string, ref core.WorkerRef, tags []strin
 
 // tryJobLocked decides whether the job has a task for the worker — a
 // speculative twin of a queued straggler first, else whatever the job's
-// scheduler picks — and grants it. Callers hold sh.mu.
+// scheduler picks, which is not asked while the slot runs a twin — and
+// grants it. Callers hold sh.mu.
 //
 // Quota is enforced by reservation: the tenant's slot is reserved under
 // the coordinator BEFORE NextFor runs (NextFor mutates scheduler state —
@@ -390,12 +391,21 @@ func (s *Service) tryJobLocked(sh *shard, j *job, workerID string, ref core.Work
 	t.reserved++
 	c.mu.Unlock()
 
-	if task, ok := s.stragglerForLocked(j, ref); ok {
-		return s.grantLocked(sh, j, t, task, true, workerID, ref, now)
+	task, spec := s.stragglerForLocked(j, ref)
+	status := core.Assigned
+	switch {
+	case spec:
+	case j.twinAt(ref):
+		// The slot (a streaming worker's: it holds several leases) runs a
+		// twin the scheduler cannot see, so a replicating scheduler could
+		// pick that very task for it. The job offers the slot nothing more
+		// until the twin's lease ends — which nudges the worker's stream.
+		status = core.Wait
+	default:
+		task, status = j.sched.NextFor(ref)
 	}
-	task, status := j.sched.NextFor(ref)
 	if status == core.Assigned {
-		return s.grantLocked(sh, j, t, task, false, workerID, ref, now)
+		return s.grantLocked(sh, j, t, task, spec, workerID, ref, now)
 	}
 	c.mu.Lock()
 	t.reserved--
@@ -451,6 +461,12 @@ func (s *Service) stragglerForLocked(j *job, ref core.WorkerRef) (workload.Task,
 // twin differ only in the event's op and in the fair charge. Callers hold
 // sh.mu and one reserved quota slot of t.
 func (s *Service) grantLocked(sh *shard, j *job, t *tenantState, task workload.Task, spec bool, workerID string, ref core.WorkerRef, now time.Time) (*assignment, api.Assignment, uint64) {
+	if j.find(task.ID, ref) != nil {
+		// Unreachable while tryJobLocked's checks hold. Stop before the
+		// journal takes a record no replay would accept: a restart from here
+		// recovers, a restart after it would not.
+		panicf("service: job %s: granting task %d to %+v, which already runs it", j.id, task.ID, ref)
+	}
 	a := &assignment{
 		id:       s.nextID('a'),
 		job:      j,

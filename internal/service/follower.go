@@ -414,6 +414,9 @@ func (f *Follower) Handler() http.Handler {
 		f.mu.Lock()
 		jobs := f.st.Jobs()
 		f.mu.Unlock()
+		if jobs == nil {
+			jobs = []api.JobStatus{} // a standby has always listed nothing as []
+		}
 		writeJSON(w, http.StatusOK, jobs)
 	})
 	mux.HandleFunc("GET /v1/jobs/{id}", func(w http.ResponseWriter, r *http.Request) {

@@ -1,6 +1,7 @@
 package service_test
 
 import (
+	"context"
 	"encoding/json"
 	"math/rand"
 	"net/http"
@@ -15,6 +16,7 @@ import (
 	"gridsched/internal/replicate"
 	"gridsched/internal/service"
 	"gridsched/internal/service/api"
+	"gridsched/internal/service/client"
 )
 
 // startFollower spins up a hot standby replicating the leader at
@@ -147,8 +149,9 @@ func assertFollowerMirrors(t *testing.T, fl *service.Follower, s *service.Servic
 // "differential": one seeded schedule through everything the job state
 // machine does — grants to several slots, success and failure reports,
 // lease expiry, worker deregistration, a speculative twin that wins and
-// one that loses, a job completing with a replica still in flight, a
-// DELETE — cut at several points, before and after a forced snapshot. At
+// one that loses, a twin on a streaming worker's slot (several leases, and
+// a replicating scheduler that would hand it the twin's own task), a job
+// completing with a replica still in flight, a DELETE — cut at several points, before and after a forced snapshot. At
 // every cut three derivations of the same state must agree: the leader
 // (live apply), the standby (apply over shells), and a service recovered
 // from a copy of the leader's data dir (apply under replay), worker EWMAs
@@ -204,6 +207,7 @@ type mirror struct {
 	t   *testing.T
 	clk *policyClock
 	dir string
+	url string // the leader's HTTP address
 	s   *service.Service
 	fl  *service.Follower
 	rng *rand.Rand
@@ -294,6 +298,58 @@ func (m *mirror) churn(tag string, n int) {
 	}
 }
 
+// leaseStream is a streaming worker's end of the differential harness: the
+// one kind of worker that holds several leases on its slot at once.
+type leaseStream struct {
+	m       *mirror
+	ls      *client.LeaseStream
+	pending []api.Assignment
+}
+
+func (m *mirror) stream(workerID string, batch int) *leaseStream {
+	m.t.Helper()
+	ls, err := client.New(m.url, nil).StreamLeases(context.Background(), workerID, batch)
+	if err != nil {
+		m.t.Fatal(err)
+	}
+	m.t.Cleanup(func() { ls.Close() })
+	return &leaseStream{m: m, ls: ls}
+}
+
+// next returns the stream's next grant, in the order granted.
+func (st *leaseStream) next() *api.Assignment {
+	st.m.t.Helper()
+	for len(st.pending) == 0 {
+		lb, err := st.ls.Next()
+		if err != nil {
+			st.m.t.Fatalf("lease stream: %v", err)
+		}
+		st.pending = append(st.pending, lb.Assignments...)
+	}
+	a := st.pending[0]
+	st.pending = st.pending[1:]
+	return &a
+}
+
+// settle returns the grants that arrived by the time the stream's grant
+// scan has run over everything the schedule did so far. A submission nobody
+// can run changes the open-job count, and the first scan to see that says so
+// in the frame it ends with.
+func (st *leaseStream) settle() []api.Assignment {
+	st.m.t.Helper()
+	st.m.submit("beacon", "workqueue", "", 1)
+	for want := st.m.s.Health().OpenJobs; ; {
+		lb, err := st.ls.Next()
+		if err != nil {
+			st.m.t.Fatalf("lease stream: %v", err)
+		}
+		st.pending = append(st.pending, lb.Assignments...)
+		if lb.OpenJobs == want {
+			return st.pending
+		}
+	}
+}
+
 // allSlotsTelemetry registers a worker into every slot of s and returns
 // the per-slot EWMAs (telemetry is only visible through a registration).
 func allSlotsTelemetry(t *testing.T, s *service.Service) []api.WorkerStatus {
@@ -371,7 +427,7 @@ func testMirrorDifferential(t *testing.T) {
 	t.Cleanup(s.Close)
 	srv := httptest.NewServer(s.Handler())
 	t.Cleanup(srv.Close)
-	m.s, m.fl = s, startFollower(t, srv.URL)
+	m.s, m.url, m.fl = s, srv.URL, startFollower(t, srv.URL)
 
 	// Phase 1 — journal tail only. A replicating scheduler under seeded
 	// churn next to a job cut mid-speculation: primary and twin both open.
@@ -410,7 +466,37 @@ func testMirrorDifferential(t *testing.T) {
 	m.churn("bulk", 10)
 	m.cut("twin won, snapshot plus tail")
 
-	// Phase 3 — a twin that loses, to the report that completes its job:
+	// Phase 3 — a streaming slot holds a twin. A stream pipelines several
+	// leases on one slot and the scheduler cannot see a twin, so once every
+	// task has started, a replicating scheduler asked for that slot would
+	// answer with the very task whose twin it runs. The job must offer the
+	// slot nothing until the twin ends; the cut then finds primary and twin
+	// open and one free place in the pipeline.
+	dup := m.submit("dup", "storage-affinity", "ta", 6)
+	slow = m.register(0, "dup")
+	primary = m.mustPull(slow)
+	fast = m.register(1, "dup")
+	st := m.stream(fast, 2)
+	for i := 0; i < 3; i++ {
+		m.report(st.next(), fast, api.OutcomeSuccess, 100)
+	}
+	d, e := st.next(), st.next() // the last two unstarted tasks: the pipeline is full
+	m.clk.ms.Add(1000)
+	m.s.SweepForTest()
+	m.report(d, fast, api.OutcomeSuccess, 10)
+	if twin = st.next(); twin.Task.ID != primary.Task.ID {
+		t.Fatalf("streamed twin runs task %d, straggler holds task %d", twin.Task.ID, primary.Task.ID)
+	}
+	m.report(e, fast, api.OutcomeSuccess, 10)
+	if got := st.settle(); len(got) != 0 {
+		t.Fatalf("slot running task %d's twin was granted %+v", twin.Task.ID, got)
+	}
+	if js, err := m.s.JobStatus(dup); err != nil || js.Dispatched != 7 || js.Speculated != 1 || js.Completed != 5 {
+		t.Fatalf("dup job with its twin on a streaming slot: %+v (err=%v)", js, err)
+	}
+	m.cut("a twin on a streaming slot")
+
+	// Phase 4 — a twin that loses, to the report that completes its job:
 	// the job finishes with the twin still in flight. The snapshot
 	// summarises the completed job; the twin's end arrives in the tail.
 	last := m.submit("last", "workqueue", "tc", 4)
@@ -426,7 +512,7 @@ func testMirrorDifferential(t *testing.T) {
 	}
 	m.cut("job completed under a live twin")
 
-	// Phase 4 — retention: the completed job is deleted and, being its
+	// Phase 5 — retention: the completed job is deleted and, being its
 	// tenant's only anchor, takes the tenant with it; the bulk job drains on.
 	if err := m.s.DeleteJob(last); err != nil {
 		t.Fatal(err)

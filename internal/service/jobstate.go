@@ -109,6 +109,26 @@ func (j *job) primary(task workload.TaskID) *exec {
 	return p
 }
 
+// twinAt reports whether the slot at ref holds a speculative twin of one
+// of the job's tasks. The scheduler cannot see a twin — it answers under
+// its primary's ref — so nothing stops a replicating scheduler from handing
+// the same slot the same task again, and a slot runs a task at most once at
+// a time. The live dispatch path therefore does not consult the scheduler
+// for a slot while this holds (tryJobLocked).
+func (j *job) twinAt(ref core.WorkerRef) bool {
+	if j.twins == 0 {
+		return false
+	}
+	for _, x := range j.execs {
+		for ; x != nil; x = x.next {
+			if x.spec && x.ref == ref {
+				return true
+			}
+		}
+	}
+	return false
+}
+
 // siblingLives reports whether x — already taken out of the table — was
 // one half of a primary/twin pair whose other half still runs: another
 // live execution of the task shares its schedRef. Scheduler-made replicas
@@ -137,8 +157,10 @@ func (j *job) remaining() int {
 
 // newJob builds a running job's shell from its submit record — the job's
 // definition in every role: the live submit path writes the record and
-// builds from it, recovery and the standby read it back.
-func (s *Service) newJob(rec *record) *job {
+// builds from it, recovery and the standby read it back, and a checkpoint
+// entry is reshaped into one (restoreJob). tasks is the workload's size,
+// which a checkpointed completed job remembers without its workload.
+func (s *Service) newJob(rec *record, tasks int) *job {
 	return &job{
 		id:           rec.Job,
 		name:         rec.Name,
@@ -149,7 +171,7 @@ func (s *Service) newJob(rec *record) *job {
 		weight:       normalizeWeight(rec.Weight, s.cfg.DefaultWeight),
 		seq:          idNum(rec.Job),
 		heapIdx:      -1,
-		tasks:        len(rec.Workload.Tasks),
+		tasks:        tasks,
 		state:        api.JobRunning,
 		requires:     rec.Requires,
 		deadlineMs:   rec.Deadline,
@@ -258,6 +280,7 @@ func (s *Service) apply(sh *shard, j *job, e ledgerRec, fresh bool) (applied, er
 		j.dispatched++
 		if x.spec {
 			j.speculated++
+			j.twins++
 		}
 		if j.execs == nil {
 			j.execs = make(map[workload.TaskID]*exec)
@@ -278,6 +301,9 @@ func (s *Service) apply(sh *shard, j *job, e ledgerRec, fresh bool) (applied, er
 			x = &exec{task: e.Task, ref: ref, schedRef: ref, cancelled: true}
 		}
 		res.x = x
+		if x.spec {
+			j.twins--
+		}
 		if fresh {
 			// Telemetry folds by outcome alone, cancelled or not: the journal
 			// record carries no cancelled bit, and every role must fold alike.

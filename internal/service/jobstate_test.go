@@ -5,6 +5,7 @@ import (
 	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	"gridsched/internal/core"
 	"gridsched/internal/service/api"
@@ -97,7 +98,7 @@ func newApplyFixture(t *testing.T, tasks int, sched core.Scheduler) (*Service, *
 	for i := 0; i < tasks; i++ {
 		w.Tasks = append(w.Tasks, workload.Task{ID: workload.TaskID(i), Files: []workload.FileID{workload.FileID(i)}})
 	}
-	j := s.newJob(&record{Job: "j1", Workload: w, Ts: 1000})
+	j := s.newJob(&record{Job: "j1", Workload: w, Ts: 1000}, tasks)
 	if sched != nil {
 		if err := s.attach(j, w, sched); err != nil {
 			t.Fatal(err)
@@ -247,6 +248,9 @@ func TestApplyRejectsContradictions(t *testing.T) {
 	if err := apply(ledgerDispatch, 0, 0, 0); err != nil {
 		t.Fatal(err)
 	}
+	if err := apply(ledgerSpecDispatch, 0, 1, 0); err != nil {
+		t.Fatal(err)
+	}
 	before, trace := countersOf(j), len(fake.trace)
 	for _, bad := range []struct {
 		op           uint8
@@ -255,6 +259,8 @@ func TestApplyRejectsContradictions(t *testing.T) {
 		msg          string
 	}{
 		{ledgerDispatch, 0, 0, 0, "already in flight"},
+		{ledgerDispatch, 0, 1, 0, "already in flight"},     // a replica onto the slot running the task's twin
+		{ledgerSpecDispatch, 0, 0, 0, "already in flight"}, // a twin onto the primary's own slot
 		{ledgerSuccess, 0, 1, 1, "no open execution"},
 		{ledgerExpire, 1, 0, 0, "no open execution"},
 		{ledgerSpecDispatch, 1, 1, 0, "no live primary"},
@@ -267,5 +273,139 @@ func TestApplyRejectsContradictions(t *testing.T) {
 	}
 	if got := countersOf(j); got != before || len(fake.trace) != trace {
 		t.Fatalf("rejected events changed the job: %+v → %+v, trace %v", before, got, fake.trace[trace:])
+	}
+}
+
+// scriptSched is a recSched whose NextFor hands out a scripted sequence of
+// tasks to whoever asks — including, like a replicating scheduler that
+// cannot see a twin, a task the asking slot already runs.
+type scriptSched struct {
+	recSched
+	w      *workload.Workload
+	script []workload.TaskID
+}
+
+func (r *scriptSched) NextFor(core.WorkerRef) (workload.Task, core.Status) {
+	if len(r.script) == 0 {
+		return workload.Task{}, core.Wait
+	}
+	id := r.script[0]
+	r.script = r.script[1:]
+	return r.w.Tasks[id], core.Assigned
+}
+
+// TestTwinSlotIsNotOfferedMore: a streaming worker holds several leases on
+// one slot, and a twin is invisible to the scheduler, so a replicating
+// scheduler asked on behalf of a slot running task T's twin may well answer
+// T — an event no table (and no replay) accepts. The live path must not ask:
+// the job offers the slot nothing until the twin's lease ends.
+func TestTwinSlotIsNotOfferedMore(t *testing.T) {
+	var clock int64 = 1_700_000_000_000
+	s, err := New(Config{
+		Topology:      Topology{Sites: 2, WorkersPerSite: 2, CapacityFiles: 8},
+		LeaseTTL:      time.Hour,
+		SweepInterval: time.Hour,
+		Speculation:   true,
+		Clock:         func() time.Time { return time.UnixMilli(clock) },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	w := &workload.Workload{Name: "twin-slot", NumFiles: 5}
+	for i := 0; i < 5; i++ {
+		w.Tasks = append(w.Tasks, workload.Task{ID: workload.TaskID(i), Files: []workload.FileID{workload.FileID(i)}})
+	}
+	sched := &scriptSched{recSched: recSched{tasks: 5, done: map[workload.TaskID]bool{}}, w: w, script: []workload.TaskID{0, 1, 2, 3}}
+	if _, err := s.Submit("twin-slot", "scripted", w, sched); err != nil {
+		t.Fatal(err)
+	}
+	register := func(site int) (string, core.WorkerRef) {
+		reg, err := s.RegisterWorker(site, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return reg.WorkerID, core.WorkerRef{Site: reg.Site, Worker: reg.Worker}
+	}
+	slow, _ := register(0)
+	fast, fastRef := register(1)
+	// lease is one iteration of the stream loop's grant scan for fast.
+	lease := func() *assignment {
+		a, _, _ := s.dispatchOnce(fast, fastRef, nil, s.now())
+		if a != nil {
+			s.reg.mu.Lock()
+			s.reg.workers[fast].assignments[a.id] = a
+			s.reg.mu.Unlock()
+		}
+		return a
+	}
+	report := func(a *assignment, ms int64) {
+		t.Helper()
+		clock += ms
+		if rep, err := s.Report(a.id, fast, api.OutcomeSuccess); err != nil || !rep.Accepted || rep.Cancelled {
+			t.Fatalf("report %s: %+v (err=%v)", a.id, rep, err)
+		}
+	}
+
+	// slow straggles on task 0 while fast gives the job its duration
+	// distribution; the sweep then queues task 0 for a twin.
+	if resp, err := s.Pull(nil, slow, 0); err != nil || resp.Assignment == nil || resp.Assignment.Task.ID != 0 {
+		t.Fatalf("slow's pull: %+v (err=%v)", resp, err)
+	}
+	for i := 0; i < 3; i++ {
+		report(lease(), 100)
+	}
+	clock += 1000
+	s.sweep(s.now())
+
+	twin := lease()
+	if twin == nil || !twin.x.spec || twin.x.task != 0 {
+		t.Fatalf("fast's first lease after the sweep is not task 0's twin: %+v", twin)
+	}
+	// The scheduler would now replicate task 0 onto fast's slot.
+	sched.script = []workload.TaskID{0}
+	if a := lease(); a != nil {
+		t.Fatalf("slot running task 0's twin was granted task %d", a.x.task)
+	}
+	if len(sched.script) != 1 {
+		t.Fatal("the scheduler was consulted for a slot that runs a twin")
+	}
+	// The twin wins; its lease is gone and the job serves the slot again.
+	report(twin, 50)
+	sched.script = []workload.TaskID{4}
+	if a := lease(); a == nil || a.x.task != 4 || a.x.spec {
+		t.Fatalf("after the twin ended: %+v", a)
+	}
+}
+
+// TestLegacyRecordsForUnknownJobStillFold: a binary from before the
+// residency guard could journal the end of a cancelled replica after its
+// job's DELETE. Replay has no job to apply such a record to, but the process
+// that wrote it folded the outcome into the slot's telemetry, so replay must
+// too; a dispatch into an unknown job stays corruption.
+func TestLegacyRecordsForUnknownJobStillFold(t *testing.T) {
+	cfg := Config{Topology: Topology{Sites: 2, WorkersPerSite: 2, CapacityFiles: 4}}
+	if err := cfg.normalize(); err != nil {
+		t.Fatal(err)
+	}
+	s := newState(cfg)
+	for _, rec := range []*record{
+		{Op: opReport, Job: "j9", Task: 3, Site: 1, Worker: 0, Outcome: api.OutcomeSuccess, Ts: 5},
+		{Op: opReport, Job: "j9", Task: 4, Site: 1, Worker: 1, Outcome: api.OutcomeFailure, Ts: 6},
+		{Op: opExpire, Job: "j9", Task: 5, Site: 1, Worker: 1, Ts: 7},
+	} {
+		if err := s.applyRecord(rec); err != nil {
+			t.Fatalf("%s record for an unknown job: %v", rec.Op, err)
+		}
+	}
+	want := []snapWorker{
+		{Site: 1, Worker: 0, Events: 1},
+		{Site: 1, Worker: 1, Events: 2, FailEwma: ewmaOne},
+	}
+	if got := s.tel.snapshotWorkers(); !slices.Equal(got, want) {
+		t.Fatalf("telemetry after legacy records: %+v, want %+v", got, want)
+	}
+	if err := s.applyRecord(&record{Op: opDispatch, Job: "j9", Site: 1}); err == nil {
+		t.Fatal("dispatch into an unknown job was accepted")
 	}
 }

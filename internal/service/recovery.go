@@ -182,22 +182,12 @@ func (s *Service) restoreJob(sj *snapJob) error {
 	if sj.State != api.JobRunning && sj.State != api.JobCompleted {
 		return fmt.Errorf("in state %q", sj.State)
 	}
-	j := &job{
-		id:           sj.ID,
-		name:         sj.Name,
-		algorithm:    sj.Algorithm,
-		seed:         sj.Seed,
-		submissionID: sj.Submission,
-		tenant:       sj.Tenant,
-		weight:       normalizeWeight(sj.Weight, s.cfg.DefaultWeight),
-		seq:          idNum(sj.ID),
-		heapIdx:      -1,
-		tasks:        sj.Tasks,
-		state:        sj.State,
-		requires:     sj.Requires,
-		deadlineMs:   sj.Deadline,
-		submitted:    time.UnixMilli(sj.Submitted),
-	}
+	j := s.newJob(&record{
+		Job: sj.ID, Name: sj.Name, Algorithm: sj.Algorithm, Seed: sj.Seed,
+		Submission: sj.Submission, Tenant: sj.Tenant, Weight: sj.Weight,
+		Requires: sj.Requires, Deadline: sj.Deadline, Ts: sj.Submitted,
+	}, sj.Tasks)
+	j.state = sj.State
 	if sj.Finished != 0 {
 		j.finished = time.UnixMilli(sj.Finished)
 	}
@@ -268,7 +258,7 @@ func (s *Service) applyRecord(rec *record) error {
 		if rec.Workload == nil {
 			return fmt.Errorf("service: submit record %s has no workload", rec.Job)
 		}
-		j := s.newJob(rec)
+		j := s.newJob(rec, len(rec.Workload.Tasks))
 		if err := s.rebuild(j, rec.Workload); err != nil {
 			return fmt.Errorf("service: replay job %s (%s): %w", j.id, j.algorithm, err)
 		}
@@ -302,6 +292,13 @@ func (s *Service) applyRecord(rec *record) error {
 			// unknown job, by contrast, can only be corruption.
 			if rec.Op == opDispatch {
 				return fmt.Errorf("service: journal dispatch record for unknown job %s", rec.Job)
+			}
+			// The record exists, so the process that wrote it folded it.
+			ref := core.WorkerRef{Site: rec.Site, Worker: rec.Worker}
+			if rec.Op == opReport && rec.Outcome == api.OutcomeSuccess {
+				s.tel.observeSuccess(ref, 0, false)
+			} else {
+				s.tel.observeFailure(ref)
 			}
 			return nil
 		}

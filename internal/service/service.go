@@ -372,6 +372,9 @@ type job struct {
 	// execs is the table of open executions, keyed by task; a task's
 	// replicas chain through exec.next. Nil while nothing is open.
 	execs map[workload.TaskID]*exec
+	// twins counts the open executions that are speculative twins, so the
+	// dispatch path's twinAt costs nothing while there are none.
+	twins int
 
 	// Context-aware scheduling state (docs/SCHEDULING.md). requires and
 	// deadlineMs are immutable after registration and journaled with the
@@ -752,7 +755,7 @@ func (s *Service) submitJob(req api.SubmitJobRequest, sched core.Scheduler) (str
 		Requires: slices.Clone(req.Requires), Deadline: req.DeadlineMillis,
 		Workload: w,
 	}
-	j := s.newJob(rec)
+	j := s.newJob(rec, len(rec.Workload.Tasks))
 	if err := s.attach(j, w, sched); err != nil {
 		return "", err
 	}
@@ -862,7 +865,7 @@ func (s *Service) JobStatus(jobID string) (*api.JobStatus, error) {
 // shard is locked just long enough to copy its jobs' summaries, so a
 // status listing never blocks dispatch on the other stripes.
 func (s *Service) Jobs() []api.JobStatus {
-	out := []api.JobStatus{} // an empty listing is [] on the wire, in either role
+	var out []api.JobStatus
 	for _, sh := range s.shards {
 		sh.mu.Lock()
 		for _, j := range sh.jobs {
