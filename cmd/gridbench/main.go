@@ -10,7 +10,9 @@
 //	gridbench -baseline BENCH_PR8.json -max-regress 0.25
 //	                           # regression guard: exit nonzero if any
 //	                           # benchmark present in the baseline got
-//	                           # more than 25% slower (ns/op)
+//	                           # more than 25% slower (ns/op), or makes
+//	                           # more allocations per op than allocSlack
+//	                           # allows
 //	gridbench -bench Partitioned \
 //	  -speedup 'ServiceDispatchPartitioned/parts=1,ServiceDispatchPartitioned/parts=2,1.7'
 //	                           # scaling gate: exit nonzero unless the
@@ -204,10 +206,20 @@ func checkSpeedup(stdout *os.File, spec string, results []result) error {
 	return nil
 }
 
+// allocSlack is how far a benchmark's allocs/op may rise above the
+// baseline's: 2 allocs/op, or 1% of the baseline where that is more (the
+// figure-sized benchmarks make ~10^5 allocations per op and move by a few
+// between two runs of one binary). Allocation counts do not depend on the
+// runner, so unlike the ns/op limit this one is not a flag.
+func allocSlack(base int64) int64 {
+	return max(2, base/100)
+}
+
 // compareBaseline is the CI regression guard: every benchmark present in
 // both the baseline and this run must stay within (1+maxRegress)× the
-// baseline ns/op. Benchmarks only on one side are reported and skipped —
-// new benchmarks get a baseline when the committed file is next refreshed.
+// baseline ns/op and within allocSlack of its allocs/op. Benchmarks only on
+// one side are reported and skipped — new benchmarks get a baseline when
+// the committed file is next refreshed.
 func compareBaseline(stdout *os.File, path string, results []result, maxRegress float64) error {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -236,9 +248,13 @@ func compareBaseline(stdout *os.File, path string, results []result, maxRegress 
 		}
 		fmt.Fprintf(stdout, "%-28s %+7.1f%% vs baseline (%.0f -> %.0f ns/op, limit +%.0f%%) %s\n",
 			r.Name, ratio*100, b.NsPerOp, r.NsPerOp, maxRegress*100, verdict)
+		if limit := b.AllocsPerOp + allocSlack(b.AllocsPerOp); r.AllocsPerOp > limit {
+			failures++
+			fmt.Fprintf(stdout, "%-28s %d -> %d allocs/op (limit %d) REGRESSION\n", r.Name, b.AllocsPerOp, r.AllocsPerOp, limit)
+		}
 	}
 	if failures > 0 {
-		return fmt.Errorf("%d benchmark(s) regressed more than %.0f%% versus %s", failures, maxRegress*100, path)
+		return fmt.Errorf("%d benchmark figure(s) regressed versus %s (ns/op limit +%.0f%%)", failures, path, maxRegress*100)
 	}
 	return nil
 }

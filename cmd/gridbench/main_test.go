@@ -73,3 +73,27 @@ func TestCompareBaseline(t *testing.T) {
 		t.Fatal("missing baseline file not reported")
 	}
 }
+
+// TestCompareBaselineAllocs: allocs/op is gated too, by a constant slack —
+// 2 allocs/op, or 1% of a large baseline — whatever the ns/op did.
+func TestCompareBaselineAllocs(t *testing.T) {
+	base := writeBaseline(t, []result{
+		{Name: "Small", NsPerOp: 1000, AllocsPerOp: 14},
+		{Name: "Large", NsPerOp: 1000, AllocsPerOp: 300_000},
+	})
+	within := []result{
+		{Name: "Small", NsPerOp: 1000, AllocsPerOp: 16},
+		{Name: "Large", NsPerOp: 1000, AllocsPerOp: 303_000},
+	}
+	if err := compareBaseline(os.Stdout, base, within, 0.25); err != nil {
+		t.Fatalf("rises within the slack failed the guard: %v", err)
+	}
+	for _, over := range []result{
+		{Name: "Small", NsPerOp: 500, AllocsPerOp: 17},
+		{Name: "Large", NsPerOp: 500, AllocsPerOp: 303_001},
+	} {
+		if err := compareBaseline(os.Stdout, base, []result{over}, 0.25); err == nil {
+			t.Fatalf("%s at %d allocs/op passed the guard", over.Name, over.AllocsPerOp)
+		}
+	}
+}

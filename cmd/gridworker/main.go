@@ -62,7 +62,7 @@ func run(ctx context.Context, args []string) error {
 		drain   = fs.Duration("drain", 30*time.Second, "on SIGINT/SIGTERM, let an in-flight task finish and report for up to this long (0: abort it immediately)")
 		token   = fs.String("auth-token", "", "bearer token for a gridschedd running with -auth-tokens")
 		codec   = fs.String("codec", "json", "wire codec: json, binary (strict, no silent fallback), or auto (negotiate)")
-		batch   = fs.Int("batch", 0, "streaming lease channel pipeline depth (0: classic long-poll pulls)")
+		batch   = fs.Int("batch", 0, "where leases come from: 0 long-poll pulls, k>0 a lease stream with that pipeline depth")
 		tags    = fs.String("tags", "", "comma-separated capability tags to advertise (e.g. gpu,avx512)")
 	)
 	if err := fs.Parse(args); err != nil {

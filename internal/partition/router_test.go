@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"gridsched"
+	"gridsched/internal/core"
 	"gridsched/internal/middleware"
 	"gridsched/internal/partition"
 	"gridsched/internal/service"
@@ -43,12 +44,20 @@ func newDeployment(t *testing.T, parts int) *testDeployment {
 // as cmd/gridrouter runs it.
 func newDeploymentBehind(t *testing.T, parts int, ingress func(http.Handler) http.Handler) *testDeployment {
 	t.Helper()
+	return newDeploymentWith(t, parts, ingress, 0)
+}
+
+// newDeploymentWith is newDeploymentBehind with the partitions' lease TTL
+// set (0: the service default).
+func newDeploymentWith(t *testing.T, parts int, ingress func(http.Handler) http.Handler, leaseTTL time.Duration) *testDeployment {
+	t.Helper()
 	d := &testDeployment{}
 	urls := make([]string, parts)
 	for i := 0; i < parts; i++ {
 		svc, err := service.New(service.Config{
 			Topology:       service.Topology{Sites: 2, WorkersPerSite: 2, CapacityFiles: 1024},
 			NewScheduler:   gridsched.SchedulerFactory(),
+			LeaseTTL:       leaseTTL,
 			PartitionIndex: i,
 			PartitionCount: parts,
 		})
@@ -515,5 +524,77 @@ func TestClientPartitionRouting(t *testing.T) {
 		if d.hits.Load() == before {
 			t.Fatal("client never fell back to the router after the direct endpoint died")
 		}
+	}
+}
+
+// TestIdleWorkerRebalances: a worker idling on a partition with no open
+// jobs moves — deregisters, re-registers through the router's placement —
+// to the partition where work is waiting, whichever way it leases. (The
+// kill -9 gauntlet in cmd/gridrouter covers the long-poll worker against
+// real processes; this covers both lease sources in-process.)
+func TestIdleWorkerRebalances(t *testing.T) {
+	for _, source := range []struct {
+		name  string
+		batch int
+	}{{"pull", 0}, {"stream", 4}} {
+		t.Run(source.name, func(t *testing.T) {
+			// A stream's idle frames are its keepalives, one per third of a
+			// lease TTL: keep that well under the test's patience.
+			d := newDeploymentWith(t, 2, func(h http.Handler) http.Handler { return h }, 600*time.Millisecond)
+			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+			defer cancel()
+
+			const tasks = 6
+			executed := make(chan string, tasks)
+			workerDone := make(chan error, 1)
+			go func() {
+				workerDone <- d.cl.RunWorker(ctx, client.WorkerConfig{
+					StreamBatch:   source.batch,
+					PollWait:      50 * time.Millisecond,
+					RebalanceWait: 150 * time.Millisecond,
+					Execute: func(_ context.Context, _ core.WorkerRef, a *api.Assignment) error {
+						executed <- a.JobID
+						return nil
+					},
+				})
+			}()
+
+			// Wherever placement put the idle worker, the job goes to the
+			// other partition, directly.
+			home := -1
+			for home < 0 {
+				for i, cl := range d.clients {
+					if ws, err := cl.Workers(ctx); err != nil {
+						t.Fatal(err)
+					} else if len(ws) == 1 {
+						home = i
+					}
+				}
+			}
+			away := 1 - home
+			jobID, err := d.clients[away].SubmitJob(ctx, "elsewhere", "workqueue", 0, testWorkload(tasks))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < tasks; i++ {
+				select {
+				case got := <-executed:
+					if got != jobID {
+						t.Fatalf("executed a task of job %q, want %q", got, jobID)
+					}
+				case err := <-workerDone:
+					t.Fatalf("worker ended early: %v", err)
+				case <-ctx.Done():
+					t.Fatalf("worker on partition %d never reached the job on partition %d (%d of %d tasks ran)", home, away, i, tasks)
+				}
+			}
+			cancel()
+			if err := <-workerDone; err != nil {
+				t.Fatalf("worker loop: %v", err)
+			}
+			if ws, err := d.clients[home].Workers(context.Background()); err != nil || len(ws) != 0 {
+				t.Fatalf("partition %d still lists %d workers (err=%v), want the worker gone", home, len(ws), err)
+			}
+		})
 	}
 }

@@ -322,35 +322,39 @@ func (e *APIError) Error() string {
 	return fmt.Sprintf("gridschedd: %s (http %d)", e.Message, e.StatusCode)
 }
 
-// do runs one round-trip against the current endpoint. A nil out discards
-// the response body. The wire format follows SetCodec: binary-capable
-// payloads go out in the active codec with an Accept header advertising
-// binary, and the reply is decoded by its Content-Type (errors are always
-// JSON). Failover happens here — a transport error rotates to the next
-// endpoint, a 421 follows the announced leader — but the failed attempt's
-// error is still returned: retrying is the caller's policy
-// (SubmitJobIdempotent, RunWorker), and their next attempt lands on the
-// new endpoint.
-func (c *Client) do(ctx context.Context, method, path string, in, out any) error {
+// send issues one request and returns the reply once its status line is in,
+// the body still unread and the caller's to close. It is the one place
+// requests leave the client, so everything every request shares lives
+// here: the pending sweep-backoff sleep, routing (the owning partition when
+// the topology is known, else the current endpoint), the Content-Type of an
+// encoded body, the Accept header advertising binary when wantBin, the
+// bearer token, failover — a transport error rotates to the next endpoint
+// (or drops a topology whose direct link failed, so the retry goes back
+// through the router, which can still reach the surviving partitions), a
+// 421 follows the announced leader — and the *APIError for a non-2xx
+// reply. The failed attempt's error is still returned: retrying is the
+// caller's policy (SubmitJobIdempotent, RunWorker), and their next attempt
+// lands on the new endpoint.
+func (c *Client) send(ctx context.Context, method, path string, in any, wantBin bool) (*http.Response, error) {
 	if d := c.takeSweepSleep(); d > 0 {
 		if err := sleepCtx(ctx, d); err != nil {
-			return err
+			return nil, err
 		}
 	}
-	useBin := c.binaryWire()
 	var body io.Reader
-	inBin := false
+	contentType := ""
 	if in != nil {
 		var b []byte
 		var err error
-		if useBin && api.Binary.Supports(in) {
+		if c.binaryWire() && api.Binary.Supports(in) {
 			b, err = api.Binary.Marshal(in)
-			inBin = true
+			contentType = api.ContentTypeBinary
 		} else {
 			b, err = json.Marshal(in)
+			contentType = "application/json"
 		}
 		if err != nil {
-			return err
+			return nil, err
 		}
 		body = bytes.NewReader(b)
 	}
@@ -362,19 +366,11 @@ func (c *Client) do(ctx context.Context, method, path string, in, out any) error
 	}
 	req, err := http.NewRequestWithContext(ctx, method, base+path, body)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	if in != nil {
-		if inBin {
-			req.Header.Set("Content-Type", api.ContentTypeBinary)
-		} else {
-			req.Header.Set("Content-Type", "application/json")
-		}
+	if contentType != "" {
+		req.Header.Set("Content-Type", contentType)
 	}
-	// Advertise binary whenever the mode allows it and the expected reply
-	// has a binary encoding; the server answers in kind and the reply's
-	// Content-Type below tells us which codec actually came back.
-	wantBin := c.codec.Load() != codecJSON && out != nil && api.Binary.Supports(out)
 	if wantBin {
 		req.Header.Set("Accept", api.ContentTypeBinary)
 	}
@@ -387,22 +383,34 @@ func (c *Client) do(ctx context.Context, method, path string, in, out any) error
 	if err != nil {
 		if ctx.Err() == nil {
 			if routed {
-				// The direct partition link failed; forget the topology so
-				// the caller's retry goes back through the configured
-				// endpoints (the router), which can still reach the
-				// surviving partitions.
 				c.topo.Store(nil)
 			} else {
 				c.failover(base)
 			}
 		}
-		return err
+		return nil, err
 	}
 	c.noteReachable()
-	defer resp.Body.Close()
 	if resp.StatusCode < 200 || resp.StatusCode > 299 {
-		return c.responseError(base, resp)
+		err := c.responseError(base, resp)
+		resp.Body.Close()
+		return nil, err
 	}
+	return resp, nil
+}
+
+// do runs one round-trip. A nil out discards the response body. The wire
+// format follows SetCodec: binary-capable payloads go out in the active
+// codec, binary is advertised whenever the mode allows it and the expected
+// reply has a binary encoding, and the reply is decoded by its Content-Type
+// (errors are always JSON).
+func (c *Client) do(ctx context.Context, method, path string, in, out any) error {
+	wantBin := c.codec.Load() != codecJSON && out != nil && api.Binary.Supports(out)
+	resp, err := c.send(ctx, method, path, in, wantBin)
+	if err != nil {
+		return err
+	}
+	defer resp.Body.Close()
 	if out == nil {
 		_, err := io.Copy(io.Discard, resp.Body)
 		return err
@@ -416,13 +424,8 @@ func (c *Client) do(ctx context.Context, method, path string, in, out any) error
 		return api.Binary.Unmarshal(data, out)
 	}
 	if wantBin {
-		c.jsonReplies.Add(1)
-		if c.codec.Load() == codecBinary {
-			// Strict mode: the server ignored our Accept and fell back to
-			// JSON. Decoding it would work — which is exactly why this must
-			// be an error: a silent fallback would let the conformance
-			// matrix "pass" without binary ever touching the wire.
-			return fmt.Errorf("client: server answered %s %s in JSON despite binary codec (silent fallback refused)", method, path)
+		if err := c.sawJSONReply(method + " " + path); err != nil {
+			return err
 		}
 	}
 	return json.NewDecoder(resp.Body).Decode(out)
@@ -448,6 +451,18 @@ func (c *Client) sawBinaryReply() {
 	if c.codec.Load() == codecAuto {
 		c.negotiated.Store(true)
 	}
+}
+
+// sawJSONReply records a JSON reply to a request that advertised binary.
+// In strict mode that is an error: decoding it would work — which is
+// exactly why it must not pass: a silent fallback would let the
+// conformance matrix "pass" without binary ever touching the wire.
+func (c *Client) sawJSONReply(what string) error {
+	c.jsonReplies.Add(1)
+	if c.codec.Load() == codecBinary {
+		return fmt.Errorf("client: server answered %s in JSON despite binary codec (silent fallback refused)", what)
+	}
+	return nil
 }
 
 // responseError turns a non-2xx reply into an *APIError, following a 421's

@@ -53,51 +53,15 @@ func (ls *LeaseStream) Close() error {
 // heartbeats needed — and pushes grants and cancellation notices as frames.
 // The codec follows SetCodec, negotiated per-stream via Accept.
 func (c *Client) StreamLeases(ctx context.Context, workerID string, batch int) (*LeaseStream, error) {
-	if d := c.takeSweepSleep(); d > 0 {
-		if err := sleepCtx(ctx, d); err != nil {
-			return nil, err
-		}
-	}
-	base, routed := c.Endpoint(), false
-	if t := c.topo.Load(); t != nil {
-		// A worker id is partition-keyed: the stream pins to the partition
-		// that registered the worker and grants its leases.
-		if b, ok := t.baseFor("/v1/workers/"+workerID+"/stream", nil); ok {
-			base, routed = b, true
-		}
-	}
-	path := base + "/v1/workers/" + workerID + "/stream"
+	// A worker id is partition-keyed: the stream pins to the partition that
+	// registered the worker and grants its leases.
+	path := "/v1/workers/" + workerID + "/stream"
 	if batch > 0 {
 		path += "?batch=" + strconv.Itoa(batch)
 	}
 	sctx, cancel := context.WithCancel(ctx)
-	req, err := http.NewRequestWithContext(sctx, http.MethodGet, path, nil)
+	resp, err := c.send(sctx, http.MethodGet, path, nil, c.codec.Load() != codecJSON)
 	if err != nil {
-		cancel()
-		return nil, err
-	}
-	if c.codec.Load() != codecJSON {
-		req.Header.Set("Accept", api.ContentTypeBinary)
-	}
-	if c.AuthToken != "" {
-		req.Header["Authorization"] = []string{"Bearer " + c.AuthToken}
-	}
-	resp, err := c.http.Do(req)
-	if err != nil {
-		cancel()
-		if ctx.Err() == nil {
-			if routed {
-				c.topo.Store(nil)
-			} else {
-				c.failover(base)
-			}
-		}
-		return nil, err
-	}
-	c.noteReachable()
-	if resp.StatusCode != http.StatusOK {
-		err := c.responseError(base, resp)
-		resp.Body.Close()
 		cancel()
 		return nil, err
 	}
@@ -105,14 +69,11 @@ func (c *Client) StreamLeases(ctx context.Context, workerID string, batch int) (
 	if resp.Header.Get("Content-Type") == api.ContentTypeStreamBinary {
 		codec = api.Binary
 		c.sawBinaryReply()
-	} else {
-		if c.codec.Load() != codecJSON {
-			c.jsonReplies.Add(1)
-		}
-		if c.codec.Load() == codecBinary {
+	} else if c.codec.Load() != codecJSON {
+		if err := c.sawJSONReply("the lease stream"); err != nil {
 			resp.Body.Close()
 			cancel()
-			return nil, fmt.Errorf("client: server opened lease stream in JSON despite binary codec (silent fallback refused)")
+			return nil, err
 		}
 	}
 	return &LeaseStream{

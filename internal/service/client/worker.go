@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"gridsched/internal/core"
@@ -20,10 +21,10 @@ type WorkerConfig struct {
 	// jobs submitted with Requires only dispatch to workers whose tags
 	// cover every required one.
 	Tags []string
-	// PollWait is the server-side long-poll budget per pull request.
-	// Defaults to 2s; the worker simply pulls again on an empty poll, so
-	// this bounds reaction time to shutdown, not to new work (new work
-	// wakes parked polls immediately).
+	// PollWait is the server-side long-poll budget per pull request (unused
+	// with StreamBatch). Defaults to 2s; the worker simply pulls again on an
+	// empty poll, so this bounds reaction time to shutdown, not to new work
+	// (new work wakes parked polls immediately).
 	PollWait time.Duration
 	// StageDelay, when non-nil, models file staging cost: the worker
 	// sleeps StageDelay(assignment.Staged) before executing, under the
@@ -35,265 +36,498 @@ type WorkerConfig struct {
 	// An error is reported to the server as a failed execution (the
 	// scheduler requeues the task); it does not stop the worker loop.
 	Execute func(ctx context.Context, ref core.WorkerRef, a *api.Assignment) error
-	// OnIdle is consulted after every empty poll; returning stop ends the
-	// loop. Nil means keep polling forever (until ctx is cancelled).
+	// OnIdle is consulted whenever a frame — an empty poll, a stream frame
+	// without grants — leaves the worker with nothing queued, running or
+	// waiting to be reported; resp carries the server's open-job count.
+	// Returning stop ends the loop. Nil means keep going until ctx is
+	// cancelled.
 	OnIdle func(ctx context.Context, resp *api.PullResponse) (stop bool, err error)
-	// OnReport is consulted after every report the server accepted;
-	// returning stop ends the loop without another pull. A job-draining
-	// worker uses it to exit the moment its report completes the job
-	// (rep.JobState) instead of discovering it on the next empty poll.
-	// outcome is what this worker reported (api.OutcomeSuccess or
+	// OnReport is consulted after every report the server answered;
+	// returning stop ends the loop without asking for another lease. A
+	// job-draining worker uses it to exit the moment its report completes
+	// the job (rep.JobState) instead of discovering it on the next empty
+	// poll. outcome is what this worker reported (api.OutcomeSuccess or
 	// api.OutcomeFailure) — an interrupted or failed execution reports
-	// failure, and a hook counting completions must filter on it.
+	// failure — and a hook counting completions must filter on it and on
+	// rep.Accepted (a report whose lease had expired comes back Stale).
 	OnReport func(ctx context.Context, a *api.Assignment, outcome string, rep *api.ReportResponse) (stop bool)
-	// StreamBatch, when positive, switches the worker onto the streaming
-	// lease protocol: one GET /v1/workers/{id}/stream connection replaces
-	// per-task long-poll pulls, the server keeps up to StreamBatch
-	// assignments prefetched in the worker's pipeline, lease renewal rides
-	// the stream (no per-assignment heartbeats), and completions are
-	// reported in batches. Zero keeps the classic pull/heartbeat/report
-	// loop. See docs/PROTOCOL.md.
+	// StreamBatch selects where leases come from, and nothing else. Zero:
+	// long-poll pulls, one lease at a time, kept alive by heartbeats from
+	// this worker. Positive: one GET /v1/workers/{id}/stream connection on
+	// which the server keeps up to StreamBatch assignments prefetched and
+	// renews them itself while the stream is open. See docs/PROTOCOL.md.
 	StreamBatch int
 	// ReconnectWait, when positive, makes the worker survive server
-	// outages: transport-level pull/register failures (connection refused
-	// while gridschedd restarts) are retried at this interval instead of
-	// ending the loop, and the worker re-registers once the server is
-	// back. The server recovers its jobs from its journal but not worker
-	// registrations — re-registration is the designed reconnect path.
-	// Zero keeps the historical fail-fast behavior.
+	// outages: transport-level failures (connection refused while
+	// gridschedd restarts, a severed connection) are retried at this
+	// interval instead of ending the loop, and the worker re-registers once
+	// the server is back. The server recovers its jobs from its journal but
+	// not worker registrations — re-registration is the designed reconnect
+	// path. Zero keeps the historical fail-fast behavior.
 	ReconnectWait time.Duration
 	// RebalanceWait, when positive, lets an idle worker move to where the
-	// work is: after this long of empty polls with zero open jobs on its
-	// current server, the worker deregisters and re-registers. Behind a
-	// partition router a fresh registration is placed on the live
+	// work is: after this long of idle frames (see OnIdle) with zero open
+	// jobs on its current server, the worker deregisters and re-registers.
+	// Behind a partition router a fresh registration is placed on the live
 	// partition with the most open jobs, so an idle fleet drains a
 	// partition that recovered work after an outage instead of starving
 	// it. Against a single gridschedd re-registering is a harmless no-op
-	// move. Zero disables rebalancing. Pull-mode only (streaming workers
-	// hold a lease channel open; see docs/PARTITIONING.md).
+	// move. Zero disables rebalancing. A streaming worker's idle frames are
+	// the keepalives, one per third of a lease TTL.
 	RebalanceWait time.Duration
 	// DrainGrace, when positive, makes shutdown graceful: after ctx is
 	// cancelled an in-flight execution keeps running for up to this long
-	// — heartbeats included — so the task finishes and its outcome is
-	// reported instead of abandoning the lease to expire server-side. The
-	// loop stops pulling new work either way, and RunWorker still
-	// deregisters on the way out. Zero keeps the historical behavior:
+	// — its lease kept alive meanwhile — so the task finishes and its
+	// outcome is reported instead of abandoning the lease to expire
+	// server-side. The loop starts no new work either way, and RunWorker
+	// still deregisters on the way out. Zero keeps the historical behavior:
 	// cancellation aborts the execution immediately (which reports a
 	// failure, requeueing the task).
 	DrainGrace time.Duration
 }
 
-// RunWorker registers a worker and runs the full protocol loop — long-poll
-// pull, heartbeat while executing, report — until ctx is cancelled (returns
-// nil), OnIdle stops it (nil), or a protocol error occurs. A worker whose
-// registration lease lapsed (e.g. the process was suspended) re-registers
-// transparently. Shed or rate-limited requests (429) are retried with
-// capped, jittered backoff honoring the server's Retry-After; rejected
-// credentials (401/403) end the loop with an error — they are the one
-// failure retrying cannot fix.
+// RunWorker registers a worker and runs the full protocol loop — lease,
+// execute, report — until ctx is cancelled (returns nil), a hook stops it
+// (nil), or a protocol error occurs. Leases come from long-poll pulls kept
+// alive by heartbeats, or with StreamBatch from a lease stream; everything
+// else is one loop, and one table says what a failed request means,
+// whether it registered, asked for leases or reported outcomes:
+//
+//   - 401/403: the credential was rejected (or revoked mid-run). Terminal —
+//     re-sending the same bad token is the one retry that can never work.
+//   - 429: shed or rate-limited. The registration is intact — back off
+//     (capped, jittered, honoring Retry-After) and try again;
+//     re-registering would only add load.
+//   - 404: the registration lapsed (the process was suspended, or the
+//     server restarted: registrations are not journaled). Re-register.
+//   - 409: the server believes the worker is attached or still holds a
+//     lease — a reply was lost in transit, or it has not noticed a dropped
+//     stream yet. Deregister (which requeues whatever it held) and
+//     re-register rather than die on a transient network fault. An idle
+//     worker that RebalanceWait moves on does the same, for the fresh
+//     placement.
+//   - a stream that drops after it opened is reopened at once, on the same
+//     registration.
+//   - transport errors, 503, 421: terminal unless ReconnectWait is set.
+//     With it the worker waits that long and then registers anew — the
+//     server may have restarted (registrations are not journaled), and
+//     behind a router the new registration lands on a partition that is
+//     up — unless outcomes are waiting to be reported: those can only
+//     land on the registration that holds their leases, so the report is
+//     retried there for as long as the leases can still be alive (one
+//     lease TTL) before the outcomes are given up.
+//
+// Finished work is never dropped on the way: outcomes wait in a pending
+// list until a report lands, across retries and reconnects. A retried
+// report is stale at worst — the lease expired meanwhile, or an earlier
+// attempt landed — and the server never double-counts one.
 func (c *Client) RunWorker(ctx context.Context, cfg WorkerConfig) error {
+	err := c.runWorker(ctx, cfg)
+	if authErr(err) {
+		return fmt.Errorf("client: worker credentials rejected: %w", err)
+	}
+	return err
+}
+
+func (c *Client) runWorker(ctx context.Context, cfg WorkerConfig) error {
 	if cfg.PollWait <= 0 {
 		cfg.PollWait = 2 * time.Second
 	}
-	// register enrolls (or re-enrolls), riding out server outages when
-	// ReconnectWait allows. A shed registration (429) is always retried —
-	// the server is up, merely overloaded, and its Retry-After says when —
-	// but a rejected credential (401/403) is terminal immediately:
-	// re-sending the same bad token forever is the one retry that can
-	// never work.
-	register := func() (*api.RegisterResponse, error) {
-		var shed time.Duration
-		for {
-			reg, err := c.RegisterWorker(ctx, cfg.Site, cfg.Tags)
-			if err == nil || ctx.Err() != nil || authErr(err) {
-				return reg, err
-			}
-			var wait time.Duration
-			var ae *APIError
-			switch {
-			case errors.As(err, &ae) && ae.StatusCode == http.StatusTooManyRequests:
-				shed = shedDelay(shed, ae.RetryAfter)
-				wait = shed
-			case cfg.ReconnectWait > 0 && transientErr(err):
-				wait = cfg.ReconnectWait
-			default:
-				return reg, err
-			}
-			if err := sleepCtx(ctx, wait); err != nil {
-				return nil, err
-			}
-		}
-	}
-	reg, err := register()
-	if err != nil {
-		if authErr(err) {
-			return fmt.Errorf("client: worker credentials rejected: %w", err)
-		}
-		return err
-	}
+	w := workerLoop{c: c, cfg: cfg}
+	var reg *api.RegisterResponse // nil: not (or no longer) registered
+	var src leaseSource
 	defer func() {
-		if reg == nil { // a mid-loop re-registration failed
-			return
+		if reg != nil {
+			dctx, cancel := context.WithTimeout(context.WithoutCancel(ctx), 2*time.Second)
+			defer cancel()
+			_ = c.Deregister(dctx, reg.WorkerID)
 		}
-		dctx, cancel := context.WithTimeout(context.WithoutCancel(ctx), 2*time.Second)
-		defer cancel()
-		_ = c.Deregister(dctx, reg.WorkerID)
 	}()
-
-	if cfg.StreamBatch > 0 {
-		return c.runStreamWorker(ctx, cfg, &reg, register)
-	}
-
-	var shed time.Duration
-	var idleSince time.Time // first empty poll of the current idle stretch
 	for ctx.Err() == nil {
-		resp, err := c.Pull(ctx, reg.WorkerID, cfg.PollWait)
-		if err != nil {
-			idleSince = time.Time{}
-			if ctx.Err() != nil {
-				return nil
+		var err error
+		if reg == nil {
+			if reg, err = c.RegisterWorker(ctx, cfg.Site, cfg.Tags); err == nil {
+				src = &pullSource{c: c, workerID: reg.WorkerID, wait: cfg.PollWait, released: make(chan struct{}, 1)}
+				if cfg.StreamBatch > 0 {
+					src = &streamSource{c: c, workerID: reg.WorkerID, batch: cfg.StreamBatch}
+				}
 			}
-			var ae *APIError
-			switch {
-			case authErr(err):
-				// The token was revoked (or the server's auth table
-				// changed) mid-run. Terminal: see register.
-				return fmt.Errorf("client: worker credentials rejected: %w", err)
-			case errors.As(err, &ae) && ae.StatusCode == http.StatusTooManyRequests:
-				// Load-shed or rate-limited pull. Registration is intact —
-				// back off (capped, jittered, honoring Retry-After) and
-				// pull again; re-registering would only add load.
-				shed = shedDelay(shed, ae.RetryAfter)
-				if sleepCtx(ctx, shed) != nil {
-					return nil
-				}
-				continue
-			case errors.As(err, &ae) && ae.StatusCode == http.StatusNotFound:
-				// Registration lease lapsed, or the server restarted and
-				// recovered (worker registrations are not journaled);
-				// start over.
-			case errors.As(err, &ae) && ae.StatusCode == http.StatusConflict:
-				// The server believes we hold an assignment — a Pull or
-				// Report response was lost in transit. Deregister (which
-				// requeues the orphaned assignment) and start over rather
-				// than dying on a transient network fault.
-				_ = c.Deregister(ctx, reg.WorkerID)
-			case cfg.ReconnectWait > 0 && transientErr(err):
-				// Server down (restarting?); wait and re-register.
-				if sleepCtx(ctx, cfg.ReconnectWait) != nil {
-					return nil
-				}
-			default:
+		}
+		if err == nil {
+			var done bool
+			if done, err = w.serve(ctx, reg, src); done {
 				return err
 			}
-			if reg, err = register(); err != nil {
-				if authErr(err) {
-					return fmt.Errorf("client: worker credentials rejected: %w", err)
-				}
-				return err
-			}
-			continue
 		}
-		shed = 0
-		if resp.Status != api.StatusAssigned {
-			if cfg.OnIdle != nil {
-				stop, err := cfg.OnIdle(ctx, resp)
-				if err != nil || stop {
-					return err
-				}
-			}
-			if cfg.RebalanceWait > 0 && resp.OpenJobs == 0 {
-				if idleSince.IsZero() {
-					idleSince = time.Now()
-				} else if time.Since(idleSince) >= cfg.RebalanceWait {
-					// Nothing left here; re-enroll for fresh placement (a
-					// partition router puts the registration where open
-					// jobs are waiting). Deregistering first frees the
-					// slot; if re-registration fails terminally the loop
-					// ends like any registration failure.
-					_ = c.Deregister(ctx, reg.WorkerID)
-					reg = nil
-					if reg, err = register(); err != nil {
-						if authErr(err) {
-							return fmt.Errorf("client: worker credentials rejected: %w", err)
-						}
-						return err
-					}
-					idleSince = time.Time{}
-				}
-			} else {
-				idleSince = time.Time{}
-			}
-			continue
-		}
-		idleSince = time.Time{}
-		rep, outcome := c.runAssignment(ctx, reg, resp.Assignment, cfg)
-		if rep != nil && cfg.OnReport != nil && cfg.OnReport(ctx, resp.Assignment, outcome, rep) {
+		if ctx.Err() != nil {
 			return nil
 		}
+		var ae *APIError
+		status := 0
+		if errors.As(err, &ae) {
+			status = ae.StatusCode
+		}
+		var wait time.Duration
+		switch {
+		case errors.Is(err, errStreamDropped):
+		case authErr(err):
+			return err
+		case status == http.StatusTooManyRequests:
+			w.shed = shedDelay(w.shed, ae.RetryAfter)
+			wait = w.shed
+		case reg != nil && status == http.StatusNotFound:
+			reg = nil
+		case reg != nil && (status == http.StatusConflict || errors.Is(err, errRebalance)):
+			_ = c.Deregister(ctx, reg.WorkerID)
+			reg = nil
+		case cfg.ReconnectWait > 0 && transientErr(err):
+			wait = cfg.ReconnectWait
+			if reg != nil && (len(w.pending) == 0 || time.Since(w.failing) > time.Duration(reg.LeaseTTLMillis)*time.Millisecond) {
+				w.pending, reg = nil, nil
+			}
+		default:
+			return err
+		}
+		_ = sleepCtx(ctx, wait) // cut short by ctx, which ends the loop
 	}
 	return nil
 }
 
-// runAssignment executes one leased task: heartbeat in the background,
-// stage, execute, report. It returns the server's report response plus
-// the outcome this worker reported, or a nil response when no report was
-// made (lost lease) or the report did not go through.
-func (c *Client) runAssignment(ctx context.Context, reg *api.RegisterResponse, a *api.Assignment, cfg WorkerConfig) (*api.ReportResponse, string) {
-	ref := core.WorkerRef{Site: reg.Site, Worker: reg.Worker}
-	execCtx, cancel, release := drainContext(ctx, cfg.DrainGrace)
-	defer release()
-	defer cancel()
+// workerLoop is RunWorker's state across reconnects and re-registrations.
+type workerLoop struct {
+	c   *Client
+	cfg WorkerConfig
+	// shed is the current 429 backoff; a delivered frame or a landed report
+	// resets it.
+	shed time.Duration
+	// pending holds finished assignments whose report has not landed yet;
+	// failing is when a report of them first failed (zero: none has).
+	pending []reportEntry
+	failing time.Time
+}
 
-	// Heartbeat at a third of the lease TTL until the execution ends; a
-	// cancelled or lost lease cancels the execution context.
-	hbEvery := time.Duration(a.LeaseTTLMillis) * time.Millisecond / 3
-	if hbEvery <= 0 {
-		hbEvery = time.Second
+// reportEntry is one finished assignment awaiting its report.
+type reportEntry struct {
+	a       *api.Assignment
+	outcome string
+}
+
+var (
+	// errStreamDropped is a lease stream that died after it opened.
+	errStreamDropped = errors.New("client: lease stream dropped")
+	// errRebalance ends a registration that has sat idle on a server with
+	// no open jobs for RebalanceWait.
+	errRebalance = errors.New("client: idle worker rebalancing")
+)
+
+// leaseSource is where a registration's leases come from and how they are
+// kept alive: it hides which of the two wire protocols is spoken
+// (docs/PROTOCOL.md) and nothing else. next is called from one goroutine
+// at a time and report from another.
+type leaseSource interface {
+	// next blocks for the next frame: grants, cancellation notices, the
+	// server's open-job count. A nil frame says nothing; ask again.
+	next(ctx context.Context) (*api.LeaseBatch, error)
+	// report lands outcomes; results are positional.
+	report(ctx context.Context, items []api.ReportItem) ([]api.ReportResponse, error)
+	// close releases the connection, if there is one. No next is running.
+	close()
+}
+
+// streamSource leases over GET /v1/workers/{id}/stream: the server pushes
+// frames and renews what the worker holds for as long as the stream is
+// open.
+type streamSource struct {
+	c        *Client
+	workerID string
+	batch    int
+	ls       *LeaseStream
+}
+
+func (s *streamSource) next(ctx context.Context) (*api.LeaseBatch, error) {
+	if s.ls == nil {
+		ls, err := s.c.StreamLeases(ctx, s.workerID, s.batch)
+		if err != nil {
+			return nil, err
+		}
+		s.ls = ls
 	}
-	leaseGone := false
-	hbDone := make(chan struct{})
-	go func() {
-		defer close(hbDone)
-		t := time.NewTicker(hbEvery)
+	lb, err := s.ls.Next()
+	if err != nil {
+		return nil, fmt.Errorf("%w: %v", errStreamDropped, err)
+	}
+	return lb, nil
+}
+
+func (s *streamSource) report(ctx context.Context, items []api.ReportItem) ([]api.ReportResponse, error) {
+	return s.c.ReportBatch(ctx, s.workerID, items)
+}
+
+func (s *streamSource) close() {
+	if s.ls != nil {
+		s.ls.Close()
+		s.ls = nil
+	}
+}
+
+// pullSource leases over POST /v1/workers/{id}/pull, one lease at a time:
+// a pull's reply is a frame of at most one assignment, and while that
+// assignment is out the source heartbeats it every third of its TTL — a
+// reply of cancelled or gone becomes a cancellation notice — until report
+// says it was reported. Only then does it pull again: a worker that still
+// holds a lease is refused (409).
+type pullSource struct {
+	c        *Client
+	workerID string
+	wait     time.Duration
+	// held is the assignment that is out ("" when none), heartbeaten every
+	// `every`. Touched by next only.
+	held  string
+	every time.Duration
+	// gone: the server no longer knows held (the lease expired and the task
+	// was requeued), so a report would only come back stale; skip it.
+	gone atomic.Bool
+	// released tells next that held was reported. Buffered(1).
+	released chan struct{}
+}
+
+func (p *pullSource) next(ctx context.Context) (*api.LeaseBatch, error) {
+	if p.held != "" {
+		t := time.NewTicker(p.every)
 		defer t.Stop()
 		for {
 			select {
-			case <-execCtx.Done():
-				return
+			case <-ctx.Done():
+				return nil, ctx.Err()
+			case <-p.released:
+				// Not straight on to the next pull: the loop asks again once
+				// it is done with the report (a hook may have stopped it).
+				p.held = ""
+				return nil, nil
 			case <-t.C:
 			}
-			hb, err := c.Heartbeat(execCtx, a.ID, reg.WorkerID)
+			hb, err := p.c.Heartbeat(ctx, p.held, p.workerID)
 			if err != nil {
 				continue // transient; the lease survives until TTL
 			}
-			switch hb.State {
-			case api.HeartbeatCancelled:
-				cancel()
-				return
-			case api.HeartbeatGone:
-				leaseGone = true
-				cancel()
-				return
+			if hb.State != api.HeartbeatActive {
+				p.gone.Store(hb.State == api.HeartbeatGone)
+				return &api.LeaseBatch{Cancelled: []string{p.held}}, nil
 			}
 		}
+	}
+	resp, err := p.c.Pull(ctx, p.workerID, p.wait)
+	if err != nil {
+		return nil, err
+	}
+	lb := &api.LeaseBatch{OpenJobs: resp.OpenJobs}
+	if a := resp.Assignment; resp.Status == api.StatusAssigned {
+		lb.Assignments = []api.Assignment{*a}
+		p.held, p.every = a.ID, time.Duration(a.LeaseTTLMillis)*time.Millisecond/3
+		if p.every <= 0 {
+			p.every = time.Second
+		}
+	}
+	return lb, nil
+}
+
+func (p *pullSource) report(ctx context.Context, items []api.ReportItem) (results []api.ReportResponse, err error) {
+	if p.gone.Swap(false) {
+		results = make([]api.ReportResponse, len(items))
+		for i := range results {
+			results[i].Stale = true
+		}
+	} else if results, err = p.c.ReportBatch(ctx, p.workerID, items); err != nil {
+		return nil, err
+	}
+	select {
+	case p.released <- struct{}{}:
+	default:
+	}
+	return results, nil
+}
+
+func (p *pullSource) close() {}
+
+// serve runs the worker on one source until the worker is done (done, with
+// the error to return, if any) or a request failed (!done, with the error
+// for RunWorker's table). The loop executes assignments one at a time off
+// the queue of prefetched leases and reports outcomes in batches. On a
+// failed request nothing is left in flight or queued — only pending
+// survives.
+func (w *workerLoop) serve(ctx context.Context, reg *api.RegisterResponse, src leaseSource) (done bool, err error) {
+	cfg := w.cfg
+	ref := core.WorkerRef{Site: reg.Site, Worker: reg.Worker}
+	// Flush at half the pipeline depth: unreported completions occupy
+	// pipeline slots server-side, so waiting for a full batch would stall
+	// the grant flow exactly when it is busiest.
+	flushAt := max(1, cfg.StreamBatch/2)
+
+	// Frames are read one at a time, each by its own goroutine, and the next
+	// read starts only once the loop has dealt with the last frame — a hook
+	// that stops the worker on an empty poll stops it before another poll.
+	// Reads outlive ctx: during a graceful drain the in-flight lease must
+	// stay alive (an open stream, heartbeats) until it is reported.
+	type frame struct {
+		lb  *api.LeaseBatch
+		err error
+	}
+	rctx, stopReads := context.WithCancel(context.WithoutCancel(ctx))
+	reads := make(chan frame, 1)
+	reading := false
+	defer func() {
+		stopReads()
+		if reading {
+			<-reads
+		}
+		src.close()
 	}()
 
-	outcome := c.executeOne(execCtx, ref, a, cfg)
-	cancel()
-	<-hbDone
+	var (
+		queue     []*api.Assignment
+		marks     = make(map[string]bool) // cancellation notices not yet resolved
+		inflight  *api.Assignment
+		resCh     chan string
+		cancelEx  context.CancelFunc
+		release   func()
+		idleSince time.Time // first idle frame of the current stretch with no open jobs
+	)
+	finishExec := func(outcome string) {
+		cancelEx()
+		release()
+		delete(marks, inflight.ID)
+		w.pending = append(w.pending, reportEntry{inflight, outcome})
+		inflight = nil
+	}
+	// abandon aborts the in-flight execution and converts every prefetched-
+	// but-unexecuted assignment into a failure report, so the server hears
+	// about abandoned work as soon as a report gets through instead of
+	// waiting out a lease TTL. The server holds the matching guarantee from
+	// the other side: re-opening a stream expires and requeues whatever the
+	// worker still held, so these reports land stale at worst.
+	abandon := func() {
+		if inflight != nil {
+			cancelEx()
+			finishExec(<-resCh)
+		}
+		for _, a := range queue {
+			w.pending = append(w.pending, reportEntry{a, api.OutcomeFailure})
+		}
+		queue = nil
+	}
+	flush := func() (stop bool, err error) {
+		items := make([]api.ReportItem, len(w.pending))
+		for i, p := range w.pending {
+			items[i] = api.ReportItem{AssignmentID: p.a.ID, Outcome: p.outcome}
+		}
+		// Reports must not die with ctx: a short detached context lets a
+		// draining worker land its outcomes.
+		fctx, cancel := context.WithTimeout(context.WithoutCancel(ctx), 5*time.Second)
+		results, err := src.report(fctx, items)
+		cancel()
+		if err != nil {
+			if w.failing.IsZero() {
+				w.failing = time.Now()
+			}
+			return false, err
+		}
+		w.shed, w.failing = 0, time.Time{}
+		finished := w.pending
+		w.pending = nil
+		for i := range finished {
+			if cfg.OnReport != nil && cfg.OnReport(ctx, finished[i].a, finished[i].outcome, &results[i]) {
+				stop = true
+			}
+		}
+		return stop, nil
+	}
 
-	if leaseGone {
-		// The server already requeued the task; a report would be stale.
-		return nil, ""
+	for {
+		for inflight == nil && len(queue) > 0 {
+			a := queue[0]
+			queue = queue[1:]
+			if marks[a.ID] {
+				// Cancelled before it ever ran (a replica finished
+				// elsewhere): report failure without executing; the server
+				// accounts it as a cancellation.
+				delete(marks, a.ID)
+				w.pending = append(w.pending, reportEntry{a, api.OutcomeFailure})
+				continue
+			}
+			execCtx, cancel, rel := drainContext(ctx, cfg.DrainGrace)
+			inflight, cancelEx, release, resCh = a, cancel, rel, make(chan string, 1)
+			go func(ch chan<- string) { ch <- w.c.executeOne(execCtx, ref, a, cfg) }(resCh)
+		}
+		if len(w.pending) > 0 && (inflight == nil || len(w.pending) >= flushAt) {
+			stop, err := flush()
+			if stop || err != nil {
+				abandon()
+				return stop, err
+			}
+		}
+		// Ask for the next frame only after the flush: a reopened stream
+		// expires what the worker held, and a report that lands first counts.
+		if !reading && ctx.Err() == nil {
+			reading = true
+			go func() {
+				lb, err := src.next(rctx)
+				reads <- frame{lb, err}
+			}()
+		}
+		select {
+		case <-ctx.Done():
+			// Drain: the in-flight task gets its DrainGrace, the queued
+			// leases are abandoned (they expire and requeue server-side),
+			// and whatever finished is reported.
+			if inflight != nil {
+				finishExec(<-resCh)
+			}
+			if len(w.pending) > 0 {
+				_, _ = flush()
+			}
+			return true, nil
+		case f := <-reads:
+			reading = false
+			if f.err != nil {
+				abandon()
+				return false, f.err
+			}
+			lb := f.lb
+			if lb == nil {
+				break // nothing to say yet; ask again
+			}
+			w.shed = 0
+			for i := range lb.Assignments {
+				queue = append(queue, &lb.Assignments[i])
+			}
+			for _, id := range lb.Cancelled {
+				if inflight != nil && inflight.ID == id {
+					cancelEx()
+				}
+				marks[id] = true
+			}
+			if inflight != nil || len(queue) > 0 || len(w.pending) > 0 {
+				idleSince = time.Time{}
+				break
+			}
+			if cfg.OnIdle != nil {
+				stop, err := cfg.OnIdle(ctx, &api.PullResponse{Status: api.StatusEmpty, OpenJobs: lb.OpenJobs})
+				if err != nil || stop {
+					return true, err
+				}
+			}
+			switch {
+			case cfg.RebalanceWait <= 0 || lb.OpenJobs > 0:
+				idleSince = time.Time{}
+			case idleSince.IsZero():
+				idleSince = time.Now()
+			case time.Since(idleSince) >= cfg.RebalanceWait:
+				return false, errRebalance
+			}
+		case outcome := <-resCh: // nil, or drained, while nothing is in flight
+			finishExec(outcome)
+		}
 	}
-	rctx, rcancel := context.WithTimeout(context.WithoutCancel(ctx), 2*time.Second)
-	defer rcancel()
-	rep, err := c.Report(rctx, a.ID, reg.WorkerID, outcome)
-	if err != nil {
-		return nil, ""
-	}
-	return rep, outcome
 }
 
 // drainContext builds the execution context for one assignment. With a

@@ -2,7 +2,10 @@ package client_test
 
 import (
 	"context"
+	"net/http"
 	"net/http/httptest"
+	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -125,5 +128,85 @@ func TestWorkerAbortsWithoutDrainGrace(t *testing.T) {
 	}
 	if st.Completed != 0 || st.Failed != 1 {
 		t.Fatalf("abort-without-grace reported %+v, want the failure/requeue path", st)
+	}
+}
+
+// TestPullWorkerKeepsFinishedWorkWhenReportFails: a long-poll worker whose
+// report is refused (429) or cut off mid-request used to throw the outcome
+// away — the lease stayed attached, the next pull answered 409, the worker
+// deregistered, and the task ran a second time. The outcome now waits for a
+// report to land: every task runs once, on one registration.
+func TestPullWorkerKeepsFinishedWorkWhenReportFails(t *testing.T) {
+	for name, fail := range map[string]func(http.ResponseWriter){
+		"429": func(w http.ResponseWriter) {
+			w.WriteHeader(http.StatusTooManyRequests)
+			_, _ = w.Write([]byte(`{"error":"overloaded; shed, retry later"}`))
+		},
+		"severed": func(w http.ResponseWriter) {
+			if conn, _, err := w.(http.Hijacker).Hijack(); err == nil {
+				conn.Close()
+			}
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			const tasks = 3
+			s, err := service.New(service.Config{
+				Topology:     service.Topology{Sites: 1, WorkersPerSite: 1, CapacityFiles: 64},
+				NewScheduler: gridsched.SchedulerFactory(),
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			var registrations, reports atomic.Int64
+			h := s.Handler()
+			ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				switch {
+				case r.Method == http.MethodPost && r.URL.Path == "/v1/workers":
+					registrations.Add(1)
+				case strings.HasSuffix(r.URL.Path, "/reports") && reports.Add(1) == 1:
+					fail(w)
+					return
+				}
+				h.ServeHTTP(w, r)
+			}))
+			defer ts.Close()
+			cl := client.New(ts.URL, nil)
+			jobID, err := cl.SubmitJob(context.Background(), "keep", "workqueue", 0, smallWorkload(tasks))
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+			defer cancel()
+			executed := 0
+			err = cl.RunWorker(ctx, client.WorkerConfig{
+				PollWait:      100 * time.Millisecond,
+				ReconnectWait: 10 * time.Millisecond,
+				Execute: func(context.Context, core.WorkerRef, *api.Assignment) error {
+					executed++
+					return nil
+				},
+				OnIdle: func(_ context.Context, resp *api.PullResponse) (bool, error) {
+					return resp.OpenJobs == 0, nil
+				},
+			})
+			if err != nil {
+				t.Fatalf("worker loop: %v", err)
+			}
+			st, err := cl.Job(context.Background(), jobID)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st.State != api.JobCompleted || st.Completed != tasks || st.Dispatched != tasks || st.Expired != 0 {
+				t.Fatalf("job after a failed report: %+v, want %d tasks dispatched and completed once each", st, tasks)
+			}
+			if executed != tasks || registrations.Load() != 1 {
+				t.Fatalf("executed %d tasks on %d registrations, want %d on 1", executed, registrations.Load(), tasks)
+			}
+			if got := s.Counters().StaleReports.Load(); got != 0 {
+				t.Fatalf("%d stale reports, want 0: the retried report must be the first to land", got)
+			}
+		})
 	}
 }

@@ -42,25 +42,19 @@ func newCommitStage(w *journal.Writer) *commitStage {
 	return c
 }
 
-// append enqueues one payload and blocks until it is written to the log,
-// returning its LSN. Requests that arrive while a batch write is in
-// flight coalesce into the next batch; the first waiter of that batch
-// becomes its writer (flat combining — no dedicated goroutine to stall
-// behind). FIFO: LSN order equals enqueue order, which is what lets
-// callers fix a record's WAL position by enqueueing inside the relevant
-// critical section.
-func (c *commitStage) append(payload []byte) (uint64, error) {
-	return c.appendAll(payload)
-}
-
 // appendAll enqueues a group of payloads atomically and blocks until the
-// whole group is in the log, returning the FIRST payload's LSN. Because
-// the group enters the queue under one lock hold and every writer drains
-// the entire queue into a single AppendBatch, the group's LSNs are
-// guaranteed consecutive (first, first+1, …) and land in the log with one
-// write(2) — this is what lets a batched report amortize one WAL append
-// (and one fsync, via a single WaitDurable on the last LSN) across k
-// outcomes while each record still gets its own totally-ordered LSN.
+// whole group is in the log, returning the FIRST payload's LSN. Requests
+// that arrive while a batch write is in flight coalesce into the next
+// batch; the first waiter of that batch becomes its writer (flat combining
+// — no dedicated goroutine to stall behind). FIFO: LSN order equals
+// enqueue order, which is what lets callers fix a record's WAL position by
+// enqueueing inside the relevant critical section. Because the group
+// enters the queue under one lock hold and every writer drains the entire
+// queue into a single AppendBatch, the group's LSNs are guaranteed
+// consecutive (first, first+1, …) and land in the log with one write(2) —
+// this is what lets a batched report amortize one WAL append (and one
+// fsync, via a single WaitDurable on the last LSN) across k outcomes while
+// each record still gets its own totally-ordered LSN.
 func (c *commitStage) appendAll(payloads ...[]byte) (uint64, error) {
 	if len(payloads) == 0 {
 		return 0, nil

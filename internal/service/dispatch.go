@@ -151,152 +151,6 @@ func candPop(h []candidate) (candidate, []candidate) {
 	return min, h
 }
 
-// Pull hands the worker a leased task, parking up to wait for one to become
-// dispatchable. It blocks in ServeHTTP; done aborts the park (request
-// context).
-func (s *Service) Pull(done <-chan struct{}, workerID string, wait time.Duration) (*api.PullResponse, error) {
-	resp, _, err := s.pull(done, workerID, wait)
-	return resp, err
-}
-
-// pull implements Pull and additionally reports how long the call spent
-// parked waiting for work. The park is the long-poll portion of the
-// request's wall time — up to the full poll budget on an idle system —
-// and the HTTP handler forwards it to the ingress shedder
-// (middleware.ObserveParked) so it is never mistaken for service
-// latency.
-func (s *Service) pull(done <-chan struct{}, workerID string, wait time.Duration) (resp *api.PullResponse, parked time.Duration, err error) {
-	if wait < 0 {
-		wait = 0
-	}
-	if wait > maxPullWait {
-		wait = maxPullWait
-	}
-	s.counters.Pulls.Add(1)
-	deadline := time.Now().Add(wait)
-	openAtEntry := -1
-	for {
-		if s.closed.Load() {
-			return nil, parked, errf(503, "service: closed")
-		}
-		now := s.now()
-		s.maybeSweep(now)
-
-		s.reg.mu.Lock()
-		w := s.reg.workers[workerID]
-		if w == nil {
-			s.reg.mu.Unlock()
-			return nil, parked, errf(404, "service: unknown worker %q (lease expired? re-register)", workerID)
-		}
-		w.expires = now.Add(s.cfg.LeaseTTL)
-		if w.streaming {
-			s.reg.mu.Unlock()
-			return nil, parked, errf(409, "service: worker %q has a lease stream open", workerID)
-		}
-		if len(w.assignments) > 0 {
-			var id string
-			for id = range w.assignments {
-				break
-			}
-			s.reg.mu.Unlock()
-			return nil, parked, errf(409, "service: worker %q already holds assignment %q", workerID, id)
-		}
-		if w.pulling {
-			s.reg.mu.Unlock()
-			return nil, parked, errf(409, "service: worker %q has another pull in flight", workerID)
-		}
-		w.pulling = true
-		ref, tags := w.ref, w.tags
-		s.reg.mu.Unlock()
-
-		// Subscribe BEFORE scanning: any state change after this point
-		// closes ch, so a wakeup between a fruitless scan and the park is
-		// never lost.
-		ch := s.hub.wait()
-		dispatchStart := time.Now()
-		a, wire, lsn := s.dispatchOnce(w.id, ref, tags, now)
-
-		s.reg.mu.Lock()
-		w.pulling = false
-		orphaned := false
-		if a != nil {
-			if s.reg.workers[workerID] == w {
-				w.assignments[a.id] = a
-			} else {
-				orphaned = true // deregistered mid-dispatch
-			}
-		}
-		s.reg.mu.Unlock()
-		if orphaned {
-			// The worker vanished between the grant and the attach; requeue
-			// the task as if the lease expired instantly.
-			s.requeueOrphan(a)
-			return nil, parked, errf(404, "service: unknown worker %q (lease expired? re-register)", workerID)
-		}
-		if a != nil {
-			s.counters.ObserveDispatch(time.Since(dispatchStart).Nanoseconds())
-			s.snapshotIfDue()
-			if err := s.waitDurable(lsn); err != nil {
-				// The assignment stands (journaled and leased); only its
-				// durability confirmation failed. The worker gets an error,
-				// abandons the pull, and the lease expires back into the
-				// queue.
-				return nil, parked, err
-			}
-			return &api.PullResponse{
-				Status:     api.StatusAssigned,
-				Assignment: &wire,
-				OpenJobs:   int(s.counters.OpenJobs.Load()),
-			}, parked, nil
-		}
-
-		// Surface idleness promptly when a job finishes while we wait:
-		// drain-watching clients (exit-when-idle workers, the live
-		// runtime) react at the completion broadcast instead of sitting
-		// out the rest of their poll budget.
-		open := int(s.counters.OpenJobs.Load())
-		if open > openAtEntry {
-			openAtEntry = open
-		}
-		if open < openAtEntry {
-			return &api.PullResponse{Status: api.StatusEmpty, OpenJobs: open}, parked, nil
-		}
-
-		park := time.Until(deadline)
-		if park <= 0 {
-			return &api.PullResponse{Status: api.StatusEmpty, OpenJobs: open}, parked, nil
-		}
-		// Cap each park below the lease TTL so the loop re-renews the
-		// worker's registration lease while it waits.
-		if cap := s.cfg.LeaseTTL / 3; cap > 0 && park > cap {
-			park = cap
-		}
-		timer := time.NewTimer(park)
-		parkStart := time.Now()
-		aborted := false
-		select {
-		case <-done:
-			timer.Stop()
-			aborted = true
-		case <-ch:
-			timer.Stop()
-		case <-timer.C:
-		}
-		parked += time.Since(parkStart)
-		if aborted {
-			return nil, parked, errf(499, "service: pull abandoned by client")
-		}
-	}
-}
-
-// requeueOrphan expires a just-granted assignment whose worker vanished
-// between the grant and the attach (deregistered or swept mid-dispatch),
-// returning the task to the queue as if the lease expired instantly.
-func (s *Service) requeueOrphan(a *assignment) {
-	s.expireLease(a, s.now())
-	s.hub.broadcast()
-}
-
 // dispatchOnce offers the worker to runnable jobs in fair-share order —
 // most underserved tenant-weighted job first — and dispatches the first
 // task any scheduler grants it. Returns the granted assignment (nil when

@@ -50,3 +50,13 @@ func (s *Service) SetCheckpointStepHookForTest(fn func(step string) error) {
 	defer s.snapMu.Unlock()
 	s.pst.atStep = fn
 }
+
+// AttachedForTest reports whether the worker has a lease session attached
+// (a pull in progress, an open stream). A test that closes a stream polls
+// it to learn that the server has noticed.
+func (s *Service) AttachedForTest(workerID string) bool {
+	s.reg.mu.Lock()
+	defer s.reg.mu.Unlock()
+	w := s.reg.workers[workerID]
+	return w != nil && w.attached != ""
+}

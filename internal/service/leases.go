@@ -1,20 +1,21 @@
 // The worker registry and the lease protocol surface (register,
-// deregister, heartbeat, report — single and batched). The registry is a
-// leaf lock guarding worker registrations, (site, worker) slots, and each
-// worker's outstanding-lease set; everything lease-state-ful about an
-// assignment itself (deadline, the live lease table, and the job-table
-// execution it leases) lives on the owning job's shard. A report or
-// heartbeat therefore touches two locks back to back — registry to resolve
-// the assignment, shard to act on it — and never blocks traffic for
-// unrelated jobs. What a report or an expiry does to the job is not
-// decided here: the lease paths journal the event, hand it to the job
-// state machine's apply (jobstate.go), and do the live-only rest — metrics
-// counters, wakeups, finishLease — from what apply says happened
-// (shard.go: endLeaseLocked).
+// deregister, heartbeat, report — a single one is a batch of one). The
+// registry is a leaf lock guarding worker registrations, (site, worker)
+// slots, and each worker's outstanding-lease set and lease session
+// (session.go); everything lease-state-ful about an assignment itself
+// (deadline, the live lease table, and the job-table execution it leases)
+// lives on the owning job's shard. A report or heartbeat therefore touches
+// two locks back to back — registry to resolve the assignment, shard to act
+// on it — and never blocks traffic for unrelated jobs. What a report or an
+// expiry does to the job is not decided here: the lease paths journal the
+// event, hand it to the job state machine's apply (jobstate.go), and do the
+// live-only rest — metrics counters, wakeups, finishLease — from what apply
+// says happened (shard.go: endLeaseLocked).
 package service
 
 import (
 	"fmt"
+	"maps"
 	"net/http"
 	"slices"
 	"sync"
@@ -111,6 +112,7 @@ func (s *Service) RegisterWorker(site int, tags []string) (*api.RegisterResponse
 		expires:     now.Add(s.cfg.LeaseTTL),
 		tags:        slices.Clone(tags),
 		assignments: make(map[string]*assignment),
+		wake:        make(chan struct{}, 1),
 	}
 	r.slots[target][slot] = w.id
 	r.workers[w.id] = w
@@ -135,10 +137,7 @@ func (s *Service) Deregister(workerID string) error {
 		r.mu.Unlock()
 		return errf(http.StatusNotFound, "service: unknown worker %q", workerID)
 	}
-	orphans := make([]*assignment, 0, len(w.assignments))
-	for _, a := range w.assignments {
-		orphans = append(orphans, a)
-	}
+	orphans := slices.Collect(maps.Values(w.assignments))
 	r.removeLocked(w)
 	s.counters.ActiveWorkers.Add(-1)
 	r.mu.Unlock()
@@ -151,125 +150,71 @@ func (s *Service) Deregister(workerID string) error {
 	return nil
 }
 
-// lookupLease resolves (assignmentID, workerID) to the worker's live
-// assignment, renewing the worker's registration lease on the way. nil
-// means the pair names no live lease — the stale/gone outcome.
-func (s *Service) lookupLease(assignmentID, workerID string, now time.Time) *assignment {
-	r := s.reg
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	w := r.workers[workerID]
-	if w == nil {
-		return nil
-	}
-	a := w.assignments[assignmentID]
-	if a == nil {
-		return nil
-	}
-	w.expires = now.Add(s.cfg.LeaseTTL)
-	return a
-}
-
-// Heartbeat renews an assignment's lease and reports whether the execution
-// is still wanted.
-func (s *Service) Heartbeat(assignmentID, workerID string) (*api.HeartbeatResponse, error) {
-	s.counters.Heartbeats.Add(1)
-	now := s.now()
-	a := s.lookupLease(assignmentID, workerID, now)
-	if a == nil {
-		return &api.HeartbeatResponse{State: api.HeartbeatGone}, nil
-	}
+// renewLease pushes a held lease's deadline a full TTL forward — the one
+// renewal there is, performed for one lease by a heartbeat and for every
+// lease a worker holds by its session (session.go) — and says whether the
+// lease was still live and whether its execution has been cancelled (a
+// replica completed elsewhere).
+func (s *Service) renewLease(a *assignment, now time.Time) (live, cancelled bool) {
 	sh := s.shardOf(a.job.id)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	if sh.assignments[assignmentID] != a {
-		return &api.HeartbeatResponse{State: api.HeartbeatGone}, nil
+	if sh.assignments[a.id] != a {
+		return false, false
 	}
 	a.deadline = now.Add(s.cfg.LeaseTTL)
-	if a.x.cancelled {
-		return &api.HeartbeatResponse{State: api.HeartbeatCancelled}, nil
-	}
-	return &api.HeartbeatResponse{State: api.HeartbeatActive}, nil
+	return true, a.x.cancelled
 }
 
-// Report ends an assignment. Reports on expired (requeued) assignments are
-// rejected as stale; reports on cancelled replicas are accepted but counted
-// as cancellations, not completions. The first successful completion of a
-// task wins — both properties together guarantee no duplicate completions.
-func (s *Service) Report(assignmentID, workerID, outcome string) (*api.ReportResponse, error) {
-	if outcome != api.OutcomeSuccess && outcome != api.OutcomeFailure {
-		return nil, errf(http.StatusBadRequest, "service: unknown outcome %q", outcome)
-	}
+// Heartbeat renews an assignment's lease, and its worker's registration,
+// and reports whether the execution is still wanted.
+func (s *Service) Heartbeat(assignmentID, workerID string) (*api.HeartbeatResponse, error) {
+	s.counters.Heartbeats.Add(1)
 	now := s.now()
-	a := s.lookupLease(assignmentID, workerID, now)
-	if a == nil {
-		s.counters.StaleReports.Add(1)
-		return &api.ReportResponse{Accepted: false, Stale: true}, nil
-	}
-	sh := s.shardOf(a.job.id)
-	sh.mu.Lock()
-	if sh.assignments[assignmentID] != a {
-		sh.mu.Unlock()
-		s.counters.StaleReports.Add(1)
-		return &api.ReportResponse{Accepted: false, Stale: true}, nil
-	}
-	// Journal before applying: if the append fails the report is refused
-	// with the assignment intact, and the worker's retry (or eventual
-	// lease expiry) keeps state and log agreeing.
-	var lsn uint64
-	if rec := s.leaseRecord(sh, a, opReport, outcome, now); rec != nil {
-		var err error
-		if lsn, err = s.appendRecord(rec); err != nil {
-			sh.mu.Unlock()
-			return nil, err
+	r := s.reg
+	r.mu.Lock()
+	var a *assignment
+	if w := r.workers[workerID]; w != nil {
+		if a = w.assignments[assignmentID]; a != nil {
+			w.expires = now.Add(s.cfg.LeaseTTL)
 		}
 	}
-	resp, wake := s.reportLocked(sh, a, outcome, now)
-	sh.mu.Unlock()
-	s.finishLease(a)
-	if wake {
-		s.hub.broadcast()
+	r.mu.Unlock()
+	state := api.HeartbeatGone
+	if a != nil {
+		switch live, cancelled := s.renewLease(a, now); {
+		case cancelled:
+			state = api.HeartbeatCancelled
+		case live:
+			state = api.HeartbeatActive
+		}
 	}
-	s.snapshotIfDue()
-	if err := s.waitDurable(lsn); err != nil {
-		return nil, err
-	}
-	return resp, nil
+	return &api.HeartbeatResponse{State: state}, nil
 }
 
-// reportLocked applies one validated, already-journaled (when due) report
-// to its job and renders the reply. Callers hold sh.mu, have verified the
-// lease is live (sh.assignments[a.id] == a), and must finishLease(a) after
-// unlocking. wake asks for a hub broadcast: parked pulls only care about
-// events that can make new work dispatchable (a failure requeues the task;
-// a freed quota slot unthrottles a tenant — finishLease handles that one)
-// or change the open-job count (jobCompleted broadcasts itself). A plain
-// success or a cancelled replica frees no work for anyone else, so the
-// common case does not wake the whole herd just to find nothing.
-func (s *Service) reportLocked(sh *shard, a *assignment, outcome string, now time.Time) (resp *api.ReportResponse, wake bool) {
-	op := ledgerFailure
-	if outcome == api.OutcomeSuccess {
-		op = ledgerSuccess
+// Report ends one assignment: a ReportBatch of one.
+func (s *Service) Report(assignmentID, workerID, outcome string) (*api.ReportResponse, error) {
+	resp, err := s.ReportBatch(workerID, []api.ReportItem{{AssignmentID: assignmentID, Outcome: outcome}})
+	if err != nil {
+		return nil, err
 	}
-	s.endLeaseLocked(sh, a, op, now)
-	return &api.ReportResponse{
-		Accepted:  true,
-		Cancelled: a.x.cancelled,
-		JobState:  a.job.state,
-	}, op == ledgerFailure && !a.x.cancelled
+	return &resp.Results[0], nil
 }
 
 // ReportBatch ends up to a stream's worth of assignments (at most
-// maxStreamBatch, enforced) in one call. Per item the semantics are
-// exactly Report's — stale rejection, cancelled accounting,
-// first-completion-wins, and a duplicate assignment id within the batch
-// is stale just as a second Report call would be — which is what keeps
-// exactly-once accounting intact when a worker retries a whole batch
-// after a dropped connection: items that landed the first time come back
-// stale, never double-counted. The batch's WAL records go through ONE contiguous
-// commit-stage append per shard group (consecutive LSNs, one write(2))
-// and one durability wait covers them all, amortizing the fsync that
-// dominates a journaled report's cost.
+// maxStreamBatch, enforced) in one call. Reports on expired (requeued)
+// assignments are rejected as stale; reports on cancelled replicas are
+// accepted but counted as cancellations, not completions. The first
+// successful completion of a task wins — both properties together guarantee
+// no duplicate completions — and a duplicate assignment id within the batch
+// is stale just as a second call would be, which is what keeps exactly-once
+// accounting intact when a worker retries a whole batch after a dropped
+// connection: items that landed the first time come back stale, never
+// double-counted. The batch's WAL records go through ONE contiguous
+// commit-stage append per shard group (consecutive LSNs, one write(2)), the
+// groups in the order their shards first appear in the batch, and one
+// durability wait covers them all, amortizing the fsync that dominates a
+// journaled report's cost.
 func (s *Service) ReportBatch(workerID string, items []api.ReportItem) (*api.ReportBatchResponse, error) {
 	// A worker's outstanding leases are capped at maxStreamBatch, so no
 	// honest batch is bigger; an unbounded one would hold sh.mu across an
@@ -287,88 +232,123 @@ func (s *Service) ReportBatch(workerID string, items []api.ReportItem) (*api.Rep
 	}
 	now := s.now()
 	results := make([]api.ReportResponse, len(items))
-	as := make([]*assignment, len(items))
+	// One entry per item, on the stack so that a batch of one allocates
+	// nothing for it: the live lease the item names and its job's shard. sh
+	// goes back to nil once the item is answered.
+	var buf [maxStreamBatch]struct {
+		a  *assignment
+		sh *shard
+	}
+	work := buf[:len(items)]
 
 	// Resolve every lease in one registry pass (one registration renewal).
-	// An unknown worker makes every item stale — same contract as Report.
-	// Duplicate assignment ids inside one batch resolve for the FIRST
-	// occurrence only: a later duplicate is what a second Report call would
-	// be — the lease is gone by then — so it must come back Stale, not be
-	// applied twice (twice through reportLocked would double-journal
-	// and double-count, and if the first apply completed the job the second
-	// would find j.sched nil).
+	// An unknown worker makes every item stale.
 	r := s.reg
 	r.mu.Lock()
 	if w := r.workers[workerID]; w != nil {
 		w.expires = now.Add(s.cfg.LeaseTTL)
-		seen := make(map[string]struct{}, len(items))
 		for i := range items {
-			id := items[i].AssignmentID
-			if _, dup := seen[id]; dup {
-				continue // as[i] stays nil → Stale below
-			}
-			seen[id] = struct{}{}
-			as[i] = w.assignments[id]
+			work[i].a = w.assignments[items[i].AssignmentID]
 		}
 	}
 	r.mu.Unlock()
-
-	// Group live leases by owning shard, preserving item order within each
-	// group (ledger and WAL order inside a shard match the batch's order).
-	groups := make(map[*shard][]int)
-	for i, a := range as {
+	stale := func(i int) {
+		s.counters.StaleReports.Add(1)
+		results[i].Stale = true
+		work[i].a, work[i].sh = nil, nil
+	}
+	for i := range work {
+		a := work[i].a
+		// A duplicate id resolves for its FIRST occurrence only: a later one
+		// is what a second call would be — the lease is gone by then — and
+		// applying it twice would double-journal and double-count (and find
+		// j.sched nil if the first apply completed the job).
+		for k := 0; k < i && a != nil; k++ {
+			if work[k].a == a {
+				a = nil
+			}
+		}
 		if a == nil {
-			s.counters.StaleReports.Add(1)
-			results[i] = api.ReportResponse{Stale: true}
+			stale(i)
 			continue
 		}
-		groups[s.shardOf(a.job.id)] = append(groups[s.shardOf(a.job.id)], i)
+		work[i].sh = s.shardOf(a.job.id)
 	}
 
+	// Live leases go shard by shard, in item order within each (ledger and
+	// WAL order inside a shard match the batch's order).
 	var maxLSN uint64
+	var failed error
 	wake := false
-	var finished []*assignment
-	for sh, idxs := range groups {
+	var payloads [][]byte
+	for i := range work {
+		sh := work[i].sh
+		if sh == nil {
+			continue // stale, or answered with an earlier item's shard
+		}
+		group := work[i:]
 		sh.mu.Lock()
-		// Re-validate under the shard lock and journal the whole group
-		// with one contiguous append BEFORE applying anything (the same
-		// journal-before-apply rule as Report, batch-wide: an append
-		// failure refuses the group with every lease intact).
-		live := make([]int, 0, len(idxs))
-		var recs []*record
-		for _, i := range idxs {
-			a := as[i]
-			if sh.assignments[a.id] != a {
-				s.counters.StaleReports.Add(1)
-				results[i] = api.ReportResponse{Stale: true}
+		// Re-validate under the shard lock and journal the whole group with
+		// one contiguous append BEFORE applying anything: if the append fails
+		// the group is refused with every lease intact, and the worker's
+		// retry (or eventual lease expiry) keeps state and log agreeing.
+		payloads = payloads[:0]
+		for k := range group {
+			g := &group[k]
+			if g.sh != sh {
 				continue
 			}
-			if rec := s.leaseRecord(sh, a, opReport, items[i].Outcome, now); rec != nil {
-				recs = append(recs, rec)
-			}
-			live = append(live, i)
-		}
-		if len(recs) > 0 {
-			first, err := s.appendRecords(recs)
-			if err != nil {
-				sh.mu.Unlock()
-				return nil, err
-			}
-			if last := first + uint64(len(recs)) - 1; last > maxLSN {
-				maxLSN = last
+			if sh.assignments[g.a.id] != g.a {
+				stale(i + k)
+			} else if rec := s.leaseRecord(sh, g.a, opReport, items[i+k].Outcome, now); rec != nil {
+				var p []byte
+				if p, failed = encodeRecord(rec); failed != nil {
+					break
+				}
+				payloads = append(payloads, p)
 			}
 		}
-		for _, i := range live {
-			a := as[i]
-			resp, w := s.reportLocked(sh, a, items[i].Outcome, now)
-			results[i] = *resp
-			wake = wake || w
-			finished = append(finished, a)
+		if failed == nil && len(payloads) > 0 {
+			var first uint64
+			if first, failed = s.appendEncoded(payloads...); failed == nil {
+				maxLSN = max(maxLSN, first+uint64(len(payloads))-1)
+			}
+		}
+		if failed != nil {
+			sh.mu.Unlock()
+			break
+		}
+		for k := range group {
+			if a := group[k].a; group[k].sh == sh {
+				op := ledgerFailure
+				if items[i+k].Outcome == api.OutcomeSuccess {
+					op = ledgerSuccess
+				}
+				s.endLeaseLocked(sh, a, op, now)
+				results[i+k] = api.ReportResponse{Accepted: true, Cancelled: a.x.cancelled, JobState: a.job.state}
+				group[k].sh = nil
+				// Parked sessions only care about events that can make new
+				// work dispatchable (a failure requeues the task; a freed
+				// quota slot unthrottles a tenant — finishLease handles that
+				// one) or change the open-job count (jobCompleted broadcasts
+				// itself). A plain success or a cancelled replica frees no
+				// work for anyone else, so the common case does not wake the
+				// whole herd just to find nothing.
+				wake = wake || op == ledgerFailure && !a.x.cancelled
+			}
 		}
 		sh.mu.Unlock()
 	}
-	for _, a := range finished {
-		s.finishLease(a)
+	// Only now, with every group applied: the first finishLease nudges the
+	// worker's session, and one that wakes while most of the batch is still
+	// held would grant a sliver of a frame.
+	for _, it := range work {
+		if it.a != nil && it.sh == nil {
+			s.finishLease(it.a)
+		}
+	}
+	if failed != nil {
+		return nil, failed
 	}
 	if wake {
 		s.hub.broadcast()

@@ -147,37 +147,19 @@ func encodeRecord(rec *record) ([]byte, error) {
 	return payload, nil
 }
 
-// appendEncoded is appendRecord for a payload encoded ahead of time, for
-// the one record big enough that encoding it inside the critical section
-// would stall everyone else: a submit, which carries its workload.
-func (s *Service) appendEncoded(payload []byte) (uint64, error) {
-	lsn, err := s.pst.stage.append(payload)
-	if err != nil {
-		return 0, errf(503, "service: journal append: %v", err)
-	}
-	s.pst.sinceSnapshot.Add(1)
-	return lsn, nil
-}
-
-// appendRecords journals a group of records as one contiguous WAL append
+// appendEncoded journals payloads encoded ahead of time — a submit, the
+// one record big enough that encoding it inside the critical section would
+// stall everyone else, or a batch of reports — as one contiguous WAL append
 // (consecutive LSNs, one write(2) — see commitStage.appendAll), returning
 // the first LSN. All-or-nothing: on error nothing was appended, so the
 // caller may abort without applying any of the group. Like appendRecord,
 // call while holding the lock that owns the records' WAL order.
-func (s *Service) appendRecords(recs []*record) (uint64, error) {
-	payloads := make([][]byte, len(recs))
-	for i, rec := range recs {
-		p, err := encodeRecord(rec)
-		if err != nil {
-			return 0, err
-		}
-		payloads[i] = p
-	}
+func (s *Service) appendEncoded(payloads ...[]byte) (uint64, error) {
 	first, err := s.pst.stage.appendAll(payloads...)
 	if err != nil {
 		return 0, errf(503, "service: journal append: %v", err)
 	}
-	s.pst.sinceSnapshot.Add(int64(len(recs)))
+	s.pst.sinceSnapshot.Add(int64(len(payloads)))
 	return first, nil
 }
 

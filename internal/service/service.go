@@ -415,20 +415,24 @@ type worker struct {
 	// tags are the capability tags the worker registered with; jobs with
 	// a requires list only dispatch to workers carrying every tag.
 	tags []string
-	// assignments are the worker's outstanding leases by assignment id. A
-	// long-poll worker holds at most one; a streaming worker pipelines up
-	// to its stream's batch size.
+	// assignments are the worker's outstanding leases by assignment id: at
+	// most one under a long-poll pull, up to the batch size under a stream.
 	assignments map[string]*assignment
-	pulling     bool // a Pull is mid-dispatch for this worker
-	// streaming marks an open lease stream (at most one per worker; a
-	// concurrent Pull is rejected while it is set).
-	streaming bool
-	// wake, once a stream opened, is the worker-targeted nudge channel: a
-	// finished lease frees pipeline capacity for THIS worker only, which
-	// must not broadcast-wake every parked poller. Buffered(1), never
-	// closed; it outlives individual streams across reconnects.
+	// attached names the worker's lease session, of which it has at most one
+	// at a time — pullSession or streamSession — and is "" between sessions
+	// (see attachWorker).
+	attached string
+	// wake is the worker-targeted nudge: a finished lease frees a place for
+	// THIS worker's session only, which must not broadcast-wake every parked
+	// one. Buffered(1), never closed.
 	wake chan struct{}
 }
+
+// The two kinds of lease session, as they read in a 409.
+const (
+	pullSession   = "pull"
+	streamSession = "lease stream"
+)
 
 // assignment is a live lease on one execution: the lease-only state
 // around the job-table entry x (which holds task, slot, speculative and

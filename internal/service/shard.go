@@ -16,6 +16,8 @@ package service
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -81,7 +83,7 @@ func (s *Service) mustApply(sh *shard, j *job, e ledgerRec, fresh bool) applied 
 }
 
 // jobCompleted is the live side of a job's completion: the gauges move and
-// every parked pull wakes (the open-job count changed).
+// every parked session wakes (the open-job count changed).
 func (s *Service) jobCompleted() {
 	s.counters.JobsCompleted.Add(1)
 	s.counters.OpenJobs.Add(-1)
@@ -147,7 +149,7 @@ func (s *Service) expireLeaseLocked(sh *shard, a *assignment, now time.Time) {
 }
 
 // expireLease expires a — an orphan whose worker deregistered, was swept,
-// or reopened its stream — unless a concurrent report already ended it.
+// or opened a stream — unless a concurrent report already ended it.
 func (s *Service) expireLease(a *assignment, now time.Time) {
 	sh := s.shardOf(a.job.id)
 	sh.mu.Lock()
@@ -202,13 +204,11 @@ func (s *Service) finishLease(a *assignment) {
 	s.reg.mu.Lock()
 	if w := s.reg.workers[a.workerID]; w != nil && w.assignments[a.id] == a {
 		delete(w.assignments, a.id)
-		if w.wake != nil {
-			// A streaming worker's pipeline just gained capacity; nudge its
-			// stream loop (targeted — no herd broadcast for this).
-			select {
-			case w.wake <- struct{}{}:
-			default:
-			}
+		// The worker has a free place again; nudge its session (targeted — no
+		// herd broadcast for this).
+		select {
+		case w.wake <- struct{}{}:
+		default:
 		}
 	}
 	s.reg.mu.Unlock()
@@ -291,15 +291,19 @@ func (s *Service) sweep(now time.Time) {
 	var orphans []*assignment
 	s.reg.mu.Lock()
 	for _, w := range s.reg.workers {
-		// A worker mid-pull renewed its registration at pull entry; skip it
-		// rather than yank the slot from under its own dispatch.
-		if w.pulling || !now.After(w.expires) {
+		// An attached worker's session renews its registration every turn;
+		// skip it rather than yank the slot from under its own dispatch. (A
+		// session stalled past the registration is picked up by the periodic
+		// sweep after it detaches; its stale deadline must not pin nextSweep
+		// in the past.)
+		expired := now.After(w.expires)
+		if !expired {
 			lower(w.expires)
+		}
+		if !expired || w.attached != "" {
 			continue
 		}
-		for _, a := range w.assignments {
-			orphans = append(orphans, a)
-		}
+		orphans = slices.AppendSeq(orphans, maps.Values(w.assignments))
 		s.reg.removeLocked(w)
 		s.counters.ActiveWorkers.Add(-1)
 		s.counters.WorkersExpired.Add(1)
