@@ -1,6 +1,7 @@
 package client_test
 
 import (
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
@@ -22,12 +23,13 @@ import (
 // answer is a scripted reply to a lease request (a pull, or a stream open)
 // or to a report: refuse with status (a 429 carries Retry-After: 1), sever
 // the connection without answering, or accept — a lease request then gets
-// one frame: the assignment named by grant, or nothing but an open-job
-// count of zero.
+// one frame: the assignment named by grant (leased for ttl, a minute if
+// zero), or nothing but an open-job count of zero.
 type answer struct {
 	status int
 	sever  bool
 	grant  string
+	ttl    time.Duration
 }
 
 // scriptedSched is a scripted gridschedd. It records every request in
@@ -108,7 +110,8 @@ func (s *scriptedSched) handler() http.Handler {
 	frame := func(a answer) *api.LeaseBatch {
 		lb := &api.LeaseBatch{}
 		if a.grant != "" {
-			lb.Assignments = []api.Assignment{{ID: a.grant, JobID: "j1", LeaseTTLMillis: 60_000}}
+			ttl := cmp.Or(a.ttl, time.Minute)
+			lb.Assignments = []api.Assignment{{ID: a.grant, JobID: "j1", LeaseTTLMillis: ttl.Milliseconds()}}
 			lb.OpenJobs = 1
 		}
 		return lb
@@ -368,5 +371,66 @@ func TestWorkerLoopConformance(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestPullSourceHeartbeatNotices covers the one thing only the pull source
+// does: it keeps its lease alive itself, and what the heartbeat hears
+// becomes a cancellation notice. `cancelled` (a replica finished elsewhere)
+// interrupts the execution, which is reported as a failure; `gone` (the
+// lease expired and the task was requeued) interrupts it too, and the
+// report is skipped — it could only come back stale. Either way the worker
+// goes on to its next pull on the same registration.
+func TestPullSourceHeartbeatNotices(t *testing.T) {
+	for state, want := range map[string][]string{
+		api.HeartbeatCancelled: {"REGISTER", "LEASE w1", "HEARTBEAT a1", "REPORT w1 a1=failure", "LEASE w1", "DEREGISTER w1"},
+		api.HeartbeatGone:      {"REGISTER", "LEASE w1", "HEARTBEAT a1", "LEASE w1", "DEREGISTER w1"},
+	} {
+		t.Run(state, func(t *testing.T) {
+			s := &scriptedSched{t: t, n: map[string]int{}, lease: func(n int) answer {
+				if n == 1 {
+					return answer{grant: "a1", ttl: 90 * time.Millisecond}
+				}
+				return answer{}
+			}}
+			mux := http.NewServeMux()
+			mux.Handle("/", s.handler())
+			mux.HandleFunc("POST /v1/assignments/{id}/heartbeat", func(w http.ResponseWriter, r *http.Request) {
+				s.note("heartbeat", "HEARTBEAT "+r.PathValue("id"))
+				s.reply(w, r, http.StatusOK, &api.HeartbeatResponse{State: state})
+			})
+			ts := httptest.NewServer(mux)
+			defer ts.Close()
+
+			ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+			defer cancel()
+			interrupted, idles := false, 0
+			err := client.New(ts.URL, nil).RunWorker(ctx, client.WorkerConfig{
+				PollWait: 50 * time.Millisecond,
+				Execute: func(ctx context.Context, _ core.WorkerRef, _ *api.Assignment) error {
+					select {
+					case <-ctx.Done():
+						interrupted = true
+					case <-time.After(5 * time.Second):
+					}
+					return nil
+				},
+				OnIdle: func(context.Context, *api.PullResponse) (bool, error) {
+					idles++
+					return true, nil
+				},
+			})
+			if err != nil {
+				t.Fatalf("RunWorker returned %v", err)
+			}
+			if !interrupted || idles != 1 {
+				t.Fatalf("execution interrupted = %v with %d idle callbacks, want true and 1 (the empty poll)", interrupted, idles)
+			}
+			s.mu.Lock()
+			defer s.mu.Unlock()
+			if !slices.Equal(s.log, want) {
+				t.Fatalf("requests:\n got %q\nwant %q", s.log, want)
+			}
+		})
 	}
 }

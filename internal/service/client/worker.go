@@ -1,11 +1,12 @@
 package client
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"net/http"
-	"sync"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -36,11 +37,11 @@ type WorkerConfig struct {
 	// An error is reported to the server as a failed execution (the
 	// scheduler requeues the task); it does not stop the worker loop.
 	Execute func(ctx context.Context, ref core.WorkerRef, a *api.Assignment) error
-	// OnIdle is consulted whenever a frame — an empty poll, a stream frame
-	// without grants — leaves the worker with nothing queued, running or
-	// waiting to be reported; resp carries the server's open-job count.
-	// Returning stop ends the loop. Nil means keep going until ctx is
-	// cancelled.
+	// OnIdle is consulted whenever a frame without grants or cancellation
+	// notices — an empty poll, a stream keepalive — leaves the worker with
+	// nothing queued, running or waiting to be reported; resp carries the
+	// server's open-job count. Returning stop ends the loop. Nil means keep
+	// going until ctx is cancelled.
 	OnIdle func(ctx context.Context, resp *api.PullResponse) (stop bool, err error)
 	// OnReport is consulted after every report the server answered;
 	// returning stop ends the loop without asking for another lease. A
@@ -147,7 +148,7 @@ func (c *Client) runWorker(ctx context.Context, cfg WorkerConfig) error {
 		var err error
 		if reg == nil {
 			if reg, err = c.RegisterWorker(ctx, cfg.Site, cfg.Tags); err == nil {
-				src = &pullSource{c: c, workerID: reg.WorkerID, wait: cfg.PollWait, released: make(chan struct{}, 1)}
+				src = &pullSource{c: c, workerID: reg.WorkerID, wait: cfg.PollWait}
 				if cfg.StreamBatch > 0 {
 					src = &streamSource{c: c, workerID: reg.WorkerID, batch: cfg.StreamBatch}
 				}
@@ -272,48 +273,43 @@ func (s *streamSource) close() {
 
 // pullSource leases over POST /v1/workers/{id}/pull, one lease at a time:
 // a pull's reply is a frame of at most one assignment, and while that
-// assignment is out the source heartbeats it every third of its TTL — a
-// reply of cancelled or gone becomes a cancellation notice — until report
-// says it was reported. Only then does it pull again: a worker that still
-// holds a lease is refused (409).
+// assignment is out a heartbeat renews it every third of its TTL — a reply
+// of cancelled or gone becomes a cancellation notice — until report ends
+// it. Only a report that landed lets the source pull again: a worker that
+// still holds a lease is refused (409).
 type pullSource struct {
 	c        *Client
 	workerID string
 	wait     time.Duration
-	// held is the assignment that is out ("" when none), heartbeaten every
-	// `every`. Touched by next only.
-	held  string
-	every time.Duration
-	// gone: the server no longer knows held (the lease expired and the task
-	// was requeued), so a report would only come back stale; skip it.
-	gone atomic.Bool
-	// released tells next that held was reported. Buffered(1).
-	released chan struct{}
+	// hb is the heartbeat of the assignment that is out, nil when none is:
+	// set by next with the grant, cleared by report once the outcome landed.
+	hb atomic.Pointer[heartbeat]
+}
+
+// heartbeat renews one pulled assignment from a goroutine of its own, which
+// report stops and joins before it sends anything: a heartbeat that reached
+// the server after the report would be answered `gone`, which is not news.
+type heartbeat struct {
+	id   string
+	stop context.CancelFunc
+	// notices carries the cancellation notice, should the server answer
+	// cancelled or gone, and is closed once stopped. Buffered(1).
+	notices chan *api.LeaseBatch
+	// gone: the server no longer knows the lease (it expired and the task was
+	// requeued), so a report would only come back stale. Read once stopped.
+	gone bool
 }
 
 func (p *pullSource) next(ctx context.Context) (*api.LeaseBatch, error) {
-	if p.held != "" {
-		t := time.NewTicker(p.every)
-		defer t.Stop()
-		for {
-			select {
-			case <-ctx.Done():
-				return nil, ctx.Err()
-			case <-p.released:
-				// Not straight on to the next pull: the loop asks again once
-				// it is done with the report (a hook may have stopped it).
-				p.held = ""
-				return nil, nil
-			case <-t.C:
-			}
-			hb, err := p.c.Heartbeat(ctx, p.held, p.workerID)
-			if err != nil {
-				continue // transient; the lease survives until TTL
-			}
-			if hb.State != api.HeartbeatActive {
-				p.gone.Store(hb.State == api.HeartbeatGone)
-				return &api.LeaseBatch{Cancelled: []string{p.held}}, nil
-			}
+	if hb := p.hb.Load(); hb != nil {
+		select {
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		case lb := <-hb.notices:
+			// A notice, or nothing: stopped, so being reported, and the loop
+			// asks again once that is settled (it may fail, or a hook may stop
+			// the worker).
+			return lb, nil
 		}
 	}
 	resp, err := p.c.Pull(ctx, p.workerID, p.wait)
@@ -323,28 +319,54 @@ func (p *pullSource) next(ctx context.Context) (*api.LeaseBatch, error) {
 	lb := &api.LeaseBatch{OpenJobs: resp.OpenJobs}
 	if a := resp.Assignment; resp.Status == api.StatusAssigned {
 		lb.Assignments = []api.Assignment{*a}
-		p.held, p.every = a.ID, time.Duration(a.LeaseTTLMillis)*time.Millisecond/3
-		if p.every <= 0 {
-			p.every = time.Second
-		}
+		hbCtx, stop := context.WithCancel(ctx)
+		hb := &heartbeat{id: a.ID, stop: stop, notices: make(chan *api.LeaseBatch, 1)}
+		p.hb.Store(hb)
+		go p.heartbeat(hbCtx, hb, cmp.Or(time.Duration(a.LeaseTTLMillis)*time.Millisecond/3, time.Second))
 	}
 	return lb, nil
 }
 
-func (p *pullSource) report(ctx context.Context, items []api.ReportItem) (results []api.ReportResponse, err error) {
-	if p.gone.Swap(false) {
-		results = make([]api.ReportResponse, len(items))
-		for i := range results {
-			results[i].Stale = true
+func (p *pullSource) heartbeat(ctx context.Context, hb *heartbeat, every time.Duration) {
+	defer close(hb.notices)
+	t := time.NewTicker(every)
+	defer t.Stop()
+	for {
+		select {
+		case <-ctx.Done():
+			return
+		case <-t.C:
 		}
-	} else if results, err = p.c.ReportBatch(ctx, p.workerID, items); err != nil {
-		return nil, err
+		rep, err := p.c.Heartbeat(ctx, hb.id, p.workerID)
+		if err != nil || rep.State == api.HeartbeatActive {
+			continue // an error is transient; the lease survives until TTL
+		}
+		hb.gone = rep.State == api.HeartbeatGone
+		hb.notices <- &api.LeaseBatch{Cancelled: []string{hb.id}}
+		<-ctx.Done()
+		return
 	}
-	select {
-	case p.released <- struct{}{}:
-	default:
+}
+
+// report lands the outcome of the assignment that is out — all that items
+// can hold, a pull worker has one lease — or, when none is out, outcomes that
+// an earlier registration left pending.
+func (p *pullSource) report(ctx context.Context, items []api.ReportItem) ([]api.ReportResponse, error) {
+	hb := p.hb.Load()
+	if hb != nil {
+		hb.stop()
+		for range hb.notices { // until closed: the heartbeat has returned
+		}
+		if hb.gone {
+			p.hb.Store(nil)
+			return slices.Repeat([]api.ReportResponse{{Stale: true}}, len(items)), nil
+		}
 	}
-	return results, nil
+	results, err := p.c.ReportBatch(ctx, p.workerID, items)
+	if err == nil {
+		p.hb.Store(nil)
+	}
+	return results, err
 }
 
 func (p *pullSource) close() {}
@@ -385,17 +407,13 @@ func (w *workerLoop) serve(ctx context.Context, reg *api.RegisterResponse, src l
 
 	var (
 		queue     []*api.Assignment
-		marks     = make(map[string]bool) // cancellation notices not yet resolved
 		inflight  *api.Assignment
 		resCh     chan string
 		cancelEx  context.CancelFunc
-		release   func()
 		idleSince time.Time // first idle frame of the current stretch with no open jobs
 	)
 	finishExec := func(outcome string) {
 		cancelEx()
-		release()
-		delete(marks, inflight.ID)
 		w.pending = append(w.pending, reportEntry{inflight, outcome})
 		inflight = nil
 	}
@@ -443,19 +461,11 @@ func (w *workerLoop) serve(ctx context.Context, reg *api.RegisterResponse, src l
 	}
 
 	for {
-		for inflight == nil && len(queue) > 0 {
+		if inflight == nil && len(queue) > 0 {
 			a := queue[0]
 			queue = queue[1:]
-			if marks[a.ID] {
-				// Cancelled before it ever ran (a replica finished
-				// elsewhere): report failure without executing; the server
-				// accounts it as a cancellation.
-				delete(marks, a.ID)
-				w.pending = append(w.pending, reportEntry{a, api.OutcomeFailure})
-				continue
-			}
-			execCtx, cancel, rel := drainContext(ctx, cfg.DrainGrace)
-			inflight, cancelEx, release, resCh = a, cancel, rel, make(chan string, 1)
+			execCtx, cancel := drainContext(ctx, cfg.DrainGrace)
+			inflight, cancelEx, resCh = a, cancel, make(chan string, 1)
 			go func(ch chan<- string) { ch <- w.c.executeOne(execCtx, ref, a, cfg) }(resCh)
 		}
 		if len(w.pending) > 0 && (inflight == nil || len(w.pending) >= flushAt) {
@@ -501,12 +511,21 @@ func (w *workerLoop) serve(ctx context.Context, reg *api.RegisterResponse, src l
 				queue = append(queue, &lb.Assignments[i])
 			}
 			for _, id := range lb.Cancelled {
+				// A notice can outlive its execution (it crossed the report on
+				// the wire); only what is still here is cancelled. An assignment
+				// cancelled before it ever ran (a replica finished elsewhere) is
+				// reported as a failure without executing; the server accounts it
+				// as a cancellation.
 				if inflight != nil && inflight.ID == id {
 					cancelEx()
+				} else if i := slices.IndexFunc(queue, func(a *api.Assignment) bool { return a.ID == id }); i >= 0 {
+					w.pending = append(w.pending, reportEntry{queue[i], api.OutcomeFailure})
+					queue = slices.Delete(queue, i, i+1)
 				}
-				marks[id] = true
 			}
-			if inflight != nil || len(queue) > 0 || len(w.pending) > 0 {
+			// A frame that carries notices is not an idle frame: the pull
+			// source's come from a heartbeat, which has no open-job count.
+			if inflight != nil || len(queue) > 0 || len(w.pending) > 0 || len(lb.Cancelled) > 0 {
 				idleSince = time.Time{}
 				break
 			}
@@ -534,30 +553,15 @@ func (w *workerLoop) serve(ctx context.Context, reg *api.RegisterResponse, src l
 // positive grace the context outlives ctx by up to grace — a shutdown
 // signal lets the in-flight task finish and report instead of abandoning
 // its lease — while the returned cancel still aborts it immediately
-// (cancelled execution, lost lease). release must be called once the
-// execution ends; it stops the grace watcher.
-func drainContext(ctx context.Context, grace time.Duration) (context.Context, context.CancelFunc, func()) {
+// (cancelled execution, lost lease) and must be called once the execution
+// ends.
+func drainContext(ctx context.Context, grace time.Duration) (context.Context, context.CancelFunc) {
 	if grace <= 0 {
-		execCtx, cancel := context.WithCancel(ctx)
-		return execCtx, cancel, func() {}
+		return context.WithCancel(ctx)
 	}
 	execCtx, cancel := context.WithCancel(context.WithoutCancel(ctx))
-	watchDone := make(chan struct{})
-	go func() {
-		select {
-		case <-watchDone:
-		case <-ctx.Done():
-			t := time.NewTimer(grace)
-			defer t.Stop()
-			select {
-			case <-watchDone:
-			case <-t.C:
-				cancel()
-			}
-		}
-	}()
-	var once sync.Once
-	return execCtx, cancel, func() { once.Do(func() { close(watchDone) }) }
+	unwatch := context.AfterFunc(ctx, func() { time.AfterFunc(grace, cancel) })
+	return execCtx, func() { unwatch(); cancel() }
 }
 
 // executeOne stages and executes one assignment under execCtx and returns

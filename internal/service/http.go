@@ -102,6 +102,15 @@ func writeReply(w http.ResponseWriter, r *http.Request, code int, v any) {
 	writeJSON(w, code, v)
 }
 
+// answer is a handler's last step: the reply, or the error there was instead.
+func answer(w http.ResponseWriter, r *http.Request, code int, v any, err error) {
+	if err != nil {
+		writeError(w, err)
+		return
+	}
+	writeReply(w, r, code, v)
+}
+
 func (s *Service) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var req api.SubmitJobRequest
 	if !readBody(w, r, &req) {
@@ -121,11 +130,7 @@ func (s *Service) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		req.Tenant = p.Tenant
 	}
 	id, err := s.SubmitJob(req)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	writeReply(w, r, http.StatusCreated, api.SubmitJobResponse{JobID: id})
+	answer(w, r, http.StatusCreated, api.SubmitJobResponse{JobID: id}, err)
 }
 
 func (s *Service) handleTenants(w http.ResponseWriter, r *http.Request) {
@@ -138,11 +143,7 @@ func (s *Service) handleTenantQuota(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	st, err := s.SetTenantQuota(r.PathValue("tenant"), req.MaxInFlight)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, st)
+	answer(w, r, http.StatusOK, st, err)
 }
 
 func (s *Service) handleJobs(w http.ResponseWriter, r *http.Request) {
@@ -151,11 +152,7 @@ func (s *Service) handleJobs(w http.ResponseWriter, r *http.Request) {
 
 func (s *Service) handleJob(w http.ResponseWriter, r *http.Request) {
 	st, err := s.JobStatus(r.PathValue("id"))
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, st)
+	answer(w, r, http.StatusOK, st, err)
 }
 
 func (s *Service) handleDeleteJob(w http.ResponseWriter, r *http.Request) {
@@ -176,11 +173,7 @@ func (s *Service) handleDeleteJob(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	if err := s.DeleteJob(id); err != nil {
-		writeError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, struct{}{})
+	answer(w, r, http.StatusOK, struct{}{}, s.DeleteJob(id))
 }
 
 func (s *Service) handleRegister(w http.ResponseWriter, r *http.Request) {
@@ -193,11 +186,7 @@ func (s *Service) handleRegister(w http.ResponseWriter, r *http.Request) {
 		site = *req.Site
 	}
 	resp, err := s.RegisterWorker(site, req.Tags)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	writeReply(w, r, http.StatusCreated, resp)
+	answer(w, r, http.StatusCreated, resp, err)
 }
 
 func (s *Service) handleWorkers(w http.ResponseWriter, r *http.Request) {
@@ -205,11 +194,7 @@ func (s *Service) handleWorkers(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Service) handleDeregister(w http.ResponseWriter, r *http.Request) {
-	if err := s.Deregister(r.PathValue("id")); err != nil {
-		writeError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, struct{}{})
+	answer(w, r, http.StatusOK, struct{}{}, s.Deregister(r.PathValue("id")))
 }
 
 func (s *Service) handlePull(w http.ResponseWriter, r *http.Request) {
@@ -222,11 +207,7 @@ func (s *Service) handlePull(w http.ResponseWriter, r *http.Request) {
 	// empty pull spends its whole poll budget parked here, and counting
 	// that as request latency would shed a healthy, unloaded system.
 	middleware.ObserveParked(r.Context(), parked)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	writeReply(w, r, http.StatusOK, resp)
+	answer(w, r, http.StatusOK, resp, err)
 }
 
 func (s *Service) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
@@ -235,11 +216,7 @@ func (s *Service) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	resp, err := s.Heartbeat(r.PathValue("id"), req.WorkerID)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	writeReply(w, r, http.StatusOK, resp)
+	answer(w, r, http.StatusOK, resp, err)
 }
 
 func (s *Service) handleReport(w http.ResponseWriter, r *http.Request) {
@@ -248,11 +225,7 @@ func (s *Service) handleReport(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	resp, err := s.Report(r.PathValue("id"), req.WorkerID, req.Outcome)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	writeReply(w, r, http.StatusOK, resp)
+	answer(w, r, http.StatusOK, resp, err)
 }
 
 func (s *Service) handleReportBatch(w http.ResponseWriter, r *http.Request) {
@@ -261,11 +234,7 @@ func (s *Service) handleReportBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	resp, err := s.ReportBatch(r.PathValue("id"), req.Reports)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	writeReply(w, r, http.StatusOK, resp)
+	answer(w, r, http.StatusOK, resp, err)
 }
 
 func (s *Service) handleHealthz(w http.ResponseWriter, r *http.Request) {

@@ -93,13 +93,7 @@ func (s *Service) RegisterWorker(site int, tags []string) (*api.RegisterResponse
 			return nil, errf(http.StatusServiceUnavailable, "service: all worker slots taken")
 		}
 	}
-	slot := -1
-	for wi, id := range r.slots[target] {
-		if id == "" {
-			slot = wi
-			break
-		}
-	}
+	slot := slices.Index(r.slots[target], "")
 	if slot < 0 {
 		return nil, errf(http.StatusServiceUnavailable, "service: site %d has no free worker slots", target)
 	}

@@ -419,13 +419,23 @@ type worker struct {
 	// most one under a long-poll pull, up to the batch size under a stream.
 	assignments map[string]*assignment
 	// attached names the worker's lease session, of which it has at most one
-	// at a time — pullSession or streamSession — and is "" between sessions
-	// (see attachWorker).
+	// at a time — pullSession or streamSession — and is "" between sessions;
+	// sessions counts the ones it has had, which is how a pull tells that a
+	// newer session took its place (see attachWorker).
 	attached string
+	sessions uint64
 	// wake is the worker-targeted nudge: a finished lease frees a place for
 	// THIS worker's session only, which must not broadcast-wake every parked
 	// one. Buffered(1), never closed.
 	wake chan struct{}
+}
+
+// nudge wakes the worker's parked session, if it has one.
+func (w *worker) nudge() {
+	select {
+	case w.wake <- struct{}{}:
+	default:
+	}
 }
 
 // The two kinds of lease session, as they read in a 409.

@@ -350,6 +350,56 @@ func TestLongPollWakesOnSubmission(t *testing.T) {
 	}
 }
 
+// TestAbandonedPullGivesWayToTheNextPull: to the server a long-poll the
+// client gave up on is a parked pull until the connection is seen to close.
+// The pull that follows it must be served, not refused: a 409 would make a
+// worker deregister and re-register for nothing. The abandoned pull ends
+// (499) as soon as it is superseded, and the task goes to the live one.
+func TestAbandonedPullGivesWayToTheNextPull(t *testing.T) {
+	s := newService(t, service.Config{})
+	reg := register(t, s, -1)
+	abandoned := make(chan error, 1)
+	go func() {
+		// never(t): the server has not noticed that the client left.
+		_, err := s.Pull(never(t), reg.WorkerID, 5*time.Second)
+		abandoned <- err
+	}()
+	time.Sleep(30 * time.Millisecond) // let the poll park
+
+	type result struct {
+		resp *api.PullResponse
+		err  error
+	}
+	got := make(chan result, 1)
+	go func() {
+		resp, err := s.Pull(never(t), reg.WorkerID, 5*time.Second)
+		got <- result{resp, err}
+	}()
+	select {
+	case err := <-abandoned:
+		var se *service.Error
+		if !errors.As(err, &se) || se.Code != 499 {
+			t.Fatalf("superseded pull returned %v, want a 499", err)
+		}
+	case <-time.After(3 * time.Second):
+		t.Fatal("superseded pull still parked")
+	}
+	submitWorkqueue(t, s, syntheticWorkload(1, 2))
+	select {
+	case r := <-got:
+		if r.err != nil || r.resp.Status != api.StatusAssigned {
+			t.Fatalf("pull after an abandoned pull: %+v, %v", r.resp, r.err)
+		}
+	case <-time.After(3 * time.Second):
+		t.Fatal("pull after an abandoned pull never got the task")
+	}
+	// Holding a lease is still a conflict, abandoned pull or not.
+	var se *service.Error
+	if _, err := s.Pull(never(t), reg.WorkerID, 0); !errors.As(err, &se) || se.Code != 409 {
+		t.Fatalf("pull while holding a lease: %v, want 409", err)
+	}
+}
+
 func TestSubmitValidation(t *testing.T) {
 	s := newService(t, service.Config{Topology: service.Topology{Sites: 1, WorkersPerSite: 1, CapacityFiles: 2}})
 	big := syntheticWorkload(2, 4) // 4 files per task > capacity 2

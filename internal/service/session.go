@@ -39,10 +39,20 @@ const (
 	maxStreamBatch = 256
 )
 
+// session is one attachment of a worker: the n-th it has had.
+type session struct {
+	wk *worker
+	n  uint64
+}
+
 // attachWorker claims the worker for a lease session of the given kind. A
 // worker has one session at a time — the two kinds disagree about how many
-// leases it may hold — and a pull grants one lease at a time, so a worker
-// that still holds one cannot pull either: all three are a 409.
+// leases it may hold — and a pull grants one lease at a time: attaching to a
+// worker with a stream open, or pulling for one that still holds a lease, is
+// a 409. An attached pull instead gives way to whatever attaches next and
+// ends with a 499: a long-poll that the client (or a proxy) gave up on looks
+// parked to the server until the connection is seen to close, and the pull
+// that follows it must not be refused for that.
 //
 // A stream instead starts with an empty pipeline: anything the worker still
 // held is expired and requeued on the spot, exactly as Deregister would.
@@ -54,9 +64,9 @@ const (
 // whole lifetime. The client mirrors this: on a drop it abandons everything
 // undelivered-to-execution and re-reports finished work, which lands stale
 // against the requeue — never double-counted.
-func (s *Service) attachWorker(workerID, kind string) (*worker, error) {
+func (s *Service) attachWorker(workerID, kind string) (session, error) {
 	if s.closed.Load() {
-		return nil, errf(http.StatusServiceUnavailable, "service: closed")
+		return session{}, errf(http.StatusServiceUnavailable, "service: closed")
 	}
 	now := s.now()
 	s.maybeSweep(now)
@@ -67,16 +77,21 @@ func (s *Service) attachWorker(workerID, kind string) (*worker, error) {
 	switch {
 	case w == nil:
 		err = errUnknownWorker(workerID)
-	case w.attached != "":
+	case w.attached == streamSession:
 		err = errf(http.StatusConflict, "service: worker %q already has a %s attached", workerID, w.attached)
 	case kind == pullSession && len(w.assignments) > 0:
 		err = errf(http.StatusConflict, "service: worker %q already holds an assignment", workerID)
 	}
 	if err != nil {
 		r.mu.Unlock()
-		return nil, err
+		return session{}, err
+	}
+	if w.attached != "" {
+		w.nudge() // the pull this supersedes; at worst it finds out on its renewal tick
 	}
 	w.attached = kind
+	w.sessions++
+	ss := session{w, w.sessions}
 	w.expires = now.Add(s.cfg.LeaseTTL)
 	held := slices.Collect(maps.Values(w.assignments))
 	r.mu.Unlock()
@@ -89,7 +104,7 @@ func (s *Service) attachWorker(workerID, kind string) (*worker, error) {
 		s.hub.broadcast()
 		s.snapshotIfDue()
 	}
-	return w, nil
+	return ss, nil
 }
 
 func errUnknownWorker(workerID string) error {
@@ -108,11 +123,13 @@ func errUnknownWorker(workerID string) error {
 // Locks are taken one at a time (registry, shards inside dispatchOnce), and
 // the durability wait runs outside all of them. parked is the time spent
 // parked, which is not service latency.
-func (s *Service) serve(done <-chan struct{}, wk *worker, depth int, deliver func(lb api.LeaseBatch, tick bool) (wait time.Duration, more bool)) (parked time.Duration, err error) {
-	r := s.reg
+func (s *Service) serve(done <-chan struct{}, ss session, depth int, deliver func(lb api.LeaseBatch, tick bool) (wait time.Duration, more bool)) (parked time.Duration, err error) {
+	r, wk := s.reg, ss.wk
 	defer func() {
 		r.mu.Lock()
-		wk.attached = ""
+		if wk.sessions == ss.n {
+			wk.attached = ""
+		}
 		r.mu.Unlock()
 	}()
 	renewEvery, renewed := s.cfg.LeaseTTL/3, s.now()
@@ -124,10 +141,9 @@ func (s *Service) serve(done <-chan struct{}, wk *worker, depth int, deliver fun
 		s.maybeSweep(s.now())
 
 		r.mu.Lock()
-		if r.workers[wk.id] != wk {
-			// Swept or deregistered mid-session; its leases were requeued.
+		if err := r.endedLocked(ss); err != nil {
 			r.mu.Unlock()
-			return parked, errUnknownWorker(wk.id)
+			return parked, err
 		}
 		// Read under the lock that says how many places are free: a grant is
 		// never stamped earlier than the report that made room for it.
@@ -161,14 +177,14 @@ func (s *Service) serve(done <-chan struct{}, wk *worker, depth int, deliver fun
 				break
 			}
 			r.mu.Lock()
-			attached := r.workers[wk.id] == wk
-			if attached {
+			err := r.endedLocked(ss)
+			if err == nil {
 				wk.assignments[a.id] = a
 			}
 			r.mu.Unlock()
-			if !attached {
+			if err != nil {
 				s.requeueOrphan(a)
-				return parked, errUnknownWorker(wk.id)
+				return parked, err
 			}
 			maxLSN = max(maxLSN, lsn)
 			lb.Assignments = append(lb.Assignments, wire)
@@ -213,9 +229,23 @@ func (s *Service) serve(done <-chan struct{}, wk *worker, depth int, deliver fun
 	}
 }
 
-// requeueOrphan expires a just-granted assignment whose worker vanished
-// between the grant and the attach (deregistered or swept mid-dispatch),
-// returning the task to the queue as if the lease expired instantly.
+// endedLocked says why a session is over behind its back, nil if it is not:
+// the worker was swept or deregistered (its leases were requeued), or a
+// newer session took the place of this pull. Callers hold r.mu.
+func (r *registry) endedLocked(ss session) error {
+	switch {
+	case r.workers[ss.wk.id] != ss.wk:
+		return errUnknownWorker(ss.wk.id)
+	case ss.wk.sessions != ss.n:
+		return errf(499, "service: pull superseded by a newer lease session of worker %q", ss.wk.id)
+	}
+	return nil
+}
+
+// requeueOrphan expires a just-granted assignment whose session ended
+// between the grant and the attach (deregistered, swept or superseded
+// mid-dispatch), returning the task to the queue as if the lease expired
+// instantly.
 func (s *Service) requeueOrphan(a *assignment) {
 	s.expireLease(a, s.now())
 	s.hub.broadcast()
@@ -237,13 +267,13 @@ func (s *Service) Pull(done <-chan struct{}, workerID string, wait time.Duration
 // never mistaken for service latency.
 func (s *Service) pull(done <-chan struct{}, workerID string, wait time.Duration) (resp *api.PullResponse, parked time.Duration, err error) {
 	s.counters.Pulls.Add(1)
-	wk, err := s.attachWorker(workerID, pullSession)
+	ss, err := s.attachWorker(workerID, pullSession)
 	if err != nil {
 		return nil, 0, err
 	}
 	deadline := time.Now().Add(min(max(wait, 0), maxPullWait))
 	openSeen := -1
-	parked, err = s.serve(done, wk, 1, func(lb api.LeaseBatch, _ bool) (time.Duration, bool) {
+	parked, err = s.serve(done, ss, 1, func(lb api.LeaseBatch, _ bool) (time.Duration, bool) {
 		left := time.Until(deadline)
 		switch {
 		case len(lb.Assignments) > 0:
@@ -284,7 +314,7 @@ func (s *Service) handleStream(w http.ResponseWriter, r *http.Request) {
 	if api.AcceptsBinary(r.Header.Get("Accept")) {
 		codec, ct = api.Binary, api.ContentTypeStreamBinary
 	}
-	wk, err := s.attachWorker(r.PathValue("id"), streamSession)
+	ss, err := s.attachWorker(r.PathValue("id"), streamSession)
 	if err != nil {
 		writeError(w, err)
 		return
@@ -301,7 +331,7 @@ func (s *Service) handleStream(w http.ResponseWriter, r *http.Request) {
 	// Whatever ends the session — the client gone, the worker deregistered,
 	// the service closing, a failed durability wait — ends the response, and
 	// the worker's leases expire and requeue unless it reconnects in time.
-	_, _ = s.serve(r.Context().Done(), wk, batch, func(lb api.LeaseBatch, tick bool) (time.Duration, bool) {
+	_, _ = s.serve(r.Context().Done(), ss, batch, func(lb api.LeaseBatch, tick bool) (time.Duration, bool) {
 		// A frame goes out when it says something, and on every renewal tick
 		// as a keepalive that shows the client a live stream.
 		if len(lb.Assignments) > 0 || len(lb.Cancelled) > 0 || lb.OpenJobs != lastOpen || tick {

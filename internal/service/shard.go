@@ -204,12 +204,9 @@ func (s *Service) finishLease(a *assignment) {
 	s.reg.mu.Lock()
 	if w := s.reg.workers[a.workerID]; w != nil && w.assignments[a.id] == a {
 		delete(w.assignments, a.id)
-		// The worker has a free place again; nudge its session (targeted — no
-		// herd broadcast for this).
-		select {
-		case w.wake <- struct{}{}:
-		default:
-		}
+		// The worker has a free place again (targeted — no herd broadcast for
+		// this).
+		w.nudge()
 	}
 	s.reg.mu.Unlock()
 	s.counters.ActiveLeases.Add(-1)
