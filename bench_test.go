@@ -97,3 +97,13 @@ func BenchmarkServiceSnapshotPause(b *testing.B) {
 		b.Run(fmt.Sprintf("jobs=%d", jobs), benchsuite.ServiceSnapshotPause(jobs))
 	}
 }
+
+// BenchmarkServiceRecovery measures one recovery of a data dir holding 1,
+// 4, and 16 half-drained 6,000-task Coadd jobs: how long it takes
+// (recover-ms/op) and how fast it replays (events/s). Jobs restore side by
+// side, so the time should grow with jobs ÷ cores (PERFORMANCE.md, PR 15).
+func BenchmarkServiceRecovery(b *testing.B) {
+	for _, jobs := range []int{1, 4, 16} {
+		b.Run(fmt.Sprintf("jobs=%d", jobs), benchsuite.ServiceRecovery(jobs))
+	}
+}

@@ -109,6 +109,9 @@ func run(args []string, stdout *os.File) error {
 		{"ServiceSnapshotPause/jobs=1", benchsuite.ServiceSnapshotPause(1)},
 		{"ServiceSnapshotPause/jobs=4", benchsuite.ServiceSnapshotPause(4)},
 		{"ServiceSnapshotPause/jobs=16", benchsuite.ServiceSnapshotPause(16)},
+		{"ServiceRecovery/jobs=1", benchsuite.ServiceRecovery(1)},
+		{"ServiceRecovery/jobs=4", benchsuite.ServiceRecovery(4)},
+		{"ServiceRecovery/jobs=16", benchsuite.ServiceRecovery(16)},
 	}
 
 	var re *regexp.Regexp

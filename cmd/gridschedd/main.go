@@ -288,8 +288,10 @@ func run(ctx context.Context, args []string, onReady func(addr string)) error {
 			return err
 		}
 		if *dataDir != "" {
-			log.Printf("gridschedd: recovered %s in %s (fsync=%s, snapshot every %d records)",
-				*dataDir, time.Since(recoverStart).Round(time.Millisecond), mode, *snapshot)
+			c := svc.Counters()
+			log.Printf("gridschedd: recovered %s in %s: %d records; %s (fsync=%s, snapshot every %d records)",
+				*dataDir, time.Since(recoverStart).Round(time.Millisecond),
+				c.ReplayRecords.Load(), c.ReplayPhaseSummary(), mode, *snapshot)
 		}
 		closer := func() { svc.Close() }
 		closeApp.Store(&closer)

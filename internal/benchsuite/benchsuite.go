@@ -182,46 +182,13 @@ func ServiceDispatchJournaled(mode journal.Mode) func(b *testing.B) {
 // since submit), the only per-job state a checkpoint rewrites.
 func ServiceSnapshotPause(jobs int) func(b *testing.B) {
 	return func(b *testing.B) {
-		dir, err := os.MkdirTemp("", "gridsched-bench-snapshot-*")
-		must(err, "data dir")
-		defer os.RemoveAll(dir)
-		cfg := service.Config{
-			Topology:      service.Topology{Sites: 4, WorkersPerSite: 4, CapacityFiles: 6000},
-			NewScheduler:  gridsched.SchedulerFactory(),
-			DataDir:       dir,
-			Fsync:         journal.SyncBatch,
-			SnapshotEvery: 1 << 30,
-		}
-		// Build the half-drained state with checkpoints out of reach, close
-		// (which checkpoints once), and reopen with one due every iteration.
+		cfg := halfDrainedDataDir(jobs)
+		defer os.RemoveAll(cfg.DataDir)
+		cfg.SnapshotEvery = 2 // one checkpoint due every iteration
 		svc, err := service.New(cfg)
-		must(err, "service")
-		w, err := gridsched.NewCoaddWorkload(gridsched.DefaultCoaddSeed, 6000)
-		must(err, "workload")
-		for i := 0; i < jobs; i++ {
-			_, err := svc.SubmitByName(fmt.Sprintf("coadd-%d", i), "combined.2", w, int64(i), "")
-			must(err, "submit")
-		}
-		step := func(svc *service.Service, workerID string) {
-			resp, err := svc.Pull(nil, workerID, 0)
-			must(err, "pull")
-			if resp.Status != api.StatusAssigned {
-				panic("benchsuite: snapshot-pause jobs drained; lower -benchtime")
-			}
-			_, err = svc.Report(resp.Assignment.ID, workerID, api.OutcomeSuccess)
-			must(err, "report")
-		}
-		reg, err := svc.Register(0)
-		must(err, "register")
-		for i := 0; i < jobs*3000; i++ {
-			step(svc, reg.WorkerID)
-		}
-		svc.Close()
-		cfg.SnapshotEvery = 2
-		svc, err = service.New(cfg)
 		must(err, "reopen")
 		defer svc.Close()
-		reg, err = svc.Register(0)
+		reg, err := svc.Register(0)
 		must(err, "register")
 
 		c := svc.Counters()
@@ -229,7 +196,7 @@ func ServiceSnapshotPause(jobs int) func(b *testing.B) {
 		var written int64
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			step(svc, reg.WorkerID)
+			pullAndReport(svc, reg.WorkerID)
 			written += c.SnapshotBytes.Load()
 		}
 		b.StopTimer()
@@ -239,6 +206,89 @@ func ServiceSnapshotPause(jobs int) func(b *testing.B) {
 		b.ReportMetric(float64(c.SnapshotPauseTotalNanos.Load()-pause0)/1e6/float64(b.N), "pause-ms/op")
 		b.ReportMetric(float64(written)/float64(b.N), "snapshot-B/op")
 	}
+}
+
+// ServiceRecovery measures one recovery — service.New over a data dir —
+// with `jobs` half-drained 6,000-task Coadd jobs resident: ROADMAP's
+// "recovery replay rate". The dir was closed cleanly, so all 6,000 events of
+// each job (3,000 dispatches, 3,000 reports) are in the checkpoint's ledgers
+// and the recovery is all restore: per job, decode the workload, rebuild
+// the scheduler, replay the ledger. ns/op is New as a caller sees it; the
+// two reported metrics are recovery's own account of itself:
+//
+//	recover-ms/op   mean gridsched_replay_seconds
+//	events/s        ledger events replayed per second of it
+//
+// Running jobs restore side by side, so from jobs=1 to jobs=16 recover-ms
+// should grow with jobs ÷ cores, not with jobs.
+func ServiceRecovery(jobs int) func(b *testing.B) {
+	return func(b *testing.B) {
+		cfg := halfDrainedDataDir(jobs)
+		defer os.RemoveAll(cfg.DataDir)
+		var nanos, events int64
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			svc, err := service.New(cfg)
+			must(err, "recover")
+			b.StopTimer()
+			c := svc.Counters()
+			nanos += c.ReplayNanos.Load()
+			events += c.ReplayRecords.Load()
+			// Close checkpoints the state it recovered, ledgers and all: the
+			// next iteration recovers the same thing.
+			svc.Close()
+			b.StartTimer()
+		}
+		b.StopTimer()
+		if events != int64(b.N)*int64(jobs)*6000 {
+			panic(fmt.Sprintf("benchsuite: %d events replayed over %d recoveries of %d jobs", events, b.N, jobs))
+		}
+		b.ReportMetric(float64(nanos)/1e6/float64(b.N), "recover-ms/op")
+		b.ReportMetric(float64(events)/(float64(nanos)/1e9), "events/s")
+	}
+}
+
+// halfDrainedDataDir builds a throwaway data dir holding `jobs` 6,000-task
+// Coadd jobs under combined.2, each with half its tasks completed and none
+// in flight, closed cleanly — so one checkpoint holds everything and the
+// journal is empty. It returns the config to reopen the dir with, automatic
+// checkpoints out of reach; remove cfg.DataDir when done.
+func halfDrainedDataDir(jobs int) service.Config {
+	dir, err := os.MkdirTemp("", "gridsched-bench-resident-*")
+	must(err, "data dir")
+	cfg := service.Config{
+		Topology:      service.Topology{Sites: 4, WorkersPerSite: 4, CapacityFiles: 6000},
+		NewScheduler:  gridsched.SchedulerFactory(),
+		DataDir:       dir,
+		Fsync:         journal.SyncBatch,
+		SnapshotEvery: 1 << 30,
+	}
+	svc, err := service.New(cfg)
+	must(err, "service")
+	w, err := gridsched.NewCoaddWorkload(gridsched.DefaultCoaddSeed, 6000)
+	must(err, "workload")
+	for i := 0; i < jobs; i++ {
+		_, err := svc.SubmitByName(fmt.Sprintf("coadd-%d", i), "combined.2", w, int64(i), "")
+		must(err, "submit")
+	}
+	reg, err := svc.Register(0)
+	must(err, "register")
+	for i := 0; i < jobs*3000; i++ {
+		pullAndReport(svc, reg.WorkerID)
+	}
+	svc.Close()
+	return cfg
+}
+
+// pullAndReport completes one task as workerID.
+func pullAndReport(svc *service.Service, workerID string) {
+	resp, err := svc.Pull(nil, workerID, 0)
+	must(err, "pull")
+	if resp.Status != api.StatusAssigned {
+		panic("benchsuite: resident jobs drained; lower -benchtime")
+	}
+	_, err = svc.Report(resp.Assignment.ID, workerID, api.OutcomeSuccess)
+	must(err, "report")
 }
 
 // dispatchWorkload: one file per task so staging cost is constant and the

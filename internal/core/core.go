@@ -202,7 +202,23 @@ type fileIndexCacheEntry struct {
 
 const fileIndexCacheCap = 4
 
+// indexFor returns w's file index, built at most once per cached workload.
+// The build runs outside the cache's lock — it is milliseconds for a
+// 6,000-task workload, and concurrent submits and a recovery's concurrent
+// restores all come through here. Two goroutines that miss on the same
+// workload at once both build; the second to insert finds the first's
+// index and drops its own, so every scheduler over w shares one.
 func indexFor(w *workload.Workload) *fileIndex {
+	if idx := cachedIndex(w, nil); idx != nil {
+		return idx
+	}
+	return cachedIndex(w, newFileIndex(w))
+}
+
+// cachedIndex returns w's cached index, moved to the front of the cache.
+// On a miss it caches and returns built, or reports the miss as nil when
+// there is nothing built to cache.
+func cachedIndex(w *workload.Workload, built *fileIndex) *fileIndex {
 	fileIndexCache.Lock()
 	defer fileIndexCache.Unlock()
 	entries := fileIndexCache.entries[:0]
@@ -218,7 +234,11 @@ func indexFor(w *workload.Workload) *fileIndex {
 	}
 	key := weak.Make(w)
 	if hit == nil {
-		hit = newFileIndex(w)
+		if built == nil {
+			fileIndexCache.entries = entries
+			return nil
+		}
+		hit = built
 		// One cleanup per cache entry generation: a cache hit refreshes an
 		// entry whose creation already registered one.
 		runtime.AddCleanup(w, dropDeadIndexEntry, key)

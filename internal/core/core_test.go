@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -437,3 +438,60 @@ func TestStorageAffinityRequeuesFailedTask(t *testing.T) {
 
 // storagePolicyLRU avoids importing storage in multiple test spots.
 func storagePolicyLRU() storage.Policy { return storage.LRU }
+
+// TestIndexForConcurrent: indexFor builds outside the cache's lock, so
+// submits and a recovery's restores that arrive together do not queue
+// behind one another's builds. Goroutines released at once on distinct
+// workloads each get their own workload's index; on one shared workload
+// they all get the same index, whichever of them built it. Run under -race.
+func TestIndexForConcurrent(t *testing.T) {
+	const goroutines = 8
+	race := func(workloadOf func(g int) *workload.Workload) []*fileIndex {
+		got := make([]*fileIndex, goroutines)
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		for g := 0; g < goroutines; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				w := workloadOf(g)
+				<-start
+				got[g] = indexFor(w)
+			}()
+		}
+		close(start)
+		wg.Wait()
+		return got
+	}
+
+	// Distinct workloads — more of them than the cache holds — told apart
+	// by size: workload g has g+1 tasks, task k reading files k and k+1.
+	distinct := make([]*workload.Workload, goroutines)
+	for g := range distinct {
+		lists := make([][]int, g+1)
+		for k := range lists {
+			lists[k] = []int{k, k + 1}
+		}
+		distinct[g] = wl(t, goroutines+1, lists...)
+	}
+	for g, idx := range race(func(g int) *workload.Workload { return distinct[g] }) {
+		if len(idx.filesLen) != g+1 || len(idx.byFile) != goroutines+1 || idx.maxFiles != 2 {
+			t.Fatalf("workload %d got an index over %d tasks, %d files", g, len(idx.filesLen), len(idx.byFile))
+		}
+		// File g is read by tasks g-1 and g; file g+1 by task g alone.
+		if got := idx.byFile[g+1]; len(got) != 1 || got[0] != workload.TaskID(g) {
+			t.Fatalf("workload %d: file %d indexed to tasks %v", g, g+1, got)
+		}
+	}
+
+	shared := wl(t, 3, []int{0, 1}, []int{1, 2})
+	got := race(func(int) *workload.Workload { return shared })
+	for g, idx := range got {
+		if idx != got[0] {
+			t.Fatalf("goroutine %d got a different index of the shared workload than goroutine 0", g)
+		}
+	}
+	if again := indexFor(shared); again != got[0] {
+		t.Fatal("the shared workload's index did not stay cached")
+	}
+}

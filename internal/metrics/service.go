@@ -3,6 +3,7 @@ package metrics
 import (
 	"fmt"
 	"io"
+	"strings"
 	"sync/atomic"
 )
 
@@ -56,6 +57,9 @@ type ServiceCounters struct {
 	ReplayRecords    atomic.Int64 // snapshot ledger + log records replayed at startup
 	ReplayNanos      atomic.Int64 // time the startup replay took
 	RecoveredExpired atomic.Int64 // in-flight leases expired by recovery
+	// ReplayPhaseNanos splits ReplayNanos by recovery phase (they sum to
+	// it), so a slow restart names where it spent its time.
+	ReplayPhaseNanos [replayPhases]atomic.Int64
 
 	// Stop-the-world snapshot pause (the lockAll hold across state
 	// collection, marshal, file replacement, and log rotation): last
@@ -67,6 +71,35 @@ type ServiceCounters struct {
 	SnapshotPauseLastNanos  atomic.Int64
 	SnapshotPauseMaxNanos   atomic.Int64
 	SnapshotPauseTotalNanos atomic.Int64
+}
+
+// ReplayPhase indexes ServiceCounters.ReplayPhaseNanos: the steps of a
+// startup recovery, in the order they run.
+type ReplayPhase int
+
+const (
+	ReplayCheckpoint ReplayPhase = iota // manifest read, data dir sweep
+	ReplayRestore                       // resident jobs rebuilt, their checkpointed ledgers replayed
+	ReplayTail                          // journal records past the checkpoint applied
+	ReplayExpire                        // crash-time leases expired, counters rebuilt
+	ReplayCompact                       // post-recovery checkpoint
+	replayPhases
+)
+
+var replayPhaseNames = [replayPhases]string{"checkpoint", "restore", "tail", "expire", "compact"}
+
+// ReplayPhaseSummary renders the recovery phases for a log line:
+// "checkpoint 2.1ms, restore 135.9ms, tail 61.0ms, expire 0.3ms, compact
+// 4.2ms".
+func (c *ServiceCounters) ReplayPhaseSummary() string {
+	var b strings.Builder
+	for p, name := range replayPhaseNames {
+		if p > 0 {
+			b.WriteString(", ")
+		}
+		fmt.Fprintf(&b, "%s %.1fms", name, float64(c.ReplayPhaseNanos[p].Load())/1e6)
+	}
+	return b.String()
 }
 
 // ObserveDispatch folds one dispatch duration into the latency summary.
@@ -149,6 +182,15 @@ func (c *ServiceCounters) WriteText(w io.Writer) error {
 		"# TYPE gridsched_replay_seconds gauge\ngridsched_replay_seconds %g\n",
 		float64(c.ReplayNanos.Load())/nsPerSec); err != nil {
 		return err
+	}
+	if _, err := io.WriteString(w, "# TYPE gridsched_replay_phase_seconds gauge\n"); err != nil {
+		return err
+	}
+	for p, name := range replayPhaseNames {
+		if _, err := fmt.Fprintf(w, "gridsched_replay_phase_seconds{phase=%q} %g\n",
+			name, float64(c.ReplayPhaseNanos[p].Load())/nsPerSec); err != nil {
+			return err
+		}
 	}
 	const nsPerMs = 1e6
 	_, err := fmt.Fprintf(w,

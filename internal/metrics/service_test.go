@@ -53,3 +53,32 @@ func TestSnapshotPauseGauges(t *testing.T) {
 		}
 	}
 }
+
+func TestReplayPhaseGauges(t *testing.T) {
+	c := NewServiceCounters()
+	c.ReplayPhaseNanos[ReplayCheckpoint].Store(2_000_000)
+	c.ReplayPhaseNanos[ReplayRestore].Store(135_500_000)
+	c.ReplayPhaseNanos[ReplayTail].Store(61_000_000)
+	c.ReplayPhaseNanos[ReplayCompact].Store(4_250_000)
+
+	var sb strings.Builder
+	if err := c.WriteText(&sb); err != nil {
+		t.Fatal(err)
+	}
+	out := sb.String()
+	for _, want := range []string{
+		"# TYPE gridsched_replay_phase_seconds gauge\n",
+		`gridsched_replay_phase_seconds{phase="checkpoint"} 0.002` + "\n",
+		`gridsched_replay_phase_seconds{phase="restore"} 0.1355` + "\n",
+		`gridsched_replay_phase_seconds{phase="tail"} 0.061` + "\n",
+		`gridsched_replay_phase_seconds{phase="expire"} 0` + "\n",
+		`gridsched_replay_phase_seconds{phase="compact"} 0.00425` + "\n",
+	} {
+		if !strings.Contains(out, want) {
+			t.Errorf("missing %q in:\n%s", want, out)
+		}
+	}
+	if got, want := c.ReplayPhaseSummary(), "checkpoint 2.0ms, restore 135.5ms, tail 61.0ms, expire 0.0ms, compact 4.2ms"; got != want {
+		t.Errorf("summary %q, want %q", got, want)
+	}
+}

@@ -23,8 +23,10 @@
 // with every running job's workload inline: one self-contained body,
 // assembled from these files on the leader (checkpointDocument) and split
 // back into them on the follower (writeCheckpoint). The service, the
-// follower, and the replication source all read through readCheckpoint
-// and write through writeCheckpoint.
+// follower, and the replication source all read through readManifest and
+// loadWorkload — restore (recovery.go) loads each running job's file as
+// part of that job's own rebuild, so the decodes overlap — and write
+// through writeCheckpoint.
 package service
 
 import (
@@ -288,54 +290,41 @@ func readManifest(dir string) (*snapshot, error) {
 	return snap, nil
 }
 
-// loadWorkloads fills in every running job's workload that snap does not
-// carry inline from the job's workload file, returning the ids it loaded
-// that way. A referenced file that is missing or does not decode to the
-// job's task count is an error (wrapping fs.ErrNotExist when missing, so a
-// reader racing a live checkpoint can tell and retry).
-func loadWorkloads(dir string, snap *snapshot) (stored map[string]struct{}, err error) {
-	stored = make(map[string]struct{})
-	for i := range snap.Jobs {
-		sj := &snap.Jobs[i]
-		if sj.State != api.JobRunning || sj.Workload != nil {
-			continue
-		}
-		path := workloadPath(dir, sj.ID)
-		data, err := os.ReadFile(path)
-		if err != nil {
-			return nil, fmt.Errorf("service: snapshot job %s: workload file: %w", sj.ID, err)
-		}
-		w, err := api.DecodeWorkload(data)
-		if err != nil {
-			return nil, fmt.Errorf("service: snapshot job %s: workload file %s: %w", sj.ID, path, err)
-		}
-		if len(w.Tasks) != sj.Tasks {
-			return nil, fmt.Errorf("service: snapshot job %s: workload file %s holds %d tasks, manifest says %d",
-				sj.ID, path, len(w.Tasks), sj.Tasks)
-		}
-		sj.Workload = w
-		stored[sj.ID] = struct{}{}
+// loadWorkload reads and decodes the workload file of one running job of
+// dir's manifest. A file that is missing or does not decode to the job's
+// task count is an error (wrapping fs.ErrNotExist when missing, so a reader
+// racing a live checkpoint can tell and retry). It touches nothing but the
+// file, so any number of jobs load at once.
+func loadWorkload(dir string, sj *snapJob) (*workload.Workload, error) {
+	path := workloadPath(dir, sj.ID)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return nil, fmt.Errorf("workload file: %w", err)
 	}
-	return stored, nil
+	w, err := api.DecodeWorkload(data)
+	if err != nil {
+		return nil, fmt.Errorf("workload file %s: %w", path, err)
+	}
+	if len(w.Tasks) != sj.Tasks {
+		return nil, fmt.Errorf("workload file %s holds %d tasks, manifest says %d", path, len(w.Tasks), sj.Tasks)
+	}
+	return w, nil
 }
 
-// readCheckpoint loads dir's checkpoint in full: the manifest, plus every
-// running job's workload. stored names the jobs whose workload lives in a
-// workload file (all of them, unless the manifest is version 1). Nil snap
-// and an empty stored when the dir holds no checkpoint yet.
-func readCheckpoint(dir string) (snap *snapshot, stored map[string]struct{}, err error) {
-	snap, err = readManifest(dir)
-	if err != nil {
-		return nil, nil, err
-	}
+// storedJobs names the jobs whose workload snap leaves to a workload file:
+// the running ones it does not carry inline (all of them, unless the
+// manifest is version 1). Empty for a dir that holds no checkpoint yet.
+func (snap *snapshot) storedJobs() map[string]struct{} {
+	stored := make(map[string]struct{})
 	if snap == nil {
-		return nil, map[string]struct{}{}, nil
+		return stored
 	}
-	stored, err = loadWorkloads(dir, snap)
-	if err != nil {
-		return nil, nil, err
+	for i := range snap.Jobs {
+		if sj := &snap.Jobs[i]; sj.State == api.JobRunning && sj.Workload == nil {
+			stored[sj.ID] = struct{}{}
+		}
 	}
-	return snap, stored, nil
+	return stored
 }
 
 // saveWorkloads writes the workload file of every running job in jobs
@@ -429,8 +418,14 @@ func checkpointDocument(dir string, next uint64) (lsn uint64, doc []byte, err er
 	if snap.LastLSN < next {
 		return snap.LastLSN, nil, nil
 	}
-	if _, err := loadWorkloads(dir, snap); err != nil {
-		return 0, nil, err
+	for i := range snap.Jobs {
+		sj := &snap.Jobs[i]
+		if sj.State != api.JobRunning || sj.Workload != nil {
+			continue
+		}
+		if sj.Workload, err = loadWorkload(dir, sj); err != nil {
+			return 0, nil, fmt.Errorf("service: snapshot job %s: %w", sj.ID, err)
+		}
 	}
 	doc, err = json.Marshal(snap)
 	if err != nil {

@@ -111,27 +111,28 @@ func (f *Follower) walPath() string { return filepath.Join(f.svcCfg.DataDir, wal
 // openLocal loads whatever replicated state already exists on disk:
 // checkpoint into the replica, journal tail applied on top, writer opened
 // at the validated prefix — a restartable follower, not a from-scratch
-// one. The checkpoint is read in full, workload files included, exactly
-// as the recovery that promotion runs will read it: a data dir promotion
-// would refuse is refused here, while the leader is still alive.
+// one. The checkpoint is read in full, workload files included (restore
+// decodes each running job's), exactly as the recovery that promotion runs
+// will read it: a data dir promotion would refuse is refused here, while
+// the leader is still alive.
 func (f *Follower) openLocal() error {
 	dir := f.svcCfg.DataDir
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
-	snap, stored, err := readCheckpoint(dir)
+	snap, err := readManifest(dir)
 	if err != nil {
 		return err
 	}
 	// A crash inside ApplySnapshot strands what a crash inside a leader's
 	// checkpoint does.
-	if err := sweepDataDir(dir, stored); err != nil {
+	if err := sweepDataDir(dir, snap.storedJobs()); err != nil {
 		return err
 	}
 	st := f.newReplica()
 	after := uint64(0)
 	if snap != nil {
-		if _, err := st.restore(snap); err != nil {
+		if _, err := st.restore(snap, dir); err != nil {
 			return err
 		}
 		after = snap.LastLSN
@@ -275,10 +276,11 @@ func (f *Follower) ApplySnapshot(lsn uint64, data []byte) error {
 		return fmt.Errorf("%w: snapshot body covers lsn %d, header says %d", replicate.ErrDiverged, snap.LastLSN, lsn)
 	}
 	// Restore before writeCheckpoint drops the inline workloads (a running
-	// job without one is refused); a document recovery could not load is
+	// job without one is refused — the message is self-contained, so no
+	// workload file is consulted); a document recovery could not load is
 	// refused with nothing on disk touched.
 	st := f.newReplica()
-	if _, err := st.restore(snap); err != nil {
+	if _, err := st.restore(snap, ""); err != nil {
 		return fmt.Errorf("%w: unloadable snapshot: %v", replicate.ErrDiverged, err)
 	}
 	dir := f.svcCfg.DataDir

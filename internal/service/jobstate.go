@@ -158,7 +158,7 @@ func (j *job) remaining() int {
 // newJob builds a running job's shell from its submit record — the job's
 // definition in every role: the live submit path writes the record and
 // builds from it, recovery and the standby read it back, and a checkpoint
-// entry is reshaped into one (restoreJob). tasks is the workload's size,
+// entry is reshaped into one (restoreShell). tasks is the workload's size,
 // which a checkpointed completed job remembers without its workload.
 func (s *Service) newJob(rec *record, tasks int) *job {
 	return &job{
@@ -184,7 +184,10 @@ func (s *Service) newJob(rec *record, tasks int) *job {
 // with tag fair. The tenant record is anchored here, at materialization,
 // so a later delete (dropJobLocked, which decrements) always runs against
 // a count that included the job. Callers hold the job's shard and the
-// coordinator; replay is single-threaded and only takes the latter.
+// coordinator; recovery only takes the latter, and calls this from its
+// serial steps alone (a checkpoint's shells in manifest order, the tail's
+// submits in LSN order) — the arbiter's heap, the submission index and the
+// shard's table are shared, so a restore goroutine never gets here.
 func (s *Service) addJobLocked(j *job, fair uint64) {
 	c := s.coord
 	if j.state == api.JobRunning {
@@ -243,9 +246,11 @@ type applied struct {
 //
 // An error means the event contradicts the table (it names no open
 // execution, or an execution already open): corruption on replay, a broken
-// invariant live. Nothing was changed. Callers hold sh.mu; a dispatch's
-// scheduler decision (NextFor or ReplayAssign) is already made.
-func (s *Service) apply(sh *shard, j *job, e ledgerRec, fresh bool) (applied, error) {
+// invariant live. Nothing was changed. Callers own j — live, by holding
+// its shard, whose scratch they pass as st; in recovery, by being the only
+// goroutine that has the job — and a dispatch's scheduler decision (NextFor
+// or ReplayAssign) is already made.
+func (s *Service) apply(st *staging, j *job, e ledgerRec, fresh bool) (applied, error) {
 	var res applied
 	ref := core.WorkerRef{Site: int(e.Site), Worker: int(e.Worker)}
 	running := j.state == api.JobRunning
@@ -267,12 +272,12 @@ func (s *Service) apply(sh *shard, j *job, e ledgerRec, fresh bool) (applied, er
 		}
 		if j.sched != nil {
 			files := j.w.Tasks[e.Task].Files
-			fetched, evicted, err := j.stores[ref.Site].CommitBatchInto(files, sh.fetchBuf[:0], sh.evictBuf[:0])
+			fetched, evicted, err := j.stores[ref.Site].CommitBatchInto(files, st.fetchBuf[:0], st.evictBuf[:0])
 			if err != nil {
 				// Submission validated capacity >= the largest task.
 				return res, fmt.Errorf("stage task %d at site %d: %w", e.Task, ref.Site, err)
 			}
-			sh.fetchBuf, sh.evictBuf = fetched[:0], evicted[:0]
+			st.fetchBuf, st.evictBuf = fetched[:0], evicted[:0]
 			j.sched.NoteBatch(ref.Site, files, fetched, evicted)
 			j.transfers += int64(len(fetched))
 			res.staged = len(fetched)

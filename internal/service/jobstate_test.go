@@ -210,7 +210,7 @@ func TestApplyCallbackTrace(t *testing.T) {
 				for i, st := range tc.steps {
 					before := len(sched.trace)
 					e := ledgerRec{Op: st.op, Task: st.task, Site: st.site, Worker: st.worker, Ts: int64(2000 + i)}
-					if _, err := s.apply(sh, j, e, true); err != nil {
+					if _, err := s.apply(&sh.stage, j, e, true); err != nil {
 						t.Fatalf("step %d: %v", i, err)
 					}
 					if got := sched.trace[before:]; attached != nil && !slices.Equal(got, st.want) {
@@ -242,7 +242,7 @@ func TestApplyRejectsContradictions(t *testing.T) {
 	s, j := newApplyFixture(t, 2, fake)
 	sh := s.shardOf(j.id)
 	apply := func(op uint8, task workload.TaskID, site, worker int32) error {
-		_, err := s.apply(sh, j, ledgerRec{Op: op, Task: task, Site: site, Worker: worker, Ts: 1}, true)
+		_, err := s.apply(&sh.stage, j, ledgerRec{Op: op, Task: task, Site: site, Worker: worker, Ts: 1}, true)
 		return err
 	}
 	if err := apply(ledgerDispatch, 0, 0, 0); err != nil {

@@ -26,22 +26,47 @@
 // (journaled, so a second crash replays identically), and workers
 // re-register on their next pull; the client loop does this transparently.
 //
-// Recovery runs single-threaded from New, before the sweeper starts and
-// before the service is reachable, so it touches shard and coordinator
-// state without contention. The shard stripe count is irrelevant to what
-// is recovered: jobs land on whatever stripe the current Config routes
-// them to.
+// Recovery runs from New, before the sweeper starts and before the service
+// is reachable, so nothing but recovery touches the state. It is serial
+// wherever order is observable and concurrent where it is not:
+//
+//   - Serial, in manifest order: tenants, worker telemetry, and every job's
+//     shell — its counters, its place on a shard and in the submission
+//     index, its admission to the arbiter under its checkpointed tag, the
+//     id sequence. These are shared structures, and the arbiter's heap and
+//     the sequence depend on the order they are filled in.
+//   - Concurrent, one job per goroutine: a running job's rebuild — read and
+//     decode its workload file, validate, build the scheduler and stores —
+//     and its checkpointed ledger through replay. All of that writes the
+//     job and nothing else: a ledger event is not fresh, so apply neither
+//     folds telemetry nor appends; it cannot complete the job (replay
+//     refuses a ledger that would, since the checkpoint lists the job as
+//     running), so the coordinator is never taken; and the staging scratch
+//     is the goroutine's own, not the shard's. Config.NewScheduler and
+//     Config.CheckWorkload are called from several goroutines at once — as
+//     concurrent live submits already call them.
+//   - Serial again, in LSN order: the log tail, the expiry of what was in
+//     flight, the counters and the compaction. Tail records fold telemetry
+//     and charge the arbiter, both order-dependent; the tail is bounded by
+//     Config.SnapshotEvery, the restore by resident jobs ÷ cores.
+//
+// The shard stripe count is irrelevant to what is recovered: jobs land on
+// whatever stripe the current Config routes them to.
 package service
 
 import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"runtime"
 	"sort"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"gridsched/internal/core"
 	"gridsched/internal/journal"
+	"gridsched/internal/metrics"
 	"gridsched/internal/service/api"
 	"gridsched/internal/workload"
 )
@@ -50,21 +75,30 @@ import (
 // sweeper starts and before the service is reachable.
 func (s *Service) recover() error {
 	start := time.Now()
+	// phase closes the recovery phase that just ran: its share of the
+	// restart goes to /metrics and gridschedd's startup log line.
+	mark := start
+	phase := func(p metrics.ReplayPhase) {
+		now := time.Now()
+		s.counters.ReplayPhaseNanos[p].Store(now.Sub(mark).Nanoseconds())
+		mark = now
+	}
 	if err := os.MkdirAll(s.pst.dir, 0o755); err != nil {
 		return err
 	}
 
-	// 1. Checkpoint: the manifest plus the running jobs' workload files,
-	// then a sweep of whatever a crash mid-checkpoint stranded — temp
-	// files, and workload files the manifest does not rely on (written
-	// ahead of a manifest that never landed, or outliving one that retired
-	// them). Without the sweep every such crash leaks a file forever.
-	snap, stored, err := readCheckpoint(s.pst.dir)
+	// 1. Checkpoint: the manifest, then a sweep of whatever a crash
+	// mid-checkpoint stranded — temp files, and workload files the manifest
+	// does not rely on (written ahead of a manifest that never landed, or
+	// outliving one that retired them). Without the sweep every such crash
+	// leaks a file forever. The workload files it does rely on are read by
+	// restore, each as part of its job's rebuild.
+	snap, err := readManifest(s.pst.dir)
 	if err != nil {
 		return err
 	}
-	s.pst.stored = stored
-	if err := sweepDataDir(s.pst.dir, stored); err != nil {
+	s.pst.stored = snap.storedJobs()
+	if err := sweepDataDir(s.pst.dir, s.pst.stored); err != nil {
 		return err
 	}
 	if snap == nil {
@@ -87,23 +121,26 @@ func (s *Service) recover() error {
 	}
 	s.seq.Store(snap.Seq)
 	s.pst.carry = snap.Carry
-	replayed, err := s.restore(snap)
+	phase(metrics.ReplayCheckpoint)
+
+	// 2. Restore: every resident job, the running ones rebuilt and replayed
+	// side by side.
+	replayed, err := s.restore(snap, s.pst.dir)
 	if err != nil {
 		return err
 	}
+	phase(metrics.ReplayRestore)
 
-	// 2. Log tail: the records the checkpoint does not cover, each applied
-	// as it is read.
+	// 3. Log tail: the records the checkpoint does not cover, each applied
+	// as it is read. Then the writer opens over the validated prefix
+	// (truncating any torn tail): step 4 appends the expiry records for
+	// executions that were in flight at the crash. The commit stage comes
+	// up with the writer — those appends go through it too.
 	info, err := journal.ReadLog(s.walPath(), snap.LastLSN, s.applyFrame)
 	if err != nil {
 		return err
 	}
 	replayed += info.Records
-
-	// 3. Open the writer over the validated prefix (truncating any torn
-	// tail): step 4 appends the expiry records for executions that were in
-	// flight at the crash. The commit stage comes up with the writer —
-	// those appends go through it too.
 	lastLSN := max(snap.LastLSN, info.LastLSN)
 	met := &journal.Metrics{}
 	w, err := journal.OpenWriter(s.walPath(), s.cfg.Fsync, s.cfg.FsyncInterval, lastLSN, info.ValidSize, met)
@@ -113,22 +150,22 @@ func (s *Service) recover() error {
 	s.pst.w = w
 	s.pst.stage = newCommitStage(w)
 	s.pst.journalMetrics = met
+	phase(metrics.ReplayTail)
 
 	// 4. Expire whatever is still in flight: the workers holding those
-	// leases predate the restart.
+	// leases predate the restart. Then rebuild the monotone counters from
+	// carry + resident jobs. (The arbiter's runnable set and the tenants'
+	// gauges came back as the jobs did; in-flight counts stay zero: every
+	// recovered lease was just expired.)
 	n, err := s.expireRecovered()
 	if err != nil {
 		return err
 	}
 	replayed += n
-
-	// 5. Rebuild the monotone counters from carry + resident jobs. (The
-	// arbiter's runnable set and the tenants' gauges came back as the jobs
-	// did; in-flight counts stay zero: step 4 expired every recovered
-	// lease.)
 	s.restoreCounters()
+	phase(metrics.ReplayExpire)
 
-	// 6. Compact: a fresh snapshot makes the next restart O(snapshot) and
+	// 5. Compact: a fresh snapshot makes the next restart O(snapshot) and
 	// clears the replayed tail. Skipped for a pristine data dir.
 	if replayed > 0 || info.Torn || len(snap.Jobs) > 0 {
 		s.snapMu.Lock()
@@ -139,9 +176,10 @@ func (s *Service) recover() error {
 		}
 		s.snapMu.Unlock()
 	}
+	phase(metrics.ReplayCompact)
 
 	s.counters.ReplayRecords.Store(int64(replayed))
-	s.counters.ReplayNanos.Store(time.Since(start).Nanoseconds())
+	s.counters.ReplayNanos.Store(mark.Sub(start).Nanoseconds())
 	return nil
 }
 
@@ -149,8 +187,14 @@ func (s *Service) recover() error {
 // time and per-tenant durable state, the worker telemetry (fixed-point
 // accumulators, bit-exact), and every resident job. Tail records then
 // charge, fold and apply on top in LSN order, exactly as the live paths
-// did. Returns the number of ledger events replayed.
-func (s *Service) restore(snap *snapshot) (int, error) {
+// did. dir is where the workload files of running jobs that snap does not
+// carry inline are read from; "" says snap is self-contained (a replication
+// message). Returns the number of ledger events replayed.
+//
+// Two phases (the file header has the why): every job's shell, serially in
+// manifest order; then every running job's rebuild and ledger replay, each
+// job on one goroutine, as many at once as there are cores.
+func (s *Service) restore(snap *snapshot, dir string) (int, error) {
 	c := s.coord
 	c.vtime = snap.VTime
 	for _, st := range snap.Tenants {
@@ -159,28 +203,47 @@ func (s *Service) restore(snap *snapshot) (int, error) {
 	}
 	s.tel.restoreWorkers(snap.Workers)
 	events := 0
+	var running []restoring
 	for i := range snap.Jobs {
 		sj := &snap.Jobs[i]
-		if err := s.restoreJob(sj); err != nil {
-			return events, fmt.Errorf("service: snapshot job %s (%s): %w", sj.ID, sj.Algorithm, err)
+		j, err := s.restoreShell(sj)
+		if err != nil {
+			return events, sj.wrap(err)
 		}
 		events += sj.Ledger.len()
+		if j.state == api.JobRunning {
+			running = append(running, restoring{j: j, sj: sj})
+		}
 	}
 	// A legacy snapshot can list tenants the live process had already
 	// pruned; recovery must not resurrect them.
 	for name := range c.tenants {
 		c.prune(name)
 	}
-	return events, nil
+	return events, s.restoreRunning(running, dir)
 }
 
-// restoreJob materializes one checkpoint entry: a completed job as its
-// summary, a running job as a shell whose ledger replays through apply.
-// The events are not fresh — the job keeps the ledger it came with, and
-// the checkpoint's telemetry already folded them.
-func (s *Service) restoreJob(sj *snapJob) error {
+// wrap names the checkpoint entry an error came from.
+func (sj *snapJob) wrap(err error) error {
+	return fmt.Errorf("service: snapshot job %s (%s): %w", sj.ID, sj.Algorithm, err)
+}
+
+// restoring is one running job between the two phases of restore: its
+// shell is resident, its scheduler not yet rebuilt. err is what the second
+// phase made of it.
+type restoring struct {
+	j   *job
+	sj  *snapJob
+	err error
+}
+
+// restoreShell materializes one checkpoint entry as far as anything outside
+// the job can see it: a completed job whole, as its summary; a running job
+// as a shell on its shard, in the submission index and in the arbiter. A
+// running job keeps the ledger it came with — its events are not fresh.
+func (s *Service) restoreShell(sj *snapJob) (*job, error) {
 	if sj.State != api.JobRunning && sj.State != api.JobCompleted {
-		return fmt.Errorf("in state %q", sj.State)
+		return nil, fmt.Errorf("in state %q", sj.State)
 	}
 	j := s.newJob(&record{
 		Job: sj.ID, Name: sj.Name, Algorithm: sj.Algorithm, Seed: sj.Seed,
@@ -192,28 +255,77 @@ func (s *Service) restoreJob(sj *snapJob) error {
 		j.finished = time.UnixMilli(sj.Finished)
 	}
 	if sj.State == api.JobCompleted {
+		if sj.Ledger.len() > 0 {
+			return nil, fmt.Errorf("completed but carries a %d-event ledger", sj.Ledger.len())
+		}
 		j.dispatched, j.completed, j.failed = sj.Dispatched, sj.Completed, sj.Failed
 		j.cancelled, j.expired, j.transfers = sj.Cancelled, sj.Expired, sj.Transfers
 		j.speculated = sj.Speculated
-	} else {
-		if sj.Workload == nil {
-			return fmt.Errorf("running but has no workload")
-		}
-		if err := s.rebuild(j, sj.Workload); err != nil {
-			return err
-		}
-		if s.pst != nil {
-			j.ledger = sj.Ledger
-		}
+	} else if s.pst != nil {
+		j.ledger = sj.Ledger
 	}
 	s.coord.mu.Lock()
 	s.addJobLocked(j, sj.Fair)
 	s.coord.mu.Unlock()
 	s.bumpSeqFromID(j.id)
-	// Completion mid-replay releases j.ledger; the events still to come
-	// (ends of cancelled replicas) replay from the snapshot's own header.
+	return j, nil
+}
+
+// restoreRunning is restore's second phase: every running job's rebuild
+// and ledger replay, on min(GOMAXPROCS, jobs) goroutines that take the
+// jobs longest ledger first, so the last goroutine to finish was not
+// handed the biggest job last. Every job is attempted whatever happens to
+// the others, and the error reported is the one earliest in the manifest:
+// the same one however the jobs were interleaved.
+func (s *Service) restoreRunning(running []restoring, dir string) error {
+	order := make([]*restoring, len(running))
+	for i := range running {
+		order[i] = &running[i]
+	}
+	sort.SliceStable(order, func(a, b int) bool {
+		return len(order[a].sj.Ledger) > len(order[b].sj.Ledger)
+	})
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for g := min(runtime.GOMAXPROCS(0), len(order)); g > 0; g-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var st staging
+			for n := next.Add(1) - 1; n < int64(len(order)); n = next.Add(1) - 1 {
+				r := order[n]
+				r.err = s.restoreRunningJob(&st, dir, r.j, r.sj)
+			}
+		}()
+	}
+	wg.Wait()
+	for i := range running {
+		if r := &running[i]; r.err != nil {
+			return r.sj.wrap(r.err)
+		}
+	}
+	return nil
+}
+
+// restoreRunningJob is everything about restoring a running job that
+// touches only the job: its workload, its scheduler and stores, and its
+// checkpointed ledger through replay.
+func (s *Service) restoreRunningJob(st *staging, dir string, j *job, sj *snapJob) error {
+	w := sj.Workload
+	if w == nil {
+		if dir == "" {
+			return fmt.Errorf("running but has no workload")
+		}
+		var err error
+		if w, err = loadWorkload(dir, sj); err != nil {
+			return err
+		}
+	}
+	if err := s.rebuild(j, w); err != nil {
+		return err
+	}
 	for i, n := 0, sj.Ledger.len(); i < n; i++ {
-		if err := s.replay(j, sj.Ledger.at(i), false); err != nil {
+		if err := s.replay(st, j, sj.Ledger.at(i), false); err != nil {
 			return fmt.Errorf("ledger event %d/%d: %w", i, n, err)
 		}
 	}
@@ -325,7 +437,7 @@ func (s *Service) applyRecord(rec *record) error {
 		case rec.Op == opReport:
 			e.Op = ledgerFailure
 		}
-		if err := s.replay(j, e, true); err != nil {
+		if err := s.replay(&s.shardOf(j.id).stage, j, e, true); err != nil {
 			return fmt.Errorf("service: replay job %s (%s): %w", j.id, j.algorithm, err)
 		}
 	default:
@@ -339,9 +451,15 @@ func (s *Service) applyRecord(rec *record) error {
 // with them; then the recorded decision is forced on the scheduler —
 // ReplayAssign in place of NextFor, nothing for a twin, which was granted
 // above the scheduler — and the event takes the live path's apply.
-func (s *Service) replay(j *job, e ledgerRec, fresh bool) error {
+//
+// An event that is not fresh comes from the checkpointed ledger of a job
+// the checkpoint lists as running, so it cannot be the one that completes
+// the job; one that would is refused before apply reaches completeJob —
+// the only step of apply that leaves the job, which restore's concurrent
+// phase relies on never happening.
+func (s *Service) replay(st *staging, j *job, e ledgerRec, fresh bool) error {
+	ref := core.WorkerRef{Site: int(e.Site), Worker: int(e.Worker)}
 	if e.Op == ledgerDispatch || e.Op == ledgerSpecDispatch {
-		ref := core.WorkerRef{Site: int(e.Site), Worker: int(e.Worker)}
 		if int(e.Task) < 0 || int(e.Task) >= j.tasks {
 			return fmt.Errorf("dispatch of unknown task %d", e.Task)
 		}
@@ -354,7 +472,12 @@ func (s *Service) replay(j *job, e ledgerRec, fresh bool) error {
 			}
 		}
 	}
-	_, err := s.apply(s.shardOf(j.id), j, e, fresh)
+	if !fresh && e.Op == ledgerSuccess && j.remaining() == 1 {
+		if x := j.find(e.Task, ref); x != nil && !x.cancelled {
+			return fmt.Errorf("success of task %d completes a job the checkpoint lists as running", e.Task)
+		}
+	}
+	_, err := s.apply(st, j, e, fresh)
 	return err
 }
 
@@ -464,8 +587,9 @@ func idNum(id string) int64 {
 // bumpSeqFromID raises the id sequence above a recovered "j<n>"/"a<n>" id
 // so freshly minted ids never collide with journaled ones. (Worker ids
 // carry a per-process nonce instead: registrations are not journaled, so
-// their ids cannot be recovered this way.) Recovery is single-threaded,
-// so the load/store pair cannot race.
+// their ids cannot be recovered this way.) Only recovery's serial steps
+// call it — a job's shell, a tail record — never a running job's
+// concurrent rebuild, so the load/store pair cannot race.
 func (s *Service) bumpSeqFromID(id string) {
 	if n := idNum(id); n > s.seq.Load() {
 		s.seq.Store(n)

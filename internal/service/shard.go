@@ -34,8 +34,16 @@ type shard struct {
 	// keyed by assignment id. (An assignment lives on its job's shard, not
 	// on a shard derived from its own id.)
 	assignments map[string]*assignment
-	// Staging scratch reused across dispatches (guarded by mu; consumed
-	// synchronously by NoteBatch before the next dispatch can run).
+	// stage is the staging scratch of every apply on this stripe's jobs
+	// once the service is live (guarded by mu).
+	stage staging
+}
+
+// staging is the scratch one apply stages a dispatch's files through:
+// CommitBatchInto fills the two lists and NoteBatch consumes them before
+// apply returns, so one pair serves any number of applies that cannot
+// overlap — a stripe's under its mutex, a restore goroutine's in turn.
+type staging struct {
 	fetchBuf, evictBuf []workload.FileID
 }
 
@@ -75,7 +83,7 @@ func (s *Service) unlockAll() {
 // mustApply is apply on the live paths, where the event was just decided
 // against this very table: an error is a broken invariant, not bad input.
 func (s *Service) mustApply(sh *shard, j *job, e ledgerRec, fresh bool) applied {
-	res, err := s.apply(sh, j, e, fresh)
+	res, err := s.apply(&sh.stage, j, e, fresh)
 	if err != nil {
 		panicf("service: job %s: %v", j.id, err)
 	}

@@ -39,6 +39,10 @@ func (w *Workload) Validate() error {
 	if w.NumFiles <= 0 {
 		return fmt.Errorf("workload %q: NumFiles = %d", w.Name, w.NumFiles)
 	}
+	// lastTask[f] is one more than the last task seen referencing f, so one
+	// array serves every task's duplicate check: a file is a duplicate when
+	// its stamp is already the current task's.
+	lastTask := make([]int32, w.NumFiles)
 	for i, t := range w.Tasks {
 		if t.ID != TaskID(i) {
 			return fmt.Errorf("workload %q: task %d has id %d", w.Name, i, t.ID)
@@ -46,15 +50,15 @@ func (w *Workload) Validate() error {
 		if len(t.Files) == 0 {
 			return fmt.Errorf("workload %q: task %d has no files", w.Name, i)
 		}
-		seen := make(map[FileID]struct{}, len(t.Files))
+		stamp := int32(i) + 1
 		for _, f := range t.Files {
 			if f < 0 || int(f) >= w.NumFiles {
 				return fmt.Errorf("workload %q: task %d references file %d outside [0,%d)", w.Name, i, f, w.NumFiles)
 			}
-			if _, dup := seen[f]; dup {
+			if lastTask[f] == stamp {
 				return fmt.Errorf("workload %q: task %d references file %d twice", w.Name, i, f)
 			}
-			seen[f] = struct{}{}
+			lastTask[f] = stamp
 		}
 	}
 	return nil

@@ -30,27 +30,56 @@ func TestComputeStatsBasics(t *testing.T) {
 }
 
 func TestValidateCatchesCorruption(t *testing.T) {
+	// Task 1 shares file 2 with task 0: a file seen in an earlier task is
+	// not a duplicate within this one.
 	good := func() *Workload {
 		return &Workload{
 			Name:     "w",
 			NumFiles: 3,
-			Tasks:    []Task{{ID: 0, Files: []FileID{0, 2}}},
+			Tasks:    []Task{{ID: 0, Files: []FileID{0, 2}}, {ID: 1, Files: []FileID{2, 1}}},
 		}
 	}
-	cases := map[string]func(*Workload){
-		"zero files":        func(w *Workload) { w.NumFiles = 0 },
-		"wrong task id":     func(w *Workload) { w.Tasks[0].ID = 5 },
-		"empty file list":   func(w *Workload) { w.Tasks[0].Files = nil },
-		"file out of range": func(w *Workload) { w.Tasks[0].Files = []FileID{7} },
-		"negative file":     func(w *Workload) { w.Tasks[0].Files = []FileID{-1} },
-		"duplicate file":    func(w *Workload) { w.Tasks[0].Files = []FileID{1, 1} },
+	if err := good().Validate(); err != nil {
+		t.Fatalf("Validate rejected a sound workload: %v", err)
 	}
-	for name, corrupt := range cases {
+	cases := map[string]struct {
+		corrupt func(*Workload)
+		want    string
+	}{
+		"zero files":         {func(w *Workload) { w.NumFiles = 0 }, `workload "w": NumFiles = 0`},
+		"wrong task id":      {func(w *Workload) { w.Tasks[0].ID = 5 }, `workload "w": task 0 has id 5`},
+		"empty file list":    {func(w *Workload) { w.Tasks[0].Files = nil }, `workload "w": task 0 has no files`},
+		"file out of range":  {func(w *Workload) { w.Tasks[0].Files = []FileID{7} }, `workload "w": task 0 references file 7 outside [0,3)`},
+		"negative file":      {func(w *Workload) { w.Tasks[0].Files = []FileID{-1} }, `workload "w": task 0 references file -1 outside [0,3)`},
+		"duplicate file":     {func(w *Workload) { w.Tasks[0].Files = []FileID{1, 1} }, `workload "w": task 0 references file 1 twice`},
+		"duplicate, later":   {func(w *Workload) { w.Tasks[1].Files = []FileID{2, 0, 2} }, `workload "w": task 1 references file 2 twice`},
+		"range before twice": {func(w *Workload) { w.Tasks[1].Files = []FileID{1, 9, 1} }, `workload "w": task 1 references file 9 outside [0,3)`},
+	}
+	for name, tc := range cases {
 		w := good()
-		corrupt(w)
-		if err := w.Validate(); err == nil {
-			t.Errorf("%s: Validate accepted corrupt workload", name)
+		tc.corrupt(w)
+		if err := w.Validate(); err == nil || err.Error() != tc.want {
+			t.Errorf("%s: Validate = %v, want %q", name, err, tc.want)
 		}
+	}
+}
+
+// TestValidateAllocations: the duplicate check is one array over NumFiles,
+// not a map per task — Validate runs on every submit and once per resident
+// job in every recovery.
+func TestValidateAllocations(t *testing.T) {
+	cfg := CoaddSmallConfig(DefaultCoaddSeed)
+	cfg.Tasks = 600
+	w, err := GenerateCoadd(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if allocs := testing.AllocsPerRun(5, func() {
+		if err := w.Validate(); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs > 1 {
+		t.Fatalf("Validate of a %d-task workload allocates %.0f times, want at most 1", len(w.Tasks), allocs)
 	}
 }
 
