@@ -305,19 +305,18 @@ func newSiteMirror(idx *fileIndex, tasks int) *siteMirror {
 }
 
 // noteBatch applies one committed batch: evictions leave, fetched files
-// arrive, and every batch file gains one reference.
-//
-// When ix is non-nil (the mirror backs a WorkerCentric site index), every
-// per-task delta is routed through the index so its weight-class structures
-// stay in lock-step with overlap/refSum; with a nil ix the arrays are
-// updated directly (StorageAffinity and the test-only naive reference).
+// arrive, and every batch file gains one reference. The arrays are updated
+// in place — StorageAffinity and the test-only naive reference read them
+// directly. A mirror that backs a WorkerCentric site index is updated
+// through siteIndex.noteBatch instead, which keeps the index's weight
+// classes in step.
 //
 // Redundant events — a fetch of an already-resident file, an eviction of an
 // absent one — are ignored, which keeps the invariant 0 <= overlap[t] <=
 // |files(t)| even for callers that do not track residency themselves. (The
 // engines never send them: fetched/evicted come from storage.Store, which
 // reports only actual insertions and evictions.)
-func (m *siteMirror) noteBatch(batch, fetched, evicted []workload.FileID, ix *siteIndex) {
+func (m *siteMirror) noteBatch(batch, fetched, evicted []workload.FileID) {
 	for _, f := range evicted {
 		if !m.resident[f] {
 			continue
@@ -325,17 +324,12 @@ func (m *siteMirror) noteBatch(batch, fetched, evicted []workload.FileID, ix *si
 		m.resident[f] = false
 		r := int64(m.refs[f])
 		tasks := m.idx.byFile[f]
-		switch {
-		case ix != nil:
-			for _, t := range tasks {
-				ix.overlapDelta(t, -1, -r)
-			}
-		case m.trackRefs:
+		if m.trackRefs {
 			for _, t := range tasks {
 				m.overlap[t]--
 				m.refSum[t] -= r
 			}
-		default:
+		} else {
 			for _, t := range tasks {
 				m.overlap[t]--
 			}
@@ -348,42 +342,24 @@ func (m *siteMirror) noteBatch(batch, fetched, evicted []workload.FileID, ix *si
 		m.resident[f] = true
 		r := int64(m.refs[f])
 		tasks := m.idx.byFile[f]
-		switch {
-		case ix != nil:
-			for _, t := range tasks {
-				ix.overlapDelta(t, 1, r)
-			}
-		case m.trackRefs:
+		if m.trackRefs {
 			for _, t := range tasks {
 				m.overlap[t]++
 				m.refSum[t] += r
 			}
-		default:
+		} else {
 			for _, t := range tasks {
 				m.overlap[t]++
 			}
 		}
 	}
-	if !m.trackRefs {
-		for _, f := range batch {
-			m.refs[f]++
-		}
-		return
-	}
 	for _, f := range batch {
 		m.refs[f]++
-		if !m.resident[f] {
+		if !m.trackRefs || !m.resident[f] {
 			continue
 		}
-		tasks := m.idx.byFile[f]
-		if ix != nil {
-			for _, t := range tasks {
-				ix.refDelta(t)
-			}
-		} else {
-			for _, t := range tasks {
-				m.refSum[t]++
-			}
+		for _, t := range m.idx.byFile[f] {
+			m.refSum[t]++
 		}
 	}
 }

@@ -73,7 +73,7 @@ func (s *naiveWorkerCentric) AttachSite(site int) {
 }
 
 func (s *naiveWorkerCentric) NoteBatch(site int, batch, fetched, evicted []workload.FileID) {
-	s.mirrors[site].noteBatch(batch, fetched, evicted, nil)
+	s.mirrors[site].noteBatch(batch, fetched, evicted)
 }
 
 func (s *naiveWorkerCentric) Remaining() int { return s.remaining }
@@ -328,6 +328,7 @@ func goldenDriver(t *testing.T, w *workload.Workload, cfg WorkerCentricConfig, s
 			}
 			opt.NoteBatch(site, to.Files, fetched, evicted)
 			ref.NoteBatch(site, tr.Files, fetched, evicted)
+			checkIndexInvariants(t, opt)
 			optClock[site] += float64(len(optMissing)) + float64(len(to.Files))*0.25
 			refClock[site] += float64(len(refMissing)) + float64(len(tr.Files))*0.25
 			optMakespan = math.Max(optMakespan, optClock[site])

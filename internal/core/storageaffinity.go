@@ -124,7 +124,7 @@ func (s *StorageAffinity) NoteBatch(site int, batch, fetched, evicted []workload
 	if !ok {
 		panic(fmt.Sprintf("core: NoteBatch for unattached site %d", site))
 	}
-	m.noteBatch(batch, fetched, evicted, nil)
+	m.noteBatch(batch, fetched, evicted)
 }
 
 // Remaining implements Scheduler.
@@ -194,7 +194,7 @@ func (s *StorageAffinity) initialAssign() error {
 		if err != nil {
 			return fmt.Errorf("core: virtual storage: %w", err)
 		}
-		mirrors[site].noteBatch(t.Files, fetched, evicted, nil)
+		mirrors[site].noteBatch(t.Files, fetched, evicted)
 		// Round-robin across the site's workers (queues stay balanced in
 		// count; runtime imbalance is what replication later absorbs).
 		wq := nextWorker[site]

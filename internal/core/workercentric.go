@@ -69,6 +69,30 @@ type WorkerCentric struct {
 	top      []candidate
 	frontier []int32
 	picked   []workload.TaskID
+
+	// scratch of siteIndex.noteBatch, shared by every site's index and
+	// allocated by the first batch: one batch's net change per task, and
+	// the distinct tasks it touches. All zero between batches.
+	delta   []taskDelta
+	touched []workload.TaskID
+}
+
+// taskDelta is one task's net change over the batch being applied.
+type taskDelta struct {
+	refSum  int64 // read under the combined metrics only
+	overlap int32
+	touched bool // the task is in WorkerCentric.touched
+}
+
+// deltaOf returns t's entry in the batch's scratch, listing t as touched
+// the first time.
+func (s *WorkerCentric) deltaOf(t workload.TaskID) *taskDelta {
+	d := &s.delta[t]
+	if !d.touched {
+		d.touched = true
+		s.touched = append(s.touched, t)
+	}
+	return d
 }
 
 type candidate struct {
@@ -129,7 +153,7 @@ func (s *WorkerCentric) NoteBatch(site int, batch, fetched, evicted []workload.F
 	if !ok {
 		panic(fmt.Sprintf("core: NoteBatch for unattached site %d", site))
 	}
-	x.m.noteBatch(batch, fetched, evicted, x)
+	x.noteBatch(batch, fetched, evicted)
 }
 
 // Remaining implements Scheduler.
@@ -601,37 +625,90 @@ func (x *siteIndex) remove(t workload.TaskID) {
 	}
 }
 
-// overlapDelta applies a storage-content change to task t: overlap moves
-// by dOv and refSum by dRef. The class key always changes with overlap, so
-// a pending task is re-filed into its new class heap.
-func (x *siteIndex) overlapDelta(t workload.TaskID, dOv int32, dRef int64) {
-	pending := x.s.alive[t]
-	if pending {
-		x.remove(t)
+// noteBatch is siteMirror.noteBatch for a mirror that backs this index:
+// the same storage events, with the index's class structures kept in step
+// with overlap/refSum.
+//
+// A batch file fans out to every task that reads it, and one dispatched
+// task's files share most of their readers, so the same task is reached
+// many times per batch. The fan-out therefore only accumulates each task's
+// net (overlap, refSum) change in the scheduler's dense scratch; afterwards
+// every distinct touched task is fixed once — re-filed when its class
+// changed, sifted once when only its refSum did. Until a task's fix the
+// mirror arrays hold its old values, so every heap stays ordered by what
+// the arrays say throughout. Where a task ends up inside a heap depends on
+// the order of fixes; nothing observable does: topK reads heaps in the
+// exact (weight desc, id asc) order and totalRef is an exact integer.
+func (x *siteIndex) noteBatch(batch, fetched, evicted []workload.FileID) {
+	s, m := x.s, x.m
+	if s.delta == nil {
+		s.delta = make([]taskDelta, len(s.alive))
 	}
-	x.m.overlap[t] += dOv
-	x.m.refSum[t] += dRef
-	if pending {
-		x.add(t)
-	}
-}
-
-// refDelta applies a reference-count bump (+1) to task t's refSum. The
-// class key is unchanged; only combined-metric heaps rank by refSum, and a
-// larger refSum can only move the task up.
-func (x *siteIndex) refDelta(t workload.TaskID) {
-	x.m.refSum[t]++
-	if !x.s.alive[t] {
-		return
-	}
-	if x.needTotals {
-		x.totalRef++
-	}
-	if x.rankByRef {
-		if c := x.classKey(t); c != 0 {
-			x.siftUp(c, int(x.pos[t]))
+	for _, f := range evicted {
+		if !m.resident[f] {
+			continue
+		}
+		m.resident[f] = false
+		r := int64(m.refs[f])
+		for _, t := range m.idx.byFile[f] {
+			d := s.deltaOf(t)
+			d.overlap--
+			d.refSum -= r
 		}
 	}
+	for _, f := range fetched {
+		if m.resident[f] {
+			continue
+		}
+		m.resident[f] = true
+		r := int64(m.refs[f])
+		for _, t := range m.idx.byFile[f] {
+			d := s.deltaOf(t)
+			d.overlap++
+			d.refSum += r
+		}
+	}
+	for _, f := range batch {
+		m.refs[f]++
+		if !x.rankByRef || !m.resident[f] {
+			continue
+		}
+		for _, t := range m.idx.byFile[f] {
+			s.deltaOf(t).refSum++
+		}
+	}
+
+	for _, t := range s.touched {
+		dOv, dRef := s.delta[t].overlap, s.delta[t].refSum
+		s.delta[t] = taskDelta{}
+		if !x.rankByRef {
+			dRef = 0 // refSum is not maintained (siteMirror.trackRefs)
+		}
+		switch {
+		case !s.alive[t]:
+			m.overlap[t] += dOv
+			m.refSum[t] += dRef
+		case dOv != 0:
+			// The class key moves with overlap: re-file.
+			x.remove(t)
+			m.overlap[t] += dOv
+			m.refSum[t] += dRef
+			x.add(t)
+		case dRef != 0:
+			// Same class, new rank: a gained file and a lost one cancel in
+			// overlap but rarely in refSum, so it can sink as well as rise.
+			m.refSum[t] += dRef
+			x.totalRef += dRef
+			if c := x.classKey(t); c != 0 {
+				if i := int(x.pos[t]); dRef > 0 {
+					x.siftUp(c, i)
+				} else {
+					x.siftDown(c, i)
+				}
+			}
+		}
+	}
+	s.touched = s.touched[:0]
 }
 
 // siftUp restores the heap property upward from slot i of class c,

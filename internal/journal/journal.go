@@ -16,7 +16,9 @@
 // rotation (a snapshot records the LSN it covers; the log restarts empty
 // but the numbering continues), so a reader can skip records a snapshot
 // already covers. The payload is opaque to this package — the service
-// journals small JSON documents.
+// journals fixed-layout binary records, the workload of a submit in the
+// encoding workload-<job>.bin uses (internal/service/record.go has the
+// layout, docs/ARCHITECTURE.md the data-dir format).
 //
 // # Durability
 //
@@ -110,10 +112,11 @@ const (
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
-func frameCRC(lsn uint64, payload []byte) uint32 {
-	var l [8]byte
-	binary.LittleEndian.PutUint64(l[:], lsn)
-	return crc32.Update(crc32.Checksum(l[:], crcTable), crcTable, payload)
+// frameCRC checksums a frame's LSN bytes (as framed: little endian) and its
+// payload. The LSN comes as the caller's slice of the frame — a local
+// array would escape through the checksum call, one allocation per record.
+func frameCRC(lsn, payload []byte) uint32 {
+	return crc32.Update(crc32.Checksum(lsn, crcTable), crcTable, payload)
 }
 
 // ErrClosed is returned by operations on a closed (or crashed) writer.
@@ -162,10 +165,12 @@ type Writer struct {
 	// it moves: a rotation invalidates every byte offset they held.
 	rotations atomic.Uint64
 
-	// notify is closed and replaced after every successful append, so a
-	// tail-following reader can block for "new frames" without polling.
-	notifyMu sync.Mutex
-	notify   chan struct{}
+	// notify is closed and replaced by the first append after AppendNotify
+	// handed it out, so a tail-following reader can block for "new frames"
+	// without polling and an append nobody follows allocates nothing.
+	notifyMu      sync.Mutex
+	notify        chan struct{}
+	notifyAwaited bool // notify was handed out since it was last replaced
 
 	wake chan struct{}
 	stop chan struct{}
@@ -283,8 +288,8 @@ func (w *Writer) AppendBatch(payloads [][]byte) (uint64, error) {
 	for i, p := range payloads {
 		lsn := first + uint64(i)
 		binary.LittleEndian.PutUint32(buf[off:off+4], uint32(len(p)))
-		binary.LittleEndian.PutUint32(buf[off+4:off+8], frameCRC(lsn, p))
 		binary.LittleEndian.PutUint64(buf[off+8:off+16], lsn)
+		binary.LittleEndian.PutUint32(buf[off+4:off+8], frameCRC(buf[off+8:off+16], p))
 		copy(buf[off+frameHeaderLen:], p)
 		off += frameHeaderLen + len(p)
 	}
@@ -305,8 +310,11 @@ func (w *Writer) AppendBatch(payloads [][]byte) (uint64, error) {
 // same lost-wakeup-free discipline as the service's long-poll hub).
 func (w *Writer) notifyAppend() {
 	w.notifyMu.Lock()
-	close(w.notify)
-	w.notify = make(chan struct{})
+	if w.notifyAwaited {
+		close(w.notify)
+		w.notify = make(chan struct{})
+		w.notifyAwaited = false
+	}
 	w.notifyMu.Unlock()
 }
 
@@ -316,6 +324,7 @@ func (w *Writer) notifyAppend() {
 func (w *Writer) AppendNotify() <-chan struct{} {
 	w.notifyMu.Lock()
 	ch := w.notify
+	w.notifyAwaited = true
 	w.notifyMu.Unlock()
 	return ch
 }
@@ -575,7 +584,7 @@ func ReadLog(path string, afterLSN uint64, fn func(lsn uint64, payload []byte) e
 			info.Torn = true
 			return info, nil
 		}
-		if frameCRC(lsn, payload) != crc {
+		if frameCRC(header[8:16], payload) != crc {
 			info.Torn = true
 			return info, nil
 		}

@@ -105,7 +105,7 @@ func (t *TailReader) readFrame() (uint64, []byte, error) {
 	if _, err := t.f.ReadAt(payload, t.off+frameHeaderLen); err != nil {
 		return 0, nil, t.tailErr(err)
 	}
-	if frameCRC(lsn, payload) != crc {
+	if frameCRC(header[8:16], payload) != crc {
 		return 0, nil, ErrNoFrame
 	}
 	t.off += frameHeaderLen + int64(length)

@@ -176,3 +176,35 @@ func TestAppendNotifyWakesWaiters(t *testing.T) {
 	}
 	wait(ch, "close")
 }
+
+// TestAppendWithoutFollowerAllocatesNothing: the notify channel is only
+// replaced once somebody took it, so a log nobody tails appends without
+// allocating — and one that is tailed still wakes every time.
+func TestAppendWithoutFollowerAllocatesNothing(t *testing.T) {
+	w, _ := openTailWriter(t)
+	payload := []byte("a record of ordinary size, nobody listening")
+	if _, err := w.Append(payload); err != nil { // sizes the frame buffer
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(200, func() {
+		if _, err := w.Append(payload); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Fatalf("Append allocates %v times per record with no follower", n)
+	}
+	for i := 0; i < 3; i++ {
+		ch := w.AppendNotify()
+		if again := w.AppendNotify(); again != ch {
+			t.Fatal("two subscriptions between appends got different channels")
+		}
+		if _, err := w.Append(payload); err != nil {
+			t.Fatal(err)
+		}
+		select {
+		case <-ch:
+		default:
+			t.Fatalf("round %d: append did not close the channel a follower held", i)
+		}
+	}
+}

@@ -336,8 +336,13 @@ func EncodeWorkload(w *workload.Workload) []byte {
 	// Coadd-shaped workloads run ~2.5 bytes per file reference; reserve
 	// from the task count so the common case grows the buffer a few times,
 	// not dozens.
-	bw := binWriter{b: make([]byte, 0, 64+len(w.Name)+256*len(w.Tasks))}
-	bw.b = append(bw.b, storedWorkloadHeader...)
+	return AppendWorkload(make([]byte, 0, 64+len(w.Name)+256*len(w.Tasks)), w)
+}
+
+// AppendWorkload appends EncodeWorkload's document to dst — for a caller
+// that stores it as the tail of a larger record.
+func AppendWorkload(dst []byte, w *workload.Workload) []byte {
+	bw := binWriter{b: append(dst, storedWorkloadHeader...)}
 	bw.workload(w)
 	return bw.b
 }

@@ -60,3 +60,13 @@ func (s *Service) AttachedForTest(workerID string) bool {
 	w := s.reg.workers[workerID]
 	return w != nil && w.attached != ""
 }
+
+// CheckpointDocumentForTest is the replication source's catch-up document
+// over a data dir, for a test that plays leader from files on disk.
+var CheckpointDocumentForTest = checkpointDocument
+
+// RecordOpForTest decodes one journal payload and names its op.
+func RecordOpForTest(payload []byte) (string, error) {
+	rec, err := decodeRecord(payload)
+	return rec.Op, err
+}

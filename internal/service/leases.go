@@ -274,6 +274,10 @@ func (s *Service) ReportBatch(workerID string, items []api.ReportItem) (*api.Rep
 	var maxLSN uint64
 	var failed error
 	wake := false
+	// One shard group's encoded records, back to back, and a view of each.
+	// (A view taken before recs outgrows its array keeps the old array, whose
+	// bytes nothing writes again.)
+	var recs []byte
 	var payloads [][]byte
 	for i := range work {
 		sh := work[i].sh
@@ -286,7 +290,7 @@ func (s *Service) ReportBatch(workerID string, items []api.ReportItem) (*api.Rep
 		// one contiguous append BEFORE applying anything: if the append fails
 		// the group is refused with every lease intact, and the worker's
 		// retry (or eventual lease expiry) keeps state and log agreeing.
-		payloads = payloads[:0]
+		recs, payloads = recs[:0], payloads[:0]
 		for k := range group {
 			g := &group[k]
 			if g.sh != sh {
@@ -294,15 +298,16 @@ func (s *Service) ReportBatch(workerID string, items []api.ReportItem) (*api.Rep
 			}
 			if sh.assignments[g.a.id] != g.a {
 				stale(i + k)
-			} else if rec := s.leaseRecord(sh, g.a, opReport, items[i+k].Outcome, now); rec != nil {
-				var p []byte
-				if p, failed = encodeRecord(rec); failed != nil {
-					break
+			} else if rec, ok := s.leaseRecord(sh, g.a, opReport, items[i+k].Outcome, now); ok {
+				if recs == nil {
+					recs = make([]byte, 0, len(group)*maxLeaseRecordLen)
 				}
-				payloads = append(payloads, p)
+				n := len(recs)
+				recs = rec.appendTo(recs)
+				payloads = append(payloads, recs[n:])
 			}
 		}
-		if failed == nil && len(payloads) > 0 {
+		if len(payloads) > 0 {
 			var first uint64
 			if first, failed = s.appendEncoded(payloads...); failed == nil {
 				maxLSN = max(maxLSN, first+uint64(len(payloads))-1)

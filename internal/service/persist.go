@@ -1,9 +1,10 @@
 package service
 
 import (
-	"encoding/json"
+	"errors"
 	"fmt"
 	"log"
+	"net/http"
 	"os"
 	"path/filepath"
 	"sort"
@@ -15,64 +16,6 @@ import (
 	"gridsched/internal/service/api"
 	"gridsched/internal/workload"
 )
-
-// Journal record ops. The write-ahead log records every externally visible
-// mutation — job submission, task dispatch, execution report, lease
-// expiry, job deletion — before it is acknowledged; everything else
-// (worker registration, lease renewals, long polls) is ephemeral and is
-// reconstructed as re-registration after a restart.
-const (
-	opSubmit   = "submit"
-	opDispatch = "dispatch"
-	opReport   = "report"
-	opExpire   = "expire"
-	opDelete   = "delete"
-	// opQuota records a per-tenant in-flight quota override (PUT
-	// /v1/tenants/{tenant}); quotas gate live dispatch, so they must
-	// survive restarts like every other externally visible setting.
-	opQuota = "quota"
-)
-
-// record is the JSON payload of one journal frame.
-type record struct {
-	Op string `json:"op"`
-	Ts int64  `json:"ts"` // unix milliseconds, for operators and recovered timestamps
-
-	Job string `json:"job,omitempty"`
-
-	// opSubmit
-	Name       string             `json:"name,omitempty"`
-	Algorithm  string             `json:"algorithm,omitempty"`
-	Seed       int64              `json:"seed,omitempty"`
-	Submission string             `json:"submission,omitempty"`
-	Workload   *workload.Workload `json:"workload,omitempty"`
-	// Tenant rides on opSubmit (the job's tenant, resolved) and opQuota
-	// (the tenant being configured). Weight is the job's resolved
-	// fair-share weight — journaled resolved so replay cannot be skewed by
-	// a changed server default; absent (0) in pre-fair-share journals and
-	// re-resolved against the default at replay. Quota is opQuota's new
-	// in-flight cap (0: revert to the server default).
-	Tenant string `json:"tenant,omitempty"`
-	Weight int    `json:"weight,omitempty"`
-	Quota  int    `json:"quota,omitempty"`
-
-	// Context-aware scheduling (opSubmit): required worker tags and the
-	// soft deadline (unix millis, 0 = none). Journaled with the submit so
-	// a recovered job enforces the same constraints.
-	Requires []string `json:"requires,omitempty"`
-	Deadline int64    `json:"deadline,omitempty"`
-
-	// opDispatch / opReport / opExpire
-	Task       workload.TaskID `json:"task,omitempty"`
-	Site       int             `json:"site,omitempty"`
-	Worker     int             `json:"worker,omitempty"`
-	Assignment string          `json:"assignment,omitempty"` // opDispatch: minted id, for seq recovery and debugging
-	Outcome    string          `json:"outcome,omitempty"`    // opReport
-	// Spec marks an opDispatch as a speculative twin grant: replayed
-	// without a scheduler NextFor and without a fair charge, exactly as
-	// it was granted (see stragglerForLocked / replay).
-	Spec bool `json:"spec,omitempty"`
-}
 
 // persistence is the journaling state of a Service with Config.DataDir
 // set. carry is guarded by the coordinator mutex; sinceSnapshot is
@@ -131,31 +74,27 @@ func (s *Service) walPath() string { return filepath.Join(s.pst.dir, walFile) }
 // always sits inside one critical section of a lock the snapshot path
 // acquires, so a snapshot can never claim (via LastLSN) to cover a record
 // whose effect it does not contain.
+//
+// Not for a submit: that one record is big enough that encoding it inside
+// the critical section would stall everyone else, so submitJob encodes
+// ahead and calls appendEncoded. Every other record is a few dozen bytes,
+// encoded here into a stack buffer.
 func (s *Service) appendRecord(rec *record) (uint64, error) {
-	payload, err := encodeRecord(rec)
-	if err != nil {
-		return 0, err
-	}
-	return s.appendEncoded(payload)
+	var buf [maxLeaseRecordLen]byte
+	return s.appendEncoded(rec.appendTo(buf[:0]))
 }
 
-func encodeRecord(rec *record) ([]byte, error) {
-	payload, err := json.Marshal(rec)
-	if err != nil {
-		return nil, errf(500, "service: journal encode: %v", err)
-	}
-	return payload, nil
-}
-
-// appendEncoded journals payloads encoded ahead of time — a submit, the
-// one record big enough that encoding it inside the critical section would
-// stall everyone else, or a batch of reports — as one contiguous WAL append
-// (consecutive LSNs, one write(2) — see commitStage.appendAll), returning
-// the first LSN. All-or-nothing: on error nothing was appended, so the
-// caller may abort without applying any of the group. Like appendRecord,
-// call while holding the lock that owns the records' WAL order.
+// appendEncoded journals payloads encoded ahead of time — a submit, or a
+// batch of reports — as one contiguous WAL append (consecutive LSNs, one
+// write(2) — see commitStage.appendAll), returning the first LSN.
+// All-or-nothing: on error nothing was appended, so the caller may abort
+// without applying any of the group. Like appendRecord, call while holding
+// the lock that owns the records' WAL order.
 func (s *Service) appendEncoded(payloads ...[]byte) (uint64, error) {
 	first, err := s.pst.stage.appendAll(payloads...)
+	if errors.Is(err, errRecordTooLarge) {
+		return 0, errf(http.StatusRequestEntityTooLarge, "service: %v", err)
+	}
 	if err != nil {
 		return 0, errf(503, "service: journal append: %v", err)
 	}

@@ -55,7 +55,6 @@
 package service
 
 import (
-	"encoding/json"
 	"fmt"
 	"os"
 	"runtime"
@@ -355,8 +354,8 @@ func (s *Service) rebuild(j *job, w *workload.Workload) error {
 // applyFrame decodes one journal frame and applies it (journal.ReadLog's
 // callback shape).
 func (s *Service) applyFrame(lsn uint64, payload []byte) error {
-	var rec record
-	if err := json.Unmarshal(payload, &rec); err != nil {
+	rec, err := decodeRecord(payload)
+	if err != nil {
 		return fmt.Errorf("service: journal record %d: %w", lsn, err)
 	}
 	return s.applyRecord(&rec)
@@ -414,29 +413,21 @@ func (s *Service) applyRecord(rec *record) error {
 			}
 			return nil
 		}
-		e := ledgerRec{Op: ledgerExpire, Task: rec.Task, Site: int32(rec.Site), Worker: int32(rec.Worker), Ts: rec.Ts}
-		switch {
-		case rec.Op == opDispatch:
+		if rec.Op == opDispatch {
 			s.bumpSeqFromID(rec.Assignment)
 			c.tenant(j.tenant).dispatches++
-			if rec.Spec {
-				// A speculative twin never charged the arbiter live; replay
-				// must not either.
-				e.Op = ledgerSpecDispatch
-				break
-			}
 			// Re-apply the fair-share charge in log order: tags and the
 			// virtual time floor end up bit-identical to the crashed
 			// process (the live path appends dispatch records in charge
 			// order, under the coordinator), so the recovered arbiter
-			// makes the same choices an uninterrupted one would have.
-			e.Op = ledgerDispatch
-			c.charge(j)
-		case rec.Op == opReport && rec.Outcome == api.OutcomeSuccess:
-			e.Op = ledgerSuccess
-		case rec.Op == opReport:
-			e.Op = ledgerFailure
+			// makes the same choices an uninterrupted one would have. A
+			// speculative twin never charged the arbiter live; replay must
+			// not either.
+			if !rec.Spec {
+				c.charge(j)
+			}
 		}
+		e := rec.event()
 		if err := s.replay(&s.shardOf(j.id).stage, j, e, true); err != nil {
 			return fmt.Errorf("service: replay job %s (%s): %w", j.id, j.algorithm, err)
 		}

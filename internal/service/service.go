@@ -774,15 +774,14 @@ func (s *Service) submitJob(req api.SubmitJobRequest, sched core.Scheduler) (str
 		return "", err
 	}
 	// Everything the record says is settled by now, so encode it before
-	// taking any lock: it carries the workload, and marshalling a
-	// 6,000-task one takes tens of milliseconds the shard and the
-	// coordinator — i.e. all dispatch — would otherwise sit out.
+	// taking any lock: it carries the workload, and encoding a 6,000-task
+	// one takes a millisecond or two the shard and the coordinator — i.e.
+	// all dispatch — would otherwise sit out.
 	var payload []byte
 	if s.pst != nil {
-		var err error
-		if payload, err = encodeRecord(rec); err != nil {
-			return "", err
-		}
+		// Sized as api.EncodeWorkload sizes its document, which is nearly
+		// all of the record.
+		payload = rec.appendTo(make([]byte, 0, 512+256*len(w.Tasks)))
 	}
 	sh := s.shardOf(j.id)
 	sh.mu.Lock()

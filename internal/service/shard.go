@@ -149,8 +149,8 @@ func (s *Service) endLeaseLocked(sh *shard, a *assignment, op uint8, now time.Ti
 // the requeued task only replays if the expiry that made it pending
 // replays first. Callers hold sh.mu and have verified the lease is live.
 func (s *Service) expireLeaseLocked(sh *shard, a *assignment, now time.Time) {
-	if rec := s.leaseRecord(sh, a, opExpire, "", now); rec != nil {
-		s.mustAppend(rec)
+	if rec, ok := s.leaseRecord(sh, a, opExpire, "", now); ok {
+		s.mustAppend(&rec)
 	}
 	s.endLeaseLocked(sh, a, ledgerExpire, now)
 	s.finishLease(a)
@@ -168,19 +168,19 @@ func (s *Service) expireLease(a *assignment, now time.Time) {
 }
 
 // leaseRecord builds the WAL record for the end of a lease (opReport with
-// its outcome, or opExpire), or nil when it must not be journaled. Journal
+// its outcome, or opExpire), or false when it must not be journaled. Journal
 // only while the job record is resident: a record naming a dropped job id
 // would be unreplayable after the next snapshot no longer carries the job
 // (recovery would refuse the data dir). Callers hold sh.mu.
-func (s *Service) leaseRecord(sh *shard, a *assignment, op, outcome string, now time.Time) *record {
+func (s *Service) leaseRecord(sh *shard, a *assignment, op, outcome string, now time.Time) (record, bool) {
 	if s.pst == nil || sh.jobs[a.job.id] != a.job {
-		return nil
+		return record{}, false
 	}
-	return &record{
+	return record{
 		Op: op, Ts: now.UnixMilli(), Job: a.job.id,
 		Task: a.x.task, Site: a.x.ref.Site, Worker: a.x.ref.Worker,
 		Outcome: outcome,
-	}
+	}, true
 }
 
 // finishLease is the single point where a lease ends (report, expiry,
