@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	gridbench                  # run everything, write BENCH_PR16.json
+//	gridbench                  # run everything, write BENCH_PR17.json
 //	gridbench -bench Figure    # filter by regexp
 //	gridbench -out bench.json  # choose the output file
 //	gridbench -baseline BENCH_PR8.json -max-regress 0.25
@@ -72,7 +72,7 @@ func main() {
 func run(args []string, stdout *os.File) error {
 	fs := flag.NewFlagSet("gridbench", flag.ContinueOnError)
 	var (
-		out      = fs.String("out", "BENCH_PR16.json", "output JSON file")
+		out      = fs.String("out", "BENCH_PR17.json", "output JSON file")
 		filter   = fs.String("bench", "", "regexp selecting benchmarks to run (default: all)")
 		baseline = fs.String("baseline", "", "baseline JSON to compare against (regression guard)")
 		maxReg   = fs.Float64("max-regress", 0.25, "with -baseline: fail when ns/op regresses by more than this fraction")

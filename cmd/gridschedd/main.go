@@ -289,9 +289,10 @@ func run(ctx context.Context, args []string, onReady func(addr string)) error {
 		}
 		if *dataDir != "" {
 			c := svc.Counters()
-			log.Printf("gridschedd: recovered %s in %s: %d records; %s (fsync=%s, snapshot every %d records)",
+			log.Printf("gridschedd: recovered %s in %s: %d records (%d events folded, %d re-asked); %s (fsync=%s, snapshot every %d records)",
 				*dataDir, time.Since(recoverStart).Round(time.Millisecond),
-				c.ReplayRecords.Load(), c.ReplayPhaseSummary(), mode, *snapshot)
+				c.ReplayRecords.Load(), c.ReplayFolded.Load(), c.ReplayReasked.Load(),
+				c.ReplayPhaseSummary(), mode, *snapshot)
 		}
 		closer := func() { svc.Close() }
 		closeApp.Store(&closer)

@@ -10,11 +10,7 @@
 // cannot diverge from the live one however the gate decided.
 package core
 
-import (
-	"fmt"
-
-	"gridsched/internal/workload"
-)
+import "gridsched/internal/workload"
 
 // WorkerContext is the observed runtime context of one worker slot, as
 // accumulated by the embedding engine (the gridschedd service folds it
@@ -136,19 +132,8 @@ func (c *ContextAware) Remaining() int { return c.inner.Remaining() }
 
 // ReplayAssign bypasses the context gate: recovery re-applies recorded
 // assignments, and the gate's verdict at record time is already baked into
-// which records exist. Inner schedulers that implement Replayer are
-// forwarded to; the rest are replayed by re-asking and verifying, exactly
-// as the service does for unwrapped schedulers.
+// which records exist. The inner scheduler is replayed as it would be
+// unwrapped.
 func (c *ContextAware) ReplayAssign(id workload.TaskID, at WorkerRef) error {
-	if r, ok := c.inner.(Replayer); ok {
-		return r.ReplayAssign(id, at)
-	}
-	task, status := c.inner.NextFor(at)
-	if status != Assigned {
-		return fmt.Errorf("core: context replay: scheduler returned status %d for task %d at %+v", status, id, at)
-	}
-	if task.ID != id {
-		return fmt.Errorf("core: context replay: scheduler assigned task %d, journal says %d", task.ID, id)
-	}
-	return nil
+	return ReplayAssign(c.inner, id, at)
 }

@@ -121,20 +121,26 @@ type Scheduler interface {
 	Remaining() int
 }
 
-// Replayer is optionally implemented by schedulers whose NextFor takes
-// decisions that a journal replay (internal/service recovery) cannot
-// reproduce by re-asking: ReplayAssign forces the state transition NextFor
+// Replayer is optionally implemented by schedulers that a journal replay
+// (internal/service recovery) drives with the recorded decision instead of
+// asking NextFor itself: ReplayAssign forces the state transition NextFor
 // performed when it assigned task id to the worker at ref.
 //
-// Schedulers that do not implement it are replayed by calling NextFor and
-// verifying the returned task — exact for WorkerCentric (whose NextFor
-// mutates state, including its RNG, only when it assigns, so replaying the
-// assignment sequence reproduces every random draw) and for Workqueue
-// (whose only off-assignment mutation, popping completed retry entries, is
-// order-insensitive). StorageAffinity implements Replayer because its
-// NextFor also advances per-worker queue cursors on calls that end in
-// Wait; those probe calls are not journaled, so a re-asked NextFor could
-// legally pick a different task than the recorded run did.
+// StorageAffinity needs it: its NextFor also advances per-worker queue
+// cursors on calls that end in Wait; those probe calls are not journaled,
+// so a re-asked NextFor could legally pick a different task than the
+// recorded run did. WorkerCentric does not need it for exactness — its
+// NextFor mutates state, including its RNG, only when it assigns, so
+// re-asking along the assignment sequence reproduces every random draw,
+// and outside a bulk replay its ReplayAssign is exactly that: NextFor, and
+// an error unless it decides what was recorded. It implements the
+// interface for BulkReplayer (replay.go), under which ReplayAssign commits
+// the recorded decision without deciding.
+//
+// Schedulers that do not implement it are replayed (by the ReplayAssign
+// function in replay.go) by calling NextFor and verifying the returned task
+// — exact for Workqueue, whose only off-assignment mutation, popping
+// completed retry entries, is order-insensitive.
 type Replayer interface {
 	ReplayAssign(id workload.TaskID, at WorkerRef) error
 }
@@ -360,6 +366,40 @@ func (m *siteMirror) noteBatch(batch, fetched, evicted []workload.FileID) {
 		}
 		for _, t := range m.idx.byFile[f] {
 			m.refSum[t]++
+		}
+	}
+}
+
+// noteResidency applies one committed batch to the resident set and the
+// reference counts alone, leaving overlap/refSum stale until recompute: what
+// a bulk replay (replay.go) does per batch instead of the per-task fan-out.
+func (m *siteMirror) noteResidency(batch, fetched, evicted []workload.FileID) {
+	for _, f := range evicted {
+		m.resident[f] = false
+	}
+	for _, f := range fetched {
+		m.resident[f] = true
+	}
+	for _, f := range batch {
+		m.refs[f]++
+	}
+}
+
+// recompute restores the mirror's invariants from the resident set and the
+// reference counts, in one pass over every task's files.
+func (m *siteMirror) recompute(w *workload.Workload) {
+	for id, t := range w.Tasks {
+		var overlap int32
+		var refSum int64
+		for _, f := range t.Files {
+			if m.resident[f] {
+				overlap++
+				refSum += int64(m.refs[f])
+			}
+		}
+		m.overlap[id] = overlap
+		if m.trackRefs {
+			m.refSum[id] = refSum
 		}
 	}
 }

@@ -265,15 +265,25 @@ func goldenDriver(t *testing.T, w *workload.Workload, cfg WorkerCentricConfig, s
 			maxFiles = len(task.Files)
 		}
 	}
-	stores := make([]*storage.Store, sites)
-	optClock := make([]float64, sites) // per-site virtual time, optimized view
-	refClock := make([]float64, sites) // same rule applied to the reference's tasks
+	// One site more than asked for: the last one gets no request until half
+	// the tasks have been assigned, so its index is built late, from a
+	// pending set that has already shrunk and been requeued into.
+	late := sites
+	stores := make([]*storage.Store, sites+1)
+	optClock := make([]float64, len(stores)) // per-site virtual time, optimized view
+	refClock := make([]float64, len(stores)) // same rule applied to the reference's tasks
 	for i := range stores {
 		st, err := storage.New(maxFiles*2, storage.LRU) // tight: heavy eviction churn
 		if err != nil {
 			t.Fatal(err)
 		}
 		stores[i] = st
+		opt.AttachSite(i)
+		ref.AttachSite(i)
+	}
+	// And sites nothing ever happens at, as a grid attaches all of its sites
+	// to a job that runs at a few: they must cost the decisions nothing.
+	for i := len(stores); i < len(stores)+3; i++ {
 		opt.AttachSite(i)
 		ref.AttachSite(i)
 	}
@@ -304,6 +314,9 @@ func goldenDriver(t *testing.T, w *workload.Workload, cfg WorkerCentricConfig, s
 
 	for opt.Remaining() > 0 || ref.Remaining() > 0 {
 		site := drv.Intn(sites)
+		if len(seq) >= len(w.Tasks)/2 && drv.Intn(3) == 0 {
+			site = late
+		}
 		at := WorkerRef{Site: site, Worker: 0}
 		to, so := opt.NextFor(at)
 		tr, sr := ref.NextFor(at)
@@ -355,6 +368,9 @@ func goldenDriver(t *testing.T, w *workload.Workload, cfg WorkerCentricConfig, s
 	if opt.Pending() != 0 || len(ref.pending) != 0 {
 		t.Fatalf("pending left over: optimized %d, reference %d", opt.Pending(), len(ref.pending))
 	}
+	if built := len(opt.indexList); built != len(stores) {
+		t.Fatalf("%d site indexes built, %d sites were used", built, len(stores))
+	}
 	return seq, optMakespan
 }
 
@@ -391,7 +407,7 @@ func TestGoldenEquivalenceWithNaiveScan(t *testing.T) {
 // zero-information draw depends on.
 func TestFenwickOrderStatistics(t *testing.T) {
 	var f fenwick
-	f.initOnes(10)
+	f.init([]bool{true, true, true, true, true, true, true, true, true, true})
 	for k := 0; k < 10; k++ {
 		if got := f.kth(k); got != workload.TaskID(k) {
 			t.Fatalf("kth(%d) = %d, want %d", k, got, k)

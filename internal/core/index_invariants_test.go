@@ -10,9 +10,10 @@ import (
 )
 
 // checkIndexInvariants recomputes from first principles everything a
-// WorkerCentric maintains incrementally — each mirror's overlap/refSum from
-// its resident set, each index's class structures from the pending set —
-// and fails the test on the first disagreement. White-box on purpose: the
+// WorkerCentric maintains incrementally — the order tree from the pending
+// set, each built site's overlap/refSum from its resident set and its class
+// structures from the pending set — and fails the test on the first
+// disagreement. White-box on purpose: the
 // decisions only read the top of each class, so a misfiled task deep in a
 // heap would otherwise surface many requests later, or never.
 func checkIndexInvariants(t testing.TB, s *WorkerCentric) {
@@ -25,7 +26,26 @@ func checkIndexInvariants(t testing.TB, s *WorkerCentric) {
 			t.Fatalf("task %d: scratch %+v left over between batches", id, d)
 		}
 	}
+	// The order tree, against the pending flags.
+	pending := 0
+	for id, alive := range s.alive {
+		if !alive {
+			continue
+		}
+		if got := s.order.kth(pending); int(got) != id {
+			t.Fatalf("order tree: pending task #%d is %d, alive says %d", pending, got, id)
+		}
+		pending++
+	}
+	if pending != s.pendingN {
+		t.Fatalf("%d tasks alive, pendingN = %d", pending, s.pendingN)
+	}
+	built := 0
 	for site, x := range s.indexes {
+		if x == nil {
+			continue // attached, never used: nothing is maintained for it yet
+		}
+		built++
 		m := x.m
 		where := func(id int) string { return fmt.Sprintf("site %d task %d", site, id) }
 
@@ -114,6 +134,9 @@ func checkIndexInvariants(t testing.TB, s *WorkerCentric) {
 			}
 		}
 	}
+	if built != len(s.indexList) {
+		t.Fatalf("%d sites built, %d on the index list", built, len(s.indexList))
+	}
 }
 
 // TestNoteBatchCoalescingMatchesNaive drives the indexed scheduler and the
@@ -182,7 +205,7 @@ func TestNoteBatchCoalescingMatchesNaive(t *testing.T) {
 					for i := 0; i < 3; i++ {
 						note(0, []workload.FileID{a}, nil, nil)
 					}
-					m := opt.mirrors[0]
+					m := opt.indexes[0].m
 					before := [2]int64{int64(m.overlap[0]), m.refSum[0]}
 					note(0, nil, []workload.FileID{b}, []workload.FileID{a})
 					if int64(m.overlap[0]) != before[0] || (m.trackRefs && m.refSum[0] >= before[1]) {

@@ -49,6 +49,7 @@ type WorkerCentric struct {
 	w   *workload.Workload
 	idx *fileIndex
 	rng *rand.Rand
+	src *countingSource // what rng draws from
 
 	alive     []bool // pending membership by task id
 	completed []bool
@@ -56,13 +57,24 @@ type WorkerCentric struct {
 	pendingN  int     // number of pending tasks
 	order     fenwick // order statistics over pending task ids
 
-	mirrors map[int]*siteMirror
+	// indexes holds every attached site; the value stays nil until the
+	// site first matters (siteFor): a site no batch was committed at and no
+	// worker asked from has no resident files, so the index built then,
+	// from whatever is pending by then, is the one an eager build would
+	// have maintained. A grid attaches every site to every job and a job
+	// mostly runs at a few.
 	indexes map[int]*siteIndex
-	// indexList mirrors indexes for allocation-free iteration. Iteration
-	// order does not matter: per-site index updates touch no shared
-	// floating-point state (class counts and reference totals are exact
-	// integers), so removals/insertions commute.
+	// indexList is the built indexes, for allocation-free iteration.
+	// Iteration order does not matter: per-site index updates touch no
+	// shared floating-point state (class counts and reference totals are
+	// exact integers), so removals/insertions commute.
 	indexList []*siteIndex
+
+	// replaying is set between BeginReplay and EndReplay (replay.go), while
+	// only alive, completed, the counts and each mirror's resident/refs are
+	// kept; replayed counts the assignments folded so far.
+	replaying bool
+	replayed  uint64
 
 	// scratch reused across requests
 	cand     []candidate
@@ -107,22 +119,23 @@ func NewWorkerCentric(w *workload.Workload, cfg WorkerCentricConfig) (*WorkerCen
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
+	src := &countingSource{src: rand.NewSource(cfg.Seed)}
 	s := &WorkerCentric{
 		cfg:       cfg,
 		w:         w,
 		idx:       indexFor(w),
-		rng:       rand.New(rand.NewSource(cfg.Seed)),
+		rng:       rand.New(src),
+		src:       src,
 		alive:     make([]bool, len(w.Tasks)),
 		completed: make([]bool, len(w.Tasks)),
 		remaining: len(w.Tasks),
 		pendingN:  len(w.Tasks),
-		mirrors:   make(map[int]*siteMirror),
 		indexes:   make(map[int]*siteIndex),
 	}
 	for i := range s.alive {
 		s.alive[i] = true
 	}
-	s.order.initOnes(len(w.Tasks))
+	s.order.init(s.alive)
 	return s, nil
 }
 
@@ -135,23 +148,39 @@ func (s *WorkerCentric) Name() string {
 	return fmt.Sprintf("%s.%d", s.cfg.Metric, s.cfg.ChooseN)
 }
 
-// AttachSite implements Scheduler.
+// AttachSite implements Scheduler. It only registers the site; siteFor
+// builds its mirror and index when something first happens there.
 func (s *WorkerCentric) AttachSite(site int) {
-	if _, ok := s.mirrors[site]; !ok {
-		m := newSiteMirror(s.idx, len(s.w.Tasks))
-		x := newSiteIndex(s, m)
-		m.trackRefs = x.rankByRef // refSum is read by the combined metrics only
-		s.mirrors[site] = m
+	if _, ok := s.indexes[site]; !ok {
+		s.indexes[site] = nil
+	}
+}
+
+// siteFor returns the attached site's index, building it on first use from
+// an empty mirror and the current pending set. During a bulk replay the new
+// index is left unfiled: EndReplay files every built index anyway.
+func (s *WorkerCentric) siteFor(site int, op string) *siteIndex {
+	x, ok := s.indexes[site]
+	if !ok {
+		panic(fmt.Sprintf("core: %s for unattached site %d", op, site))
+	}
+	if x == nil {
+		x = newSiteIndex(s)
+		if !s.replaying {
+			x.rebuild()
+		}
 		s.indexes[site] = x
 		s.indexList = append(s.indexList, x)
 	}
+	return x
 }
 
 // NoteBatch implements Scheduler.
 func (s *WorkerCentric) NoteBatch(site int, batch, fetched, evicted []workload.FileID) {
-	x, ok := s.indexes[site]
-	if !ok {
-		panic(fmt.Sprintf("core: NoteBatch for unattached site %d", site))
+	x := s.siteFor(site, "NoteBatch")
+	if s.replaying {
+		x.m.noteResidency(batch, fetched, evicted)
+		return
 	}
 	x.noteBatch(batch, fetched, evicted)
 }
@@ -170,11 +199,10 @@ func (s *WorkerCentric) NextFor(at WorkerRef) (workload.Task, Status) {
 		// with no pending tasks is finished for good.
 		return workload.Task{}, Done
 	}
-	x, ok := s.indexes[at.Site]
-	if !ok {
-		panic(fmt.Sprintf("core: NextFor for unattached site %d", at.Site))
+	if s.replaying {
+		panic("core: NextFor during a bulk replay")
 	}
-	id := s.chooseTask(x)
+	id := s.chooseTask(s.siteFor(at.Site, "NextFor"))
 	s.removePending(id)
 	return s.w.Tasks[id], Assigned
 }
@@ -344,7 +372,7 @@ func norm(v, total float64) float64 {
 }
 
 // removePending drops id from the pending set: O(log tasks) for the
-// order-statistics tree plus one heap removal per attached site.
+// order-statistics tree plus one heap removal per built site.
 func (s *WorkerCentric) removePending(id workload.TaskID) {
 	if !s.alive[id] {
 		panic(fmt.Sprintf("core: task %d assigned twice", id))
@@ -375,6 +403,9 @@ func (s *WorkerCentric) OnExecutionFailed(id workload.TaskID, at WorkerRef) {
 	}
 	s.alive[id] = true
 	s.pendingN++
+	if s.replaying {
+		return // EndReplay files it
+	}
 	s.order.add(int(id), 1)
 	for _, x := range s.indexList {
 		x.add(id)
@@ -445,11 +476,13 @@ type siteIndex struct {
 	totalRef   int64
 }
 
-func newSiteIndex(s *WorkerCentric, m *siteMirror) *siteIndex {
+// newSiteIndex returns an index over a fresh mirror with nothing filed yet;
+// rebuild files the pending set.
+func newSiteIndex(s *WorkerCentric) *siteIndex {
 	classes := s.idx.maxFiles + 1
 	x := &siteIndex{
 		s:            s,
-		m:            m,
+		m:            newSiteMirror(s.idx, len(s.w.Tasks)),
 		heaps:        make([][]workload.TaskID, classes),
 		sets:         make([][]uint64, classes),
 		counts:       make([]int32, classes),
@@ -459,18 +492,59 @@ func newSiteIndex(s *WorkerCentric, m *siteMirror) *siteIndex {
 		rankByRef:    s.cfg.Metric == MetricCombined || s.cfg.Metric == MetricCombinedLiteral,
 	}
 	x.needTotals = x.rankByRef
-	for i := range x.pos {
-		x.pos[i] = -1
+	x.m.trackRefs = x.rankByRef // refSum is read by the combined metrics only
+	return x
+}
+
+// rebuild files the pending set into the classes from scratch, by what the
+// mirror's arrays say now (invariants 1-3): every class emptied, every
+// pending task appended to its class in ascending id, every heap class
+// heapified once. Over a fresh mirror the append order is already a heap
+// under every comparator (overlaps and refSums are all zero), so a site's
+// first build pays no sift.
+func (x *siteIndex) rebuild() {
+	for c := range x.heaps {
+		x.heaps[c] = x.heaps[c][:0]
+		clear(x.sets[c])
 	}
-	// Fresh mirrors have overlap 0 everywhere, so tasks land in class 0
-	// (overlap key) or class |files| (missing key); ascending-id append is
-	// already a valid heap for every comparator when refSums are all zero.
-	for t := range s.alive {
-		if s.alive[t] {
-			x.add(workload.TaskID(t))
+	clear(x.counts)
+	clear(x.bits)
+	x.totalRef = 0
+	for t, pending := range x.s.alive {
+		x.pos[t] = -1
+		if !pending {
+			continue
+		}
+		t := workload.TaskID(t)
+		c := x.classKey(t)
+		if x.usesHeap(c) {
+			x.pos[t] = int32(len(x.heaps[c]))
+			x.heaps[c] = append(x.heaps[c], t)
+		} else {
+			x.setBit(c, t)
+			x.counts[c]++
+		}
+		x.bits[c/64] |= uint64(1) << uint(c%64)
+		if x.needTotals {
+			x.totalRef += x.m.refSum[t]
 		}
 	}
-	return x
+	for c, h := range x.heaps {
+		for i := len(h)/2 - 1; i >= 0; i-- {
+			x.siftDown(c, i)
+		}
+	}
+}
+
+// setBit marks t a member of id-ordered class c, allocating the class's
+// bitset on first use.
+func (x *siteIndex) setBit(c int, t workload.TaskID) {
+	w := x.sets[c]
+	if w == nil {
+		w = make([]uint64, (len(x.pos)+63)/64)
+		x.sets[c] = w
+	}
+	w[int(t)/64] |= uint64(1) << uint(int(t)%64)
 }
 
 // classKey returns the class of task t under the configured metric.
@@ -575,12 +649,7 @@ func (x *siteIndex) add(t workload.TaskID) {
 			x.bits[c/64] |= uint64(1) << uint(c%64)
 		}
 	} else {
-		w := x.sets[c]
-		if w == nil {
-			w = make([]uint64, (len(x.pos)+63)/64)
-			x.sets[c] = w
-		}
-		w[int(t)/64] |= uint64(1) << uint(int(t)%64)
+		x.setBit(c, t)
 		if x.counts[c] == 0 {
 			x.bits[c/64] |= uint64(1) << uint(c%64)
 		}
@@ -809,10 +878,18 @@ type fenwick struct {
 	mask int     // highest power of two <= len(tree)-1
 }
 
-func (f *fenwick) initOnes(n int) {
-	f.tree = make([]int32, n+1)
+// init sets the flags to present, in O(n).
+func (f *fenwick) init(present []bool) {
+	n := len(present)
+	if len(f.tree) == n+1 {
+		clear(f.tree)
+	} else {
+		f.tree = make([]int32, n+1)
+	}
 	for i := 1; i <= n; i++ {
-		f.tree[i]++
+		if present[i-1] {
+			f.tree[i]++
+		}
 		if j := i + (i & -i); j <= n {
 			f.tree[j] += f.tree[i]
 		}

@@ -60,6 +60,13 @@ type ServiceCounters struct {
 	// ReplayPhaseNanos splits ReplayNanos by recovery phase (they sum to
 	// it), so a slow restart names where it spent its time.
 	ReplayPhaseNanos [replayPhases]atomic.Int64
+	// How the replayed job events reached their schedulers: folded — a
+	// checkpointed ledger applied in bulk, nothing decided again — or
+	// re-asked one by one (the journal tail always; a ledger whose checkpoint
+	// records no draw count or whose scheduler has no bulk mode). A large
+	// re-asked count after a clean checkpoint says restore took the slow path.
+	ReplayFolded  atomic.Int64
+	ReplayReasked atomic.Int64
 
 	// Stop-the-world snapshot pause (the lockAll hold across state
 	// collection, marshal, file replacement, and log rotation): last
@@ -191,6 +198,13 @@ func (c *ServiceCounters) WriteText(w io.Writer) error {
 			name, float64(c.ReplayPhaseNanos[p].Load())/nsPerSec); err != nil {
 			return err
 		}
+	}
+	if _, err := fmt.Fprintf(w,
+		"# TYPE gridsched_replay_events gauge\n"+
+			"gridsched_replay_events{path=\"folded\"} %d\n"+
+			"gridsched_replay_events{path=\"reasked\"} %d\n",
+		c.ReplayFolded.Load(), c.ReplayReasked.Load()); err != nil {
+		return err
 	}
 	const nsPerMs = 1e6
 	_, err := fmt.Fprintf(w,

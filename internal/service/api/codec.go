@@ -712,17 +712,65 @@ func (r *binReader) submitJobRequest(m *SubmitJobRequest) {
 	m.DeadlineMillis = r.i64()
 }
 
+// workload decodes into two allocations besides the Workload itself: the
+// task array and one array every task's Files is a slice of. A first pass
+// over the encoding sizes that array exactly (a 6,000-task Coadd job has
+// ~470,000 file references; one slice per task was 6,000 allocations, and
+// growing one by append overshoots by up to a quarter). Each Files is cut
+// with its capacity capped, so appending to one task's cannot write into
+// the next one's.
 func (r *binReader) workload() *workload.Workload {
 	wl := &workload.Workload{}
 	wl.Name = r.str()
 	wl.NumFiles = int(r.i64())
-	if n := r.count(); n > 0 {
-		wl.Tasks = make([]workload.Task, n)
-		for i := range wl.Tasks {
-			r.task(&wl.Tasks[i])
+	n := r.count()
+	if n == 0 {
+		return wl
+	}
+	start, refs := r.off, 0
+	for i := 0; i < n && r.err == nil; i++ {
+		r.skipVarints(1) // id
+		k := r.count()
+		r.skipVarints(k)
+		refs += k
+	}
+	if r.err != nil {
+		return wl
+	}
+	r.off = start
+	wl.Tasks = make([]workload.Task, n)
+	files := make([]workload.FileID, refs)
+	for i := range wl.Tasks {
+		t := &wl.Tasks[i]
+		t.ID = workload.TaskID(r.i64())
+		if k := r.count(); k > 0 {
+			// k fits: this pass reads the counts the sizing pass read, until
+			// an error, after which every count reads as 0.
+			t.Files, files = files[:k:k], files[k:]
+			for j := range t.Files {
+				t.Files[j] = workload.FileID(r.i64())
+			}
 		}
 	}
 	return wl
+}
+
+// skipVarints steps over n varints without decoding them: the sizing pass
+// of workload, which leaves rejecting an overlong one to the pass that
+// reads the values.
+func (r *binReader) skipVarints(n int) {
+	for ; n > 0 && r.err == nil; n-- {
+		for {
+			if r.off >= len(r.b) {
+				r.setErr("api: truncated binary message")
+				return
+			}
+			r.off++
+			if r.b[r.off-1] < 0x80 {
+				break
+			}
+		}
+	}
 }
 
 func (r *binReader) task(t *workload.Task) {

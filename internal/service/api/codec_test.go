@@ -198,6 +198,56 @@ func TestStoredWorkloadRoundTrip(t *testing.T) {
 	}
 }
 
+// TestDecodeWorkloadAllocations: a decoded workload is the Workload, its
+// task array and one array every task's Files slices — however many tasks —
+// and a task's Files cannot grow into its neighbour's.
+func TestDecodeWorkloadAllocations(t *testing.T) {
+	w := &workload.Workload{Name: "coadd", NumFiles: 4000}
+	for id := 0; id < 600; id++ {
+		task := workload.Task{ID: workload.TaskID(id)}
+		for f := 0; f < 1+id%80; f++ {
+			task.Files = append(task.Files, workload.FileID((id*7+f*131)%4000))
+		}
+		w.Tasks = append(w.Tasks, task)
+	}
+	w.Tasks[17].Files = nil // decodes to nil, as before
+	data := api.EncodeWorkload(w)
+	got, err := api.DecodeWorkload(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, w) {
+		t.Fatal("round trip changed the workload")
+	}
+	for i, task := range got.Tasks {
+		if cap(task.Files) != len(task.Files) {
+			t.Fatalf("task %d: Files has len %d, cap %d", i, len(task.Files), cap(task.Files))
+		}
+	}
+	next := got.Tasks[1].Files[0]
+	got.Tasks[0].Files = append(got.Tasks[0].Files, 3999)
+	if got.Tasks[1].Files[0] != next {
+		t.Fatal("appending to task 0's files overwrote task 1's")
+	}
+	if allocs := testing.AllocsPerRun(10, func() {
+		if _, err := api.DecodeWorkload(data); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs > 4 {
+		t.Fatalf("%v allocations to decode a 600-task workload, want at most 4", allocs)
+	}
+
+	// A varint the sizing pass steps over and the reading pass rejects.
+	short := api.EncodeWorkload(&workload.Workload{Name: "x", NumFiles: 9, Tasks: []workload.Task{{ID: 0, Files: []workload.FileID{5}}}})
+	if last := short[len(short)-1]; last != 0x0a { // zigzag(5)
+		t.Fatalf("the encoding ends in %#x, not in the file id", last)
+	}
+	long := append(short[:len(short)-1:len(short)-1], 0x8a, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x00)
+	if _, err := api.DecodeWorkload(long); err == nil {
+		t.Fatal("an eleven-byte varint decoded")
+	}
+}
+
 func TestBinaryRejectsUnknownEnumOnEncode(t *testing.T) {
 	if _, err := api.Binary.Marshal(&api.ReportRequest{WorkerID: "w", Outcome: "maybe"}); err == nil {
 		t.Fatal("out-of-vocabulary outcome encoded")

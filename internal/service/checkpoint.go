@@ -162,7 +162,9 @@ type carryCounters struct {
 // workload. Scheduler internals (weight-class indexes, RNG state) are
 // deliberately NOT serialized — they are reconstructed by replaying the
 // ledger through a freshly built scheduler, which reproduces the exact
-// state (including pending random draws) of the crashed process.
+// state (including pending random draws) of the crashed process. The one
+// number that is kept, a job's Draws, is a position in a stream the seed
+// defines, not state: it spares the replay the deciding, not the rebuilding.
 type snapshot struct {
 	Version int   `json:"version"`
 	Seq     int64 `json:"seq"`
@@ -241,6 +243,12 @@ type snapJob struct {
 	// workload file does).
 	Workload *workload.Workload `json:"workload,omitempty"`
 	Ledger   packedLedger       `json:"ledger,omitempty"`
+	// Draws is where the ledger left the scheduler's random stream
+	// (core.BulkReplayer), which lets restore fold the ledger instead of
+	// deciding it again. Absent — an older binary's manifest, a scheduler
+	// that does not offer the mode — the ledger is re-asked. A pointer: zero
+	// draws is a position too (a ChooseN = 1 job never draws).
+	Draws *uint64 `json:"draws,omitempty"`
 
 	// Completed jobs: the surviving summary.
 	Dispatched int   `json:"dispatched,omitempty"`

@@ -746,13 +746,23 @@ func TestPromotedFollowerDispatchMatchesLeaderRecovery(t *testing.T) {
 	t.Cleanup(leader.Close)
 	srv := httptest.NewServer(leader.Handler())
 	t.Cleanup(srv.Close)
-	fl := startFollower(t, srv.URL)
 
 	if _, err := leader.SubmitByName("job", "combined.2", w, 99, ""); err != nil {
 		t.Fatal(err)
 	}
-	gotSeq := pullSequence(t, leader, prefix)
+	// The standby joins after a checkpoint, so what it starts from is the
+	// catch-up document — the job's ledger and the draw count beside it — and
+	// only the second half of the prefix reaches it as journal frames.
+	gotSeq := pullSequence(t, leader, prefix/2)
+	if err := leader.SnapshotForTest(); err != nil {
+		t.Fatal(err)
+	}
+	fl := startFollower(t, srv.URL)
+	gotSeq = append(gotSeq, pullSequence(t, leader, prefix-prefix/2)...)
 	waitCaughtUp(t, fl, leader)
+	if got := fl.ReplicationCounters().SnapshotsApplied.Load(); got == 0 {
+		t.Fatal("the standby never took the catch-up document")
+	}
 
 	// Leader dies without warning; standby takes over.
 	leader.CrashForTest()
@@ -763,6 +773,11 @@ func TestPromotedFollowerDispatchMatchesLeaderRecovery(t *testing.T) {
 	defer svc.Close()
 	if !fl.Promoted() {
 		t.Fatal("Promoted() false after successful Promote")
+	}
+	// Promotion is recovery: the replicated ledger folds, the replicated
+	// frames are re-asked on top of it.
+	if c := svc.Counters(); c.ReplayFolded.Load() == 0 || c.ReplayReasked.Load() == 0 {
+		t.Fatalf("promotion folded %d events and re-asked %d; want both", c.ReplayFolded.Load(), c.ReplayReasked.Load())
 	}
 	gotSeq = append(gotSeq, pullSequence(t, svc, -1)...)
 

@@ -109,6 +109,10 @@ func TestLegacyDataDirRecovers(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer s.Close()
+			// The old binary recorded no draw counts: nothing here can fold.
+			if c := s.Counters(); c.ReplayFolded.Load() != 0 || c.ReplayReasked.Load() == 0 {
+				t.Errorf("recovery folded %d events and re-asked %d", c.ReplayFolded.Load(), c.ReplayReasked.Load())
+			}
 			h := s.Handler()
 			if got, want := httpDo(t, h, "GET", "/v1/jobs", nil), legacyExpect(t, "expect-jobs.json"); !bytes.Equal(got, want) {
 				t.Errorf("/v1/jobs after recovery:\n%s\nthe old binary answered:\n%s", got, want)

@@ -333,6 +333,26 @@ func TestParallelRestoreErrors(t *testing.T) {
 				return ledger
 			})
 		}, []string{"snapshot job " + id("z") + " (workqueue)", "completes a job the checkpoint lists as running"}},
+		// What a fold does not take on trust (core.BulkReplayer). "a" and "h"
+		// fold; a re-asked replay would have refused the same ledgers at the
+		// scheduler's first differing decision.
+		{"draw count no ledger this long could reach", func(t *testing.T, dir string) {
+			editDraws(t, dir, id("h"), func(uint64) uint64 { return 1 << 60 })
+			editDraws(t, dir, id("a"), func(uint64) uint64 { return 1 << 60 })
+		}, []string{"snapshot job " + id("a") + " (combined.2)", "ledger of ", "random draws recorded for 26 assignments"}},
+		{"ledger dispatches a task that is not pending", func(t *testing.T, dir string) {
+			editLedger(t, dir, id("h"), func(ledger []byte) []byte {
+				again := append([]byte{}, ledger[:recSize]...) // the first dispatch once more,
+				binary.LittleEndian.PutUint32(again[9:], 3)    // at a slot that is free
+				return append(ledger, again...)
+			})
+		}, []string{"snapshot job " + id("h") + " (combined.2)", "ledger event ", "is not pending"}},
+		{"ledger dispatches at a site the grid does not have", func(t *testing.T, dir string) {
+			editLedger(t, dir, id("a"), func(ledger []byte) []byte {
+				binary.LittleEndian.PutUint32(ledger[5:], 7)
+				return ledger
+			})
+		}, []string{"snapshot job " + id("a") + " (combined.2)", "ledger event 0/", "outside the configured pool"}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			bad := copyDirForTest(t, dir)

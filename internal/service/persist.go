@@ -2,7 +2,6 @@ package service
 
 import (
 	"errors"
-	"fmt"
 	"log"
 	"net/http"
 	"os"
@@ -14,7 +13,6 @@ import (
 	"gridsched/internal/core"
 	"gridsched/internal/journal"
 	"gridsched/internal/service/api"
-	"gridsched/internal/workload"
 )
 
 // persistence is the journaling state of a Service with Config.DataDir
@@ -261,13 +259,19 @@ func (s *Service) checkpointLocked() (*snapshot, int64, error) {
 			Name: name, Quota: t.quota, Dispatches: t.dispatches,
 		})
 	}
-	var jobs []*job
+	resident := 0
+	for _, sh := range s.shards {
+		resident += len(sh.jobs)
+	}
+	jobs := make([]*job, 0, resident)
 	for _, sh := range s.shards {
 		for _, j := range sh.jobs {
 			jobs = append(jobs, j)
 		}
 	}
 	sort.Slice(jobs, func(i, k int) bool { return jobs[i].seq < jobs[k].seq }) // submission order
+	snap.Jobs = make([]snapJob, 0, resident)
+	draws := make([]uint64, 0, resident) // what the entries' Draws point into: one allocation, not one per job
 	for _, j := range jobs {
 		sj := snapJob{
 			ID:         j.id,
@@ -298,6 +302,10 @@ func (s *Service) checkpointLocked() (*snapshot, int64, error) {
 			sj.Workload = j.w
 			sj.Ledger = j.ledger
 			sj.Fair = j.fair
+			if br, ok := j.sched.(core.BulkReplayer); ok {
+				draws = append(draws, br.Draws())
+				sj.Draws = &draws[len(draws)-1]
+			}
 		}
 		snap.Jobs = append(snap.Jobs, sj)
 	}
@@ -314,24 +322,4 @@ func (s *Service) checkpointLocked() (*snapshot, int64, error) {
 	}
 	s.pst.sinceSnapshot.Store(0)
 	return snap, written, nil
-}
-
-// replayAssignSched drives sched into the post-dispatch state for (id, at):
-// through ReplayAssign where the scheduler provides one, otherwise by
-// re-asking NextFor and verifying the decision — exact for the worker-
-// centric schedulers, whose NextFor mutates state (including the
-// ChooseTask(n) RNG) only when it assigns. A mismatch means the journal
-// and the scheduler disagree, which recovery treats as corruption.
-func replayAssignSched(sched core.Scheduler, id workload.TaskID, at core.WorkerRef) error {
-	if r, ok := sched.(core.Replayer); ok {
-		return r.ReplayAssign(id, at)
-	}
-	task, status := sched.NextFor(at)
-	if status != core.Assigned {
-		return fmt.Errorf("replay: scheduler returned %v for task %d at %+v", status, id, at)
-	}
-	if task.ID != id {
-		return fmt.Errorf("replay: scheduler assigned task %d, journal says %d (at %+v)", task.ID, id, at)
-	}
-	return nil
 }

@@ -20,6 +20,27 @@
 // charges depend on. restore and applyRecord are also all a standby runs
 // (follower.go), over a state with no scheduler factory.
 //
+// A checkpointed ledger is folded where it can be, re-asked where it cannot.
+// Re-asking puts every recorded dispatch to the scheduler again (NextFor,
+// then the incremental index update of its batch) and fails unless the
+// scheduler decides what the ledger says. Folding — when the scheduler is a
+// core.BulkReplayer and the checkpoint recorded where the ledger left its
+// random stream (snapJob.Draws) — sends the same events through the same
+// replay → apply between BeginReplay and EndReplay: the scheduler commits
+// each dispatch without deciding it, and derives its indexes and the
+// stream's position once at the end. What a fold checks: replay's bounds on
+// task, site and worker, its refusal of a ledger that completes a running
+// job, apply's execution table (no slot runs a task twice, no report without
+// an open execution), that every dispatched task was pending, and that the
+// draw count is one the ledger could have reached. What it does not: that
+// the scheduler would have made those decisions. The log tail still does —
+// every tail dispatch is re-asked, of the folded state, and compared with
+// its record — so a fold that rebuilt the wrong scheduler fails the
+// recovery at the first decision it gets wrong rather than serving it.
+// Older manifests (no draws), other schedulers and decorated ones
+// (context:…) take the re-ask path; nothing selects between the two but
+// what the checkpoint and the scheduler offer.
+//
 // Worker registrations and leases are NOT recovered — they are liveness
 // state about processes that may not have survived the outage. Every
 // execution open at crash time is expired through the same apply
@@ -323,10 +344,31 @@ func (s *Service) restoreRunningJob(st *staging, dir string, j *job, sj *snapJob
 	if err := s.rebuild(j, w); err != nil {
 		return err
 	}
-	for i, n := 0, sj.Ledger.len(); i < n; i++ {
+	// Fold when the scheduler offers the mode and the checkpoint says where
+	// the ledger left its random stream; else every dispatch is re-asked.
+	// Either way each event takes replay → apply: inside a bulk replay the
+	// scheduler's side of those calls just costs less.
+	fold, _ := j.sched.(core.BulkReplayer)
+	if sj.Draws == nil {
+		fold = nil
+	}
+	if fold != nil {
+		fold.BeginReplay()
+	}
+	n := sj.Ledger.len()
+	for i := 0; i < n; i++ {
 		if err := s.replay(st, j, sj.Ledger.at(i), false); err != nil {
 			return fmt.Errorf("ledger event %d/%d: %w", i, n, err)
 		}
+	}
+	switch {
+	case fold != nil:
+		if err := fold.EndReplay(*sj.Draws); err != nil {
+			return fmt.Errorf("ledger of %d events: %w", n, err)
+		}
+		s.counters.ReplayFolded.Add(int64(n))
+	case j.sched != nil:
+		s.counters.ReplayReasked.Add(int64(n))
 	}
 	return nil
 }
@@ -427,8 +469,10 @@ func (s *Service) applyRecord(rec *record) error {
 				c.charge(j)
 			}
 		}
-		e := rec.event()
-		if err := s.replay(&s.shardOf(j.id).stage, j, e, true); err != nil {
+		if j.sched != nil {
+			s.counters.ReplayReasked.Add(1)
+		}
+		if err := s.replay(&s.shardOf(j.id).stage, j, rec.event(), true); err != nil {
 			return fmt.Errorf("service: replay job %s (%s): %w", j.id, j.algorithm, err)
 		}
 	default:
@@ -440,8 +484,9 @@ func (s *Service) applyRecord(rec *record) error {
 // replay applies one journaled event to j. The journal is outside input,
 // so a dispatch's coordinates are bounds-checked before anything indexes
 // with them; then the recorded decision is forced on the scheduler —
-// ReplayAssign in place of NextFor, nothing for a twin, which was granted
-// above the scheduler — and the event takes the live path's apply.
+// ReplayAssign in place of NextFor (which re-asks, or inside a fold just
+// commits), nothing for a twin, which was granted above the scheduler —
+// and the event takes the live path's apply.
 //
 // An event that is not fresh comes from the checkpointed ledger of a job
 // the checkpoint lists as running, so it cannot be the one that completes
@@ -458,7 +503,7 @@ func (s *Service) replay(st *staging, j *job, e ledgerRec, fresh bool) error {
 			return fmt.Errorf("dispatch at %+v outside the configured pool", ref)
 		}
 		if e.Op == ledgerDispatch && j.sched != nil {
-			if err := replayAssignSched(j.sched, e.Task, ref); err != nil {
+			if err := core.ReplayAssign(j.sched, e.Task, ref); err != nil {
 				return err
 			}
 		}
@@ -514,8 +559,9 @@ func (s *Service) expireRecovered() (int, error) {
 				Task: x.task, Site: x.ref.Site, Worker: x.ref.Worker,
 			}
 			s.mustAppend(rec)
-			if err := s.applyRecord(rec); err != nil {
-				return expired, err
+			// Not through applyRecord: this event is new, not replayed.
+			if err := s.replay(&s.shardOf(j.id).stage, j, rec.event(), true); err != nil {
+				return expired, fmt.Errorf("service: expire job %s (%s): %w", j.id, j.algorithm, err)
 			}
 			s.counters.RecoveredExpired.Add(1)
 			expired++
