@@ -1,8 +1,6 @@
 package metrics
 
 import (
-	"fmt"
-	"io"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -11,8 +9,8 @@ import (
 
 // IngressCounters are the operational metrics of the ingress middleware
 // chain (internal/middleware): lock-free atomic counters fed from the
-// request path, rendered in the Prometheus text exposition format and
-// appended to the service's /metrics output by the chain itself.
+// request path, declared by Metrics and appended to the service's /metrics
+// output by the chain itself.
 type IngressCounters struct {
 	// Requests counts every request entering the chain (probes included).
 	Requests atomic.Int64
@@ -55,61 +53,32 @@ func (c *IngressCounters) ObserveShed(tenant string) {
 	c.mu.Unlock()
 }
 
-// TenantSheds returns one tenant's shed total (tests and dashboards).
-func (c *IngressCounters) TenantSheds(tenant string) int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.shedByTenant[tenant]
-}
-
-// WriteText renders every ingress metric as Prometheus text exposition
-// lines.
-func (c *IngressCounters) WriteText(w io.Writer) error {
-	for _, m := range []struct {
-		name, kind string
-		v          int64
-	}{
-		{"gridsched_ingress_requests_total", "counter", c.Requests.Load()},
-		{"gridsched_ingress_panics_total", "counter", c.Panics.Load()},
-		{"gridsched_ingress_auth_failures_total", "counter", c.AuthFailures.Load()},
-		{"gridsched_ingress_auth_denied_total", "counter", c.AuthDenied.Load()},
-		{"gridsched_ingress_throttled_ip_total", "counter", c.ThrottledIP.Load()},
-		{"gridsched_ingress_throttled_tenant_total", "counter", c.ThrottledTenant.Load()},
-		{"gridsched_ingress_sheds_total", "counter", c.Sheds.Load()},
-		{"gridsched_ingress_shed_level", "gauge", c.ShedLevel.Load()},
-	} {
-		if _, err := fmt.Fprintf(w, "# TYPE %s %s\n%s %d\n", m.name, m.kind, m.name, m.v); err != nil {
-			return err
-		}
-	}
-	if _, err := fmt.Fprintf(w,
-		"# TYPE gridsched_ingress_request_p99_seconds gauge\ngridsched_ingress_request_p99_seconds %g\n",
-		float64(c.RequestP99Nanos.Load())/1e9); err != nil {
-		return err
+// Metrics declares every ingress metric for /metrics; the per-tenant shed
+// totals in tenant order.
+func (c *IngressCounters) Metrics() []Metric {
+	type shed struct {
+		tenant string
+		n      int64
 	}
 	c.mu.Lock()
-	tenants := make([]string, 0, len(c.shedByTenant))
-	for t := range c.shedByTenant {
-		tenants = append(tenants, t)
-	}
-	sort.Strings(tenants)
-	lines := make([]string, len(tenants))
-	for i, t := range tenants {
-		lines[i] = fmt.Sprintf("gridsched_ingress_tenant_sheds_total{tenant=%q} %d", t, c.shedByTenant[t])
+	sheds := make([]shed, 0, len(c.shedByTenant))
+	for t, n := range c.shedByTenant {
+		sheds = append(sheds, shed{t, n})
 	}
 	c.mu.Unlock()
-	if len(lines) == 0 {
-		return nil
-	}
-	if _, err := fmt.Fprintln(w, "# TYPE gridsched_ingress_tenant_sheds_total counter"); err != nil {
-		return err
-	}
-	for _, l := range lines {
-		if _, err := fmt.Fprintln(w, l); err != nil {
-			return err
-		}
-	}
-	return nil
+	sort.Slice(sheds, func(i, k int) bool { return sheds[i].tenant < sheds[k].tenant })
+	return append([]Metric{
+		Counter("gridsched_ingress_requests_total", &c.Requests),
+		Counter("gridsched_ingress_panics_total", &c.Panics),
+		Counter("gridsched_ingress_auth_failures_total", &c.AuthFailures),
+		Counter("gridsched_ingress_auth_denied_total", &c.AuthDenied),
+		Counter("gridsched_ingress_throttled_ip_total", &c.ThrottledIP),
+		Counter("gridsched_ingress_throttled_tenant_total", &c.ThrottledTenant),
+		Counter("gridsched_ingress_sheds_total", &c.Sheds),
+		Gauge("gridsched_ingress_shed_level", &c.ShedLevel),
+		Fixed("gridsched_ingress_request_p99_seconds", KindGauge, float64(c.RequestP99Nanos.Load())/1e9),
+	}, Table(sheds, func(s *shed) []Label { return []Label{{"tenant", s.tenant}} },
+		Col("gridsched_ingress_tenant_sheds_total", KindCounter, func(s *shed) float64 { return float64(s.n) }))...)
 }
 
 // LatencyWindow is a fixed-size ring of the most recent request latencies,

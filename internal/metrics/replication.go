@@ -1,14 +1,11 @@
 package metrics
 
-import (
-	"fmt"
-	"io"
-	"sync/atomic"
-)
+import "sync/atomic"
 
 // ReplicationCounters are the WAL-replication metrics of one node, fed by
 // the leader's stream handler (internal/service) or the follower loop and
-// appended to /metrics next to the ServiceCounters.
+// served at /metrics next to the ServiceCounters. The node's position in
+// the log is not kept here: ReplicationMetrics is handed it.
 type ReplicationCounters struct {
 	// Leader side.
 	StreamsActive  atomic.Int64 // open follower stream connections (gauge)
@@ -19,58 +16,32 @@ type ReplicationCounters struct {
 	SnapshotsApplied atomic.Int64 // snapshot catch-ups installed
 	Reconnects       atomic.Int64 // stream reconnect attempts
 	Halted           atomic.Int64 // 1 after a terminal divergence/journal halt (gauge)
-
-	// Position gauges; lag = LeaderLSN - LocalLSN on a follower.
-	LocalLSN  atomic.Int64
-	LeaderLSN atomic.Int64
 }
 
-// roleGauge renders the conventional one-hot role gauge so dashboards can
-// group nodes by role with a label selector.
-var replicationRoles = []string{"leader", "follower", "recovering"}
-
-// WriteReplicationText renders the node's replication role and counters
-// in the Prometheus text exposition format. role must be one of the
-// api.Role* values; c may be nil (role-only output for nodes that do not
-// replicate).
-func WriteReplicationText(w io.Writer, role string, c *ReplicationCounters) error {
-	if _, err := fmt.Fprintf(w, "# TYPE gridsched_replication_role gauge\n"); err != nil {
-		return err
-	}
-	for _, r := range replicationRoles {
-		v := 0
+// ReplicationMetrics declares a node's replication role — the conventional
+// one-hot gauge, so dashboards can group nodes by role with a label
+// selector; role is one of the api.Role* values — its counters, and its
+// position as of this scrape: the last LSN it holds, the last its leader
+// announced, and how far behind that leaves it (0 and 0 on a leader).
+func ReplicationMetrics(role string, c *ReplicationCounters, local, leader, lag uint64) []Metric {
+	roles := Metric{Name: "gridsched_replication_role", Kind: KindGauge}
+	for _, r := range []string{"leader", "follower", "recovering"} {
+		is := 0.0
 		if r == role {
-			v = 1
+			is = 1
 		}
-		if _, err := fmt.Fprintf(w, "gridsched_replication_role{role=%q} %d\n", r, v); err != nil {
-			return err
-		}
+		roles.Samples = append(roles.Samples, Of("role", r, is))
 	}
-	if c == nil {
-		return nil
+	return []Metric{
+		roles,
+		Gauge("gridsched_replication_streams_active", &c.StreamsActive),
+		Counter("gridsched_replication_frames_streamed_total", &c.FramesStreamed),
+		Counter("gridsched_replication_frames_applied_total", &c.FramesApplied),
+		Counter("gridsched_replication_snapshots_applied_total", &c.SnapshotsApplied),
+		Counter("gridsched_replication_reconnects_total", &c.Reconnects),
+		Gauge("gridsched_replication_halted", &c.Halted),
+		Fixed("gridsched_replication_local_lsn", KindGauge, float64(local)),
+		Fixed("gridsched_replication_leader_lsn", KindGauge, float64(leader)),
+		Fixed("gridsched_replication_lag_lsn", KindGauge, float64(lag)),
 	}
-	local, leader := c.LocalLSN.Load(), c.LeaderLSN.Load()
-	lag := leader - local
-	if lag < 0 {
-		lag = 0
-	}
-	for _, m := range []struct {
-		name, kind string
-		v          int64
-	}{
-		{"gridsched_replication_streams_active", "gauge", c.StreamsActive.Load()},
-		{"gridsched_replication_frames_streamed_total", "counter", c.FramesStreamed.Load()},
-		{"gridsched_replication_frames_applied_total", "counter", c.FramesApplied.Load()},
-		{"gridsched_replication_snapshots_applied_total", "counter", c.SnapshotsApplied.Load()},
-		{"gridsched_replication_reconnects_total", "counter", c.Reconnects.Load()},
-		{"gridsched_replication_halted", "gauge", c.Halted.Load()},
-		{"gridsched_replication_local_lsn", "gauge", local},
-		{"gridsched_replication_leader_lsn", "gauge", leader},
-		{"gridsched_replication_lag_lsn", "gauge", lag},
-	} {
-		if _, err := fmt.Fprintf(w, "# TYPE %s %s\n%s %d\n", m.name, m.kind, m.name, m.v); err != nil {
-			return err
-		}
-	}
-	return nil
 }

@@ -2,14 +2,13 @@ package metrics
 
 import (
 	"fmt"
-	"io"
 	"strings"
 	"sync/atomic"
 )
 
 // ServiceCounters are the gridschedd daemon's (internal/service) operational
-// metrics: lock-free atomic counters fed from the request path and rendered
-// at /metrics in the Prometheus text exposition format.
+// metrics: lock-free atomic counters fed from the request path, declared
+// for /metrics by Metrics.
 //
 // Counters only ever grow; the Active*/OpenJobs fields are gauges.
 type ServiceCounters struct {
@@ -48,10 +47,8 @@ type ServiceCounters struct {
 	DispatchMaxNanos atomic.Int64
 
 	// Persistence metrics (zero when the service runs without -data-dir):
-	// journal activity counters plus recovery and snapshot gauges.
-	JournalRecords   atomic.Int64 // records appended to the write-ahead log
-	JournalBytes     atomic.Int64 // frame bytes written to the log
-	JournalFsyncs    atomic.Int64 // fsync(2) calls issued by the log writer
+	// recovery and snapshot gauges. The journal's own activity counters are
+	// journal.Metrics, which internal/service declares beside these.
 	Snapshots        atomic.Int64 // snapshots written
 	SnapshotBytes    atomic.Int64 // bytes the most recent checkpoint wrote (manifest + new workload files)
 	ReplayRecords    atomic.Int64 // snapshot ledger + log records replayed at startup
@@ -70,11 +67,9 @@ type ServiceCounters struct {
 
 	// Stop-the-world snapshot pause (the lockAll hold across state
 	// collection, marshal, file replacement, and log rotation): last
-	// observed, running maximum, and running total, in nanoseconds.
-	// Rendered at /metrics as gridsched_snapshot_pause_ms (last, max) and
-	// gridsched_snapshot_pause_seconds_total; with
-	// gridsched_snapshots_total the total gives the mean pause, and its
-	// rate is the share of wall time dispatch spends stalled.
+	// observed, running maximum, and running total, in nanoseconds. With
+	// Snapshots the total gives the mean pause, and its rate is the share
+	// of wall time dispatch spends stalled.
 	SnapshotPauseLastNanos  atomic.Int64
 	SnapshotPauseMaxNanos   atomic.Int64
 	SnapshotPauseTotalNanos atomic.Int64
@@ -113,108 +108,73 @@ func (c *ServiceCounters) ReplayPhaseSummary() string {
 func (c *ServiceCounters) ObserveDispatch(nanos int64) {
 	c.DispatchNanos.Add(nanos)
 	c.DispatchCount.Add(1)
-	for {
-		cur := c.DispatchMaxNanos.Load()
-		if nanos <= cur || c.DispatchMaxNanos.CompareAndSwap(cur, nanos) {
-			return
-		}
-	}
+	storeMax(&c.DispatchMaxNanos, nanos)
 }
 
 // ObserveSnapshotPause records one stop-the-world snapshot pause.
 func (c *ServiceCounters) ObserveSnapshotPause(nanos int64) {
 	c.SnapshotPauseLastNanos.Store(nanos)
 	c.SnapshotPauseTotalNanos.Add(nanos)
-	for {
-		cur := c.SnapshotPauseMaxNanos.Load()
-		if nanos <= cur || c.SnapshotPauseMaxNanos.CompareAndSwap(cur, nanos) {
-			return
-		}
+	storeMax(&c.SnapshotPauseMaxNanos, nanos)
+}
+
+// storeMax raises max to v unless it is there already.
+func storeMax(max *atomic.Int64, v int64) {
+	for cur := max.Load(); v > cur && !max.CompareAndSwap(cur, v); cur = max.Load() {
 	}
 }
 
 // NewServiceCounters returns zeroed counters.
 func NewServiceCounters() *ServiceCounters { return &ServiceCounters{} }
 
-// WriteText renders every metric as Prometheus text exposition lines.
-func (c *ServiceCounters) WriteText(w io.Writer) error {
-	for _, m := range []struct {
-		name, kind string
-		v          int64
-	}{
-		{"gridsched_jobs_submitted_total", "counter", c.JobsSubmitted.Load()},
-		{"gridsched_jobs_completed_total", "counter", c.JobsCompleted.Load()},
-		{"gridsched_pulls_total", "counter", c.Pulls.Load()},
-		{"gridsched_assignments_total", "counter", c.Assignments.Load()},
-		{"gridsched_completions_total", "counter", c.Completions.Load()},
-		{"gridsched_failures_total", "counter", c.Failures.Load()},
-		{"gridsched_cancellations_total", "counter", c.Cancellations.Load()},
-		{"gridsched_leases_expired_total", "counter", c.LeasesExpired.Load()},
-		{"gridsched_workers_expired_total", "counter", c.WorkersExpired.Load()},
-		{"gridsched_heartbeats_total", "counter", c.Heartbeats.Load()},
-		{"gridsched_stale_reports_total", "counter", c.StaleReports.Load()},
-		{"gridsched_speculative_dispatches_total", "counter", c.SpeculativeDispatches.Load()},
-		{"gridsched_speculation_wins_total", "counter", c.SpeculationWins.Load()},
-		{"gridsched_speculation_losses_total", "counter", c.SpeculationLosses.Load()},
-		{"gridsched_active_workers", "gauge", c.ActiveWorkers.Load()},
-		{"gridsched_active_leases", "gauge", c.ActiveLeases.Load()},
-		{"gridsched_open_jobs", "gauge", c.OpenJobs.Load()},
-		{"gridsched_shards", "gauge", c.Shards.Load()},
-		{"gridsched_journal_records_total", "counter", c.JournalRecords.Load()},
-		{"gridsched_journal_bytes_total", "counter", c.JournalBytes.Load()},
-		{"gridsched_journal_fsyncs_total", "counter", c.JournalFsyncs.Load()},
-		{"gridsched_snapshots_total", "counter", c.Snapshots.Load()},
-		{"gridsched_snapshot_bytes", "gauge", c.SnapshotBytes.Load()},
-		{"gridsched_replay_records", "gauge", c.ReplayRecords.Load()},
-		{"gridsched_recovered_expired_leases", "gauge", c.RecoveredExpired.Load()},
-	} {
-		if _, err := fmt.Fprintf(w, "# TYPE %s %s\n%s %d\n", m.name, m.kind, m.name, m.v); err != nil {
-			return err
-		}
-	}
-	// Dispatch latency as a summary (seconds) plus max gauge.
-	const nsPerSec = 1e9
-	if _, err := fmt.Fprintf(w,
-		"# TYPE gridsched_dispatch_latency_seconds summary\n"+
-			"gridsched_dispatch_latency_seconds_sum %g\n"+
-			"gridsched_dispatch_latency_seconds_count %d\n"+
-			"# TYPE gridsched_dispatch_latency_max_seconds gauge\n"+
-			"gridsched_dispatch_latency_max_seconds %g\n",
-		float64(c.DispatchNanos.Load())/nsPerSec,
-		c.DispatchCount.Load(),
-		float64(c.DispatchMaxNanos.Load())/nsPerSec); err != nil {
-		return err
-	}
-	if _, err := fmt.Fprintf(w,
-		"# TYPE gridsched_replay_seconds gauge\ngridsched_replay_seconds %g\n",
-		float64(c.ReplayNanos.Load())/nsPerSec); err != nil {
-		return err
-	}
-	if _, err := io.WriteString(w, "# TYPE gridsched_replay_phase_seconds gauge\n"); err != nil {
-		return err
-	}
+// Metrics declares every field for /metrics. Durations are kept in
+// nanoseconds and served in seconds, the snapshot pause gauge in
+// milliseconds.
+func (c *ServiceCounters) Metrics() []Metric {
+	const sec, ms = 1e9, 1e6
+	per := func(v *atomic.Int64, unit float64) float64 { return float64(v.Load()) / unit }
+	phases := Metric{Name: "gridsched_replay_phase_seconds", Kind: KindGauge}
 	for p, name := range replayPhaseNames {
-		if _, err := fmt.Fprintf(w, "gridsched_replay_phase_seconds{phase=%q} %g\n",
-			name, float64(c.ReplayPhaseNanos[p].Load())/nsPerSec); err != nil {
-			return err
-		}
+		phases.Samples = append(phases.Samples, Of("phase", name, per(&c.ReplayPhaseNanos[p], sec)))
 	}
-	if _, err := fmt.Fprintf(w,
-		"# TYPE gridsched_replay_events gauge\n"+
-			"gridsched_replay_events{path=\"folded\"} %d\n"+
-			"gridsched_replay_events{path=\"reasked\"} %d\n",
-		c.ReplayFolded.Load(), c.ReplayReasked.Load()); err != nil {
-		return err
+	return []Metric{
+		Counter("gridsched_jobs_submitted_total", &c.JobsSubmitted),
+		Counter("gridsched_jobs_completed_total", &c.JobsCompleted),
+		Counter("gridsched_pulls_total", &c.Pulls),
+		Counter("gridsched_assignments_total", &c.Assignments),
+		Counter("gridsched_completions_total", &c.Completions),
+		Counter("gridsched_failures_total", &c.Failures),
+		Counter("gridsched_cancellations_total", &c.Cancellations),
+		Counter("gridsched_leases_expired_total", &c.LeasesExpired),
+		Counter("gridsched_workers_expired_total", &c.WorkersExpired),
+		Counter("gridsched_heartbeats_total", &c.Heartbeats),
+		Counter("gridsched_stale_reports_total", &c.StaleReports),
+		Counter("gridsched_speculative_dispatches_total", &c.SpeculativeDispatches),
+		Counter("gridsched_speculation_wins_total", &c.SpeculationWins),
+		Counter("gridsched_speculation_losses_total", &c.SpeculationLosses),
+		Gauge("gridsched_active_workers", &c.ActiveWorkers),
+		Gauge("gridsched_active_leases", &c.ActiveLeases),
+		Gauge("gridsched_open_jobs", &c.OpenJobs),
+		Gauge("gridsched_shards", &c.Shards),
+		Counter("gridsched_snapshots_total", &c.Snapshots),
+		Gauge("gridsched_snapshot_bytes", &c.SnapshotBytes),
+		Gauge("gridsched_replay_records", &c.ReplayRecords),
+		Gauge("gridsched_recovered_expired_leases", &c.RecoveredExpired),
+		{Name: "gridsched_dispatch_latency_seconds", Kind: KindSummary, Samples: []Sample{
+			{Suffix: "_sum", Value: per(&c.DispatchNanos, sec)},
+			{Suffix: "_count", Value: float64(c.DispatchCount.Load())},
+		}},
+		Fixed("gridsched_dispatch_latency_max_seconds", KindGauge, per(&c.DispatchMaxNanos, sec)),
+		Fixed("gridsched_replay_seconds", KindGauge, per(&c.ReplayNanos, sec)),
+		phases,
+		{Name: "gridsched_replay_events", Kind: KindGauge, Samples: []Sample{
+			Of("path", "folded", float64(c.ReplayFolded.Load())),
+			Of("path", "reasked", float64(c.ReplayReasked.Load())),
+		}},
+		{Name: "gridsched_snapshot_pause_ms", Kind: KindGauge, Samples: []Sample{
+			Of("stat", "last", per(&c.SnapshotPauseLastNanos, ms)),
+			Of("stat", "max", per(&c.SnapshotPauseMaxNanos, ms)),
+		}},
+		Fixed("gridsched_snapshot_pause_seconds_total", KindCounter, per(&c.SnapshotPauseTotalNanos, sec)),
 	}
-	const nsPerMs = 1e6
-	_, err := fmt.Fprintf(w,
-		"# TYPE gridsched_snapshot_pause_ms gauge\n"+
-			"gridsched_snapshot_pause_ms{stat=\"last\"} %g\n"+
-			"gridsched_snapshot_pause_ms{stat=\"max\"} %g\n"+
-			"# TYPE gridsched_snapshot_pause_seconds_total counter\n"+
-			"gridsched_snapshot_pause_seconds_total %g\n",
-		float64(c.SnapshotPauseLastNanos.Load())/nsPerMs,
-		float64(c.SnapshotPauseMaxNanos.Load())/nsPerMs,
-		float64(c.SnapshotPauseTotalNanos.Load())/nsPerSec)
-	return err
 }

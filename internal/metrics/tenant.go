@@ -1,10 +1,5 @@
 package metrics
 
-import (
-	"fmt"
-	"io"
-)
-
 // ShareWindow tracks which key each of the last N observations belonged to
 // and reports every key's fraction of the window. The gridschedd fair-share
 // arbiter feeds it one observation per dispatch, keyed by tenant, and the
@@ -61,47 +56,4 @@ func (w *ShareWindow) Share(key string) float64 {
 		return 0
 	}
 	return float64(w.counts[key]) / float64(n)
-}
-
-// TenantLine is one tenant's gauge row rendered by WriteTenantText.
-type TenantLine struct {
-	Tenant        string
-	Weight        int64
-	InFlight      int64
-	MaxInFlight   int64
-	ShareTarget   float64
-	ShareAchieved float64
-	Dispatches    int64
-	Throttles     int64
-}
-
-// WriteTenantText renders per-tenant fair-share metrics in the Prometheus
-// text exposition format, one labeled series per tenant. The anonymous
-// default tenant renders with an empty label value.
-func WriteTenantText(w io.Writer, lines []TenantLine) error {
-	if len(lines) == 0 {
-		return nil
-	}
-	for _, m := range []struct {
-		name, kind string
-		v          func(TenantLine) string
-	}{
-		{"gridsched_tenant_weight", "gauge", func(l TenantLine) string { return fmt.Sprintf("%d", l.Weight) }},
-		{"gridsched_tenant_inflight", "gauge", func(l TenantLine) string { return fmt.Sprintf("%d", l.InFlight) }},
-		{"gridsched_tenant_quota", "gauge", func(l TenantLine) string { return fmt.Sprintf("%d", l.MaxInFlight) }},
-		{"gridsched_tenant_share_target", "gauge", func(l TenantLine) string { return fmt.Sprintf("%g", l.ShareTarget) }},
-		{"gridsched_tenant_share_achieved", "gauge", func(l TenantLine) string { return fmt.Sprintf("%g", l.ShareAchieved) }},
-		{"gridsched_tenant_dispatches_total", "counter", func(l TenantLine) string { return fmt.Sprintf("%d", l.Dispatches) }},
-		{"gridsched_tenant_quota_throttles_total", "counter", func(l TenantLine) string { return fmt.Sprintf("%d", l.Throttles) }},
-	} {
-		if _, err := fmt.Fprintf(w, "# TYPE %s %s\n", m.name, m.kind); err != nil {
-			return err
-		}
-		for _, l := range lines {
-			if _, err := fmt.Fprintf(w, "%s{tenant=%q} %s\n", m.name, l.Tenant, m.v(l)); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
 }

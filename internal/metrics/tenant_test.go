@@ -2,7 +2,6 @@ package metrics
 
 import (
 	"math"
-	"strings"
 	"testing"
 )
 
@@ -45,34 +44,30 @@ func TestShareWindowPartialFill(t *testing.T) {
 	}
 }
 
-func TestWriteTenantText(t *testing.T) {
-	var sb strings.Builder
-	err := WriteTenantText(&sb, []TenantLine{
-		{Tenant: "", Weight: 1, ShareTarget: 0.25, ShareAchieved: 0.2, Dispatches: 7},
-		{Tenant: "acme", Weight: 3, InFlight: 2, MaxInFlight: 4, ShareTarget: 0.75, Dispatches: 21, Throttles: 5},
-	})
-	if err != nil {
-		t.Fatal(err)
+// TestTableFamilies: rows become one labelled series per column family, in
+// row order; no rows, no families (a leader with no tenant serves none of
+// the per-tenant families, not empty ones).
+func TestTableFamilies(t *testing.T) {
+	type tenant struct {
+		name     string
+		weight   int64
+		achieved float64
 	}
-	out := sb.String()
-	for _, want := range []string{
-		"# TYPE gridsched_tenant_weight gauge",
-		`gridsched_tenant_weight{tenant=""} 1`,
-		`gridsched_tenant_weight{tenant="acme"} 3`,
-		`gridsched_tenant_inflight{tenant="acme"} 2`,
-		`gridsched_tenant_quota{tenant="acme"} 4`,
-		`gridsched_tenant_share_target{tenant="acme"} 0.75`,
-		`gridsched_tenant_share_achieved{tenant=""} 0.2`,
-		`gridsched_tenant_dispatches_total{tenant="acme"} 21`,
-		`gridsched_tenant_quota_throttles_total{tenant="acme"} 5`,
-	} {
-		if !strings.Contains(out, want+"\n") {
-			t.Fatalf("missing %q in:\n%s", want, out)
-		}
+	cols := []Column[tenant]{
+		Col("gridsched_tenant_weight", KindGauge, func(r *tenant) float64 { return float64(r.weight) }),
+		Col("gridsched_tenant_share_achieved", KindGauge, func(r *tenant) float64 { return r.achieved }),
 	}
-	// No tenants, no output (the shared counters section stands alone).
-	sb.Reset()
-	if err := WriteTenantText(&sb, nil); err != nil || sb.Len() != 0 {
-		t.Fatalf("empty render: err %v, %d bytes", err, sb.Len())
+	of := func(r *tenant) []Label { return []Label{{"tenant", r.name}} }
+	// The anonymous default tenant is the empty label value.
+	ms := scrape(t, Table([]tenant{{"", 1, 0.2}, {"acme", 3, 0.75}}, of, cols...))
+	wantSample(t, ms, KindGauge, "gridsched_tenant_weight", "", 1, Label{"tenant", ""})
+	wantSample(t, ms, KindGauge, "gridsched_tenant_weight", "", 3, Label{"tenant", "acme"})
+	wantSample(t, ms, KindGauge, "gridsched_tenant_share_achieved", "", 0.2, Label{"tenant", ""})
+	wantSample(t, ms, KindGauge, "gridsched_tenant_share_achieved", "", 0.75, Label{"tenant", "acme"})
+	if len(ms) != 2 || len(ms[0].Samples) != 2 {
+		t.Fatalf("two tenants, two columns declared as %+v", ms)
+	}
+	if ms := Table(nil, of, cols...); len(ms) != 0 {
+		t.Fatalf("no rows declared as %+v", ms)
 	}
 }

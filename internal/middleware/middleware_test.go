@@ -10,6 +10,7 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -476,10 +477,14 @@ func TestLoadShedWeightedOrdering(t *testing.T) {
 		t.Fatalf("bronze submit after first decay: %d, want 429 (readmitted last)", code)
 	}
 
-	if c.TenantSheds("bronze") < 2 || c.TenantSheds("gold") != 1 {
-		t.Fatalf("shed attribution: bronze=%d gold=%d", c.TenantSheds("bronze"), c.TenantSheds("gold"))
+	shedOf := func(tenant string) int64 {
+		v, _ := metrics.Lookup(c.Metrics(), "gridsched_ingress_tenant_sheds_total", "", metrics.Label{Name: "tenant", Value: tenant})
+		return int64(v)
 	}
-	if c.Sheds.Load() != c.TenantSheds("bronze")+c.TenantSheds("gold") {
+	if shedOf("bronze") < 2 || shedOf("gold") != 1 {
+		t.Fatalf("shed attribution: bronze=%d gold=%d", shedOf("bronze"), shedOf("gold"))
+	}
+	if c.Sheds.Load() != shedOf("bronze")+shedOf("gold") {
 		t.Fatalf("Sheds=%d != per-tenant sum", c.Sheds.Load())
 	}
 }
@@ -552,22 +557,37 @@ func TestLoadShedRetryAfterHeader(t *testing.T) {
 	}
 }
 
-// TestMetricsText: the chain appends its own Prometheus lines after the
-// inner /metrics body.
+// TestMetricsText: the chain appends its own families after the inner
+// /metrics body, and the two together still read as one exposition.
 func TestMetricsText(t *testing.T) {
 	c := metrics.NewIngressCounters()
+	var inner atomic.Int64
+	inner.Store(42)
 	h := Ingress(Config{Counters: c}, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		fmt.Fprintln(w, "service_inner_metric 42")
+		_ = metrics.Write(w, []metrics.Metric{metrics.Gauge("service_inner_metric", &inner)})
 	}))
 	h.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest("POST", "/v1/jobs", nil))
+	c.ObserveShed("acme")
 	rec := httptest.NewRecorder()
 	h.ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
-	body := rec.Body.String()
-	if !strings.Contains(body, "service_inner_metric 42") {
-		t.Fatalf("inner body lost:\n%s", body)
+	ms, err := metrics.Read(rec.Body)
+	if err != nil {
+		t.Fatalf("the inner body plus the chain's is not a conformant exposition: %v", err)
 	}
-	if !strings.Contains(body, "gridsched_ingress_requests_total 1") {
-		t.Fatalf("ingress lines not appended (want requests_total 1, probes exempt):\n%s", body)
+	if len(ms) == 0 || ms[0].Name != "service_inner_metric" {
+		t.Fatalf("inner body lost or not first: %+v", ms)
+	}
+	for name, want := range map[string]float64{
+		"service_inner_metric":             42,
+		"gridsched_ingress_requests_total": 1, // probes and /metrics are exempt
+		"gridsched_ingress_sheds_total":    1,
+	} {
+		if v, ok := metrics.Lookup(ms, name, ""); !ok || v != want {
+			t.Errorf("%s = %v (present %v), want %v", name, v, ok, want)
+		}
+	}
+	if v, ok := metrics.Lookup(ms, "gridsched_ingress_tenant_sheds_total", "", metrics.Label{Name: "tenant", Value: "acme"}); !ok || v != 1 {
+		t.Errorf("per-tenant shed series = %v (present %v), want 1", v, ok)
 	}
 }
 

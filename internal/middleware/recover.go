@@ -47,11 +47,11 @@ func Recover(c *metrics.IngressCounters, out io.Writer) Middleware {
 	}
 }
 
-// MetricsText appends the ingress chain's own counters to a successful
-// GET /metrics response. The Prometheus text format is line-oriented, so
-// appending after the inner handler's body keeps the service and the
-// chain decoupled: internal/service renders its counters without knowing
-// a chain exists, and the chain adds its lines on the way out.
+// MetricsText appends the ingress chain's own families to a successful
+// GET /metrics response. The chain's families are none of the inner
+// handler's, so writing them after its body leaves every family one group
+// and keeps the two decoupled: internal/service serves its families without
+// knowing a chain exists, and the chain adds its own on the way out.
 func MetricsText(c *metrics.IngressCounters) Middleware {
 	return func(next http.Handler) http.Handler {
 		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -62,7 +62,7 @@ func MetricsText(c *metrics.IngressCounters) Middleware {
 			sw := wrapStatus(w)
 			next.ServeHTTP(sw, r)
 			if sw.status == http.StatusOK {
-				_ = c.WriteText(sw)
+				_ = metrics.Write(sw, c.Metrics())
 			}
 		})
 	}

@@ -8,8 +8,10 @@ import (
 	"io"
 	"net/http"
 	"sort"
+	"strconv"
 	"strings"
 
+	"gridsched/internal/metrics"
 	"gridsched/internal/service/api"
 )
 
@@ -252,111 +254,39 @@ func (rt *Router) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	finishAggregate(w, parts, nil, sum)
 }
 
-// handleMetrics federates /metrics: each partition's exposition text is
-// re-emitted with a partition="<i>" label injected into every sample (so
-// series from different partitions never collide), prefixed by the
-// router's own per-partition up gauges.
+// handleMetrics federates /metrics: every partition's families, read
+// strictly (metrics.Read), with a partition="<i>" label put first on every
+// sample so series from different partitions never collide, merged so each
+// family is written once, behind the router's own per-partition up gauge. A
+// partition whose body does not read is down like one that did not answer.
 func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	texts := make([][]byte, len(rt.urls))
-	parts := make([]*struct{}, len(rt.urls))
-	var wg int
-	done := make(chan struct{})
-	for i := range rt.urls {
-		wg++
-		go func(i int) {
-			defer func() { done <- struct{}{} }()
-			ctx, cancel := context.WithTimeout(r.Context(), rt.aggTO)
-			defer cancel()
-			req, err := http.NewRequestWithContext(ctx, http.MethodGet, rt.urls[i]+"/metrics", nil)
-			if err != nil {
-				rt.mark(i, err)
-				return
-			}
-			resp, err := rt.client.Do(req)
-			if err != nil {
-				rt.mark(i, err)
-				return
-			}
-			defer resp.Body.Close()
-			data, err := io.ReadAll(io.LimitReader(resp.Body, maxSniffBytes))
-			if err != nil || resp.StatusCode != http.StatusOK {
-				rt.mark(i, fmt.Errorf("metrics: HTTP %d, %v", resp.StatusCode, err))
-				return
-			}
-			rt.mark(i, nil)
-			texts[i] = data
-			parts[i] = &struct{}{}
-		}(i)
-	}
-	for ; wg > 0; wg-- {
-		<-done
-	}
+	parts, _ := fanOutAs[[]metrics.Metric](rt, r.Context(), "", "/metrics", func(body []byte, v any) (err error) {
+		*v.(*[]metrics.Metric), err = metrics.Read(bytes.NewReader(body))
+		return err
+	})
+	all := []metrics.Metric{{Name: "gridsched_partition_up", Kind: metrics.KindGauge}}
 	var downIdx []string
-	alive := 0
-	for i, p := range parts {
-		if p == nil {
-			downIdx = append(downIdx, fmt.Sprint(i))
+	for i, ms := range parts {
+		up := metrics.Of("partition", strconv.Itoa(i), 0)
+		if ms == nil {
+			downIdx = append(downIdx, up.Labels[0].Value)
 		} else {
-			alive++
+			up.Value = 1
+			for _, m := range *ms {
+				for k := range m.Samples {
+					m.Samples[k].Labels = append(up.Labels[:1:1], m.Samples[k].Labels...)
+				}
+				all = append(all, m)
+			}
 		}
+		all[0].Samples = append(all[0].Samples, up)
 	}
 	if len(downIdx) > 0 {
 		w.Header().Set(api.PartitionsDownHeader, strings.Join(downIdx, ","))
 	}
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-	if alive == 0 {
+	if len(downIdx) == len(parts) {
 		w.WriteHeader(http.StatusServiceUnavailable)
 	}
-	fmt.Fprintf(w, "# TYPE gridsched_partition_up gauge\n")
-	for i := range rt.urls {
-		up := 0
-		if parts[i] != nil {
-			up = 1
-		}
-		fmt.Fprintf(w, "gridsched_partition_up{partition=\"%d\"} %d\n", i, up)
-	}
-	for i, text := range texts {
-		if text != nil {
-			_, _ = w.Write(injectLabel(text, fmt.Sprintf("partition=\"%d\"", i)))
-		}
-	}
-}
-
-// injectLabel adds one label to every sample line of a Prometheus text
-// exposition. Comment lines (# TYPE, # HELP) pass through untouched.
-func injectLabel(text []byte, label string) []byte {
-	var out bytes.Buffer
-	out.Grow(len(text) + len(text)/8)
-	for _, line := range bytes.Split(text, []byte("\n")) {
-		if len(line) == 0 {
-			continue
-		}
-		if line[0] == '#' {
-			out.Write(line)
-			out.WriteByte('\n')
-			continue
-		}
-		// name{labels} value  |  name value
-		sp := bytes.IndexByte(line, ' ')
-		if sp < 0 {
-			out.Write(line)
-			out.WriteByte('\n')
-			continue
-		}
-		name, rest := line[:sp], line[sp:]
-		if brace := bytes.IndexByte(name, '{'); brace >= 0 {
-			out.Write(name[:brace+1])
-			out.WriteString(label)
-			out.WriteByte(',')
-			out.Write(name[brace+1:])
-		} else {
-			out.Write(name)
-			out.WriteByte('{')
-			out.WriteString(label)
-			out.WriteByte('}')
-		}
-		out.Write(rest)
-		out.WriteByte('\n')
-	}
-	return out.Bytes()
+	_ = metrics.Write(w, all)
 }

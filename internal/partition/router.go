@@ -301,6 +301,12 @@ func (e *refusal) Error() string { return e.msg }
 // error or non-2xx) come back as nil entries with health marked; denied is
 // the lowest-indexed partition's refusal when any refused the credentials.
 func fanOut[V any](rt *Router, ctx context.Context, auth, path string) (out []*V, denied *refusal) {
+	return fanOutAs[V](rt, ctx, auth, path, json.Unmarshal)
+}
+
+// fanOutAs is fanOut with the decoding of a 2xx body named (json.Unmarshal's
+// shape).
+func fanOutAs[V any](rt *Router, ctx context.Context, auth, path string, decode func([]byte, any) error) (out []*V, denied *refusal) {
 	out = make([]*V, len(rt.urls))
 	refused := make([]*refusal, len(rt.urls))
 	var wg sync.WaitGroup
@@ -309,7 +315,7 @@ func fanOut[V any](rt *Router, ctx context.Context, auth, path string) (out []*V
 		go func(i int) {
 			defer wg.Done()
 			var v V
-			err := rt.getJSON(ctx, i, auth, path, &v)
+			err := rt.get(ctx, i, auth, path, &v, decode)
 			if errors.As(err, &refused[i]) {
 				rt.mark(i, nil) // it answered; the credentials are the problem
 				return
@@ -329,7 +335,7 @@ func fanOut[V any](rt *Router, ctx context.Context, auth, path string) (out []*V
 	return out, nil
 }
 
-func (rt *Router) getJSON(ctx context.Context, i int, auth, path string, v any) error {
+func (rt *Router) get(ctx context.Context, i int, auth, path string, v any, decode func([]byte, any) error) error {
 	ctx, cancel := context.WithTimeout(ctx, rt.aggTO)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, rt.urls[i]+path, nil)
@@ -359,7 +365,7 @@ func (rt *Router) getJSON(ctx context.Context, i int, auth, path string, v any) 
 		}
 		return errors.New(msg)
 	}
-	return json.Unmarshal(data, v)
+	return decode(data, v)
 }
 
 // finishAggregate answers a fan-out: a partition's refusal of the

@@ -8,13 +8,13 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"gridsched"
 	"gridsched/internal/core"
+	"gridsched/internal/metrics"
 	"gridsched/internal/middleware"
 	"gridsched/internal/partition"
 	"gridsched/internal/service"
@@ -208,27 +208,6 @@ func TestRouterAggregation(t *testing.T) {
 		t.Fatalf("readyz with all partitions up: HTTP %d", resp.StatusCode)
 	}
 
-	// Metrics federation: per-partition up gauges plus relabeled samples.
-	resp, err = http.Get(d.router.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, err := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	metrics := string(body)
-	for _, want := range []string{
-		`gridsched_partition_up{partition="0"} 1`,
-		`gridsched_partition_up{partition="1"} 1`,
-		`partition="1"`,
-	} {
-		if !strings.Contains(metrics, want) {
-			t.Fatalf("federated metrics missing %q", want)
-		}
-	}
-
 	// Kill partition 1: aggregate reads stay 200 but say what's missing.
 	d.servers[1].Close()
 	jobs, err = d.cl.Jobs(ctx)
@@ -287,6 +266,112 @@ func TestRouterAggregation(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("keyed forward to dead partition: HTTP %d, want 503", resp.StatusCode)
+	}
+}
+
+// TestRouterMetricsConformance: the federated /metrics is one conformant
+// exposition — every family declared once, its samples in one group, no
+// series twice (metrics.Read refuses anything else) — with one partition
+// up, with both, and with none; every partition sample carries its
+// partition label first, and a direct scrape of a partition still returns
+// the bare names.
+func TestRouterMetricsConformance(t *testing.T) {
+	var wrapped int
+	var down [2]atomic.Bool
+	d := newDeploymentBehind(t, 2, func(h http.Handler) http.Handler {
+		i := wrapped
+		wrapped++
+		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if down[i].Load() {
+				http.Error(w, "down for the test", http.StatusServiceUnavailable)
+				return
+			}
+			h.ServeHTTP(w, r)
+		})
+	})
+	ctx := context.Background()
+	for k := 0; k < 6; k++ {
+		if _, err := d.cl.SubmitJobIdempotent(ctx, api.SubmitJobRequest{
+			Name: "fed", Algorithm: "workqueue", Workload: testWorkload(2),
+			Tenant: fmt.Sprintf("tenant-%d", k%2), Weight: 1, SubmissionID: fmt.Sprintf("agg-%d", k),
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	scrape := func(url string, wantCode int, wantDown string) []metrics.Metric {
+		t.Helper()
+		resp, err := http.Get(url + "/metrics")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		if resp.StatusCode != wantCode || resp.Header.Get(api.PartitionsDownHeader) != wantDown {
+			t.Fatalf("GET %s/metrics: HTTP %d, %s %q; want %d, %q", url, resp.StatusCode,
+				api.PartitionsDownHeader, resp.Header.Get(api.PartitionsDownHeader), wantCode, wantDown)
+		}
+		ms, err := metrics.Read(resp.Body)
+		if err != nil {
+			t.Fatalf("GET %s/metrics is not a conformant exposition: %v", url, err)
+		}
+		return ms
+	}
+	// What each partition says of itself, bare.
+	direct := make([][]metrics.Metric, 2)
+	for i := range direct {
+		direct[i] = scrape(d.servers[i].URL, http.StatusOK, "")
+		if v, ok := metrics.Lookup(direct[i], "gridsched_jobs_submitted_total", ""); !ok || v == 0 {
+			t.Fatalf("partition %d has no bare gridsched_jobs_submitted_total (or no job): %v, %v", i, v, ok)
+		}
+	}
+
+	for _, tc := range []struct {
+		name     string
+		down     [2]bool
+		code     int
+		downList string
+	}{
+		{"one up", [2]bool{false, true}, http.StatusOK, "1"},
+		{"both up", [2]bool{false, false}, http.StatusOK, ""},
+		{"none up", [2]bool{true, true}, http.StatusServiceUnavailable, "0,1"},
+	} {
+		for i := range down {
+			down[i].Store(tc.down[i])
+		}
+		fed := scrape(d.router.URL, tc.code, tc.downList)
+		samples := 0
+		for i, isDown := range tc.down {
+			part := metrics.Label{Name: "partition", Value: fmt.Sprint(i)}
+			want := 1.0
+			if isDown {
+				want = 0
+			}
+			if v, ok := metrics.Lookup(fed, "gridsched_partition_up", "", part); !ok || v != want {
+				t.Errorf("%s: gridsched_partition_up%v = %v (present %v), want %v", tc.name, part, v, ok, want)
+			}
+			if isDown {
+				continue
+			}
+			// Everything the partition serves is there under its label.
+			for _, m := range direct[i] {
+				for _, s := range m.Samples {
+					samples++
+					if _, ok := metrics.Lookup(fed, m.Name, s.Suffix, append([]metrics.Label{part}, s.Labels...)...); !ok {
+						t.Errorf("%s: partition %d's %s%s%v is not in the federation", tc.name, i, m.Name, s.Suffix, s.Labels)
+					}
+				}
+			}
+		}
+		for _, m := range fed {
+			for _, s := range m.Samples {
+				samples--
+				if len(s.Labels) == 0 || s.Labels[0].Name != "partition" {
+					t.Errorf("%s: federated %s%s%v does not lead with a partition label", tc.name, m.Name, s.Suffix, s.Labels)
+				}
+			}
+		}
+		if samples != -2 { // the two gridsched_partition_up series are the router's own
+			t.Errorf("%s: the federation holds %d samples no live partition serves", tc.name, -2-samples)
+		}
 	}
 }
 

@@ -70,14 +70,13 @@ const (
 	ledgerSpecDispatch
 )
 
-// ledgerRec is one replayable scheduler-affecting event. The JSON tags are
-// the version-1 snapshot form, which packedLedger still reads.
+// ledgerRec is one replayable scheduler-affecting event.
 type ledgerRec struct {
-	Op     uint8           `json:"op"`
-	Task   workload.TaskID `json:"t"`
-	Site   int32           `json:"s"`
-	Worker int32           `json:"w"`
-	Ts     int64           `json:"ms,omitempty"` // unix milliseconds
+	Op     uint8
+	Task   workload.TaskID
+	Site   int32
+	Worker int32
+	Ts     int64 // unix milliseconds
 }
 
 // ledgerRecSize is one packed ledger record: op u8, task u32, site u32,
@@ -112,21 +111,8 @@ func (l packedLedger) add(e ledgerRec) packedLedger {
 	return binary.LittleEndian.AppendUint64(l, uint64(e.Ts))
 }
 
-// UnmarshalJSON reads the packed base64 string, or the version-1 form: a
-// JSON array with one object per event.
+// UnmarshalJSON reads the packed base64 string.
 func (l *packedLedger) UnmarshalJSON(data []byte) error {
-	if len(data) > 0 && data[0] == '[' {
-		var recs []ledgerRec
-		if err := json.Unmarshal(data, &recs); err != nil {
-			return err
-		}
-		packed := make(packedLedger, 0, len(recs)*ledgerRecSize)
-		for _, e := range recs {
-			packed = packed.add(e)
-		}
-		*l = packed
-		return nil
-	}
 	var s string
 	if err := json.Unmarshal(data, &s); err != nil {
 		return err
@@ -169,9 +155,7 @@ type snapshot struct {
 	Version int   `json:"version"`
 	Seq     int64 `json:"seq"`
 	// Partition identity the data dir was written under (see
-	// Config.PartitionIndex). Count 0 marks a pre-partitioning snapshot,
-	// which recovers only as the standalone identity 0 of 1 — the only
-	// identity such a dir can have minted ids for.
+	// Config.PartitionIndex); the count is at least 1.
 	PartitionIndex int           `json:"partitionIndex,omitempty"`
 	PartitionCount int           `json:"partitionCount,omitempty"`
 	LastLSN        uint64        `json:"lastLsn"`
@@ -211,8 +195,8 @@ type snapTenant struct {
 }
 
 // snapshotVersion 2 moved workloads out of the manifest into per-job files
-// and packed the ledgers. Version 1 documents (everything inline, one JSON
-// object per ledger event) still load; the next checkpoint rewrites them.
+// and packed the ledgers. It is the only version read: version 1 (everything
+// inline, one JSON object per ledger event) is refused as errLegacyFormat.
 const snapshotVersion = 2
 
 // snapJob is one resident job in a snapshot.
@@ -261,14 +245,22 @@ type snapJob struct {
 }
 
 // decodeSnapshot parses a checkpoint document — a manifest or a
-// replication message, in any version this binary reads.
+// replication message.
 func decodeSnapshot(data []byte) (*snapshot, error) {
 	var snap snapshot
-	if err := json.Unmarshal(data, &snap); err != nil {
-		return nil, err
+	err := json.Unmarshal(data, &snap)
+	if err != nil {
+		// A version-1 document need not even parse as this one (its ledgers
+		// are arrays); what it is refused for is its version all the same.
+		_ = json.Unmarshal(data, &struct{ Version *int }{&snap.Version})
 	}
-	if snap.Version < 1 || snap.Version > snapshotVersion {
-		return nil, fmt.Errorf("snapshot version %d, this binary reads 1 through %d", snap.Version, snapshotVersion)
+	switch {
+	case snap.Version == 1:
+		return nil, fmt.Errorf("version-1 snapshot: %w", errLegacyFormat)
+	case err != nil:
+		return nil, err
+	case snap.Version != snapshotVersion:
+		return nil, fmt.Errorf("snapshot version %d, this binary reads %d", snap.Version, snapshotVersion)
 	}
 	for i := range snap.Jobs {
 		// Job ids name files; refuse anything but the minted j<n> form
@@ -320,8 +312,8 @@ func loadWorkload(dir string, sj *snapJob) (*workload.Workload, error) {
 }
 
 // storedJobs names the jobs whose workload snap leaves to a workload file:
-// the running ones it does not carry inline (all of them, unless the
-// manifest is version 1). Empty for a dir that holds no checkpoint yet.
+// the running ones it does not carry inline (a manifest carries none).
+// Empty for a dir that holds no checkpoint yet.
 func (snap *snapshot) storedJobs() map[string]struct{} {
 	stored := make(map[string]struct{})
 	if snap == nil {

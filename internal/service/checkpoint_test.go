@@ -1,8 +1,6 @@
 package service_test
 
 import (
-	"encoding/base64"
-	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"os"
@@ -57,7 +55,7 @@ func manifestJobs(t *testing.T, dir string) (map[string]any, map[string]map[stri
 	return doc, jobs
 }
 
-// The two-job history the crash-ordering and legacy tests share: job A
+// The two-job history the crash-ordering tests run: job A
 // runs to completion, then job B is submitted and dispatches prefix tasks
 // (all of them when prefix < 0). Job, worker, and assignment ids come from
 // one sequence, so the same script mints the same ids on every service:
@@ -188,98 +186,5 @@ func TestCheckpointCrashOrdering(t *testing.T) {
 				t.Fatalf("B dispatched\n%v\nacross the kill at %s, uninterrupted\n%v", gotSeq, tc.step, refSeq)
 			}
 		})
-	}
-}
-
-// TestLegacySnapshotLoadsAndIsRewritten: a version-1 snapshot.json — every
-// running job's workload inline, ledgers as one JSON object per event —
-// still recovers, bit-identically, and the first checkpoint afterwards
-// rewrites it in the current layout.
-func TestLegacySnapshotLoadsAndIsRewritten(t *testing.T) {
-	ref := newService(t, service.Config{NewScheduler: gridsched.SchedulerFactory()})
-	refSeq := runCheckpointScript(t, ref, nil, -1)
-
-	dir := t.TempDir()
-	cfg := durableConfig(dir)
-	a, err := service.New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gotSeq := runCheckpointScript(t, a, nil, bPrefix)
-	a.Close() // final checkpoint: everything is in the manifest, the log is empty
-
-	// Rewrite the data dir the way a pre-PR-12 binary would have left it.
-	doc, jobs := manifestJobs(t, dir)
-	if doc["version"] != float64(2) {
-		t.Fatalf("current manifest version %v, want 2", doc["version"])
-	}
-	doc["version"] = 1
-	b := jobs[jobB]
-	if _, inline := b["workload"]; inline {
-		t.Fatal("current manifest carries an inline workload")
-	}
-	wlPath := filepath.Join(dir, workloadFileOf(jobB))
-	wlData, err := os.ReadFile(wlPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wl, err := api.DecodeWorkload(wlData)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b["workload"] = wl
-	packed, err := base64.StdEncoding.DecodeString(b["ledger"].(string))
-	if err != nil {
-		t.Fatal(err)
-	}
-	const recSize = 21 // op u8, task u32, site u32, worker u32, ts u64; little-endian
-	if len(packed) != 2*bPrefix*recSize {
-		t.Fatalf("packed ledger is %d bytes, want %d dispatch+report records of %d", len(packed), 2*bPrefix, recSize)
-	}
-	var events []map[string]any
-	for ; len(packed) > 0; packed = packed[recSize:] {
-		events = append(events, map[string]any{
-			"op": packed[0],
-			"t":  binary.LittleEndian.Uint32(packed[1:]),
-			"s":  binary.LittleEndian.Uint32(packed[5:]),
-			"w":  binary.LittleEndian.Uint32(packed[9:]),
-			"ms": binary.LittleEndian.Uint64(packed[13:]),
-		})
-	}
-	b["ledger"] = events
-	legacy, err := json.Marshal(doc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, "snapshot.json"), legacy, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.Remove(wlPath); err != nil {
-		t.Fatal(err)
-	}
-
-	r, err := service.New(cfg)
-	if err != nil {
-		t.Fatalf("recovery from a version-1 snapshot: %v", err)
-	}
-	defer r.Close()
-	// Recovery's own compaction is "the next snapshot".
-	doc, jobs = manifestJobs(t, dir)
-	if doc["version"] != float64(2) {
-		t.Fatalf("manifest still version %v after recovery", doc["version"])
-	}
-	if _, inline := jobs[jobB]["workload"]; inline {
-		t.Fatal("rewritten manifest still carries the workload inline")
-	}
-	if _, isPacked := jobs[jobB]["ledger"].(string); !isPacked {
-		t.Fatalf("rewritten ledger is a %T, want the packed string", jobs[jobB]["ledger"])
-	}
-	want := []string{"snapshot.json", "wal.log", workloadFileOf(jobB)}
-	if got := dirNames(t, dir); !reflect.DeepEqual(got, want) {
-		t.Fatalf("data dir after the rewrite holds %v, want %v", got, want)
-	}
-	gotSeq = append(gotSeq, pullSequence(t, r, -1)...)
-	if !reflect.DeepEqual(gotSeq, refSeq) {
-		t.Fatalf("B dispatched\n%v\nacross the legacy snapshot, uninterrupted\n%v", gotSeq, refSeq)
 	}
 }

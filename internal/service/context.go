@@ -17,7 +17,6 @@
 package service
 
 import (
-	"fmt"
 	"math"
 	"slices"
 	"sort"
@@ -187,32 +186,28 @@ func (t *telemetry) restoreWorkers(ws []snapWorker) {
 	}
 }
 
-// writeMetrics appends one gauge line per observed slot to b in the
-// Prometheus text format used by /metrics.
-func (t *telemetry) writeMetrics(b []byte) []byte {
+// workerSlot is one slot's telemetry as /metrics serves it: its mean task
+// time in seconds, its failure rate, and how many durations the mean is over.
+type workerSlot struct {
+	site, worker      int
+	meanSec, failRate float64
+	samples           int64
+}
+
+// observed lists every slot that has observations, in (site, worker) order.
+func (t *telemetry) observed() []workerSlot {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	header := false
+	var out []workerSlot
 	for site := range t.slots {
 		for wk := range t.slots[site] {
-			s := &t.slots[site][wk]
-			if s.events == 0 {
-				continue
+			if s := &t.slots[site][wk]; s.events > 0 {
+				out = append(out, workerSlot{site, wk,
+					float64(s.durEwma) / float64(ewmaOne) / 1000.0, float64(s.failEwma) / float64(ewmaOne), s.samples})
 			}
-			if !header {
-				b = append(b, "# TYPE gridsched_worker_mean_task_seconds gauge\n"...)
-				b = append(b, "# TYPE gridsched_worker_failure_rate gauge\n"...)
-				b = append(b, "# TYPE gridsched_worker_samples gauge\n"...)
-				header = true
-			}
-			mean := float64(s.durEwma) / float64(ewmaOne) / 1000.0
-			rate := float64(s.failEwma) / float64(ewmaOne)
-			b = fmt.Appendf(b, "gridsched_worker_mean_task_seconds{site=\"%d\",worker=\"%d\"} %g\n", site, wk, mean)
-			b = fmt.Appendf(b, "gridsched_worker_failure_rate{site=\"%d\",worker=\"%d\"} %g\n", site, wk, rate)
-			b = fmt.Appendf(b, "gridsched_worker_samples{site=\"%d\",worker=\"%d\"} %d\n", site, wk, s.samples)
 		}
 	}
-	return b
+	return out
 }
 
 // durRing is a per-job ring of recent completed-task durations in

@@ -61,12 +61,8 @@ func (s *Service) AttachedForTest(workerID string) bool {
 	return w != nil && w.attached != ""
 }
 
-// CheckpointDocumentForTest is the replication source's catch-up document
-// over a data dir, for a test that plays leader from files on disk.
-var CheckpointDocumentForTest = checkpointDocument
-
-// RecordOpForTest decodes one journal payload and names its op.
-func RecordOpForTest(payload []byte) (string, error) {
-	rec, err := decodeRecord(payload)
-	return rec.Op, err
+// QuotaRecordForTest is the journal payload of a tenant quota override, for
+// a test that plays leader by writing the stream itself.
+func QuotaRecordForTest(tenant string, quota int, ts int64) []byte {
+	return (&record{Op: opQuota, Tenant: tenant, Quota: quota, Ts: ts}).appendTo(nil)
 }

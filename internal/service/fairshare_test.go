@@ -6,13 +6,11 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
-	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
 	"gridsched"
-	"gridsched/internal/journal"
 	"gridsched/internal/service"
 	"gridsched/internal/service/api"
 	"gridsched/internal/service/client"
@@ -585,9 +583,8 @@ func TestTenantPrunedWhenLastLeaseEnds(t *testing.T) {
 
 // TestLateReportAfterDeleteSurvivesRecovery: a cancelled replica's report
 // or expiry landing after its job was deleted AND a snapshot rotated the
-// journal must not brick the data dir. The live path refuses to journal
-// records naming non-resident jobs, and replay tolerates such records
-// written by older binaries.
+// journal must not brick the data dir: the live path refuses to journal
+// records naming non-resident jobs (replay treats one as corruption).
 func TestLateReportAfterDeleteSurvivesRecovery(t *testing.T) {
 	dir := t.TempDir()
 	s1, err := service.New(durableConfig(dir))
@@ -631,29 +628,7 @@ func TestLateReportAfterDeleteSurvivesRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatalf("recovery after late report on deleted job: %v", err)
 	}
-	s2.CrashForTest()
-
-	// Older binaries did write such records; replay must shrug them off.
-	wal := filepath.Join(dir, "wal.log")
-	info, err := journal.ReadLog(wal, 0, func(uint64, []byte) error { return nil })
-	if err != nil {
-		t.Fatal(err)
-	}
-	w, err := journal.OpenWriter(wal, journal.SyncAlways, 0, info.LastLSN, info.ValidSize, &journal.Metrics{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := w.Append([]byte(`{"op":"expire","ts":1,"job":"j999","task":0,"site":0,"worker":0}`)); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	s3, err := service.New(durableConfig(dir))
-	if err != nil {
-		t.Fatalf("recovery over a legacy orphan expire record: %v", err)
-	}
-	s3.Close()
+	s2.Close()
 }
 
 // TestTenantHTTPSurface drives the tenant endpoints and metrics through

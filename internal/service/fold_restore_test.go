@@ -3,6 +3,8 @@ package service_test
 import (
 	"bytes"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -91,10 +93,10 @@ func TestFoldedRestoreMatchesReasked(t *testing.T) {
 		defer s.Close()
 		c := s.Counters()
 		v := view{folded: c.ReplayFolded.Load(), reasked: c.ReplayReasked.Load()}
-		v.jobs = httpDo(t, s.Handler(), "GET", "/v1/jobs", nil)
-		v.tenants = httpDo(t, s.Handler(), "GET", "/v1/tenants", nil)
+		v.jobs = getBody(t, s.Handler(), "/v1/jobs")
+		v.tenants = getBody(t, s.Handler(), "/v1/tenants")
 		v.drain = drainOrder(t, s, clk, cut)
-		v.drained = httpDo(t, s.Handler(), "GET", "/v1/jobs", nil)
+		v.drained = getBody(t, s.Handler(), "/v1/jobs")
 		// Whichever way it came back, the checkpoint recovery ends with
 		// records where every worker-centric job's stream stands.
 		if _, jobs := manifestJobs(t, dir); true {
@@ -183,4 +185,15 @@ func TestWrongDrawsFailAtTheTail(t *testing.T) {
 	if errs[0] != errs[1] {
 		t.Errorf("one core:   %s\nfour cores: %s", errs[0], errs[1])
 	}
+}
+
+// getBody is GET path of h, which must answer 200.
+func getBody(t *testing.T, h http.Handler, path string) []byte {
+	t.Helper()
+	rr := httptest.NewRecorder()
+	h.ServeHTTP(rr, httptest.NewRequest(http.MethodGet, path, nil))
+	if rr.Code != http.StatusOK {
+		t.Fatalf("GET %s: %d %s", path, rr.Code, rr.Body)
+	}
+	return rr.Body.Bytes()
 }

@@ -147,7 +147,6 @@ func (f *Follower) openLocal() error {
 		return err
 	}
 	f.w, f.st, f.last = w, st, last
-	f.repl.LocalLSN.Store(int64(last))
 	return nil
 }
 
@@ -246,10 +245,8 @@ func (f *Follower) ApplyFrame(lsn uint64, payload []byte) error {
 	}
 	f.last = lsn
 	f.repl.FramesApplied.Add(1)
-	f.repl.LocalLSN.Store(int64(lsn))
-	if l := f.leaderLSN.Load(); lsn > l {
+	if lsn > f.leaderLSN.Load() {
 		f.leaderLSN.Store(lsn)
-		f.repl.LeaderLSN.Store(int64(lsn))
 	}
 	f.touchContact()
 	return nil
@@ -304,7 +301,6 @@ func (f *Follower) ApplySnapshot(lsn uint64, data []byte) error {
 	f.st = st
 	f.last = lsn
 	f.repl.SnapshotsApplied.Add(1)
-	f.repl.LocalLSN.Store(int64(lsn))
 	f.touchContact()
 	return nil
 }
@@ -312,7 +308,6 @@ func (f *Follower) ApplySnapshot(lsn uint64, data []byte) error {
 // Heartbeat records the leader's position (lag = leader - local).
 func (f *Follower) Heartbeat(lastLSN uint64) {
 	f.leaderLSN.Store(lastLSN)
-	f.repl.LeaderLSN.Store(int64(lastLSN))
 	f.touchContact()
 }
 
@@ -395,14 +390,13 @@ func (f *Follower) Close() {
 	}
 }
 
-// lag is LeaderLSN - LastLSN, clamped at 0 (the follower can briefly know
-// more than the last heartbeat announced).
-func (f *Follower) lag() uint64 {
-	local, leader := f.LastLSN(), f.LeaderLSN()
-	if leader <= local {
-		return 0
-	}
-	return leader - local
+// position is the standby's place in the log as /readyz and /metrics
+// report it: the last LSN it holds, the last its leader announced, and the
+// lag between them, clamped at 0 (the follower can briefly know more than
+// the last heartbeat announced).
+func (f *Follower) position() (local, leader, lag uint64) {
+	local, leader = f.LastLSN(), f.LeaderLSN()
+	return local, leader, leader - min(local, leader)
 }
 
 // Handler is the follower's HTTP surface: read-only status from the
@@ -460,27 +454,17 @@ func (f *Follower) Handler() http.Handler {
 }
 
 func (f *Follower) handleReadyz(w http.ResponseWriter, r *http.Request) {
+	local, leader, lag := f.position()
 	rd := api.Readiness{
 		Status:    "ready",
 		Role:      api.RoleFollower,
-		LastLSN:   f.LastLSN(),
-		LeaderLSN: f.LeaderLSN(),
-		LagLSN:    f.lag(),
+		LastLSN:   local,
+		LeaderLSN: leader,
+		LagLSN:    lag,
 		Leader:    f.cfg.Leader,
 	}
 	w.Header().Set(api.LeaderHeader, f.cfg.Leader)
 	writeJSON(w, http.StatusOK, rd)
-}
-
-func (f *Follower) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-	_ = metrics.WriteReplicationText(w, api.RoleFollower, f.repl)
-	fmt.Fprintf(w, "# TYPE gridsched_journal_records_total counter\ngridsched_journal_records_total %d\n",
-		f.jmet.Records.Load())
-	fmt.Fprintf(w, "# TYPE gridsched_journal_bytes_total counter\ngridsched_journal_bytes_total %d\n",
-		f.jmet.Bytes.Load())
-	fmt.Fprintf(w, "# TYPE gridsched_journal_fsyncs_total counter\ngridsched_journal_fsyncs_total %d\n",
-		f.jmet.Fsyncs.Load())
 }
 
 // redirectToLeader answers every mutating (or unknown) request with 421

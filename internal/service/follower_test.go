@@ -649,8 +649,8 @@ func TestFollowerHaltsOnDivergence(t *testing.T) {
 			return
 		}
 		enc := replicate.NewEncoder(w)
-		_ = enc.Frame(1, []byte(`{"op":"quota","tenant":"ta","quota":5,"ts":1}`))
-		_ = enc.Frame(3, []byte(`{"op":"quota","tenant":"tb","quota":9,"ts":2}`)) // gap: 2 skipped
+		_ = enc.Frame(1, service.QuotaRecordForTest("ta", 5, 1))
+		_ = enc.Frame(3, service.QuotaRecordForTest("tb", 9, 2)) // gap: 2 skipped
 		_ = enc.Flush()
 	}))
 	t.Cleanup(leader.Close)

@@ -3,12 +3,10 @@ package service
 import (
 	"encoding/json"
 	"errors"
-	"fmt"
 	"io"
 	"net/http"
 	"time"
 
-	"gridsched/internal/metrics"
 	"gridsched/internal/middleware"
 	"gridsched/internal/service/api"
 )
@@ -264,45 +262,4 @@ func (s *Service) handleReadyz(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusOK, rd)
-}
-
-func (s *Service) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-	s.refreshJournalMetrics()
-	if err := s.counters.WriteText(w); err != nil {
-		// Connection-level failure; nothing more to do.
-		return
-	}
-	if s.cfg.PartitionCount > 1 {
-		fmt.Fprintf(w, "# TYPE gridsched_partition_index gauge\ngridsched_partition_index %d\n", s.cfg.PartitionIndex)
-		fmt.Fprintf(w, "# TYPE gridsched_partition_count gauge\ngridsched_partition_count %d\n", s.cfg.PartitionCount)
-	}
-	s.repl.LocalLSN.Store(int64(s.ReplicationLastLSN()))
-	if err := metrics.WriteReplicationText(w, api.RoleLeader, s.repl); err != nil {
-		return
-	}
-	if b := s.tel.writeMetrics(nil); len(b) > 0 {
-		if _, err := w.Write(b); err != nil {
-			return
-		}
-	}
-	for _, st := range s.Jobs() {
-		fmt.Fprintf(w, "gridsched_job_remaining{job=%q,algorithm=%q} %d\n", st.ID, st.Algorithm, st.Remaining)
-		fmt.Fprintf(w, "gridsched_job_completed{job=%q,algorithm=%q} %d\n", st.ID, st.Algorithm, st.Completed)
-	}
-	tenants := s.Tenants()
-	lines := make([]metrics.TenantLine, 0, len(tenants))
-	for _, t := range tenants {
-		lines = append(lines, metrics.TenantLine{
-			Tenant:        t.Tenant,
-			Weight:        t.Weight,
-			InFlight:      int64(t.InFlight),
-			MaxInFlight:   int64(t.MaxInFlight),
-			ShareTarget:   t.ShareTarget,
-			ShareAchieved: t.ShareAchieved,
-			Dispatches:    t.Dispatches,
-			Throttles:     t.Throttles,
-		})
-	}
-	_ = metrics.WriteTenantText(w, lines)
 }

@@ -244,10 +244,14 @@ func TestIngressOverloadShedsLightTenantLast(t *testing.T) {
 	wg.Wait()
 
 	goldOK, bronzeOK := admitted["gold"], admitted["bronze"]
-	t.Logf("admitted pulls: gold=%d bronze=%d; sheds: gold=%d bronze=%d level=%d p99=%s",
-		goldOK, bronzeOK, c.TenantSheds("gold"), c.TenantSheds("bronze"),
+	shedOf := func(tenant string) float64 {
+		v, _ := metrics.Lookup(c.Metrics(), "gridsched_ingress_tenant_sheds_total", "", metrics.Label{Name: "tenant", Value: tenant})
+		return v
+	}
+	t.Logf("admitted pulls: gold=%d bronze=%d; sheds: gold=%v bronze=%v level=%d p99=%s",
+		goldOK, bronzeOK, shedOf("gold"), shedOf("bronze"),
 		c.ShedLevel.Load(), time.Duration(c.RequestP99Nanos.Load()))
-	if c.TenantSheds("bronze") == 0 {
+	if shedOf("bronze") == 0 {
 		t.Fatal("overload never shed the light tenant")
 	}
 	if goldOK < 5 {

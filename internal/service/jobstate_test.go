@@ -377,35 +377,3 @@ func TestTwinSlotIsNotOfferedMore(t *testing.T) {
 		t.Fatalf("after the twin ended: %+v", a)
 	}
 }
-
-// TestLegacyRecordsForUnknownJobStillFold: a binary from before the
-// residency guard could journal the end of a cancelled replica after its
-// job's DELETE. Replay has no job to apply such a record to, but the process
-// that wrote it folded the outcome into the slot's telemetry, so replay must
-// too; a dispatch into an unknown job stays corruption.
-func TestLegacyRecordsForUnknownJobStillFold(t *testing.T) {
-	cfg := Config{Topology: Topology{Sites: 2, WorkersPerSite: 2, CapacityFiles: 4}}
-	if err := cfg.normalize(); err != nil {
-		t.Fatal(err)
-	}
-	s := newState(cfg)
-	for _, rec := range []*record{
-		{Op: opReport, Job: "j9", Task: 3, Site: 1, Worker: 0, Outcome: api.OutcomeSuccess, Ts: 5},
-		{Op: opReport, Job: "j9", Task: 4, Site: 1, Worker: 1, Outcome: api.OutcomeFailure, Ts: 6},
-		{Op: opExpire, Job: "j9", Task: 5, Site: 1, Worker: 1, Ts: 7},
-	} {
-		if err := s.applyRecord(rec); err != nil {
-			t.Fatalf("%s record for an unknown job: %v", rec.Op, err)
-		}
-	}
-	want := []snapWorker{
-		{Site: 1, Worker: 0, Events: 1},
-		{Site: 1, Worker: 1, Events: 2, FailEwma: ewmaOne},
-	}
-	if got := s.tel.snapshotWorkers(); !slices.Equal(got, want) {
-		t.Fatalf("telemetry after legacy records: %+v, want %+v", got, want)
-	}
-	if err := s.applyRecord(&record{Op: opDispatch, Job: "j9", Site: 1}); err == nil {
-		t.Fatal("dispatch into an unknown job was accepted")
-	}
-}

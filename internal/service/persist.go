@@ -20,12 +20,11 @@ import (
 // atomic; stage serializes appends (commit.go); stored and atStep belong
 // to the checkpoint path and are guarded by snapMu.
 type persistence struct {
-	dir            string
-	w              *journal.Writer
-	stage          *commitStage
-	journalMetrics *journal.Metrics
-	carry          carryCounters
-	sinceSnapshot  atomic.Int64 // records appended since the last snapshot
+	dir           string
+	w             *journal.Writer
+	stage         *commitStage
+	carry         carryCounters
+	sinceSnapshot atomic.Int64 // records appended since the last snapshot
 	// stored lists the running jobs whose workload file is durable in dir,
 	// so each checkpoint writes only the files of jobs new since the last.
 	stored map[string]struct{}
@@ -47,18 +46,6 @@ func (p *persistence) reached(step string) error {
 		return nil
 	}
 	return p.atStep(step)
-}
-
-// refreshJournalMetrics copies the log writer's counters into the service
-// counters rendered at /metrics.
-func (s *Service) refreshJournalMetrics() {
-	if s.pst == nil || s.pst.journalMetrics == nil {
-		return
-	}
-	m := s.pst.journalMetrics
-	s.counters.JournalRecords.Store(m.Records.Load())
-	s.counters.JournalBytes.Store(m.Bytes.Load())
-	s.counters.JournalFsyncs.Store(m.Fsyncs.Load())
 }
 
 func (s *Service) walPath() string { return filepath.Join(s.pst.dir, walFile) }

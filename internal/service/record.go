@@ -2,11 +2,9 @@
 //
 // # Format
 //
-// Byte 0 is the record's tag — its op, one of tagSubmit … tagQuota. Every
-// tag is below 0x20, so no record can start with the '{' (0x7b) that opens
-// a legacy JSON one; a layout that changes takes a new tag. Integers are
-// little-endian and fixed-width; a string is its uvarint length, then its
-// bytes.
+// Byte 0 is the record's tag — its op, one of tagSubmit … tagQuota; a
+// layout that changes takes a new tag. Integers are little-endian and
+// fixed-width; a string is its uvarint length, then its bytes.
 //
 //	lease     tag | event [21] | job str | assignment str
 //	submit    tag | ts u64 | seed u64 | deadline u64 | weight u64 |
@@ -23,18 +21,13 @@
 // ledger leaves out. The assignment id is empty unless the event is a
 // dispatch.
 //
-// # Legacy records
-//
-// Binaries up to PR 15 journaled each record as a JSON document.
-// decodeRecord still reads those — an old data dir recovers and its first
-// compaction leaves it binary; a standby upgraded ahead of its leader
-// applies the old leader's frames — and nothing writes them. The JSON
-// reader, and record's JSON tags with it, go in the release after this one.
+// Binaries up to PR 15 journaled JSON documents instead. No tag is '{', so
+// such a record is refused by name (errLegacyFormat) rather than misread.
 package service
 
 import (
 	"encoding/binary"
-	"encoding/json"
+	"errors"
 	"fmt"
 
 	"gridsched/internal/service/api"
@@ -71,46 +64,45 @@ const (
 // id only costs the append that outgrows the buffer.
 const maxLeaseRecordLen = 1 + ledgerRecSize + 2*(1+20)
 
-// record is one journal record, decoded. The JSON tags are the legacy
-// form's.
+// record is one journal record, decoded.
 type record struct {
-	Op string `json:"op"`
-	Ts int64  `json:"ts"` // unix milliseconds, for operators and recovered timestamps
+	Op string
+	Ts int64 // unix milliseconds, for operators and recovered timestamps
 
-	Job string `json:"job,omitempty"`
+	Job string
 
 	// opSubmit
-	Name       string             `json:"name,omitempty"`
-	Algorithm  string             `json:"algorithm,omitempty"`
-	Seed       int64              `json:"seed,omitempty"`
-	Submission string             `json:"submission,omitempty"`
-	Workload   *workload.Workload `json:"workload,omitempty"`
+	Name       string
+	Algorithm  string
+	Seed       int64
+	Submission string
+	Workload   *workload.Workload
 	// Tenant rides on opSubmit (the job's tenant, resolved) and opQuota
 	// (the tenant being configured). Weight is the job's resolved
 	// fair-share weight — journaled resolved so replay cannot be skewed by
 	// a changed server default; absent (0) in pre-fair-share journals and
 	// re-resolved against the default at replay. Quota is opQuota's new
 	// in-flight cap (0: revert to the server default).
-	Tenant string `json:"tenant,omitempty"`
-	Weight int    `json:"weight,omitempty"`
-	Quota  int    `json:"quota,omitempty"`
+	Tenant string
+	Weight int
+	Quota  int
 
 	// Context-aware scheduling (opSubmit): required worker tags and the
 	// soft deadline (unix millis, 0 = none). Journaled with the submit so
 	// a recovered job enforces the same constraints.
-	Requires []string `json:"requires,omitempty"`
-	Deadline int64    `json:"deadline,omitempty"`
+	Requires []string
+	Deadline int64
 
 	// opDispatch / opReport / opExpire
-	Task       workload.TaskID `json:"task,omitempty"`
-	Site       int             `json:"site,omitempty"`
-	Worker     int             `json:"worker,omitempty"`
-	Assignment string          `json:"assignment,omitempty"` // opDispatch: minted id, for seq recovery and debugging
-	Outcome    string          `json:"outcome,omitempty"`    // opReport
+	Task       workload.TaskID
+	Site       int
+	Worker     int
+	Assignment string // opDispatch: minted id, for seq recovery and debugging
+	Outcome    string // opReport
 	// Spec marks an opDispatch as a speculative twin grant: replayed
 	// without a scheduler NextFor and without a fair charge, exactly as
 	// it was granted (see stragglerForLocked / replay).
-	Spec bool `json:"spec,omitempty"`
+	Spec bool
 }
 
 // event is a lease record's ledger event. Anything a report says other
@@ -171,16 +163,19 @@ func appendStr(dst []byte, s string) []byte {
 	return append(binary.AppendUvarint(dst, uint64(len(s))), s...)
 }
 
-// decodeRecord reads one journal payload, in the current format or the
-// legacy JSON one. The bytes are outside input: every length is checked
-// against what is left, and nothing in the result aliases payload. What
-// the record then names — a job, a task, a worker slot — is for
-// applyRecord and replay to check.
+// errLegacyFormat refuses what only a binary older than PR 16 wrote: a JSON
+// journal record, a version-1 manifest.
+var errLegacyFormat = errors.New("written by a gridschedd older than PR 16, whose formats this binary no longer reads; " +
+	"start the PR 17 binary on the data dir once — its first checkpoint rewrites it — then this one")
+
+// decodeRecord reads one journal payload. The bytes are outside input:
+// every length is checked against what is left, and nothing in the result
+// aliases payload. What the record then names — a job, a task, a worker
+// slot — is for applyRecord and replay to check.
 func decodeRecord(payload []byte) (record, error) {
 	var rec record
 	if len(payload) > 0 && payload[0] == '{' {
-		err := json.Unmarshal(payload, &rec)
-		return rec, err
+		return rec, fmt.Errorf("JSON journal record: %w", errLegacyFormat)
 	}
 	r := recReader{b: payload}
 	switch tag := r.byte(); tag {

@@ -128,15 +128,10 @@ func (s *Service) recover() error {
 	} else {
 		// Partition identity check: ids in this dir were minted in the
 		// recorded partition's residue class, so recovering under any other
-		// identity would mis-route every one of them. Pre-partitioning
-		// snapshots (count 0) can only be the standalone identity.
-		snapIdx, snapCnt := snap.PartitionIndex, snap.PartitionCount
-		if snapCnt == 0 {
-			snapIdx, snapCnt = 0, 1
-		}
-		if snapIdx != s.cfg.PartitionIndex || snapCnt != s.cfg.PartitionCount {
+		// identity would mis-route every one of them.
+		if snap.PartitionIndex != s.cfg.PartitionIndex || snap.PartitionCount != s.cfg.PartitionCount {
 			return fmt.Errorf("service: data dir belongs to partition %d of %d, configured as %d of %d (re-partitioning needs a migration, not a restart)",
-				snapIdx, snapCnt, s.cfg.PartitionIndex, s.cfg.PartitionCount)
+				snap.PartitionIndex, snap.PartitionCount, s.cfg.PartitionIndex, s.cfg.PartitionCount)
 		}
 	}
 	s.seq.Store(snap.Seq)
@@ -162,14 +157,12 @@ func (s *Service) recover() error {
 	}
 	replayed += info.Records
 	lastLSN := max(snap.LastLSN, info.LastLSN)
-	met := &journal.Metrics{}
-	w, err := journal.OpenWriter(s.walPath(), s.cfg.Fsync, s.cfg.FsyncInterval, lastLSN, info.ValidSize, met)
+	w, err := journal.OpenWriter(s.walPath(), s.cfg.Fsync, s.cfg.FsyncInterval, lastLSN, info.ValidSize, &s.jmet)
 	if err != nil {
 		return err
 	}
 	s.pst.w = w
 	s.pst.stage = newCommitStage(w)
-	s.pst.journalMetrics = met
 	phase(metrics.ReplayTail)
 
 	// 4. Expire whatever is still in flight: the workers holding those
@@ -438,22 +431,7 @@ func (s *Service) applyRecord(rec *record) error {
 	case opDispatch, opReport, opExpire:
 		j := s.shardOf(rec.Job).jobs[rec.Job]
 		if j == nil {
-			// A report/expiry naming a job neither the snapshot nor the
-			// tail knows is the trace of a cancelled replica that outlived
-			// its deleted job, written by a pre-residency-guard binary;
-			// there is nothing left to apply it to. A dispatch into an
-			// unknown job, by contrast, can only be corruption.
-			if rec.Op == opDispatch {
-				return fmt.Errorf("service: journal dispatch record for unknown job %s", rec.Job)
-			}
-			// The record exists, so the process that wrote it folded it.
-			ref := core.WorkerRef{Site: rec.Site, Worker: rec.Worker}
-			if rec.Op == opReport && rec.Outcome == api.OutcomeSuccess {
-				s.tel.observeSuccess(ref, 0, false)
-			} else {
-				s.tel.observeFailure(ref)
-			}
-			return nil
+			return fmt.Errorf("service: journal %s record for unknown job %s", rec.Op, rec.Job)
 		}
 		if rec.Op == opDispatch {
 			s.bumpSeqFromID(rec.Assignment)

@@ -491,6 +491,8 @@ type Service struct {
 	// repl tracks WAL-replication activity (leader side: streams and
 	// frames served to followers).
 	repl *metrics.ReplicationCounters
+	// jmet is the journal writer's activity (zero without DataDir).
+	jmet journal.Metrics
 
 	// instance is a per-process nonce suffixed onto worker ids: worker
 	// registrations are not journaled, so after a recovery a fresh id
