@@ -74,10 +74,14 @@ func BenchmarkAblationReplication(b *testing.B) { benchsuite.Experiment("ablatio
 // (CalculateWeight + ChooseTask, served from the incremental weight-class
 // indexes — see PERFORMANCE.md) on the full 6,000-task queue.
 func BenchmarkSchedulerRequest(b *testing.B) {
-	for _, name := range []string{"overlap", "rest", "combined"} {
+	for _, name := range []string{"overlap", "rest", "combined", "combined.2"} {
 		b.Run(name, benchsuite.SchedulerRequest(name))
 	}
 }
+
+// BenchmarkSimProcessSwitch measures one process resume of the simulation
+// kernel (two processes ping-ponging over queues).
+func BenchmarkSimProcessSwitch(b *testing.B) { benchsuite.SimProcessSwitch(b) }
 
 // BenchmarkWorkloadGeneration measures synthetic Coadd trace generation at
 // evaluation scale.

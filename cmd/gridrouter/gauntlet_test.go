@@ -11,6 +11,7 @@ import (
 	"os/exec"
 	"path/filepath"
 	"sync"
+	"syscall"
 	"testing"
 	"time"
 
@@ -36,6 +37,9 @@ func (d *daemon) wait() error {
 	return d.waitErr
 }
 
+// startDaemon starts one partition. Every child started here — a restart
+// like the first start — is killed and reaped when the test ends, whichever
+// way it ends: the caller has nothing to defer and nothing to forget.
 func startDaemon(t *testing.T, bin string, args ...string) *daemon {
 	t.Helper()
 	d := &daemon{waitCh: make(chan error, 1)}
@@ -46,7 +50,13 @@ func startDaemon(t *testing.T, bin string, args ...string) *daemon {
 		t.Fatal(err)
 	}
 	go func() { d.waitCh <- d.cmd.Wait() }()
+	t.Cleanup(d.stop)
 	return d
+}
+
+// alive reports whether the daemon's process still exists.
+func (d *daemon) alive() bool {
+	return syscall.Kill(d.cmd.Process.Pid, 0) == nil
 }
 
 // kill9 SIGKILLs the partition — no shutdown snapshot, no journal sync.
@@ -132,6 +142,22 @@ func TestPartitionGauntletKill9(t *testing.T) {
 		t.Fatalf("go build gridschedd: %v\n%s", err, out)
 	}
 
+	// Registered before any child is started, so it runs after every
+	// child's own cleanup: nothing this test started may outlive it.
+	var children []*daemon
+	t.Cleanup(func() {
+		for _, d := range children {
+			if d.alive() {
+				t.Errorf("gridschedd pid %d (%v) is still running after the test", d.cmd.Process.Pid, d.cmd.Args[1:])
+			}
+		}
+	})
+	start := func(args []string) *daemon {
+		d := startDaemon(t, bin, args...)
+		children = append(children, d)
+		return d
+	}
+
 	// Reserve ports: partitions re-bind theirs across restarts.
 	addrs := make([]string, parts)
 	daemons := make([]*daemon, parts)
@@ -150,8 +176,7 @@ func TestPartitionGauntletKill9(t *testing.T) {
 			"-data-dir", t.TempDir(), "-fsync", "batch", "-snapshot-every", "500",
 			"-partition-index", fmt.Sprint(i), "-partition-count", fmt.Sprint(parts),
 		}
-		daemons[i] = startDaemon(t, bin, partArgs[i]...)
-		defer daemons[i].stop()
+		daemons[i] = start(partArgs[i])
 		waitHealthy(t, client.New("http://"+addrs[i], nil))
 	}
 
@@ -260,7 +285,7 @@ func TestPartitionGauntletKill9(t *testing.T) {
 	}
 
 	// Restart partition 1: journal replay must bring its job back.
-	daemons[1] = startDaemon(t, bin, partArgs[1]...)
+	daemons[1] = start(partArgs[1])
 	waitHealthy(t, client.New("http://"+addrs[1], nil))
 	st1, err := jobStatus(cl, jobIDs[1])
 	if err != nil {

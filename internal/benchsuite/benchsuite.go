@@ -31,6 +31,7 @@ import (
 	"gridsched/internal/service"
 	"gridsched/internal/service/api"
 	"gridsched/internal/service/client"
+	"gridsched/internal/sim"
 	"gridsched/internal/workload"
 )
 
@@ -72,11 +73,15 @@ func ExperimentFullScale(id string) func(b *testing.B) {
 	}
 }
 
-// SchedulerRequest returns a benchmark measuring one worker-centric
-// scheduling request (CalculateWeight + ChooseTask, served from the
-// incremental weight-class indexes — see PERFORMANCE.md) on the full
-// 6,000-task queue, amortizing the NoteBatch updates of the steady-state
-// dispatch cycle.
+// SchedulerRequest returns a benchmark measuring one steady-state dispatch
+// cycle of a worker-centric scheduler on the full 6,000-task queue: the
+// request (CalculateWeight + ChooseTask, served from the incremental
+// weight-class indexes — see PERFORMANCE.md) and the NoteBatch that commits
+// the granted task's batch. Every batch is committed with fetched =
+// task.Files — each of the task's ~80 files fans out to all its readers —
+// so under the combined metrics the figure is mostly NoteBatch's fan-out,
+// not the selection: a cheaper chooseTask moves it by the selection's share
+// only, and it cannot be brought near overlap's by selection alone.
 func SchedulerRequest(algorithm string) func(b *testing.B) {
 	return func(b *testing.B) {
 		w, err := gridsched.NewCoaddWorkload(gridsched.DefaultCoaddSeed, 6000)
@@ -105,6 +110,31 @@ func SchedulerRequest(algorithm string) func(b *testing.B) {
 			}
 		}
 	}
+}
+
+// SimProcessSwitch measures one process resume of the simulation kernel:
+// two processes ping-pong over a pair of queues, so each op is one wake
+// event fired, one switch into the woken process, its Push and Recv, and
+// the switch back when it parks. It allocates nothing.
+func SimProcessSwitch(b *testing.B) {
+	k := sim.NewKernel()
+	ping, pong := sim.NewQueue[struct{}](k), sim.NewQueue[struct{}](k)
+	rounds := b.N/2 + 1
+	k.Go("ping", func(p *sim.Proc) {
+		for i := 0; i < rounds; i++ {
+			ping.Push(struct{}{})
+			pong.Recv(p)
+		}
+	})
+	k.Go("pong", func(p *sim.Proc) {
+		for i := 0; i < rounds; i++ {
+			ping.Recv(p)
+			pong.Push(struct{}{})
+		}
+	})
+	b.ReportAllocs()
+	b.ResetTimer()
+	k.Run()
 }
 
 // EndToEndSimulation measures a complete 600-task, 4-site run under

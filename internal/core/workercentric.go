@@ -79,6 +79,7 @@ type WorkerCentric struct {
 	// scratch reused across requests
 	cand     []candidate
 	top      []candidate
+	roots    []candidate
 	frontier []int32
 	picked   []workload.TaskID
 
@@ -210,10 +211,14 @@ func (s *WorkerCentric) NextFor(at WorkerRef) (workload.Task, Status) {
 // chooseTask picks one task for a request served by the site behind x.
 //
 // The candidate set handed to pickSorted is a weight-ordered *subset* of
-// what the naive scan would build: for each weight class it contains the
-// class-best ChooseN tasks (ties to the lower id), which necessarily
-// include the globally best ChooseN, so ChooseTask(n) selects — and
-// randomly draws — exactly as the naive scan would.
+// what the naive scan would build: the class-best ChooseN tasks (ties to
+// the lower id) of every weight class that can still hold one of the
+// globally best ChooseN — under overlap and rest the classes read in weight
+// order until ChooseN are in hand, under the combined metrics the at most
+// ChooseN classes with the best roots (gatherCombined has the argument).
+// The subset necessarily includes the globally best ChooseN, so
+// ChooseTask(n) selects — and randomly draws — exactly as the naive scan
+// would.
 func (s *WorkerCentric) chooseTask(x *siteIndex) workload.TaskID {
 	n := s.cfg.ChooseN
 	m := x.m
@@ -267,41 +272,117 @@ func (s *WorkerCentric) chooseTask(x *siteIndex) workload.TaskID {
 			}
 		}
 	case MetricCombined, MetricCombinedLiteral:
-		// The combined weight trades past references against missing
-		// files, so no single class dominates; but within a missing class
-		// the weight is monotone in refSum, so the global top n is among
-		// the per-class (refSum desc, id asc) top n. Totals are O(classes)
-		// from incrementally-maintained exact integer counts — see the
-		// canonical-totals note on siteIndex.
-		totalRef := float64(x.totalRef)
-		var totalRest float64
-		for c := 1; c <= s.idx.maxFiles; c++ {
-			// Under the combined metrics every class is a heap keyed by
-			// missing, so the class population is the missing-class count.
-			if cnt := len(x.heaps[c]); cnt > 0 {
-				totalRest += float64(cnt) / float64(c)
-			}
-		}
-		for c := x.nextClassAbove(0); c > 0; c = x.nextClassAbove(c) {
-			s.picked = x.topK(c, n, s.picked[:0])
-			for _, id := range s.picked {
-				ov := float64(m.overlap[id])
-				missing := float64(s.idx.filesLen[id]) - ov
-				rest := 1 / missing
-				var weight float64
-				if s.cfg.Metric == MetricCombined {
-					weight = norm(float64(m.refSum[id]), totalRef) + norm(rest, totalRest)
-				} else {
-					// As typeset: ref_t/totalRef + totalRest/rest_t.
-					// Larger rest_t (fewer transfers) lowers the second
-					// term; kept verbatim for the ablation.
-					weight = norm(float64(m.refSum[id]), totalRef) + totalRest/rest
-				}
-				s.cand = append(s.cand, candidate{id: id, weight: weight})
-			}
-		}
+		s.gatherCombined(x)
 	}
 	return s.pickSorted()
+}
+
+// gatherCombined fills s.cand for a request under the combined metrics,
+// whose weight trades past references against missing files, so that no
+// single class dominates. Totals are O(classes) from incrementally-
+// maintained exact integer counts — see the canonical-totals note on
+// siteIndex.
+//
+// Within a missing class the weight is monotone in refSum, so the class's
+// members in (weight desc, id asc) order are its heap in (refSum desc, id
+// asc) order: the best member is the root, the best n are topK(c, n), and
+// the global top n is among the per-class top n. Gathering those from every
+// non-empty class (gatherCombinedFull in the tests) is exact and, with ~90
+// classes populated on a Coadd queue, most of a request's cost. Two passes
+// gather the same top n from at most n classes:
+//
+//  1. Weigh each non-empty class's root and keep the n best roots under
+//     (weight desc, id asc).
+//  2. Expand only the classes those roots came from with topK(c, n).
+//
+// Why at most n classes suffice: take a class C that pass 1 dropped. n
+// roots of other classes precede C's root in the order, and C's root
+// precedes every other member of C, so every member of C has n candidates
+// ahead of it and cannot be in the top n. The kept classes contribute their
+// full per-class top n, exactly as in the full gather. Hence the top-n array
+// pickSorted builds is the same, element for element. Its length is the
+// same too — with fewer than n non-empty classes none is dropped, and with
+// n or more both gathers hold at least n candidates — and the length and
+// the weights are all that decide how many random numbers pickSorted draws,
+// so the random stream advances identically.
+func (s *WorkerCentric) gatherCombined(x *siteIndex) {
+	n := s.cfg.ChooseN
+	totalRef, totalRest := x.combinedTotals()
+	roots := s.roots[:0]
+	for c := x.nextClassAbove(0); c > 0; c = x.nextClassAbove(c) {
+		root := x.heaps[c][0]
+		roots = insertTop(roots, candidate{id: root, weight: s.combinedWeight(x, root, totalRef, totalRest)}, n)
+	}
+	for _, root := range roots {
+		s.picked = x.topK(x.classKey(root.id), n, s.picked[:0])
+		for _, id := range s.picked {
+			s.cand = append(s.cand, candidate{id: id, weight: s.combinedWeight(x, id, totalRef, totalRest)})
+		}
+	}
+	s.roots = roots[:0]
+}
+
+// combinedTotals returns the two normalizers of the combined metrics over
+// the pending set (the canonical forms described on siteIndex).
+func (x *siteIndex) combinedTotals() (totalRef, totalRest float64) {
+	for c := 1; c < len(x.heaps); c++ {
+		// Under the combined metrics every class is a heap keyed by
+		// missing, so the class population is the missing-class count.
+		if cnt := len(x.heaps[c]); cnt > 0 {
+			totalRest += float64(cnt) / float64(c)
+		}
+	}
+	return float64(x.totalRef), totalRest
+}
+
+// combinedWeight weighs pending task id, which misses at least one file at
+// the site behind x, under MetricCombined or MetricCombinedLiteral.
+func (s *WorkerCentric) combinedWeight(x *siteIndex, id workload.TaskID, totalRef, totalRest float64) float64 {
+	ov := float64(x.m.overlap[id])
+	missing := float64(s.idx.filesLen[id]) - ov
+	rest := 1 / missing
+	if s.cfg.Metric == MetricCombined {
+		return norm(float64(x.m.refSum[id]), totalRef) + norm(rest, totalRest)
+	}
+	// As typeset: ref_t/totalRef + totalRest/rest_t. Larger rest_t (fewer
+	// transfers) lowers the second term; kept verbatim for the ablation.
+	return norm(float64(x.m.refSum[id]), totalRef) + totalRest/rest
+}
+
+// better is the (weight desc, id asc) total order ChooseTask(n) selects
+// under.
+func better(a, b candidate) bool {
+	if a.weight != b.weight {
+		return a.weight > b.weight
+	}
+	return a.id < b.id
+}
+
+// insertTop inserts c into top, the at most n best candidates seen so far
+// in descending order, dropping the worst when there are more than n.
+func insertTop(top []candidate, c candidate, n int) []candidate {
+	if len(top) < n {
+		top = append(top, c)
+	} else if better(c, top[n-1]) {
+		top[n-1] = c
+	} else {
+		return top
+	}
+	for i := len(top) - 1; i > 0 && better(top[i], top[i-1]); i-- {
+		top[i], top[i-1] = top[i-1], top[i]
+	}
+	return top
+}
+
+// topN returns the ChooseN best of the gathered candidates, best first, in
+// scratch the next request reuses.
+func (s *WorkerCentric) topN() []candidate {
+	top := s.top[:0]
+	for _, c := range s.cand {
+		top = insertTop(top, c, s.cfg.ChooseN)
+	}
+	s.top = top[:0]
+	return top
 }
 
 // pickSorted runs ChooseTask(n) over the gathered candidates with an
@@ -315,31 +396,7 @@ func (s *WorkerCentric) chooseTask(x *siteIndex) workload.TaskID {
 // Overlap case is served from the order-statistics tree instead), matching
 // the naive scan's "informative" branch.
 func (s *WorkerCentric) pickSorted() workload.TaskID {
-	cand := s.cand
-	n := s.cfg.ChooseN
-	if n > len(cand) {
-		n = len(cand)
-	}
-	better := func(a, b candidate) bool {
-		if a.weight != b.weight {
-			return a.weight > b.weight
-		}
-		return a.id < b.id
-	}
-	top := s.top[:0]
-	for _, c := range cand {
-		if len(top) < n {
-			top = append(top, c)
-		} else if better(c, top[n-1]) {
-			top[n-1] = c
-		} else {
-			continue
-		}
-		for i := len(top) - 1; i > 0 && better(top[i], top[i-1]); i-- {
-			top[i], top[i-1] = top[i-1], top[i]
-		}
-	}
-	s.top = top[:0]
+	top := s.topN()
 	if len(top) == 1 {
 		return top[0].id
 	}

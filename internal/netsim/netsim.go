@@ -92,9 +92,9 @@ type Network struct {
 	linkMark  []uint32
 	capacity  []float64
 	unfrozen  []int32
-	compFlows []*Flow
-	compLinks []topology.LinkID
-	queue     []topology.LinkID
+	compFlows []*Flow           // ascending flow ID
+	compLinks []topology.LinkID // ascending link ID
+	queue     []topology.LinkID // the component walk's frontier, in discovery order
 }
 
 // New returns a Network simulating transfers over g, driven by k.
@@ -201,13 +201,11 @@ func (n *Network) rerate(changed []topology.LinkID) {
 	n.epoch++
 	e := n.epoch
 	n.compFlows = n.compFlows[:0]
-	n.compLinks = n.compLinks[:0]
 	n.queue = n.queue[:0]
 	for _, lid := range changed {
 		if n.linkMark[lid] != e {
 			n.linkMark[lid] = e
 			n.queue = append(n.queue, lid)
-			n.compLinks = append(n.compLinks, lid)
 		}
 	}
 	for qi := 0; qi < len(n.queue); qi++ {
@@ -222,7 +220,6 @@ func (n *Network) rerate(changed []topology.LinkID) {
 				if n.linkMark[l2] != e {
 					n.linkMark[l2] = e
 					n.queue = append(n.queue, l2)
-					n.compLinks = append(n.compLinks, l2)
 				}
 			}
 		}
@@ -230,16 +227,25 @@ func (n *Network) rerate(changed []topology.LinkID) {
 	if len(n.compFlows) == 0 {
 		return // the departing flow was alone on its links
 	}
-	// Components are small (tens of flows/links); insertion sort beats the
-	// generic sort's overhead here and allocates nothing.
+	// Components are small (tens of flows); insertion sort beats the generic
+	// sort's overhead here and allocates nothing.
 	for i := 1; i < len(n.compFlows); i++ {
 		for j := i; j > 0 && n.compFlows[j].ID < n.compFlows[j-1].ID; j-- {
 			n.compFlows[j], n.compFlows[j-1] = n.compFlows[j-1], n.compFlows[j]
 		}
 	}
-	for i := 1; i < len(n.compLinks); i++ {
-		for j := i; j > 0 && n.compLinks[j] < n.compLinks[j-1]; j-- {
-			n.compLinks[j], n.compLinks[j-1] = n.compLinks[j-1], n.compLinks[j]
+	// The component's links in ascending id are the marked entries between
+	// the lowest and the highest link the walk reached: one pass over part
+	// of the mark array, where sorting the walk's discovery order cost a
+	// comparison per pair of links.
+	lo, hi := n.queue[0], n.queue[0]
+	for _, lid := range n.queue[1:] {
+		lo, hi = min(lo, lid), max(hi, lid)
+	}
+	n.compLinks = n.compLinks[:0]
+	for lid := lo; lid <= hi; lid++ {
+		if n.linkMark[lid] == e {
+			n.compLinks = append(n.compLinks, lid)
 		}
 	}
 
@@ -316,18 +322,24 @@ func (n *Network) rerate(changed []topology.LinkID) {
 		if f.rate == f.prevRate && f.completed != nil {
 			continue
 		}
-		if f.completed != nil {
-			n.k.Unschedule(f.completed)
-			f.completed = nil
-		}
 		if f.rate <= 0 {
 			// No capacity at all (should not happen with positive link
 			// capacities); leave the flow stalled until the next re-rate.
+			if f.completed != nil {
+				n.k.Unschedule(f.completed)
+				f.completed = nil
+			}
 			continue
 		}
 		eta := f.remaining / f.rate
 		if f.remaining <= completionSlack {
 			eta = 0
+		}
+		// A flow is re-rated many times before it completes: its one event
+		// and one callback are made the first time and moved after that.
+		if f.completed != nil {
+			n.k.Reschedule(f.completed, eta)
+			continue
 		}
 		ff := f
 		f.completed = n.k.Schedule(eta, func() { n.finish(ff) })

@@ -205,20 +205,32 @@ func (s *Service) addJobLocked(j *job, fair uint64) {
 	s.shardOf(j.id).jobs[j.id] = j
 }
 
-// attach gives a job its workload, scheduler and per-site stores. The
-// scheduler must be fresh.
-func (s *Service) attach(j *job, w *workload.Workload, sched core.Scheduler) error {
+// attach gives a job its workload and scheduler, and a place for each
+// site's store. The scheduler must be fresh.
+func (s *Service) attach(j *job, w *workload.Workload, sched core.Scheduler) {
 	j.w, j.sched = w, sched
-	for i := 0; i < s.cfg.Sites; i++ {
-		st, err := storage.New(s.cfg.CapacityFiles, s.cfg.Policy)
-		if err != nil {
-			return err
-		}
-		st.Reserve(w.NumFiles)
-		j.stores = append(j.stores, st)
+	j.stores = make([]*storage.Store, s.cfg.Sites)
+	for i := range j.stores {
 		sched.AttachSite(i)
 	}
-	return nil
+}
+
+// storeAt returns the job's store at site, building it when the first batch
+// is committed there — a live grant, a replayed or folded dispatch alike: a
+// job is attached to every site and mostly runs at two or three, and a
+// store's per-file arrays are sized for the whole workload. A site nothing
+// was committed at has the state of an empty store.
+func (s *Service) storeAt(j *job, site int) (*storage.Store, error) {
+	if st := j.stores[site]; st != nil {
+		return st, nil
+	}
+	st, err := storage.New(s.cfg.CapacityFiles, s.cfg.Policy)
+	if err != nil {
+		return nil, err
+	}
+	st.Reserve(j.w.NumFiles)
+	j.stores[site] = st
+	return st, nil
 }
 
 // applied is what one event did, for the caller's role-specific effects.
@@ -272,7 +284,11 @@ func (s *Service) apply(st *staging, j *job, e ledgerRec, fresh bool) (applied, 
 		}
 		if j.sched != nil {
 			files := j.w.Tasks[e.Task].Files
-			fetched, evicted, err := j.stores[ref.Site].CommitBatchInto(files, st.fetchBuf[:0], st.evictBuf[:0])
+			store, err := s.storeAt(j, ref.Site)
+			if err != nil {
+				return res, fmt.Errorf("store of site %d: %w", ref.Site, err)
+			}
+			fetched, evicted, err := store.CommitBatchInto(files, st.fetchBuf[:0], st.evictBuf[:0])
 			if err != nil {
 				// Submission validated capacity >= the largest task.
 				return res, fmt.Errorf("stage task %d at site %d: %w", e.Task, ref.Site, err)

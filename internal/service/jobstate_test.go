@@ -100,9 +100,7 @@ func newApplyFixture(t *testing.T, tasks int, sched core.Scheduler) (*Service, *
 	}
 	j := s.newJob(&record{Job: "j1", Workload: w, Ts: 1000}, tasks)
 	if sched != nil {
-		if err := s.attach(j, w, sched); err != nil {
-			t.Fatal(err)
-		}
+		s.attach(j, w, sched)
 	}
 	s.coord.mu.Lock()
 	s.addJobLocked(j, 0)
@@ -375,5 +373,42 @@ func TestTwinSlotIsNotOfferedMore(t *testing.T) {
 	sched.script = []workload.TaskID{4}
 	if a := lease(); a == nil || a.x.task != 4 || a.x.spec {
 		t.Fatalf("after the twin ended: %+v", a)
+	}
+}
+
+// TestSiteStoresAreBuiltOnFirstCommit: a job is attached to every site and
+// holds a store only where a batch has been committed, and the staging a
+// late-built store reports is that of a store that stood empty all along.
+func TestSiteStoresAreBuiltOnFirstCommit(t *testing.T) {
+	fake := &recSched{tasks: 3, done: map[workload.TaskID]bool{}}
+	s, j := newApplyFixture(t, 3, fake)
+	sh := s.shardOf(j.id)
+	built := func() (n int) {
+		for _, st := range j.stores {
+			if st != nil {
+				n++
+			}
+		}
+		return n
+	}
+	if len(j.stores) != 2 || built() != 0 {
+		t.Fatalf("after attach: %d of %d stores built, want 0 of 2", built(), len(j.stores))
+	}
+	for i, step := range []struct {
+		task         workload.TaskID
+		site         int32
+		staged, want int
+	}{{0, 1, 1, 1}, {1, 1, 1, 1}, {2, 0, 1, 2}} {
+		res, err := s.apply(&sh.stage, j, ledgerRec{Op: ledgerDispatch, Task: step.task, Site: step.site, Ts: int64(2000 + i)}, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.staged != step.staged || built() != step.want {
+			t.Fatalf("dispatch %d at site %d: staged %d files with %d stores built, want %d and %d",
+				i, step.site, res.staged, built(), step.staged, step.want)
+		}
+	}
+	if got := j.stores[1].Len(); got != 2 {
+		t.Fatalf("site 1 holds %d files, want the 2 committed there", got)
 	}
 }

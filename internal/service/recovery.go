@@ -383,7 +383,8 @@ func (s *Service) rebuild(j *job, w *workload.Workload) error {
 	if err != nil {
 		return err
 	}
-	return s.attach(j, w, sched)
+	s.attach(j, w, sched)
+	return nil
 }
 
 // applyFrame decodes one journal frame and applies it (journal.ReadLog's

@@ -219,6 +219,11 @@ func (c *Config) normalize() error {
 	if c.Policy == 0 {
 		c.Policy = storage.LRU
 	}
+	if _, err := storage.New(c.CapacityFiles, c.Policy); err != nil {
+		// Site stores are built on first use; refuse here what would
+		// otherwise fail a job's first dispatch.
+		return fmt.Errorf("service: %w", err)
+	}
 	if c.LeaseTTL <= 0 {
 		c.LeaseTTL = 15 * time.Second
 	}
@@ -333,7 +338,8 @@ func errf(code int, format string, args ...any) *Error {
 // attachments: a leader's running job has them, a standby's shell never
 // does, and completion releases them (with the ledger) so a long-running
 // daemon does not accumulate every finished job's heavy state; the status
-// summary fields survive.
+// summary fields survive. stores has an entry per site, nil until a batch
+// is committed there (storeAt).
 //
 // Locking: id, name, algorithm, seed, submissionID, tenant, weight, and
 // seq are immutable after registration. fair and heapIdx belong to the
@@ -772,9 +778,7 @@ func (s *Service) submitJob(req api.SubmitJobRequest, sched core.Scheduler) (str
 		Workload: w,
 	}
 	j := s.newJob(rec, len(rec.Workload.Tasks))
-	if err := s.attach(j, w, sched); err != nil {
-		return "", err
-	}
+	s.attach(j, w, sched)
 	// Everything the record says is settled by now, so encode it before
 	// taking any lock: it carries the workload, and encoding a 6,000-task
 	// one takes a millisecond or two the shard and the coordinator — i.e.

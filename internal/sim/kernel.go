@@ -4,10 +4,22 @@
 // Events scheduled for the same virtual time fire in scheduling order, so a
 // simulation driven by a fixed seed replays identically.
 //
-// On top of the raw event API, the package offers a coroutine-style process
-// model (Proc): each process runs on its own goroutine, but the kernel
-// resumes at most one process at a time, preserving determinism while
-// letting actors (workers, servers) be written as straight-line pull loops.
+// On top of the raw event API, the package offers a process model (Proc) so
+// that actors (workers, servers) can be written as straight-line pull loops.
+// A process is a coroutine made with iter.Pull: the kernel switches into it
+// from the event that resumes it, and it switches back when it blocks or
+// returns. The switch is a direct hand-over on the thread Run was called on
+// — no channel, no run queue, no wake-up of another thread — so running a
+// simulation costs the Go scheduler nothing however many processes it has,
+// several kernels can run side by side on as many cores without taking
+// each other's, and one kernel's order of execution is fixed by its event
+// queue alone.
+//
+// A kernel and its processes are one logical thread. Run, RunUntil and
+// Shutdown are called from outside the kernel's processes and never
+// concurrently; event callbacks run inside Run; process bodies run inside
+// the event that started or resumed them. The Proc documentation says which
+// calls belong where.
 package sim
 
 import (
@@ -85,17 +97,17 @@ func (h *eventHeap) Pop() any {
 }
 
 // Kernel is a single-threaded discrete-event simulator. It is not safe for
-// concurrent use from multiple goroutines except through the Proc API, which
-// serializes all process execution.
+// concurrent use from multiple goroutines; its processes are coroutines of
+// the goroutine that calls Run, not goroutines of their own.
 type Kernel struct {
 	now     Time
 	seq     uint64
 	events  eventHeap
 	stopped bool
 
-	procs     int // live (not yet finished) processes
-	procSeq   int
-	parkedSet map[*Proc]struct{}
+	procs   int // live (not yet finished) processes
+	procSeq int
+	live    []*Proc // started and not finished, in no particular order
 
 	eventPool []*Event // recycled wake events (see Event)
 
@@ -158,6 +170,26 @@ func (k *Kernel) Unschedule(e *Event) {
 	e.canceled = true
 	if e.index >= 0 {
 		heap.Remove(&k.events, e.index)
+	}
+}
+
+// Reschedule moves e, an event Schedule or ScheduleAt returned, to fire
+// after delay seconds from now, whether it is still queued, was cancelled or
+// unscheduled, or has already fired. The outcome — the sequence number drawn
+// and so the firing order among same-time events included — is that of
+// Unschedule(e) followed by Schedule(delay, fn) with e's callback, without
+// allocating a new event; it is for an owner that moves one event many times
+// (netsim's flow completions).
+func (k *Kernel) Reschedule(e *Event, delay Time) {
+	if delay < 0 {
+		panic(fmt.Sprintf("sim: negative delay %v", delay))
+	}
+	k.seq++
+	e.at, e.seq, e.canceled = k.now+delay, k.seq, false
+	if e.index >= 0 {
+		heap.Fix(&k.events, e.index)
+	} else {
+		heap.Push(&k.events, e)
 	}
 }
 

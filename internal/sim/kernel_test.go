@@ -176,3 +176,69 @@ func TestKernelOrderProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestRescheduleMatchesUnscheduleThenSchedule drives two kernels through one
+// random script of timers being set, moved, cancelled and left to fire —
+// delays drawn from a handful of values, so same-time ties are the rule —
+// one moving a timer with Unschedule + Schedule, the other with Reschedule.
+// Both must fire the same timers at the same times in the same order.
+func TestRescheduleMatchesUnscheduleThenSchedule(t *testing.T) {
+	type firing struct {
+		at    Time
+		timer int
+	}
+	run := func(seed int64, reschedule bool) []firing {
+		k := NewKernel()
+		rng := rand.New(rand.NewSource(seed))
+		var fired []firing
+		timers := make([]*Event, 12)
+		set := func(i int, delay Time) {
+			if e := timers[i]; e != nil && reschedule {
+				k.Reschedule(e, delay)
+				return
+			} else if e != nil {
+				k.Unschedule(e)
+			}
+			timers[i] = k.Schedule(delay, func() { fired = append(fired, firing{k.Now(), i}) })
+		}
+		var step func()
+		steps := 0
+		step = func() {
+			for n := rng.Intn(4); n > 0; n-- {
+				i := rng.Intn(len(timers))
+				switch rng.Intn(5) {
+				case 0:
+					if timers[i] != nil {
+						timers[i].Cancel() // stays queued; a later move revives it
+					}
+				case 1:
+					if timers[i] != nil {
+						k.Unschedule(timers[i])
+					}
+				default:
+					set(i, Time(rng.Intn(4))) // fired, queued, cancelled or new alike
+				}
+			}
+			if steps++; steps < 400 {
+				k.Schedule(Time(rng.Intn(3)), step)
+			}
+		}
+		k.Schedule(0, step)
+		k.Run()
+		return fired
+	}
+	for seed := int64(1); seed <= 5; seed++ {
+		want, got := run(seed, false), run(seed, true)
+		if len(want) < 100 {
+			t.Fatalf("seed %d: only %d timers fired", seed, len(want))
+		}
+		if len(got) != len(want) {
+			t.Fatalf("seed %d: %d firings with Reschedule, %d without", seed, len(got), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("seed %d: firing %d is %+v with Reschedule, %+v without", seed, i, got[i], want[i])
+			}
+		}
+	}
+}

@@ -3,9 +3,10 @@ package sim
 import (
 	"errors"
 	"fmt"
+	"iter"
 )
 
-// errKilled is the sentinel panic value used to unwind a process goroutine
+// errKilled is the sentinel panic value used to unwind a process body
 // during Kernel.Shutdown. It never escapes the package.
 var errKilled = errors.New("sim: process killed")
 
@@ -19,20 +20,31 @@ type resumeMsg struct {
 	val   any
 }
 
-// Proc is a simulated process: a goroutine whose execution is serialized by
-// the kernel so that at most one process runs at any instant. All blocking
-// methods (Sleep, Queue.Recv, Signal.Wait, ...) must be called from the
-// process's own goroutine.
+// Proc is a simulated process: a coroutine (iter.Pull) the kernel switches
+// into and that switches back when it blocks, so exactly one of kernel and
+// process runs at any instant, on one thread, without the Go scheduler
+// choosing who is next.
+//
+// Who may call what: the blocking methods (Sleep, Yield, Queue.Recv,
+// Signal.Wait, Signal.WaitTimeout) take the process they block and must be
+// called from inside that process's body — never from an event callback,
+// another process or another goroutine. Everything non-blocking (Kernel.Go,
+// Schedule, Queue.Push, Signal.Fire, Now) may be called from a body or from
+// an event callback alike: it only queues events, which the kernel fires
+// after the caller has blocked or returned.
 type Proc struct {
 	k    *Kernel
 	name string
 	id   int
 
-	resume chan resumeMsg // kernel -> proc
-	yield  chan struct{}  // proc -> kernel
-	done   bool           // set by the proc goroutine before its final yield
-	parked bool
-	err    any // captured panic from the body, re-raised on the kernel side
+	// The two halves of the coroutine: the kernel calls next to run the body
+	// until it parks or returns, the body calls yield to park.
+	next  func() (struct{}, bool)
+	yield func(struct{}) bool
+	msg   resumeMsg // why the process was resumed; set by wake, read by park
+
+	parked bool // suspended in park, waiting for a wake
+	slot   int  // index in Kernel.live
 }
 
 // Name returns the process name given to Go.
@@ -47,72 +59,72 @@ func (p *Proc) Kernel() *Kernel { return p.k }
 // Now returns the current virtual time.
 func (p *Proc) Now() Time { return p.k.now }
 
-// Go spawns a new process whose body starts at the current virtual time.
-// The body must only block through Proc methods.
+// Go spawns a new process whose body starts at the current virtual time,
+// after the events already queued for that time. The body must only block
+// through Proc methods.
 func (k *Kernel) Go(name string, body func(p *Proc)) *Proc {
 	k.procSeq++
-	p := &Proc{
-		k:      k,
-		name:   name,
-		id:     k.procSeq,
-		resume: make(chan resumeMsg),
-		yield:  make(chan struct{}),
-	}
+	p := &Proc{k: k, name: name, id: k.procSeq}
 	k.procs++
 	k.Schedule(0, func() {
-		go func() {
-			defer func() {
-				if r := recover(); r != nil && r != errKilled { //nolint:errorlint // sentinel identity check
-					p.err = r
-				}
-				p.done = true
-				p.yield <- struct{}{}
-			}()
+		p.slot = len(k.live)
+		k.live = append(k.live, p)
+		p.next, _ = iter.Pull(func(yield func(struct{}) bool) {
+			p.yield = yield
+			returned := false
+			defer func() { p.finish(recover(), returned) }()
 			body(p)
-		}()
-		k.await(p)
+			returned = true
+		})
+		p.next()
 	})
 	return p
 }
 
-// await blocks the kernel until p parks or finishes, then performs
-// end-of-life bookkeeping. It must be called from kernel context.
-func (k *Kernel) await(p *Proc) {
-	<-p.yield
-	if p.done {
-		k.procs--
-		delete(k.parkedSet, p)
-		if p.err != nil {
-			panic(fmt.Sprintf("sim: process %q panicked: %v", p.name, p.err))
-		}
+// finish is the body's last deferred call: end-of-life bookkeeping, then the
+// way the body ended decides what the kernel sees. A return or a Shutdown
+// kill ends the coroutine quietly. A panic is raised again under the
+// process's name; it leaves the coroutine through next, so it surfaces in
+// whoever called Run. runtime.Goexit (t.FailNow and t.Fatal from inside a
+// body) cannot be recovered and would otherwise take the kernel's goroutine
+// down with it without a word, so it is turned into such a panic too.
+func (p *Proc) finish(recovered any, returned bool) {
+	k := p.k
+	k.procs--
+	end := len(k.live) - 1
+	last := k.live[end]
+	k.live[p.slot], last.slot = last, p.slot
+	k.live[end] = nil
+	k.live = k.live[:end]
+	switch {
+	case recovered == errKilled, recovered == nil && returned: //nolint:errorlint // sentinel identity check
+		return
+	case recovered == nil:
+		recovered = "runtime.Goexit called in the body (t.Fatal or t.FailNow belongs on the test's goroutine)"
 	}
+	panic(fmt.Sprintf("sim: process %q panicked: %v", p.name, recovered))
 }
 
 // park suspends the calling process until a wake delivers a resumeMsg.
-// It must only be called from the process goroutine, after arranging a
-// wake-up (timer event, queue registration, or signal registration).
+// It must only be called from the process body, after arranging a wake-up
+// (timer event, queue registration, or signal registration).
 func (p *Proc) park() resumeMsg {
 	p.parked = true
-	if p.k.parkedSet == nil {
-		p.k.parkedSet = make(map[*Proc]struct{})
-	}
-	p.k.parkedSet[p] = struct{}{}
-	p.yield <- struct{}{}
-	msg := <-p.resume
+	p.yield(struct{}{})
 	p.parked = false
+	msg := p.msg
 	if msg.killed {
 		panic(errKilled)
 	}
 	return msg
 }
 
-// wake resumes a parked process and blocks kernel execution until the
-// process parks again or finishes. Must be called from kernel context
-// (inside an event callback or from Shutdown).
+// wake resumes a parked process and returns when the process has parked
+// again or finished. Must be called from kernel context (inside an event
+// callback or from Shutdown).
 func (k *Kernel) wake(p *Proc, msg resumeMsg) {
-	delete(k.parkedSet, p)
-	p.resume <- msg
-	k.await(p)
+	p.msg = msg
+	p.next()
 }
 
 // wakeEvent schedules an immediate wake for p carrying msg.
@@ -139,16 +151,19 @@ func (k *Kernel) LiveProcs() int { return k.procs }
 
 // Shutdown force-terminates every parked process. It must be called after
 // Run returns (kernel context). Each parked process unwinds via an internal
-// panic that runs its deferred cleanups; its goroutine exits before Shutdown
-// returns, so no goroutines leak.
+// panic that runs its deferred cleanups; its coroutine has ended before
+// Shutdown returns, so no goroutines leak.
 func (k *Kernel) Shutdown() {
-	for len(k.parkedSet) > 0 {
+	for {
 		// Pick the parked proc with the smallest id for determinism.
 		var victim *Proc
-		for p := range k.parkedSet {
-			if victim == nil || p.id < victim.id {
+		for _, p := range k.live {
+			if p.parked && (victim == nil || p.id < victim.id) {
 				victim = p
 			}
+		}
+		if victim == nil {
+			return
 		}
 		k.wake(victim, resumeMsg{killed: true})
 	}

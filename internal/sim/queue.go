@@ -27,7 +27,14 @@ func (q *Queue[T]) Waiters() int { return len(q.waiters) }
 func (q *Queue[T]) Push(v T) {
 	if len(q.waiters) > 0 {
 		w := q.waiters[0]
-		q.waiters = q.waiters[1:]
+		if len(q.waiters) == 1 {
+			// The usual case, one server waiting on its mailbox: empty the
+			// slice in place. Reslicing from the front would give up the
+			// backing array and reallocate it on the next Recv.
+			q.waiters = q.waiters[:0]
+		} else {
+			q.waiters = q.waiters[1:]
+		}
 		q.k.wakeEvent(w, resumeMsg{val: v})
 		return
 	}
