@@ -79,6 +79,10 @@ func BenchmarkSchedulerRequest(b *testing.B) {
 	}
 }
 
+// BenchmarkStorageAffinityDraft measures the task-centric baseline's one-shot
+// initial assignment: 6,000 Coadd tasks drafted onto 10 sites.
+func BenchmarkStorageAffinityDraft(b *testing.B) { benchsuite.StorageAffinityDraft(b) }
+
 // BenchmarkSimProcessSwitch measures one process resume of the simulation
 // kernel (two processes ping-ponging over queues).
 func BenchmarkSimProcessSwitch(b *testing.B) { benchsuite.SimProcessSwitch(b) }

@@ -106,12 +106,10 @@ func TestFailoverGauntletKill9(t *testing.T) {
 		"-addr", leaderAddr,
 		"-data-dir", t.TempDir(), "-fsync", "batch", "-snapshot-every", "500",
 	}, topo...)...)
-	defer leader.stop()
 	standby := startDaemon(t, bin, append([]string{
 		"-addr", standbyAddr, "-follow", leaderURL,
 		"-data-dir", t.TempDir(), "-fsync", "batch", "-snapshot-every", "500",
 	}, topo...)...)
-	defer standby.stop()
 
 	cl := client.NewMulti([]string{leaderURL, standbyURL}, nil)
 	waitHealthy(t, cl)

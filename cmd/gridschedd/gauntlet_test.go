@@ -11,6 +11,7 @@ import (
 	"os/exec"
 	"path/filepath"
 	"sync"
+	"syscall"
 	"testing"
 	"time"
 
@@ -30,12 +31,18 @@ type daemon struct {
 }
 
 // wait reaps the process exactly once; safe to call repeatedly (kill9
-// followed by a deferred stop).
+// followed by the cleanup's stop).
 func (d *daemon) wait() error {
 	d.waitOnce.Do(func() { d.waitErr = <-d.waitCh })
 	return d.waitErr
 }
 
+// startDaemon starts one gridschedd. Every child started here — a restart
+// like the first start — is killed and reaped when the test ends, whichever
+// way it ends: the caller has nothing to defer and nothing to forget. The
+// check that the pid is really gone is registered before the kill, so it
+// runs after it; by the time the last cleanup returns every pid this test
+// started has been seen dead.
 func startDaemon(t *testing.T, bin string, args ...string) *daemon {
 	t.Helper()
 	d := &daemon{waitCh: make(chan error, 1)}
@@ -46,6 +53,12 @@ func startDaemon(t *testing.T, bin string, args ...string) *daemon {
 		t.Fatal(err)
 	}
 	go func() { d.waitCh <- d.cmd.Wait() }()
+	t.Cleanup(func() {
+		if syscall.Kill(d.cmd.Process.Pid, 0) == nil {
+			t.Errorf("gridschedd pid %d (%v) is still running after the test", d.cmd.Process.Pid, d.cmd.Args[1:])
+		}
+	})
+	t.Cleanup(d.stop)
 	return d
 }
 
@@ -141,7 +154,6 @@ func TestRecoveryGauntletKill9(t *testing.T) {
 
 	cl := client.New("http://"+addr, nil)
 	d := startDaemon(t, bin, args...)
-	defer func() { d.stop() }()
 	waitHealthy(t, cl)
 
 	ctx, cancelWorkers := context.WithCancel(context.Background())

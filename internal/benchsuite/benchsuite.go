@@ -32,6 +32,7 @@ import (
 	"gridsched/internal/service/api"
 	"gridsched/internal/service/client"
 	"gridsched/internal/sim"
+	"gridsched/internal/storage"
 	"gridsched/internal/workload"
 )
 
@@ -81,11 +82,15 @@ func ExperimentFullScale(id string) func(b *testing.B) {
 // task.Files — each of the task's ~80 files fans out to all its readers —
 // so under the combined metrics the figure is mostly NoteBatch's fan-out,
 // not the selection: a cheaper chooseTask moves it by the selection's share
-// only, and it cannot be brought near overlap's by selection alone.
+// only, and it cannot be brought near overlap's by selection alone. The
+// benchmark builds a scheduler per 1,000 requests over one workload, which
+// is a sweep's use of core, so like a sweep it asks for the shared index
+// first (core.ShareIndex, off the clock).
 func SchedulerRequest(algorithm string) func(b *testing.B) {
 	return func(b *testing.B) {
 		w, err := gridsched.NewCoaddWorkload(gridsched.DefaultCoaddSeed, 6000)
 		must(err, "workload")
+		core.ShareIndex(w)
 		cfg := gridsched.SimulationConfig{Workload: w}
 		b.ResetTimer()
 		i := 0
@@ -108,6 +113,30 @@ func SchedulerRequest(algorithm string) func(b *testing.B) {
 				i++
 				sched.NoteBatch(0, task.Files, task.Files, nil)
 			}
+		}
+	}
+}
+
+// StorageAffinityDraft measures what the task-centric baseline does before
+// it answers its first request: NewStorageAffinity plus the first NextFor,
+// which drafts all 6,000 Coadd tasks onto 10 sites against virtual storage
+// images of the paper's default capacity.
+func StorageAffinityDraft(b *testing.B) {
+	w, err := gridsched.NewCoaddWorkload(gridsched.DefaultCoaddSeed, 6000)
+	must(err, "workload")
+	cfg := core.StorageAffinityConfig{
+		Sites: 10, WorkersPerSite: 1, CapacityFiles: 6000, Policy: storage.LRU, MaxReplicas: 3,
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sched, err := core.NewStorageAffinity(w, cfg)
+		must(err, "storage affinity")
+		for site := 0; site < cfg.Sites; site++ {
+			sched.AttachSite(site)
+		}
+		if _, st := sched.NextFor(core.WorkerRef{}); st != core.Assigned {
+			panic(fmt.Sprintf("benchsuite: first request answered %v", st))
 		}
 	}
 }

@@ -29,6 +29,7 @@ type historyEvent struct {
 // one a replayed copy has to equal.
 func recordHistory(t *testing.T, w *workload.Workload, cfg WorkerCentricConfig, sites int) (*WorkerCentric, []historyEvent) {
 	t.Helper()
+	shareIfAsked(w)
 	live, err := NewWorkerCentric(w, cfg)
 	if err != nil {
 		t.Fatal(err)

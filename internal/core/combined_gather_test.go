@@ -58,6 +58,7 @@ func stagedWorkload(files int, tasks ...[]workload.FileID) *workload.Workload {
 	for id, f := range tasks {
 		w.Tasks = append(w.Tasks, workload.Task{ID: workload.TaskID(id), Files: f})
 	}
+	shareIfAsked(w)
 	return w
 }
 

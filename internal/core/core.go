@@ -25,13 +25,17 @@
 // maintained incrementally as NoteBatch reports storage changes, so a
 // request inspects only the top of a few class heaps instead of rescanning
 // the queue (see the invariants documented on siteIndex in
-// workercentric.go). PERFORMANCE.md records the measured effect.
+// workercentric.go). StorageAffinity reads its draft picks, steals and
+// replicas off the same kind of per-site classes (classSets) instead of
+// scanning the task list. PERFORMANCE.md records the measured effect.
 package core
 
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
+	"sync/atomic"
 	"weak"
 
 	"gridsched/internal/workload"
@@ -146,14 +150,100 @@ type Replayer interface {
 }
 
 // fileIndex maps every file to the tasks referencing it, plus per-task file
-// counts. It is immutable after construction, shared by all site mirrors,
-// and cached per workload (the experiment harness constructs many
-// schedulers over one workload; rebuilding the index dominated scheduler
-// construction).
+// counts. It is shared by all site mirrors and cached per workload (the
+// experiment harness constructs many schedulers over one workload;
+// rebuilding the index dominated scheduler construction). Everything in it
+// is immutable once set.
 type fileIndex struct {
 	byFile   [][]workload.TaskID // CSR views into one backing slice
 	filesLen []int32             // per task: |files(t)|
 	maxFiles int                 // max over tasks of |files(t)|
+
+	// neighbours is nil until ShareIndex builds it, and it is built only
+	// for a workload that many schedulers are about to share: building it
+	// visits every (file of T, reader) pair of every task T once, which is
+	// what one scheduler's whole life of per-file reference walks costs. A
+	// sweep of dozens of schedulers over one workload gets that back many
+	// times; a gridschedd job, whose workload has one scheduler and whose
+	// restart has milliseconds, never would, so the service never asks.
+	neighbours atomic.Pointer[neighbourTable]
+}
+
+// neighbour is one entry of a task T's row of the neighbour table: a task
+// that shares files with T, and how many.
+type neighbour struct {
+	task   workload.TaskID
+	shared int32 // |files(T) ∩ files(task)|
+}
+
+// neighbourTable holds, for every task T, the tasks that read any of T's
+// files — T among them — each with the number of files shared (CSR: T's row
+// is entries[start[T]:start[T+1]]). Within a row the tasks are in the order
+// a walk of T's files and their readers first meets them.
+type neighbourTable struct {
+	start   []int32
+	entries []neighbour
+}
+
+func newNeighbourTable(w *workload.Workload, idx *fileIndex) *neighbourTable {
+	tab := &neighbourTable{start: make([]int32, len(w.Tasks)+1)}
+	shared := make([]int32, len(w.Tasks)) // all zero between rows
+	for i, t := range w.Tasks {
+		row := len(tab.entries)
+		for _, f := range t.Files {
+			for _, r := range idx.byFile[f] {
+				if shared[r] == 0 {
+					tab.entries = append(tab.entries, neighbour{task: r})
+				}
+				shared[r]++
+			}
+		}
+		for j := row; j < len(tab.entries); j++ {
+			n := &tab.entries[j]
+			n.shared, shared[n.task] = shared[n.task], 0
+		}
+		tab.start[i+1] = int32(len(tab.entries))
+	}
+	return tab
+}
+
+// neighboursOf returns the neighbour row of the task whose file list batch
+// is, or nil when there is no table or batch is no task's file list. Tasks
+// with the same file list have the same row, so whichever is found serves.
+func (idx *fileIndex) neighboursOf(w *workload.Workload, batch []workload.FileID) []neighbour {
+	tab := idx.neighbours.Load()
+	if tab == nil || len(batch) == 0 {
+		return nil
+	}
+	for _, t := range idx.byFile[batch[0]] {
+		files := w.Tasks[t].Files
+		// The engines pass the task's own slice; compare contents only when
+		// the batch is some other slice of the right length.
+		if len(files) == len(batch) && (&files[0] == &batch[0] || slices.Equal(files, batch)) {
+			return tab.entries[tab.start[t]:tab.start[t+1]]
+		}
+	}
+	return nil
+}
+
+// ShareIndex prepares w's file index for many schedulers at once: it builds
+// the index's neighbour table (see fileIndex), which every WorkerCentric
+// over w under a combined metric then uses to cut its NoteBatch cost, with
+// no effect on any decision. A caller about to run a sweep of schedulers
+// over one workload calls it once before the first; a caller that builds
+// one scheduler per workload should not call it.
+func ShareIndex(w *workload.Workload) {
+	idx := indexFor(w)
+	if idx.neighbours.Load() == nil {
+		idx.neighbours.CompareAndSwap(nil, newNeighbourTable(w, idx))
+	}
+}
+
+// IndexShared reports whether w's cached file index carries the table
+// ShareIndex builds.
+func IndexShared(w *workload.Workload) bool {
+	idx := cachedIndex(w, nil)
+	return idx != nil && idx.neighbours.Load() != nil
 }
 
 func newFileIndex(w *workload.Workload) *fileIndex {
@@ -281,7 +371,7 @@ func dropDeadIndexEntry(key weak.Pointer[workload.Workload]) {
 // against that storage. All state is dense (indexed by file or task id);
 // the maps of earlier revisions dominated NoteBatch cost.
 //
-// Invariants after every noteBatch, for every task t (pending or not):
+// Invariants after every batch, for every task t (pending or not):
 //
 //	overlap[t] = |files(t) ∩ resident|
 //	refSum[t]  = Σ_{f ∈ files(t) ∩ resident} refs[f]   (while trackRefs)
@@ -289,7 +379,10 @@ func dropDeadIndexEntry(key weak.Pointer[workload.Workload]) {
 // trackRefs gates the refSum invariant: only the combined metrics ever
 // read refSum, and maintaining it costs a full per-task fan-out on every
 // batch file, so owners whose weight function ignores it (StorageAffinity,
-// WorkerCentric under overlap/rest) switch it off.
+// WorkerCentric under overlap/rest) build the mirror without it: refs and
+// refSum are then nil. Such a mirror is updated by its owner, which has
+// class structures to move with overlap (siteIndex.noteBatch,
+// affinitySite.noteBatch); noteBatch here is for a mirror that tracks.
 type siteMirror struct {
 	idx       *fileIndex
 	trackRefs bool
@@ -299,23 +392,25 @@ type siteMirror struct {
 	refSum    []int64 // per task: sum of refs over overlapping files
 }
 
-func newSiteMirror(idx *fileIndex, tasks int) *siteMirror {
-	return &siteMirror{
+func newSiteMirror(idx *fileIndex, tasks int, trackRefs bool) *siteMirror {
+	m := &siteMirror{
 		idx:       idx,
-		trackRefs: true,
+		trackRefs: trackRefs,
 		resident:  make([]bool, len(idx.byFile)),
-		refs:      make([]int32, len(idx.byFile)),
 		overlap:   make([]int32, tasks),
-		refSum:    make([]int64, tasks),
 	}
+	if trackRefs {
+		m.refs = make([]int32, len(idx.byFile))
+		m.refSum = make([]int64, tasks)
+	}
+	return m
 }
 
-// noteBatch applies one committed batch: evictions leave, fetched files
-// arrive, and every batch file gains one reference. The arrays are updated
-// in place — StorageAffinity and the test-only naive reference read them
-// directly. A mirror that backs a WorkerCentric site index is updated
-// through siteIndex.noteBatch instead, which keeps the index's weight
-// classes in step.
+// noteBatch applies one committed batch to a mirror that tracks references:
+// evictions leave, fetched files arrive, and every batch file gains one
+// reference. This is the definition the schedulers' own batch updates are
+// checked against — the test-only naive references read the arrays it
+// leaves directly.
 //
 // Redundant events — a fetch of an already-resident file, an eviction of an
 // absent one — are ignored, which keeps the invariant 0 <= overlap[t] <=
@@ -329,16 +424,9 @@ func (m *siteMirror) noteBatch(batch, fetched, evicted []workload.FileID) {
 		}
 		m.resident[f] = false
 		r := int64(m.refs[f])
-		tasks := m.idx.byFile[f]
-		if m.trackRefs {
-			for _, t := range tasks {
-				m.overlap[t]--
-				m.refSum[t] -= r
-			}
-		} else {
-			for _, t := range tasks {
-				m.overlap[t]--
-			}
+		for _, t := range m.idx.byFile[f] {
+			m.overlap[t]--
+			m.refSum[t] -= r
 		}
 	}
 	for _, f := range fetched {
@@ -347,21 +435,14 @@ func (m *siteMirror) noteBatch(batch, fetched, evicted []workload.FileID) {
 		}
 		m.resident[f] = true
 		r := int64(m.refs[f])
-		tasks := m.idx.byFile[f]
-		if m.trackRefs {
-			for _, t := range tasks {
-				m.overlap[t]++
-				m.refSum[t] += r
-			}
-		} else {
-			for _, t := range tasks {
-				m.overlap[t]++
-			}
+		for _, t := range m.idx.byFile[f] {
+			m.overlap[t]++
+			m.refSum[t] += r
 		}
 	}
 	for _, f := range batch {
 		m.refs[f]++
-		if !m.trackRefs || !m.resident[f] {
+		if !m.resident[f] {
 			continue
 		}
 		for _, t := range m.idx.byFile[f] {
@@ -380,8 +461,10 @@ func (m *siteMirror) noteResidency(batch, fetched, evicted []workload.FileID) {
 	for _, f := range fetched {
 		m.resident[f] = true
 	}
-	for _, f := range batch {
-		m.refs[f]++
+	if m.trackRefs {
+		for _, f := range batch {
+			m.refs[f]++
+		}
 	}
 }
 
@@ -394,7 +477,9 @@ func (m *siteMirror) recompute(w *workload.Workload) {
 		for _, f := range t.Files {
 			if m.resident[f] {
 				overlap++
-				refSum += int64(m.refs[f])
+				if m.trackRefs {
+					refSum += int64(m.refs[f])
+				}
 			}
 		}
 		m.overlap[id] = overlap

@@ -45,6 +45,7 @@ func newNaiveWorkerCentric(w *workload.Workload, cfg WorkerCentricConfig) (*naiv
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
+	shareIfAsked(w)
 	s := &naiveWorkerCentric{
 		cfg:       cfg,
 		w:         w,
@@ -68,7 +69,7 @@ func (s *naiveWorkerCentric) Name() string { return "naive-" + s.cfg.Metric.Stri
 
 func (s *naiveWorkerCentric) AttachSite(site int) {
 	if _, ok := s.mirrors[site]; !ok {
-		s.mirrors[site] = newSiteMirror(s.idx, len(s.w.Tasks))
+		s.mirrors[site] = newSiteMirror(s.idx, len(s.w.Tasks), true)
 	}
 }
 

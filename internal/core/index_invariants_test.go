@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/bits"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"gridsched/internal/workload"
@@ -50,6 +51,9 @@ func checkIndexInvariants(t testing.TB, s *WorkerCentric) {
 		where := func(id int) string { return fmt.Sprintf("site %d task %d", site, id) }
 
 		// The mirror, against a naive recompute.
+		if !m.trackRefs && (m.refs != nil || m.refSum != nil) {
+			t.Fatalf("site %d: reference arrays allocated under a metric that never reads them", site)
+		}
 		var totalRef int64
 		for id, task := range s.w.Tasks {
 			var overlap int32
@@ -57,7 +61,9 @@ func checkIndexInvariants(t testing.TB, s *WorkerCentric) {
 			for _, f := range task.Files {
 				if m.resident[f] {
 					overlap++
-					refSum += int64(m.refs[f])
+					if m.trackRefs {
+						refSum += int64(m.refs[f])
+					}
 				}
 			}
 			if m.overlap[id] != overlap {
@@ -66,7 +72,7 @@ func checkIndexInvariants(t testing.TB, s *WorkerCentric) {
 			if m.trackRefs && m.refSum[id] != refSum {
 				t.Fatalf("%s: refSum %d, recomputed %d", where(id), m.refSum[id], refSum)
 			}
-			if s.alive[id] {
+			if s.alive[id] && m.trackRefs {
 				totalRef += m.refSum[id]
 			}
 		}
@@ -121,7 +127,7 @@ func checkIndexInvariants(t testing.TB, s *WorkerCentric) {
 					t.Fatalf("site %d class %d: bitset class with a heap", site, c)
 				}
 			}
-			if nonEmpty := x.bits[c/64]&(1<<uint(c%64)) != 0; nonEmpty != (x.classLen(c) > 0) {
+			if nonEmpty := x.nonEmpty.has(c); nonEmpty != (x.classLen(c) > 0) {
 				t.Fatalf("site %d class %d: bits says non-empty=%v, population %d", site, c, nonEmpty, x.classLen(c))
 			}
 		}
@@ -139,6 +145,30 @@ func checkIndexInvariants(t testing.TB, s *WorkerCentric) {
 	}
 }
 
+// sharedIndexRun is set while TestDifferentialsOverSharedIndex runs the
+// differential tests a second time: their helpers then ask for the shared
+// index (ShareIndex) of every workload they are handed, so the combined
+// metrics' NoteBatch takes the neighbour walk wherever a batch allows it.
+var sharedIndexRun bool
+
+func shareIfAsked(w *workload.Workload) {
+	if sharedIndexRun {
+		ShareIndex(w)
+	}
+}
+
+// TestDifferentialsOverSharedIndex holds the neighbour walk to the tests
+// that define the decisions: the golden reference driver, the bulk replay
+// and the pruned gather, each run as it stands over workloads whose index
+// carries the neighbour table.
+func TestDifferentialsOverSharedIndex(t *testing.T) {
+	sharedIndexRun = true
+	defer func() { sharedIndexRun = false }()
+	t.Run("golden", TestGoldenEquivalenceWithNaiveScan)
+	t.Run("bulk-replay", TestBulkReplayMatchesReask)
+	t.Run("pruned-gather", TestCombinedGatherPrunedMatchesFull)
+}
+
 // TestNoteBatchCoalescingMatchesNaive drives the indexed scheduler and the
 // naive scan in lockstep through batches no storage.Store would produce —
 // the events are drawn at random, so a task routinely gains and loses
@@ -147,105 +177,168 @@ func checkIndexInvariants(t testing.TB, s *WorkerCentric) {
 // assigned or complete. Between batches tasks are assigned, failed back
 // into the queue, and completed. Every decision must match the naive one
 // draw for draw, and the index must check out after every batch.
+//
+// Each case runs over a private index and over a shared one (ShareIndex),
+// whose neighbour table the combined metrics walk when a batch is a task's
+// file list with all of it resident. The dispatch batches are such lists —
+// fetched in full, fetched in part so that a member is still absent when
+// the references are counted, and as a copy rather than the task's own
+// slice — and the workload has what the table could get wrong: two tasks
+// with the same file list, a file with one reader among shared ones, and a
+// task that is the only reader of its only file.
 func TestNoteBatchCoalescingMatchesNaive(t *testing.T) {
 	const (
-		files = 48
-		tasks = 90
-		sites = 2
-		steps = 1500
+		windowFiles = 48
+		files       = windowFiles + 2 // and two files with one reader each
+		windows     = 90
+		sites       = 2
+		steps       = 1500
 	)
 	for _, metric := range []Metric{MetricOverlap, MetricRest, MetricCombined, MetricCombinedLiteral} {
 		for _, chooseN := range []int{1, 2} {
 			for _, seed := range []int64{1, 2, 3} {
 				t.Run(fmt.Sprintf("%s.n%d.seed%d", metric, chooseN, seed), func(t *testing.T) {
-					drv := rand.New(rand.NewSource(seed*104729 + int64(metric)*31 + int64(chooseN)))
-					someFiles := func(max int) []workload.FileID {
-						out := make([]workload.FileID, drv.Intn(max+1))
-						for i := range out {
-							out[i] = workload.FileID(drv.Intn(files)) // repeats allowed
+					for _, shared := range []bool{false, true} {
+						name := "private-index"
+						if shared {
+							name = "shared-index"
 						}
-						return out
-					}
-					w := &workload.Workload{Name: "prop", NumFiles: files}
-					for id := 0; id < tasks; id++ {
-						// A window of neighbouring files, like a Coadd stripe:
-						// neighbours share most of their readers.
-						start, n := drv.Intn(files-8), 2+drv.Intn(6)
-						task := workload.Task{ID: workload.TaskID(id)}
-						for f := start; f < start+n; f++ {
-							task.Files = append(task.Files, workload.FileID(f))
-						}
-						w.Tasks = append(w.Tasks, task)
-					}
-					cfg := WorkerCentricConfig{Metric: metric, ChooseN: chooseN, Seed: seed}
-					opt, err := NewWorkerCentric(w, cfg)
-					if err != nil {
-						t.Fatal(err)
-					}
-					ref, err := newNaiveWorkerCentric(w, cfg)
-					if err != nil {
-						t.Fatal(err)
-					}
-					for site := 0; site < sites; site++ {
-						opt.AttachSite(site)
-						ref.AttachSite(site)
-					}
-					note := func(site int, batch, fetched, evicted []workload.FileID) {
-						opt.NoteBatch(site, batch, fetched, evicted)
-						ref.NoteBatch(site, batch, fetched, evicted)
-						checkIndexInvariants(t, opt)
-					}
+						t.Run(name, func(t *testing.T) {
+							drv := rand.New(rand.NewSource(seed*104729 + int64(metric)*31 + int64(chooseN)))
+							someFiles := func(max int) []workload.FileID {
+								out := make([]workload.FileID, drv.Intn(max+1))
+								for i := range out {
+									out[i] = workload.FileID(drv.Intn(files)) // repeats allowed
+								}
+								return out
+							}
+							var lists [][]workload.FileID
+							for id := 0; id < windows; id++ {
+								// A window of neighbouring files, like a Coadd stripe:
+								// neighbours share most of their readers.
+								start, n := drv.Intn(windowFiles-8), 2+drv.Intn(6)
+								var window []workload.FileID
+								for f := start; f < start+n; f++ {
+									window = append(window, workload.FileID(f))
+								}
+								lists = append(lists, window)
+							}
+							lists = append(lists,
+								slices.Clone(lists[5]),                         // the same list as task 5
+								append(slices.Clone(lists[7]), windowFiles),    // a one-reader file among shared ones
+								[]workload.FileID{windowFiles + 1},             // the only reader of its only file
+								slices.Clone(lists[9]), slices.Clone(lists[9])) // and the same list three times
+							w := stagedWorkload(files, lists...)
+							if shared {
+								ShareIndex(w)
+							}
+							cfg := WorkerCentricConfig{Metric: metric, ChooseN: chooseN, Seed: seed}
+							opt, err := NewWorkerCentric(w, cfg)
+							if err != nil {
+								t.Fatal(err)
+							}
+							if got := opt.idx.neighbours.Load() != nil; got != shared {
+								t.Fatalf("neighbour table present = %v over a shared=%v index", got, shared)
+							}
+							ref, err := newNaiveWorkerCentric(w, cfg)
+							if err != nil {
+								t.Fatal(err)
+							}
+							for site := 0; site < sites; site++ {
+								opt.AttachSite(site)
+								ref.AttachSite(site)
+							}
+							note := func(site int, batch, fetched, evicted []workload.FileID) {
+								t.Helper()
+								opt.NoteBatch(site, batch, fetched, evicted)
+								ref.NoteBatch(site, batch, fetched, evicted)
+								checkIndexInvariants(t, opt)
+								// The naive mirror tracks everything; the indexed one
+								// must agree on whatever it maintains.
+								got, want := opt.indexes[site].m, ref.mirrors[site]
+								if !slices.Equal(got.overlap, want.overlap) || !slices.Equal(got.resident, want.resident) {
+									t.Fatalf("site %d: overlap or resident set differs from the naive mirror's", site)
+								}
+								if got.trackRefs && (!slices.Equal(got.refSum, want.refSum) || !slices.Equal(got.refs, want.refs)) {
+									t.Fatalf("site %d: refSum or refs differ from the naive mirror's", site)
+								}
+							}
 
-					// The sift-down case, staged rather than hoped for: task 0
-					// reads files a and b; a is resident and often referenced, b
-					// is neither. Swapping a for b in one batch leaves task 0's
-					// overlap alone and lowers its refSum.
-					a, b := w.Tasks[0].Files[0], w.Tasks[0].Files[1]
-					note(0, nil, []workload.FileID{a}, nil)
-					for i := 0; i < 3; i++ {
-						note(0, []workload.FileID{a}, nil, nil)
-					}
-					m := opt.indexes[0].m
-					before := [2]int64{int64(m.overlap[0]), m.refSum[0]}
-					note(0, nil, []workload.FileID{b}, []workload.FileID{a})
-					if int64(m.overlap[0]) != before[0] || (m.trackRefs && m.refSum[0] >= before[1]) {
-						t.Fatalf("staged swap: overlap %d -> %d, refSum %d -> %d; want overlap kept, refSum lowered",
-							before[0], m.overlap[0], before[1], m.refSum[0])
-					}
+							// The sift-down case, staged rather than hoped for: task 0
+							// reads files a and b; a is resident and often referenced, b
+							// is neither. Swapping a for b in one batch leaves task 0's
+							// overlap alone and lowers its refSum.
+							a, b := w.Tasks[0].Files[0], w.Tasks[0].Files[1]
+							note(0, nil, []workload.FileID{a}, nil)
+							for i := 0; i < 3; i++ {
+								note(0, []workload.FileID{a}, nil, nil)
+							}
+							m := ref.mirrors[0]
+							before := [2]int64{int64(m.overlap[0]), m.refSum[0]}
+							note(0, nil, []workload.FileID{b}, []workload.FileID{a})
+							if int64(m.overlap[0]) != before[0] || m.refSum[0] >= before[1] {
+								t.Fatalf("staged swap: overlap %d -> %d, refSum %d -> %d; want overlap kept, refSum lowered",
+									before[0], m.overlap[0], before[1], m.refSum[0])
+							}
 
-					var inflight []workload.TaskID
-					for step := 0; step < steps; step++ {
-						switch k := drv.Intn(10); {
-						case k < 4:
-							note(drv.Intn(sites), someFiles(8), someFiles(6), someFiles(6))
-						case k < 7:
-							at := WorkerRef{Site: drv.Intn(sites)}
-							got, gs := opt.NextFor(at)
-							want, ws := ref.NextFor(at)
-							if gs != ws || got.ID != want.ID {
-								t.Fatalf("step %d at site %d: indexed (%v, task %d), naive (%v, task %d)", step, at.Site, gs, got.ID, ws, want.ID)
+							// Task lists as batches, staged: every list — the twins,
+							// the one-reader files — all resident, then with its last
+							// file evicted in the same batch and so absent when the
+							// references are counted.
+							for _, task := range w.Tasks[windows-1:] {
+								if row := opt.idx.neighboursOf(w, task.Files); (row != nil) != shared {
+									t.Fatalf("task %d: neighbour row found = %v over a shared=%v index", task.ID, row != nil, shared)
+								}
+								last := len(task.Files) - 1
+								note(1, task.Files, task.Files, nil)
+								note(1, task.Files, task.Files[:last], task.Files[last:])
+								note(1, slices.Clone(task.Files), task.Files, nil)
 							}
-							if gs == Assigned {
-								inflight = append(inflight, got.ID)
-								// The dispatch's own batch: all of the task's
-								// files referenced, some of them fetched.
-								note(at.Site, got.Files, got.Files[:drv.Intn(len(got.Files)+1)], someFiles(3))
+
+							var inflight []workload.TaskID
+							for step := 0; step < steps; step++ {
+								switch k := drv.Intn(10); {
+								case k < 4:
+									note(drv.Intn(sites), someFiles(8), someFiles(6), someFiles(6))
+								case k < 7:
+									at := WorkerRef{Site: drv.Intn(sites)}
+									got, gs := opt.NextFor(at)
+									want, ws := ref.NextFor(at)
+									if gs != ws || got.ID != want.ID {
+										t.Fatalf("step %d at site %d: indexed (%v, task %d), naive (%v, task %d)", step, at.Site, gs, got.ID, ws, want.ID)
+									}
+									if gs != Assigned {
+										break
+									}
+									inflight = append(inflight, got.ID)
+									// The dispatch's own batch: all of the task's files
+									// referenced, and fetched in full, in part, or in
+									// full under a copy of the list.
+									switch drv.Intn(3) {
+									case 0:
+										note(at.Site, got.Files, got.Files, nil)
+									case 1:
+										note(at.Site, got.Files, got.Files[:drv.Intn(len(got.Files)+1)], someFiles(3))
+									case 2:
+										note(at.Site, slices.Clone(got.Files), got.Files, nil)
+									}
+								case len(inflight) > 0:
+									i := drv.Intn(len(inflight))
+									id := inflight[i]
+									inflight = append(inflight[:i], inflight[i+1:]...)
+									if k < 9 {
+										// Back into the queue, to be filed under whatever
+										// the mirrors say by now.
+										opt.OnExecutionFailed(id, WorkerRef{})
+										ref.OnExecutionFailed(id, WorkerRef{})
+									} else {
+										opt.OnTaskComplete(id, WorkerRef{})
+										ref.OnTaskComplete(id, WorkerRef{})
+									}
+									checkIndexInvariants(t, opt)
+								}
 							}
-						case len(inflight) > 0:
-							i := drv.Intn(len(inflight))
-							id := inflight[i]
-							inflight = append(inflight[:i], inflight[i+1:]...)
-							if k < 9 {
-								// Back into the queue, to be filed under whatever
-								// the mirrors say by now.
-								opt.OnExecutionFailed(id, WorkerRef{})
-								ref.OnExecutionFailed(id, WorkerRef{})
-							} else {
-								opt.OnTaskComplete(id, WorkerRef{})
-								ref.OnTaskComplete(id, WorkerRef{})
-							}
-							checkIndexInvariants(t, opt)
-						}
+						})
 					}
 				})
 			}

@@ -55,21 +55,43 @@ func (c StorageAffinityConfig) Validate() error {
 // task with the highest affinity to the worker's site's *current* storage
 // (below the replica cap) and hands out another execution; the first
 // completion cancels the rest.
+//
+// No decision scans the task list. Every "highest affinity, ties to the
+// lowest task id" query is read off an affinitySite, which files the tasks
+// the query ranges over in classes by their overlap with the site:
+//
+//   - the draft's virtual sites file the tasks no site has drafted yet; a
+//     pick is the lowest id of the highest non-empty class — or, when that
+//     class is 0, the first undrafted id from the site's stripe on — and
+//     leaves every site's classes;
+//   - the attached sites file the tasks that are unstarted and incomplete,
+//     which is what a steal ranges over: a start or a completion takes the
+//     task out of every site's classes, a failure of its last execution
+//     files it again under the overlap it has by then, and a site attached
+//     late files what is unstarted at that moment;
+//   - replicating a running task accepts affinity 0, so it ranges over the
+//     incomplete bitset directly — by the time every incomplete task is
+//     running that is a handful.
+//
+// The scan these replace lives on as the test-only naiveStorageAffinity,
+// which the differential test holds this implementation to, decision for
+// decision.
 type StorageAffinity struct {
 	cfg StorageAffinityConfig
 	w   *workload.Workload
 	idx *fileIndex
 
-	assigned  bool
-	queues    [][][]workload.TaskID // [site][worker] -> FIFO of task ids
-	qHead     [][]int               // pop cursor per queue
-	mirrors   map[int]*siteMirror
-	running   map[workload.TaskID][]WorkerRef
-	started   []bool // per task: some execution has begun
-	home      []int  // per task: site of the initial assignment
-	unstarted []int  // per site: assigned tasks not yet started anywhere
-	completed []bool
-	remaining int
+	assigned   bool
+	queues     [][][]workload.TaskID // [site][worker] -> FIFO of task ids
+	qHead      [][]int               // pop cursor per queue
+	sites      []*affinitySite       // per configured site; nil until attached
+	running    map[workload.TaskID][]WorkerRef
+	started    []bool // per task: some execution has begun
+	home       []int  // per task: site of the initial assignment
+	unstarted  []int  // per site: assigned tasks not yet started anywhere
+	completed  []bool
+	incomplete bitset // the complement of completed
+	remaining  int
 }
 
 var (
@@ -77,28 +99,109 @@ var (
 	_ Replayer  = (*StorageAffinity)(nil)
 )
 
+// affinitySite is one site's storage as StorageAffinity weighs it — the
+// virtual image of a drafting site, or the mirror of an attached one — with
+// the tasks a decision there may pick filed by affinity.
+//
+// Invariant, after every call: t is a member of class m.overlap[t] iff the
+// owner counts it pickable (see StorageAffinity), and of no class otherwise.
+type affinitySite struct {
+	m       *siteMirror // overlap only: affinity never weighs references
+	members classSets
+	moved   []workload.TaskID // scratch of noteBatch
+}
+
+func newAffinitySite(idx *fileIndex, tasks int) *affinitySite {
+	return &affinitySite{
+		m:       newSiteMirror(idx, tasks, false),
+		members: newClassSets(idx.maxFiles+1, tasks),
+	}
+}
+
+// file makes t pickable at the site, under its current overlap.
+func (a *affinitySite) file(t workload.TaskID) { a.members.add(int(a.m.overlap[t]), t) }
+
+// drop ends t's being pickable at the site.
+func (a *affinitySite) drop(t workload.TaskID) { a.members.remove(int(a.m.overlap[t]), t) }
+
+// best returns the pickable task with the highest affinity, ties to the
+// lowest id, and that affinity; (-1, -1) when nothing is pickable.
+func (a *affinitySite) best() (workload.TaskID, int) {
+	c := a.members.maxClass()
+	if c < 0 {
+		return -1, -1
+	}
+	return a.members.firstFrom(c, 0), c
+}
+
+// noteBatch applies one committed batch's storage events to the mirror's
+// overlaps and keeps every member in the class of its overlap. A member
+// leaves its class the first time the batch reaches it and is filed again
+// once the batch is through: one dispatched task's files share most of
+// their readers, so a member is reached many times and moved once.
+func (a *affinitySite) noteBatch(fetched, evicted []workload.FileID) {
+	m := a.m
+	for _, f := range evicted {
+		if !m.resident[f] {
+			continue
+		}
+		m.resident[f] = false
+		for _, t := range m.idx.byFile[f] {
+			a.lift(t)
+			m.overlap[t]--
+		}
+	}
+	for _, f := range fetched {
+		if m.resident[f] {
+			continue
+		}
+		m.resident[f] = true
+		for _, t := range m.idx.byFile[f] {
+			a.lift(t)
+			m.overlap[t]++
+		}
+	}
+	for _, t := range a.moved {
+		a.file(t)
+	}
+	a.moved = a.moved[:0]
+}
+
+// lift takes t out of its class, if it is in one, until the end of the
+// batch.
+func (a *affinitySite) lift(t workload.TaskID) {
+	if c := int(a.m.overlap[t]); a.members.has(c, t) {
+		a.members.remove(c, t)
+		a.moved = append(a.moved, t)
+	}
+}
+
 // NewStorageAffinity builds the baseline scheduler.
 func NewStorageAffinity(w *workload.Workload, cfg StorageAffinityConfig) (*StorageAffinity, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	s := &StorageAffinity{
-		cfg:       cfg,
-		w:         w,
-		idx:       indexFor(w),
-		queues:    make([][][]workload.TaskID, cfg.Sites),
-		qHead:     make([][]int, cfg.Sites),
-		mirrors:   make(map[int]*siteMirror),
-		running:   make(map[workload.TaskID][]WorkerRef),
-		started:   make([]bool, len(w.Tasks)),
-		home:      make([]int, len(w.Tasks)),
-		unstarted: make([]int, cfg.Sites),
-		completed: make([]bool, len(w.Tasks)),
-		remaining: len(w.Tasks),
+		cfg:        cfg,
+		w:          w,
+		idx:        indexFor(w),
+		queues:     make([][][]workload.TaskID, cfg.Sites),
+		qHead:      make([][]int, cfg.Sites),
+		sites:      make([]*affinitySite, cfg.Sites),
+		running:    make(map[workload.TaskID][]WorkerRef),
+		started:    make([]bool, len(w.Tasks)),
+		home:       make([]int, len(w.Tasks)),
+		unstarted:  make([]int, cfg.Sites),
+		completed:  make([]bool, len(w.Tasks)),
+		incomplete: newBitset(len(w.Tasks)),
+		remaining:  len(w.Tasks),
 	}
 	for site := range s.queues {
 		s.queues[site] = make([][]workload.TaskID, cfg.WorkersPerSite)
 		s.qHead[site] = make([]int, cfg.WorkersPerSite)
+	}
+	for id := range w.Tasks {
+		s.incomplete.set(id)
 	}
 	return s, nil
 }
@@ -106,25 +209,30 @@ func NewStorageAffinity(w *workload.Workload, cfg StorageAffinityConfig) (*Stora
 // Name implements Scheduler.
 func (s *StorageAffinity) Name() string { return "storage-affinity" }
 
-// AttachSite implements Scheduler.
+// AttachSite implements Scheduler. The new site's storage is empty, so what
+// is unstarted now is filed under affinity 0.
 func (s *StorageAffinity) AttachSite(site int) {
 	if site < 0 || site >= s.cfg.Sites {
 		panic(fmt.Sprintf("core: AttachSite(%d) outside configured %d sites", site, s.cfg.Sites))
 	}
-	if _, ok := s.mirrors[site]; !ok {
-		m := newSiteMirror(s.idx, len(s.w.Tasks))
-		m.trackRefs = false // affinity weighs overlap only, never refSum
-		s.mirrors[site] = m
+	if s.sites[site] != nil {
+		return
 	}
+	a := newAffinitySite(s.idx, len(s.w.Tasks))
+	for id, started := range s.started {
+		if !started && !s.completed[id] {
+			a.file(workload.TaskID(id))
+		}
+	}
+	s.sites[site] = a
 }
 
 // NoteBatch implements Scheduler.
 func (s *StorageAffinity) NoteBatch(site int, batch, fetched, evicted []workload.FileID) {
-	m, ok := s.mirrors[site]
-	if !ok {
+	if site < 0 || site >= len(s.sites) || s.sites[site] == nil {
 		panic(fmt.Sprintf("core: NoteBatch for unattached site %d", site))
 	}
-	m.noteBatch(batch, fetched, evicted)
+	s.sites[site].noteBatch(fetched, evicted)
 }
 
 // Remaining implements Scheduler.
@@ -146,55 +254,47 @@ func (s *StorageAffinity) Remaining() int { return s.remaining }
 // counts stay balanced. See DESIGN.md ("Storage affinity details").
 func (s *StorageAffinity) initialAssign() error {
 	images := make([]*storage.Store, s.cfg.Sites)
-	mirrors := make([]*siteMirror, s.cfg.Sites)
+	drafting := make([]*affinitySite, s.cfg.Sites)
 	for i := range images {
 		img, err := storage.New(s.cfg.CapacityFiles, s.cfg.Policy)
 		if err != nil {
 			return err
 		}
+		img.Reserve(s.w.NumFiles)
 		images[i] = img
-		mirrors[i] = newSiteMirror(s.idx, len(s.w.Tasks))
-		mirrors[i].trackRefs = false // virtual image: overlap only
+		drafting[i] = newAffinitySite(s.idx, len(s.w.Tasks))
+		for id := range s.w.Tasks {
+			drafting[i].file(workload.TaskID(id))
+		}
 	}
-	unassigned := len(s.w.Tasks)
-	taken := make([]bool, len(s.w.Tasks))
+	var fetched, evicted []workload.FileID
 	nextWorker := make([]int, s.cfg.Sites)
 	stripe := (len(s.w.Tasks) + s.cfg.Sites - 1) / s.cfg.Sites
-	for site := 0; unassigned > 0; site = (site + 1) % s.cfg.Sites {
-		// Draft the highest-affinity unassigned task for this site; ties
-		// go to the lowest task id.
-		best := -1
-		bestAff := int32(-1)
-		for id := range taken {
-			if !taken[id] {
-				if aff := mirrors[site].overlap[id]; aff > bestAff {
-					best, bestAff = id, aff
-				}
-			}
-		}
-		if bestAff == 0 {
+	site := 0
+	for range s.w.Tasks { // one pick per task
+		// Draft the highest-affinity undrafted task for this site; ties go
+		// to the lowest task id.
+		best, aff := drafting[site].best()
+		if aff == 0 {
 			// Nothing this site holds is useful (cold storage or its
 			// region is exhausted). Seeding every such pick at the head
 			// of the task list would herd all sites onto one region of a
 			// spatially ordered workload; start each site in its own
-			// stripe of the task list instead.
-			best = -1
-			for off := 0; off < len(taken); off++ {
-				id := (site*stripe + off) % len(taken)
-				if !taken[id] {
-					best = id
-					break
-				}
-			}
+			// stripe of the task list instead. Every undrafted task is in
+			// class 0 here, so the class's next member is the next
+			// undrafted id.
+			best = drafting[site].members.firstFrom(0, site*stripe%len(s.w.Tasks))
+		}
+		for _, a := range drafting {
+			a.drop(best)
 		}
 		t := s.w.Tasks[best]
-		taken[best] = true
-		unassigned--
-		fetched, evicted, err := images[site].CommitBatch(t.Files)
+		var err error
+		fetched, evicted, err = images[site].CommitBatchInto(t.Files, fetched[:0], evicted[:0])
 		if err != nil {
 			return fmt.Errorf("core: virtual storage: %w", err)
 		}
-		mirrors[site].noteBatch(t.Files, fetched, evicted)
+		drafting[site].noteBatch(fetched, evicted)
 		// Round-robin across the site's workers (queues stay balanced in
 		// count; runtime imbalance is what replication later absorbs).
 		wq := nextWorker[site]
@@ -202,8 +302,18 @@ func (s *StorageAffinity) initialAssign() error {
 		s.queues[site][wq] = append(s.queues[site][wq], t.ID)
 		s.home[t.ID] = site
 		s.unstarted[site]++
+		site = (site + 1) % s.cfg.Sites
 	}
 	return nil
+}
+
+// eachSite files or drops t at every attached site.
+func (s *StorageAffinity) eachSite(do func(*affinitySite, workload.TaskID), t workload.TaskID) {
+	for _, a := range s.sites {
+		if a != nil {
+			do(a, t)
+		}
+	}
 }
 
 // markStarted records the first execution of a task.
@@ -211,6 +321,7 @@ func (s *StorageAffinity) markStarted(id workload.TaskID) {
 	if !s.started[id] {
 		s.started[id] = true
 		s.unstarted[s.home[id]]--
+		s.eachSite((*affinitySite).drop, id)
 	}
 }
 
@@ -250,34 +361,28 @@ func (s *StorageAffinity) NextFor(at WorkerRef) (workload.Task, Status) {
 // it to the idle worker", §3.1):
 //
 //  1. Steal an *unstarted* queued task — preferring maximum affinity to
-//     the idle worker's storage, and when nothing overlaps, the deepest
-//     queued task of the most backlogged site. Stealing duplicates no
-//     work: when the home worker later reaches the entry it skips it.
+//     the idle worker's storage (positive: ties to the lowest id), and when
+//     nothing overlaps, the deepest queued task of the most backlogged
+//     site. The stolen task's queue entry stays where it is: when its home
+//     worker reaches it, NextFor skips it if the task is complete or already
+//     running at the replica cap, and otherwise runs it there too, as one
+//     more replica.
 //  2. Only when every incomplete task is already running, replicate a
-//     running execution (capped by MaxReplicas); the first completion
-//     cancels the rest.
+//     running execution (capped by MaxReplicas, never onto the worker that
+//     already runs it; highest affinity, 0 included, ties to the lowest
+//     id); the first completion cancels the rest.
 func (s *StorageAffinity) replicate(at WorkerRef) (workload.Task, Status) {
 	if s.remaining == 0 {
 		return workload.Task{}, Done
 	}
-	m := s.mirrors[at.Site]
-	if m == nil {
+	a := s.sites[at.Site]
+	if a == nil {
 		panic(fmt.Sprintf("core: replicate for unattached site %d", at.Site))
 	}
 
 	// Step 1: steal an unstarted task.
-	bestID := workload.TaskID(-1)
-	bestAff := int32(0) // require positive affinity to steal by locality
-	for id := range s.completed {
-		if s.completed[id] || s.started[id] {
-			continue
-		}
-		if m.overlap[id] > bestAff {
-			bestAff = m.overlap[id]
-			bestID = workload.TaskID(id)
-		}
-	}
-	if bestID < 0 {
+	bestID, aff := a.best()
+	if aff <= 0 { // require positive affinity to steal by locality
 		bestID = s.stealFromBacklog()
 	}
 	if bestID >= 0 {
@@ -287,20 +392,18 @@ func (s *StorageAffinity) replicate(at WorkerRef) (workload.Task, Status) {
 	}
 
 	// Step 2: replicate a running task.
-	bestID, bestAff = -1, -1
-	for id := range s.completed {
+	bestID = -1
+	bestAff := int32(-1)
+	for id := s.incomplete.next(0); id >= 0; id = s.incomplete.next(id + 1) {
 		tid := workload.TaskID(id)
-		if s.completed[id] {
-			continue
-		}
 		if len(s.running[tid]) >= s.cfg.MaxReplicas {
 			continue
 		}
 		if s.alreadyRunningAt(tid, at) {
 			continue
 		}
-		if m.overlap[id] > bestAff {
-			bestAff = m.overlap[id]
+		if a.m.overlap[id] > bestAff {
+			bestAff = a.m.overlap[id]
 			bestID = tid
 		}
 	}
@@ -427,6 +530,7 @@ func (s *StorageAffinity) OnExecutionFailed(id workload.TaskID, at WorkerRef) {
 	if s.started[id] {
 		s.started[id] = false
 		s.unstarted[s.home[id]]++
+		s.eachSite((*affinitySite).file, id)
 	}
 	// Fresh queue entry at the home site's shortest queue (the original
 	// entry was already consumed or may be double-skipped harmlessly).
@@ -454,7 +558,11 @@ func (s *StorageAffinity) OnTaskComplete(id workload.TaskID, at WorkerRef) []Wor
 	delete(s.running, id)
 	if !s.completed[id] {
 		s.completed[id] = true
+		s.incomplete.unset(int(id))
 		s.remaining--
+		if !s.started[id] {
+			s.eachSite((*affinitySite).drop, id)
+		}
 	}
 	return cancel
 }

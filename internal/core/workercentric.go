@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"math"
-	"math/bits"
 	"math/rand"
 
 	"gridsched/internal/workload"
@@ -489,10 +488,12 @@ func (s *WorkerCentric) OnExecutionFailed(id workload.TaskID, at WorkerRef) {
 //	combined metrics, class >= 1:  (refSum desc, id asc)  — a binary heap
 //	otherwise:                     (id asc)               — a task-id bitset
 //
-// The id-ordered classes use bitsets because their order never changes:
-// membership moves are O(1) bit flips and the k lowest ids read straight
-// off the words, where a heap would pay O(log) sifts on every noteBatch
-// move. Within a missing class the combined weight is strictly monotone
+// The id-ordered classes are the embedded classSets — bitsets, because
+// their order never changes: membership moves are O(1) bit flips and the k
+// lowest ids read straight off the words, where a heap would pay O(log)
+// sifts on every noteBatch move. They range over the pending tasks, as the
+// heaps do; StorageAffinity keeps the same structure over the tasks its own
+// queries range over. Within a missing class the combined weight is strictly monotone
 // in refSum (the rest term is constant and distinct integer refSums map
 // to distinct normalized floats at these magnitudes), so (refSum desc, id
 // asc) is exactly the (weight desc, id asc) order.
@@ -502,7 +503,7 @@ func (s *WorkerCentric) OnExecutionFailed(id workload.TaskID, at WorkerRef) {
 //  1. A task is in exactly one class structure iff it is pending: heap
 //     classes track the slot in pos[t] (-1 otherwise), bitset classes the
 //     task's bit and counts[c].
-//  2. bits has bit c set iff class c is non-empty.
+//  2. nonEmpty has bit c set iff class c is non-empty, heap or bitset.
 //  3. totalRef sums refSum over all pending tasks (combined metrics
 //     only) — an exact integer, so the request-time totals are
 //     reproducible regardless of update order; the per-class counts the
@@ -515,15 +516,18 @@ func (s *WorkerCentric) OnExecutionFailed(id workload.TaskID, at WorkerRef) {
 // test-only reference implementation uses the canonical form so that
 // equivalence is exact, not probabilistic. totalRef needs no such care:
 // it is an integer sum far below 2^53, exact under any order.
+//
+// What a batch costs is noteBatch's subject; its one shortcut, the
+// neighbour walk, needs a table that exists only for a workload whose
+// index is shared (ShareIndex), and is taken by what the batch and the
+// index are, never by a setting.
 type siteIndex struct {
 	s *WorkerCentric
 	m *siteMirror
 
-	heaps  [][]workload.TaskID // per weight-ordered class key (usesHeap)
-	sets   [][]uint64          // per id-ordered class: task-id bitset, lazily allocated
-	counts []int32             // per id-ordered class: population
-	pos    []int32             // per task: index in its class heap, -1 if none
-	bits   []uint64            // nonempty-class bitset
+	heaps     [][]workload.TaskID // per weight-ordered class key (usesHeap)
+	classSets                     // the id-ordered classes, and which classes of either kind are non-empty
+	pos       []int32             // per task: index in its class heap, -1 if none
 
 	keyIsOverlap bool // MetricOverlap: class key is overlap, not missing
 	rankByRef    bool // combined metrics: classes >= 1 ordered by refSum
@@ -537,19 +541,18 @@ type siteIndex struct {
 // rebuild files the pending set.
 func newSiteIndex(s *WorkerCentric) *siteIndex {
 	classes := s.idx.maxFiles + 1
+	// refs and refSum are read by the combined metrics only.
+	rankByRef := s.cfg.Metric == MetricCombined || s.cfg.Metric == MetricCombinedLiteral
 	x := &siteIndex{
 		s:            s,
-		m:            newSiteMirror(s.idx, len(s.w.Tasks)),
+		m:            newSiteMirror(s.idx, len(s.w.Tasks), rankByRef),
 		heaps:        make([][]workload.TaskID, classes),
-		sets:         make([][]uint64, classes),
-		counts:       make([]int32, classes),
+		classSets:    newClassSets(classes, len(s.w.Tasks)),
 		pos:          make([]int32, len(s.w.Tasks)),
-		bits:         make([]uint64, (classes+63)/64),
 		keyIsOverlap: s.cfg.Metric == MetricOverlap,
-		rankByRef:    s.cfg.Metric == MetricCombined || s.cfg.Metric == MetricCombinedLiteral,
+		rankByRef:    rankByRef,
+		needTotals:   rankByRef,
 	}
-	x.needTotals = x.rankByRef
-	x.m.trackRefs = x.rankByRef // refSum is read by the combined metrics only
 	return x
 }
 
@@ -562,10 +565,8 @@ func newSiteIndex(s *WorkerCentric) *siteIndex {
 func (x *siteIndex) rebuild() {
 	for c := range x.heaps {
 		x.heaps[c] = x.heaps[c][:0]
-		clear(x.sets[c])
 	}
-	clear(x.counts)
-	clear(x.bits)
+	x.classSets.reset()
 	x.totalRef = 0
 	for t, pending := range x.s.alive {
 		x.pos[t] = -1
@@ -577,11 +578,10 @@ func (x *siteIndex) rebuild() {
 		if x.usesHeap(c) {
 			x.pos[t] = int32(len(x.heaps[c]))
 			x.heaps[c] = append(x.heaps[c], t)
+			x.classSets.markHeapClass(c, true)
 		} else {
-			x.setBit(c, t)
-			x.counts[c]++
+			x.classSets.add(c, t)
 		}
-		x.bits[c/64] |= uint64(1) << uint(c%64)
 		if x.needTotals {
 			x.totalRef += x.m.refSum[t]
 		}
@@ -591,17 +591,6 @@ func (x *siteIndex) rebuild() {
 			x.siftDown(c, i)
 		}
 	}
-}
-
-// setBit marks t a member of id-ordered class c, allocating the class's
-// bitset on first use.
-func (x *siteIndex) setBit(c int, t workload.TaskID) {
-	w := x.sets[c]
-	if w == nil {
-		w = make([]uint64, (len(x.pos)+63)/64)
-		x.sets[c] = w
-	}
-	w[int(t)/64] |= uint64(1) << uint(int(t)%64)
 }
 
 // classKey returns the class of task t under the configured metric.
@@ -644,54 +633,7 @@ func (x *siteIndex) classLen(c int) int {
 	if x.usesHeap(c) {
 		return len(x.heaps[c])
 	}
-	return int(x.counts[c])
-}
-
-// maxClass returns the highest nonempty class, or -1 if all are empty.
-func (x *siteIndex) maxClass() int {
-	for w := len(x.bits) - 1; w >= 0; w-- {
-		if x.bits[w] != 0 {
-			return w*64 + 63 - bits.LeadingZeros64(x.bits[w])
-		}
-	}
-	return -1
-}
-
-// nextClassBelow returns the highest nonempty class strictly below c, or
-// -1 when there is none.
-func (x *siteIndex) nextClassBelow(c int) int {
-	if c == 0 {
-		return -1
-	}
-	c--
-	w := c / 64
-	if masked := x.bits[w] & (^uint64(0) >> (63 - uint(c%64))); masked != 0 {
-		return w*64 + 63 - bits.LeadingZeros64(masked)
-	}
-	for w--; w >= 0; w-- {
-		if x.bits[w] != 0 {
-			return w*64 + 63 - bits.LeadingZeros64(x.bits[w])
-		}
-	}
-	return -1
-}
-
-// nextClassAbove returns the lowest nonempty class strictly above c, or -1.
-func (x *siteIndex) nextClassAbove(c int) int {
-	c++
-	if c >= len(x.heaps) {
-		return -1
-	}
-	w := c / 64
-	if masked := x.bits[w] &^ ((uint64(1) << uint(c%64)) - 1); masked != 0 {
-		return w*64 + bits.TrailingZeros64(masked)
-	}
-	for w++; w < len(x.bits); w++ {
-		if x.bits[w] != 0 {
-			return w*64 + bits.TrailingZeros64(x.bits[w])
-		}
-	}
-	return -1
+	return int(x.classSets.counts[c])
 }
 
 // add inserts pending task t into its class structure (invariants 1-3).
@@ -703,14 +645,10 @@ func (x *siteIndex) add(t workload.TaskID) {
 		x.heaps[c] = append(h, t)
 		x.siftUp(c, len(h))
 		if len(h) == 0 {
-			x.bits[c/64] |= uint64(1) << uint(c%64)
+			x.classSets.markHeapClass(c, true)
 		}
 	} else {
-		x.setBit(c, t)
-		if x.counts[c] == 0 {
-			x.bits[c/64] |= uint64(1) << uint(c%64)
-		}
-		x.counts[c]++
+		x.classSets.add(c, t)
 	}
 	if x.needTotals {
 		x.totalRef += x.m.refSum[t]
@@ -737,14 +675,10 @@ func (x *siteIndex) remove(t workload.TaskID) {
 		}
 		x.pos[t] = -1
 		if last == 0 {
-			x.bits[c/64] &^= uint64(1) << uint(c%64)
+			x.classSets.markHeapClass(c, false)
 		}
 	} else {
-		x.sets[c][int(t)/64] &^= uint64(1) << uint(int(t)%64)
-		x.counts[c]--
-		if x.counts[c] == 0 {
-			x.bits[c/64] &^= uint64(1) << uint(c%64)
-		}
+		x.classSets.remove(c, t)
 	}
 	if x.needTotals {
 		x.totalRef -= x.m.refSum[t]
@@ -753,7 +687,8 @@ func (x *siteIndex) remove(t workload.TaskID) {
 
 // noteBatch is siteMirror.noteBatch for a mirror that backs this index:
 // the same storage events, with the index's class structures kept in step
-// with overlap/refSum.
+// with overlap/refSum. Outside the combined metrics it maintains overlap
+// alone: the mirror has no refs and no refSum then.
 //
 // A batch file fans out to every task that reads it, and one dispatched
 // task's files share most of their readers, so the same task is reached
@@ -765,6 +700,20 @@ func (x *siteIndex) remove(t workload.TaskID) {
 // the arrays say throughout. Where a task ends up inside a heap depends on
 // the order of fixes; nothing observable does: topK reads heaps in the
 // exact (weight desc, id asc) order and totalRef is an exact integer.
+//
+// The reference half of the fan-out — each resident batch file adds one to
+// the refSum of each of its readers — has a shortcut. When the batch is the
+// file list of a task T and all of it is resident once the fetched files
+// are in, reader t gains one per file it shares with T, |files(T) ∩
+// files(t)| in all, which does not depend on this site or this moment: it
+// is T's row of the workload's neighbour table (fileIndex.neighbours), a
+// few dozen entries where the per-file walk makes several hundred visits.
+// The whole batch has to be resident because a non-resident file's readers
+// gain nothing from it, and the table cannot say which of a neighbour's
+// shared files that was. Any other batch — one that is no task's file list
+// (a replication push), one with a member still absent (the caller's
+// fetched list left it out), or any batch over a workload nobody built the
+// table for — takes the per-file walk, which is the definition.
 func (x *siteIndex) noteBatch(batch, fetched, evicted []workload.FileID) {
 	s, m := x.s, x.m
 	if s.delta == nil {
@@ -775,7 +724,10 @@ func (x *siteIndex) noteBatch(batch, fetched, evicted []workload.FileID) {
 			continue
 		}
 		m.resident[f] = false
-		r := int64(m.refs[f])
+		var r int64
+		if x.rankByRef {
+			r = int64(m.refs[f])
+		}
 		for _, t := range m.idx.byFile[f] {
 			d := s.deltaOf(t)
 			d.overlap--
@@ -787,42 +739,41 @@ func (x *siteIndex) noteBatch(batch, fetched, evicted []workload.FileID) {
 			continue
 		}
 		m.resident[f] = true
-		r := int64(m.refs[f])
+		var r int64
+		if x.rankByRef {
+			r = int64(m.refs[f])
+		}
 		for _, t := range m.idx.byFile[f] {
 			d := s.deltaOf(t)
 			d.overlap++
 			d.refSum += r
 		}
 	}
-	for _, f := range batch {
-		m.refs[f]++
-		if !x.rankByRef || !m.resident[f] {
-			continue
-		}
-		for _, t := range m.idx.byFile[f] {
-			s.deltaOf(t).refSum++
-		}
+	if x.rankByRef {
+		x.noteReferences(batch)
 	}
 
 	for _, t := range s.touched {
 		dOv, dRef := s.delta[t].overlap, s.delta[t].refSum
 		s.delta[t] = taskDelta{}
-		if !x.rankByRef {
-			dRef = 0 // refSum is not maintained (siteMirror.trackRefs)
-		}
 		switch {
 		case !s.alive[t]:
 			m.overlap[t] += dOv
-			m.refSum[t] += dRef
+			if x.rankByRef {
+				m.refSum[t] += dRef
+			}
 		case dOv != 0:
 			// The class key moves with overlap: re-file.
 			x.remove(t)
 			m.overlap[t] += dOv
-			m.refSum[t] += dRef
+			if x.rankByRef {
+				m.refSum[t] += dRef
+			}
 			x.add(t)
 		case dRef != 0:
 			// Same class, new rank: a gained file and a lost one cancel in
 			// overlap but rarely in refSum, so it can sink as well as rise.
+			// (dRef is zero outside the combined metrics.)
 			m.refSum[t] += dRef
 			x.totalRef += dRef
 			if c := x.classKey(t); c != 0 {
@@ -835,6 +786,34 @@ func (x *siteIndex) noteBatch(batch, fetched, evicted []workload.FileID) {
 		}
 	}
 	s.touched = s.touched[:0]
+}
+
+// noteReferences counts one reference to every batch file and accumulates
+// what that adds to each reader's refSum: by the neighbour walk when the
+// batch allows it, else file by file (see noteBatch).
+func (x *siteIndex) noteReferences(batch []workload.FileID) {
+	s, m := x.s, x.m
+	allResident := true
+	for _, f := range batch {
+		m.refs[f]++
+		allResident = allResident && m.resident[f]
+	}
+	if allResident {
+		if row := s.idx.neighboursOf(s.w, batch); row != nil {
+			for _, n := range row {
+				s.deltaOf(n.task).refSum += int64(n.shared)
+			}
+			return
+		}
+	}
+	for _, f := range batch {
+		if !m.resident[f] {
+			continue
+		}
+		for _, t := range m.idx.byFile[f] {
+			s.deltaOf(t).refSum++
+		}
+	}
 }
 
 // siftUp restores the heap property upward from slot i of class c,
@@ -884,19 +863,7 @@ func (x *siteIndex) siftDown(c, i int) {
 // taken.
 func (x *siteIndex) topK(c, k int, out []workload.TaskID) []workload.TaskID {
 	if !x.usesHeap(c) {
-		left := k
-		for wi, w := range x.sets[c] {
-			for w != 0 && left > 0 {
-				b := bits.TrailingZeros64(w)
-				out = append(out, workload.TaskID(wi*64+b))
-				w &^= uint64(1) << uint(b)
-				left--
-			}
-			if left == 0 {
-				break
-			}
-		}
-		return out
+		return x.classSets.lowest(c, k, out)
 	}
 	h := x.heaps[c]
 	if len(h) == 0 || k <= 0 {

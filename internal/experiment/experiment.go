@@ -187,6 +187,10 @@ func runSweep(opts Options, w *workload.Workload, pointLabels []string, configs 
 		}
 	}
 
+	// Every cell builds its scheduler over w: have core prepare the index
+	// they share for that many, once, before the first.
+	core.ShareIndex(w)
+
 	sem := make(chan struct{}, opts.Parallelism)
 	var wg sync.WaitGroup
 	var mu sync.Mutex

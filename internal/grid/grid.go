@@ -352,6 +352,10 @@ func (e *engine) worker(p *sim.Proc, ref core.WorkerRef, speedMflops float64, ch
 	// fully drained before the next.
 	reply := sim.NewSignal(e.k)
 	req := &batchRequest{reply: reply}
+	// Likewise one cancel signal, reset per assignment: cancel fires it at
+	// most once per assignment and this worker is its only waiter, so by the
+	// next assignment nobody is registered on it.
+	ws.cancelSig = sim.NewSignal(e.k)
 	for {
 		if p.Now() >= nextFail {
 			e.emit(p.Now(), trace.WorkerDown, ref, -1, 0)
@@ -374,7 +378,7 @@ func (e *engine) worker(p *sim.Proc, ref core.WorkerRef, speedMflops float64, ch
 
 		ws.cur = task.ID
 		ws.cancelled = false
-		ws.cancelSig = sim.NewSignal(e.k)
+		ws.cancelSig.Reset()
 		sm.TasksExecuted++
 		e.emit(p.Now(), trace.TaskAssigned, ref, task.ID, len(task.Files))
 
@@ -455,7 +459,7 @@ func (e *engine) cancel(ref core.WorkerRef, id workload.TaskID) {
 		return
 	}
 	ws.cancelled = true
-	if ws.cancelSig != nil && !ws.cancelSig.Fired() {
+	if !ws.cancelSig.Fired() {
 		ws.cancelSig.Fire(nil)
 	}
 }

@@ -542,3 +542,53 @@ func TestCompletedJobInFlightReportIsCancelled(t *testing.T) {
 		})
 	}
 }
+
+// TestServiceNeverSharesAnIndex pins what keeps a job's memory and a
+// restart's time where they are: the neighbour table core builds for a
+// sweep of schedulers over one workload (core.ShareIndex) is never built
+// for a job's — not when it is submitted, not when it is recovered, not
+// while it drains under the metric that would use one.
+func TestServiceNeverSharesAnIndex(t *testing.T) {
+	var seen []*workload.Workload
+	cfg := durableConfig(t.TempDir())
+	inner := cfg.NewScheduler
+	cfg.NewScheduler = func(algorithm string, w *workload.Workload, topo service.Topology, seed int64) (core.Scheduler, error) {
+		seen = append(seen, w)
+		return inner(algorithm, w, topo, seed)
+	}
+	s, err := service.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.SubmitByName("coadd", "combined.2", syntheticWorkload(120, 6), 3, ""); err != nil {
+		t.Fatal(err)
+	}
+	worker := register(t, s, 0).WorkerID
+	for i := 0; i < 40; i++ {
+		asg := pull(t, s, worker)
+		if _, err := s.Report(asg.ID, worker, api.OutcomeSuccess); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s.Close()
+
+	if s, err = service.New(cfg); err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if got := len(drainAll(t, s, register(t, s, 1).WorkerID)); got != 80 {
+		t.Fatalf("drained %d tasks after the restart, want 80", got)
+	}
+	if len(seen) != 2 {
+		t.Fatalf("the factory built %d schedulers, want one at submit and one at recovery", len(seen))
+	}
+	for i, w := range seen {
+		if core.IndexShared(w) {
+			t.Errorf("workload %d of the job carries a neighbour table", i)
+		}
+	}
+	// And the question can be answered yes: asked for, the table is there.
+	if core.ShareIndex(seen[1]); !core.IndexShared(seen[1]) {
+		t.Fatal("IndexShared is false after ShareIndex")
+	}
+}
