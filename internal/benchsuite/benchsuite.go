@@ -699,7 +699,10 @@ func ServiceDispatchPartitioned(parts int) func(b *testing.B) {
 			defer ts.Close()
 			cl := client.New(ts.URL, nil)
 			must(cl.SetCodec("binary"), "codec")
-			_, err = cl.SubmitJob(ctx, fmt.Sprintf("bench-part-%d", i), "workqueue", 0, dispatchWorkload(100_000))
+			// Keyless: a partition refuses a submission key that hashes to another.
+			_, err = cl.SubmitJobIdempotent(ctx, api.SubmitJobRequest{
+				Name: fmt.Sprintf("bench-part-%d", i), Algorithm: "workqueue", Workload: dispatchWorkload(100_000),
+			})
 			must(err, "submit")
 			for w := 0; w < PartitionedWorkers; w++ {
 				reg, err := cl.Register(ctx, nil)

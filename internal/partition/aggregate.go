@@ -121,7 +121,7 @@ func mergeTenants(parts []*[]api.TenantStatus) []api.TenantStatus {
 // partition could not be reached the router reports 503 and the caller
 // retries until all partitions converge.
 func (rt *Router) handleTenantQuota(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxSniffBytes))
+	body, err := io.ReadAll(io.LimitReader(r.Body, maxReplyBytes))
 	if err != nil {
 		writeError(w, http.StatusBadRequest, fmt.Sprintf("reading body: %v", err))
 		return
@@ -156,7 +156,7 @@ func (rt *Router) handleTenantQuota(w http.ResponseWriter, r *http.Request) {
 			}
 			defer resp.Body.Close()
 			rt.mark(i, nil)
-			data, _ := io.ReadAll(io.LimitReader(resp.Body, maxSniffBytes))
+			data, _ := io.ReadAll(io.LimitReader(resp.Body, maxReplyBytes))
 			results[i].code = resp.StatusCode
 			if resp.StatusCode/100 != 2 {
 				results[i].err = fmt.Errorf("partition %d: %s", i, strings.TrimSpace(string(data)))

@@ -1,7 +1,6 @@
 package partition
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -18,9 +17,10 @@ import (
 	"gridsched/internal/service/api"
 )
 
-// maxSniffBytes bounds how much of a submit body the router reads to
-// extract the idempotency key — the same cap the service puts on bodies.
-const maxSniffBytes = 64 << 20
+// maxReplyBytes bounds what the router buffers of one partition's answer to
+// an aggregate leg (and of the quota body it fans out) — the same cap the
+// service puts on bodies.
+const maxReplyBytes = 64 << 20
 
 // Config configures a Router.
 type Config struct {
@@ -88,6 +88,14 @@ func New(cfg Config) (*Router, error) {
 				pr.Out.Host = target.Host
 				// SetURL joins paths; the targets are bare hosts, so the
 				// inbound path passes through unchanged.
+				//
+				// Expect: 100-continue is between the client and this hop,
+				// which answers it when the proxy first reads the body. Sent
+				// on, it makes a partition that answers before the end of a
+				// large body (413, 400, 401) drop the connection at once
+				// instead of lingering — net/http only lingers over a plain
+				// body — and the reset then beats the answer here: a 503.
+				pr.Out.Header.Del("Expect")
 			},
 			Transport: transport,
 			// Immediate flush: lease-stream frames and long-poll responses
@@ -202,48 +210,20 @@ func (rt *Router) forwardByID(pathValue string) http.HandlerFunc {
 	}
 }
 
-// handleSubmit places a job submission: on the partition its idempotency
-// key hashes to (so a retry dedupes against the original), or round-robin
-// when the submission carries no key. The body is read once to extract
-// the key and forwarded verbatim, whichever codec it is in.
+// handleSubmit places a job submission without reading it: on the partition
+// its api.SubmissionIDHeader hashes to (so a retry dedupes against the
+// original), or round-robin when the request carries none. The body streams
+// through untouched, whichever codec it is in; the partition decodes it
+// anyway, and is the one to refuse a header that is not the body's key, or a
+// key that round-robin brought to a partition that does not own it.
 func (rt *Router) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxSniffBytes+1))
-	if err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Sprintf("reading body: %v", err))
-		return
-	}
-	if len(body) > maxSniffBytes {
-		writeError(w, http.StatusRequestEntityTooLarge, "request body too large")
-		return
-	}
-	target := -1
-	if sid := sniffSubmissionID(r.Header.Get("Content-Type"), body); sid != "" {
+	var target int
+	if sid := r.Header.Get(api.SubmissionIDHeader); sid != "" {
 		target = SubmitOwner(sid, len(rt.urls))
 	} else {
 		target = rt.pick()
 	}
-	r2 := r.Clone(r.Context())
-	r2.Body = io.NopCloser(bytes.NewReader(body))
-	r2.ContentLength = int64(len(body))
-	rt.proxies[target].ServeHTTP(w, r2)
-}
-
-// sniffSubmissionID extracts the idempotency key from a submit body
-// without validating the rest; malformed bodies yield "" and are placed
-// anywhere — the owning partition produces the real 400.
-func sniffSubmissionID(contentType string, body []byte) string {
-	if api.IsBinary(contentType) {
-		var req api.SubmitJobRequest
-		if api.Binary.Unmarshal(body, &req) == nil {
-			return req.SubmissionID
-		}
-		return ""
-	}
-	var key struct {
-		SubmissionID string `json:"submissionId"`
-	}
-	_ = json.Unmarshal(body, &key)
-	return key.SubmissionID
+	rt.proxies[target].ServeHTTP(w, r)
 }
 
 // handleRegister places a new worker on a live partition. The worker's
@@ -350,7 +330,7 @@ func (rt *Router) get(ctx context.Context, i int, auth, path string, v any, deco
 		return err
 	}
 	defer resp.Body.Close()
-	data, err := io.ReadAll(io.LimitReader(resp.Body, maxSniffBytes))
+	data, err := io.ReadAll(io.LimitReader(resp.Body, maxReplyBytes))
 	if err != nil {
 		return err
 	}

@@ -1,6 +1,7 @@
 package partition_test
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -8,6 +9,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -83,6 +85,16 @@ func newDeploymentWith(t *testing.T, parts int, ingress func(http.Handler) http.
 	t.Cleanup(d.router.Close)
 	d.cl = client.New(d.router.URL, nil)
 	return d
+}
+
+// keyOwnedBy is a submission id that hashes to partition want of count: a
+// partition refuses a keyed submit it does not own.
+func keyOwnedBy(want, count int) string {
+	for i := 0; ; i++ {
+		if sid := fmt.Sprintf("key-%d", i); partition.SubmitOwner(sid, count) == want {
+			return sid
+		}
+	}
 }
 
 func testWorkload(tasks int) *workload.Workload {
@@ -657,7 +669,10 @@ func TestIdleWorkerRebalances(t *testing.T) {
 				}
 			}
 			away := 1 - home
-			jobID, err := d.clients[away].SubmitJob(ctx, "elsewhere", "workqueue", 0, testWorkload(tasks))
+			jobID, err := d.clients[away].SubmitJobIdempotent(ctx, api.SubmitJobRequest{
+				Name: "elsewhere", Algorithm: "workqueue", Workload: testWorkload(tasks),
+				SubmissionID: keyOwnedBy(away, 2),
+			})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -682,4 +697,173 @@ func TestIdleWorkerRebalances(t *testing.T) {
 			}
 		})
 	}
+}
+
+// submitCounting is a two-partition deployment that counts the submits each
+// partition receives, however they end.
+func submitCounting(t *testing.T) (*testDeployment, *[2]atomic.Int64) {
+	t.Helper()
+	var submits [2]atomic.Int64
+	next := 0
+	d := newDeploymentBehind(t, 2, func(h http.Handler) http.Handler {
+		i := next
+		next++
+		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.Method == http.MethodPost && r.URL.Path == "/v1/jobs" {
+				submits[i].Add(1)
+			}
+			h.ServeHTTP(w, r)
+		})
+	})
+	return d, &submits
+}
+
+// post sends body to url with the given headers (name, value, …) and
+// returns the status and the ErrorResponse message, if the answer has one.
+func post(t *testing.T, url string, body io.Reader, headers ...string) (int, string) {
+	t.Helper()
+	req, err := http.NewRequest(http.MethodPost, url, body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < len(headers); i += 2 {
+		req.Header.Set(headers[i], headers[i+1])
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var e api.ErrorResponse
+	_ = json.NewDecoder(resp.Body).Decode(&e)
+	return resp.StatusCode, e.Error
+}
+
+// TestRouterSubmitRoutesByHeader: the router places a submit by its
+// X-Gridsched-Submission-Id header and never reads the body — a body that
+// is no message at all still reaches the key's owner and gets that
+// partition's 400 — and spreads headerless submits over the live partitions.
+func TestRouterSubmitRoutesByHeader(t *testing.T) {
+	for _, codec := range []api.Codec{api.JSON, api.Binary} {
+		mode := map[api.Codec]string{api.JSON: "json", api.Binary: "binary"}[codec]
+		t.Run(mode, func(t *testing.T) {
+			d, submits := submitCounting(t)
+			ctx := context.Background()
+			if err := d.cl.SetCodec(mode); err != nil {
+				t.Fatal(err)
+			}
+			submit := func(sid string) (string, error) {
+				return d.cl.SubmitJobIdempotent(ctx, api.SubmitJobRequest{
+					Name: "routed", Algorithm: "workqueue", Workload: testWorkload(2), SubmissionID: sid,
+				})
+			}
+
+			for k := 0; k < 6; k++ {
+				sid := fmt.Sprintf("%s-%d", mode, k)
+				id, err := submit(sid)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got, _ := partition.Owner(id, 2); got != partition.SubmitOwner(sid, 2) {
+					t.Fatalf("submission %q: job %q minted by partition %d, the key hashes to %d", sid, id, got, partition.SubmitOwner(sid, 2))
+				}
+			}
+
+			for owner := 0; owner < 2; owner++ {
+				before := [2]int64{submits[0].Load(), submits[1].Load()}
+				code, msg := post(t, d.router.URL+"/v1/jobs", strings.NewReader("no message in either codec"),
+					"Content-Type", codec.ContentType(), api.SubmissionIDHeader, keyOwnedBy(owner, 2))
+				if code != http.StatusBadRequest || !strings.Contains(msg, "bad request body") {
+					t.Fatalf("garbage body keyed to partition %d: HTTP %d %q, want the partition's 400", owner, code, msg)
+				}
+				if submits[owner].Load() != before[owner]+1 || submits[1-owner].Load() != before[1-owner] {
+					t.Fatalf("garbage body keyed to partition %d went elsewhere", owner)
+				}
+			}
+
+			before := [2]int64{submits[0].Load(), submits[1].Load()}
+			for k := 0; k < 4; k++ {
+				if _, err := submit(""); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if a, b := submits[0].Load()-before[0], submits[1].Load()-before[1]; a != 2 || b != 2 {
+				t.Fatalf("4 headerless submits went %d and %d to the two partitions, want 2 and 2", a, b)
+			}
+
+			// With partition 1 dead, the one headerless submit that finds it
+			// out is a 503; every other goes to partition 0.
+			d.servers[1].Close()
+			refused := 0
+			for k := 0; k < 4; k++ {
+				id, err := submit("")
+				if err != nil {
+					refused++
+				} else if got, _ := partition.Owner(id, 2); got != 0 {
+					t.Fatalf("job %q minted by dead partition %d", id, got)
+				}
+			}
+			if refused > 1 {
+				t.Fatalf("%d of 4 headerless submits refused with one partition live, want at most 1", refused)
+			}
+		})
+	}
+}
+
+// TestOversizeBodyIs413: a body past the service's 64 MB cap is a 413 from
+// the partition itself, whichever codec it claims to be in, and the same
+// through the router, which streams it rather than measuring it.
+func TestOversizeBodyIs413(t *testing.T) {
+	d := newDeployment(t, 2)
+	for _, codec := range []api.Codec{api.JSON, api.Binary} {
+		// A name that never ends: the limit, not the decoder, stops the read.
+		head := []byte(`{"name":"`)
+		if codec == api.Binary {
+			head = []byte{'G', 2, 1, 0xff, 0xff, 0xff, 0x7f}
+		}
+		for _, via := range []struct{ name, url string }{{"direct", d.servers[0].URL}, {"routed", d.router.URL}} {
+			body := io.MultiReader(bytes.NewReader(head), io.LimitReader(filler{}, 65<<20))
+			code, msg := post(t, via.url+"/v1/jobs", body, "Content-Type", codec.ContentType())
+			if code != http.StatusRequestEntityTooLarge || !strings.Contains(msg, "exceeds") {
+				t.Errorf("%s, %s: HTTP %d %q, want 413", codec.ContentType(), via.name, code, msg)
+			}
+		}
+	}
+}
+
+// TestRouterAnswersExpectItself: a client's Expect: 100-continue (curl sends
+// it with any large body) ends at the router. A partition that saw it would,
+// on answering before the end of the body — the 413 above — drop the
+// connection without lingering, and the router would report the reset, not
+// the answer.
+func TestRouterAnswersExpectItself(t *testing.T) {
+	var expects atomic.Int64
+	d := newDeploymentBehind(t, 2, func(h http.Handler) http.Handler {
+		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.Header.Get("Expect") != "" {
+				expects.Add(1)
+			}
+			h.ServeHTTP(w, r)
+		})
+	})
+	body, err := json.Marshal(api.SubmitJobRequest{Name: "expect", Algorithm: "workqueue", Workload: testWorkload(2)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if code, msg := post(t, d.router.URL+"/v1/jobs", bytes.NewReader(body), "Expect", "100-continue"); code != http.StatusCreated {
+		t.Fatalf("submit expecting 100-continue: HTTP %d %q", code, msg)
+	}
+	if n := expects.Load(); n != 0 {
+		t.Fatalf("the router passed Expect on to a partition %d times", n)
+	}
+}
+
+// filler reads as an endless run of 'a'.
+type filler struct{}
+
+func (filler) Read(p []byte) (int, error) {
+	for i := range p {
+		p[i] = 'a'
+	}
+	return len(p), nil
 }

@@ -366,6 +366,13 @@ type PartitionTopology struct {
 // that could not be reached. Its presence means totals are a lower bound.
 const PartitionsDownHeader = "X-Gridsched-Partitions-Down"
 
+// SubmissionIDHeader repeats a submit's idempotency key
+// (SubmitJobRequest.SubmissionID) beside the body, which lets the router
+// place the request on the key's partition without reading the body. The
+// partition, which decodes the body anyway, refuses a header that disagrees
+// with it.
+const SubmissionIDHeader = "X-Gridsched-Submission-Id"
+
 // Health is the /healthz body.
 type Health struct {
 	Status  string `json:"status"` // "ok"

@@ -2,20 +2,22 @@
 // JSON stays the debuggable default; the binary codec below is the
 // wire-speed format for the dispatch hot path (pull/report/submit and the
 // lease stream), negotiated per request via Content-Type/Accept. Both
-// codecs marshal exactly the structs in api.go — there is no separate
-// schema to drift.
+// codecs marshal exactly the structs in api.go: JSON from their struct
+// tags, binary from one field list per message, which a coder walks to
+// encode and walks again to decode — so the two directions of a layout
+// cannot drift apart, and there is no separate schema to drift from.
 //
 // Binary layout: every message is
 //
-//	'G' 0x01 <msg-type byte> <fields...>
+//	'G' 0x02 <msg-type byte> <fields...>
 //
-// with uvarint for unsigned integers, zigzag varint for signed ones,
-// length-prefixed strings, a 0/1 byte for booleans, and one enum byte for
-// the small closed string sets (pull status, heartbeat state, outcome,
-// job state). Decoding is strict: unknown message types, unknown enum
-// bytes, truncated fields, oversized lengths, and trailing garbage are
-// all errors — never a guess. Stream frames are uvarint(len) + payload
-// (AppendFrame/ReadFrame).
+// with zigzag varint for integers, uvarint for lengths and counts,
+// length-prefixed strings, a 0/1 byte for booleans and optional-field
+// markers, and one enum byte for the small closed string sets (pull status,
+// heartbeat state, outcome, job state). Decoding is strict: unknown message
+// types, unknown enum bytes, truncated fields, oversized lengths, and
+// trailing garbage are all errors — never a guess. Stream frames are
+// uvarint(len) + payload (AppendFrame/ReadFrame).
 package api
 
 import (
@@ -26,6 +28,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"reflect"
 	"strings"
 
 	"gridsched/internal/workload"
@@ -69,29 +72,11 @@ const (
 	binVersion = 2
 )
 
-// Binary message type bytes. The codec rejects any other value, so adding
-// a message is a protocol version event, not a silent skew.
-const (
-	msgSubmitJobRequest    = 1
-	msgSubmitJobResponse   = 2
-	msgRegisterRequest     = 3
-	msgRegisterResponse    = 4
-	msgPullRequest         = 5
-	msgPullResponse        = 6
-	msgHeartbeatRequest    = 7
-	msgHeartbeatResponse   = 8
-	msgReportRequest       = 9
-	msgReportResponse      = 10
-	msgLeaseBatch          = 11
-	msgReportBatchRequest  = 12
-	msgReportBatchResponse = 13
-)
-
 // storedWorkloadHeader heads a stored workload (EncodeWorkload). Stored
 // documents outlive the process that wrote them, so they carry their own
 // magic and version rather than the wire's: a binVersion bump that leaves
 // the workload fields alone must not orphan every data dir. Changing
-// binWriter.workload's layout means bumping the last byte here and
+// coder.workload's field list means bumping the last byte here and
 // teaching DecodeWorkload the old one.
 var storedWorkloadHeader = []byte{'G', 'W', 1}
 
@@ -157,176 +142,35 @@ type binaryCodec struct{}
 
 func (binaryCodec) ContentType() string { return ContentTypeBinary }
 
-func (binaryCodec) Supports(v any) bool {
-	switch v.(type) {
-	case *SubmitJobRequest, SubmitJobRequest,
-		*SubmitJobResponse, SubmitJobResponse,
-		*RegisterRequest, RegisterRequest,
-		*RegisterResponse, RegisterResponse,
-		*PullRequest, PullRequest,
-		*PullResponse, PullResponse,
-		*HeartbeatRequest, HeartbeatRequest,
-		*HeartbeatResponse, HeartbeatResponse,
-		*ReportRequest, ReportRequest,
-		*ReportResponse, ReportResponse,
-		*LeaseBatch, LeaseBatch,
-		*ReportBatchRequest, ReportBatchRequest,
-		*ReportBatchResponse, ReportBatchResponse:
-		return true
-	}
-	return false
-}
+func (binaryCodec) Supports(v any) bool { return (*coder)(nil).message(addressed(v)) }
 
 func (binaryCodec) Marshal(v any) ([]byte, error) {
-	w := binWriter{b: make([]byte, 0, 64)}
-	w.b = append(w.b, binMagic, binVersion)
-	switch m := v.(type) {
-	case *SubmitJobRequest:
-		w.submitJobRequest(m)
-	case SubmitJobRequest:
-		w.submitJobRequest(&m)
-	case *SubmitJobResponse:
-		w.submitJobResponse(m)
-	case SubmitJobResponse:
-		w.submitJobResponse(&m)
-	case *RegisterRequest:
-		w.registerRequest(m)
-	case RegisterRequest:
-		w.registerRequest(&m)
-	case *RegisterResponse:
-		w.registerResponse(m)
-	case RegisterResponse:
-		w.registerResponse(&m)
-	case *PullRequest:
-		w.pullRequest(m)
-	case PullRequest:
-		w.pullRequest(&m)
-	case *PullResponse:
-		w.pullResponse(m)
-	case PullResponse:
-		w.pullResponse(&m)
-	case *HeartbeatRequest:
-		w.heartbeatRequest(m)
-	case HeartbeatRequest:
-		w.heartbeatRequest(&m)
-	case *HeartbeatResponse:
-		w.heartbeatResponse(m)
-	case HeartbeatResponse:
-		w.heartbeatResponse(&m)
-	case *ReportRequest:
-		w.reportRequest(m)
-	case ReportRequest:
-		w.reportRequest(&m)
-	case *ReportResponse:
-		w.reportResponse(m)
-	case ReportResponse:
-		w.reportResponse(&m)
-	case *LeaseBatch:
-		w.leaseBatch(m)
-	case LeaseBatch:
-		w.leaseBatch(&m)
-	case *ReportBatchRequest:
-		w.reportBatchRequest(m)
-	case ReportBatchRequest:
-		w.reportBatchRequest(&m)
-	case *ReportBatchResponse:
-		w.reportBatchResponse(m)
-	case ReportBatchResponse:
-		w.reportBatchResponse(&m)
-	default:
+	c := coder{b: make([]byte, 0, 64)}
+	if !c.message(addressed(v)) {
 		return nil, fmt.Errorf("api: binary codec does not encode %T", v)
 	}
-	return w.b, w.err
+	return c.b, c.err
 }
 
 func (binaryCodec) Unmarshal(data []byte, v any) error {
-	r := binReader{b: data}
-	if len(data) < 3 || data[0] != binMagic || data[1] != binVersion {
-		return fmt.Errorf("api: not a gridsched binary message (%d bytes)", len(data))
-	}
-	r.off = 2
-	typ := r.byte()
-	var want byte
-	switch m := v.(type) {
-	case *SubmitJobRequest:
-		want = msgSubmitJobRequest
-		if typ == want {
-			r.submitJobRequest(m)
-		}
-	case *SubmitJobResponse:
-		want = msgSubmitJobResponse
-		if typ == want {
-			m.JobID = r.str()
-		}
-	case *RegisterRequest:
-		want = msgRegisterRequest
-		if typ == want {
-			r.registerRequest(m)
-		}
-	case *RegisterResponse:
-		want = msgRegisterResponse
-		if typ == want {
-			m.WorkerID = r.str()
-			m.Site = int(r.i64())
-			m.Worker = int(r.i64())
-			m.LeaseTTLMillis = r.i64()
-		}
-	case *PullRequest:
-		want = msgPullRequest
-		if typ == want {
-			m.WaitMillis = r.i64()
-		}
-	case *PullResponse:
-		want = msgPullResponse
-		if typ == want {
-			r.pullResponse(m)
-		}
-	case *HeartbeatRequest:
-		want = msgHeartbeatRequest
-		if typ == want {
-			m.WorkerID = r.str()
-		}
-	case *HeartbeatResponse:
-		want = msgHeartbeatResponse
-		if typ == want {
-			m.State = r.heartbeatState()
-		}
-	case *ReportRequest:
-		want = msgReportRequest
-		if typ == want {
-			m.WorkerID = r.str()
-			m.Outcome = r.outcome()
-		}
-	case *ReportResponse:
-		want = msgReportResponse
-		if typ == want {
-			r.reportResponse(m)
-		}
-	case *LeaseBatch:
-		want = msgLeaseBatch
-		if typ == want {
-			r.leaseBatch(m)
-		}
-	case *ReportBatchRequest:
-		want = msgReportBatchRequest
-		if typ == want {
-			r.reportBatchRequest(m)
-		}
-	case *ReportBatchResponse:
-		want = msgReportBatchResponse
-		if typ == want {
-			r.reportBatchResponse(m)
-		}
-	default:
+	c := coder{b: data, decode: true}
+	if !c.message(v) {
 		return fmt.Errorf("api: binary codec does not decode %T", v)
 	}
-	if r.err == nil && typ != want {
-		return fmt.Errorf("api: binary message type %d, want %d (%T)", typ, want, v)
+	return c.end("binary message")
+}
+
+// addressed returns a message passed by value as a pointer to a copy, the
+// form the message table names; anything else comes back as it is.
+// Encoding only reads its message, so walking the copy changes nothing.
+func addressed(v any) any {
+	rv := reflect.ValueOf(v)
+	if rv.Kind() != reflect.Struct {
+		return v
 	}
-	if r.err == nil && r.off != len(r.b) {
-		return fmt.Errorf("api: %d trailing bytes after binary message", len(r.b)-r.off)
-	}
-	return r.err
+	p := reflect.New(rv.Type())
+	p.Elem().Set(rv)
+	return p.Interface()
 }
 
 // EncodeWorkload renders w as a standalone binary document:
@@ -342,9 +186,9 @@ func EncodeWorkload(w *workload.Workload) []byte {
 // AppendWorkload appends EncodeWorkload's document to dst — for a caller
 // that stores it as the tail of a larger record.
 func AppendWorkload(dst []byte, w *workload.Workload) []byte {
-	bw := binWriter{b: append(dst, storedWorkloadHeader...)}
-	bw.workload(w)
-	return bw.b
+	c := coder{b: append(dst, storedWorkloadHeader...)}
+	c.workload(w)
+	return c.b
 }
 
 // DecodeWorkload is EncodeWorkload's strict inverse: wrong header,
@@ -353,551 +197,418 @@ func DecodeWorkload(data []byte) (*workload.Workload, error) {
 	if !bytes.HasPrefix(data, storedWorkloadHeader) {
 		return nil, fmt.Errorf("api: not a gridsched stored workload (%d bytes)", len(data))
 	}
-	r := binReader{b: data, off: len(storedWorkloadHeader)}
-	w := r.workload()
-	if r.err == nil && r.off != len(r.b) {
-		return nil, fmt.Errorf("api: %d trailing bytes after stored workload", len(r.b)-r.off)
-	}
-	if r.err != nil {
-		return nil, r.err
+	c := coder{b: data, off: len(storedWorkloadHeader), decode: true}
+	w := &workload.Workload{}
+	c.workload(w)
+	if err := c.end("stored workload"); err != nil {
+		return nil, err
 	}
 	return w, nil
 }
 
-// binWriter appends binary fields. Marshal never fails for the supported
-// types, so err stays nil; it exists to mirror binReader's shape.
-type binWriter struct {
-	b   []byte
-	err error
-}
-
-func (w *binWriter) u64(v uint64) { w.b = binary.AppendUvarint(w.b, v) }
-func (w *binWriter) i64(v int64)  { w.b = binary.AppendVarint(w.b, v) }
-func (w *binWriter) byte(v byte)  { w.b = append(w.b, v) }
-
-func (w *binWriter) str(s string) {
-	w.u64(uint64(len(s)))
-	w.b = append(w.b, s...)
-}
-
-func (w *binWriter) bool(v bool) {
-	b := byte(0)
-	if v {
-		b = 1
-	}
-	w.b = append(w.b, b)
-}
-
-func (w *binWriter) strs(ss []string) {
-	w.u64(uint64(len(ss)))
-	for _, s := range ss {
-		w.str(s)
-	}
-}
-
-func (w *binWriter) submitJobRequest(m *SubmitJobRequest) {
-	w.byte(msgSubmitJobRequest)
-	w.str(m.Name)
-	w.str(m.Algorithm)
-	w.i64(m.Seed)
-	w.bool(m.Workload != nil)
-	if m.Workload != nil {
-		w.workload(m.Workload)
-	}
-	w.str(m.SubmissionID)
-	w.str(m.Tenant)
-	w.i64(int64(m.Weight))
-	w.strs(m.Requires)
-	w.i64(m.DeadlineMillis)
-}
-
-func (w *binWriter) workload(wl *workload.Workload) {
-	w.str(wl.Name)
-	w.i64(int64(wl.NumFiles))
-	w.u64(uint64(len(wl.Tasks)))
-	for _, t := range wl.Tasks {
-		w.task(t)
-	}
-}
-
-func (w *binWriter) task(t workload.Task) {
-	w.i64(int64(t.ID))
-	w.u64(uint64(len(t.Files)))
-	for _, f := range t.Files {
-		w.i64(int64(f))
-	}
-}
-
-func (w *binWriter) submitJobResponse(m *SubmitJobResponse) {
-	w.byte(msgSubmitJobResponse)
-	w.str(m.JobID)
-}
-
-func (w *binWriter) registerRequest(m *RegisterRequest) {
-	w.byte(msgRegisterRequest)
-	w.bool(m.Site != nil)
-	if m.Site != nil {
-		w.i64(int64(*m.Site))
-	}
-	w.strs(m.Tags)
-}
-
-func (w *binWriter) registerResponse(m *RegisterResponse) {
-	w.byte(msgRegisterResponse)
-	w.str(m.WorkerID)
-	w.i64(int64(m.Site))
-	w.i64(int64(m.Worker))
-	w.i64(m.LeaseTTLMillis)
-}
-
-func (w *binWriter) pullRequest(m *PullRequest) {
-	w.byte(msgPullRequest)
-	w.i64(m.WaitMillis)
-}
-
-func (w *binWriter) pullResponse(m *PullResponse) {
-	w.byte(msgPullResponse)
-	w.pullStatus(m.Status)
-	w.bool(m.Assignment != nil)
-	if m.Assignment != nil {
-		w.assignment(m.Assignment)
-	}
-	w.i64(int64(m.OpenJobs))
-}
-
-func (w *binWriter) assignment(a *Assignment) {
-	w.str(a.ID)
-	w.str(a.JobID)
-	w.task(a.Task)
-	w.i64(int64(a.Staged))
-	w.i64(a.LeaseTTLMillis)
-}
-
-func (w *binWriter) heartbeatRequest(m *HeartbeatRequest) {
-	w.byte(msgHeartbeatRequest)
-	w.str(m.WorkerID)
-}
-
-func (w *binWriter) heartbeatResponse(m *HeartbeatResponse) {
-	w.byte(msgHeartbeatResponse)
-	w.heartbeatState(m.State)
-}
-
-func (w *binWriter) reportRequest(m *ReportRequest) {
-	w.byte(msgReportRequest)
-	w.str(m.WorkerID)
-	w.outcome(m.Outcome)
-}
-
-func (w *binWriter) reportResponse(m *ReportResponse) {
-	w.byte(msgReportResponse)
-	w.bool(m.Accepted)
-	w.bool(m.Stale)
-	w.bool(m.Cancelled)
-	w.jobState(m.JobState)
-}
-
-func (w *binWriter) leaseBatch(m *LeaseBatch) {
-	w.byte(msgLeaseBatch)
-	w.u64(uint64(len(m.Assignments)))
-	for i := range m.Assignments {
-		w.assignment(&m.Assignments[i])
-	}
-	w.u64(uint64(len(m.Cancelled)))
-	for _, id := range m.Cancelled {
-		w.str(id)
-	}
-	w.i64(int64(m.OpenJobs))
-}
-
-func (w *binWriter) reportBatchRequest(m *ReportBatchRequest) {
-	w.byte(msgReportBatchRequest)
-	w.u64(uint64(len(m.Reports)))
-	for _, it := range m.Reports {
-		w.str(it.AssignmentID)
-		w.outcome(it.Outcome)
-	}
-}
-
-func (w *binWriter) reportBatchResponse(m *ReportBatchResponse) {
-	w.byte(msgReportBatchResponse)
-	w.u64(uint64(len(m.Results)))
-	for i := range m.Results {
-		r := &m.Results[i]
-		w.bool(r.Accepted)
-		w.bool(r.Stale)
-		w.bool(r.Cancelled)
-		w.jobState(r.JobState)
-	}
-}
-
-// Enum bytes. setErr on encode keeps an out-of-vocabulary string from
-// silently becoming a wrong byte; decode rejects unknown bytes.
-
-func (w *binWriter) setErr(format string, args ...any) {
-	if w.err == nil {
-		w.err = fmt.Errorf(format, args...)
-	}
-}
-
-func (w *binWriter) pullStatus(s string) {
-	switch s {
-	case StatusAssigned:
-		w.byte(1)
-	case StatusEmpty:
-		w.byte(2)
+// message is the message table: every type with a binary encoding is named
+// here once, beside its type byte and its field list (a method, or the one
+// field of a message that has only one). It reports whether v is in the
+// table and, given a coder, codes v with it. Any other type byte is
+// rejected, so adding a message is a protocol version event, not a silent
+// skew.
+func (c *coder) message(v any) bool {
+	var typ byte
+	var fields func() // never escapes, so neither do c and m: the walk allocates nothing of its own
+	switch m := v.(type) {
+	case *SubmitJobRequest:
+		typ, fields = 1, func() { c.submitJobRequest(m) }
+	case *SubmitJobResponse:
+		typ, fields = 2, func() { c.str(&m.JobID) }
+	case *RegisterRequest:
+		typ, fields = 3, func() { c.registerRequest(m) }
+	case *RegisterResponse:
+		typ, fields = 4, func() { c.registerResponse(m) }
+	case *PullRequest:
+		typ, fields = 5, func() { num(c, &m.WaitMillis) }
+	case *PullResponse:
+		typ, fields = 6, func() { c.pullResponse(m) }
+	case *HeartbeatRequest:
+		typ, fields = 7, func() { c.str(&m.WorkerID) }
+	case *HeartbeatResponse:
+		typ, fields = 8, func() { c.enum(&m.State, &heartbeatStates) }
+	case *ReportRequest:
+		typ, fields = 9, func() { c.reportRequest(m) }
+	case *ReportResponse:
+		typ, fields = 10, func() { c.reportResponse(m) }
+	case *LeaseBatch:
+		typ, fields = 11, func() { c.leaseBatch(m) }
+	case *ReportBatchRequest:
+		typ, fields = 12, func() { c.reportBatchRequest(m) }
+	case *ReportBatchResponse:
+		typ, fields = 13, func() { c.reportBatchResponse(m) }
 	default:
-		w.setErr("api: unknown pull status %q", s)
-	}
-}
-
-func (w *binWriter) heartbeatState(s string) {
-	switch s {
-	case HeartbeatActive:
-		w.byte(1)
-	case HeartbeatCancelled:
-		w.byte(2)
-	case HeartbeatGone:
-		w.byte(3)
-	default:
-		w.setErr("api: unknown heartbeat state %q", s)
-	}
-}
-
-func (w *binWriter) outcome(s string) {
-	switch s {
-	case OutcomeSuccess:
-		w.byte(1)
-	case OutcomeFailure:
-		w.byte(2)
-	default:
-		w.setErr("api: unknown outcome %q", s)
-	}
-}
-
-func (w *binWriter) jobState(s string) {
-	switch s {
-	case "":
-		w.byte(0)
-	case JobRunning:
-		w.byte(1)
-	case JobCompleted:
-		w.byte(2)
-	default:
-		w.setErr("api: unknown job state %q", s)
-	}
-}
-
-// binReader consumes binary fields, sticking on the first error; every
-// length is validated against the bytes actually remaining, so corrupt
-// input cannot force a large allocation.
-type binReader struct {
-	b   []byte
-	off int
-	err error
-}
-
-func (r *binReader) setErr(format string, args ...any) {
-	if r.err == nil {
-		r.err = fmt.Errorf(format, args...)
-	}
-}
-
-func (r *binReader) remaining() int { return len(r.b) - r.off }
-
-func (r *binReader) byte() byte {
-	if r.err != nil {
-		return 0
-	}
-	if r.off >= len(r.b) {
-		r.setErr("api: truncated binary message")
-		return 0
-	}
-	v := r.b[r.off]
-	r.off++
-	return v
-}
-
-func (r *binReader) u64() uint64 {
-	if r.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(r.b[r.off:])
-	if n <= 0 {
-		r.setErr("api: bad uvarint at offset %d", r.off)
-		return 0
-	}
-	r.off += n
-	return v
-}
-
-func (r *binReader) i64() int64 {
-	if r.err != nil {
-		return 0
-	}
-	v, n := binary.Varint(r.b[r.off:])
-	if n <= 0 {
-		r.setErr("api: bad varint at offset %d", r.off)
-		return 0
-	}
-	r.off += n
-	return v
-}
-
-func (r *binReader) bool() bool {
-	switch r.byte() {
-	case 0:
-		return false
-	case 1:
-		return true
-	default:
-		r.setErr("api: bad bool byte")
 		return false
 	}
+	// The envelope every message travels in: magic, version, type byte.
+	switch {
+	case c == nil: // Supports, which only asks whether v is in the table
+	case !c.decode:
+		c.b = append(c.b, binMagic, binVersion, typ)
+		fields()
+	case len(c.b) < 3 || c.b[0] != binMagic || c.b[1] != binVersion:
+		c.fail("api: not a gridsched binary message (%d bytes)", len(c.b))
+	case c.b[2] != typ:
+		c.fail("api: binary message type %d, want %d (%T)", c.b[2], typ, v)
+	default:
+		c.off = 3
+		fields()
+	}
+	return true
 }
 
-func (r *binReader) str() string {
-	n := r.u64()
-	if r.err != nil {
-		return ""
+// The field lists. Each names its message's fields once, in wire order;
+// the coder's mode decides whether the walk writes them or reads them.
+
+func (c *coder) submitJobRequest(m *SubmitJobRequest) {
+	c.str(&m.Name)
+	c.str(&m.Algorithm)
+	num(c, &m.Seed)
+	if w := opt(c, &m.Workload); w != nil {
+		c.workload(w)
 	}
-	if n > uint64(r.remaining()) {
-		r.setErr("api: string length %d exceeds %d remaining bytes", n, r.remaining())
-		return ""
-	}
-	s := string(r.b[r.off : r.off+int(n)])
-	r.off += int(n)
-	return s
+	c.str(&m.SubmissionID)
+	c.str(&m.Tenant)
+	num(c, &m.Weight)
+	c.strs(&m.Requires)
+	num(c, &m.DeadlineMillis)
 }
 
-// strs reads a string collection (nil when empty, mirroring omitempty
-// JSON so a binary round trip compares equal to a JSON one).
-func (r *binReader) strs() []string {
-	n := r.count()
-	if n == 0 {
-		return nil
+func (c *coder) registerRequest(m *RegisterRequest) {
+	if site := opt(c, &m.Site); site != nil {
+		num(c, site)
 	}
-	ss := make([]string, n)
-	for i := range ss {
-		ss[i] = r.str()
-	}
-	return ss
+	c.strs(&m.Tags)
 }
 
-// count reads a collection length and bounds it by the remaining bytes
-// (every element costs at least one byte on the wire).
-func (r *binReader) count() int {
-	n := r.u64()
-	if r.err != nil {
-		return 0
-	}
-	if n > uint64(r.remaining()) {
-		r.setErr("api: collection length %d exceeds %d remaining bytes", n, r.remaining())
-		return 0
-	}
-	return int(n)
+func (c *coder) registerResponse(m *RegisterResponse) {
+	c.str(&m.WorkerID)
+	num(c, &m.Site)
+	num(c, &m.Worker)
+	num(c, &m.LeaseTTLMillis)
 }
 
-func (r *binReader) submitJobRequest(m *SubmitJobRequest) {
-	m.Name = r.str()
-	m.Algorithm = r.str()
-	m.Seed = r.i64()
-	if r.bool() {
-		m.Workload = r.workload()
+func (c *coder) pullResponse(m *PullResponse) {
+	c.enum(&m.Status, &pullStatuses)
+	if a := opt(c, &m.Assignment); a != nil {
+		c.assignment(a)
 	}
-	m.SubmissionID = r.str()
-	m.Tenant = r.str()
-	m.Weight = int(r.i64())
-	m.Requires = r.strs()
-	m.DeadlineMillis = r.i64()
+	num(c, &m.OpenJobs)
 }
 
-// workload decodes into two allocations besides the Workload itself: the
-// task array and one array every task's Files is a slice of. A first pass
-// over the encoding sizes that array exactly (a 6,000-task Coadd job has
-// ~470,000 file references; one slice per task was 6,000 allocations, and
-// growing one by append overshoots by up to a quarter). Each Files is cut
-// with its capacity capped, so appending to one task's cannot write into
-// the next one's.
-func (r *binReader) workload() *workload.Workload {
-	wl := &workload.Workload{}
-	wl.Name = r.str()
-	wl.NumFiles = int(r.i64())
-	n := r.count()
-	if n == 0 {
-		return wl
+func (c *coder) reportRequest(m *ReportRequest) {
+	c.str(&m.WorkerID)
+	c.enum(&m.Outcome, &outcomes)
+}
+
+func (c *coder) reportResponse(m *ReportResponse) {
+	c.bool(&m.Accepted)
+	c.bool(&m.Stale)
+	c.bool(&m.Cancelled)
+	c.enum(&m.JobState, &jobStates)
+}
+
+func (c *coder) leaseBatch(m *LeaseBatch) {
+	as := sized(c, &m.Assignments)
+	for i := range as {
+		c.assignment(&as[i])
 	}
-	start, refs := r.off, 0
-	for i := 0; i < n && r.err == nil; i++ {
-		r.skipVarints(1) // id
-		k := r.count()
-		r.skipVarints(k)
+	c.strs(&m.Cancelled)
+	num(c, &m.OpenJobs)
+}
+
+func (c *coder) reportBatchRequest(m *ReportBatchRequest) {
+	items := sized(c, &m.Reports)
+	for i := range items {
+		c.str(&items[i].AssignmentID)
+		c.enum(&items[i].Outcome, &outcomes)
+	}
+}
+
+func (c *coder) reportBatchResponse(m *ReportBatchResponse) {
+	results := sized(c, &m.Results)
+	for i := range results {
+		c.reportResponse(&results[i])
+	}
+}
+
+func (c *coder) assignment(a *Assignment) {
+	c.str(&a.ID)
+	c.str(&a.JobID)
+	c.task(&a.Task, nil)
+	num(c, &a.Staged)
+	num(c, &a.LeaseTTLMillis)
+}
+
+// task lists a task's fields. Decoding, the Files of a task on its own are
+// made for it; a workload's tasks, themselves just made, cut theirs from
+// pool, the one array workload sized for all of them, each with its capacity
+// capped so that appending to one task's cannot write into the next one's.
+func (c *coder) task(t *workload.Task, pool *[]workload.FileID) {
+	num(c, &t.ID)
+	if pool == nil || !c.decode {
+		sized(c, &t.Files)
+	} else if n := c.count(); n > 0 {
+		// n fits: this pass reads the counts the sizing pass read, until an
+		// error, after which every count reads as 0.
+		t.Files, *pool = (*pool)[:n:n], (*pool)[n:]
+	}
+	nums(c, t.Files)
+}
+
+// workload lists the workload document's fields. It decodes into two
+// allocations besides the Workload itself: the task array and one array
+// every task's Files is a slice of. A first pass over the encoding sizes
+// that array exactly (a 6,000-task Coadd job has ~470,000 file references;
+// one slice per task was 6,000 allocations, and growing one by append
+// overshoots by up to a quarter).
+func (c *coder) workload(w *workload.Workload) {
+	c.str(&w.Name)
+	num(c, &w.NumFiles)
+	tasks := sized(c, &w.Tasks)
+	var pool []workload.FileID
+	if c.decode {
+		pool = make([]workload.FileID, c.fileRefs(len(tasks)))
+	}
+	for i := range tasks {
+		c.task(&tasks[i], &pool)
+	}
+}
+
+// fileRefs is the sizing pass of a workload decode: the number of file
+// references in the tasks tasks encoded from here on, read without
+// consuming them. It leaves rejecting an overlong varint to the pass that
+// reads the values.
+func (c *coder) fileRefs(tasks int) int {
+	start, refs := c.off, 0
+	for ; tasks > 0 && c.err == nil; tasks-- {
+		c.skipVarints(1) // id
+		k := c.count()
+		c.skipVarints(k)
 		refs += k
 	}
-	if r.err != nil {
-		return wl
+	if c.err != nil {
+		return 0
 	}
-	r.off = start
-	wl.Tasks = make([]workload.Task, n)
-	files := make([]workload.FileID, refs)
-	for i := range wl.Tasks {
-		t := &wl.Tasks[i]
-		t.ID = workload.TaskID(r.i64())
-		if k := r.count(); k > 0 {
-			// k fits: this pass reads the counts the sizing pass read, until
-			// an error, after which every count reads as 0.
-			t.Files, files = files[:k:k], files[k:]
-			for j := range t.Files {
-				t.Files[j] = workload.FileID(r.i64())
-			}
-		}
-	}
-	return wl
+	c.off = start
+	return refs
 }
 
-// skipVarints steps over n varints without decoding them: the sizing pass
-// of workload, which leaves rejecting an overlong one to the pass that
-// reads the values.
-func (r *binReader) skipVarints(n int) {
-	for ; n > 0 && r.err == nil; n-- {
-		for {
-			if r.off >= len(r.b) {
-				r.setErr("api: truncated binary message")
+// skipVarints steps over n varints: a varint ends at its first byte under 0x80.
+func (c *coder) skipVarints(n int) {
+	for n > 0 && c.err == nil {
+		if c.off >= len(c.b) {
+			c.fail("api: truncated binary message")
+			return
+		}
+		if c.b[c.off] < 0x80 {
+			n--
+		}
+		c.off++
+	}
+}
+
+// enum is one of the small closed string sets: names[i] travels as the
+// byte first+i.
+type enum struct {
+	what  string
+	first byte
+	names []string
+}
+
+var (
+	pullStatuses    = enum{"pull status", 1, []string{StatusAssigned, StatusEmpty}}
+	heartbeatStates = enum{"heartbeat state", 1, []string{HeartbeatActive, HeartbeatCancelled, HeartbeatGone}}
+	outcomes        = enum{"outcome", 1, []string{OutcomeSuccess, OutcomeFailure}}
+	// A report that was not accepted carries no job state: byte 0.
+	jobStates = enum{"job state", 0, []string{"", JobRunning, JobCompleted}}
+)
+
+// coder walks field lists. Encoding, it appends each field to b; decoding,
+// it reads each from b at off, sticking on the first error — after which
+// every field reads as zero — and validating every length against the bytes
+// actually remaining, so corrupt input cannot force a large allocation.
+type coder struct {
+	b      []byte
+	off    int
+	decode bool
+	err    error
+}
+
+func (c *coder) fail(format string, args ...any) {
+	if c.err == nil {
+		c.err = fmt.Errorf(format, args...)
+	}
+}
+
+// end closes a decode: the first error, or the bytes nothing read.
+func (c *coder) end(what string) error {
+	if c.err == nil && c.off != len(c.b) {
+		return fmt.Errorf("api: %d trailing bytes after %s", len(c.b)-c.off, what)
+	}
+	return c.err
+}
+
+func (c *coder) byte() byte {
+	if c.err != nil {
+		return 0
+	}
+	if c.off >= len(c.b) {
+		c.fail("api: truncated binary message")
+		return 0
+	}
+	c.off++
+	return c.b[c.off-1]
+}
+
+func (c *coder) bool(v *bool) {
+	if !c.decode {
+		bit := byte(0)
+		if *v {
+			bit = 1
+		}
+		c.b = append(c.b, bit)
+		return
+	}
+	bit := c.byte()
+	if bit > 1 {
+		c.fail("api: bad bool byte")
+	}
+	*v = bit == 1
+}
+
+// enum codes a field drawn from e. An out-of-vocabulary string is refused
+// rather than silently becoming a wrong byte, an unknown byte rather than
+// becoming a guess.
+func (c *coder) enum(s *string, e *enum) {
+	if !c.decode {
+		for i, name := range e.names {
+			if name == *s {
+				c.b = append(c.b, e.first+byte(i))
 				return
 			}
-			r.off++
-			if r.b[r.off-1] < 0x80 {
-				break
-			}
+		}
+		c.fail("api: unknown %s %q", e.what, *s)
+		return
+	}
+	*s = ""
+	if i := int(c.byte()) - int(e.first); c.err == nil {
+		if i < 0 || i >= len(e.names) {
+			c.fail("api: bad %s byte", e.what)
+			return
+		}
+		*s = e.names[i]
+	}
+}
+
+// num codes an integer field, whatever its Go width, as a zigzag varint.
+// Like every primitive it does not read the field it is decoding into: a
+// decoded array is fresh memory, and touching a page of it first to read and
+// then to write is two page faults where writing alone is one — on a
+// 6,000-task workload, a fifth of gridschedd's recovery time.
+func num[T ~int | ~int32 | ~int64](c *coder, v *T) {
+	if c.decode {
+		*v = T(c.varint())
+	} else {
+		c.b = binary.AppendVarint(c.b, int64(*v))
+	}
+}
+
+// nums codes the elements of a sized list of integers, each as num does.
+// These two loops are where a workload's bytes go, ~79 file ids to a task.
+func nums[T ~int | ~int32 | ~int64](c *coder, s []T) {
+	if c.decode {
+		for i := range s {
+			s[i] = T(c.varint())
+		}
+		return
+	}
+	for _, v := range s {
+		c.b = binary.AppendVarint(c.b, int64(v))
+	}
+}
+
+// varint reads one zigzag varint.
+func (c *coder) varint() int64 {
+	if c.err != nil {
+		return 0
+	}
+	v, size := binary.Varint(c.b[c.off:])
+	if size <= 0 {
+		c.fail("api: bad varint at offset %d", c.off)
+		return 0
+	}
+	c.off += size
+	return v
+}
+
+// count reads a length, a uvarint, and bounds it by the bytes that remain:
+// every element of a list, and every byte of a string, costs at least one on
+// the wire, so a corrupt length cannot ask for a large allocation.
+func (c *coder) count() int {
+	if c.err != nil {
+		return 0
+	}
+	u, size := binary.Uvarint(c.b[c.off:])
+	if size <= 0 {
+		c.fail("api: bad uvarint at offset %d", c.off)
+		return 0
+	}
+	c.off += size
+	if left := len(c.b) - c.off; u > uint64(left) {
+		c.fail("api: length %d exceeds %d remaining bytes", u, left)
+		return 0
+	}
+	return int(u)
+}
+
+func (c *coder) str(s *string) {
+	if !c.decode {
+		c.b = binary.AppendUvarint(c.b, uint64(len(*s)))
+		c.b = append(c.b, *s...)
+		return
+	}
+	n := c.count()
+	*s = string(c.b[c.off : c.off+n])
+	c.off += n
+}
+
+func (c *coder) strs(ss *[]string) {
+	for i := range sized(c, ss) {
+		c.str(&(*ss)[i])
+	}
+}
+
+// sized codes a collection's length and returns the collection for the
+// caller to walk; decoding makes it first — nil when empty, mirroring
+// omitempty JSON so a binary round trip compares equal to a JSON one.
+func sized[T any](c *coder, s *[]T) []T {
+	if !c.decode {
+		c.b = binary.AppendUvarint(c.b, uint64(len(*s)))
+		return *s
+	}
+	*s = nil
+	if n := c.count(); n > 0 {
+		*s = make([]T, n)
+	}
+	return *s
+}
+
+// opt codes whether an optional field is set and returns it for the caller
+// to walk, nil when it is not; decoding makes the value first.
+func opt[T any](c *coder, p **T) *T {
+	set := *p != nil
+	c.bool(&set)
+	if c.decode {
+		*p = nil
+		if set {
+			*p = new(T)
 		}
 	}
-}
-
-func (r *binReader) task(t *workload.Task) {
-	t.ID = workload.TaskID(r.i64())
-	if n := r.count(); n > 0 {
-		t.Files = make([]workload.FileID, n)
-		for i := range t.Files {
-			t.Files[i] = workload.FileID(r.i64())
-		}
-	}
-}
-
-func (r *binReader) registerRequest(m *RegisterRequest) {
-	if r.bool() {
-		site := int(r.i64())
-		m.Site = &site
-	}
-	m.Tags = r.strs()
-}
-
-func (r *binReader) pullResponse(m *PullResponse) {
-	m.Status = r.pullStatus()
-	if r.bool() {
-		m.Assignment = &Assignment{}
-		r.assignment(m.Assignment)
-	}
-	m.OpenJobs = int(r.i64())
-}
-
-func (r *binReader) assignment(a *Assignment) {
-	a.ID = r.str()
-	a.JobID = r.str()
-	r.task(&a.Task)
-	a.Staged = int(r.i64())
-	a.LeaseTTLMillis = r.i64()
-}
-
-func (r *binReader) reportResponse(m *ReportResponse) {
-	m.Accepted = r.bool()
-	m.Stale = r.bool()
-	m.Cancelled = r.bool()
-	m.JobState = r.jobState()
-}
-
-func (r *binReader) leaseBatch(m *LeaseBatch) {
-	if n := r.count(); n > 0 {
-		m.Assignments = make([]Assignment, n)
-		for i := range m.Assignments {
-			r.assignment(&m.Assignments[i])
-		}
-	}
-	if n := r.count(); n > 0 {
-		m.Cancelled = make([]string, n)
-		for i := range m.Cancelled {
-			m.Cancelled[i] = r.str()
-		}
-	}
-	m.OpenJobs = int(r.i64())
-}
-
-func (r *binReader) reportBatchRequest(m *ReportBatchRequest) {
-	if n := r.count(); n > 0 {
-		m.Reports = make([]ReportItem, n)
-		for i := range m.Reports {
-			m.Reports[i].AssignmentID = r.str()
-			m.Reports[i].Outcome = r.outcome()
-		}
-	}
-}
-
-func (r *binReader) reportBatchResponse(m *ReportBatchResponse) {
-	if n := r.count(); n > 0 {
-		m.Results = make([]ReportResponse, n)
-		for i := range m.Results {
-			r.reportResponse(&m.Results[i])
-		}
-	}
-}
-
-func (r *binReader) pullStatus() string {
-	switch r.byte() {
-	case 1:
-		return StatusAssigned
-	case 2:
-		return StatusEmpty
-	default:
-		r.setErr("api: bad pull status byte")
-		return ""
-	}
-}
-
-func (r *binReader) heartbeatState() string {
-	switch r.byte() {
-	case 1:
-		return HeartbeatActive
-	case 2:
-		return HeartbeatCancelled
-	case 3:
-		return HeartbeatGone
-	default:
-		r.setErr("api: bad heartbeat state byte")
-		return ""
-	}
-}
-
-func (r *binReader) outcome() string {
-	switch r.byte() {
-	case 1:
-		return OutcomeSuccess
-	case 2:
-		return OutcomeFailure
-	default:
-		r.setErr("api: bad outcome byte")
-		return ""
-	}
-}
-
-func (r *binReader) jobState() string {
-	switch r.byte() {
-	case 0:
-		return ""
-	case 1:
-		return JobRunning
-	case 2:
-		return JobCompleted
-	default:
-		r.setErr("api: bad job state byte")
-		return ""
-	}
+	return *p
 }

@@ -341,6 +341,12 @@ func FuzzWireCodec(f *testing.F) {
 		f.Add(data)
 		f.Add(api.AppendFrame(nil, data))
 	}
+	// The pinned encodings: full-size lease and report frames, and a stored
+	// workload (a wire decoder must refuse it whole).
+	names, golden := readGolden(f)
+	for _, name := range names {
+		f.Add(golden[name])
+	}
 	f.Add([]byte{'G', 1, 200})
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01})
 

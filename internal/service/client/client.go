@@ -253,7 +253,7 @@ func (t *partitionTopo) baseFor(path string, in any) (string, bool) {
 		// Submissions route by their idempotency key — the same hash the
 		// router uses, so a direct submit and its routed retry dedupe on
 		// the same partition.
-		if req, ok := in.(api.SubmitJobRequest); ok && req.SubmissionID != "" {
+		if req, ok := in.(*api.SubmitJobRequest); ok && req.SubmissionID != "" {
 			return t.urls[partition.SubmitOwner(req.SubmissionID, t.count)], true
 		}
 		return "", false
@@ -327,8 +327,9 @@ func (e *APIError) Error() string {
 // requests leave the client, so everything every request shares lives
 // here: the pending sweep-backoff sleep, routing (the owning partition when
 // the topology is known, else the current endpoint), the Content-Type of an
-// encoded body, the Accept header advertising binary when wantBin, the
-// bearer token, failover — a transport error rotates to the next endpoint
+// encoded body, the Accept header advertising binary when wantBin, a
+// submit's key repeated in api.SubmissionIDHeader, the bearer token,
+// failover — a transport error rotates to the next endpoint
 // (or drops a topology whose direct link failed, so the retry goes back
 // through the router, which can still reach the surviving partitions), a
 // 421 follows the announced leader — and the *APIError for a non-2xx
@@ -373,6 +374,10 @@ func (c *Client) send(ctx context.Context, method, path string, in any, wantBin 
 	}
 	if wantBin {
 		req.Header.Set("Accept", api.ContentTypeBinary)
+	}
+	if submit, ok := in.(*api.SubmitJobRequest); ok && headerSafe(submit.SubmissionID) {
+		// The key again, where a router can see it without reading the body.
+		req.Header.Set(api.SubmissionIDHeader, submit.SubmissionID)
 	}
 	if c.AuthToken != "" {
 		// Canonical key, assigned directly: skips Set's canonicalization
@@ -522,7 +527,7 @@ func (c *Client) SubmitJobIdempotent(ctx context.Context, req api.SubmitJobReque
 	var backoff time.Duration
 	for {
 		var resp api.SubmitJobResponse
-		err := c.do(ctx, http.MethodPost, "/v1/jobs", req, &resp)
+		err := c.do(ctx, http.MethodPost, "/v1/jobs", &req, &resp)
 		if err == nil {
 			return resp.JobID, nil
 		}
@@ -568,6 +573,19 @@ func authErr(err error) bool {
 	var ae *APIError
 	return errors.As(err, &ae) &&
 		(ae.StatusCode == http.StatusUnauthorized || ae.StatusCode == http.StatusForbidden)
+}
+
+// headerSafe reports whether a submission id can travel as a header value
+// and arrive as it left: not empty, no control bytes, no space at either
+// end. One that cannot goes in the body alone, which a partition accepts
+// from a client that addresses it directly.
+func headerSafe(id string) bool {
+	for i := 0; i < len(id); i++ {
+		if id[i] < ' ' || id[i] == 0x7f {
+			return false
+		}
+	}
+	return id != "" && strings.TrimSpace(id) == id
 }
 
 // newSubmissionID returns a fresh 128-bit idempotency key.
@@ -632,7 +650,7 @@ func (c *Client) Register(ctx context.Context, site *int) (*api.RegisterResponse
 // submitted with Requires only dispatch to workers whose tags cover them.
 func (c *Client) RegisterWorker(ctx context.Context, site *int, tags []string) (*api.RegisterResponse, error) {
 	var resp api.RegisterResponse
-	if err := c.do(ctx, http.MethodPost, "/v1/workers", api.RegisterRequest{Site: site, Tags: tags}, &resp); err != nil {
+	if err := c.do(ctx, http.MethodPost, "/v1/workers", &api.RegisterRequest{Site: site, Tags: tags}, &resp); err != nil {
 		return nil, err
 	}
 	return &resp, nil
@@ -656,7 +674,7 @@ func (c *Client) Deregister(ctx context.Context, workerID string) error {
 func (c *Client) Pull(ctx context.Context, workerID string, wait time.Duration) (*api.PullResponse, error) {
 	var resp api.PullResponse
 	err := c.do(ctx, http.MethodPost, "/v1/workers/"+workerID+"/pull",
-		api.PullRequest{WaitMillis: wait.Milliseconds()}, &resp)
+		&api.PullRequest{WaitMillis: wait.Milliseconds()}, &resp)
 	if err != nil {
 		return nil, err
 	}
@@ -667,7 +685,7 @@ func (c *Client) Pull(ctx context.Context, workerID string, wait time.Duration) 
 func (c *Client) Heartbeat(ctx context.Context, assignmentID, workerID string) (*api.HeartbeatResponse, error) {
 	var resp api.HeartbeatResponse
 	err := c.do(ctx, http.MethodPost, "/v1/assignments/"+assignmentID+"/heartbeat",
-		api.HeartbeatRequest{WorkerID: workerID}, &resp)
+		&api.HeartbeatRequest{WorkerID: workerID}, &resp)
 	if err != nil {
 		return nil, err
 	}
@@ -678,7 +696,7 @@ func (c *Client) Heartbeat(ctx context.Context, assignmentID, workerID string) (
 func (c *Client) Report(ctx context.Context, assignmentID, workerID, outcome string) (*api.ReportResponse, error) {
 	var resp api.ReportResponse
 	err := c.do(ctx, http.MethodPost, "/v1/assignments/"+assignmentID+"/report",
-		api.ReportRequest{WorkerID: workerID, Outcome: outcome}, &resp)
+		&api.ReportRequest{WorkerID: workerID, Outcome: outcome}, &resp)
 	if err != nil {
 		return nil, err
 	}

@@ -72,6 +72,19 @@ func (s *scriptedSched) reply(w http.ResponseWriter, r *http.Request, code int, 
 	_ = json.NewEncoder(w).Encode(v)
 }
 
+// read decodes a request body from whichever codec its Content-Type names.
+func (s *scriptedSched) read(r *http.Request, v any) {
+	body, err := io.ReadAll(r.Body)
+	if err == nil && api.IsBinary(r.Header.Get("Content-Type")) {
+		err = api.Binary.Unmarshal(body, v)
+	} else if err == nil {
+		err = json.Unmarshal(body, v)
+	}
+	if err != nil {
+		s.t.Error(err)
+	}
+}
+
 // refuse answers a.status or severs the connection; false means a accepts.
 func (s *scriptedSched) refuse(w http.ResponseWriter, a answer) bool {
 	switch {
@@ -148,15 +161,7 @@ func (s *scriptedSched) handler() http.Handler {
 	})
 	mux.HandleFunc("POST /v1/workers/{id}/reports", func(w http.ResponseWriter, r *http.Request) {
 		var req api.ReportBatchRequest
-		body, err := io.ReadAll(r.Body)
-		if err == nil && api.IsBinary(r.Header.Get("Content-Type")) {
-			err = api.Binary.Unmarshal(body, &req)
-		} else if err == nil {
-			err = json.Unmarshal(body, &req)
-		}
-		if err != nil {
-			s.t.Error(err)
-		}
+		s.read(r, &req)
 		line := "REPORT " + r.PathValue("id")
 		resp := &api.ReportBatchResponse{}
 		for _, it := range req.Reports {

@@ -129,53 +129,6 @@ func TestMisdirectedIsTransient(t *testing.T) {
 	}
 }
 
-// TestSubmitJobIdempotentRetriesAcrossFailover: the submit hits a
-// follower (421 + hint), retries, and lands exactly once on the leader
-// with the same submission id.
-func TestSubmitJobIdempotentRetriesAcrossFailover(t *testing.T) {
-	var submissions atomic.Int64
-	var lastSubmission atomic.Value
-	leader := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		var req api.SubmitJobRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		submissions.Add(1)
-		lastSubmission.Store(req.SubmissionID)
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(http.StatusCreated)
-		_ = json.NewEncoder(w).Encode(api.SubmitJobResponse{JobID: "job-1"})
-	}))
-	t.Cleanup(leader.Close)
-	follower := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set(api.LeaderHeader, leader.URL)
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(http.StatusMisdirectedRequest)
-		_ = json.NewEncoder(w).Encode(api.ErrorResponse{Error: "not the leader"})
-	}))
-	t.Cleanup(follower.Close)
-
-	c := NewMulti([]string{follower.URL}, nil)
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	id, err := c.SubmitJobIdempotent(ctx, api.SubmitJobRequest{
-		Name: "j", Algorithm: "workqueue", SubmissionID: "sub-1",
-	})
-	if err != nil {
-		t.Fatalf("submit across failover: %v", err)
-	}
-	if id != "job-1" {
-		t.Fatalf("job id %q", id)
-	}
-	if submissions.Load() != 1 {
-		t.Fatalf("leader saw %d submissions, want 1", submissions.Load())
-	}
-	if sid, _ := lastSubmission.Load().(string); sid == "" {
-		t.Fatal("submission id not set on the retried request")
-	}
-}
-
 func asAPIError(err error, out **APIError) bool {
 	ae, ok := err.(*APIError)
 	if ok {

@@ -2,6 +2,7 @@ package client_test
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"io"
 	"net/http"
@@ -63,12 +64,12 @@ func TestRunWorkerAuthFailureIsTerminal(t *testing.T) {
 // the worker down or re-register it — the worker backs off and pulls
 // again against its existing registration.
 func TestRunWorkerShedPullBacksOff(t *testing.T) {
+	s := &scriptedSched{t: t}
 	var registers, pulls atomic.Int64
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/workers", func(w http.ResponseWriter, r *http.Request) {
 		registers.Add(1)
-		w.Header().Set("Content-Type", "application/json")
-		_, _ = w.Write([]byte(`{"workerId":"w1","site":0,"worker":0}`))
+		s.reply(w, r, http.StatusCreated, &api.RegisterResponse{WorkerID: "w1"})
 	})
 	mux.HandleFunc("POST /v1/workers/w1/pull", func(w http.ResponseWriter, r *http.Request) {
 		if pulls.Add(1) <= 2 {
@@ -77,8 +78,7 @@ func TestRunWorkerShedPullBacksOff(t *testing.T) {
 			_, _ = w.Write([]byte(`{"error":"overloaded; shed, retry later"}`))
 			return
 		}
-		w.Header().Set("Content-Type", "application/json")
-		_, _ = w.Write([]byte(`{"status":"empty"}`))
+		s.reply(w, r, http.StatusOK, &api.PullResponse{Status: api.StatusEmpty})
 	})
 	mux.HandleFunc("DELETE /v1/workers/w1", func(w http.ResponseWriter, r *http.Request) {
 		_, _ = w.Write([]byte(`{}`))
@@ -106,9 +106,58 @@ func TestRunWorkerShedPullBacksOff(t *testing.T) {
 	}
 }
 
+// TestSubmitJobIdempotentRetriesAcrossFailover: the submit hits a
+// follower (421 + hint), retries, and lands exactly once on the leader
+// with the same submission id — in the body and, for a router to place it
+// by, in the header.
+func TestSubmitJobIdempotentRetriesAcrossFailover(t *testing.T) {
+	s := &scriptedSched{t: t}
+	var submissions atomic.Int64
+	var lastSubmission, lastHeader atomic.Value
+	leader := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		var req api.SubmitJobRequest
+		s.read(r, &req)
+		submissions.Add(1)
+		lastSubmission.Store(req.SubmissionID)
+		lastHeader.Store(r.Header.Get(api.SubmissionIDHeader))
+		s.reply(w, r, http.StatusCreated, &api.SubmitJobResponse{JobID: "job-1"})
+	}))
+	t.Cleanup(leader.Close)
+	follower := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set(api.LeaderHeader, leader.URL)
+		w.Header().Set("Content-Type", "application/json")
+		w.WriteHeader(http.StatusMisdirectedRequest)
+		_ = json.NewEncoder(w).Encode(api.ErrorResponse{Error: "not the leader"})
+	}))
+	t.Cleanup(follower.Close)
+
+	c := client.NewMulti([]string{follower.URL}, nil)
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	id, err := c.SubmitJobIdempotent(ctx, api.SubmitJobRequest{
+		Name: "j", Algorithm: "workqueue", SubmissionID: "sub-1",
+	})
+	if err != nil {
+		t.Fatalf("submit across failover: %v", err)
+	}
+	if id != "job-1" {
+		t.Fatalf("job id %q", id)
+	}
+	if submissions.Load() != 1 {
+		t.Fatalf("leader saw %d submissions, want 1", submissions.Load())
+	}
+	if sid, _ := lastSubmission.Load().(string); sid != "sub-1" {
+		t.Fatalf("the retried request's body carries submission id %q, want sub-1", sid)
+	}
+	if sid, _ := lastHeader.Load().(string); sid != "sub-1" {
+		t.Fatalf("the retried request's %s is %q, want sub-1", api.SubmissionIDHeader, sid)
+	}
+}
+
 // TestSubmitRetriesShed: SubmitJobIdempotent treats 429 as transient and
 // lands the job once capacity returns.
 func TestSubmitRetriesShed(t *testing.T) {
+	s := &scriptedSched{t: t}
 	var submits atomic.Int64
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if submits.Add(1) == 1 {
@@ -116,9 +165,7 @@ func TestSubmitRetriesShed(t *testing.T) {
 			_, _ = w.Write([]byte(`{"error":"overloaded; shed, retry later"}`))
 			return
 		}
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(http.StatusCreated)
-		_, _ = w.Write([]byte(`{"jobId":"j1"}`))
+		s.reply(w, r, http.StatusCreated, &api.SubmitJobResponse{JobID: "j1"})
 	}))
 	defer ts.Close()
 

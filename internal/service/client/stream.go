@@ -92,7 +92,7 @@ func (c *Client) StreamLeases(ctx context.Context, workerID string, batch int) (
 func (c *Client) ReportBatch(ctx context.Context, workerID string, reports []api.ReportItem) ([]api.ReportResponse, error) {
 	var resp api.ReportBatchResponse
 	err := c.do(ctx, http.MethodPost, "/v1/workers/"+workerID+"/reports",
-		api.ReportBatchRequest{Reports: reports}, &resp)
+		&api.ReportBatchRequest{Reports: reports}, &resp)
 	if err != nil {
 		return nil, err
 	}

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"gridsched/internal/middleware"
+	"gridsched/internal/partition"
 	"gridsched/internal/service/api"
 )
 
@@ -56,32 +57,32 @@ func writeError(w http.ResponseWriter, err error) {
 	writeJSON(w, http.StatusInternalServerError, api.ErrorResponse{Error: err.Error()})
 }
 
-func readJSON(w http.ResponseWriter, r *http.Request, v any) bool {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	if err := dec.Decode(v); err != nil {
-		writeError(w, errf(http.StatusBadRequest, "bad request body: %v", err))
-		return false
-	}
-	return true
-}
-
 // readBody decodes the request body with whichever codec its Content-Type
 // names: the compact binary codec under api.ContentTypeBinary, JSON for
-// everything else (including an absent header). The hot-path handlers use
-// this; cold endpoints stay readJSON-only.
+// everything else (including an absent header). A body it cannot use is
+// answered here — 413 when it ran past maxBodyBytes, 400 otherwise — and
+// reported as false.
 func readBody(w http.ResponseWriter, r *http.Request, v any) bool {
-	if !api.IsBinary(r.Header.Get("Content-Type")) {
-		return readJSON(w, r, v)
+	body := http.MaxBytesReader(w, r.Body, maxBodyBytes)
+	var err error
+	if api.IsBinary(r.Header.Get("Content-Type")) {
+		var data []byte
+		if data, err = io.ReadAll(body); err == nil {
+			err = api.Binary.Unmarshal(data, v)
+		}
+	} else {
+		err = json.NewDecoder(body).Decode(v)
 	}
-	data, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	if err == nil {
-		err = api.Binary.Unmarshal(data, v)
+		return true
 	}
-	if err != nil {
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		writeError(w, errf(http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", tooLarge.Limit))
+	} else {
 		writeError(w, errf(http.StatusBadRequest, "bad request body: %v", err))
-		return false
 	}
-	return true
+	return false
 }
 
 // writeReply answers with the binary codec when the request's Accept
@@ -114,6 +115,22 @@ func (s *Service) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if !readBody(w, r, &req) {
 		return
 	}
+	// Two refusals keep a keyed submit exactly-once behind a router that
+	// places it by header without reading the body: the header must repeat
+	// the body's key, and the key must hash to this partition — a job taken
+	// in from a headerless submit that round-robin brought here is one its
+	// retry, routed by key, would never find.
+	key := req.SubmissionID
+	if header := r.Header.Get(api.SubmissionIDHeader); header != "" && header != key {
+		writeError(w, errf(http.StatusBadRequest, "%s %q is not the body's submissionId %q", api.SubmissionIDHeader, header, key))
+		return
+	}
+	if owner := partition.SubmitOwner(key, s.cfg.PartitionCount); key != "" && owner != s.cfg.PartitionIndex {
+		writeError(w, errf(http.StatusConflict,
+			"submissionId %q belongs to partition %d, this is partition %d of %d: submit it there, or through the router with the key in the %s header",
+			key, owner, s.cfg.PartitionIndex, s.cfg.PartitionCount, api.SubmissionIDHeader))
+		return
+	}
 	// When the ingress chain authenticated the caller, the submission is
 	// bound to the token's tenant: a non-admin token may not submit on
 	// another tenant's behalf. Unauthenticated deployments (no chain, or
@@ -137,7 +154,7 @@ func (s *Service) handleTenants(w http.ResponseWriter, r *http.Request) {
 
 func (s *Service) handleTenantQuota(w http.ResponseWriter, r *http.Request) {
 	var req api.TenantQuotaRequest
-	if !readJSON(w, r, &req) {
+	if !readBody(w, r, &req) {
 		return
 	}
 	st, err := s.SetTenantQuota(r.PathValue("tenant"), req.MaxInFlight)

@@ -1,8 +1,11 @@
 package service_test
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -14,6 +17,7 @@ import (
 
 	"gridsched"
 	"gridsched/internal/core"
+	"gridsched/internal/partition"
 	"gridsched/internal/service"
 	"gridsched/internal/service/api"
 	"gridsched/internal/service/client"
@@ -209,6 +213,81 @@ func TestHealthzAndMetricsEndpoints(t *testing.T) {
 	} {
 		if !strings.Contains(string(body), want) {
 			t.Errorf("metrics missing %q:\n%s", want, body)
+		}
+	}
+}
+
+// TestSubmitKeyChecks: the two refusals that keep a keyed submit
+// exactly-once behind a router that places it by header without reading its
+// body. The header must be the body's key; and a key must hash to the
+// partition it arrived at, since a partition that took in one that
+// round-robin brought it would hold a job the keyed retry never finds.
+func TestSubmitKeyChecks(t *testing.T) {
+	serve := func(index, count int) string {
+		svc := newService(t, service.Config{
+			NewScheduler:   gridsched.SchedulerFactory(),
+			PartitionIndex: index, PartitionCount: count,
+		})
+		ts := httptest.NewServer(svc.Handler())
+		t.Cleanup(ts.Close)
+		return ts.URL
+	}
+	keyFor := func(owner int) string {
+		for i := 0; ; i++ {
+			if key := fmt.Sprintf("sub-%d", i); partition.SubmitOwner(key, 2) == owner {
+				return key
+			}
+		}
+	}
+	standalone, first := serve(0, 1), serve(0, 2)
+	for _, codec := range []api.Codec{api.JSON, api.Binary} {
+		// post submits a one-task job under key, with header beside it.
+		post := func(url, header, key string) (int, string) {
+			t.Helper()
+			body, err := codec.Marshal(&api.SubmitJobRequest{
+				Name: "keyed", Algorithm: "workqueue", Workload: syntheticWorkload(1, 1), SubmissionID: key,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			req, err := http.NewRequest(http.MethodPost, url+"/v1/jobs", bytes.NewReader(body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			req.Header.Set("Content-Type", codec.ContentType())
+			if header != "" {
+				req.Header.Set(api.SubmissionIDHeader, header)
+			}
+			resp, err := http.DefaultClient.Do(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer resp.Body.Close()
+			var e api.ErrorResponse // no Accept header: every answer is JSON
+			if err := json.NewDecoder(resp.Body).Decode(&e); err != nil {
+				t.Fatal(err)
+			}
+			return resp.StatusCode, e.Error
+		}
+		for _, tc := range []struct {
+			name, url, header, key string
+			code                   int
+			says                   string
+		}{
+			{"standalone takes any key", standalone, "", keyFor(1), http.StatusCreated, ""},
+			{"header repeats the key", standalone, keyFor(0), keyFor(0), http.StatusCreated, ""},
+			{"header is another key", standalone, keyFor(1), keyFor(0), http.StatusBadRequest, api.SubmissionIDHeader},
+			{"header beside a keyless body", standalone, keyFor(1), "", http.StatusBadRequest, api.SubmissionIDHeader},
+			{"keyless lands anywhere", first, "", "", http.StatusCreated, ""},
+			{"owner takes its key", first, keyFor(0), keyFor(0), http.StatusCreated, ""},
+			{"owner takes its key without a header", first, "", keyFor(0), http.StatusCreated, ""},
+			{"non-owner names the owner", first, "", keyFor(1), http.StatusConflict, "belongs to partition 1"},
+			{"non-owner, header or not", first, keyFor(1), keyFor(1), http.StatusConflict, "belongs to partition 1"},
+		} {
+			code, msg := post(tc.url, tc.header, tc.key)
+			if code != tc.code || !strings.Contains(msg, tc.says) {
+				t.Errorf("%s, %s: HTTP %d %q, want %d mentioning %q", codec.ContentType(), tc.name, code, msg, tc.code, tc.says)
+			}
 		}
 	}
 }

@@ -3,6 +3,7 @@ package service_test
 import (
 	"context"
 	"errors"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -115,12 +116,22 @@ func runMetricsScenario(t *testing.T) metricsScrapes {
 	wantStatus(err, http.StatusForbidden)
 
 	// Three jobs, two tenants, two algorithms; the one-task job completes.
-	_, err = gold.SubmitTenantJob(ctx, "gold", 4, "gold-load", "workqueue", 0, syntheticWorkload(20, 2))
-	must(err)
-	_, err = bronze.SubmitTenantJob(ctx, "bronze", 1, "bronze-load", "combined.2", 7, syntheticWorkload(20, 2))
-	must(err)
-	_, err = gold.SubmitTenantJob(ctx, "gold", 4, "gold-one", "workqueue", 0, syntheticWorkload(1, 1))
-	must(err)
+	// Keyed, as the Go client always submits, with keys this partition owns
+	// (it refuses any other) and of the 32 characters the client's own have:
+	// the journal byte counts the scrapes are compared on include them.
+	keys := 0
+	submit := func(cl *client.Client, req api.SubmitJobRequest) {
+		t.Helper()
+		for req.SubmissionID == "" || partition.SubmitOwner(req.SubmissionID, cfg.PartitionCount) != cfg.PartitionIndex {
+			keys++
+			req.SubmissionID = fmt.Sprintf("%032d", keys)
+		}
+		_, err := cl.SubmitJobIdempotent(ctx, req)
+		must(err)
+	}
+	submit(gold, api.SubmitJobRequest{Tenant: "gold", Weight: 4, Name: "gold-load", Algorithm: "workqueue", Workload: syntheticWorkload(20, 2)})
+	submit(bronze, api.SubmitJobRequest{Tenant: "bronze", Weight: 1, Name: "bronze-load", Algorithm: "combined.2", Seed: 7, Workload: syntheticWorkload(20, 2)})
+	submit(gold, api.SubmitJobRequest{Tenant: "gold", Weight: 4, Name: "gold-one", Algorithm: "workqueue", Workload: syntheticWorkload(1, 1)})
 
 	type worker struct {
 		cl   *client.Client
