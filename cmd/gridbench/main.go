@@ -13,11 +13,6 @@
 //	                           # more than 25% slower (ns/op), or makes
 //	                           # more allocations per op than allocSlack
 //	                           # allows
-//	gridbench -bench Partitioned \
-//	  -speedup 'ServiceDispatchPartitioned/parts=1,ServiceDispatchPartitioned/parts=2,1.7'
-//	                           # scaling gate: exit nonzero unless the
-//	                           # candidate ran at least 1.7x the ops/sec
-//	                           # of the base benchmark in this run
 //
 // Each entry records the benchmark name, iterations, ns/op, bytes/op and
 // allocs/op, plus enough environment metadata to compare runs. The
@@ -34,8 +29,6 @@ import (
 	"regexp"
 	"runtime"
 	"sort"
-	"strconv"
-	"strings"
 	"testing"
 
 	"gridsched/internal/benchsuite"
@@ -76,7 +69,6 @@ func run(args []string, stdout *os.File) error {
 		filter   = fs.String("bench", "", "regexp selecting benchmarks to run (default: all)")
 		baseline = fs.String("baseline", "", "baseline JSON to compare against (regression guard)")
 		maxReg   = fs.Float64("max-regress", 0.25, "with -baseline: fail when ns/op regresses by more than this fraction")
-		speedup  = fs.String("speedup", "", "scaling gate 'base,candidate,factor': fail unless candidate >= factor x base ops/sec in this run")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -168,46 +160,7 @@ func run(args []string, stdout *os.File) error {
 	}
 	fmt.Fprintln(stdout, "wrote", *out)
 	if *baseline != "" {
-		if err := compareBaseline(stdout, *baseline, rep.Results, *maxReg); err != nil {
-			return err
-		}
-	}
-	if *speedup != "" {
-		return checkSpeedup(stdout, *speedup, rep.Results)
-	}
-	return nil
-}
-
-// checkSpeedup is the scale-out gate: with -speedup 'base,candidate,factor'
-// the candidate benchmark must have run at least factor times the ops/sec
-// (equivalently, at most 1/factor the ns/op) of the base benchmark in the
-// same invocation. Both must have been selected by -bench.
-func checkSpeedup(stdout *os.File, spec string, results []result) error {
-	parts := strings.Split(spec, ",")
-	if len(parts) != 3 {
-		return fmt.Errorf("-speedup wants 'base,candidate,factor', got %q", spec)
-	}
-	factor, err := strconv.ParseFloat(strings.TrimSpace(parts[2]), 64)
-	if err != nil || factor <= 0 {
-		return fmt.Errorf("-speedup factor %q is not a positive number", parts[2])
-	}
-	byName := make(map[string]result, len(results))
-	for _, r := range results {
-		byName[r.Name] = r
-	}
-	base, ok := byName[strings.TrimSpace(parts[0])]
-	if !ok || base.NsPerOp <= 0 {
-		return fmt.Errorf("-speedup base %q did not run (check -bench filter)", parts[0])
-	}
-	cand, ok := byName[strings.TrimSpace(parts[1])]
-	if !ok || cand.NsPerOp <= 0 {
-		return fmt.Errorf("-speedup candidate %q did not run (check -bench filter)", parts[1])
-	}
-	got := base.NsPerOp / cand.NsPerOp
-	fmt.Fprintf(stdout, "speedup %s vs %s: %.2fx (gate: >=%.2fx)\n", cand.Name, base.Name, got, factor)
-	if got < factor {
-		return fmt.Errorf("speedup gate failed: %s ran %.2fx the ops/sec of %s, need >=%.2fx",
-			cand.Name, got, base.Name, factor)
+		return compareBaseline(stdout, *baseline, rep.Results, *maxReg)
 	}
 	return nil
 }

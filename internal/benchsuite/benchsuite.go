@@ -654,10 +654,10 @@ func Handler(svc *service.Service) http.Handler { return svc.Handler() }
 // which is the durable dispatch bottleneck partitioning multiplies.
 // Each iteration is one completed task, aggregated across partitions,
 // so dispatches/sec here scales with how well the independent WAL
-// fsyncs overlap — the ISSUE-10 acceptance bar reads parts=2 against
-// parts=1 (≥1.7× on a multi-core host; a single-core host still
-// overlaps the fsync I/O waits, just less — PERFORMANCE.md records what
-// each recorded run's host could show, with NumCPU in the JSON).
+// fsyncs overlap — parts=2 read against parts=1 (a single-core host
+// still overlaps the fsync I/O waits, just less — PERFORMANCE.md records
+// what each recorded run's host could show, with NumCPU in the JSON; the
+// ≥1.7× multi-core claim is unmeasured on those hosts and ungated).
 //
 // PartitionedBatch and PartitionedWorkers fix the per-partition scale:
 // one streaming worker at WireBatch pipeline depth keeps each

@@ -36,42 +36,24 @@ type ContextSource interface {
 	WorkerContext(at WorkerRef) (WorkerContext, bool)
 }
 
-// ContextPolicy parameterizes the gate of a ContextAware scheduler.
-type ContextPolicy struct {
-	// RequiredTags must all be present on a worker for it to receive
-	// assignments. Empty means any worker qualifies.
-	RequiredTags []string
-	// MaxFailureRate rejects workers whose observed failure-rate EWMA
-	// meets or exceeds it, once MinEvents outcomes have been observed.
-	// 0 applies the default of 0.5.
-	MaxFailureRate float64
-	// MinEvents is the observation floor below which the failure gate
-	// stays open (cold start). 0 applies the default of 4.
-	MinEvents int64
-}
-
+// The failure gate: a worker whose observed failure-rate EWMA meets or
+// exceeds maxFailureRate is rejected, once minEvents outcomes have been
+// observed for it (below that floor, cold start, the gate stays open).
 const (
-	defaultMaxFailureRate = 0.5
-	defaultMinEvents      = 4
+	maxFailureRate = 0.5
+	minEvents      = 4
 )
 
 // ContextAware is the wrapper; construct with NewContextAware.
 type ContextAware struct {
-	inner  Scheduler
-	src    ContextSource
-	policy ContextPolicy
+	inner Scheduler
+	src   ContextSource
 }
 
 // NewContextAware wraps inner with a context gate fed by src. A nil src
 // disables the gate (the wrapper becomes a transparent proxy).
-func NewContextAware(inner Scheduler, src ContextSource, policy ContextPolicy) *ContextAware {
-	if policy.MaxFailureRate <= 0 {
-		policy.MaxFailureRate = defaultMaxFailureRate
-	}
-	if policy.MinEvents <= 0 {
-		policy.MinEvents = defaultMinEvents
-	}
-	return &ContextAware{inner: inner, src: src, policy: policy}
+func NewContextAware(inner Scheduler, src ContextSource) *ContextAware {
+	return &ContextAware{inner: inner, src: src}
 }
 
 func (c *ContextAware) Name() string { return "context:" + c.inner.Name() }
@@ -93,19 +75,7 @@ func (c *ContextAware) admits(at WorkerRef) bool {
 	if !ok {
 		return true // never observed: cold start admits
 	}
-	for _, want := range c.policy.RequiredTags {
-		found := false
-		for _, have := range ctx.Tags {
-			if have == want {
-				found = true
-				break
-			}
-		}
-		if !found {
-			return false
-		}
-	}
-	if ctx.Events >= c.policy.MinEvents && ctx.FailureRate >= c.policy.MaxFailureRate {
+	if ctx.Events >= minEvents && ctx.FailureRate >= maxFailureRate {
 		return false
 	}
 	return true

@@ -32,13 +32,11 @@ type Config struct {
 
 	// ShedP99 enables latency-based load shedding when > 0: once the p99
 	// of admitted requests breaches it, submits and pulls are shed 429,
-	// lightest tenants first. The remaining Shed* knobs tune the window
-	// and cadence (zero values pick the LoadShedConfig defaults).
+	// lightest tenants first. The remaining Shed* knobs tune the sample
+	// floor and cadence (zero values pick the LoadShedConfig defaults).
 	ShedP99        time.Duration
-	ShedWindow     int
 	ShedMinSamples int
 	ShedEvalEvery  time.Duration
-	ShedRetryAfter time.Duration
 
 	// TenantWeight resolves tenant fair-share weights for the rate
 	// limiter and the shedder (internal/service.Service.TenantWeight).
@@ -84,10 +82,8 @@ func Ingress(cfg Config, h http.Handler) http.Handler {
 	if cfg.ShedP99 > 0 {
 		mw = append(mw, LoadShed(LoadShedConfig{
 			P99:          cfg.ShedP99,
-			Window:       cfg.ShedWindow,
 			MinSamples:   cfg.ShedMinSamples,
 			EvalEvery:    cfg.ShedEvalEvery,
-			RetryAfter:   cfg.ShedRetryAfter,
 			TenantWeight: cfg.TenantWeight,
 			Now:          cfg.Now,
 		}, c))

@@ -20,9 +20,6 @@ type LoadShedConfig struct {
 	// requests (pulls and submits) with 429 + Retry-After. Must be > 0 to
 	// install the middleware.
 	P99 time.Duration
-	// Window is the latency sample window size (metrics.LatencyWindow).
-	// 0 picks 1024.
-	Window int
 	// MinSamples is how many samples must be resident before the shedder
 	// trusts a p99. 0 picks 64.
 	MinSamples int
@@ -40,10 +37,10 @@ type LoadShedConfig struct {
 	Now func() time.Time
 }
 
+// shedWindow is the latency sample window size (metrics.LatencyWindow).
+const shedWindow = 1024
+
 func (c *LoadShedConfig) normalize() {
-	if c.Window <= 0 {
-		c.Window = 1024
-	}
 	if c.MinSamples <= 0 {
 		c.MinSamples = 64
 	}
@@ -228,7 +225,7 @@ func LoadShed(cfg LoadShedConfig, c *metrics.IngressCounters) Middleware {
 	s := &shedder{
 		cfg:     cfg,
 		c:       c,
-		win:     metrics.NewLatencyWindow(cfg.Window),
+		win:     metrics.NewLatencyWindow(shedWindow),
 		weights: make(map[int64]time.Time),
 	}
 	retrySecs := strconv.FormatInt(int64((cfg.RetryAfter+time.Second-1)/time.Second), 10)

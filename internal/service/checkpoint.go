@@ -22,11 +22,12 @@
 // The same document travels as the replication catch-up message, there
 // with every running job's workload inline: one self-contained body,
 // assembled from these files on the leader (checkpointDocument) and split
-// back into them on the follower (writeCheckpoint). The service, the
-// follower, and the replication source all read through readManifest and
-// loadWorkload — restore (recovery.go) loads each running job's file as
-// part of that job's own rebuild, so the decodes overlap — and write
-// through writeCheckpoint.
+// back into them on the follower (writeCheckpoint). Leader and standby
+// open a data dir through one opener (open, recovery.go) and checkpoint it
+// through one snapshot (persist.go); they and the replication source all
+// read through readManifest and loadWorkload — restore loads each running
+// job's file as part of that job's own rebuild, so the decodes overlap —
+// and write through writeCheckpoint.
 package service
 
 import (

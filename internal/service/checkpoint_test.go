@@ -186,5 +186,8 @@ func TestCheckpointCrashOrdering(t *testing.T) {
 				t.Fatalf("B dispatched\n%v\nacross the kill at %s, uninterrupted\n%v", gotSeq, tc.step, refSeq)
 			}
 		})
+		t.Run("standby/"+tc.step, func(t *testing.T) {
+			testStandbyCheckpointCrash(t, tc.step, tc.onDisk, refSeq)
+		})
 	}
 }

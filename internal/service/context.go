@@ -276,6 +276,14 @@ func (r *durRing) percentile(p float64) (int64, bool) {
 	return sorted[rank], true
 }
 
+// A lease is a straggler once it has aged past speculationFactor multiples
+// of its job's duration percentile; a job with fewer than
+// speculationMinSamples observations (cold start) is never speculated.
+const (
+	speculationFactor     = 2
+	speculationMinSamples = 3
+)
+
 // shouldSpeculate decides whether a lease of the given age is a straggler
 // against the job's duration distribution. Cold start is absolute: with
 // fewer than minSamples observations there is no distribution to be slow

@@ -66,3 +66,35 @@ func (s *Service) AttachedForTest(workerID string) bool {
 func QuotaRecordForTest(tenant string, quota int, ts int64) []byte {
 	return (&record{Op: opQuota, Tenant: tenant, Quota: quota, Ts: ts}).appendTo(nil)
 }
+
+// RouteForTest is one row of the route table: its pattern, and whether a
+// standby serves it (a read route) or redirects it to the leader.
+type RouteForTest struct {
+	Pattern string
+	Read    bool
+}
+
+// RoutesForTest lists the route table both roles are mounted from.
+func RoutesForTest() []RouteForTest {
+	var out []RouteForTest
+	for _, rt := range routes {
+		out = append(out, RouteForTest{Pattern: rt.pattern, Read: rt.read})
+	}
+	return out
+}
+
+// CrashForTest kills the standby the way SIGKILL would: the stream stops
+// and the journal's file descriptor is closed with no final sync.
+func (f *Follower) CrashForTest() {
+	f.closeOnce.Do(func() {
+		f.cancel()
+		<-f.done
+		f.st.Load().pst.w.Abandon()
+	})
+}
+
+// SetCheckpointStepHookForTest is Service.SetCheckpointStepHookForTest for
+// the standby's current replica; the hook runs on the stream's goroutine.
+func (f *Follower) SetCheckpointStepHookForTest(fn func(step string) error) {
+	f.st.Load().SetCheckpointStepHookForTest(fn)
+}

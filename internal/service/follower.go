@@ -6,51 +6,49 @@ import (
 	"fmt"
 	"log"
 	"net/http"
-	"os"
-	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"gridsched/internal/journal"
 	"gridsched/internal/metrics"
 	"gridsched/internal/replicate"
 	"gridsched/internal/service/api"
 )
 
 // Follower is a hot standby: it streams the leader's WAL
-// (internal/replicate), persists every frame through its own
-// journal.Writer, and applies it to a replica of the leader's state — the
-// same restore and applyRecord recovery runs, over job shells with no
-// scheduler attached (jobstate.go), so the standby's counters and states
-// move exactly as the leader's did and cost no scheduler work. It serves
-// status endpoints from the replica and rejects mutations with a leader
-// redirect; Promote ends the stream and runs the full recovery path (New)
-// over the replicated data dir — the same code path the kill -9 gauntlet
-// proves bit-exact — returning a live leader Service.
+// (internal/replicate) into a replica — a Service state opened over its own
+// data dir by the code that opens a leader (open), minus the scheduler
+// factory, so its jobs are shells (jobstate.go) whose counters and states
+// move exactly as the leader's did at no scheduler cost. The replica
+// journals each frame through its commit stage, applies it, checkpoints
+// itself with the leader's snapshot, and serves the leader's route table
+// (http.go); the Follower itself keeps only the stream. Promote ends it and
+// runs the full recovery path (New) over the replicated data dir — the code
+// path the kill -9 gauntlet proves bit-exact — returning a leader Service.
 type Follower struct {
 	svcCfg Config // normalized; used verbatim at promotion
 	cfg    FollowerConfig
 
 	repl *metrics.ReplicationCounters
-	jmet *journal.Metrics
 
-	mu sync.Mutex
-	w  *journal.Writer
-	// st is the replica: a never-started Service state (newState) whose
-	// jobs are shells. mu serializes applies against reads.
-	st     *Service
-	last   uint64 // last LSN applied locally
-	halted error  // terminal stream divergence; nil while healthy
+	// st is the replica; a catch-up snapshot replaces it whole.
+	st atomic.Pointer[Service]
+	// mu guards halted, and is held across one frame's append and apply and
+	// by LastLSN, so a position read never names a record the replica does
+	// not show yet. Readers of the replica take its own locks, never this.
+	mu     sync.Mutex
+	halted error // terminal stream divergence; nil while healthy
 
 	leaderLSN   atomic.Uint64
 	lastContact atomic.Int64 // unix nanos of the last leader contact
 	promoting   atomic.Bool
 	promoted    atomic.Bool
 
-	stopOnce sync.Once
-	stop     chan struct{}
-	done     chan struct{}
+	// ctx is the stream's lifetime: cancel stops run, done says it has.
+	ctx       context.Context
+	cancel    context.CancelFunc
+	done      chan struct{}
+	closeOnce sync.Once
 }
 
 // FollowerConfig parameterizes the replication client side of a Follower;
@@ -62,18 +60,20 @@ type FollowerConfig struct {
 	// Token, when non-empty, is the bearer token presented on the stream
 	// request; it must resolve to an admin principal on the leader.
 	Token string
-	// HTTPClient performs the stream request. It must have NO client-level
-	// timeout (the stream is long-lived). Nil picks a default.
-	HTTPClient *http.Client
 	// ReconnectMax caps the backoff between stream reconnect attempts.
 	// 0 picks 2s.
 	ReconnectMax time.Duration
 }
 
+// streamClient performs the stream request: no client-level timeout, the
+// stream is long-lived.
+var streamClient = &http.Client{}
+
 // NewFollower opens (or resumes) the replicated data dir under cfg.DataDir
-// and starts streaming from the leader. The local state is loaded the way
-// recovery would — checkpoint, then the journal tail record by record —
-// minus the schedulers.
+// and starts streaming from the leader. The local state is opened the way a
+// leader's is — checkpoint, then the journal tail record by record, workload
+// files read in full — so a data dir promotion would refuse is refused
+// here, while the leader is still alive.
 func NewFollower(cfg Config, fcfg FollowerConfig) (*Follower, error) {
 	if err := cfg.normalize(); err != nil {
 		return nil, err
@@ -84,9 +84,6 @@ func NewFollower(cfg Config, fcfg FollowerConfig) (*Follower, error) {
 	if fcfg.Leader == "" {
 		return nil, fmt.Errorf("service: follower requires a leader URL")
 	}
-	if fcfg.HTTPClient == nil {
-		fcfg.HTTPClient = &http.Client{}
-	}
 	if fcfg.ReconnectMax <= 0 {
 		fcfg.ReconnectMax = 2 * time.Second
 	}
@@ -94,68 +91,31 @@ func NewFollower(cfg Config, fcfg FollowerConfig) (*Follower, error) {
 		svcCfg: cfg,
 		cfg:    fcfg,
 		repl:   &metrics.ReplicationCounters{},
-		jmet:   &journal.Metrics{},
-		stop:   make(chan struct{}),
 		done:   make(chan struct{}),
 	}
-	if err := f.openLocal(); err != nil {
+	st := f.newReplica()
+	if _, err := st.open(); err != nil {
 		return nil, err
 	}
+	f.st.Store(st)
+	f.ctx, f.cancel = context.WithCancel(context.Background())
 	f.touchContact()
 	go f.run()
 	return f, nil
 }
 
-func (f *Follower) walPath() string { return filepath.Join(f.svcCfg.DataDir, walFile) }
-
-// openLocal loads whatever replicated state already exists on disk:
-// checkpoint into the replica, journal tail applied on top, writer opened
-// at the validated prefix — a restartable follower, not a from-scratch
-// one. The checkpoint is read in full, workload files included (restore
-// decodes each running job's), exactly as the recovery that promotion runs
-// will read it: a data dir promotion would refuse is refused here, while
-// the leader is still alive.
-func (f *Follower) openLocal() error {
-	dir := f.svcCfg.DataDir
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	snap, err := readManifest(dir)
-	if err != nil {
-		return err
-	}
-	// A crash inside ApplySnapshot strands what a crash inside a leader's
-	// checkpoint does.
-	if err := sweepDataDir(dir, snap.storedJobs()); err != nil {
-		return err
-	}
-	st := f.newReplica()
-	after := uint64(0)
-	if snap != nil {
-		if _, err := st.restore(snap, dir); err != nil {
-			return err
-		}
-		after = snap.LastLSN
-	}
-	info, err := journal.ReadLog(f.walPath(), after, st.applyFrame)
-	if err != nil {
-		return err
-	}
-	last := max(after, info.LastLSN)
-	w, err := journal.OpenWriter(f.walPath(), f.svcCfg.Fsync, f.svcCfg.FsyncInterval, last, info.ValidSize, f.jmet)
-	if err != nil {
-		return err
-	}
-	f.w, f.st, f.last = w, st, last
-	return nil
-}
-
 // newReplica builds an empty replica state: the service's configuration
-// minus the scheduler factory, so every job in it stays a shell.
+// minus the scheduler factory, so every job in it stays a shell. A
+// catch-up's replica carries on the counters of the one it replaces.
 func (f *Follower) newReplica() *Service {
 	cfg := f.svcCfg
 	cfg.NewScheduler = nil
-	return newState(cfg)
+	st := newState(cfg)
+	st.standby, st.repl = f, f.repl
+	if prev := f.st.Load(); prev != nil {
+		st.jmet = prev.jmet
+	}
+	return st
 }
 
 func (f *Follower) touchContact() { f.lastContact.Store(time.Now().UnixNano()) }
@@ -166,25 +126,9 @@ func (f *Follower) run() {
 	defer close(f.done)
 	backoff := time.Duration(0)
 	for {
-		select {
-		case <-f.stop:
+		err := replicate.Follow(f.ctx, streamClient, f.cfg.Leader, f.cfg.Token, f.LastLSN(), f)
+		if f.ctx.Err() != nil {
 			return
-		default:
-		}
-		ctx, cancel := context.WithCancel(context.Background())
-		go func() {
-			select {
-			case <-f.stop:
-				cancel()
-			case <-ctx.Done():
-			}
-		}()
-		err := replicate.Follow(ctx, f.cfg.HTTPClient, f.cfg.Leader, f.cfg.Token, f.LastLSN(), f)
-		cancel()
-		select {
-		case <-f.stop:
-			return
-		default:
 		}
 		if errors.Is(err, replicate.ErrDiverged) || errors.Is(err, errFollowerWAL) {
 			// Halt rather than diverge: applying past a gap, a rewinding
@@ -200,16 +144,9 @@ func (f *Follower) run() {
 			return
 		}
 		f.repl.Reconnects.Add(1)
-		if backoff < 100*time.Millisecond {
-			backoff = 100 * time.Millisecond
-		} else {
-			backoff *= 2
-		}
-		if backoff > f.cfg.ReconnectMax {
-			backoff = f.cfg.ReconnectMax
-		}
+		backoff = min(max(2*backoff, 100*time.Millisecond), f.cfg.ReconnectMax)
 		select {
-		case <-f.stop:
+		case <-f.ctx.Done():
 			return
 		case <-time.After(backoff):
 		}
@@ -220,30 +157,33 @@ func (f *Follower) run() {
 // since a poisoned writer can never apply another frame.
 var errFollowerWAL = errors.New("service: follower journal failed")
 
-// ApplyFrame persists one streamed record and applies it to the replica.
+// ApplyFrame persists one streamed record through the replica's commit
+// stage and applies it; a checkpoint follows when one is due.
 // replicate.Replay has already proven lsn is exactly last+1.
 func (f *Follower) ApplyFrame(lsn uint64, payload []byte) error {
+	st := f.st.Load()
 	f.mu.Lock()
-	defer f.mu.Unlock()
-	if f.w == nil {
-		return fmt.Errorf("service: follower is promoting")
-	}
-	got, err := f.w.Append(payload)
-	if err != nil {
-		return fmt.Errorf("%w: %v", errFollowerWAL, err)
-	}
-	if got != lsn {
+	got, err := st.appendEncoded(payload)
+	switch {
+	case err != nil:
+		err = fmt.Errorf("%w: %v", errFollowerWAL, err)
+	case got != lsn:
 		// The writer's LSN sequence is seeded from the replicated log, so
 		// this can only mean local and leader histories disagree.
-		return fmt.Errorf("%w: local writer assigned lsn %d, stream says %d", replicate.ErrDiverged, got, lsn)
+		err = fmt.Errorf("%w: local writer assigned lsn %d, stream says %d", replicate.ErrDiverged, got, lsn)
+	default:
+		if err = st.applyFrame(lsn, payload); err != nil {
+			// The bytes are already durable and identical to the leader's;
+			// recovery at promotion would fail on them exactly as the leader
+			// would. Surface it now instead of serving a stale replica.
+			err = fmt.Errorf("%w: unreplayable record at lsn %d: %v", replicate.ErrDiverged, lsn, err)
+		}
 	}
-	if err := f.st.applyFrame(lsn, payload); err != nil {
-		// The bytes are already durable and identical to the leader's;
-		// recovery at promotion would fail on them exactly as the leader
-		// would. Surface it now instead of serving a stale replica.
-		return fmt.Errorf("%w: unreplayable record at lsn %d: %v", replicate.ErrDiverged, lsn, err)
+	f.mu.Unlock()
+	if err != nil {
+		return err
 	}
-	f.last = lsn
+	st.snapshotIfDue()
 	f.repl.FramesApplied.Add(1)
 	if lsn > f.leaderLSN.Load() {
 		f.leaderLSN.Store(lsn)
@@ -257,14 +197,9 @@ func (f *Follower) ApplyFrame(lsn uint64, payload []byte) error {
 // workload rewritten from the message, then the manifest, the order a
 // leader's checkpoint uses), the local WAL resets to an empty log seeded
 // at the snapshot's LSN (exactly the state a leader has right after
-// rotation), the replica is rebuilt, and workload files the new manifest
-// does not list are removed.
+// rotation), workload files the new manifest does not list are removed,
+// and a replica loaded from the document takes the old one's place.
 func (f *Follower) ApplySnapshot(lsn uint64, data []byte) error {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if f.w == nil {
-		return fmt.Errorf("service: follower is promoting")
-	}
 	snap, err := decodeSnapshot(data)
 	if err != nil {
 		return fmt.Errorf("%w: undecodable snapshot: %v", replicate.ErrDiverged, err)
@@ -273,33 +208,28 @@ func (f *Follower) ApplySnapshot(lsn uint64, data []byte) error {
 		return fmt.Errorf("%w: snapshot body covers lsn %d, header says %d", replicate.ErrDiverged, snap.LastLSN, lsn)
 	}
 	// Restore before writeCheckpoint drops the inline workloads (a running
-	// job without one is refused — the message is self-contained, so no
-	// workload file is consulted); a document recovery could not load is
-	// refused with nothing on disk touched.
+	// job without one is refused: the message is self-contained, no workload
+	// file is consulted); a document recovery could not load, or another
+	// partition's, is refused with nothing on disk touched.
 	st := f.newReplica()
 	if _, err := st.restore(snap, ""); err != nil {
 		return fmt.Errorf("%w: unloadable snapshot: %v", replicate.ErrDiverged, err)
 	}
-	dir := f.svcCfg.DataDir
-	stored := make(map[string]struct{})
-	if _, err := writeCheckpoint(dir, snap, stored); err != nil {
+	st.pst.stored = make(map[string]struct{})
+	if _, err := writeCheckpoint(st.pst.dir, snap, st.pst.stored); err != nil {
 		return fmt.Errorf("%w: %v", errFollowerWAL, err)
 	}
-	if err := f.w.Close(); err != nil {
+	if err := f.st.Load().pst.w.Close(); err != nil {
 		log.Printf("gridschedd: follower journal close before snapshot reset: %v", err)
 	}
-	// validSize 0 resets the file to a fresh empty log; the LSN sequence
-	// continues from the snapshot position.
-	w, err := journal.OpenWriter(f.walPath(), f.svcCfg.Fsync, f.svcCfg.FsyncInterval, lsn, 0, f.jmet)
-	if err != nil {
+	// The LSN sequence continues from the snapshot position.
+	if err := st.openJournal(lsn, 0); err != nil {
 		return fmt.Errorf("%w: %v", errFollowerWAL, err)
 	}
-	f.w = w
-	if err := sweepDataDir(dir, stored); err != nil {
+	if err := sweepDataDir(st.pst.dir, st.pst.stored); err != nil {
 		log.Printf("gridschedd: follower data dir sweep after snapshot: %v", err)
 	}
-	f.st = st
-	f.last = lsn
+	f.st.Store(st)
 	f.repl.SnapshotsApplied.Add(1)
 	f.touchContact()
 	return nil
@@ -311,11 +241,11 @@ func (f *Follower) Heartbeat(lastLSN uint64) {
 	f.touchContact()
 }
 
-// LastLSN is the last LSN the follower holds locally.
+// LastLSN is the last LSN the follower holds locally, applied.
 func (f *Follower) LastLSN() uint64 {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	return f.last
+	return f.st.Load().ReplicationLastLSN()
 }
 
 // LeaderLSN is the leader's last announced LSN.
@@ -344,19 +274,10 @@ func (f *Follower) Promote() (*Service, error) {
 	if !f.promoting.CompareAndSwap(false, true) {
 		return nil, errf(http.StatusConflict, "service: promotion already requested")
 	}
-	f.shutdownStream()
-	f.mu.Lock()
-	w := f.w
-	f.w = nil
-	f.mu.Unlock()
-	if w != nil {
-		if err := w.Close(); err != nil {
-			// Everything acked to the leader's stream is in the page
-			// cache already; a failed final fsync only narrows
-			// machine-crash durability, it does not block promotion.
-			log.Printf("gridschedd: follower journal close at promotion: %v", err)
-		}
-	}
+	// Everything acked to the leader's stream is in the page cache already;
+	// a failed final fsync only narrows machine-crash durability, it does
+	// not block promotion.
+	f.Close()
 	svc, err := New(f.svcCfg)
 	if err != nil {
 		f.mu.Lock()
@@ -371,103 +292,31 @@ func (f *Follower) Promote() (*Service, error) {
 // Promoted reports whether Promote succeeded.
 func (f *Follower) Promoted() bool { return f.promoted.Load() }
 
-func (f *Follower) shutdownStream() {
-	f.stopOnce.Do(func() { close(f.stop) })
-	<-f.done
-}
-
-// Close stops the stream and closes the local journal. Idempotent; a
-// promoted follower's journal belongs to the promoted Service and is not
-// touched.
+// Close stops the stream and closes the local journal, once: a promoted
+// Service's journal is safe from a late call.
 func (f *Follower) Close() {
-	f.shutdownStream()
-	f.mu.Lock()
-	w := f.w
-	f.w = nil
-	f.mu.Unlock()
-	if w != nil {
-		_ = w.Close()
-	}
+	f.closeOnce.Do(func() {
+		f.cancel()
+		<-f.done
+		if err := f.st.Load().pst.w.Close(); err != nil {
+			log.Printf("gridschedd: follower journal close: %v", err)
+		}
+	})
 }
 
-// position is the standby's place in the log as /readyz and /metrics
-// report it: the last LSN it holds, the last its leader announced, and the
-// lag between them, clamped at 0 (the follower can briefly know more than
-// the last heartbeat announced).
-func (f *Follower) position() (local, leader, lag uint64) {
-	local, leader = f.LastLSN(), f.LeaderLSN()
-	return local, leader, leader - min(local, leader)
-}
-
-// Handler is the follower's HTTP surface: read-only status from the
-// replica — rendered by the leader's own read paths; liveness-only fields
-// (in-flight leases, share windows, throttles, workers) are zero here —
-// truthful probes, and a 421 + leader-redirect for everything mutating.
-// Mount it behind the same ingress chain as a leader.
+// Handler is the follower's HTTP surface: the service's one route table
+// over the current replica (http.go) — read routes rendered by the leader's
+// own handlers, liveness-only fields (in-flight leases, share windows,
+// throttles, workers) zero; a 421 + leader redirect for every other route
+// and for anything the table does not know. Mount it behind the same
+// ingress chain as a leader.
 func (f *Follower) Handler() http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("GET /v1/jobs", func(w http.ResponseWriter, r *http.Request) {
-		f.mu.Lock()
-		jobs := f.st.Jobs()
-		f.mu.Unlock()
-		if jobs == nil {
-			jobs = []api.JobStatus{} // a standby has always listed nothing as []
-		}
-		writeJSON(w, http.StatusOK, jobs)
-	})
-	mux.HandleFunc("GET /v1/jobs/{id}", func(w http.ResponseWriter, r *http.Request) {
-		f.mu.Lock()
-		st, err := f.st.JobStatus(r.PathValue("id"))
-		f.mu.Unlock()
-		if err != nil {
-			writeError(w, err)
-			return
-		}
-		writeJSON(w, http.StatusOK, st)
-	})
-	mux.HandleFunc("GET /v1/tenants", func(w http.ResponseWriter, r *http.Request) {
-		f.mu.Lock()
-		tenants := f.st.Tenants()
-		f.mu.Unlock()
-		writeJSON(w, http.StatusOK, tenants)
-	})
-	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
-		// No worker registers with a standby, and nothing maintains the
-		// live service's gauges here: count the shells.
-		h := api.Health{Status: "ok"}
-		f.mu.Lock()
-		for _, sh := range f.st.shards {
-			for _, j := range sh.jobs {
-				h.Jobs++
-				if j.state == api.JobRunning {
-					h.OpenJobs++
-				}
-			}
-		}
-		f.mu.Unlock()
-		writeJSON(w, http.StatusOK, h)
-	})
-	mux.HandleFunc("GET /readyz", f.handleReadyz)
-	mux.HandleFunc("GET /metrics", f.handleMetrics)
+	mux := serveRoutes(f.st.Load)
 	mux.HandleFunc("/", f.redirectToLeader)
 	return mux
 }
 
-func (f *Follower) handleReadyz(w http.ResponseWriter, r *http.Request) {
-	local, leader, lag := f.position()
-	rd := api.Readiness{
-		Status:    "ready",
-		Role:      api.RoleFollower,
-		LastLSN:   local,
-		LeaderLSN: leader,
-		LagLSN:    lag,
-		Leader:    f.cfg.Leader,
-	}
-	w.Header().Set(api.LeaderHeader, f.cfg.Leader)
-	writeJSON(w, http.StatusOK, rd)
-}
-
-// redirectToLeader answers every mutating (or unknown) request with 421
+// redirectToLeader answers a request only the leader can serve with 421
 // Misdirected Request plus the leader's base URL — the hint the Go
 // client's endpoint failover follows.
 func (f *Follower) redirectToLeader(w http.ResponseWriter, r *http.Request) {

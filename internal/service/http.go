@@ -16,29 +16,66 @@ import (
 // trace is ~10MB of JSON).
 const maxBodyBytes = 64 << 20
 
+// route is one row of the service's HTTP surface. A read route answers from
+// replicated state alone, so a standby serves it through the same handler;
+// every other route a standby answers 421 with its leader's address.
+type route struct {
+	pattern string
+	read    bool
+	handle  func(*Service, http.ResponseWriter, *http.Request)
+}
+
+// routes is the route table of both roles (docs/PROTOCOL.md, "Endpoints",
+// is checked against it).
+var routes = []route{
+	{"POST /v1/jobs", false, (*Service).handleSubmit},
+	{"GET /v1/jobs", true, get((*Service).Jobs)},
+	{"GET /v1/jobs/{id}", true, (*Service).handleJob},
+	{"DELETE /v1/jobs/{id}", false, (*Service).handleDeleteJob},
+	{"GET /v1/tenants", true, get((*Service).Tenants)},
+	{"PUT /v1/tenants/{tenant}", false, (*Service).handleTenantQuota},
+	{"POST /v1/workers", false, (*Service).handleRegister},
+	{"GET /v1/workers", false, get((*Service).Workers)},
+	{"DELETE /v1/workers/{id}", false, (*Service).handleDeregister},
+	{"POST /v1/workers/{id}/pull", false, (*Service).handlePull},
+	{"GET /v1/workers/{id}/stream", false, (*Service).handleStream},
+	{"POST /v1/workers/{id}/reports", false, (*Service).handleReportBatch},
+	{"POST /v1/assignments/{id}/heartbeat", false, (*Service).handleHeartbeat},
+	{"POST /v1/assignments/{id}/report", false, (*Service).handleReport},
+	{"GET /v1/replication/stream", false, (*Service).handleReplicationStream},
+	{"GET /v1/partitions", true, get((*Service).partitions)},
+	{"GET /healthz", true, get((*Service).Health)},
+	{"GET /readyz", true, (*Service).handleReadyz},
+	{"GET /metrics", true, (*Service).handleMetrics},
+}
+
+// get is the handler of a route that answers 200 with one view of the state.
+func get[T any](view func(*Service) T) func(*Service, http.ResponseWriter, *http.Request) {
+	return func(s *Service, w http.ResponseWriter, _ *http.Request) {
+		writeJSON(w, http.StatusOK, view(s))
+	}
+}
+
 // Handler returns the service's HTTP/JSON surface (see internal/service/api
-// for the route table and wire types).
+// for the wire types).
 func (s *Service) Handler() http.Handler {
+	return serveRoutes(func() *Service { return s })
+}
+
+// serveRoutes mounts the route table over whatever state svc names when a
+// request arrives: a Follower's replica changes under a catch-up snapshot.
+func serveRoutes(svc func() *Service) *http.ServeMux {
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/jobs", s.handleSubmit)
-	mux.HandleFunc("GET /v1/jobs", s.handleJobs)
-	mux.HandleFunc("GET /v1/jobs/{id}", s.handleJob)
-	mux.HandleFunc("DELETE /v1/jobs/{id}", s.handleDeleteJob)
-	mux.HandleFunc("GET /v1/tenants", s.handleTenants)
-	mux.HandleFunc("PUT /v1/tenants/{tenant}", s.handleTenantQuota)
-	mux.HandleFunc("POST /v1/workers", s.handleRegister)
-	mux.HandleFunc("GET /v1/workers", s.handleWorkers)
-	mux.HandleFunc("DELETE /v1/workers/{id}", s.handleDeregister)
-	mux.HandleFunc("POST /v1/workers/{id}/pull", s.handlePull)
-	mux.HandleFunc("GET /v1/workers/{id}/stream", s.handleStream)
-	mux.HandleFunc("POST /v1/workers/{id}/reports", s.handleReportBatch)
-	mux.HandleFunc("POST /v1/assignments/{id}/heartbeat", s.handleHeartbeat)
-	mux.HandleFunc("POST /v1/assignments/{id}/report", s.handleReport)
-	mux.HandleFunc("GET /v1/replication/stream", s.handleReplicationStream)
-	mux.HandleFunc("GET /v1/partitions", s.handlePartitions)
-	mux.HandleFunc("GET /healthz", s.handleHealthz)
-	mux.HandleFunc("GET /readyz", s.handleReadyz)
-	mux.HandleFunc("GET /metrics", s.handleMetrics)
+	for _, rt := range routes {
+		mux.HandleFunc(rt.pattern, func(w http.ResponseWriter, r *http.Request) {
+			s := svc()
+			if s.standby != nil && !rt.read {
+				s.standby.redirectToLeader(w, r)
+				return
+			}
+			rt.handle(s, w, r)
+		})
+	}
 	return mux
 }
 
@@ -148,10 +185,6 @@ func (s *Service) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	answer(w, r, http.StatusCreated, api.SubmitJobResponse{JobID: id}, err)
 }
 
-func (s *Service) handleTenants(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.Tenants())
-}
-
 func (s *Service) handleTenantQuota(w http.ResponseWriter, r *http.Request) {
 	var req api.TenantQuotaRequest
 	if !readBody(w, r, &req) {
@@ -159,10 +192,6 @@ func (s *Service) handleTenantQuota(w http.ResponseWriter, r *http.Request) {
 	}
 	st, err := s.SetTenantQuota(r.PathValue("tenant"), req.MaxInFlight)
 	answer(w, r, http.StatusOK, st, err)
-}
-
-func (s *Service) handleJobs(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.Jobs())
 }
 
 func (s *Service) handleJob(w http.ResponseWriter, r *http.Request) {
@@ -202,10 +231,6 @@ func (s *Service) handleRegister(w http.ResponseWriter, r *http.Request) {
 	}
 	resp, err := s.RegisterWorker(site, req.Tags)
 	answer(w, r, http.StatusCreated, resp, err)
-}
-
-func (s *Service) handleWorkers(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.Workers())
 }
 
 func (s *Service) handleDeregister(w http.ResponseWriter, r *http.Request) {
@@ -252,31 +277,21 @@ func (s *Service) handleReportBatch(w http.ResponseWriter, r *http.Request) {
 	answer(w, r, http.StatusOK, resp, err)
 }
 
-func (s *Service) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.Health())
+// partitions reports this service's partition identity. A bare partition
+// only knows itself; the router overlays the full deployment view (URLs,
+// per-partition health) on the same route. See docs/PARTITIONING.md.
+func (s *Service) partitions() api.PartitionTopology {
+	return api.PartitionTopology{Count: s.cfg.PartitionCount, Self: s.cfg.PartitionIndex}
 }
 
-// handlePartitions reports this service's partition identity. A bare
-// partition only knows itself; the router overlays the full deployment
-// view (URLs, per-partition health) on the same route. See
-// docs/PARTITIONING.md.
-func (s *Service) handlePartitions(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, api.PartitionTopology{
-		Count: s.cfg.PartitionCount,
-		Self:  s.cfg.PartitionIndex,
-	})
-}
-
-// handleReadyz answers readiness probes: 200 once recovery completed, 503
-// before. A constructed Service is always ready (New only returns after
-// recovery), so the 503 arm matters to servers that bind their listener
-// before construction finishes — cmd/gridschedd serves its own
-// recovering-state /readyz until the service exists, then routes here.
+// handleReadyz answers readiness probes. Any Service a request can reach is
+// ready (New only returns after recovery), so the 503 "recovering" answer
+// is cmd/gridschedd's own, served until the service exists. A standby names
+// its leader in the header too.
 func (s *Service) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	rd := s.readiness()
-	if rd.Status != "ready" {
-		writeJSON(w, http.StatusServiceUnavailable, rd)
-		return
+	if rd.Leader != "" {
+		w.Header().Set(api.LeaderHeader, rd.Leader)
 	}
 	writeJSON(w, http.StatusOK, rd)
 }

@@ -25,19 +25,25 @@ func journalMetrics(m *journal.Metrics) []metrics.Metric {
 	}
 }
 
-// handleMetrics serves the leader's families: the service counters, the
-// journal's, the partition identity when there is more than one partition,
-// replication, and one series per observed worker slot, resident job and
-// tenant.
+// handleMetrics serves a standby's families — replication, and its journal
+// writer's — or a leader's: the service counters, the journal's, the
+// partition identity when there is more than one partition, replication,
+// and one series per observed worker slot, resident job and tenant.
 func (s *Service) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	ms := append(s.counters.Metrics(), journalMetrics(&s.jmet)...)
+	rd := s.readiness()
+	repl := metrics.ReplicationMetrics(rd.Role, s.repl, rd.LastLSN, rd.LeaderLSN, rd.LagLSN)
+	if s.standby != nil {
+		serveMetrics(w, append(repl, journalMetrics(s.jmet)...))
+		return
+	}
+	ms := append(s.counters.Metrics(), journalMetrics(s.jmet)...)
 	gauge, counter := metrics.KindGauge, metrics.KindCounter
 	if s.cfg.PartitionCount > 1 {
 		ms = append(ms,
 			metrics.Fixed("gridsched_partition_index", gauge, float64(s.cfg.PartitionIndex)),
 			metrics.Fixed("gridsched_partition_count", gauge, float64(s.cfg.PartitionCount)))
 	}
-	ms = append(ms, metrics.ReplicationMetrics(api.RoleLeader, s.repl, s.ReplicationLastLSN(), 0, 0)...)
+	ms = append(ms, repl...)
 	ms = append(ms, metrics.Table(s.tel.observed(),
 		func(ws *workerSlot) []metrics.Label {
 			return []metrics.Label{{Name: "site", Value: strconv.Itoa(ws.site)}, {Name: "worker", Value: strconv.Itoa(ws.worker)}}
@@ -66,11 +72,4 @@ func (s *Service) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		metrics.Col("gridsched_tenant_quota_throttles_total", counter, func(t *tenant) float64 { return float64(t.Throttles) }),
 	)...)
 	serveMetrics(w, ms)
-}
-
-// handleMetrics serves the standby's families: replication, and its own
-// journal writer's.
-func (f *Follower) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	local, leader, lag := f.position()
-	serveMetrics(w, append(metrics.ReplicationMetrics(api.RoleFollower, f.repl, local, leader, lag), journalMetrics(f.jmet)...))
 }

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"log"
 	"net/http"
-	"os"
 	"path/filepath"
 	"sort"
 	"sync/atomic"
@@ -32,6 +31,8 @@ type persistence struct {
 	// reached; an error abandons the checkpoint right there. Tests set it
 	// to die between steps — nothing else does.
 	atStep func(step string) error
+	// mark is when the current recovery phase began; the first, with the state.
+	mark time.Time
 }
 
 // Checkpoint step boundaries, in order (see Service.snapshot).
@@ -150,12 +151,11 @@ func (s *Service) snapshotIfDue() {
 //     contains. The pause is the manifest's encode (the packed ledgers and
 //     a few counters — nothing proportional to workload bytes) plus three
 //     fsyncs: manifest, directory, truncated log.
-//  3. Unlocked again: remove the workload files of jobs the manifest no
-//     longer lists as running.
+//  3. Unlocked again: sweep the workload files of jobs the manifest no
+//     longer lists as running (snapMu keeps other checkpoint writers out).
 //
 // Callers hold snapMu.
 func (s *Service) snapshot() error {
-	dir := s.pst.dir
 	var pending []snapJob
 	for _, sh := range s.shards {
 		sh.mu.Lock()
@@ -166,7 +166,7 @@ func (s *Service) snapshot() error {
 		}
 		sh.mu.Unlock()
 	}
-	written, err := saveWorkloads(dir, pending, s.pst.stored)
+	written, err := saveWorkloads(s.pst.dir, pending, s.pst.stored)
 	if err != nil {
 		return err
 	}
@@ -185,23 +185,11 @@ func (s *Service) snapshot() error {
 		return err
 	}
 
-	running := make(map[string]struct{}, len(s.pst.stored))
-	for i := range snap.Jobs {
-		if snap.Jobs[i].State == api.JobRunning {
-			running[snap.Jobs[i].ID] = struct{}{}
-		}
-	}
-	for id := range s.pst.stored {
-		if _, ok := running[id]; ok {
-			continue
-		}
-		// A failed removal strands an unreferenced file, which the next
-		// recovery sweeps; it is not worth failing a checkpoint that is
-		// already durable.
-		if err := os.Remove(workloadPath(dir, id)); err != nil && !os.IsNotExist(err) {
-			log.Printf("gridschedd: remove retired workload file: %v", err)
-		}
-		delete(s.pst.stored, id)
+	// A failed removal strands an unreferenced file, which the next sweep
+	// takes; it is not worth failing a checkpoint that is already durable.
+	s.pst.stored = snap.storedJobs()
+	if err := sweepDataDir(s.pst.dir, s.pst.stored); err != nil {
+		log.Printf("gridschedd: remove retired workload files: %v", err)
 	}
 	return nil
 }
@@ -300,6 +288,11 @@ func (s *Service) checkpointLocked() (*snapshot, int64, error) {
 	written, err := writeCheckpoint(s.pst.dir, snap, s.pst.stored)
 	if err != nil {
 		return nil, written, err
+	}
+	for _, j := range jobs {
+		if j.sched == nil {
+			j.w = nil // a standby's shell held it only until a file did
+		}
 	}
 	if err := s.pst.reached(stepManifestRenamed); err != nil {
 		return nil, written, err

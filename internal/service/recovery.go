@@ -17,8 +17,9 @@
 // (jobstate.go), with ReplayAssign standing in for the NextFor that decided
 // it: a checkpointed job's ledger first, then the log tail record by
 // record in LSN order — the order worker telemetry and the arbiter's
-// charges depend on. restore and applyRecord are also all a standby runs
-// (follower.go), over a state with no scheduler factory.
+// charges depend on. A standby (follower.go) opens its data dir with the
+// same open and applies each streamed frame with the same applyRecord, over
+// a state with no scheduler factory.
 //
 // A checkpointed ledger is folded where it can be, re-asked where it cannot.
 // Re-asking puts every recorded dispatch to the scheduler again (NextFor,
@@ -91,79 +92,97 @@ import (
 	"gridsched/internal/workload"
 )
 
-// recover loads DataDir and rebuilds state. Called from New, before the
-// sweeper starts and before the service is reachable.
-func (s *Service) recover() error {
-	start := time.Now()
-	// phase closes the recovery phase that just ran: its share of the
-	// restart goes to /metrics and gridschedd's startup log line.
-	mark := start
-	phase := func(p metrics.ReplayPhase) {
-		now := time.Now()
-		s.counters.ReplayPhaseNanos[p].Store(now.Sub(mark).Nanoseconds())
-		mark = now
-	}
+// open loads DataDir into a fresh state and opens its journal: what a
+// leader and a standby both start from. With a scheduler factory every
+// running job comes back with its scheduler rebuilt and replayed; without
+// one — a standby's replica — the same steps leave shells. stale says the
+// dir held something a fresh checkpoint would compact.
+func (s *Service) open() (stale bool, err error) {
 	if err := os.MkdirAll(s.pst.dir, 0o755); err != nil {
-		return err
+		return false, err
 	}
 
 	// 1. Checkpoint: the manifest, then a sweep of whatever a crash
-	// mid-checkpoint stranded — temp files, and workload files the manifest
-	// does not rely on (written ahead of a manifest that never landed, or
-	// outliving one that retired them). Without the sweep every such crash
-	// leaks a file forever. The workload files it does rely on are read by
-	// restore, each as part of its job's rebuild.
+	// mid-checkpoint (or mid catch-up) stranded — temp files, and workload
+	// files the manifest does not rely on (written ahead of a manifest that
+	// never landed, or outliving one that retired them). Without the sweep
+	// every such crash leaks a file forever. The workload files it does rely
+	// on are read by restore, each as part of its job's rebuild.
 	snap, err := readManifest(s.pst.dir)
 	if err != nil {
-		return err
+		return false, err
 	}
 	s.pst.stored = snap.storedJobs()
 	if err := sweepDataDir(s.pst.dir, s.pst.stored); err != nil {
-		return err
+		return false, err
 	}
 	if snap == nil {
-		// Fresh data dir: keep the partition-seeded sequence New installed
-		// rather than clobbering it with the zero value.
-		snap = &snapshot{Version: snapshotVersion, Seq: s.seq.Load()}
-	} else {
-		// Partition identity check: ids in this dir were minted in the
-		// recorded partition's residue class, so recovering under any other
-		// identity would mis-route every one of them.
-		if snap.PartitionIndex != s.cfg.PartitionIndex || snap.PartitionCount != s.cfg.PartitionCount {
-			return fmt.Errorf("service: data dir belongs to partition %d of %d, configured as %d of %d (re-partitioning needs a migration, not a restart)",
-				snap.PartitionIndex, snap.PartitionCount, s.cfg.PartitionIndex, s.cfg.PartitionCount)
+		// Fresh data dir: an empty checkpoint of this partition, at the
+		// partition-seeded sequence newState installed.
+		snap = &snapshot{
+			Version: snapshotVersion, Seq: s.seq.Load(),
+			PartitionIndex: s.cfg.PartitionIndex, PartitionCount: s.cfg.PartitionCount,
 		}
 	}
-	s.seq.Store(snap.Seq)
-	s.pst.carry = snap.Carry
-	phase(metrics.ReplayCheckpoint)
+	s.phase(metrics.ReplayCheckpoint)
 
 	// 2. Restore: every resident job, the running ones rebuilt and replayed
 	// side by side.
 	replayed, err := s.restore(snap, s.pst.dir)
 	if err != nil {
-		return err
+		return false, err
 	}
-	phase(metrics.ReplayRestore)
+	s.phase(metrics.ReplayRestore)
 
 	// 3. Log tail: the records the checkpoint does not cover, each applied
 	// as it is read. Then the writer opens over the validated prefix
-	// (truncating any torn tail): step 4 appends the expiry records for
-	// executions that were in flight at the crash. The commit stage comes
-	// up with the writer — those appends go through it too.
+	// (truncating any torn tail), and the commit stage comes up with it:
+	// every append from here on — a leader's expiry records, a standby's
+	// streamed frames — goes through it.
 	info, err := journal.ReadLog(s.walPath(), snap.LastLSN, s.applyFrame)
 	if err != nil {
-		return err
+		return false, err
 	}
-	replayed += info.Records
-	lastLSN := max(snap.LastLSN, info.LastLSN)
-	w, err := journal.OpenWriter(s.walPath(), s.cfg.Fsync, s.cfg.FsyncInterval, lastLSN, info.ValidSize, &s.jmet)
+	if err := s.openJournal(max(snap.LastLSN, info.LastLSN), info.ValidSize); err != nil {
+		return false, err
+	}
+	// The tail counts towards the next checkpoint: a leader compacts it away
+	// before it serves, a standby must not carry it a whole interval further.
+	s.pst.sinceSnapshot.Store(int64(info.Records))
+	s.counters.ReplayRecords.Store(int64(replayed + info.Records))
+	s.phase(metrics.ReplayTail)
+	return info.Records > 0 || info.Torn || len(snap.Jobs) > 0, nil
+}
+
+// openJournal opens the log writer at position last over the log's first
+// validSize bytes (0 resets the file to a fresh empty log), and the commit
+// stage over it.
+func (s *Service) openJournal(last uint64, validSize int64) error {
+	w, err := journal.OpenWriter(s.walPath(), s.cfg.Fsync, s.cfg.FsyncInterval, last, validSize, s.jmet)
 	if err != nil {
 		return err
 	}
-	s.pst.w = w
-	s.pst.stage = newCommitStage(w)
-	phase(metrics.ReplayTail)
+	s.pst.w, s.pst.stage = w, newCommitStage(w)
+	return nil
+}
+
+// phase closes the recovery phase that just ran: its share of the restart
+// goes to /metrics and gridschedd's startup log line.
+func (s *Service) phase(p metrics.ReplayPhase) {
+	now := time.Now()
+	s.counters.ReplayPhaseNanos[p].Store(now.Sub(s.pst.mark).Nanoseconds())
+	s.pst.mark = now
+}
+
+// recover makes a leader of DataDir: open, then the two steps only a
+// leader takes. Called from New, before the sweeper starts and before the
+// service is reachable.
+func (s *Service) recover() error {
+	start := s.pst.mark
+	stale, err := s.open()
+	if err != nil {
+		return err
+	}
 
 	// 4. Expire whatever is still in flight: the workers holding those
 	// leases predate the restart. Then rebuild the monotone counters from
@@ -174,13 +193,13 @@ func (s *Service) recover() error {
 	if err != nil {
 		return err
 	}
-	replayed += n
+	s.counters.ReplayRecords.Add(int64(n))
 	s.restoreCounters()
-	phase(metrics.ReplayExpire)
+	s.phase(metrics.ReplayExpire)
 
 	// 5. Compact: a fresh snapshot makes the next restart O(snapshot) and
 	// clears the replayed tail. Skipped for a pristine data dir.
-	if replayed > 0 || info.Torn || len(snap.Jobs) > 0 {
+	if stale || n > 0 {
 		s.snapMu.Lock()
 		if err := s.snapshot(); err != nil {
 			// Not fatal: the log keeps growing until a later snapshot
@@ -189,25 +208,32 @@ func (s *Service) recover() error {
 		}
 		s.snapMu.Unlock()
 	}
-	phase(metrics.ReplayCompact)
+	s.phase(metrics.ReplayCompact)
 
-	s.counters.ReplayRecords.Store(int64(replayed))
-	s.counters.ReplayNanos.Store(mark.Sub(start).Nanoseconds())
+	s.counters.ReplayNanos.Store(s.pst.mark.Sub(start).Nanoseconds())
 	return nil
 }
 
-// restore loads a checkpoint into a fresh state: the arbiter's virtual
-// time and per-tenant durable state, the worker telemetry (fixed-point
-// accumulators, bit-exact), and every resident job. Tail records then
-// charge, fold and apply on top in LSN order, exactly as the live paths
-// did. dir is where the workload files of running jobs that snap does not
-// carry inline are read from; "" says snap is self-contained (a replication
-// message). Returns the number of ledger events replayed.
+// restore loads a checkpoint into a fresh state: the id sequence and the
+// carry, the arbiter's virtual time and per-tenant durable state, the worker
+// telemetry (fixed-point accumulators, bit-exact), and every resident job.
+// Tail records then charge, fold and apply on top in LSN order, exactly as
+// the live paths did. dir is where the workload files of running jobs that
+// snap does not carry inline are read from; "" says snap is self-contained
+// (a replication message). Returns the number of ledger events replayed.
 //
-// Two phases (the file header has the why): every job's shell, serially in
-// manifest order; then every running job's rebuild and ledger replay, each
-// job on one goroutine, as many at once as there are cores.
+// Partition identity first: ids in the checkpoint were minted in its
+// partition's residue class, and any other identity would mis-route them
+// all. Then two phases (the file header has the why): every job's shell,
+// serially in manifest order; then every running job's rebuild and ledger
+// replay, each job on one goroutine, as many at once as there are cores.
 func (s *Service) restore(snap *snapshot, dir string) (int, error) {
+	if snap.PartitionIndex != s.cfg.PartitionIndex || snap.PartitionCount != s.cfg.PartitionCount {
+		return 0, fmt.Errorf("service: checkpoint belongs to partition %d of %d, configured as %d of %d (re-partitioning needs a migration, not a restart)",
+			snap.PartitionIndex, snap.PartitionCount, s.cfg.PartitionIndex, s.cfg.PartitionCount)
+	}
+	s.seq.Store(snap.Seq)
+	s.pst.carry = snap.Carry
 	c := s.coord
 	c.vtime = snap.VTime
 	for _, st := range snap.Tenants {
@@ -397,9 +423,17 @@ func (s *Service) applyFrame(lsn uint64, payload []byte) error {
 	return s.applyRecord(&rec)
 }
 
-// applyRecord applies one journal record to the state, in log order.
+// applyRecord applies one journal record to the state, in log order, under
+// the locks the live path that wrote it held — the job's shard, the
+// coordinator where it charges: a standby applies streamed records under
+// readers. On a recovery tail nothing else can see the state yet.
 func (s *Service) applyRecord(rec *record) error {
 	c := s.coord
+	sh := s.shardOf(rec.Job)
+	if rec.Op != opQuota {
+		sh.mu.Lock()
+		defer sh.mu.Unlock()
+	}
 	switch rec.Op {
 	case opSubmit:
 		if rec.Workload == nil {
@@ -409,6 +443,11 @@ func (s *Service) applyRecord(rec *record) error {
 		if err := s.rebuild(j, rec.Workload); err != nil {
 			return fmt.Errorf("service: replay job %s (%s): %w", j.id, j.algorithm, err)
 		}
+		if j.sched == nil {
+			// A standby's shell: the record is the only copy of the workload
+			// until a checkpoint has stored it (checkpointLocked lets go).
+			j.w = rec.Workload
+		}
 		c.mu.Lock()
 		s.addJobLocked(j, c.vtime) // exactly the tag admission gave it live
 		c.mu.Unlock()
@@ -417,10 +456,11 @@ func (s *Service) applyRecord(rec *record) error {
 			s.completeJob(j, rec.Ts)
 		}
 	case opQuota:
+		c.mu.Lock()
 		c.tenant(rec.Tenant).quota = rec.Quota
 		c.prune(rec.Tenant)
+		c.mu.Unlock()
 	case opDelete:
-		sh := s.shardOf(rec.Job)
 		j := sh.jobs[rec.Job]
 		if j == nil {
 			return fmt.Errorf("service: journal deletes unknown job %s", rec.Job)
@@ -430,13 +470,12 @@ func (s *Service) applyRecord(rec *record) error {
 		}
 		s.dropJobLocked(sh, j)
 	case opDispatch, opReport, opExpire:
-		j := s.shardOf(rec.Job).jobs[rec.Job]
+		j := sh.jobs[rec.Job]
 		if j == nil {
 			return fmt.Errorf("service: journal %s record for unknown job %s", rec.Op, rec.Job)
 		}
 		if rec.Op == opDispatch {
 			s.bumpSeqFromID(rec.Assignment)
-			c.tenant(j.tenant).dispatches++
 			// Re-apply the fair-share charge in log order: tags and the
 			// virtual time floor end up bit-identical to the crashed
 			// process (the live path appends dispatch records in charge
@@ -444,14 +483,17 @@ func (s *Service) applyRecord(rec *record) error {
 			// makes the same choices an uninterrupted one would have. A
 			// speculative twin never charged the arbiter live; replay must
 			// not either.
+			c.mu.Lock()
+			c.tenant(j.tenant).dispatches++
 			if !rec.Spec {
 				c.charge(j)
 			}
+			c.mu.Unlock()
 		}
 		if j.sched != nil {
 			s.counters.ReplayReasked.Add(1)
 		}
-		if err := s.replay(&s.shardOf(j.id).stage, j, rec.event(), true); err != nil {
+		if err := s.replay(&sh.stage, j, rec.event(), true); err != nil {
 			return fmt.Errorf("service: replay job %s (%s): %w", j.id, j.algorithm, err)
 		}
 	default:

@@ -87,10 +87,21 @@ func (s *Service) catchUpSnapshot(next uint64) (lsn uint64, doc []byte, err erro
 	return lsn, doc, err
 }
 
-// readiness assembles the leader's /readyz body.
+// readiness assembles the /readyz body of either role. A standby's is its
+// place in the log: the last LSN it holds, the last its leader announced,
+// and the lag between them, clamped at 0 (the standby can briefly know more
+// than the last heartbeat announced).
 func (s *Service) readiness() api.Readiness {
-	if !s.Ready() {
-		return api.Readiness{Status: "recovering", Role: api.RoleRecovering}
+	if f := s.standby; f != nil {
+		local, leader := f.LastLSN(), f.LeaderLSN()
+		return api.Readiness{
+			Status:    "ready",
+			Role:      api.RoleFollower,
+			LastLSN:   local,
+			LeaderLSN: leader,
+			LagLSN:    leader - min(local, leader),
+			Leader:    f.cfg.Leader,
+		}
 	}
 	return api.Readiness{
 		Status:  "ready",

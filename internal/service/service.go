@@ -199,12 +199,6 @@ type Config struct {
 	// SpeculationPercentile is the quantile of the job's recent task
 	// durations that defines "expected duration". Defaults to 0.95.
 	SpeculationPercentile float64
-	// SpeculationFactor is how many multiples of the percentile a lease
-	// must age past before it is a straggler. Defaults to 2.
-	SpeculationFactor float64
-	// SpeculationMinSamples is the per-job observation floor below which
-	// no lease is ever speculated (cold start). Defaults to 3.
-	SpeculationMinSamples int
 }
 
 func (c *Config) normalize() error {
@@ -265,12 +259,6 @@ func (c *Config) normalize() error {
 	}
 	if c.SpeculationPercentile == 0 {
 		c.SpeculationPercentile = 0.95
-	}
-	if c.SpeculationFactor == 0 {
-		c.SpeculationFactor = 2
-	}
-	if c.SpeculationMinSamples == 0 {
-		c.SpeculationMinSamples = 3
 	}
 	if c.DataDir != "" && c.NewScheduler == nil {
 		return fmt.Errorf("service: DataDir requires a NewScheduler factory (recovery rebuilds schedulers by name)")
@@ -335,11 +323,12 @@ func errf(code int, format string, args ...any) *Error {
 // job is one resident workload. Its replicated state — state, the
 // counters, the table of open executions, the ledger — changes only
 // through apply (jobstate.go). Workload, scheduler and site stores are
-// attachments: a leader's running job has them, a standby's shell never
-// does, and completion releases them (with the ledger) so a long-running
-// daemon does not accumulate every finished job's heavy state; the status
-// summary fields survive. stores has an entry per site, nil until a batch
-// is committed there (storeAt).
+// attachments: a leader's running job has them, a standby's shell only the
+// workload and only until a checkpoint has stored it, and completion
+// releases them (with the ledger) so a long-running daemon does not
+// accumulate every finished job's heavy state; the status summary fields
+// survive. stores has an entry per site, nil until a batch is committed
+// there (storeAt).
 //
 // Locking: id, name, algorithm, seed, submissionID, tenant, weight, and
 // seq are immutable after registration. fair and heapIdx belong to the
@@ -494,11 +483,14 @@ func (h *hub) broadcast() {
 type Service struct {
 	cfg      Config
 	counters *metrics.ServiceCounters
-	// repl tracks WAL-replication activity (leader side: streams and
-	// frames served to followers).
+	// repl tracks WAL-replication activity: streams and frames a leader
+	// served to followers, frames and snapshots a standby applied.
 	repl *metrics.ReplicationCounters
 	// jmet is the journal writer's activity (zero without DataDir).
-	jmet journal.Metrics
+	jmet *journal.Metrics
+	// standby is the Follower this state is the replica of, nil on a leader.
+	// A replica has no scheduler factory, so its jobs are shells.
+	standby *Follower
 
 	// instance is a per-process nonce suffixed onto worker ids: worker
 	// registrations are not journaled, so after a recovery a fresh id
@@ -510,7 +502,6 @@ type Service struct {
 
 	seq    atomic.Int64 // job/assignment/worker id sequence
 	closed atomic.Bool
-	ready  atomic.Bool // recovery finished; flips before New returns
 
 	shards []*shard
 	coord  *coordinator
@@ -536,9 +527,7 @@ type Service struct {
 // New builds a service and starts its lease sweeper. With cfg.DataDir set
 // it first recovers the previous process's state from snapshot + journal;
 // the service is not reachable until recovery finished, so every response
-// it ever gives reflects the recovered history. Ready reports the
-// recovery status for /readyz-style probes that bind their listener
-// before construction completes.
+// it ever gives reflects the recovered history.
 func New(cfg Config) (*Service, error) {
 	if err := cfg.normalize(); err != nil {
 		return nil, err
@@ -549,8 +538,7 @@ func New(cfg Config) (*Service, error) {
 	}
 	s := newState(cfg)
 	s.instance = hex.EncodeToString(nonce[:])
-	if cfg.DataDir != "" {
-		s.pst = &persistence{dir: cfg.DataDir}
+	if s.pst != nil {
 		if err := s.recover(); err != nil {
 			if s.pst.w != nil {
 				_ = s.pst.w.Close()
@@ -558,20 +546,20 @@ func New(cfg Config) (*Service, error) {
 			return nil, err
 		}
 	}
-	s.ready.Store(true)
 	go s.sweeper()
 	return s, nil
 }
 
 // newState builds a service's state domains over a normalized cfg, empty
-// and with nothing running: no sweeper, no journal. New turns it into a
-// live service; a Follower keeps one as its read-only replica of the
-// leader (restore + applyRecord), with no scheduler factory.
+// and with nothing running: no sweeper, no journal open yet. New turns it
+// into a live service; a Follower keeps one, with no scheduler factory, as
+// its replica of the leader (open, then applyRecord per streamed frame).
 func newState(cfg Config) *Service {
 	s := &Service{
 		cfg:       cfg,
 		counters:  metrics.NewServiceCounters(),
 		repl:      &metrics.ReplicationCounters{},
+		jmet:      &journal.Metrics{},
 		coord:     newCoordinator(),
 		reg:       newRegistry(cfg.Sites, cfg.WorkersPerSite),
 		hub:       newHub(),
@@ -584,6 +572,9 @@ func newState(cfg Config) *Service {
 		s.shards[i] = newShard()
 	}
 	s.counters.Shards.Store(int64(cfg.Shards))
+	if cfg.DataDir != "" {
+		s.pst = &persistence{dir: cfg.DataDir, mark: time.Now()}
+	}
 	// Seed the id sequence into this partition's residue class: nextSeq
 	// strides by PartitionCount, so every value it ever mints stays
 	// ≡ PartitionIndex (mod PartitionCount). Standalone (0 of 1) yields
@@ -594,11 +585,6 @@ func newState(cfg Config) *Service {
 
 // Counters exposes the service's metrics (also rendered at /metrics).
 func (s *Service) Counters() *metrics.ServiceCounters { return s.counters }
-
-// Ready reports whether recovery completed — true for the whole lifetime
-// of a constructed Service (New only returns after recovery), exposed so
-// a server can answer /readyz from a handler bound before New finished.
-func (s *Service) Ready() bool { return s.ready.Load() }
 
 // Close stops the sweeper and fails every parked long poll; with
 // journaling enabled it then writes a final snapshot (making the next
@@ -732,7 +718,7 @@ func (s *Service) buildScheduler(algorithm string, w *workload.Workload, seed in
 		if err != nil {
 			return nil, err
 		}
-		return core.NewContextAware(sched, s.tel, core.ContextPolicy{}), nil
+		return core.NewContextAware(sched, s.tel), nil
 	}
 	return s.cfg.NewScheduler(algorithm, w, s.cfg.Topology, seed)
 }
@@ -1066,21 +1052,23 @@ func (s *Service) Workers() []api.WorkerStatus {
 	return out
 }
 
-// Health summarizes liveness for /healthz.
+// Health summarizes liveness for /healthz. Jobs still running are counted
+// from the shards — replicated state, so a standby reports its leader's
+// figure; workers are liveness, and a standby has none.
 func (s *Service) Health() api.Health {
-	jobs := 0
+	h := api.Health{Status: "ok"}
 	for _, sh := range s.shards {
 		sh.mu.Lock()
-		jobs += len(sh.jobs)
+		h.Jobs += len(sh.jobs)
+		for _, j := range sh.jobs {
+			if j.state == api.JobRunning {
+				h.OpenJobs++
+			}
+		}
 		sh.mu.Unlock()
 	}
 	s.reg.mu.Lock()
-	workers := len(s.reg.workers)
+	h.Workers = len(s.reg.workers)
 	s.reg.mu.Unlock()
-	return api.Health{
-		Status:   "ok",
-		Jobs:     jobs,
-		Workers:  workers,
-		OpenJobs: int(s.counters.OpenJobs.Load()),
-	}
+	return h
 }
