@@ -3,21 +3,25 @@
 // wire-speed format for the dispatch hot path (pull/report/submit and the
 // lease stream), negotiated per request via Content-Type/Accept. Both
 // codecs marshal exactly the structs in api.go: JSON from their struct
-// tags, binary from one field list per message, which a coder walks to
+// tags, binary from one field list per message, which a Coder walks to
 // encode and walks again to decode — so the two directions of a layout
-// cannot drift apart, and there is no separate schema to drift from.
+// cannot drift apart, and there is no separate schema to drift from. The
+// same Coder writes everything gridschedd keeps on disk (the service
+// package's journal records and checkpoint manifest, and the stored
+// workload below), each under its own header.
 //
 // Binary layout: every message is
 //
 //	'G' 0x02 <msg-type byte> <fields...>
 //
 // with zigzag varint for integers, uvarint for lengths and counts,
-// length-prefixed strings, a 0/1 byte for booleans and optional-field
-// markers, and one enum byte for the small closed string sets (pull status,
-// heartbeat state, outcome, job state). Decoding is strict: unknown message
-// types, unknown enum bytes, truncated fields, oversized lengths, and
-// trailing garbage are all errors — never a guess. Stream frames are
-// uvarint(len) + payload (AppendFrame/ReadFrame).
+// length-prefixed strings and blobs, a 0/1 byte for booleans and
+// optional-field markers, and one enum byte for the small closed string
+// sets (pull status, heartbeat state, outcome, job state). Decoding is
+// strict, and one value has one encoding: unknown message types, unknown
+// enum bytes, truncated fields, oversized lengths, padded varints, integers
+// their field cannot hold, and trailing garbage are all errors — never a
+// guess. Stream frames are uvarint(len) + payload (AppendFrame/ReadFrame).
 package api
 
 import (
@@ -76,7 +80,7 @@ const (
 // documents outlive the process that wrote them, so they carry their own
 // magic and version rather than the wire's: a binVersion bump that leaves
 // the workload fields alone must not orphan every data dir. Changing
-// coder.workload's field list means bumping the last byte here and
+// Coder.Workload's field list means bumping the last byte here and
 // teaching DecodeWorkload the old one.
 var storedWorkloadHeader = []byte{'G', 'W', 1}
 
@@ -142,22 +146,22 @@ type binaryCodec struct{}
 
 func (binaryCodec) ContentType() string { return ContentTypeBinary }
 
-func (binaryCodec) Supports(v any) bool { return (*coder)(nil).message(addressed(v)) }
+func (binaryCodec) Supports(v any) bool { return (*Coder)(nil).message(addressed(v)) }
 
 func (binaryCodec) Marshal(v any) ([]byte, error) {
-	c := coder{b: make([]byte, 0, 64)}
+	c := NewEncoder(make([]byte, 0, 64))
 	if !c.message(addressed(v)) {
 		return nil, fmt.Errorf("api: binary codec does not encode %T", v)
 	}
-	return c.b, c.err
+	return c.Out()
 }
 
 func (binaryCodec) Unmarshal(data []byte, v any) error {
-	c := coder{b: data, decode: true}
+	c := NewDecoder(data)
 	if !c.message(v) {
 		return fmt.Errorf("api: binary codec does not decode %T", v)
 	}
-	return c.end("binary message")
+	return c.End("binary message")
 }
 
 // addressed returns a message passed by value as a pointer to a copy, the
@@ -180,14 +184,8 @@ func EncodeWorkload(w *workload.Workload) []byte {
 	// Coadd-shaped workloads run ~2.5 bytes per file reference; reserve
 	// from the task count so the common case grows the buffer a few times,
 	// not dozens.
-	return AppendWorkload(make([]byte, 0, 64+len(w.Name)+256*len(w.Tasks)), w)
-}
-
-// AppendWorkload appends EncodeWorkload's document to dst — for a caller
-// that stores it as the tail of a larger record.
-func AppendWorkload(dst []byte, w *workload.Workload) []byte {
-	c := coder{b: append(dst, storedWorkloadHeader...)}
-	c.workload(w)
+	c := NewEncoder(append(make([]byte, 0, 64+len(w.Name)+256*len(w.Tasks)), storedWorkloadHeader...))
+	c.Workload(w)
 	return c.b
 }
 
@@ -197,10 +195,10 @@ func DecodeWorkload(data []byte) (*workload.Workload, error) {
 	if !bytes.HasPrefix(data, storedWorkloadHeader) {
 		return nil, fmt.Errorf("api: not a gridsched stored workload (%d bytes)", len(data))
 	}
-	c := coder{b: data, off: len(storedWorkloadHeader), decode: true}
+	c := Coder{b: data, off: len(storedWorkloadHeader), decode: true}
 	w := &workload.Workload{}
-	c.workload(w)
-	if err := c.end("stored workload"); err != nil {
+	c.Workload(w)
+	if err := c.End("stored workload"); err != nil {
 		return nil, err
 	}
 	return w, nil
@@ -212,26 +210,26 @@ func DecodeWorkload(data []byte) (*workload.Workload, error) {
 // table and, given a coder, codes v with it. Any other type byte is
 // rejected, so adding a message is a protocol version event, not a silent
 // skew.
-func (c *coder) message(v any) bool {
+func (c *Coder) message(v any) bool {
 	var typ byte
 	var fields func() // never escapes, so neither do c and m: the walk allocates nothing of its own
 	switch m := v.(type) {
 	case *SubmitJobRequest:
 		typ, fields = 1, func() { c.submitJobRequest(m) }
 	case *SubmitJobResponse:
-		typ, fields = 2, func() { c.str(&m.JobID) }
+		typ, fields = 2, func() { c.Str(&m.JobID) }
 	case *RegisterRequest:
 		typ, fields = 3, func() { c.registerRequest(m) }
 	case *RegisterResponse:
 		typ, fields = 4, func() { c.registerResponse(m) }
 	case *PullRequest:
-		typ, fields = 5, func() { num(c, &m.WaitMillis) }
+		typ, fields = 5, func() { Num(c, &m.WaitMillis) }
 	case *PullResponse:
 		typ, fields = 6, func() { c.pullResponse(m) }
 	case *HeartbeatRequest:
-		typ, fields = 7, func() { c.str(&m.WorkerID) }
+		typ, fields = 7, func() { c.Str(&m.WorkerID) }
 	case *HeartbeatResponse:
-		typ, fields = 8, func() { c.enum(&m.State, &heartbeatStates) }
+		typ, fields = 8, func() { c.Enum(&m.State, &heartbeatStates) }
 	case *ReportRequest:
 		typ, fields = 9, func() { c.reportRequest(m) }
 	case *ReportResponse:
@@ -265,112 +263,112 @@ func (c *coder) message(v any) bool {
 // The field lists. Each names its message's fields once, in wire order;
 // the coder's mode decides whether the walk writes them or reads them.
 
-func (c *coder) submitJobRequest(m *SubmitJobRequest) {
-	c.str(&m.Name)
-	c.str(&m.Algorithm)
-	num(c, &m.Seed)
-	if w := opt(c, &m.Workload); w != nil {
-		c.workload(w)
+func (c *Coder) submitJobRequest(m *SubmitJobRequest) {
+	c.Str(&m.Name)
+	c.Str(&m.Algorithm)
+	Num(c, &m.Seed)
+	if w := Opt(c, &m.Workload); w != nil {
+		c.Workload(w)
 	}
-	c.str(&m.SubmissionID)
-	c.str(&m.Tenant)
-	num(c, &m.Weight)
-	c.strs(&m.Requires)
-	num(c, &m.DeadlineMillis)
+	c.Str(&m.SubmissionID)
+	c.Str(&m.Tenant)
+	Num(c, &m.Weight)
+	c.Strs(&m.Requires)
+	Num(c, &m.DeadlineMillis)
 }
 
-func (c *coder) registerRequest(m *RegisterRequest) {
-	if site := opt(c, &m.Site); site != nil {
-		num(c, site)
+func (c *Coder) registerRequest(m *RegisterRequest) {
+	if site := Opt(c, &m.Site); site != nil {
+		Num(c, site)
 	}
-	c.strs(&m.Tags)
+	c.Strs(&m.Tags)
 }
 
-func (c *coder) registerResponse(m *RegisterResponse) {
-	c.str(&m.WorkerID)
-	num(c, &m.Site)
-	num(c, &m.Worker)
-	num(c, &m.LeaseTTLMillis)
+func (c *Coder) registerResponse(m *RegisterResponse) {
+	c.Str(&m.WorkerID)
+	Num(c, &m.Site)
+	Num(c, &m.Worker)
+	Num(c, &m.LeaseTTLMillis)
 }
 
-func (c *coder) pullResponse(m *PullResponse) {
-	c.enum(&m.Status, &pullStatuses)
-	if a := opt(c, &m.Assignment); a != nil {
+func (c *Coder) pullResponse(m *PullResponse) {
+	c.Enum(&m.Status, &pullStatuses)
+	if a := Opt(c, &m.Assignment); a != nil {
 		c.assignment(a)
 	}
-	num(c, &m.OpenJobs)
+	Num(c, &m.OpenJobs)
 }
 
-func (c *coder) reportRequest(m *ReportRequest) {
-	c.str(&m.WorkerID)
-	c.enum(&m.Outcome, &outcomes)
+func (c *Coder) reportRequest(m *ReportRequest) {
+	c.Str(&m.WorkerID)
+	c.Enum(&m.Outcome, &Outcomes)
 }
 
-func (c *coder) reportResponse(m *ReportResponse) {
-	c.bool(&m.Accepted)
-	c.bool(&m.Stale)
-	c.bool(&m.Cancelled)
-	c.enum(&m.JobState, &jobStates)
+func (c *Coder) reportResponse(m *ReportResponse) {
+	c.Bool(&m.Accepted)
+	c.Bool(&m.Stale)
+	c.Bool(&m.Cancelled)
+	c.Enum(&m.JobState, &jobStates)
 }
 
-func (c *coder) leaseBatch(m *LeaseBatch) {
-	as := sized(c, &m.Assignments)
+func (c *Coder) leaseBatch(m *LeaseBatch) {
+	as := Sized(c, &m.Assignments)
 	for i := range as {
 		c.assignment(&as[i])
 	}
-	c.strs(&m.Cancelled)
-	num(c, &m.OpenJobs)
+	c.Strs(&m.Cancelled)
+	Num(c, &m.OpenJobs)
 }
 
-func (c *coder) reportBatchRequest(m *ReportBatchRequest) {
-	items := sized(c, &m.Reports)
+func (c *Coder) reportBatchRequest(m *ReportBatchRequest) {
+	items := Sized(c, &m.Reports)
 	for i := range items {
-		c.str(&items[i].AssignmentID)
-		c.enum(&items[i].Outcome, &outcomes)
+		c.Str(&items[i].AssignmentID)
+		c.Enum(&items[i].Outcome, &Outcomes)
 	}
 }
 
-func (c *coder) reportBatchResponse(m *ReportBatchResponse) {
-	results := sized(c, &m.Results)
+func (c *Coder) reportBatchResponse(m *ReportBatchResponse) {
+	results := Sized(c, &m.Results)
 	for i := range results {
 		c.reportResponse(&results[i])
 	}
 }
 
-func (c *coder) assignment(a *Assignment) {
-	c.str(&a.ID)
-	c.str(&a.JobID)
+func (c *Coder) assignment(a *Assignment) {
+	c.Str(&a.ID)
+	c.Str(&a.JobID)
 	c.task(&a.Task, nil)
-	num(c, &a.Staged)
-	num(c, &a.LeaseTTLMillis)
+	Num(c, &a.Staged)
+	Num(c, &a.LeaseTTLMillis)
 }
 
 // task lists a task's fields. Decoding, the Files of a task on its own are
 // made for it; a workload's tasks, themselves just made, cut theirs from
 // pool, the one array workload sized for all of them, each with its capacity
 // capped so that appending to one task's cannot write into the next one's.
-func (c *coder) task(t *workload.Task, pool *[]workload.FileID) {
-	num(c, &t.ID)
+func (c *Coder) task(t *workload.Task, pool *[]workload.FileID) {
+	Num(c, &t.ID)
 	if pool == nil || !c.decode {
-		sized(c, &t.Files)
+		Sized(c, &t.Files)
 	} else if n := c.count(); n > 0 {
 		// n fits: this pass reads the counts the sizing pass read, until an
 		// error, after which every count reads as 0.
 		t.Files, *pool = (*pool)[:n:n], (*pool)[n:]
 	}
-	nums(c, t.Files)
+	Nums(c, t.Files)
 }
 
-// workload lists the workload document's fields. It decodes into two
+// Workload lists the workload document's fields. It decodes into two
 // allocations besides the Workload itself: the task array and one array
 // every task's Files is a slice of. A first pass over the encoding sizes
 // that array exactly (a 6,000-task Coadd job has ~470,000 file references;
 // one slice per task was 6,000 allocations, and growing one by append
 // overshoots by up to a quarter).
-func (c *coder) workload(w *workload.Workload) {
-	c.str(&w.Name)
-	num(c, &w.NumFiles)
-	tasks := sized(c, &w.Tasks)
+func (c *Coder) Workload(w *workload.Workload) {
+	c.Str(&w.Name)
+	Num(c, &w.NumFiles)
+	tasks := Sized(c, &w.Tasks)
 	var pool []workload.FileID
 	if c.decode {
 		pool = make([]workload.FileID, c.fileRefs(len(tasks)))
@@ -384,7 +382,7 @@ func (c *coder) workload(w *workload.Workload) {
 // references in the tasks tasks encoded from here on, read without
 // consuming them. It leaves rejecting an overlong varint to the pass that
 // reads the values.
-func (c *coder) fileRefs(tasks int) int {
+func (c *Coder) fileRefs(tasks int) int {
 	start, refs := c.off, 0
 	for ; tasks > 0 && c.err == nil; tasks-- {
 		c.skipVarints(1) // id
@@ -400,7 +398,7 @@ func (c *coder) fileRefs(tasks int) int {
 }
 
 // skipVarints steps over n varints: a varint ends at its first byte under 0x80.
-func (c *coder) skipVarints(n int) {
+func (c *Coder) skipVarints(n int) {
 	for n > 0 && c.err == nil {
 		if c.off >= len(c.b) {
 			c.fail("api: truncated binary message")
@@ -413,48 +411,65 @@ func (c *coder) skipVarints(n int) {
 	}
 }
 
-// enum is one of the small closed string sets: names[i] travels as the
-// byte first+i.
-type enum struct {
-	what  string
-	first byte
-	names []string
+// Enum is one of the small closed string sets: Names[i] travels as the
+// byte First+i.
+type Enum struct {
+	What  string
+	First byte
+	Names []string
 }
 
 var (
-	pullStatuses    = enum{"pull status", 1, []string{StatusAssigned, StatusEmpty}}
-	heartbeatStates = enum{"heartbeat state", 1, []string{HeartbeatActive, HeartbeatCancelled, HeartbeatGone}}
-	outcomes        = enum{"outcome", 1, []string{OutcomeSuccess, OutcomeFailure}}
+	pullStatuses    = Enum{"pull status", 1, []string{StatusAssigned, StatusEmpty}}
+	heartbeatStates = Enum{"heartbeat state", 1, []string{HeartbeatActive, HeartbeatCancelled, HeartbeatGone}}
+	// Outcomes is shared with the journal, whose report records carry one.
+	Outcomes = Enum{"outcome", 1, []string{OutcomeSuccess, OutcomeFailure}}
 	// A report that was not accepted carries no job state: byte 0.
-	jobStates = enum{"job state", 0, []string{"", JobRunning, JobCompleted}}
+	jobStates = Enum{"job state", 0, []string{"", JobRunning, JobCompleted}}
 )
 
-// coder walks field lists. Encoding, it appends each field to b; decoding,
+// Coder walks field lists. Encoding, it appends each field to b; decoding,
 // it reads each from b at off, sticking on the first error — after which
 // every field reads as zero — and validating every length against the bytes
 // actually remaining, so corrupt input cannot force a large allocation.
-type coder struct {
+//
+// A field list is a function of a *Coder and a value that names the value's
+// fields once, in order, each with its primitive: the methods below, and
+// Num, Nums, Sized and Opt. The coder's mode decides whether the walk writes
+// them or reads them.
+type Coder struct {
 	b      []byte
 	off    int
 	decode bool
 	err    error
 }
 
-func (c *coder) fail(format string, args ...any) {
+// NewEncoder returns a Coder that appends every field it walks to dst.
+func NewEncoder(dst []byte) Coder { return Coder{b: dst} }
+
+// NewDecoder returns a Coder that reads every field it walks from data,
+// front to back.
+func NewDecoder(data []byte) Coder { return Coder{b: data, decode: true} }
+
+// Out closes an encode: the bytes, and the first error (an
+// out-of-vocabulary enum string).
+func (c *Coder) Out() ([]byte, error) { return c.b, c.err }
+
+func (c *Coder) fail(format string, args ...any) {
 	if c.err == nil {
 		c.err = fmt.Errorf(format, args...)
 	}
 }
 
-// end closes a decode: the first error, or the bytes nothing read.
-func (c *coder) end(what string) error {
+// End closes a decode: the first error, or the bytes nothing read.
+func (c *Coder) End(what string) error {
 	if c.err == nil && c.off != len(c.b) {
 		return fmt.Errorf("api: %d trailing bytes after %s", len(c.b)-c.off, what)
 	}
 	return c.err
 }
 
-func (c *coder) byte() byte {
+func (c *Coder) byte() byte {
 	if c.err != nil {
 		return 0
 	}
@@ -466,7 +481,8 @@ func (c *coder) byte() byte {
 	return c.b[c.off-1]
 }
 
-func (c *coder) bool(v *bool) {
+// Bool codes a boolean as one byte, 0 or 1.
+func (c *Coder) Bool(v *bool) {
 	if !c.decode {
 		bit := byte(0)
 		if *v {
@@ -482,49 +498,50 @@ func (c *coder) bool(v *bool) {
 	*v = bit == 1
 }
 
-// enum codes a field drawn from e. An out-of-vocabulary string is refused
+// Enum codes a field drawn from e. An out-of-vocabulary string is refused
 // rather than silently becoming a wrong byte, an unknown byte rather than
 // becoming a guess.
-func (c *coder) enum(s *string, e *enum) {
+func (c *Coder) Enum(s *string, e *Enum) {
 	if !c.decode {
-		for i, name := range e.names {
+		for i, name := range e.Names {
 			if name == *s {
-				c.b = append(c.b, e.first+byte(i))
+				c.b = append(c.b, e.First+byte(i))
 				return
 			}
 		}
-		c.fail("api: unknown %s %q", e.what, *s)
+		c.fail("api: unknown %s %q", e.What, *s)
 		return
 	}
 	*s = ""
-	if i := int(c.byte()) - int(e.first); c.err == nil {
-		if i < 0 || i >= len(e.names) {
-			c.fail("api: bad %s byte", e.what)
+	if i := int(c.byte()) - int(e.First); c.err == nil {
+		if i < 0 || i >= len(e.Names) {
+			c.fail("api: bad %s byte", e.What)
 			return
 		}
-		*s = e.names[i]
+		*s = e.Names[i]
 	}
 }
 
-// num codes an integer field, whatever its Go width, as a zigzag varint.
+// Num codes an integer field, whatever its Go width, as a zigzag varint (an
+// unsigned field as the signed integer of its bits).
 // Like every primitive it does not read the field it is decoding into: a
 // decoded array is fresh memory, and touching a page of it first to read and
 // then to write is two page faults where writing alone is one — on a
 // 6,000-task workload, a fifth of gridschedd's recovery time.
-func num[T ~int | ~int32 | ~int64](c *coder, v *T) {
+func Num[T ~int | ~int32 | ~int64 | ~uint64](c *Coder, v *T) {
 	if c.decode {
-		*v = T(c.varint())
+		*v = numOf[T](c)
 	} else {
 		c.b = binary.AppendVarint(c.b, int64(*v))
 	}
 }
 
-// nums codes the elements of a sized list of integers, each as num does.
+// Nums codes the elements of a sized list of integers, each as Num does.
 // These two loops are where a workload's bytes go, ~79 file ids to a task.
-func nums[T ~int | ~int32 | ~int64](c *coder, s []T) {
+func Nums[T ~int | ~int32 | ~int64 | ~uint64](c *Coder, s []T) {
 	if c.decode {
 		for i := range s {
-			s[i] = T(c.varint())
+			s[i] = numOf[T](c)
 		}
 		return
 	}
@@ -533,13 +550,25 @@ func nums[T ~int | ~int32 | ~int64](c *coder, s []T) {
 	}
 }
 
-// varint reads one zigzag varint.
-func (c *coder) varint() int64 {
+// numOf reads one zigzag varint as a T, refusing a value a T cannot hold:
+// truncated, it would re-encode to other bytes.
+func numOf[T ~int | ~int32 | ~int64 | ~uint64](c *Coder) T {
+	x := c.varint()
+	v := T(x)
+	if int64(v) != x {
+		c.fail("api: %d out of range before offset %d", x, c.off)
+	}
+	return v
+}
+
+// varint reads one zigzag varint. One value has one encoding: a varint
+// padded with a final zero byte is refused, as an overlong one is.
+func (c *Coder) varint() int64 {
 	if c.err != nil {
 		return 0
 	}
 	v, size := binary.Varint(c.b[c.off:])
-	if size <= 0 {
+	if size <= 0 || size > 1 && c.b[c.off+size-1] == 0 {
 		c.fail("api: bad varint at offset %d", c.off)
 		return 0
 	}
@@ -547,15 +576,16 @@ func (c *coder) varint() int64 {
 	return v
 }
 
-// count reads a length, a uvarint, and bounds it by the bytes that remain:
-// every element of a list, and every byte of a string, costs at least one on
-// the wire, so a corrupt length cannot ask for a large allocation.
-func (c *coder) count() int {
+// count reads a length, a uvarint (minimal, as varint's are), and bounds it
+// by the bytes that remain: every element of a list, and every byte of a
+// string, costs at least one on the wire, so a corrupt length cannot ask for
+// a large allocation.
+func (c *Coder) count() int {
 	if c.err != nil {
 		return 0
 	}
 	u, size := binary.Uvarint(c.b[c.off:])
-	if size <= 0 {
+	if size <= 0 || size > 1 && c.b[c.off+size-1] == 0 {
 		c.fail("api: bad uvarint at offset %d", c.off)
 		return 0
 	}
@@ -567,7 +597,8 @@ func (c *coder) count() int {
 	return int(u)
 }
 
-func (c *coder) str(s *string) {
+// Str codes a string: its length, then its bytes.
+func (c *Coder) Str(s *string) {
 	if !c.decode {
 		c.b = binary.AppendUvarint(c.b, uint64(len(*s)))
 		c.b = append(c.b, *s...)
@@ -578,16 +609,32 @@ func (c *coder) str(s *string) {
 	c.off += n
 }
 
-func (c *coder) strs(ss *[]string) {
-	for i := range sized(c, ss) {
-		c.str(&(*ss)[i])
+// Bytes codes a blob as Str codes a string. Decoding makes the blob an owned
+// copy, nil when empty: nothing decoded aliases the input.
+func (c *Coder) Bytes(b *[]byte) {
+	if !c.decode {
+		c.b = binary.AppendUvarint(c.b, uint64(len(*b)))
+		c.b = append(c.b, *b...)
+		return
+	}
+	*b = nil
+	if n := c.count(); n > 0 {
+		*b = bytes.Clone(c.b[c.off : c.off+n])
+		c.off += n
 	}
 }
 
-// sized codes a collection's length and returns the collection for the
+// Strs codes a list of strings.
+func (c *Coder) Strs(ss *[]string) {
+	for i := range Sized(c, ss) {
+		c.Str(&(*ss)[i])
+	}
+}
+
+// Sized codes a collection's length and returns the collection for the
 // caller to walk; decoding makes it first — nil when empty, mirroring
 // omitempty JSON so a binary round trip compares equal to a JSON one.
-func sized[T any](c *coder, s *[]T) []T {
+func Sized[T any](c *Coder, s *[]T) []T {
 	if !c.decode {
 		c.b = binary.AppendUvarint(c.b, uint64(len(*s)))
 		return *s
@@ -599,11 +646,11 @@ func sized[T any](c *coder, s *[]T) []T {
 	return *s
 }
 
-// opt codes whether an optional field is set and returns it for the caller
+// Opt codes whether an optional field is set and returns it for the caller
 // to walk, nil when it is not; decoding makes the value first.
-func opt[T any](c *coder, p **T) *T {
+func Opt[T any](c *Coder, p **T) *T {
 	set := *p != nil
-	c.bool(&set)
+	c.Bool(&set)
 	if c.decode {
 		*p = nil
 		if set {

@@ -157,6 +157,24 @@ func TestBinaryStrictDecode(t *testing.T) {
 	if err := api.Binary.Unmarshal(hb, &api.HeartbeatResponse{}); err == nil {
 		t.Fatal("unknown heartbeat-state byte accepted")
 	}
+
+	// One value, one encoding: a varint padded with a final zero byte, and a
+	// task id no int32 holds, are refused; their minimal, in-range twins not.
+	for _, tc := range []struct {
+		bad, good []byte
+		v         any
+	}{
+		{[]byte{'G', 2, 5, 0x82, 0x00}, []byte{'G', 2, 5, 0x02}, &api.PullRequest{}},
+		{[]byte{'G', 2, 6, 1, 1, 0, 0, 0x80, 0x80, 0x80, 0x80, 0x10, 0, 0, 0, 0},
+			[]byte{'G', 2, 6, 1, 1, 0, 0, 0xfe, 0xff, 0xff, 0xff, 0x0f, 0, 0, 0, 0}, &api.PullResponse{}},
+	} {
+		if err := api.Binary.Unmarshal(tc.good, fresh(tc.v)); err != nil {
+			t.Fatalf("%T %x: %v", tc.v, tc.good, err)
+		}
+		if err := api.Binary.Unmarshal(tc.bad, fresh(tc.v)); err == nil {
+			t.Fatalf("%T %x accepted", tc.v, tc.bad)
+		}
+	}
 }
 
 // TestStoredWorkloadRoundTrip covers the standalone workload document
@@ -329,9 +347,9 @@ func TestContentTypeNegotiationHelpers(t *testing.T) {
 
 // FuzzWireCodec throws arbitrary bytes at the strict decoder (every
 // message type) and the frame reader: nothing may panic or over-allocate,
-// and anything that does decode must survive a re-encode/re-decode loop
-// unchanged (the codec cannot "repair" input into a value it would then
-// encode differently).
+// and anything that does decode must re-encode to the very bytes it came
+// from — one value, one encoding: the codec cannot "repair" input into a
+// value it would then encode differently — and decode to the same value.
 func FuzzWireCodec(f *testing.F) {
 	for _, m := range messages() {
 		data, err := api.Binary.Marshal(m)
@@ -359,6 +377,9 @@ func FuzzWireCodec(f *testing.F) {
 			re, err := api.Binary.Marshal(dst)
 			if err != nil {
 				t.Fatalf("%T: decoded value failed to re-encode: %v", dst, err)
+			}
+			if !bytes.Equal(re, data) {
+				t.Fatalf("%T: accepted %x, re-encodes to %x", dst, data, re)
 			}
 			dst2 := fresh(m)
 			if err := api.Binary.Unmarshal(re, dst2); err != nil {

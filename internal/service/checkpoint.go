@@ -19,8 +19,9 @@
 // stopped relying on it. A crash between any two steps leaves at worst
 // unreferenced files, which the next recovery sweeps.
 //
-// The same document travels as the replication catch-up message, there
-// with every running job's workload inline: one self-contained body,
+// Both are api.Coder field lists (disk format 3; docs/PROTOCOL.md has the
+// tables). The manifest travels as the replication catch-up document too,
+// there with every running job's workload inline: one self-contained body,
 // assembled from these files on the leader (checkpointDocument) and split
 // back into them on the follower (writeCheckpoint). Leader and standby
 // open a data dir through one opener (open, recovery.go) and checkpoint it
@@ -31,9 +32,8 @@
 package service
 
 import (
-	"encoding/base64"
+	"bytes"
 	"encoding/binary"
-	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -44,13 +44,21 @@ import (
 	"gridsched/internal/workload"
 )
 
-// Persistence layout inside Config.DataDir.
+// Persistence layout inside Config.DataDir. The binary manifest keeps the
+// JSON formats' name: an older binary fails to parse it before its sweep,
+// where a manifest it cannot find reads as no checkpoint, every workload
+// file a stray to delete.
 const (
 	walFile        = "wal.log"
 	snapshotFile   = "snapshot.json"
 	workloadPrefix = "workload-"
 	workloadSuffix = ".bin"
 )
+
+// manifestHeader heads a manifest and a catch-up document. Like the stored
+// workload's header it is versioned on its own, apart from the wire's: its
+// last byte is the disk format.
+var manifestHeader = []byte{'G', 'M', 3}
 
 func workloadPath(dir, jobID string) string {
 	return filepath.Join(dir, workloadPrefix+jobID+workloadSuffix)
@@ -86,9 +94,8 @@ const ledgerRecSize = 1 + 4 + 4 + 4 + 8
 
 // packedLedger is a job's append-only replay ledger as a flat array of
 // fixed-width records. It is the in-memory form too, so checkpointing a
-// ledger is a base64 pass over bytes that already exist (encoding/json
-// renders a byte slice as one base64 string) instead of a reflected JSON
-// object per event.
+// ledger is a copy of bytes that already exist (one api.Coder blob), not an
+// encoding per event.
 type packedLedger []byte
 
 func (l packedLedger) len() int { return len(l) / ledgerRecSize }
@@ -112,34 +119,17 @@ func (l packedLedger) add(e ledgerRec) packedLedger {
 	return binary.LittleEndian.AppendUint64(l, uint64(e.Ts))
 }
 
-// UnmarshalJSON reads the packed base64 string.
-func (l *packedLedger) UnmarshalJSON(data []byte) error {
-	var s string
-	if err := json.Unmarshal(data, &s); err != nil {
-		return err
-	}
-	packed, err := base64.StdEncoding.DecodeString(s)
-	if err != nil {
-		return fmt.Errorf("packed ledger: %w", err)
-	}
-	if len(packed)%ledgerRecSize != 0 {
-		return fmt.Errorf("packed ledger: %d bytes is not a whole number of %d-byte records", len(packed), ledgerRecSize)
-	}
-	*l = packed
-	return nil
-}
-
 // carryCounters preserves the monotone totals of deleted jobs across
 // snapshots, so the global /metrics counters stay exact over restarts.
 type carryCounters struct {
-	Jobs          int64 `json:"jobs"`
-	CompletedJobs int64 `json:"completedJobs"`
-	Dispatched    int64 `json:"dispatched"`
-	Completions   int64 `json:"completions"`
-	Failures      int64 `json:"failures"`
-	Cancellations int64 `json:"cancellations"`
-	Expired       int64 `json:"expired"`
-	Speculated    int64 `json:"speculated,omitempty"`
+	Jobs          int64
+	CompletedJobs int64
+	Dispatched    int64
+	Completions   int64
+	Failures      int64
+	Cancellations int64
+	Expired       int64
+	Speculated    int64
 }
 
 // snapshot is the checkpoint document: everything the service needs so
@@ -153,128 +143,191 @@ type carryCounters struct {
 // number that is kept, a job's Draws, is a position in a stream the seed
 // defines, not state: it spares the replay the deciding, not the rebuilding.
 type snapshot struct {
-	Version int   `json:"version"`
-	Seq     int64 `json:"seq"`
+	Seq int64
 	// Partition identity the data dir was written under (see
 	// Config.PartitionIndex); the count is at least 1.
-	PartitionIndex int           `json:"partitionIndex,omitempty"`
-	PartitionCount int           `json:"partitionCount,omitempty"`
-	LastLSN        uint64        `json:"lastLsn"`
-	Carry          carryCounters `json:"carry"`
+	PartitionIndex int
+	PartitionCount int
+	LastLSN        uint64
+	Carry          carryCounters
 	// VTime is the fair-share arbiter's virtual time floor and Tenants its
 	// per-tenant durable state; journal tail records re-apply charges on
-	// top (see recovery.go). Both absent in pre-fair-share snapshots,
-	// which recover with all tags zero — submission order, the old
-	// behavior.
-	VTime   uint64       `json:"vtime,omitempty"`
-	Tenants []snapTenant `json:"tenants,omitempty"` // sorted by name
-	Jobs    []snapJob    `json:"jobs"`              // submission order
+	// top (see recovery.go).
+	VTime   uint64
+	Tenants []snapTenant // sorted by name
+	Jobs    []snapJob    // submission order
 	// Workers is the per-slot telemetry (duration/failure EWMAs); journal
 	// tail records fold on top in LSN order. Sorted by (site, worker).
-	// Absent in pre-context snapshots, which recover with cold telemetry.
-	Workers []snapWorker `json:"workers,omitempty"`
+	Workers []snapWorker
 }
 
 // snapWorker is one worker slot's accumulated telemetry in a snapshot.
 // Fixed-point accumulators are serialized raw so restore is bit-exact.
 type snapWorker struct {
-	Site     int   `json:"site"`
-	Worker   int   `json:"worker"`
-	DurEwma  int64 `json:"durEwma,omitempty"`
-	FailEwma int64 `json:"failEwma,omitempty"`
-	Samples  int64 `json:"samples,omitempty"`
-	Events   int64 `json:"events"`
+	Site     int
+	Worker   int
+	DurEwma  int64
+	FailEwma int64
+	Samples  int64
+	Events   int64
 }
 
 // snapTenant is one tenant's durable state in a snapshot: its quota
 // override and its exact cumulative dispatch total (in-flight counts and
 // share windows are liveness state and restart empty).
 type snapTenant struct {
-	Name       string `json:"name"`
-	Quota      int    `json:"quota,omitempty"`
-	Dispatches int64  `json:"dispatches,omitempty"`
+	Name       string
+	Quota      int
+	Dispatches int64
 }
 
-// snapshotVersion 2 moved workloads out of the manifest into per-job files
-// and packed the ledgers. It is the only version read: version 1 (everything
-// inline, one JSON object per ledger event) is refused as errLegacyFormat.
-const snapshotVersion = 2
-
-// snapJob is one resident job in a snapshot.
+// snapJob is one resident job in a snapshot: the record that submitted it,
+// and what became of the job since. The record holds its id (Job), its
+// definition, resolved tenant and weight, constraints, submission time (Ts)
+// and — in memory and in a replication message — its workload; a manifest
+// on disk never carries the workload (the job's workload file does).
 type snapJob struct {
-	ID         string `json:"id"`
-	Name       string `json:"name"`
-	Algorithm  string `json:"algorithm"`
-	Seed       int64  `json:"seed"`
-	Submission string `json:"submission,omitempty"`
-	State      string `json:"state"`
-	Tasks      int    `json:"tasks"`
-	Submitted  int64  `json:"submittedMs"`
-	Finished   int64  `json:"finishedMs,omitempty"`
-	// Fair-share state: resolved tenant and weight, plus (running jobs
-	// only) the arbiter's virtual finish tag, restored exactly so the
-	// post-recovery dispatch order matches an uninterrupted run.
-	Tenant string `json:"tenant,omitempty"`
-	Weight int    `json:"weight,omitempty"`
-	Fair   uint64 `json:"fair,omitempty"`
+	record
+	State    string
+	Tasks    int
+	Finished int64 // unix milliseconds, 0 while running
+	// Fair is a running job's virtual finish tag in the fair-share arbiter,
+	// restored exactly so the post-recovery dispatch order matches an
+	// uninterrupted run.
+	Fair uint64
 
-	// Context-aware scheduling: the job's required worker tags and soft
-	// deadline (unix millis, 0 = none), restored verbatim.
-	Requires []string `json:"requires,omitempty"`
-	Deadline int64    `json:"deadline,omitempty"`
-
-	// Running jobs: replay inputs. Workload is set in memory and in a
-	// replication message; a manifest on disk never carries it (the job's
-	// workload file does).
-	Workload *workload.Workload `json:"workload,omitempty"`
-	Ledger   packedLedger       `json:"ledger,omitempty"`
+	// Running jobs: the replay ledger.
+	Ledger packedLedger
 	// Draws is where the ledger left the scheduler's random stream
 	// (core.BulkReplayer), which lets restore fold the ledger instead of
-	// deciding it again. Absent — an older binary's manifest, a scheduler
-	// that does not offer the mode — the ledger is re-asked. A pointer: zero
-	// draws is a position too (a ChooseN = 1 job never draws).
-	Draws *uint64 `json:"draws,omitempty"`
+	// deciding it again. Absent — a scheduler that does not offer the mode,
+	// a standby's manifest — the ledger is re-asked. A pointer: zero draws
+	// is a position too (a ChooseN = 1 job never draws).
+	Draws *uint64
 
 	// Completed jobs: the surviving summary.
-	Dispatched int   `json:"dispatched,omitempty"`
-	Completed  int   `json:"completed,omitempty"`
-	Failed     int   `json:"failed,omitempty"`
-	Cancelled  int   `json:"cancelled,omitempty"`
-	Expired    int   `json:"expired,omitempty"`
-	Speculated int   `json:"speculated,omitempty"`
-	Transfers  int64 `json:"transfers,omitempty"`
+	Dispatched int
+	Completed  int
+	Failed     int
+	Cancelled  int
+	Expired    int
+	Speculated int
+	Transfers  int64
+}
+
+// The field lists of the manifest (disk format 3). Each names its type's
+// fields once, in order; the coder's mode decides whether the walk writes
+// them or reads them.
+
+func (snap *snapshot) fields(c *api.Coder) {
+	api.Num(c, &snap.Seq)
+	api.Num(c, &snap.PartitionIndex)
+	api.Num(c, &snap.PartitionCount)
+	api.Num(c, &snap.LastLSN)
+	snap.Carry.fields(c)
+	api.Num(c, &snap.VTime)
+	for i := range api.Sized(c, &snap.Tenants) {
+		snap.Tenants[i].fields(c)
+	}
+	for i := range api.Sized(c, &snap.Jobs) {
+		snap.Jobs[i].fields(c)
+	}
+	for i := range api.Sized(c, &snap.Workers) {
+		snap.Workers[i].fields(c)
+	}
+}
+
+func (cc *carryCounters) fields(c *api.Coder) {
+	api.Num(c, &cc.Jobs)
+	api.Num(c, &cc.CompletedJobs)
+	api.Num(c, &cc.Dispatched)
+	api.Num(c, &cc.Completions)
+	api.Num(c, &cc.Failures)
+	api.Num(c, &cc.Cancellations)
+	api.Num(c, &cc.Expired)
+	api.Num(c, &cc.Speculated)
+}
+
+func (st *snapTenant) fields(c *api.Coder) {
+	c.Str(&st.Name)
+	api.Num(c, &st.Quota)
+	api.Num(c, &st.Dispatches)
+}
+
+func (sw *snapWorker) fields(c *api.Coder) {
+	api.Num(c, &sw.Site)
+	api.Num(c, &sw.Worker)
+	api.Num(c, &sw.DurEwma)
+	api.Num(c, &sw.FailEwma)
+	api.Num(c, &sw.Samples)
+	api.Num(c, &sw.Events)
+}
+
+func (sj *snapJob) fields(c *api.Coder) {
+	sj.record.fields(c)
+	c.Str(&sj.State)
+	api.Num(c, &sj.Tasks)
+	api.Num(c, &sj.Finished)
+	api.Num(c, &sj.Fair)
+	c.Bytes((*[]byte)(&sj.Ledger))
+	if d := api.Opt(c, &sj.Draws); d != nil {
+		api.Num(c, d)
+	}
+	api.Num(c, &sj.Dispatched)
+	api.Num(c, &sj.Completed)
+	api.Num(c, &sj.Failed)
+	api.Num(c, &sj.Cancelled)
+	api.Num(c, &sj.Expired)
+	api.Num(c, &sj.Speculated)
+	api.Num(c, &sj.Transfers)
+}
+
+// encodeSnapshot renders snap under manifestHeader: a manifest, or — with
+// its running jobs' workloads inline — a catch-up document. The buffer is
+// sized for a manifest, which is mostly ledgers.
+func encodeSnapshot(snap *snapshot) ([]byte, error) {
+	size := len(manifestHeader) + 128
+	for i := range snap.Jobs {
+		size += 128 + len(snap.Jobs[i].Ledger)
+	}
+	c := api.NewEncoder(append(make([]byte, 0, size), manifestHeader...))
+	snap.fields(&c)
+	return c.Out()
 }
 
 // decodeSnapshot parses a checkpoint document — a manifest or a
 // replication message.
 func decodeSnapshot(data []byte) (*snapshot, error) {
-	var snap snapshot
-	err := json.Unmarshal(data, &snap)
-	if err != nil {
-		// A version-1 document need not even parse as this one (its ledgers
-		// are arrays); what it is refused for is its version all the same.
-		_ = json.Unmarshal(data, &struct{ Version *int }{&snap.Version})
-	}
 	switch {
-	case snap.Version == 1:
-		return nil, fmt.Errorf("version-1 snapshot: %w", errLegacyFormat)
-	case err != nil:
+	case len(data) > 0 && data[0] == '{':
+		return nil, fmt.Errorf("JSON checkpoint document: %w", errLegacyFormat)
+	case !bytes.HasPrefix(data, manifestHeader):
+		return nil, fmt.Errorf("not a disk format 3 checkpoint document (%d bytes)", len(data))
+	}
+	snap := &snapshot{}
+	c := api.NewDecoder(data[len(manifestHeader):])
+	snap.fields(&c)
+	if err := c.End("checkpoint document"); err != nil {
 		return nil, err
-	case snap.Version != snapshotVersion:
-		return nil, fmt.Errorf("snapshot version %d, this binary reads %d", snap.Version, snapshotVersion)
 	}
 	for i := range snap.Jobs {
 		// Job ids name files; refuse anything but the minted j<n> form
 		// before one reaches a path.
-		if id := snap.Jobs[i].ID; !strings.HasPrefix(id, "j") || idNum(id) == 0 {
-			return nil, fmt.Errorf("snapshot job id %q is not of the form j<n>", id)
+		sj := &snap.Jobs[i]
+		switch {
+		case sj.Op != opSubmit:
+			return nil, fmt.Errorf("snapshot job %d opens with a %s record, not a submit", i, sj.Op)
+		case !strings.HasPrefix(sj.Job, "j") || idNum(sj.Job) == 0:
+			return nil, fmt.Errorf("snapshot job id %q is not of the form j<n>", sj.Job)
+		case len(sj.Ledger)%ledgerRecSize != 0:
+			return nil, fmt.Errorf("snapshot job %s: packed ledger of %d bytes is not a whole number of %d-byte records", sj.Job, len(sj.Ledger), ledgerRecSize)
 		}
 	}
-	return &snap, nil
+	return snap, nil
 }
 
-// readManifest parses dir's snapshot.json without touching workload
-// files; nil when the dir holds no checkpoint yet.
+// readManifest parses dir's manifest without touching workload files; nil
+// when the dir holds no checkpoint yet.
 func readManifest(dir string) (*snapshot, error) {
 	path := filepath.Join(dir, snapshotFile)
 	data, err := os.ReadFile(path)
@@ -297,7 +350,7 @@ func readManifest(dir string) (*snapshot, error) {
 // racing a live checkpoint can tell and retry). It touches nothing but the
 // file, so any number of jobs load at once.
 func loadWorkload(dir string, sj *snapJob) (*workload.Workload, error) {
-	path := workloadPath(dir, sj.ID)
+	path := workloadPath(dir, sj.Job)
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, fmt.Errorf("workload file: %w", err)
@@ -322,7 +375,7 @@ func (snap *snapshot) storedJobs() map[string]struct{} {
 	}
 	for i := range snap.Jobs {
 		if sj := &snap.Jobs[i]; sj.State == api.JobRunning && sj.Workload == nil {
-			stored[sj.ID] = struct{}{}
+			stored[sj.Job] = struct{}{}
 		}
 	}
 	return stored
@@ -339,14 +392,14 @@ func saveWorkloads(dir string, jobs []snapJob, stored map[string]struct{}) (int6
 		if sj.State != api.JobRunning || sj.Workload == nil {
 			continue
 		}
-		if _, ok := stored[sj.ID]; ok {
+		if _, ok := stored[sj.Job]; ok {
 			continue
 		}
 		data := api.EncodeWorkload(sj.Workload)
-		if err := journal.WriteFileAtomic(workloadPath(dir, sj.ID), data); err != nil {
+		if err := journal.WriteFileAtomic(workloadPath(dir, sj.Job), data); err != nil {
 			return written, err
 		}
-		stored[sj.ID] = struct{}{}
+		stored[sj.Job] = struct{}{}
 		written += int64(len(data))
 	}
 	return written, nil
@@ -367,7 +420,7 @@ func writeCheckpoint(dir string, snap *snapshot, stored map[string]struct{}) (in
 	for i := range snap.Jobs {
 		snap.Jobs[i].Workload = nil
 	}
-	data, err := json.Marshal(snap)
+	data, err := encodeSnapshot(snap)
 	if err != nil {
 		return written, err
 	}
@@ -425,10 +478,10 @@ func checkpointDocument(dir string, next uint64) (lsn uint64, doc []byte, err er
 			continue
 		}
 		if sj.Workload, err = loadWorkload(dir, sj); err != nil {
-			return 0, nil, fmt.Errorf("service: snapshot job %s: %w", sj.ID, err)
+			return 0, nil, fmt.Errorf("service: snapshot job %s: %w", sj.Job, err)
 		}
 	}
-	doc, err = json.Marshal(snap)
+	doc, err = encodeSnapshot(snap)
 	if err != nil {
 		return 0, nil, err
 	}

@@ -1,7 +1,6 @@
 package service_test
 
 import (
-	"encoding/json"
 	"errors"
 	"os"
 	"path/filepath"
@@ -35,24 +34,15 @@ func dirNames(t *testing.T, dir string) []string {
 	return names
 }
 
-// manifestJobs reads snapshot.json generically: the top-level document and
-// its jobs keyed by id.
-func manifestJobs(t *testing.T, dir string) (map[string]any, map[string]map[string]any) {
+// manifestJobs reads dir's manifest: the journal position it covers and its
+// jobs by id.
+func manifestJobs(t *testing.T, dir string) (uint64, map[string]*service.ManifestJobForTest) {
 	t.Helper()
-	data, err := os.ReadFile(filepath.Join(dir, "snapshot.json"))
+	lastLSN, jobs, err := service.ManifestForTest(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var doc map[string]any
-	if err := json.Unmarshal(data, &doc); err != nil {
-		t.Fatal(err)
-	}
-	jobs := make(map[string]map[string]any)
-	for _, j := range doc["jobs"].([]any) {
-		job := j.(map[string]any)
-		jobs[job["id"].(string)] = job
-	}
-	return doc, jobs
+	return lastLSN, jobs
 }
 
 // The two-job history the crash-ordering tests run: job A
@@ -108,7 +98,7 @@ func TestCheckpointCrashOrdering(t *testing.T) {
 			// B's workload file is durable; the manifest is still the old
 			// one, which knows A as running and nothing of B.
 			_, jobs := manifestJobs(t, dir)
-			if jobs[jobB] != nil || jobs[jobA]["state"] != api.JobRunning {
+			if jobs[jobB] != nil || jobs[jobA] == nil || jobs[jobA].State != api.JobRunning {
 				t.Fatalf("manifest moved before the kill: %v", jobs)
 			}
 			if fileSize(t, filepath.Join(dir, workloadFileOf(jobB))) == 0 {
@@ -117,7 +107,7 @@ func TestCheckpointCrashOrdering(t *testing.T) {
 		}},
 		{service.StepManifestRenamed, func(t *testing.T, dir string) {
 			_, jobs := manifestJobs(t, dir)
-			if jobs[jobB] == nil || jobs[jobA]["state"] != api.JobCompleted {
+			if jobs[jobB] == nil || jobs[jobA] == nil || jobs[jobA].State != api.JobCompleted {
 				t.Fatalf("manifest not replaced before the kill: %v", jobs)
 			}
 			if fileSize(t, filepath.Join(dir, "wal.log")) <= walHeader {

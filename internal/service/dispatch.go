@@ -353,7 +353,7 @@ func (s *Service) grantLocked(sh *shard, j *job, t *tenantState, task workload.T
 		// errors.
 		lsn = s.mustAppend(&record{
 			Op: opDispatch, Ts: e.Ts, Job: j.id,
-			Task: task.ID, Site: ref.Site, Worker: ref.Worker,
+			Task: e.Task, Site: e.Site, Worker: e.Worker,
 			Assignment: a.id, Spec: spec,
 		})
 	}

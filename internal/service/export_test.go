@@ -1,5 +1,11 @@
 package service
 
+import (
+	"fmt"
+	"os"
+	"path/filepath"
+)
+
 // CrashForTest kills the service the way SIGKILL would: the sweeper stops,
 // parked long polls fail, and the journal's file descriptor is closed with
 // no final sync and no shutdown snapshot. Everything the journal already
@@ -97,4 +103,62 @@ func (f *Follower) CrashForTest() {
 // the standby's current replica; the hook runs on the stream's goroutine.
 func (f *Follower) SetCheckpointStepHookForTest(fn func(step string) error) {
 	f.st.Load().SetCheckpointStepHookForTest(fn)
+}
+
+// ManifestJobForTest is what a test reads, and may edit, of one job entry of
+// a data dir's manifest.
+type ManifestJobForTest struct {
+	State  string
+	Inline bool    // carries its workload inline
+	Ledger []byte  // packed: ledgerRecSize bytes an event
+	Draws  *uint64 // nil: restore re-asks the ledger
+}
+
+// ManifestForTest decodes dir's manifest with the reader recovery uses,
+// returning the journal position it covers and its jobs by id.
+func ManifestForTest(dir string) (lastLSN uint64, jobs map[string]*ManifestJobForTest, err error) {
+	snap, err := manifestForTest(dir)
+	if err != nil {
+		return 0, nil, err
+	}
+	jobs = make(map[string]*ManifestJobForTest, len(snap.Jobs))
+	for i := range snap.Jobs {
+		j := manifestJobForTest(&snap.Jobs[i])
+		jobs[snap.Jobs[i].Job] = &j
+	}
+	return snap.LastLSN, jobs, nil
+}
+
+// EditManifestForTest calls edit on every job entry of dir's manifest, in
+// manifest order, and writes back the ledgers and draw counts it leaves
+// with the encoder checkpoints use: what a corruption, or a scheduler that
+// records no draws, would have left there.
+func EditManifestForTest(dir string, edit func(id string, j *ManifestJobForTest)) error {
+	snap, err := manifestForTest(dir)
+	if err != nil {
+		return err
+	}
+	for i := range snap.Jobs {
+		sj := &snap.Jobs[i]
+		j := manifestJobForTest(sj)
+		edit(sj.Job, &j)
+		sj.Ledger, sj.Draws = j.Ledger, j.Draws
+	}
+	data, err := encodeSnapshot(snap)
+	if err != nil {
+		return err
+	}
+	return os.WriteFile(filepath.Join(dir, snapshotFile), data, 0o644)
+}
+
+func manifestJobForTest(sj *snapJob) ManifestJobForTest {
+	return ManifestJobForTest{State: sj.State, Inline: sj.Workload != nil, Ledger: sj.Ledger, Draws: sj.Draws}
+}
+
+func manifestForTest(dir string) (*snapshot, error) {
+	snap, err := readManifest(dir)
+	if err == nil && snap == nil {
+		err = fmt.Errorf("%s holds no manifest", dir)
+	}
+	return snap, err
 }

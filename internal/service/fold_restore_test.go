@@ -2,34 +2,28 @@ package service_test
 
 import (
 	"bytes"
-	"fmt"
 	"net/http"
 	"net/http/httptest"
-	"os"
-	"path/filepath"
-	"regexp"
 	"runtime"
 	"strings"
 	"testing"
 	"time"
 
+	"gridsched/internal/service"
 	"gridsched/internal/service/api"
 )
 
-var drawsField = regexp.MustCompile(`,"draws":\d+`)
-
 // stripDraws removes every job's draw count from dir's manifest — the
-// manifest a binary older than the field writes — and returns how many it
+// manifest of a scheduler that records none — and returns how many it
 // found.
 func stripDraws(t *testing.T, dir string) int {
 	t.Helper()
-	path := filepath.Join(dir, "snapshot.json")
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	n := len(drawsField.FindAll(data, -1))
-	if err := os.WriteFile(path, drawsField.ReplaceAll(data, nil), 0o644); err != nil {
+	n := 0
+	if err := service.EditManifestForTest(dir, func(_ string, j *service.ManifestJobForTest) {
+		if j.Draws != nil {
+			n, j.Draws = n+1, nil
+		}
+	}); err != nil {
 		t.Fatal(err)
 	}
 	return n
@@ -38,32 +32,17 @@ func stripDraws(t *testing.T, dir string) int {
 // editDraws rewrites one job's draw count inside dir's manifest.
 func editDraws(t *testing.T, dir, jobID string, edit func(draws uint64) uint64) {
 	t.Helper()
-	path := filepath.Join(dir, "snapshot.json")
-	data, err := os.ReadFile(path)
-	if err != nil {
+	found := false
+	if err := service.EditManifestForTest(dir, func(id string, j *service.ManifestJobForTest) {
+		if id == jobID && j.Draws != nil {
+			found, j.Draws = true, new(uint64)
+			*j.Draws = edit(*j.Draws)
+		}
+	}); err != nil {
 		t.Fatal(err)
 	}
-	start := bytes.Index(data, []byte(`{"id":"`+jobID+`"`))
-	if start < 0 {
-		t.Fatalf("job %s is not in the manifest", jobID)
-	}
-	end := len(data)
-	if next := bytes.Index(data[start+1:], []byte(`{"id":"`)); next >= 0 {
-		end = start + 1 + next
-	}
-	loc := drawsField.FindIndex(data[start:end])
-	if loc == nil {
+	if !found {
 		t.Fatalf("job %s carries no draw count in the manifest", jobID)
-	}
-	var old uint64
-	if _, err := fmt.Sscanf(string(data[start+loc[0]:start+loc[1]]), `,"draws":%d`, &old); err != nil {
-		t.Fatal(err)
-	}
-	edited := append([]byte{}, data[:start+loc[0]]...)
-	edited = append(edited, fmt.Sprintf(`,"draws":%d`, edit(old))...)
-	edited = append(edited, data[start+loc[1]:]...)
-	if err := os.WriteFile(path, edited, 0o644); err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -102,9 +81,9 @@ func TestFoldedRestoreMatchesReasked(t *testing.T) {
 		if _, jobs := manifestJobs(t, dir); true {
 			for _, p := range restoreFleet {
 				j := jobs[fleetJobID(t, s, p.tag)]
-				_, has := j["draws"]
+				has := j.Draws != nil
 				foldable := p.algo != "workqueue" && !strings.HasPrefix(p.algo, "context:")
-				if j["state"] == api.JobRunning && has != foldable {
+				if j.State == api.JobRunning && has != foldable {
 					t.Errorf("job %s (%s) after recovery: draws recorded = %v", p.tag, p.algo, has)
 				}
 			}

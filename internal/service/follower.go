@@ -157,10 +157,16 @@ func (f *Follower) run() {
 // since a poisoned writer can never apply another frame.
 var errFollowerWAL = errors.New("service: follower journal failed")
 
-// ApplyFrame persists one streamed record through the replica's commit
-// stage and applies it; a checkpoint follows when one is due.
-// replicate.Replay has already proven lsn is exactly last+1.
+// ApplyFrame decodes one streamed record, persists it through the replica's
+// commit stage and applies it; a checkpoint follows when one is due.
+// replicate.Replay has already proven lsn is exactly last+1. A record this
+// binary cannot decode — an older leader's — is refused before it reaches
+// the data dir.
 func (f *Follower) ApplyFrame(lsn uint64, payload []byte) error {
+	rec, err := decodeRecord(payload)
+	if err != nil {
+		return fmt.Errorf("%w: undecodable record at lsn %d: %v", replicate.ErrDiverged, lsn, err)
+	}
 	st := f.st.Load()
 	f.mu.Lock()
 	got, err := st.appendEncoded(payload)
@@ -172,7 +178,7 @@ func (f *Follower) ApplyFrame(lsn uint64, payload []byte) error {
 		// this can only mean local and leader histories disagree.
 		err = fmt.Errorf("%w: local writer assigned lsn %d, stream says %d", replicate.ErrDiverged, got, lsn)
 	default:
-		if err = st.applyFrame(lsn, payload); err != nil {
+		if err = st.applyRecord(&rec); err != nil {
 			// The bytes are already durable and identical to the leader's;
 			// recovery at promotion would fail on them exactly as the leader
 			// would. Surface it now instead of serving a stale replica.

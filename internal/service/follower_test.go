@@ -613,8 +613,8 @@ func TestFollowerSnapshotCatchUp(t *testing.T) {
 	if got := dirNames(t, dir); !reflect.DeepEqual(got, want) {
 		t.Fatalf("follower data dir holds %v, want %v", got, want)
 	}
-	if _, jobs := manifestJobs(t, dir); jobs[jobID]["workload"] != nil {
-		t.Fatal("follower manifest carries the workload inline")
+	if _, jobs := manifestJobs(t, dir); jobs[jobID] == nil || jobs[jobID].Inline {
+		t.Fatal("follower manifest lacks the job, or carries its workload inline")
 	}
 	// And ordinary recovery accepts it: promotion is New() over that dir.
 	wantStatus, err := s.JobStatus(jobID)

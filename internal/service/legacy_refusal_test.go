@@ -1,6 +1,7 @@
 package service_test
 
 import (
+	"encoding/binary"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -14,19 +15,55 @@ import (
 	"gridsched/internal/journal"
 	"gridsched/internal/replicate"
 	"gridsched/internal/service"
+	"gridsched/internal/service/api"
 )
 
 // legacyRecord is a journal record as binaries up to PR 15 wrote them.
 const legacyRecord = `{"op":"quota","ts":1700000000000,"tenant":"gold","quota":3}`
 
-// writeLegacyLog makes dir/wal.log a well-framed log of one JSON record.
-func writeLegacyLog(t *testing.T, dir string) {
+// v2LeaseRecord is a dispatch as disk format 2 journaled it: tag 2, the
+// 21-byte packed ledger event (op, task, site, worker, ts; little-endian),
+// then the job and assignment ids.
+func v2LeaseRecord() []byte {
+	b := []byte{2, 0} // tag, ledger op "dispatch"
+	b = binary.LittleEndian.AppendUint32(b, 0)
+	b = binary.LittleEndian.AppendUint32(b, 0)
+	b = binary.LittleEndian.AppendUint32(b, 0)
+	b = binary.LittleEndian.AppendUint64(b, 1700000000000)
+	return append(b, 2, 'j', '1', 2, 'a', '2')
+}
+
+// v2SubmitRecord is a submit as disk format 2 journaled it: tag 1, ts, seed,
+// deadline and weight as fixed-width integers, five strings, the required
+// tags, and the workload as a stored document to the end. Applied, it would
+// make job j1 of tenant gold.
+func v2SubmitRecord() []byte {
+	b := []byte{1}
+	for _, v := range []uint64{1700000000000, 7, 0, 1} {
+		b = binary.LittleEndian.AppendUint64(b, v)
+	}
+	for _, s := range []string{"j1", "sweep", "workqueue", "", "gold"} { // job, name, algorithm, submission, tenant
+		b = append(append(b, byte(len(s))), s...)
+	}
+	b = append(b, 0) // no required tags
+	return append(b, api.EncodeWorkload(smallWorkload(2))...)
+}
+
+// v2Manifest is a manifest as disk format 2 wrote it, and the JSON
+// catch-up document a leader of that format streams: the same document.
+const v2Manifest = `{"version":2,"seq":4,"lastLsn":9,"carry":{"jobs":1},` +
+	`"tenants":[{"name":"gold","quota":3}],"jobs":[{"id":"j1","name":"a","algorithm":"rest","seed":1,` +
+	`"state":"running","tasks":2,"submittedMs":5,"tenant":"gold","weight":1,` +
+	`"ledger":"AAAAAAAAAAAAAAAAAAAAAAAAAAAA","draws":0}]}`
+
+// writeLog makes dir/wal.log a well-framed log of one record.
+func writeLog(t *testing.T, dir string, payload []byte) {
 	t.Helper()
 	w, err := journal.OpenWriter(filepath.Join(dir, "wal.log"), journal.SyncNever, 0, 0, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := w.Append([]byte(legacyRecord)); err != nil {
+	if _, err := w.Append(payload); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.Close(); err != nil {
@@ -49,13 +86,13 @@ func dirContents(t *testing.T, dir string) map[string]string {
 }
 
 // wantLegacyRefusal checks err is the refusal of an older binary's format:
-// it names the format and says how such a data dir is brought forward.
+// it names the format and says what to do with such a data dir.
 func wantLegacyRefusal(t *testing.T, err error, format string) {
 	t.Helper()
 	if err == nil {
 		t.Fatalf("a %s was accepted", format)
 	}
-	for _, want := range []string{format, "older than PR 16", "PR 17 binary", "first checkpoint rewrites it"} {
+	for _, want := range []string{format, "older than disk format 3", "finish the data dir's jobs with the binary that wrote it", "empty -data-dir"} {
 		if !strings.Contains(err.Error(), want) {
 			t.Errorf("refusal does not say %q: %v", want, err)
 		}
@@ -63,11 +100,12 @@ func wantLegacyRefusal(t *testing.T, err error, format string) {
 }
 
 // TestLegacyFormatsRefused: the formats whose readers are gone — the JSON
-// journal record (binaries up to PR 15) and the version-1 manifest (up to
-// PR 11) — are still outside input. A data dir holding one fails to start,
-// as a leader and as a standby, with an error that says what it is and what
-// to do, and is left exactly as it was; a standby streamed one halts rather
-// than apply it.
+// journal record of the oldest binaries, disk format 2's records, and the
+// JSON manifest of formats 1 and 2 — are still outside input. A data
+// dir holding one fails to start, as a leader and as a standby, with an error
+// that says what it is and what to do, and is left exactly as it was. A
+// standby streamed one by an older leader — a frame, a catch-up document —
+// halts rather than apply it, with nothing of it in its data dir.
 func TestLegacyFormatsRefused(t *testing.T) {
 	manifest := func(doc string) func(*testing.T, string) {
 		return func(t *testing.T, dir string) {
@@ -76,15 +114,21 @@ func TestLegacyFormatsRefused(t *testing.T) {
 			}
 		}
 	}
+	journalOf := func(payload []byte) func(*testing.T, string) {
+		return func(t *testing.T, dir string) { writeLog(t, dir, payload) }
+	}
 	for _, tc := range []struct {
 		name, format string
 		write        func(t *testing.T, dir string)
 	}{
-		{"journal", "JSON journal record", writeLegacyLog},
-		{"manifest", "version-1 snapshot", manifest(`{"version":1,"seq":4,"lastLsn":9,"carry":{},"jobs":[]}`)},
-		{"manifest/ledger", "version-1 snapshot", manifest(`{"version":1,"seq":4,"lastLsn":9,"carry":{},"jobs":[` +
+		{"journal", "JSON journal record", journalOf([]byte(legacyRecord))},
+		{"journal/v2 lease", "disk format 2 journal record", journalOf(v2LeaseRecord())},
+		{"journal/v2 submit", "disk format 2 journal record", journalOf(v2SubmitRecord())},
+		{"manifest", "JSON checkpoint document", manifest(`{"version":1,"seq":4,"lastLsn":9,"carry":{},"jobs":[]}`)},
+		{"manifest/ledger", "JSON checkpoint document", manifest(`{"version":1,"seq":4,"lastLsn":9,"carry":{},"jobs":[` +
 			`{"id":"j1","name":"a","algorithm":"rest","seed":1,"state":"running","tasks":2,"submittedMs":5,` +
 			`"ledger":[{"op":0,"t":1,"s":0,"w":0,"ms":6}]}]}`)},
+		{"manifest/v2", "JSON checkpoint document", manifest(v2Manifest)},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
@@ -106,53 +150,76 @@ func TestLegacyFormatsRefused(t *testing.T) {
 		})
 	}
 
-	// A leader still on the old binary, played from a log on disk behind the
-	// real replication source: its first frame is JSON.
-	t.Run("standby", func(t *testing.T) {
-		leaderDir := t.TempDir()
-		writeLegacyLog(t, leaderDir)
-		stop := make(chan struct{})
-		defer close(stop)
-		srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			var from uint64
-			if _, err := fmt.Sscan(r.URL.Query().Get("from"), &from); err != nil || r.URL.Path != replicate.StreamPath {
-				http.NotFound(w, r)
-				return
+	// A leader still on an older binary, played behind the real replication
+	// source: from a log on disk, its first frame; or, when it has a
+	// checkpoint, the catch-up document it sends first.
+	for _, tc := range []struct {
+		name, format string
+		frame        []byte // the leader's one journal record
+		catchUp      string // its catch-up document, "" for none
+	}{
+		{"standby", "JSON journal record", []byte(legacyRecord), ""},
+		{"standby/v2 frame", "disk format 2 journal record", v2SubmitRecord(), ""},
+		{"standby/v2 catch-up", "JSON checkpoint document", nil, v2Manifest},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			leaderDir := t.TempDir()
+			if tc.frame != nil {
+				writeLog(t, leaderDir, tc.frame)
 			}
-			src := &replicate.Source{
-				WALPath:   filepath.Join(leaderDir, "wal.log"),
-				Snapshot:  func(uint64) (uint64, []byte, error) { return 0, nil, nil },
-				LastLSN:   func() uint64 { return 1 },
-				Notify:    func() <-chan struct{} { return nil },
-				Rotations: func() uint64 { return 0 },
-				Done:      stop,
+			stop := make(chan struct{})
+			defer close(stop)
+			srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				var from uint64
+				if _, err := fmt.Sscan(r.URL.Query().Get("from"), &from); err != nil || r.URL.Path != replicate.StreamPath {
+					http.NotFound(w, r)
+					return
+				}
+				src := &replicate.Source{
+					WALPath: filepath.Join(leaderDir, "wal.log"),
+					Snapshot: func(next uint64) (uint64, []byte, error) {
+						if tc.catchUp == "" || next > 9 {
+							return 0, nil, nil
+						}
+						return 9, []byte(tc.catchUp), nil
+					},
+					LastLSN:   func() uint64 { return 1 },
+					Notify:    func() <-chan struct{} { return nil },
+					Rotations: func() uint64 { return 0 },
+					Done:      stop,
+				}
+				_ = src.Serve(r.Context(), w, from)
+			}))
+			defer srv.Close()
+			fdir := t.TempDir()
+			fl, err := service.NewFollower(durableConfig(fdir), service.FollowerConfig{
+				Leader: srv.URL, ReconnectMax: 100 * time.Millisecond,
+			})
+			if err != nil {
+				t.Fatal(err)
 			}
-			_ = src.Serve(r.Context(), w, from)
-		}))
-		defer srv.Close()
-		fl, err := service.NewFollower(durableConfig(t.TempDir()), service.FollowerConfig{
-			Leader: srv.URL, ReconnectMax: 100 * time.Millisecond,
+			defer fl.Close()
+			for deadline := time.Now().Add(10 * time.Second); fl.Halted() == nil; time.Sleep(2 * time.Millisecond) {
+				if time.Now().After(deadline) {
+					t.Fatalf("standby at lsn %d has not halted on the %s", fl.LastLSN(), tc.format)
+				}
+			}
+			wantLegacyRefusal(t, fl.Halted(), tc.format)
+			if !strings.Contains(fl.Halted().Error(), replicate.ErrDiverged.Error()) {
+				t.Errorf("halt is not a divergence: %v", fl.Halted())
+			}
+			// Nothing of it reached the replica or the data dir: applied, it
+			// would have made "gold" a tenant, and the dir is the empty log a
+			// fresh standby opens.
+			if body := getBody(t, fl.Handler(), "/v1/tenants"); strings.Contains(string(body), "gold") {
+				t.Errorf("the refused %s was applied: /v1/tenants says %s", tc.format, body)
+			}
+			if got := dirNames(t, fdir); !reflect.DeepEqual(got, []string{"wal.log"}) || fileSize(t, filepath.Join(fdir, "wal.log")) != 8 {
+				t.Errorf("the refused %s reached the data dir: it holds %v", tc.format, got)
+			}
+			if body := scrapeBody(t, fl.Handler()); !strings.Contains(body, "gridsched_replication_halted 1\n") {
+				t.Errorf("halted standby's /metrics:\n%s", body)
+			}
 		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer fl.Close()
-		for deadline := time.Now().Add(10 * time.Second); fl.Halted() == nil; time.Sleep(2 * time.Millisecond) {
-			if time.Now().After(deadline) {
-				t.Fatalf("standby at lsn %d has not halted on a JSON frame", fl.LastLSN())
-			}
-		}
-		wantLegacyRefusal(t, fl.Halted(), "JSON journal record")
-		if !strings.Contains(fl.Halted().Error(), replicate.ErrDiverged.Error()) {
-			t.Errorf("halt is not a divergence: %v", fl.Halted())
-		}
-		// Nothing of the frame reached the replica: the quota it sets would
-		// have made "gold" a tenant.
-		if body := getBody(t, fl.Handler(), "/v1/tenants"); strings.Contains(string(body), "gold") {
-			t.Errorf("the refused frame was applied: /v1/tenants says %s", body)
-		}
-		if body := scrapeBody(t, fl.Handler()); !strings.Contains(body, "gridsched_replication_halted 1\n") {
-			t.Errorf("halted standby's /metrics:\n%s", body)
-		}
-	})
+	}
 }

@@ -2,7 +2,6 @@ package service_test
 
 import (
 	"bytes"
-	"encoding/base64"
 	"encoding/binary"
 	"fmt"
 	"os"
@@ -267,23 +266,16 @@ func TestParallelRestoreIdentity(t *testing.T) {
 // editLedger rewrites one job's packed ledger inside dir's manifest.
 func editLedger(t *testing.T, dir, jobID string, edit func(ledger []byte) []byte) {
 	t.Helper()
-	_, jobs := manifestJobs(t, dir)
-	old, _ := jobs[jobID]["ledger"].(string)
-	packed, err := base64.StdEncoding.DecodeString(old)
-	if err != nil || len(packed) == 0 {
-		t.Fatalf("job %s has no packed ledger in the manifest (%v)", jobID, err)
-	}
-	path := filepath.Join(dir, "snapshot.json")
-	data, err := os.ReadFile(path)
-	if err != nil {
+	found := false
+	if err := service.EditManifestForTest(dir, func(id string, j *service.ManifestJobForTest) {
+		if id == jobID && len(j.Ledger) > 0 {
+			found, j.Ledger = true, edit(j.Ledger)
+		}
+	}); err != nil {
 		t.Fatal(err)
 	}
-	if bytes.Count(data, []byte(old)) != 1 {
-		t.Fatalf("job %s's ledger does not appear exactly once in the manifest", jobID)
-	}
-	data = bytes.Replace(data, []byte(old), []byte(base64.StdEncoding.EncodeToString(edit(packed))), 1)
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
+	if !found {
+		t.Fatalf("job %s has no packed ledger in the manifest", jobID)
 	}
 }
 

@@ -161,7 +161,7 @@ func (s *Service) snapshot() error {
 		sh.mu.Lock()
 		for _, j := range sh.jobs {
 			if _, ok := s.pst.stored[j.id]; !ok && j.state == api.JobRunning {
-				pending = append(pending, snapJob{ID: j.id, State: j.state, Workload: j.w})
+				pending = append(pending, snapJob{record: record{Job: j.id, Workload: j.w}, State: j.state})
 			}
 		}
 		sh.mu.Unlock()
@@ -212,7 +212,6 @@ func (s *Service) checkpointLocked() (*snapshot, int64, error) {
 		s.counters.ObserveSnapshotPause(time.Since(pauseStart).Nanoseconds())
 	}()
 	snap := &snapshot{
-		Version:        snapshotVersion,
 		Seq:            s.seq.Load(),
 		PartitionIndex: s.cfg.PartitionIndex,
 		PartitionCount: s.cfg.PartitionCount,
@@ -249,18 +248,21 @@ func (s *Service) checkpointLocked() (*snapshot, int64, error) {
 	draws := make([]uint64, 0, resident) // what the entries' Draws point into: one allocation, not one per job
 	for _, j := range jobs {
 		sj := snapJob{
-			ID:         j.id,
-			Name:       j.name,
-			Algorithm:  j.algorithm,
-			Seed:       j.seed,
-			Submission: j.submissionID,
-			State:      j.state,
-			Tasks:      j.tasks,
-			Submitted:  j.submitted.UnixMilli(),
-			Tenant:     j.tenant,
-			Weight:     j.weight,
-			Requires:   j.requires,
-			Deadline:   j.deadlineMs,
+			record: record{
+				Op:         opSubmit,
+				Ts:         j.submitted.UnixMilli(),
+				Job:        j.id,
+				Name:       j.name,
+				Algorithm:  j.algorithm,
+				Seed:       j.seed,
+				Submission: j.submissionID,
+				Tenant:     j.tenant,
+				Weight:     j.weight,
+				Requires:   j.requires,
+				Deadline:   j.deadlineMs,
+			},
+			State: j.state,
+			Tasks: j.tasks,
 		}
 		if !j.finished.IsZero() {
 			sj.Finished = j.finished.UnixMilli()

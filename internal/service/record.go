@@ -1,32 +1,18 @@
 // The journal record: what one WAL frame's payload says, and its bytes.
 //
-// # Format
+// # Format (disk format 3)
 //
-// Byte 0 is the record's tag — its op, one of tagSubmit … tagQuota; a
-// layout that changes takes a new tag. Integers are little-endian and
-// fixed-width; a string is its uvarint length, then its bytes.
+// A record is one api.Coder field list (record.fields): the first byte is
+// its type tag, then its timestamp, then what its type carries, each field
+// in the wire's primitives (zigzag varint integers, length-prefixed
+// strings). docs/PROTOCOL.md has the table.
 //
-//	lease     tag | event [21] | job str | assignment str
-//	submit    tag | ts u64 | seed u64 | deadline u64 | weight u64 |
-//	          job str | name str | algorithm str | submission str |
-//	          tenant str | requires: uvarint count, then strs |
-//	          workload: api.AppendWorkload's document, to the end
-//	delete    tag | ts u64 | job str
-//	quota     tag | ts u64 | quota u64 | tenant str
-//
-// A lease record — dispatch, report, expiry — is the event exactly as the
-// job's packed ledger holds it (ledgerRecSize bytes: op u8, task u32, site
-// u32, worker u32, ts u64; the op says which of the three it is, a report's
-// outcome and whether a dispatch is a speculative twin) plus the ids the
-// ledger leaves out. The assignment id is empty unless the event is a
-// dispatch.
-//
-// Binaries up to PR 15 journaled JSON documents instead. No tag is '{', so
-// such a record is refused by name (errLegacyFormat) rather than misread.
+// Disk format 2 tagged its records 1–4, and the oldest binaries journaled
+// JSON documents ('{'); neither is a tag of this range, so either record is
+// refused by name (errLegacyFormat) rather than misread.
 package service
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 
@@ -51,18 +37,15 @@ const (
 	opQuota = "quota"
 )
 
-// Record tags (see the file comment).
-const (
-	tagSubmit = byte(iota + 1)
-	tagLease
-	tagDelete
-	tagQuota
-)
+// recordOps are the record types, in tag order: Names[i] is tagged
+// First+i. Tags 1–4 were disk format 2's.
+var recordOps = api.Enum{What: "journal record type", First: 0x11,
+	Names: []string{opSubmit, opDispatch, opReport, opExpire, opDelete, opQuota}}
 
 // maxLeaseRecordLen bounds an encoded lease record with minted ids
 // ("j<n>", "a<n>", n an int64): callers size stack buffers by it. A longer
 // id only costs the append that outgrows the buffer.
-const maxLeaseRecordLen = 1 + ledgerRecSize + 2*(1+20)
+const maxLeaseRecordLen = 1 + 10 + 3*5 + 2*(1+20) + 1 // tag, ts, task/site/worker, job and assignment, spec
 
 // record is one journal record, decoded.
 type record struct {
@@ -95,8 +78,8 @@ type record struct {
 
 	// opDispatch / opReport / opExpire
 	Task       workload.TaskID
-	Site       int
-	Worker     int
+	Site       int32
+	Worker     int32
 	Assignment string // opDispatch: minted id, for seq recovery and debugging
 	Outcome    string // opReport
 	// Spec marks an opDispatch as a speculative twin grant: replayed
@@ -108,7 +91,7 @@ type record struct {
 // event is a lease record's ledger event. Anything a report says other
 // than success is a failure, as apply has always read it.
 func (rec *record) event() ledgerRec {
-	e := ledgerRec{Op: ledgerExpire, Task: rec.Task, Site: int32(rec.Site), Worker: int32(rec.Worker), Ts: rec.Ts}
+	e := ledgerRec{Op: ledgerExpire, Task: rec.Task, Site: rec.Site, Worker: rec.Worker, Ts: rec.Ts}
 	switch {
 	case rec.Op == opDispatch && rec.Spec:
 		e.Op = ledgerSpecDispatch
@@ -122,51 +105,64 @@ func (rec *record) event() ledgerRec {
 	return e
 }
 
+// fields is the record's field list: its type tag, its timestamp, then
+// what its type carries. A lease record's op is its tag and only a dispatch
+// has an assignment field, so neither an unknown ledger op nor an assignment
+// on a report or an expiry can be written down.
+func (rec *record) fields(c *api.Coder) {
+	c.Enum(&rec.Op, &recordOps)
+	api.Num(c, &rec.Ts)
+	switch rec.Op {
+	case opSubmit:
+		c.Str(&rec.Job)
+		c.Str(&rec.Name)
+		c.Str(&rec.Algorithm)
+		api.Num(c, &rec.Seed)
+		c.Str(&rec.Submission)
+		c.Str(&rec.Tenant)
+		api.Num(c, &rec.Weight)
+		c.Strs(&rec.Requires)
+		api.Num(c, &rec.Deadline)
+		if w := api.Opt(c, &rec.Workload); w != nil {
+			c.Workload(w)
+		}
+	case opDispatch, opReport, opExpire:
+		c.Str(&rec.Job)
+		api.Num(c, &rec.Task)
+		api.Num(c, &rec.Site)
+		api.Num(c, &rec.Worker)
+		switch rec.Op {
+		case opDispatch:
+			c.Str(&rec.Assignment)
+			c.Bool(&rec.Spec)
+		case opReport:
+			c.Enum(&rec.Outcome, &api.Outcomes)
+		}
+	case opDelete:
+		c.Str(&rec.Job)
+	case opQuota:
+		c.Str(&rec.Tenant)
+		api.Num(c, &rec.Quota)
+	}
+}
+
 // appendTo appends rec's encoding to dst. Reflection-free, and
 // allocation-free when dst has the room.
 func (rec *record) appendTo(dst []byte) []byte {
-	switch rec.Op {
-	case opDispatch, opReport, opExpire:
-		dst = append(dst, tagLease)
-		dst = packedLedger(dst).add(rec.event())
-		dst = appendStr(dst, rec.Job)
-		return appendStr(dst, rec.Assignment)
-	case opSubmit:
-		dst = append(dst, tagSubmit)
-		dst = binary.LittleEndian.AppendUint64(dst, uint64(rec.Ts))
-		dst = binary.LittleEndian.AppendUint64(dst, uint64(rec.Seed))
-		dst = binary.LittleEndian.AppendUint64(dst, uint64(rec.Deadline))
-		dst = binary.LittleEndian.AppendUint64(dst, uint64(rec.Weight))
-		for _, s := range [...]string{rec.Job, rec.Name, rec.Algorithm, rec.Submission, rec.Tenant} {
-			dst = appendStr(dst, s)
-		}
-		dst = binary.AppendUvarint(dst, uint64(len(rec.Requires)))
-		for _, s := range rec.Requires {
-			dst = appendStr(dst, s)
-		}
-		return api.AppendWorkload(dst, rec.Workload)
-	case opDelete:
-		dst = append(dst, tagDelete)
-		dst = binary.LittleEndian.AppendUint64(dst, uint64(rec.Ts))
-		return appendStr(dst, rec.Job)
-	case opQuota:
-		dst = append(dst, tagQuota)
-		dst = binary.LittleEndian.AppendUint64(dst, uint64(rec.Ts))
-		dst = binary.LittleEndian.AppendUint64(dst, uint64(rec.Quota))
-		return appendStr(dst, rec.Tenant)
+	c := api.NewEncoder(dst)
+	rec.fields(&c)
+	out, err := c.Out()
+	if err != nil {
+		panicf("service: journal encode: %v", err)
 	}
-	panicf("service: journal encode: unknown op %q", rec.Op)
-	return nil
+	return out
 }
 
-func appendStr(dst []byte, s string) []byte {
-	return append(binary.AppendUvarint(dst, uint64(len(s))), s...)
-}
-
-// errLegacyFormat refuses what only a binary older than PR 16 wrote: a JSON
-// journal record, a version-1 manifest.
-var errLegacyFormat = errors.New("written by a gridschedd older than PR 16, whose formats this binary no longer reads; " +
-	"start the PR 17 binary on the data dir once — its first checkpoint rewrites it — then this one")
+// errLegacyFormat refuses what only an older binary wrote: a JSON or disk
+// format 2 journal record, a JSON manifest or catch-up document. Such a
+// data dir cannot be upgraded in place.
+var errLegacyFormat = errors.New("written by a gridschedd older than disk format 3, which this binary does not read; " +
+	"finish the data dir's jobs with the binary that wrote it, then start this one on an empty -data-dir")
 
 // decodeRecord reads one journal payload. The bytes are outside input:
 // every length is checked against what is left, and nothing in the result
@@ -174,118 +170,13 @@ var errLegacyFormat = errors.New("written by a gridschedd older than PR 16, whos
 // slot — is for applyRecord and replay to check.
 func decodeRecord(payload []byte) (record, error) {
 	var rec record
-	if len(payload) > 0 && payload[0] == '{' {
+	switch {
+	case len(payload) > 0 && payload[0] == '{':
 		return rec, fmt.Errorf("JSON journal record: %w", errLegacyFormat)
+	case len(payload) > 0 && payload[0] >= 1 && payload[0] <= 4:
+		return rec, fmt.Errorf("disk format 2 journal record: %w", errLegacyFormat)
 	}
-	r := recReader{b: payload}
-	switch tag := r.byte(); tag {
-	case tagLease:
-		if e := r.bytes(ledgerRecSize); e != nil {
-			ev := packedLedger(e).at(0)
-			rec.Ts, rec.Task, rec.Site, rec.Worker = ev.Ts, ev.Task, int(ev.Site), int(ev.Worker)
-			switch ev.Op {
-			case ledgerDispatch, ledgerSpecDispatch:
-				rec.Op, rec.Spec = opDispatch, ev.Op == ledgerSpecDispatch
-			case ledgerSuccess:
-				rec.Op, rec.Outcome = opReport, api.OutcomeSuccess
-			case ledgerFailure:
-				rec.Op, rec.Outcome = opReport, api.OutcomeFailure
-			case ledgerExpire:
-				rec.Op = opExpire
-			default:
-				return rec, fmt.Errorf("unknown ledger op %d", ev.Op)
-			}
-		}
-		rec.Job = r.str()
-		rec.Assignment = r.str()
-		if rec.Assignment != "" && rec.Op != opDispatch {
-			return rec, fmt.Errorf("%s record carries assignment %q", rec.Op, rec.Assignment)
-		}
-	case tagSubmit:
-		rec.Op = opSubmit
-		rec.Ts, rec.Seed, rec.Deadline, rec.Weight = int64(r.u64()), int64(r.u64()), int64(r.u64()), int(r.u64())
-		rec.Job, rec.Name, rec.Algorithm, rec.Submission, rec.Tenant = r.str(), r.str(), r.str(), r.str(), r.str()
-		// Every string costs at least its length byte.
-		if n := r.uvarint(); n > uint64(len(r.b)) {
-			r.fail()
-		} else if n > 0 {
-			rec.Requires = make([]string, n)
-			for i := range rec.Requires {
-				rec.Requires[i] = r.str()
-			}
-		}
-		if r.bad {
-			break
-		}
-		w, err := api.DecodeWorkload(r.b)
-		if err != nil {
-			return rec, err
-		}
-		rec.Workload, r.b = w, nil
-	case tagDelete:
-		rec.Op, rec.Ts, rec.Job = opDelete, int64(r.u64()), r.str()
-	case tagQuota:
-		rec.Op, rec.Ts, rec.Quota, rec.Tenant = opQuota, int64(r.u64()), int(r.u64()), r.str()
-	default:
-		return rec, fmt.Errorf("unknown record tag %#x", tag)
-	}
-	if r.bad {
-		return rec, fmt.Errorf("truncated %s record", rec.Op)
-	}
-	if len(r.b) > 0 {
-		return rec, fmt.Errorf("%d trailing bytes after %s record", len(r.b), rec.Op)
-	}
-	return rec, nil
-}
-
-// recReader consumes a record's fields front to back. A field that is not
-// all there sets bad and reads as zero; so does every field after it.
-type recReader struct {
-	b   []byte
-	bad bool
-}
-
-func (r *recReader) fail() { r.b, r.bad = nil, true }
-
-func (r *recReader) bytes(n int) []byte {
-	if n > len(r.b) {
-		r.fail()
-		return nil
-	}
-	v := r.b[:n]
-	r.b = r.b[n:]
-	return v
-}
-
-func (r *recReader) byte() byte {
-	if v := r.bytes(1); v != nil {
-		return v[0]
-	}
-	return 0
-}
-
-func (r *recReader) u64() uint64 {
-	if v := r.bytes(8); v != nil {
-		return binary.LittleEndian.Uint64(v)
-	}
-	return 0
-}
-
-func (r *recReader) uvarint() uint64 {
-	v, n := binary.Uvarint(r.b)
-	if n <= 0 || n > 1 && r.b[n-1] == 0 { // one value, one encoding
-		r.fail()
-		return 0
-	}
-	r.b = r.b[n:]
-	return v
-}
-
-func (r *recReader) str() string {
-	n := r.uvarint()
-	if n > uint64(len(r.b)) {
-		r.fail()
-		return ""
-	}
-	return string(r.bytes(int(n)))
+	c := api.NewDecoder(payload)
+	rec.fields(&c)
+	return rec, c.End("journal record")
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
@@ -38,13 +39,14 @@ func recordSamples() map[string]*record {
 }
 
 // TestRecordRoundTrip: every op decodes to exactly what was encoded, and no
-// encoding could be taken for the JSON record older binaries wrote.
+// encoding could be taken for a record older binaries wrote: JSON, or disk
+// format 2's, tagged 1–4.
 func TestRecordRoundTrip(t *testing.T) {
 	for name, rec := range recordSamples() {
 		t.Run(name, func(t *testing.T) {
 			enc := rec.appendTo(nil)
-			if enc[0] >= 0x20 {
-				t.Fatalf("tag byte %#x is not below 0x20", enc[0])
+			if enc[0] <= 4 || enc[0] >= 0x20 {
+				t.Fatalf("tag byte %#x is not in (4, 0x20)", enc[0])
 			}
 			got, err := decodeRecord(enc)
 			if err != nil {
@@ -77,28 +79,27 @@ func TestRecordRoundTrip(t *testing.T) {
 }
 
 // FuzzDecodeRecord throws arbitrary bytes at the journal record decoder.
-// Whatever it accepts must be a record the encoder can write back: to the
-// very bytes it came from, except that a submit's workload section only
-// has to decode to the same workload (its codec accepts padded varints).
-// Nothing may panic, and nothing may allocate beyond a small multiple of
-// the input — both enforced by the fuzzer's own limits. What a decoded
-// record names is not checked here: TestReplayBoundsChecksCoordinates
-// covers the step that does.
+// Whatever it accepts must be a record the encoder writes back to the very
+// bytes it came from: one value, one encoding. Nothing may panic, and
+// nothing may allocate beyond a small multiple of the input — both enforced
+// by the fuzzer's own limits. What a decoded record names is not checked
+// here: TestReplayBoundsChecksCoordinates covers the step that does.
 func FuzzDecodeRecord(f *testing.F) {
 	for _, rec := range recordSamples() {
 		f.Add(rec.appendTo(nil))
 	}
+	tag := func(op string) byte { return recordOps.First + byte(slices.Index(recordOps.Names, op)) }
 	f.Add([]byte{})
-	f.Add([]byte{tagQuota, 1})
-	f.Add([]byte{tagLease})
-	f.Add([]byte{tagSubmit, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01})
+	f.Add([]byte{tag(opQuota), 1})
+	f.Add([]byte{tag(opDispatch)})
+	f.Add([]byte{tag(opSubmit), 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		rec, err := decodeRecord(data)
 		if err != nil {
 			return
 		}
 		enc := rec.appendTo(nil)
-		if rec.Op != opSubmit && !bytes.Equal(enc, data) {
+		if !bytes.Equal(enc, data) {
 			t.Fatalf("accepted %x, re-encodes to %x", data, enc)
 		}
 		again, err := decodeRecord(enc)

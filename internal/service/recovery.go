@@ -38,7 +38,7 @@
 // every tail dispatch is re-asked, of the folded state, and compared with
 // its record — so a fold that rebuilt the wrong scheduler fails the
 // recovery at the first decision it gets wrong rather than serving it.
-// Older manifests (no draws), other schedulers and decorated ones
+// A standby's manifest (no draws), other schedulers and decorated ones
 // (context:…) take the re-ask path; nothing selects between the two but
 // what the checkpoint and the scheduler offer.
 //
@@ -120,7 +120,7 @@ func (s *Service) open() (stale bool, err error) {
 		// Fresh data dir: an empty checkpoint of this partition, at the
 		// partition-seeded sequence newState installed.
 		snap = &snapshot{
-			Version: snapshotVersion, Seq: s.seq.Load(),
+			Seq:            s.seq.Load(),
 			PartitionIndex: s.cfg.PartitionIndex, PartitionCount: s.cfg.PartitionCount,
 		}
 	}
@@ -254,8 +254,8 @@ func (s *Service) restore(snap *snapshot, dir string) (int, error) {
 			running = append(running, restoring{j: j, sj: sj})
 		}
 	}
-	// A legacy snapshot can list tenants the live process had already
-	// pruned; recovery must not resurrect them.
+	// A checkpoint can list a tenant whose last job went with a lease still
+	// out (pruned live when the lease ends); recovery must not keep it.
 	for name := range c.tenants {
 		c.prune(name)
 	}
@@ -264,7 +264,7 @@ func (s *Service) restore(snap *snapshot, dir string) (int, error) {
 
 // wrap names the checkpoint entry an error came from.
 func (sj *snapJob) wrap(err error) error {
-	return fmt.Errorf("service: snapshot job %s (%s): %w", sj.ID, sj.Algorithm, err)
+	return fmt.Errorf("service: snapshot job %s (%s): %w", sj.Job, sj.Algorithm, err)
 }
 
 // restoring is one running job between the two phases of restore: its
@@ -284,11 +284,7 @@ func (s *Service) restoreShell(sj *snapJob) (*job, error) {
 	if sj.State != api.JobRunning && sj.State != api.JobCompleted {
 		return nil, fmt.Errorf("in state %q", sj.State)
 	}
-	j := s.newJob(&record{
-		Job: sj.ID, Name: sj.Name, Algorithm: sj.Algorithm, Seed: sj.Seed,
-		Submission: sj.Submission, Tenant: sj.Tenant, Weight: sj.Weight,
-		Requires: sj.Requires, Deadline: sj.Deadline, Ts: sj.Submitted,
-	}, sj.Tasks)
+	j := s.newJob(&sj.record, sj.Tasks)
 	j.state = sj.State
 	if sj.Finished != 0 {
 		j.finished = time.UnixMilli(sj.Finished)
@@ -577,7 +573,7 @@ func (s *Service) expireRecovered() (int, error) {
 		for _, x := range open {
 			rec := &record{
 				Op: opExpire, Ts: now, Job: j.id,
-				Task: x.task, Site: x.ref.Site, Worker: x.ref.Worker,
+				Task: x.task, Site: int32(x.ref.Site), Worker: int32(x.ref.Worker),
 			}
 			s.mustAppend(rec)
 			// Not through applyRecord: this event is new, not replayed.

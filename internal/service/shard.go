@@ -178,7 +178,7 @@ func (s *Service) leaseRecord(sh *shard, a *assignment, op, outcome string, now 
 	}
 	return record{
 		Op: op, Ts: now.UnixMilli(), Job: a.job.id,
-		Task: a.x.task, Site: a.x.ref.Site, Worker: a.x.ref.Worker,
+		Task: a.x.task, Site: int32(a.x.ref.Site), Worker: int32(a.x.ref.Worker),
 		Outcome: outcome,
 	}, true
 }

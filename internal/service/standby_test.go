@@ -2,7 +2,6 @@ package service_test
 
 import (
 	"bytes"
-	"encoding/base64"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -81,17 +80,14 @@ func TestStandbyCheckpointsItself(t *testing.T) {
 	if got := dirNames(t, fdir); !reflect.DeepEqual(got, want) {
 		t.Fatalf("standby data dir holds %v, want %v", got, want)
 	}
-	doc, jobs := manifestJobs(t, fdir)
-	if at := uint64(doc["lastLsn"].(float64)); at+every < leaderLSN || at > leaderLSN {
+	at, jobs := manifestJobs(t, fdir)
+	if at+every < leaderLSN || at > leaderLSN {
 		t.Fatalf("standby's own checkpoint is at lsn %d, leader at %d: more than %d behind", at, leaderLSN, every)
 	}
-	if jobs[jobID]["draws"] != nil {
+	if jobs[jobID].Draws != nil {
 		t.Fatal("a standby has no scheduler, yet its manifest records draws")
 	}
-	ledger, err := base64.StdEncoding.DecodeString(jobs[jobID]["ledger"].(string))
-	if err != nil {
-		t.Fatal(err)
-	}
+	ledger := jobs[jobID].Ledger
 	const ledgerRecSize = 21
 	tail, err := journal.ReadLog(filepath.Join(fdir, "wal.log"), 0, func(uint64, []byte) error { return nil })
 	if err != nil {
