@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	gridbench                  # run everything, write BENCH_PR22.json
+//	gridbench                  # run everything, write gridbench.json
 //	gridbench -bench Figure    # filter by regexp
 //	gridbench -out bench.json  # choose the output file
 //	gridbench -baseline BENCH_PR8.json -max-regress 0.25
@@ -65,7 +65,7 @@ func main() {
 func run(args []string, stdout *os.File) error {
 	fs := flag.NewFlagSet("gridbench", flag.ContinueOnError)
 	var (
-		out      = fs.String("out", "BENCH_PR22.json", "output JSON file")
+		out      = fs.String("out", "gridbench.json", "output JSON file")
 		filter   = fs.String("bench", "", "regexp selecting benchmarks to run (default: all)")
 		baseline = fs.String("baseline", "", "baseline JSON to compare against (regression guard)")
 		maxReg   = fs.Float64("max-regress", 0.25, "with -baseline: fail when ns/op regresses by more than this fraction")

@@ -10,7 +10,7 @@
 //	gridschedd -data-dir /var/lib/gridschedd          # durable: journal + snapshots
 //	gridschedd -data-dir d -fsync always              # fsync before every acknowledgement
 //	gridschedd -data-dir d -snapshot-every 10000      # compaction cadence in journal records
-//	gridschedd -tenant-quota 8 -default-weight 1      # multi-tenant fair share (docs/ARCHITECTURE.md)
+//	gridschedd -tenant-quota 8                        # multi-tenant fair share (docs/ARCHITECTURE.md)
 //	gridschedd -shards 16                             # job-state lock stripes (0: sized to the machine)
 //	gridschedd -auth-tokens tokens.conf               # per-tenant bearer auth (SIGHUP reloads the file)
 //	gridschedd -rate-limit 500 -rate-burst 1000       # token-bucket throttling per IP and tenant
@@ -140,7 +140,6 @@ func run(ctx context.Context, args []string, onReady func(addr string)) error {
 		lease    = fs.Duration("lease", 15*time.Second, "worker/assignment lease TTL")
 		sweep    = fs.Duration("sweep", 0, "lease sweep interval (0: lease/4)")
 		shards   = fs.Int("shards", 0, "job-state lock stripes (0: sized to the machine; see docs/ARCHITECTURE.md)")
-		weight   = fs.Int("default-weight", 1, "fair-share weight for jobs submitted without one")
 		quota    = fs.Int("tenant-quota", 0, "per-tenant cap on concurrently leased assignments (0: unlimited; override per tenant via PUT /v1/tenants/{tenant})")
 		pprof    = fs.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/")
 		tokens   = fs.String("auth-tokens", "", "bearer-token file enabling per-tenant auth (\"<token> <tenant> [admin]\" per line; SIGHUP reloads)")
@@ -149,10 +148,8 @@ func run(ctx context.Context, args []string, onReady func(addr string)) error {
 		shedP99  = fs.Duration("shed-p99", 0, "shed pulls/submits with 429 when request p99 exceeds this bound, low-weight tenants first (0 disables)")
 		dataDir  = fs.String("data-dir", "", "journal+snapshot directory; empty disables durability")
 		fsync    = fs.String("fsync", "batch", "journal fsync mode: always, batch or never")
-		fsyncInt = fs.Duration("fsync-interval", 25*time.Millisecond, "batch-mode fsync cadence")
 		snapshot = fs.Int("snapshot-every", 4096, "journal records between compacting snapshots")
 		spec     = fs.Bool("speculate", false, "re-execute straggler leases speculatively (first report wins; see docs/SCHEDULING.md)")
-		specPct  = fs.Float64("speculate-percentile", 0.95, "duration percentile a lease must exceed (times the factor) to count as a straggler")
 		partIdx  = fs.Int("partition-index", 0, "this daemon's partition index in a partitioned deployment (see docs/PARTITIONING.md)")
 		partCnt  = fs.Int("partition-count", 0, "total partitions in the deployment (0 or 1: standalone); ids mint in this partition's residue class")
 		follow   = fs.String("follow", "", "run as a hot standby replicating the leader at this base URL (requires -data-dir); read-only until promoted")
@@ -204,15 +201,12 @@ func run(ctx context.Context, args []string, onReady func(addr string)) error {
 		Shards:            *shards,
 		PartitionIndex:    *partIdx,
 		PartitionCount:    *partCnt,
-		DefaultWeight:     *weight,
 		TenantMaxInFlight: *quota,
 		DataDir:           *dataDir,
 		Fsync:             mode,
-		FsyncInterval:     *fsyncInt,
 		SnapshotEvery:     *snapshot,
 		Speculation:       *spec,
 	}
-	svcCfg.SpeculationPercentile = *specPct
 
 	var store *middleware.TokenStore
 	if *tokens != "" {

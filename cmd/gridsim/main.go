@@ -13,6 +13,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"gridsched"
@@ -21,13 +22,13 @@ import (
 )
 
 func main() {
-	if err := run(os.Args[1:]); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "gridsim:", err)
 		os.Exit(1)
 	}
 }
 
-func run(args []string) error {
+func run(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("gridsim", flag.ContinueOnError)
 	var (
 		alg       = fs.String("alg", "combined.2", "scheduling algorithm (see -algs)")
@@ -48,7 +49,7 @@ func run(args []string) error {
 	}
 	if *listAlgs {
 		for _, name := range gridsched.AlgorithmNames() {
-			fmt.Println(name)
+			fmt.Fprintln(stdout, name)
 		}
 		return nil
 	}
@@ -98,24 +99,24 @@ func run(args []string) error {
 	}
 
 	if *asJSON {
-		enc := json.NewEncoder(os.Stdout)
+		enc := json.NewEncoder(stdout)
 		enc.SetIndent("", "  ")
 		return enc.Encode(res)
 	}
 
 	m := res.Metrics
-	fmt.Printf("workload:            %s (%d tasks, %d files)\n", w.Name, len(w.Tasks), w.NumFiles)
-	fmt.Printf("algorithm:           %s\n", res.Scheduler)
-	fmt.Printf("makespan:            %.0f minutes (%.1f days)\n", res.MakespanMinutes(), res.MakespanMinutes()/60/24)
-	fmt.Printf("file transfers:      %d total, %d redundant (%.1f GB fetched)\n",
+	fmt.Fprintf(stdout, "workload:            %s (%d tasks, %d files)\n", w.Name, len(w.Tasks), w.NumFiles)
+	fmt.Fprintf(stdout, "algorithm:           %s\n", res.Scheduler)
+	fmt.Fprintf(stdout, "makespan:            %.0f minutes (%.1f days)\n", res.MakespanMinutes(), res.MakespanMinutes()/60/24)
+	fmt.Fprintf(stdout, "file transfers:      %d total, %d redundant (%.1f GB fetched)\n",
 		m.TotalFileTransfers(), m.RedundantTransfers(), m.TotalBytesFetched()/1e9)
-	fmt.Printf("cancelled replicas:  %d\n", m.CancelledExecutions)
-	fmt.Printf("kernel events:       %d\n", res.WallEvents)
-	fmt.Println()
-	fmt.Println("site  requests  transfers  wait(h)  fetch(h)  executed  completed")
+	fmt.Fprintf(stdout, "cancelled replicas:  %d\n", m.CancelledExecutions)
+	fmt.Fprintf(stdout, "kernel events:       %d\n", res.WallEvents)
+	fmt.Fprintln(stdout)
+	fmt.Fprintln(stdout, "site  requests  transfers  wait(h)  fetch(h)  executed  completed")
 	for i := range m.Sites {
 		s := &m.Sites[i]
-		fmt.Printf("%4d  %8d  %9d  %7.1f  %8.1f  %8d  %9d\n",
+		fmt.Fprintf(stdout, "%4d  %8d  %9d  %7.1f  %8.1f  %8d  %9d\n",
 			i, s.Requests, s.FileTransfers, s.WaitTimeSum/3600, s.TransferTimeSum/3600, s.TasksExecuted, s.TasksCompleted)
 	}
 	return nil

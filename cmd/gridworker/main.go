@@ -61,7 +61,7 @@ func run(ctx context.Context, args []string) error {
 		reconn  = fs.Duration("reconnect", 0, "retry interval across server outages (0: fail fast)")
 		drain   = fs.Duration("drain", 30*time.Second, "on SIGINT/SIGTERM, let an in-flight task finish and report for up to this long (0: abort it immediately)")
 		token   = fs.String("auth-token", "", "bearer token for a gridschedd running with -auth-tokens")
-		codec   = fs.String("codec", "json", "wire codec: json, binary (strict, no silent fallback), or auto (negotiate)")
+		codec   = fs.String("codec", "json", "wire codec: json or binary (strict, no silent fallback)")
 		batch   = fs.Int("batch", 0, "where leases come from: 0 long-poll pulls, k>0 a lease stream with that pipeline depth")
 		tags    = fs.String("tags", "", "comma-separated capability tags to advertise (e.g. gpu,avx512)")
 	)

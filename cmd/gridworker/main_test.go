@@ -6,7 +6,7 @@ import (
 	"testing"
 	"time"
 
-	"gridsched/internal/core"
+	"gridsched"
 	"gridsched/internal/service"
 	"gridsched/internal/service/api"
 	"gridsched/internal/workload"
@@ -20,8 +20,9 @@ func TestRunRejectsBadFlags(t *testing.T) {
 
 func TestWorkersDrainJobAndExitWhenIdle(t *testing.T) {
 	svc, err := service.New(service.Config{
-		Topology: service.Topology{Sites: 2, WorkersPerSite: 2, CapacityFiles: 50},
-		LeaseTTL: 2 * time.Second,
+		Topology:     service.Topology{Sites: 2, WorkersPerSite: 2, CapacityFiles: 50},
+		NewScheduler: gridsched.SchedulerFactory(),
+		LeaseTTL:     2 * time.Second,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -37,7 +38,7 @@ func TestWorkersDrainJobAndExitWhenIdle(t *testing.T) {
 			Files: []workload.FileID{workload.FileID(i % 8)},
 		})
 	}
-	jobID, err := svc.Submit("drain", "workqueue", w, core.NewWorkqueue(w))
+	jobID, err := svc.SubmitJob(api.SubmitJobRequest{Name: "drain", Algorithm: "workqueue", Workload: w})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,10 @@
 // Live cluster: the same worker-centric scheduler that drives the
-// simulator, running on real goroutines. Each worker goroutine pulls a
-// task when idle, stages inputs through its site's store (with a synthetic
-// staging latency standing in for the wide-area fetch), executes a real
+// simulator, running on real goroutines. A gridschedd service is embedded
+// in the process and served in-process (client.InProcess, no sockets)
+// behind the ingress chain a networked daemon fronts with; one
+// client.RunWorker goroutine per worker slot pulls a task when idle, waits
+// out a synthetic staging latency for the files its site store had to
+// fetch (standing in for the wide-area transfer), executes a real
 // function, and replica cancellation flows through contexts.
 //
 //	go run ./examples/live-cluster
@@ -11,14 +14,20 @@ import (
 	"context"
 	"fmt"
 	"log"
+	"sync"
 	"sync/atomic"
 	"time"
 
 	"gridsched"
 	"gridsched/internal/core"
-	"gridsched/internal/live"
-	"gridsched/internal/storage"
-	"gridsched/internal/workload"
+	"gridsched/internal/middleware"
+	"gridsched/internal/service/api"
+	"gridsched/internal/service/client"
+)
+
+const (
+	sites          = 4
+	workersPerSite = 3
 )
 
 func main() {
@@ -29,51 +38,88 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-
-	var checksum atomic.Uint64
-	cfg := live.Config{
-		Sites:          4,
-		WorkersPerSite: 3,
-		CapacityFiles:  2500,
-		Policy:         storage.LRU,
-		// Stand-in for the wide-area fetch: 50us per missing file.
-		StageDelay: func(missing int) time.Duration {
-			return time.Duration(missing) * 50 * time.Microsecond
-		},
-		// The "computation": fold the task's file ids into a checksum.
-		Execute: func(ctx context.Context, at core.WorkerRef, task workload.Task) error {
-			var sum uint64
-			for _, f := range task.Files {
-				sum += uint64(f)
-			}
-			checksum.Add(sum)
-			return nil
-		},
-	}
-
 	for _, name := range []string{"workqueue", "rest", "combined.2"} {
-		sched, err := gridsched.NewScheduler(name, w, gridsched.SimulationConfig{
-			Workload:       w,
-			Sites:          cfg.Sites,
-			WorkersPerSite: cfg.WorkersPerSite,
-			CapacityFiles:  cfg.CapacityFiles,
-		}, 1)
-		if err != nil {
-			log.Fatal(err)
-		}
-		cluster, err := live.NewCluster(cfg, w, sched)
-		if err != nil {
-			log.Fatal(err)
-		}
-		checksum.Store(0)
-		sum, err := cluster.Run(context.Background())
-		if err != nil {
-			log.Fatal(err)
-		}
+		start := time.Now()
+		st, checksum := drain(name, w)
 		fmt.Printf("%-12s completed=%d transfers=%d cancelled=%d wall=%v checksum=%d\n",
-			name, sum.TasksCompleted, sum.FileTransfers, sum.CancelledExecutions,
-			sum.Wall.Round(time.Millisecond), checksum.Load())
+			name, st.Completed, st.Transfers, st.Cancelled,
+			time.Since(start).Round(time.Millisecond), checksum)
 	}
 	fmt.Println("\nnote: fewer transfers = better data reuse; the checksum is")
 	fmt.Println("identical across strategies because every task runs exactly once.")
+}
+
+// drain runs w to completion under the named algorithm on a fresh embedded
+// service and returns the job's final status and the checksum its tasks
+// computed.
+func drain(algorithm string, w *gridsched.Workload) (*api.JobStatus, uint64) {
+	svc, err := gridsched.NewService(gridsched.ServiceConfig{
+		Topology: gridsched.ServiceTopology{
+			Sites:          sites,
+			WorkersPerSite: workersPerSite,
+			CapacityFiles:  2500,
+		},
+		LeaseTTL: 2 * time.Second,
+	})
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer svc.Close()
+	// The ingress chain contains a handler panic as a 500 the worker
+	// retries, instead of unwinding this process, and traces every request.
+	cl := client.InProcess(middleware.Ingress(middleware.Config{}, svc.Handler()))
+	ctx := context.Background()
+	jobID, err := cl.SubmitJob(ctx, "live", algorithm, 1, w)
+	if err != nil {
+		log.Fatal(err)
+	}
+
+	var checksum atomic.Uint64
+	var wg sync.WaitGroup
+	for s := 0; s < sites; s++ {
+		for range workersPerSite {
+			site := s
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				err := cl.RunWorker(ctx, client.WorkerConfig{
+					Site:     &site,
+					PollWait: 500 * time.Millisecond,
+					// Stand-in for the wide-area fetch: 50us per missing file.
+					StageDelay: func(missing int) time.Duration {
+						return time.Duration(missing) * 50 * time.Microsecond
+					},
+					// The "computation": fold the task's file ids into a checksum.
+					Execute: func(_ context.Context, _ core.WorkerRef, a *api.Assignment) error {
+						var sum uint64
+						for _, f := range a.Task.Files {
+							sum += uint64(f)
+						}
+						checksum.Add(sum)
+						return nil
+					},
+					// The service hosts this one job, so "no open jobs" and
+					// "job completed" coincide.
+					OnIdle: func(_ context.Context, resp *api.PullResponse) (bool, error) {
+						return resp.OpenJobs == 0, nil
+					},
+					OnReport: func(_ context.Context, _ *api.Assignment, _ string, rep *api.ReportResponse) bool {
+						return rep.JobState == api.JobCompleted
+					},
+				})
+				if err != nil {
+					log.Fatal(err)
+				}
+			}()
+		}
+	}
+	wg.Wait()
+	st, err := cl.Job(ctx, jobID)
+	if err != nil {
+		log.Fatal(err)
+	}
+	if st.State != api.JobCompleted {
+		log.Fatalf("%s: %d tasks incomplete after every worker exited", algorithm, st.Remaining)
+	}
+	return st, checksum.Load()
 }

@@ -331,7 +331,9 @@ func halfDrainedDataDir(jobs int) service.Config {
 	w, err := gridsched.NewCoaddWorkload(gridsched.DefaultCoaddSeed, 6000)
 	must(err, "workload")
 	for i := 0; i < jobs; i++ {
-		_, err := svc.SubmitByName(fmt.Sprintf("coadd-%d", i), "combined.2", w, int64(i), "")
+		_, err := svc.SubmitJob(api.SubmitJobRequest{
+			Name: fmt.Sprintf("coadd-%d", i), Algorithm: "combined.2", Workload: w, Seed: int64(i),
+		})
 		must(err, "submit")
 	}
 	reg, err := svc.Register(0)
@@ -493,7 +495,9 @@ func ServiceDispatchSpeculative(b *testing.B) {
 	defer svc.Close()
 
 	submit := func() {
-		_, err := svc.SubmitByName("bench-spec", "workqueue", dispatchWorkload(100_000), 0, "")
+		_, err := svc.SubmitJob(api.SubmitJobRequest{
+			Name: "bench-spec", Algorithm: "workqueue", Workload: dispatchWorkload(100_000),
+		})
 		must(err, "submit")
 	}
 	submit()
@@ -594,8 +598,10 @@ func ServiceDispatchParallel(shards int) func(b *testing.B) {
 				return // another worker already refilled
 			}
 			for k := 0; k < ParallelJobs; k++ {
-				_, err := svc.SubmitByName(fmt.Sprintf("par-%d-%d", batch, k), "rest",
-					dispatchWorkload(50_000), int64(k), "")
+				_, err := svc.SubmitJob(api.SubmitJobRequest{
+					Name: fmt.Sprintf("par-%d-%d", batch, k), Algorithm: "rest",
+					Workload: dispatchWorkload(50_000), Seed: int64(k),
+				})
 				must(err, "submit")
 			}
 			batch++

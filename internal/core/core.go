@@ -15,7 +15,7 @@
 // worker-centric strategy without data awareness.
 //
 // Schedulers are engine-agnostic: the simulation engine (internal/grid) and
-// the live runtime (internal/live) drive them through the Scheduler
+// the scheduler service (internal/service) drive them through the Scheduler
 // interface, feeding storage-content changes via NoteBatch.
 //
 // # Dispatch cost

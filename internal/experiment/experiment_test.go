@@ -2,9 +2,15 @@ package experiment
 
 import (
 	"bytes"
+	"flag"
+	"os"
+	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 )
+
+var update = flag.Bool("update", false, "rewrite testdata/<id>.csv from this tree's output")
 
 // fastOpts shrinks an experiment to integration-test scale.
 func fastOpts() Options {
@@ -190,5 +196,51 @@ func TestSweepDeterministicAcrossParallelism(t *testing.T) {
 	}
 	if a, b := run(1), run(8); a != b {
 		t.Fatalf("results depend on parallelism:\n%s\nvs\n%s", a, b)
+	}
+}
+
+// TestArtifactGoldens pins the paper engine's decisions: every registered
+// artifact, rendered at 1,200 tasks over seeds 1 and 2, must write the CSV
+// bytes committed as testdata/<id>.csv. Regenerate them with -update only
+// when a decision is meant to change, and say why.
+func TestArtifactGoldens(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skipf("the goldens are amd64 output; the Go spec lets %s fuse multiply-adds, which can change the bytes", runtime.GOARCH)
+	}
+	opts := Options{Tasks: 1200, Seeds: []int64{1, 2}}
+	done := map[string]bool{}
+	for _, id := range IDs() {
+		if done[id] {
+			continue // a shared sweep already emitted it
+		}
+		def, _ := Lookup(id)
+		reports, err := def.Run(opts)
+		if err != nil {
+			t.Fatalf("%s: %v", id, err)
+		}
+		for _, rep := range reports {
+			if done[rep.ID] {
+				continue
+			}
+			done[rep.ID] = true
+			var got bytes.Buffer
+			if err := rep.WriteCSV(&got); err != nil {
+				t.Fatal(err)
+			}
+			path := filepath.Join("testdata", rep.ID+".csv")
+			if *update {
+				if err := os.WriteFile(path, got.Bytes(), 0o644); err != nil {
+					t.Fatal(err)
+				}
+				continue
+			}
+			want, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got.Bytes(), want) {
+				t.Errorf("%s: a decision changed; got\n%s\nwant (%s)\n%s", rep.ID, got.Bytes(), path, want)
+			}
+		}
 	}
 }

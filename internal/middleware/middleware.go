@@ -1,7 +1,8 @@
 // Package middleware is gridschedd's production ingress: an onion-model,
 // express/koa-style composable chain of http.Handler wrappers installed
-// in front of the service mux (internal/service) by both the daemon
-// (cmd/gridschedd) and the in-process transport (internal/live).
+// in front of the service mux (internal/service) by the daemon
+// (cmd/gridschedd), and by a process that embeds the service and reaches it
+// over client.InProcess (examples/live-cluster).
 //
 // Five middlewares ship here, applied in one explicit, fixed order
 // (outermost first — see Ingress):

@@ -117,7 +117,8 @@ func mergeTenants(parts []*[]api.TenantStatus) []api.TenantStatus {
 
 // handleTenantQuota fans a quota override out to every partition: quotas
 // are enforced at lease grant inside each partition, so a deployment-wide
-// override must land everywhere. The call is idempotent; if any
+// override must land everywhere. A client-side rejection (4xx) is the same
+// on every partition and is relayed as-is. The call is idempotent; if any
 // partition could not be reached the router reports 503 and the caller
 // retries until all partitions converge.
 func (rt *Router) handleTenantQuota(w http.ResponseWriter, r *http.Request) {
@@ -126,70 +127,22 @@ func (rt *Router) handleTenantQuota(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, fmt.Sprintf("reading body: %v", err))
 		return
 	}
-	type outcome struct {
-		status api.TenantStatus
-		err    error
-		code   int
-	}
-	results := make([]outcome, len(rt.urls))
-	path := "/v1/tenants/" + r.PathValue("tenant")
-	done := make(chan int, len(rt.urls))
-	for i := range rt.urls {
-		go func(i int) {
-			defer func() { done <- i }()
-			ctx, cancel := context.WithTimeout(r.Context(), rt.aggTO)
-			defer cancel()
-			req, err := http.NewRequestWithContext(ctx, http.MethodPut, rt.urls[i]+path, bytes.NewReader(body))
-			if err != nil {
-				results[i].err = err
-				return
-			}
-			req.Header.Set("Content-Type", "application/json")
-			if auth := r.Header.Get("Authorization"); auth != "" {
-				req.Header.Set("Authorization", auth)
-			}
-			resp, err := rt.client.Do(req)
-			if err != nil {
-				rt.mark(i, err)
-				results[i].err = err
-				return
-			}
-			defer resp.Body.Close()
-			rt.mark(i, nil)
-			data, _ := io.ReadAll(io.LimitReader(resp.Body, maxReplyBytes))
-			results[i].code = resp.StatusCode
-			if resp.StatusCode/100 != 2 {
-				results[i].err = fmt.Errorf("partition %d: %s", i, strings.TrimSpace(string(data)))
-				return
-			}
-			results[i].err = json.Unmarshal(data, &results[i].status)
-		}(i)
-	}
-	for range rt.urls {
-		<-done
-	}
-	// A client-side rejection (4xx) is the same on every partition; relay
-	// the first one as-is. Reachability failures mean partial application:
-	// 503 so the caller retries the idempotent PUT to convergence.
-	statuses := make([]*[]api.TenantStatus, len(results))
-	for i, res := range results {
-		if res.err != nil {
-			if res.code >= 400 && res.code < 500 {
-				writeError(w, res.code, res.err.Error())
-				return
-			}
-			continue
+	parts, denied, failed := fanOutAs[api.TenantStatus](rt, r.Context(), http.MethodPut,
+		"/v1/tenants/"+r.PathValue("tenant"), r.Header.Get("Authorization"), body, json.Unmarshal,
+		func(code int) bool { return code/100 == 4 })
+	switch {
+	case denied != nil:
+		writeError(w, denied.code, denied.msg)
+	case failed != nil:
+		writeError(w, http.StatusServiceUnavailable,
+			fmt.Sprintf("quota applied partially: %v (retry to converge)", failed))
+	default:
+		rows := make([]*[]api.TenantStatus, len(parts))
+		for i, p := range parts {
+			rows[i] = &[]api.TenantStatus{*p}
 		}
-		statuses[i] = &[]api.TenantStatus{res.status}
+		writeJSON(w, http.StatusOK, mergeTenants(rows)[0])
 	}
-	for _, res := range results {
-		if res.err != nil {
-			writeError(w, http.StatusServiceUnavailable,
-				fmt.Sprintf("quota applied partially: %v (retry to converge)", res.err))
-			return
-		}
-	}
-	finishAggregate(w, statuses, nil, mergeTenants(statuses)[0])
 }
 
 // topology probes every partition's /readyz and assembles the deployment
@@ -260,10 +213,10 @@ func (rt *Router) handleHealthz(w http.ResponseWriter, r *http.Request) {
 // family is written once, behind the router's own per-partition up gauge. A
 // partition whose body does not read is down like one that did not answer.
 func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	parts, _ := fanOutAs[[]metrics.Metric](rt, r.Context(), "", "/metrics", func(body []byte, v any) (err error) {
+	parts, _, _ := fanOutAs[[]metrics.Metric](rt, r.Context(), http.MethodGet, "/metrics", "", nil, func(body []byte, v any) (err error) {
 		*v.(*[]metrics.Metric), err = metrics.Read(bytes.NewReader(body))
 		return err
-	})
+	}, authRefusal)
 	all := []metrics.Metric{{Name: "gridsched_partition_up", Kind: metrics.KindGauge}}
 	var downIdx []string
 	for i, ms := range parts {

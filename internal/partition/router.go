@@ -1,6 +1,7 @@
 package partition
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -265,9 +266,7 @@ func (rt *Router) placeWorker(ctx context.Context) int {
 	return busiest[int(rt.rr.Add(1)-1)%len(busiest)]
 }
 
-// refusal is a partition's 401 or 403 to an aggregate leg: the partition
-// is up and said no, so the caller — not the deployment — has something to
-// fix, and gets that status back instead of "unreachable".
+// refusal is a partition's non-2xx answer to a fan-out leg.
 type refusal struct {
 	code int
 	msg  string
@@ -275,52 +274,84 @@ type refusal struct {
 
 func (e *refusal) Error() string { return e.msg }
 
-// fanOut performs one aggregate leg against every partition, presenting
-// the caller's Authorization header (auth, "" for none) to each, and
-// decodes each JSON response into a fresh V. Failed partitions (transport
-// error or non-2xx) come back as nil entries with health marked; denied is
-// the lowest-indexed partition's refusal when any refused the credentials.
-func fanOut[V any](rt *Router, ctx context.Context, auth, path string) (out []*V, denied *refusal) {
-	return fanOutAs[V](rt, ctx, auth, path, json.Unmarshal)
+// authRefusal picks the answers an aggregate read relays: a 401 or 403
+// means the partition is up and said no, so the caller — not the
+// deployment — has something to fix, and gets that status back instead of
+// "unreachable".
+func authRefusal(code int) bool {
+	return code == http.StatusUnauthorized || code == http.StatusForbidden
 }
 
-// fanOutAs is fanOut with the decoding of a 2xx body named (json.Unmarshal's
-// shape).
-func fanOutAs[V any](rt *Router, ctx context.Context, auth, path string, decode func([]byte, any) error) (out []*V, denied *refusal) {
+// fanOut performs one aggregate GET against every partition, presenting
+// the caller's Authorization header (auth, "" for none) to each, and
+// decodes each JSON response into a fresh V. Failed partitions come back as
+// nil entries; denied is the lowest-indexed partition's refusal of the
+// credentials, if any.
+func fanOut[V any](rt *Router, ctx context.Context, auth, path string) (out []*V, denied *refusal) {
+	out, denied, _ = fanOutAs[V](rt, ctx, http.MethodGet, path, auth, nil, json.Unmarshal, authRefusal)
+	return out, denied
+}
+
+// fanOutAs sends method path, with body when it is not nil, to every
+// partition at once, presenting auth, and decodes each 2xx body into a
+// fresh V with decode (json.Unmarshal's shape). A non-2xx answer whose
+// status relay accepts is the partition's refusal: it is marked up, and the
+// lowest-indexed refusal comes back as denied. Any other failure — no
+// answer, another status, an undecodable body — leaves a nil entry and
+// marks the partition down; the lowest-indexed one comes back as failed.
+func fanOutAs[V any](rt *Router, ctx context.Context, method, path, auth string, body []byte,
+	decode func([]byte, any) error, relay func(code int) bool) (out []*V, denied *refusal, failed error) {
 	out = make([]*V, len(rt.urls))
 	refused := make([]*refusal, len(rt.urls))
+	errs := make([]error, len(rt.urls))
 	var wg sync.WaitGroup
 	for i := range rt.urls {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
 			var v V
-			err := rt.get(ctx, i, auth, path, &v, decode)
-			if errors.As(err, &refused[i]) {
-				rt.mark(i, nil) // it answered; the credentials are the problem
+			err := rt.send(ctx, i, method, path, auth, body, &v, decode)
+			if r := (*refusal)(nil); errors.As(err, &r) && relay(r.code) {
+				refused[i] = r
+				rt.mark(i, nil) // it answered; the request is the problem
 				return
 			}
 			rt.mark(i, err)
 			if err == nil {
 				out[i] = &v
 			}
+			errs[i] = err
 		}(i)
 	}
 	wg.Wait()
 	for _, r := range refused {
 		if r != nil {
-			return out, r
+			return out, r, nil
 		}
 	}
-	return out, nil
+	for _, err := range errs {
+		if err != nil {
+			return out, nil, err
+		}
+	}
+	return out, nil, nil
 }
 
-func (rt *Router) get(ctx context.Context, i int, auth, path string, v any, decode func([]byte, any) error) error {
+// send is one leg of a fan-out: one request to partition i, its 2xx body
+// decoded into v, any other answer a *refusal.
+func (rt *Router) send(ctx context.Context, i int, method, path, auth string, body []byte, v any, decode func([]byte, any) error) error {
 	ctx, cancel := context.WithTimeout(ctx, rt.aggTO)
 	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, rt.urls[i]+path, nil)
+	var rd io.Reader
+	if body != nil {
+		rd = bytes.NewReader(body)
+	}
+	req, err := http.NewRequestWithContext(ctx, method, rt.urls[i]+path, rd)
 	if err != nil {
 		return err
+	}
+	if body != nil {
+		req.Header.Set("Content-Type", "application/json")
 	}
 	if auth != "" {
 		req.Header.Set("Authorization", auth)
@@ -340,10 +371,7 @@ func (rt *Router) get(ctx context.Context, i int, auth, path string, v any, deco
 		if json.Unmarshal(data, &e) == nil && e.Error != "" {
 			msg = fmt.Sprintf("partition %d: %s", i, e.Error)
 		}
-		if resp.StatusCode == http.StatusUnauthorized || resp.StatusCode == http.StatusForbidden {
-			return &refusal{code: resp.StatusCode, msg: msg}
-		}
-		return errors.New(msg)
+		return &refusal{code: resp.StatusCode, msg: msg}
 	}
 	return decode(data, v)
 }

@@ -229,6 +229,12 @@ func TestRouterAggregation(t *testing.T) {
 	if len(jobs) != perPart[0] {
 		t.Fatalf("degraded jobs: got %d, want partition 0's %d", len(jobs), perPart[0])
 	}
+	// A quota override cannot land everywhere: 503, so the caller retries.
+	var ae *client.APIError
+	if _, err := d.cl.SetTenantQuota(ctx, "tenant-0", 2); !errors.As(err, &ae) ||
+		ae.StatusCode != http.StatusServiceUnavailable || !strings.Contains(ae.Message, "applied partially") {
+		t.Fatalf("quota with partition 1 down: %v, want 503 applied partially", err)
+	}
 	req, _ := http.NewRequest(http.MethodGet, d.router.URL+"/v1/jobs", nil)
 	resp, err = http.DefaultClient.Do(req)
 	if err != nil {
@@ -450,6 +456,10 @@ func TestRouterAggregationForwardsAuth(t *testing.T) {
 	wantStatus("tenants without a token", err, http.StatusUnauthorized)
 	_, err = d.cl.SetTenantQuota(ctx, "astro", 3)
 	wantStatus("quota with a tenant token", err, http.StatusForbidden)
+	admin := client.New(d.router.URL, nil)
+	admin.AuthToken = "tok-admin"
+	_, err = admin.SetTenantQuota(ctx, "astro", -1)
+	wantStatus("a negative quota", err, http.StatusBadRequest)
 	// A refusal is an answer: the partitions must not have been marked down.
 	resp, err := http.Get(d.router.URL + "/v1/partitions")
 	if err != nil {
@@ -467,8 +477,6 @@ func TestRouterAggregationForwardsAuth(t *testing.T) {
 	}
 
 	// The admin's quota override lands on every partition.
-	admin := client.New(d.router.URL, nil)
-	admin.AuthToken = "tok-admin"
 	st, err := admin.SetTenantQuota(ctx, "astro", 3)
 	if err != nil || st.MaxInFlight != 3 {
 		t.Fatalf("quota with the admin token: %+v, err %v", st, err)

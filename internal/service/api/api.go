@@ -98,8 +98,8 @@ type SubmitJobRequest struct {
 	Tenant string `json:"tenant,omitempty"`
 	// Weight is the job's fair-share weight: over a contended worker pool
 	// the dispatch rates of runnable jobs converge to the ratio of their
-	// weights. Zero (or absent) means the server's default weight; the
-	// server rejects negative or absurdly large values.
+	// weights. Zero (or absent) means weight 1; the server rejects
+	// negative or absurdly large values.
 	Weight int `json:"weight,omitempty"`
 	// Requires restricts dispatch to workers that registered with every
 	// listed capability tag (same charset as tags; see RegisterRequest).
@@ -183,7 +183,7 @@ type Assignment struct {
 	Task  workload.Task `json:"task"`
 	// Staged is how many of the task's files were newly fetched into the
 	// worker's site store when the assignment was made; a client modelling
-	// staging cost (live.Config.StageDelay) keys off it.
+	// staging cost (client.WorkerConfig.StageDelay) keys off it.
 	Staged int `json:"staged"`
 	// LeaseTTLMillis echoes the lease duration; the execution must
 	// heartbeat within it or the task is requeued.

@@ -13,7 +13,7 @@
 // turns for a while resumes at the current share rather than monopolizing
 // the pool to "catch up" (the standard SFQ treatment of idle flows). Jobs
 // submitted without a tenant or weight join the anonymous default tenant
-// at the default weight; because dispatch always offers to the minimum
+// at weight 1; because dispatch always offers to the minimum
 // tag first and every weight is at least 1, no runnable job can starve.
 //
 // Tenants additionally carry a concurrency quota (maxInFlight), enforced
@@ -223,17 +223,8 @@ func (a *arbiter) quotaFor(t *tenantState, serverDefault int) int {
 	return serverDefault
 }
 
-// normalizeWeight resolves a submitted weight against the server default.
+// normalizeWeight resolves a submitted weight: 0 (none given) is weight 1.
 // Callers validated 0 <= w <= maxWeight.
-func normalizeWeight(w, serverDefault int) int {
-	if w <= 0 {
-		w = serverDefault
-	}
-	if w <= 0 {
-		w = 1
-	}
-	if w > maxWeight {
-		w = maxWeight
-	}
-	return w
+func normalizeWeight(w int) int {
+	return min(max(w, 1), maxWeight)
 }

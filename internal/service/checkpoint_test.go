@@ -8,7 +8,6 @@ import (
 	"sort"
 	"testing"
 
-	"gridsched"
 	"gridsched/internal/faultinject"
 	"gridsched/internal/service"
 	"gridsched/internal/service/api"
@@ -59,7 +58,7 @@ const (
 // submitted, and returns B's dispatch order so far.
 func runCheckpointScript(t *testing.T, s *service.Service, afterA func(), prefix int) []workload.TaskID {
 	t.Helper()
-	if id, err := s.SubmitByName("A", "rest", syntheticWorkload(aTasks, 3), 5, ""); err != nil || id != jobA {
+	if id, err := s.SubmitJob(api.SubmitJobRequest{Name: "A", Algorithm: "rest", Workload: syntheticWorkload(aTasks, 3), Seed: 5}); err != nil || id != jobA {
 		t.Fatalf("submit A: id %q, err %v", id, err)
 	}
 	if afterA != nil {
@@ -68,7 +67,7 @@ func runCheckpointScript(t *testing.T, s *service.Service, afterA func(), prefix
 	if got := pullSequence(t, s, -1); len(got) != aTasks {
 		t.Fatalf("drained %d of A's %d tasks", len(got), aTasks)
 	}
-	if id, err := s.SubmitByName("B", "combined.2", syntheticWorkload(bTasks, 4), 99, ""); err != nil || id != jobB {
+	if id, err := s.SubmitJob(api.SubmitJobRequest{Name: "B", Algorithm: "combined.2", Workload: syntheticWorkload(bTasks, 4), Seed: 99}); err != nil || id != jobB {
 		t.Fatalf("submit B: id %q, err %v", id, err)
 	}
 	return pullSequence(t, s, prefix)
@@ -82,7 +81,7 @@ func workloadFileOf(jobID string) string { return "workload-" + jobID + ".bin" }
 // rest of its tasks in exactly the uninterrupted order — and a data dir
 // holding nothing the final manifest does not account for.
 func TestCheckpointCrashOrdering(t *testing.T) {
-	ref := newService(t, service.Config{NewScheduler: gridsched.SchedulerFactory()})
+	ref := newService(t, service.Config{})
 	refSeq := runCheckpointScript(t, ref, nil, -1)
 	if len(refSeq) != bTasks {
 		t.Fatalf("reference dispatched %d of %d", len(refSeq), bTasks)

@@ -12,6 +12,7 @@ import (
 	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -24,12 +25,14 @@ import (
 // or to a report: refuse with status (a 429 carries Retry-After: 1), sever
 // the connection without answering, or accept — a lease request then gets
 // one frame: the assignment named by grant (leased for ttl, a minute if
-// zero), or nothing but an open-job count of zero.
+// zero, with staged files newly fetched for it), or nothing but an open-job
+// count of zero.
 type answer struct {
 	status int
 	sever  bool
 	grant  string
 	ttl    time.Duration
+	staged int
 }
 
 // scriptedSched is a scripted gridschedd. It records every request in
@@ -124,7 +127,7 @@ func (s *scriptedSched) handler() http.Handler {
 		lb := &api.LeaseBatch{}
 		if a.grant != "" {
 			ttl := cmp.Or(a.ttl, time.Minute)
-			lb.Assignments = []api.Assignment{{ID: a.grant, JobID: "j1", LeaseTTLMillis: ttl.Milliseconds()}}
+			lb.Assignments = []api.Assignment{{ID: a.grant, JobID: "j1", LeaseTTLMillis: ttl.Milliseconds(), Staged: a.staged}}
 			lb.OpenJobs = 1
 		}
 		return lb
@@ -232,6 +235,19 @@ func TestWorkerLoopConformance(t *testing.T) {
 		wantErr  func(error) bool // nil: RunWorker returns nil
 	}
 	drained, aborted := newHold(), newHold()
+	// The staging delay is waited out before the execution starts, which
+	// fails the task if it finds its files still unstaged.
+	var stagedFiles atomic.Int64
+	stage := func(files int) time.Duration {
+		stagedFiles.Store(int64(files))
+		return time.Duration(files) * 100 * time.Millisecond
+	}
+	afterStaging := func(context.Context, core.WorkerRef, *api.Assignment) error {
+		if stagedFiles.Swap(0) != 3 {
+			return errors.New("executed before its 3 files were staged")
+		}
+		return nil
+	}
 	rows := []row{
 		{
 			name:     "401 at registration",
@@ -308,6 +324,13 @@ func TestWorkerLoopConformance(t *testing.T) {
 			cfg:   client.WorkerConfig{OnReport: stopOnReport},
 			lease: first(answer{grant: "a1"}),
 			want:  []string{"REGISTER", "LEASE w1", "REPORT w1 a1=success", "DEREGISTER w1"},
+		},
+		{
+			name:    "StageDelay before Execute",
+			cfg:     client.WorkerConfig{OnReport: stopOnReport, StageDelay: stage, Execute: afterStaging},
+			lease:   first(answer{grant: "a1", staged: 3}),
+			minTime: 300 * time.Millisecond,
+			want:    []string{"REGISTER", "LEASE w1", "REPORT w1 a1=success", "DEREGISTER w1"},
 		},
 		{
 			// The finished outcome waits out the refusal; the task is neither

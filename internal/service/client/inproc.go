@@ -9,8 +9,8 @@ import (
 )
 
 // InProcess returns a Client whose requests are served by h directly —
-// full HTTP protocol, no sockets. The live runtime (internal/live) uses it
-// to embed gridschedd inside one process; tests use it to avoid port
+// full HTTP protocol, no sockets. A process that embeds gridschedd reaches
+// it this way (examples/live-cluster); tests use it to avoid port
 // allocation. Long polls work unchanged (the handler blocks on the
 // request's context like it would under net/http), and streaming endpoints
 // get a real pipe: frames written by the handler are readable immediately,

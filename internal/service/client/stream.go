@@ -51,7 +51,7 @@ func (ls *LeaseStream) Close() error {
 // depth of batch assignments (0 = server default). While the stream is open
 // the server renews the worker's registration and every held lease — no
 // heartbeats needed — and pushes grants and cancellation notices as frames.
-// The codec follows SetCodec, negotiated per-stream via Accept.
+// The codec follows SetCodec, demanded per stream via Accept.
 func (c *Client) StreamLeases(ctx context.Context, workerID string, batch int) (*LeaseStream, error) {
 	// A worker id is partition-keyed: the stream pins to the partition that
 	// registered the worker and grants its leases.
@@ -60,7 +60,7 @@ func (c *Client) StreamLeases(ctx context.Context, workerID string, batch int) (
 		path += "?batch=" + strconv.Itoa(batch)
 	}
 	sctx, cancel := context.WithCancel(ctx)
-	resp, err := c.send(sctx, http.MethodGet, path, nil, c.codec.Load() != codecJSON)
+	resp, err := c.send(sctx, http.MethodGet, path, nil, c.binWire.Load())
 	if err != nil {
 		cancel()
 		return nil, err
@@ -68,13 +68,11 @@ func (c *Client) StreamLeases(ctx context.Context, workerID string, batch int) (
 	codec := api.JSON
 	if resp.Header.Get("Content-Type") == api.ContentTypeStreamBinary {
 		codec = api.Binary
-		c.sawBinaryReply()
-	} else if c.codec.Load() != codecJSON {
-		if err := c.sawJSONReply("the lease stream"); err != nil {
-			resp.Body.Close()
-			cancel()
-			return nil, err
-		}
+		c.binReplies.Add(1)
+	} else if c.binWire.Load() {
+		resp.Body.Close()
+		cancel()
+		return nil, c.refuseJSONReply("the lease stream")
 	}
 	return &LeaseStream{
 		body:   resp.Body,

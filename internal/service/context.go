@@ -277,9 +277,10 @@ func (r *durRing) percentile(p float64) (int64, bool) {
 }
 
 // A lease is a straggler once it has aged past speculationFactor multiples
-// of its job's duration percentile; a job with fewer than
+// of its job's speculationPercentile task duration; a job with fewer than
 // speculationMinSamples observations (cold start) is never speculated.
 const (
+	speculationPercentile = 0.95
 	speculationFactor     = 2
 	speculationMinSamples = 3
 )

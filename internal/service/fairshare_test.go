@@ -33,7 +33,7 @@ func submitTenant(t *testing.T, s *service.Service, name, tenant string, weight,
 // weights 2:1 over one contended worker converge to a 2:1 dispatch split
 // (the arbiter is deterministic, so ±5% is generous).
 func TestFairShareConvergence(t *testing.T) {
-	s := newService(t, service.Config{NewScheduler: gridsched.SchedulerFactory()})
+	s := newService(t, service.Config{})
 	gold := submitTenant(t, s, "gold-job", "gold", 2, 600)
 	bronze := submitTenant(t, s, "bronze-job", "bronze", 1, 600)
 	reg := register(t, s, 0)
@@ -88,7 +88,7 @@ func TestFairShareConvergence(t *testing.T) {
 // shares the pool with a heavily weighted tenant and still completes — the
 // min-tag heap cannot starve any runnable job.
 func TestUnweightedJobDrains(t *testing.T) {
-	s := newService(t, service.Config{NewScheduler: gridsched.SchedulerFactory()})
+	s := newService(t, service.Config{})
 	if _, err := s.SubmitJob(api.SubmitJobRequest{
 		Name: "heavy", Algorithm: "workqueue", Workload: syntheticWorkload(60, 2),
 		Tenant: "heavy", Weight: 8,
@@ -127,7 +127,7 @@ func TestUnweightedJobDrains(t *testing.T) {
 // lease grant — other tenants keep dispatching — and a report returns the
 // capacity.
 func TestTenantQuotaEnforced(t *testing.T) {
-	s := newService(t, service.Config{NewScheduler: gridsched.SchedulerFactory()})
+	s := newService(t, service.Config{})
 	capped := submitTenant(t, s, "capped-job", "capped", 4, 100)
 	other := submitTenant(t, s, "other-job", "other", 1, 100)
 	if _, err := s.SetTenantQuota("capped", 1); err != nil {
@@ -235,7 +235,7 @@ func TestQuotaReleaseWakesParkedPull(t *testing.T) {
 
 // TestFairShareValidation rejects malformed fair-share parameters.
 func TestFairShareValidation(t *testing.T) {
-	s := newService(t, service.Config{NewScheduler: gridsched.SchedulerFactory()})
+	s := newService(t, service.Config{})
 	w := syntheticWorkload(4, 2)
 	for _, tc := range []struct {
 		name string
@@ -338,7 +338,7 @@ func submitFairMix(t *testing.T, s *service.Service) {
 // RNG streams all have to come back bit-identical for this to hold.
 func TestFairDispatchRecoveryIdentical(t *testing.T) {
 	// Reference: uninterrupted, in-memory.
-	ref := newService(t, service.Config{NewScheduler: gridsched.SchedulerFactory()})
+	ref := newService(t, service.Config{})
 	submitFairMix(t, ref)
 	want := pullPairs(t, ref, -1)
 	if len(want) < 3*60 {
@@ -431,7 +431,7 @@ func TestTenantStateSurvivesRestart(t *testing.T) {
 // deleting a tenant's last job record drops the tenant from listings and
 // metrics, unless a quota override keeps it relevant.
 func TestTenantPrunedWithLastJob(t *testing.T) {
-	s := newService(t, service.Config{NewScheduler: gridsched.SchedulerFactory()})
+	s := newService(t, service.Config{})
 	ephemeral := submitTenant(t, s, "run-1", "ephemeral", 1, 3)
 	pinned := submitTenant(t, s, "run-2", "pinned", 1, 3)
 	if _, err := s.SetTenantQuota("pinned", 4); err != nil {
@@ -542,7 +542,7 @@ func TestDeletedTenantNotResurrectedByTailDelete(t *testing.T) {
 // outlive its job's record (job completed, then deleted); the tenant must
 // be pruned when that last lease ends, not leak forever.
 func TestTenantPrunedWhenLastLeaseEnds(t *testing.T) {
-	s := newService(t, service.Config{NewScheduler: gridsched.SchedulerFactory()})
+	s := newService(t, service.Config{})
 	jobID, err := s.SubmitJob(api.SubmitJobRequest{
 		Name: "replicated", Algorithm: "storage-affinity",
 		Workload: syntheticWorkload(1, 2), Tenant: "leasey",
@@ -634,7 +634,7 @@ func TestLateReportAfterDeleteSurvivesRecovery(t *testing.T) {
 // TestTenantHTTPSurface drives the tenant endpoints and metrics through
 // the real HTTP protocol with the Go client.
 func TestTenantHTTPSurface(t *testing.T) {
-	s := newService(t, service.Config{NewScheduler: gridsched.SchedulerFactory()})
+	s := newService(t, service.Config{})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 	cl := client.New(ts.URL, nil)

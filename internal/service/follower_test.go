@@ -12,7 +12,6 @@ import (
 	"testing"
 	"time"
 
-	"gridsched"
 	"gridsched/internal/replicate"
 	"gridsched/internal/service"
 	"gridsched/internal/service/api"
@@ -168,7 +167,7 @@ func TestFollowerMirrorsLeader(t *testing.T) {
 		fl := startFollower(t, srv.URL)
 
 		// Job 1 (tenant A): driven to completion.
-		done, err := s.SubmitByName("astro", "rest", syntheticWorkload(12, 3), 7, "")
+		done, err := s.SubmitJob(api.SubmitJobRequest{Name: "astro", Algorithm: "rest", Workload: syntheticWorkload(12, 3), Seed: 7})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -536,7 +535,7 @@ func TestFollowerReadyzAndRedirect(t *testing.T) {
 	t.Cleanup(srv.Close)
 	fl := startFollower(t, srv.URL)
 
-	if _, err := s.SubmitByName("j", "workqueue", syntheticWorkload(4, 2), 1, ""); err != nil {
+	if _, err := s.SubmitJob(api.SubmitJobRequest{Name: "j", Algorithm: "workqueue", Workload: syntheticWorkload(4, 2), Seed: 1}); err != nil {
 		t.Fatal(err)
 	}
 	waitCaughtUp(t, fl, s)
@@ -575,7 +574,7 @@ func TestFollowerSnapshotCatchUp(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(s.Close)
-	jobID, err := s.SubmitByName("pre", "rest", syntheticWorkload(10, 3), 3, "")
+	jobID, err := s.SubmitJob(api.SubmitJobRequest{Name: "pre", Algorithm: "rest", Workload: syntheticWorkload(10, 3), Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -695,7 +694,7 @@ func TestFollowerResumesAcrossRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.SubmitByName("j", "rest", syntheticWorkload(8, 3), 5, ""); err != nil {
+	if _, err := s.SubmitJob(api.SubmitJobRequest{Name: "j", Algorithm: "rest", Workload: syntheticWorkload(8, 3), Seed: 5}); err != nil {
 		t.Fatal(err)
 	}
 	pullSequence(t, s, 3)
@@ -729,8 +728,8 @@ func TestPromotedFollowerDispatchMatchesLeaderRecovery(t *testing.T) {
 	w := syntheticWorkload(tasks, 4)
 
 	// Reference: one uninterrupted in-memory service.
-	ref := newService(t, service.Config{NewScheduler: gridsched.SchedulerFactory()})
-	if _, err := ref.SubmitByName("job", "combined.2", w, 99, ""); err != nil {
+	ref := newService(t, service.Config{})
+	if _, err := ref.SubmitJob(api.SubmitJobRequest{Name: "job", Algorithm: "combined.2", Workload: w, Seed: 99}); err != nil {
 		t.Fatal(err)
 	}
 	refSeq := pullSequence(t, ref, -1)
@@ -747,7 +746,7 @@ func TestPromotedFollowerDispatchMatchesLeaderRecovery(t *testing.T) {
 	srv := httptest.NewServer(leader.Handler())
 	t.Cleanup(srv.Close)
 
-	if _, err := leader.SubmitByName("job", "combined.2", w, 99, ""); err != nil {
+	if _, err := leader.SubmitJob(api.SubmitJobRequest{Name: "job", Algorithm: "combined.2", Workload: w, Seed: 99}); err != nil {
 		t.Fatal(err)
 	}
 	// The standby joins after a checkpoint, so what it starts from is the

@@ -177,13 +177,7 @@ func TestHTTPSubmitRejectsUnknownAlgorithm(t *testing.T) {
 }
 
 func TestHealthzAndMetricsEndpoints(t *testing.T) {
-	svc, err := service.New(service.Config{
-		Topology: service.Topology{Sites: 1, WorkersPerSite: 1, CapacityFiles: 100},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer svc.Close()
+	svc := newService(t, service.Config{Topology: service.Topology{Sites: 1, WorkersPerSite: 1, CapacityFiles: 100}})
 	ts := httptest.NewServer(svc.Handler())
 	defer ts.Close()
 	cl := client.New(ts.URL, nil)
@@ -196,8 +190,7 @@ func TestHealthzAndMetricsEndpoints(t *testing.T) {
 		t.Fatalf("health: %+v", h)
 	}
 
-	w := syntheticWorkload(2, 1)
-	if _, err := svc.Submit("m", "workqueue", w, core.NewWorkqueue(w)); err != nil {
+	if _, err := svc.SubmitJob(api.SubmitJobRequest{Name: "m", Algorithm: "workqueue", Workload: syntheticWorkload(2, 1)}); err != nil {
 		t.Fatal(err)
 	}
 	resp, err := http.Get(ts.URL + "/metrics")

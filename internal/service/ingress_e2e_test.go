@@ -11,7 +11,6 @@ import (
 	"testing"
 	"time"
 
-	"gridsched"
 	"gridsched/internal/metrics"
 	"gridsched/internal/middleware"
 	"gridsched/internal/service"
@@ -24,7 +23,7 @@ import (
 // tokenless callers 401, probes and metrics stay open, admin endpoints
 // need an admin token, and submissions are bound to the token's tenant.
 func TestIngressAuthEndToEnd(t *testing.T) {
-	svc := newService(t, service.Config{NewScheduler: gridsched.SchedulerFactory()})
+	svc := newService(t, service.Config{})
 	c := metrics.NewIngressCounters()
 	store := middleware.NewTokenStore(map[string]middleware.Principal{
 		"gold-token":   {Tenant: "gold"},
@@ -121,7 +120,7 @@ func TestIngressAuthEndToEnd(t *testing.T) {
 // bound and ~100ms polls, a shedder that counted them would escalate
 // immediately and shed a completely unloaded system.
 func TestIngressIdleLongPollsDoNotShed(t *testing.T) {
-	svc := newService(t, service.Config{NewScheduler: gridsched.SchedulerFactory()})
+	svc := newService(t, service.Config{})
 	c := metrics.NewIngressCounters()
 	ts := httptest.NewServer(middleware.Ingress(middleware.Config{
 		Counters:       c,
@@ -162,7 +161,7 @@ func TestIngressIdleLongPollsDoNotShed(t *testing.T) {
 // admitted-pull throughput at least twice the lighter one's — the paying
 // tenant sheds last and is readmitted first.
 func TestIngressOverloadShedsLightTenantLast(t *testing.T) {
-	svc := newService(t, service.Config{NewScheduler: gridsched.SchedulerFactory()})
+	svc := newService(t, service.Config{})
 	c := metrics.NewIngressCounters()
 	store := middleware.NewTokenStore(map[string]middleware.Principal{
 		"gold-token":   {Tenant: "gold"},

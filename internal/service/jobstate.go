@@ -168,7 +168,7 @@ func (s *Service) newJob(rec *record, tasks int) *job {
 		seed:         rec.Seed,
 		submissionID: rec.Submission,
 		tenant:       rec.Tenant,
-		weight:       normalizeWeight(rec.Weight, s.cfg.DefaultWeight),
+		weight:       normalizeWeight(rec.Weight),
 		seq:          idNum(rec.Job),
 		heapIdx:      -1,
 		tasks:        tasks,

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"errors"
 	"fmt"
 	"slices"
 	"strings"
@@ -85,15 +86,25 @@ func countersOf(j *job) jobCounters {
 	return c
 }
 
+// standbyState builds a never-started state over topo with no scheduler
+// factory, as a Follower does: every job in it stays a shell.
+func standbyState(t *testing.T, topo Topology) *Service {
+	t.Helper()
+	cfg := Config{Topology: topo, NewScheduler: func(string, *workload.Workload, Topology, int64) (core.Scheduler, error) {
+		return nil, errors.New("a standby builds no scheduler")
+	}}
+	if err := cfg.normalize(); err != nil {
+		t.Fatal(err)
+	}
+	cfg.NewScheduler = nil
+	return newState(cfg)
+}
+
 // newApplyFixture builds a never-started state with one resident job of
 // the given size; sched nil leaves it a shell, as on a standby.
 func newApplyFixture(t *testing.T, tasks int, sched core.Scheduler) (*Service, *job) {
 	t.Helper()
-	cfg := Config{Topology: Topology{Sites: 2, WorkersPerSite: 2, CapacityFiles: 4}}
-	if err := cfg.normalize(); err != nil {
-		t.Fatal(err)
-	}
-	s := newState(cfg)
+	s := standbyState(t, Topology{Sites: 2, WorkersPerSite: 2, CapacityFiles: 4})
 	w := &workload.Workload{Name: "apply", NumFiles: tasks}
 	for i := 0; i < tasks; i++ {
 		w.Tasks = append(w.Tasks, workload.Task{ID: workload.TaskID(i), Files: []workload.FileID{workload.FileID(i)}})
@@ -299,12 +310,17 @@ func (r *scriptSched) NextFor(core.WorkerRef) (workload.Task, core.Status) {
 // the job offers the slot nothing until the twin's lease ends.
 func TestTwinSlotIsNotOfferedMore(t *testing.T) {
 	var clock int64 = 1_700_000_000_000
+	var sched *scriptSched
 	s, err := New(Config{
 		Topology:      Topology{Sites: 2, WorkersPerSite: 2, CapacityFiles: 8},
 		LeaseTTL:      time.Hour,
 		SweepInterval: time.Hour,
 		Speculation:   true,
 		Clock:         func() time.Time { return time.UnixMilli(clock) },
+		NewScheduler: func(_ string, w *workload.Workload, _ Topology, _ int64) (core.Scheduler, error) {
+			sched = &scriptSched{recSched: recSched{tasks: 5, done: map[workload.TaskID]bool{}}, w: w, script: []workload.TaskID{0, 1, 2, 3}}
+			return sched, nil
+		},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -314,8 +330,7 @@ func TestTwinSlotIsNotOfferedMore(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		w.Tasks = append(w.Tasks, workload.Task{ID: workload.TaskID(i), Files: []workload.FileID{workload.FileID(i)}})
 	}
-	sched := &scriptSched{recSched: recSched{tasks: 5, done: map[workload.TaskID]bool{}}, w: w, script: []workload.TaskID{0, 1, 2, 3}}
-	if _, err := s.Submit("twin-slot", "scripted", w, sched); err != nil {
+	if _, err := s.SubmitJob(api.SubmitJobRequest{Name: "twin-slot", Algorithm: "scripted", Workload: w}); err != nil {
 		t.Fatal(err)
 	}
 	register := func(site int) (string, core.WorkerRef) {

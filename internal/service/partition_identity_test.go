@@ -7,6 +7,7 @@ import (
 	"gridsched"
 	"gridsched/internal/partition"
 	"gridsched/internal/service"
+	"gridsched/internal/service/api"
 	"gridsched/internal/workload"
 )
 
@@ -45,7 +46,7 @@ func TestPartitionStridedMinting(t *testing.T) {
 		}
 		var minted []string
 		for k := 0; k < 3; k++ {
-			jobID, err := svc.SubmitByName("strided", "workqueue", smallWorkload(2), 0, "")
+			jobID, err := svc.SubmitJob(api.SubmitJobRequest{Name: "strided", Algorithm: "workqueue", Workload: smallWorkload(2)})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -82,7 +83,7 @@ func TestPartitionZeroOfOneMintsLegacySequence(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer svc.Close()
-	jobID, err := svc.SubmitByName("legacy", "workqueue", smallWorkload(1), 0, "")
+	jobID, err := svc.SubmitJob(api.SubmitJobRequest{Name: "legacy", Algorithm: "workqueue", Workload: smallWorkload(1)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +101,7 @@ func TestPartitionIdentityRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	first, err := svc.SubmitByName("recover", "workqueue", smallWorkload(2), 0, "")
+	first, err := svc.SubmitJob(api.SubmitJobRequest{Name: "recover", Algorithm: "workqueue", Workload: smallWorkload(2)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +111,7 @@ func TestPartitionIdentityRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatalf("same-identity restart: %v", err)
 	}
-	second, err := svc.SubmitByName("recover-2", "workqueue", smallWorkload(2), 0, "")
+	second, err := svc.SubmitJob(api.SubmitJobRequest{Name: "recover-2", Algorithm: "workqueue", Workload: smallWorkload(2)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +143,7 @@ func TestPartitionLegacyDataDirAdoptable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := svc.SubmitByName("legacy-dir", "workqueue", smallWorkload(1), 0, ""); err != nil {
+	if _, err := svc.SubmitJob(api.SubmitJobRequest{Name: "legacy-dir", Algorithm: "workqueue", Workload: smallWorkload(1)}); err != nil {
 		t.Fatal(err)
 	}
 	svc.Close()

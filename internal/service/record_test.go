@@ -124,11 +124,7 @@ func TestReplayBoundsChecksCoordinates(t *testing.T) {
 	} {
 		t.Run(name, func(t *testing.T) {
 			// A standby's state: shells, no scheduler to catch it first.
-			cfg := Config{Topology: Topology{Sites: 2, WorkersPerSite: 2, CapacityFiles: 8}}
-			if err := cfg.normalize(); err != nil {
-				t.Fatal(err)
-			}
-			s := newState(cfg)
+			s := standbyState(t, Topology{Sites: 2, WorkersPerSite: 2, CapacityFiles: 8})
 			w := &workload.Workload{Name: "w", NumFiles: 2, Tasks: []workload.Task{{ID: 0, Files: []workload.FileID{0}}}}
 			submit := record{Op: opSubmit, Ts: 1, Job: "j1", Algorithm: "workqueue", Weight: 1, Workload: w}
 			if err := s.applyFrame(1, submit.appendTo(nil)); err != nil {

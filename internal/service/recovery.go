@@ -158,7 +158,7 @@ func (s *Service) open() (stale bool, err error) {
 // validSize bytes (0 resets the file to a fresh empty log), and the commit
 // stage over it.
 func (s *Service) openJournal(last uint64, validSize int64) error {
-	w, err := journal.OpenWriter(s.walPath(), s.cfg.Fsync, s.cfg.FsyncInterval, last, validSize, s.jmet)
+	w, err := journal.OpenWriter(s.walPath(), s.cfg.Fsync, fsyncInterval, last, validSize, s.jmet)
 	if err != nil {
 		return err
 	}

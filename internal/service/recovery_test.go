@@ -107,7 +107,7 @@ func TestCrashRecoveryPreservesCompletions(t *testing.T) {
 					t.Fatalf("cycle %d: recovery failed: %v", cycle, err)
 				}
 				if cycle == 0 {
-					jobID, err = s.SubmitByName("gauntlet", algo, w, 7, "")
+					jobID, err = s.SubmitJob(api.SubmitJobRequest{Name: "gauntlet", Algorithm: algo, Workload: w, Seed: 7})
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -226,8 +226,8 @@ func TestRecoveredDispatchMatchesUninterrupted(t *testing.T) {
 	w := syntheticWorkload(tasks, 4)
 
 	// Reference: uninterrupted in-memory service.
-	ref := newService(t, service.Config{NewScheduler: gridsched.SchedulerFactory()})
-	refID, err := ref.SubmitByName("ref", "combined.2", w, 99, "")
+	ref := newService(t, service.Config{})
+	refID, err := ref.SubmitJob(api.SubmitJobRequest{Name: "ref", Algorithm: "combined.2", Workload: w, Seed: 99})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,7 +242,7 @@ func TestRecoveredDispatchMatchesUninterrupted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := a.SubmitByName("crashy", "combined.2", w, 99, ""); err != nil {
+	if _, err := a.SubmitJob(api.SubmitJobRequest{Name: "crashy", Algorithm: "combined.2", Workload: w, Seed: 99}); err != nil {
 		t.Fatal(err)
 	}
 	gotSeq := pullSequence(t, a, prefix)
@@ -274,7 +274,7 @@ func TestRecoveryTruncatesTornJournalTail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	jobID, err := s.SubmitByName("torn", "rest", w, 1, "")
+	jobID, err := s.SubmitJob(api.SubmitJobRequest{Name: "torn", Algorithm: "rest", Workload: w, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -324,7 +324,7 @@ func TestSnapshotCompactsJournal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	jobID, err := s.SubmitByName("snap", "overlap", w, 3, "")
+	jobID, err := s.SubmitJob(api.SubmitJobRequest{Name: "snap", Algorithm: "overlap", Workload: w, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -374,16 +374,18 @@ func fileSize(t *testing.T, path string) int64 {
 // client's resubmit-after-reconnect relies on.
 func TestIdempotentSubmissionAcrossRestart(t *testing.T) {
 	dir := t.TempDir()
-	w := syntheticWorkload(20, 3)
+	req := api.SubmitJobRequest{
+		Name: "once", Algorithm: "workqueue", Workload: syntheticWorkload(20, 3), Seed: 1, SubmissionID: "key-abc",
+	}
 	s, err := service.New(durableConfig(dir))
 	if err != nil {
 		t.Fatal(err)
 	}
-	id1, err := s.SubmitByName("once", "workqueue", w, 1, "key-abc")
+	id1, err := s.SubmitJob(req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	id2, err := s.SubmitByName("once", "workqueue", w, 1, "key-abc")
+	id2, err := s.SubmitJob(req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -397,7 +399,7 @@ func TestIdempotentSubmissionAcrossRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer r.Close()
-	id3, err := r.SubmitByName("once", "workqueue", w, 1, "key-abc")
+	id3, err := r.SubmitJob(req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -406,20 +408,6 @@ func TestIdempotentSubmissionAcrossRestart(t *testing.T) {
 	}
 	if jobs := r.Jobs(); len(jobs) != 1 {
 		t.Fatalf("%d jobs resident, want 1", len(jobs))
-	}
-}
-
-// TestJournaledServiceRejectsRawSubmit: opaque schedulers cannot be
-// recovered, so a journaled service refuses them up front.
-func TestJournaledServiceRejectsRawSubmit(t *testing.T) {
-	s, err := service.New(durableConfig(t.TempDir()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	w := syntheticWorkload(4, 2)
-	if _, err := s.Submit("raw", "workqueue", w, core.NewWorkqueue(w)); err == nil {
-		t.Fatal("journaled service accepted a raw scheduler")
 	}
 }
 
@@ -473,13 +461,15 @@ func TestCompletedJobInFlightReportIsCancelled(t *testing.T) {
 			name = "sweeper-path"
 		}
 		t.Run(name, func(t *testing.T) {
-			cfg := service.Config{}
+			cfg := service.Config{NewScheduler: func(_ string, w *workload.Workload, _ service.Topology, _ int64) (core.Scheduler, error) {
+				return &leakyScheduler{w: w}, nil
+			}}
 			if viaSweeper {
 				cfg.LeaseTTL = 50 * time.Millisecond
 				cfg.SweepInterval = 5 * time.Millisecond
 			}
 			s := newService(t, cfg)
-			jobID, err := s.Submit("leaky", "leaky", w, &leakyScheduler{w: w})
+			jobID, err := s.SubmitJob(api.SubmitJobRequest{Name: "leaky", Algorithm: "leaky", Workload: w})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -560,7 +550,7 @@ func TestServiceNeverSharesAnIndex(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.SubmitByName("coadd", "combined.2", syntheticWorkload(120, 6), 3, ""); err != nil {
+	if _, err := s.SubmitJob(api.SubmitJobRequest{Name: "coadd", Algorithm: "combined.2", Workload: syntheticWorkload(120, 6), Seed: 3}); err != nil {
 		t.Fatal(err)
 	}
 	worker := register(t, s, 0).WorkerID

@@ -123,10 +123,9 @@ type Config struct {
 	// LeaseTTL/4. Expiry is additionally checked on every pull, so the
 	// sweeper only matters when no worker is polling.
 	SweepInterval time.Duration
-	// NewScheduler resolves algorithm names for jobs submitted over HTTP.
-	// Nil disables by-name submission (Submit with a pre-built scheduler
-	// still works). Required when DataDir is set: recovery rebuilds every
-	// running job's scheduler through it.
+	// NewScheduler resolves the algorithm name of every submitted job, and
+	// recovery rebuilds every running job's scheduler through it. Required;
+	// gridsched.NewService fills in gridsched.SchedulerFactory.
 	NewScheduler SchedulerFactory
 
 	// Shards is the number of lock-striped job-state shards. Job state is
@@ -154,10 +153,6 @@ type Config struct {
 	PartitionIndex int
 	PartitionCount int
 
-	// DefaultWeight is the fair-share weight given to jobs submitted
-	// without one. Defaults to 1. See arbiter.go for the dispatch
-	// discipline.
-	DefaultWeight int
 	// TenantMaxInFlight caps any one tenant's concurrently leased
 	// assignments (enforced at lease grant, returned on report or lease
 	// expiry). 0 disables the cap. Per-tenant overrides set via
@@ -173,11 +168,9 @@ type Config struct {
 	// Fsync selects the journal's machine-crash durability (process
 	// crashes lose nothing in any mode): journal.SyncAlways groups
 	// concurrent acknowledgements into shared fsyncs; journal.SyncBatch
-	// (default) fsyncs every FsyncInterval; journal.SyncNever only syncs
+	// (default) fsyncs every fsyncInterval; journal.SyncNever only syncs
 	// at snapshots.
 	Fsync journal.Mode
-	// FsyncInterval is the SyncBatch flush cadence. Defaults to 25ms.
-	FsyncInterval time.Duration
 	// SnapshotEvery is how many journal records accumulate before the
 	// service writes a compacting snapshot and rotates the journal.
 	// Defaults to 4096.
@@ -196,10 +189,10 @@ type Config struct {
 	// for the slowest stragglers; first report wins, the loser is
 	// rejected as stale. See docs/SCHEDULING.md.
 	Speculation bool
-	// SpeculationPercentile is the quantile of the job's recent task
-	// durations that defines "expected duration". Defaults to 0.95.
-	SpeculationPercentile float64
 }
+
+// fsyncInterval is the journal.SyncBatch flush cadence.
+const fsyncInterval = 25 * time.Millisecond
 
 func (c *Config) normalize() error {
 	switch {
@@ -224,9 +217,6 @@ func (c *Config) normalize() error {
 	if c.SweepInterval <= 0 {
 		c.SweepInterval = c.LeaseTTL / 4
 	}
-	if c.FsyncInterval <= 0 {
-		c.FsyncInterval = 25 * time.Millisecond
-	}
 	if c.Shards < 0 {
 		return fmt.Errorf("service: Shards = %d", c.Shards)
 	}
@@ -245,23 +235,14 @@ func (c *Config) normalize() error {
 	if c.PartitionIndex < 0 || c.PartitionIndex >= c.PartitionCount {
 		return fmt.Errorf("service: PartitionIndex %d outside [0,%d)", c.PartitionIndex, c.PartitionCount)
 	}
-	if c.DefaultWeight <= 0 {
-		c.DefaultWeight = 1
-	}
-	if c.DefaultWeight > maxWeight {
-		return fmt.Errorf("service: DefaultWeight %d above the maximum %d", c.DefaultWeight, maxWeight)
-	}
 	if c.TenantMaxInFlight < 0 {
 		return fmt.Errorf("service: TenantMaxInFlight = %d", c.TenantMaxInFlight)
 	}
 	if c.SnapshotEvery < 1 {
 		c.SnapshotEvery = 4096
 	}
-	if c.SpeculationPercentile == 0 {
-		c.SpeculationPercentile = 0.95
-	}
-	if c.DataDir != "" && c.NewScheduler == nil {
-		return fmt.Errorf("service: DataDir requires a NewScheduler factory (recovery rebuilds schedulers by name)")
+	if c.NewScheduler == nil {
+		return fmt.Errorf("service: no NewScheduler factory (jobs are built, and recovered, by algorithm name)")
 	}
 	return nil
 }
@@ -650,41 +631,23 @@ func (s *Service) nextID(prefix byte) string {
 	return string(strconv.AppendInt(append(buf[:0], prefix), s.nextSeq(), 10))
 }
 
-// Submit adds a job built around a caller-constructed scheduler. The
-// scheduler must be fresh and is driven exclusively by the service from
-// here on (the service serializes all calls per job under its shard; see
-// core.Scheduler's concurrency contract). Incompatible with journaling:
-// recovery cannot rebuild an opaque scheduler, so services with DataDir
-// set only accept SubmitByName.
-func (s *Service) Submit(name, algorithm string, w *workload.Workload, sched core.Scheduler) (string, error) {
-	if s.pst != nil {
-		return "", errf(http.StatusNotImplemented,
-			"service: journaling requires by-name submission (the recovery path rebuilds schedulers from the factory)")
-	}
-	return s.submitJob(api.SubmitJobRequest{Name: name, Algorithm: algorithm, Workload: w}, sched)
-}
-
-// SubmitByName builds the job's scheduler from the configured factory.
-// submissionID, when non-empty, is an idempotency key: a resubmission
+// SubmitJob is the one way a job enters the service, and the path behind
+// POST /v1/jobs: it validates the request, builds the job's scheduler from
+// the configured factory, journals the submit record (before
+// acknowledging) and registers the job. The record is appended under the
+// coordinator lock, in the same critical section that admits the job at
+// the current virtual time: the WAL position of a submit record relative
+// to dispatch records is what lets recovery reconstruct the admission tag
+// bit-exactly.
+//
+// req.SubmissionID, when non-empty, is an idempotency key: a resubmission
 // carrying the same key returns the original job's id instead of creating
 // a duplicate, which is what lets a client safely retry a submission whose
 // acknowledgement was lost to a connection failure or a server restart.
-// With journaling enabled the key survives restarts. The job joins the
-// default tenant at the default weight; SubmitJob takes the full request.
-func (s *Service) SubmitByName(name, algorithm string, w *workload.Workload, seed int64, submissionID string) (string, error) {
-	return s.SubmitJob(api.SubmitJobRequest{
-		Name: name, Algorithm: algorithm, Workload: w, Seed: seed, SubmissionID: submissionID,
-	})
-}
-
-// SubmitJob is the path behind POST /v1/jobs: it resolves the request's
-// fair-share parameters (tenant, weight), builds the scheduler from the
-// configured factory, and registers the job.
+// With journaling enabled the key survives restarts.
 func (s *Service) SubmitJob(req api.SubmitJobRequest) (string, error) {
-	if s.cfg.NewScheduler == nil {
-		return "", errf(http.StatusNotImplemented, "service: no scheduler factory configured")
-	}
-	if req.Workload == nil {
+	name, w, submissionID := req.Name, req.Workload, req.SubmissionID
+	if w == nil {
 		return "", errf(http.StatusBadRequest, "service: nil workload")
 	}
 	// Cheap rejections before the factory call: scheduler construction is
@@ -692,49 +655,18 @@ func (s *Service) SubmitJob(req api.SubmitJobRequest) (string, error) {
 	if err := validateFairShare(&req); err != nil {
 		return "", err
 	}
-	if req.SubmissionID != "" {
+	if submissionID != "" {
 		// Fast path: an already-known key skips scheduler construction.
 		s.coord.mu.Lock()
-		id, ok := s.coord.submissions[req.SubmissionID]
+		id, ok := s.coord.submissions[submissionID]
 		s.coord.mu.Unlock()
 		if ok {
 			return id, nil
 		}
 	}
-	sched, err := s.buildScheduler(req.Algorithm, req.Workload, req.Seed)
+	sched, err := s.buildScheduler(req.Algorithm, w, req.Seed)
 	if err != nil {
 		return "", errf(http.StatusBadRequest, "service: %v", err)
-	}
-	return s.submitJob(req, sched)
-}
-
-// buildScheduler resolves an algorithm name through the configured
-// factory. The "context:" prefix wraps the named strategy in the
-// context-aware gate fed by the service's worker telemetry; the prefixed
-// name is what gets journaled, so recovery rebuilds the same wrapping.
-func (s *Service) buildScheduler(algorithm string, w *workload.Workload, seed int64) (core.Scheduler, error) {
-	if inner, ok := strings.CutPrefix(algorithm, "context:"); ok {
-		sched, err := s.cfg.NewScheduler(inner, w, s.cfg.Topology, seed)
-		if err != nil {
-			return nil, err
-		}
-		return core.NewContextAware(sched, s.tel), nil
-	}
-	return s.cfg.NewScheduler(algorithm, w, s.cfg.Topology, seed)
-}
-
-// submitJob validates, journals (before acknowledging), and registers one
-// job. The submit record is appended under the coordinator lock, in the
-// same critical section that admits the job at the current virtual time:
-// the WAL position of a submit record relative to dispatch records is
-// what lets recovery reconstruct the admission tag bit-exactly.
-func (s *Service) submitJob(req api.SubmitJobRequest, sched core.Scheduler) (string, error) {
-	name, w, submissionID := req.Name, req.Workload, req.SubmissionID
-	if w == nil {
-		return "", errf(http.StatusBadRequest, "service: nil workload")
-	}
-	if err := validateFairShare(&req); err != nil {
-		return "", err
 	}
 	if err := validateTags("requires tag", req.Requires); err != nil {
 		return "", err
@@ -754,12 +686,11 @@ func (s *Service) submitJob(req api.SubmitJobRequest, sched core.Scheduler) (str
 	now := s.now()
 	// The submit record is the job's definition in every role: recovery and
 	// the standby build their shell from it with the same newJob. Tenant and
-	// weight go in resolved (weight never zero), so replay is independent of
-	// the server's default-weight setting.
+	// weight go in resolved (weight never zero).
 	rec := &record{
 		Op: opSubmit, Ts: now.UnixMilli(), Job: s.nextID('j'),
 		Name: name, Algorithm: req.Algorithm, Seed: req.Seed, Submission: submissionID,
-		Tenant: req.Tenant, Weight: normalizeWeight(req.Weight, s.cfg.DefaultWeight),
+		Tenant: req.Tenant, Weight: normalizeWeight(req.Weight),
 		Requires: slices.Clone(req.Requires), Deadline: req.DeadlineMillis,
 		Workload: w,
 	}
@@ -793,7 +724,6 @@ func (s *Service) submitJob(req api.SubmitJobRequest, sched core.Scheduler) (str
 	}
 	var lsn uint64
 	if s.pst != nil {
-		var err error
 		lsn, err = s.appendEncoded(payload)
 		if err != nil {
 			c.mu.Unlock()
@@ -819,6 +749,21 @@ func (s *Service) submitJob(req api.SubmitJobRequest, sched core.Scheduler) (str
 		return "", err
 	}
 	return j.id, nil
+}
+
+// buildScheduler resolves an algorithm name through the configured
+// factory. The "context:" prefix wraps the named strategy in the
+// context-aware gate fed by the service's worker telemetry; the prefixed
+// name is what gets journaled, so recovery rebuilds the same wrapping.
+func (s *Service) buildScheduler(algorithm string, w *workload.Workload, seed int64) (core.Scheduler, error) {
+	if inner, ok := strings.CutPrefix(algorithm, "context:"); ok {
+		sched, err := s.cfg.NewScheduler(inner, w, s.cfg.Topology, seed)
+		if err != nil {
+			return nil, err
+		}
+		return core.NewContextAware(sched, s.tel), nil
+	}
+	return s.cfg.NewScheduler(algorithm, w, s.cfg.Topology, seed)
 }
 
 // DeleteJob drops a completed job's record (retention control for

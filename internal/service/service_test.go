@@ -1,13 +1,17 @@
 package service_test
 
 import (
+	"context"
 	"errors"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"gridsched"
 	"gridsched/internal/core"
 	"gridsched/internal/service"
 	"gridsched/internal/service/api"
+	"gridsched/internal/service/client"
 	"gridsched/internal/workload"
 )
 
@@ -40,6 +44,9 @@ func newService(t *testing.T, cfg service.Config) *service.Service {
 	if cfg.CapacityFiles == 0 {
 		cfg.CapacityFiles = 100
 	}
+	if cfg.NewScheduler == nil {
+		cfg.NewScheduler = gridsched.SchedulerFactory()
+	}
 	s, err := service.New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -50,7 +57,7 @@ func newService(t *testing.T, cfg service.Config) *service.Service {
 
 func submitWorkqueue(t *testing.T, s *service.Service, w *workload.Workload) string {
 	t.Helper()
-	id, err := s.Submit("test", "workqueue", w, core.NewWorkqueue(w))
+	id, err := s.SubmitJob(api.SubmitJobRequest{Name: "test", Algorithm: "workqueue", Workload: w})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +122,7 @@ func TestMultipleJobsResident(t *testing.T) {
 	s := newService(t, service.Config{})
 	wa, wb := syntheticWorkload(8, 2), syntheticWorkload(6, 2)
 	jobA := submitWorkqueue(t, s, wa)
-	jobB, err := s.Submit("b", "rest", wb, mustWC(t, wb))
+	jobB, err := s.SubmitJob(api.SubmitJobRequest{Name: "b", Algorithm: "rest", Workload: wb, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,15 +151,6 @@ func TestMultipleJobsResident(t *testing.T) {
 	if open := s.Counters().OpenJobs.Load(); open != 0 {
 		t.Fatalf("open jobs gauge = %d", open)
 	}
-}
-
-func mustWC(t *testing.T, w *workload.Workload) core.Scheduler {
-	t.Helper()
-	s, err := core.NewWorkerCentric(w, core.WorkerCentricConfig{Metric: core.MetricRest, ChooseN: 1, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return s
 }
 
 func TestLeaseExpiryRequeuesAndRejectsStaleReport(t *testing.T) {
@@ -403,16 +401,21 @@ func TestAbandonedPullGivesWayToTheNextPull(t *testing.T) {
 func TestSubmitValidation(t *testing.T) {
 	s := newService(t, service.Config{Topology: service.Topology{Sites: 1, WorkersPerSite: 1, CapacityFiles: 2}})
 	big := syntheticWorkload(2, 4) // 4 files per task > capacity 2
-	if _, err := s.Submit("big", "workqueue", big, core.NewWorkqueue(big)); err == nil {
+	if _, err := s.SubmitJob(api.SubmitJobRequest{Name: "big", Algorithm: "workqueue", Workload: big}); err == nil {
 		t.Fatal("accepted workload larger than store capacity")
 	}
-	if _, err := s.Submit("nil", "workqueue", nil, nil); err == nil {
+	if _, err := s.SubmitJob(api.SubmitJobRequest{Name: "nil", Algorithm: "workqueue"}); err == nil {
 		t.Fatal("accepted nil workload")
 	}
 	var se *service.Error
 	_, err := s.JobStatus("nope")
 	if !errors.As(err, &se) {
 		t.Fatalf("JobStatus error %T, want *service.Error", err)
+	}
+	// Jobs enter by algorithm name alone, so a service no factory could
+	// build a job for is refused at construction.
+	if _, err := service.New(service.Config{Topology: service.Topology{Sites: 1, WorkersPerSite: 1, CapacityFiles: 2}}); err == nil {
+		t.Fatal("built a service with no scheduler factory")
 	}
 }
 
@@ -445,53 +448,101 @@ func TestReplicaCancellationPropagates(t *testing.T) {
 		NumFiles: 2,
 		Tasks:    []workload.Task{{ID: 0, Files: []workload.FileID{0, 1}}},
 	}
-	s := newService(t, service.Config{Topology: service.Topology{Sites: 2, WorkersPerSite: 1, CapacityFiles: 10}})
-	sa, err := core.NewStorageAffinity(w, core.StorageAffinityConfig{
-		Sites: 2, WorkersPerSite: 1, CapacityFiles: 10, MaxReplicas: 2, Policy: 1,
+	topo := service.Topology{Sites: 2, WorkersPerSite: 1, CapacityFiles: 10}
+	submit := func(t *testing.T, s *service.Service) string {
+		t.Helper()
+		jobID, err := s.SubmitJob(api.SubmitJobRequest{Name: "replicas", Algorithm: "storage-affinity", Workload: w})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return jobID
+	}
+	wantAccounting := func(t *testing.T, s *service.Service, jobID string) {
+		t.Helper()
+		st, _ := s.JobStatus(jobID)
+		if st.Completed != 1 || st.Cancelled != 1 || st.State != api.JobCompleted {
+			t.Fatalf("replica accounting: %+v", st)
+		}
+	}
+
+	t.Run("service calls", func(t *testing.T) {
+		s := newService(t, service.Config{Topology: topo})
+		jobID := submit(t, s)
+		w0, w1 := register(t, s, 0), register(t, s, 1)
+		r0, err := s.Pull(never(t), w0.WorkerID, noWait)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r1, err := s.Pull(never(t), w1.WorkerID, noWait)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r0.Status != api.StatusAssigned || r1.Status != api.StatusAssigned {
+			t.Fatalf("both workers should run the single task: %q %q", r0.Status, r1.Status)
+		}
+		if r0.Assignment.Task.ID != r1.Assignment.Task.ID {
+			t.Fatal("workers got different tasks from a one-task workload")
+		}
+		if rep, err := s.Report(r0.Assignment.ID, w0.WorkerID, api.OutcomeSuccess); err != nil || !rep.Accepted {
+			t.Fatalf("first completion: %+v, %v", rep, err)
+		}
+		hb, err := s.Heartbeat(r1.Assignment.ID, w1.WorkerID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if hb.State != api.HeartbeatCancelled {
+			t.Fatalf("replica heartbeat state %q, want cancelled", hb.State)
+		}
+		rep, err := s.Report(r1.Assignment.ID, w1.WorkerID, api.OutcomeFailure)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !rep.Accepted || !rep.Cancelled {
+			t.Fatalf("replica report: %+v", rep)
+		}
+		wantAccounting(t, s, jobID)
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	jobID, err := s.Submit("replicas", "storage-affinity", w, sa)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w0, w1 := register(t, s, 0), register(t, s, 1)
-	r0, err := s.Pull(never(t), w0.WorkerID, noWait)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r1, err := s.Pull(never(t), w1.WorkerID, noWait)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r0.Status != api.StatusAssigned || r1.Status != api.StatusAssigned {
-		t.Fatalf("both workers should run the single task: %q %q", r0.Status, r1.Status)
-	}
-	if r0.Assignment.Task.ID != r1.Assignment.Task.ID {
-		t.Fatal("workers got different tasks from a one-task workload")
-	}
-	if rep, err := s.Report(r0.Assignment.ID, w0.WorkerID, api.OutcomeSuccess); err != nil || !rep.Accepted {
-		t.Fatalf("first completion: %+v, %v", rep, err)
-	}
-	hb, err := s.Heartbeat(r1.Assignment.ID, w1.WorkerID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if hb.State != api.HeartbeatCancelled {
-		t.Fatalf("replica heartbeat state %q, want cancelled", hb.State)
-	}
-	rep, err := s.Report(r1.Assignment.ID, w1.WorkerID, api.OutcomeFailure)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rep.Accepted || !rep.Cancelled {
-		t.Fatalf("replica report: %+v", rep)
-	}
-	st, _ := s.JobStatus(jobID)
-	if st.Completed != 1 || st.Cancelled != 1 || st.State != api.JobCompleted {
-		t.Fatalf("replica accounting: %+v", st)
-	}
+
+	// Through client.RunWorker the cancellation reaches the losing
+	// execution's context: the first execution to start runs until it is
+	// cancelled, and only its replica can complete the task.
+	t.Run("RunWorker", func(t *testing.T) {
+		s := newService(t, service.Config{Topology: topo, LeaseTTL: 600 * time.Millisecond})
+		jobID := submit(t, s)
+		cl := client.InProcess(s.Handler())
+		ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+		defer cancel()
+		var starts atomic.Int64
+		var interrupted atomic.Bool
+		errs := make(chan error, 2)
+		for site := range 2 {
+			go func() {
+				errs <- cl.RunWorker(ctx, client.WorkerConfig{
+					Site:     &site,
+					PollWait: 50 * time.Millisecond,
+					Execute: func(execCtx context.Context, _ core.WorkerRef, _ *api.Assignment) error {
+						if starts.Add(1) == 1 {
+							<-execCtx.Done()
+							interrupted.Store(ctx.Err() == nil)
+						}
+						return nil
+					},
+					OnIdle: func(_ context.Context, resp *api.PullResponse) (bool, error) {
+						return resp.OpenJobs == 0, nil
+					},
+				})
+			}()
+		}
+		for range 2 {
+			if err := <-errs; err != nil {
+				t.Fatal(err)
+			}
+		}
+		if !interrupted.Load() {
+			t.Fatal("the losing execution was never cancelled")
+		}
+		wantAccounting(t, s, jobID)
+	})
 }
 
 func TestDeleteJobRetention(t *testing.T) {
@@ -535,8 +586,7 @@ func TestClosedServiceRefuses(t *testing.T) {
 	if _, err := s.Register(-1); err == nil {
 		t.Fatal("register on closed service accepted")
 	}
-	w := syntheticWorkload(1, 1)
-	if _, err := s.Submit("late", "workqueue", w, core.NewWorkqueue(w)); err == nil {
+	if _, err := s.SubmitJob(api.SubmitJobRequest{Name: "late", Algorithm: "workqueue", Workload: syntheticWorkload(1, 1)}); err == nil {
 		t.Fatal("submit on closed service accepted")
 	}
 }

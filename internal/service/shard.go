@@ -339,7 +339,7 @@ func (s *Service) sweep(now time.Time) {
 				j := a.job
 				if sh.jobs[j.id] == j && j.state == api.JobRunning && !j.specMarked[x.task] &&
 					shouldSpeculate(now.UnixMilli()-x.granted, &j.durs,
-						s.cfg.SpeculationPercentile, speculationFactor, speculationMinSamples) {
+						speculationPercentile, speculationFactor, speculationMinSamples) {
 					stragglers = append(stragglers, specStage{j: j, task: x.task})
 				}
 			}

@@ -66,7 +66,7 @@ type stagedSpec struct {
 // pull grants its speculative twin.
 func stageSpeculation(t *testing.T, s *service.Service, clk *policyClock, algo string, tasks int) *stagedSpec {
 	t.Helper()
-	jobID, err := s.SubmitByName("spec-lifecycle", algo, syntheticWorkload(tasks, 2), 99, "")
+	jobID, err := s.SubmitJob(api.SubmitJobRequest{Name: "spec-lifecycle", Algorithm: algo, Workload: syntheticWorkload(tasks, 2), Seed: 99})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -42,7 +42,7 @@ func TestStandbyCheckpointsItself(t *testing.T) {
 	t.Cleanup(srv.Close)
 	fl := startFollowerIn(t, fdir, srv.URL)
 
-	jobID, err := leader.SubmitByName("long", "combined.2", syntheticWorkload(pairs+200, 3), 99, "")
+	jobID, err := leader.SubmitJob(api.SubmitJobRequest{Name: "long", Algorithm: "combined.2", Workload: syntheticWorkload(pairs+200, 3), Seed: 99})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +127,7 @@ func TestStandbyPartitionIdentity(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(leader.Close)
-	if _, err := leader.SubmitByName("theirs", "workqueue", smallWorkload(2), 0, ""); err != nil {
+	if _, err := leader.SubmitJob(api.SubmitJobRequest{Name: "theirs", Algorithm: "workqueue", Workload: smallWorkload(2)}); err != nil {
 		t.Fatal(err)
 	}
 	if err := leader.SnapshotForTest(); err != nil {

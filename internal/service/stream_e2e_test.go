@@ -7,9 +7,11 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"gridsched"
 	"gridsched/internal/core"
 	"gridsched/internal/service"
 	"gridsched/internal/service/api"
@@ -27,47 +29,74 @@ func startHTTP(t *testing.T, s *service.Service) *client.Client {
 }
 
 // TestStreamWorkerDrivesJobToCompletion is the tentpole's end-to-end
-// check over a real TCP connection: a streaming worker (one lease channel,
-// batched reports, no heartbeats) drains a job and every completion is
-// counted exactly once.
+// check over a real TCP connection: streaming workers (one lease channel
+// each, batched reports, no heartbeats) drain a job under every algorithm,
+// and every completion is counted exactly once. No lease expires here, so a
+// strategy that never replicates dispatches and executes each task once,
+// however many workers race for it.
 func TestStreamWorkerDrivesJobToCompletion(t *testing.T) {
-	const tasks = 60
-	s := newService(t, service.Config{})
-	cl := startHTTP(t, s)
-	w := syntheticWorkload(tasks, 3)
-	jobID := submitWorkqueue(t, s, w)
+	const tasks, workers = 60, 4
+	for _, algorithm := range gridsched.AlgorithmNames() {
+		t.Run(algorithm, func(t *testing.T) {
+			// A worker that holds nothing notices the job is done at its next
+			// keepalive, one third of a lease.
+			s := newService(t, service.Config{LeaseTTL: 1500 * time.Millisecond})
+			cl := startHTTP(t, s)
+			jobID, err := s.SubmitJob(api.SubmitJobRequest{
+				Name: "drain", Algorithm: algorithm, Workload: syntheticWorkload(tasks, 3), Seed: 1,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
 
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	executed := 0
-	err := cl.RunWorker(ctx, client.WorkerConfig{
-		StreamBatch: 8,
-		Execute: func(context.Context, core.WorkerRef, *api.Assignment) error {
-			executed++
-			return nil
-		},
-		OnIdle: func(_ context.Context, resp *api.PullResponse) (bool, error) {
-			return resp.OpenJobs == 0, nil
-		},
-	})
-	if err != nil {
-		t.Fatalf("streaming worker: %v", err)
-	}
-	if executed != tasks {
-		t.Fatalf("executed %d tasks, want %d", executed, tasks)
-	}
-	st, err := s.JobStatus(jobID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.State != api.JobCompleted || st.Completed != tasks || st.Remaining != 0 {
-		t.Fatalf("job after streaming drain: %+v", st)
-	}
-	if got := s.Counters().Completions.Load(); got != tasks {
-		t.Fatalf("completions counter = %d, want %d (exactly once)", got, tasks)
-	}
-	if got := s.Counters().ActiveLeases.Load(); got != 0 {
-		t.Fatalf("active leases after drain = %d", got)
+			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+			defer cancel()
+			perTask := make([]atomic.Int32, tasks)
+			errs := make(chan error, workers)
+			for range workers {
+				go func() {
+					errs <- cl.RunWorker(ctx, client.WorkerConfig{
+						StreamBatch: 8,
+						Execute: func(_ context.Context, _ core.WorkerRef, a *api.Assignment) error {
+							perTask[a.Task.ID].Add(1)
+							return nil
+						},
+						OnIdle: func(_ context.Context, resp *api.PullResponse) (bool, error) {
+							return resp.OpenJobs == 0, nil
+						},
+					})
+				}()
+			}
+			for range workers {
+				if err := <-errs; err != nil {
+					t.Fatalf("streaming worker: %v", err)
+				}
+			}
+			st, err := s.JobStatus(jobID)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st.State != api.JobCompleted || st.Completed != tasks || st.Remaining != 0 || st.Expired != 0 {
+				t.Fatalf("job after streaming drain: %+v", st)
+			}
+			if got := s.Counters().Completions.Load(); got != tasks {
+				t.Fatalf("completions counter = %d, want %d (exactly once)", got, tasks)
+			}
+			if got := s.Counters().ActiveLeases.Load(); got != 0 {
+				t.Fatalf("active leases after drain = %d", got)
+			}
+			if strings.Contains(algorithm, "storage affinity") {
+				return // it replicates by design
+			}
+			if st.Dispatched != tasks {
+				t.Errorf("dispatched %d times for %d tasks", st.Dispatched, tasks)
+			}
+			for id := range perTask {
+				if n := perTask[id].Load(); n != 1 {
+					t.Errorf("task %d executed %d times, want exactly 1", id, n)
+				}
+			}
+		})
 	}
 }
 

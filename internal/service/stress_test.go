@@ -260,7 +260,7 @@ func TestSpeculativeChurnStress(t *testing.T) {
 	defer proxy.Close()
 	cl := client.New("http://"+proxy.Addr(), nil)
 
-	jobID, err := s.SubmitByName("spec-churn", "workqueue", syntheticWorkload(tasks, 2), 11, "")
+	jobID, err := s.SubmitJob(api.SubmitJobRequest{Name: "spec-churn", Algorithm: "workqueue", Workload: syntheticWorkload(tasks, 2), Seed: 11})
 	if err != nil {
 		t.Fatal(err)
 	}

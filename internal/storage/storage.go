@@ -56,8 +56,8 @@ type Stats struct {
 const noSlot = int32(-1)
 
 // Store is a bounded file cache. It is not safe for concurrent use; in the
-// simulator all access is serialized by the kernel, and the live runtime
-// wraps it in its own lock.
+// simulator all access is serialized by the kernel, and in the service by
+// the shard lock of the job that owns the store.
 type Store struct {
 	capacity int
 	policy   Policy

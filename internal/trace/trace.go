@@ -41,9 +41,8 @@ type Event struct {
 	Files int `json:"files,omitempty"`
 }
 
-// Tracer consumes events. Implementations used from the simulator may
-// assume single-threaded delivery; the live runtime wraps its tracer in a
-// lock.
+// Tracer consumes events. Only the simulator records them, so an
+// implementation may assume single-threaded delivery.
 type Tracer interface {
 	Record(Event)
 }
