@@ -234,7 +234,6 @@ func TestPartitionGauntletKill9(t *testing.T) {
 			defer wg.Done()
 			_ = cl.RunWorker(ctx, client.WorkerConfig{
 				Site:          &site,
-				PollWait:      500 * time.Millisecond,
 				ReconnectWait: 100 * time.Millisecond,
 				RebalanceWait: time.Second,
 				Execute: func(execCtx context.Context, ref core.WorkerRef, a *api.Assignment) error {

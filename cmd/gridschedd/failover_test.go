@@ -160,7 +160,6 @@ func TestFailoverGauntletKill9(t *testing.T) {
 			defer wg1.Done()
 			_ = cl.RunWorker(phase1, client.WorkerConfig{
 				Site:          &site,
-				PollWait:      200 * time.Millisecond,
 				ReconnectWait: 100 * time.Millisecond,
 				Execute: func(execCtx context.Context, _ core.WorkerRef, _ *api.Assignment) error {
 					select {
@@ -292,7 +291,6 @@ func TestFailoverGauntletKill9(t *testing.T) {
 			defer wg2.Done()
 			_ = ncl.RunWorker(ctx, client.WorkerConfig{
 				Site:          &site,
-				PollWait:      200 * time.Millisecond,
 				ReconnectWait: 100 * time.Millisecond,
 				Execute: func(execCtx context.Context, _ core.WorkerRef, _ *api.Assignment) error {
 					select {

@@ -175,7 +175,6 @@ func TestRecoveryGauntletKill9(t *testing.T) {
 			defer wg.Done()
 			_ = cl.RunWorker(ctx, client.WorkerConfig{
 				Site:          &site,
-				PollWait:      500 * time.Millisecond,
 				ReconnectWait: 100 * time.Millisecond,
 				Execute: func(execCtx context.Context, ref core.WorkerRef, a *api.Assignment) error {
 					select {

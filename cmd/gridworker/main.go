@@ -1,11 +1,12 @@
-// Command gridworker joins a gridschedd server as one or more pull-based
-// workers. Each worker registers, long-polls for leased task assignments,
-// heartbeats while "executing" (a configurable per-file busy-sleep stands
-// in for real work — embedders wanting real execution use
-// internal/service/client.RunWorker with their own Execute), and reports
-// outcomes.
+// Command gridworker joins a gridschedd server as one or more workers. Each
+// worker registers, opens a lease stream on which the server grants it
+// tasks (by default one at a time: a worker is granted its next task when
+// it is idle) and keeps their leases alive, "executes" them (a
+// configurable per-file busy-sleep stands in for real work — embedders
+// wanting real execution use internal/service/client.RunWorker with their
+// own Execute), and reports outcomes.
 //
-// Shutdown is graceful: on SIGINT or SIGTERM the workers stop pulling new
+// Shutdown is graceful: on SIGINT or SIGTERM the workers stop taking new
 // work, finish (up to -drain) and report the tasks they hold, deregister,
 // and exit — so an orchestrated restart hands no lease to the expiry
 // sweeper. A second signal aborts immediately.
@@ -55,14 +56,13 @@ func run(ctx context.Context, args []string) error {
 		n       = fs.Int("n", 1, "number of workers to run")
 		site    = fs.Int("site", -1, "pin workers to this site (-1: server balances)")
 		taskDur = fs.Duration("task-time", 0, "simulated execution time per task file (e.g. 5ms)")
-		poll    = fs.Duration("poll", 2*time.Second, "long-poll budget per pull")
-		oneShot = fs.Bool("exit-when-idle", false, "exit once no jobs remain open")
+		oneShot = fs.Bool("exit-when-idle", false, "exit once no jobs remain open (at once if none is open yet)")
 		quiet   = fs.Bool("quiet", false, "suppress per-task logging")
 		reconn  = fs.Duration("reconnect", 0, "retry interval across server outages (0: fail fast)")
 		drain   = fs.Duration("drain", 30*time.Second, "on SIGINT/SIGTERM, let an in-flight task finish and report for up to this long (0: abort it immediately)")
 		token   = fs.String("auth-token", "", "bearer token for a gridschedd running with -auth-tokens")
 		codec   = fs.String("codec", "json", "wire codec: json or binary (strict, no silent fallback)")
-		batch   = fs.Int("batch", 0, "where leases come from: 0 long-poll pulls, k>0 a lease stream with that pipeline depth")
+		batch   = fs.Int("batch", 1, "lease stream depth: how many tasks the server keeps granted to each worker")
 		tags    = fs.String("tags", "", "comma-separated capability tags to advertise (e.g. gpu,avx512)")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -71,7 +71,7 @@ func run(ctx context.Context, args []string) error {
 	if *n < 1 {
 		return fmt.Errorf("-n = %d", *n)
 	}
-	if *batch < 0 {
+	if *batch < 1 {
 		return fmt.Errorf("-batch = %d", *batch)
 	}
 
@@ -87,7 +87,6 @@ func run(ctx context.Context, args []string) error {
 		go func() {
 			defer wg.Done()
 			cfg := client.WorkerConfig{
-				PollWait:      *poll,
 				Tags:          splitTags(*tags),
 				StreamBatch:   *batch,
 				ReconnectWait: *reconn,

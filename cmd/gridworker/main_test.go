@@ -13,8 +13,10 @@ import (
 )
 
 func TestRunRejectsBadFlags(t *testing.T) {
-	if err := run(context.Background(), []string{"-n", "0"}); err == nil {
-		t.Fatal("accepted -n 0")
+	for _, bad := range [][]string{{"-n", "0"}, {"-batch", "0"}} {
+		if err := run(context.Background(), bad); err == nil {
+			t.Fatalf("accepted %q", bad)
+		}
 	}
 }
 
@@ -48,7 +50,6 @@ func TestWorkersDrainJobAndExitWhenIdle(t *testing.T) {
 	err = run(ctx, []string{
 		"-server", ts.URL,
 		"-n", "3",
-		"-poll", "100ms",
 		"-quiet",
 		"-exit-when-idle",
 	})

@@ -1,7 +1,7 @@
 // Scheduler service: gridschedd embedded in one process, with two
 // workloads resident at once — a Coadd sweep under the paper's combined.2
 // strategy and a uniform-sharing job under plain workqueue — and a fleet of
-// protocol workers (register → long-poll pull → heartbeat → report)
+// protocol workers (register → lease stream, one task at a time → report)
 // draining them concurrently over the HTTP/JSON protocol served on a real
 // loopback listener. The same wiring works across machines: run
 // cmd/gridschedd and point cmd/gridworker at it.
@@ -90,7 +90,6 @@ func main() {
 		go func() {
 			defer wg.Done()
 			err := cl.RunWorker(ctx, client.WorkerConfig{
-				PollWait: 500 * time.Millisecond,
 				StageDelay: func(staged int) time.Duration {
 					return 30 * time.Microsecond * time.Duration(staged)
 				},

@@ -2,7 +2,8 @@
 // simulator, running on real goroutines. A gridschedd service is embedded
 // in the process and served in-process (client.InProcess, no sockets)
 // behind the ingress chain a networked daemon fronts with; one
-// client.RunWorker goroutine per worker slot pulls a task when idle, waits
+// client.RunWorker goroutine per worker slot is granted a task when idle
+// (its lease stream has the default depth of one), waits
 // out a synthetic staging latency for the files its site store had to
 // fetch (standing in for the wide-area transfer), executes a real
 // function, and replica cancellation flows through contexts.
@@ -83,8 +84,7 @@ func drain(algorithm string, w *gridsched.Workload) (*api.JobStatus, uint64) {
 			go func() {
 				defer wg.Done()
 				err := cl.RunWorker(ctx, client.WorkerConfig{
-					Site:     &site,
-					PollWait: 500 * time.Millisecond,
+					Site: &site,
 					// Stand-in for the wide-area fetch: 50us per missing file.
 					StageDelay: func(missing int) time.Duration {
 						return time.Duration(missing) * 50 * time.Microsecond

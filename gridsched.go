@@ -29,7 +29,6 @@ import (
 	"gridsched/internal/experiment"
 	"gridsched/internal/grid"
 	"gridsched/internal/service"
-	"gridsched/internal/topology"
 	"gridsched/internal/workload"
 )
 
@@ -53,8 +52,6 @@ type (
 	ExperimentOptions = experiment.Options
 	// Report is a rendered experiment artifact.
 	Report = experiment.Report
-	// TopologyConfig parameterizes the Tiers-style topology generator.
-	TopologyConfig = topology.TiersConfig
 	// CoaddConfig parameterizes the synthetic Coadd workload generator.
 	CoaddConfig = workload.CoaddConfig
 )

@@ -126,18 +126,6 @@ func Figure4And5(opts Options) (fig4, fig5 *Report, err error) {
 	return fig4, fig5, nil
 }
 
-// Figure4 renders only the makespan view of the capacity sweep.
-func Figure4(opts Options) (*Report, error) {
-	rep, _, err := Figure4And5(opts)
-	return rep, err
-}
-
-// Figure5 renders only the transfer view of the capacity sweep.
-func Figure5(opts Options) (*Report, error) {
-	_, rep, err := Figure4And5(opts)
-	return rep, err
-}
-
 // PaperWorkerCounts are Figure 6's x values.
 var PaperWorkerCounts = []int{2, 4, 6, 8, 10}
 
@@ -216,18 +204,6 @@ func Figure6AndTable3(opts Options) (fig6, table3 *Report, err error) {
 		})
 	}
 	return fig6, table3, nil
-}
-
-// Figure6 renders only the makespan view of the workers sweep.
-func Figure6(opts Options) (*Report, error) {
-	rep, _, err := Figure6AndTable3(opts)
-	return rep, err
-}
-
-// Table3 renders only the data-server breakdown of the workers sweep.
-func Table3(opts Options) (*Report, error) {
-	_, rep, err := Figure6AndTable3(opts)
-	return rep, err
 }
 
 // PaperSiteCounts are Figure 7's x values.

@@ -4,44 +4,24 @@ import (
 	"net"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
-// Faults is a shared fault switchboard for wrapped connections. One
-// Faults value typically governs every connection of a Listener or
-// Proxy, so a single Partition() call blackholes the whole link.
+// Faults is the fault switchboard of a Proxy's link, shared by every
+// connection through it.
 type Faults struct {
-	partitioned atomic.Bool // reads and writes block (blackhole)
-	failFast    atomic.Bool // reads and writes error immediately
-	delayNanos  atomic.Int64
+	failFast atomic.Bool // reads and writes error immediately
 }
-
-// Partition blackholes the link: reads and writes on affected
-// connections block until Restore or the connection closes — the
-// behavior of a yanked cable, which TCP surfaces only after long
-// timeouts. Use FailFast for the connection-refused flavor.
-func (f *Faults) Partition() { f.partitioned.Store(true) }
 
 // FailFast makes every read and write fail immediately with ErrInjected.
 func (f *Faults) FailFast() { f.failFast.Store(true) }
 
-// Delay adds d of latency to every read and write.
-func (f *Faults) Delay(d time.Duration) { f.delayNanos.Store(int64(d)) }
-
 // Restore clears all faults.
-func (f *Faults) Restore() {
-	f.partitioned.Store(false)
-	f.failFast.Store(false)
-	f.delayNanos.Store(0)
-}
+func (f *Faults) Restore() { f.failFast.Store(false) }
 
 // Conn wraps a net.Conn with the shared fault switchboard.
 type Conn struct {
 	net.Conn
 	faults *Faults
-
-	closeOnce sync.Once
-	closed    chan struct{}
 }
 
 // WrapConn wraps c; a nil faults gets a private switchboard.
@@ -49,102 +29,26 @@ func WrapConn(c net.Conn, faults *Faults) *Conn {
 	if faults == nil {
 		faults = &Faults{}
 	}
-	return &Conn{Conn: c, faults: faults, closed: make(chan struct{})}
-}
-
-// Faults returns the connection's switchboard.
-func (c *Conn) Faults() *Faults { return c.faults }
-
-// gate applies the current fault schedule before an I/O op. It returns
-// ErrInjected for fail-fast faults and blocks for partitions.
-func (c *Conn) gate() error {
-	if d := time.Duration(c.faults.delayNanos.Load()); d > 0 {
-		select {
-		case <-time.After(d):
-		case <-c.closed:
-			return net.ErrClosed
-		}
-	}
-	for c.faults.partitioned.Load() {
-		select {
-		case <-time.After(5 * time.Millisecond):
-		case <-c.closed:
-			return net.ErrClosed
-		}
-	}
-	if c.faults.failFast.Load() {
-		return ErrInjected
-	}
-	return nil
+	return &Conn{Conn: c, faults: faults}
 }
 
 func (c *Conn) Read(p []byte) (int, error) {
-	if err := c.gate(); err != nil {
-		return 0, err
+	if c.faults.failFast.Load() {
+		return 0, ErrInjected
 	}
 	return c.Conn.Read(p)
 }
 
 func (c *Conn) Write(p []byte) (int, error) {
-	if err := c.gate(); err != nil {
-		return 0, err
+	if c.faults.failFast.Load() {
+		return 0, ErrInjected
 	}
 	return c.Conn.Write(p)
 }
 
-func (c *Conn) Close() error {
-	c.closeOnce.Do(func() { close(c.closed) })
-	return c.Conn.Close()
-}
-
-// Listener wraps a net.Listener so every accepted connection shares one
-// fault switchboard.
-type Listener struct {
-	net.Listener
-	faults *Faults
-
-	mu    sync.Mutex
-	conns []*Conn
-}
-
-// WrapListener wraps ln; a nil faults gets a private switchboard.
-func WrapListener(ln net.Listener, faults *Faults) *Listener {
-	if faults == nil {
-		faults = &Faults{}
-	}
-	return &Listener{Listener: ln, faults: faults}
-}
-
-// Faults returns the listener's switchboard.
-func (l *Listener) Faults() *Faults { return l.faults }
-
-func (l *Listener) Accept() (net.Conn, error) {
-	c, err := l.Listener.Accept()
-	if err != nil {
-		return nil, err
-	}
-	wc := WrapConn(c, l.faults)
-	l.mu.Lock()
-	l.conns = append(l.conns, wc)
-	l.mu.Unlock()
-	return wc, nil
-}
-
-// CloseConns tears down every accepted connection (the crashed-peer
-// signature: RST now, not a timeout later), leaving the listener up.
-func (l *Listener) CloseConns() {
-	l.mu.Lock()
-	conns := l.conns
-	l.conns = nil
-	l.mu.Unlock()
-	for _, c := range conns {
-		_ = c.Close()
-	}
-}
-
 // Proxy is a byte-shoveling TCP proxy whose link obeys a fault
-// switchboard — the tool for partitioning two real processes that think
-// they are directly connected.
+// switchboard — the tool for breaking the link between two parties that
+// think they are directly connected.
 type Proxy struct {
 	ln     net.Listener
 	target string

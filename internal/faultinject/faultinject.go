@@ -5,11 +5,9 @@
 //   - File wraps a journal.File and fails writes or fsyncs on demand,
 //     proving the writer poisons itself instead of acknowledging records
 //     the log did not keep.
-//   - Conn / Listener / Proxy wrap net connections with droppable,
-//     delayable, partitionable behavior, so tests can blackhole a
-//     replication stream without the kernel's help.
-//   - Proc runs a subprocess under kill -9 control, the only honest way
-//     to test crash recovery and leader failover.
+//   - Proxy is a TCP proxy whose connections (Conn) can be cut all at once
+//     or made to fail fast, so tests can sever a lease stream or take an
+//     endpoint down without the kernel's help.
 //   - Steps stops a multi-step durable operation (a checkpoint) at a
 //     named step boundary, so every crash ordering between its fsyncs and
 //     renames is reachable on demand rather than by racing a kill.

@@ -634,76 +634,67 @@ func TestClientPartitionRouting(t *testing.T) {
 
 // TestIdleWorkerRebalances: a worker idling on a partition with no open
 // jobs moves — deregisters, re-registers through the router's placement —
-// to the partition where work is waiting, whichever way it leases. (The
-// kill -9 gauntlet in cmd/gridrouter covers the long-poll worker against
-// real processes; this covers both lease sources in-process.)
+// to the partition where work is waiting. (The kill -9 gauntlet in
+// cmd/gridrouter covers it against real processes; this covers it
+// in-process.)
 func TestIdleWorkerRebalances(t *testing.T) {
-	for _, source := range []struct {
-		name  string
-		batch int
-	}{{"pull", 0}, {"stream", 4}} {
-		t.Run(source.name, func(t *testing.T) {
-			// A stream's idle frames are its keepalives, one per third of a
-			// lease TTL: keep that well under the test's patience.
-			d := newDeploymentWith(t, 2, func(h http.Handler) http.Handler { return h }, 600*time.Millisecond)
-			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-			defer cancel()
+	// An idle worker's frames are its stream's keepalives, one per third of
+	// a lease TTL: keep that well under the test's patience.
+	d := newDeploymentWith(t, 2, func(h http.Handler) http.Handler { return h }, 600*time.Millisecond)
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
 
-			const tasks = 6
-			executed := make(chan string, tasks)
-			workerDone := make(chan error, 1)
-			go func() {
-				workerDone <- d.cl.RunWorker(ctx, client.WorkerConfig{
-					StreamBatch:   source.batch,
-					PollWait:      50 * time.Millisecond,
-					RebalanceWait: 150 * time.Millisecond,
-					Execute: func(_ context.Context, _ core.WorkerRef, a *api.Assignment) error {
-						executed <- a.JobID
-						return nil
-					},
-				})
-			}()
-
-			// Wherever placement put the idle worker, the job goes to the
-			// other partition, directly.
-			home := -1
-			for home < 0 {
-				for i, cl := range d.clients {
-					if ws, err := cl.Workers(ctx); err != nil {
-						t.Fatal(err)
-					} else if len(ws) == 1 {
-						home = i
-					}
-				}
-			}
-			away := 1 - home
-			jobID, err := d.clients[away].SubmitJobIdempotent(ctx, api.SubmitJobRequest{
-				Name: "elsewhere", Algorithm: "workqueue", Workload: testWorkload(tasks),
-				SubmissionID: keyOwnedBy(away, 2),
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i := 0; i < tasks; i++ {
-				select {
-				case got := <-executed:
-					if got != jobID {
-						t.Fatalf("executed a task of job %q, want %q", got, jobID)
-					}
-				case err := <-workerDone:
-					t.Fatalf("worker ended early: %v", err)
-				case <-ctx.Done():
-					t.Fatalf("worker on partition %d never reached the job on partition %d (%d of %d tasks ran)", home, away, i, tasks)
-				}
-			}
-			cancel()
-			if err := <-workerDone; err != nil {
-				t.Fatalf("worker loop: %v", err)
-			}
-			if ws, err := d.clients[home].Workers(context.Background()); err != nil || len(ws) != 0 {
-				t.Fatalf("partition %d still lists %d workers (err=%v), want the worker gone", home, len(ws), err)
-			}
+	const tasks = 6
+	executed := make(chan string, tasks)
+	workerDone := make(chan error, 1)
+	go func() {
+		workerDone <- d.cl.RunWorker(ctx, client.WorkerConfig{
+			RebalanceWait: 150 * time.Millisecond,
+			Execute: func(_ context.Context, _ core.WorkerRef, a *api.Assignment) error {
+				executed <- a.JobID
+				return nil
+			},
 		})
+	}()
+
+	// Wherever placement put the idle worker, the job goes to the
+	// other partition, directly.
+	home := -1
+	for home < 0 {
+		for i, cl := range d.clients {
+			if ws, err := cl.Workers(ctx); err != nil {
+				t.Fatal(err)
+			} else if len(ws) == 1 {
+				home = i
+			}
+		}
+	}
+	away := 1 - home
+	jobID, err := d.clients[away].SubmitJobIdempotent(ctx, api.SubmitJobRequest{
+		Name: "elsewhere", Algorithm: "workqueue", Workload: testWorkload(tasks),
+		SubmissionID: keyOwnedBy(away, 2),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < tasks; i++ {
+		select {
+		case got := <-executed:
+			if got != jobID {
+				t.Fatalf("executed a task of job %q, want %q", got, jobID)
+			}
+		case err := <-workerDone:
+			t.Fatalf("worker ended early: %v", err)
+		case <-ctx.Done():
+			t.Fatalf("worker on partition %d never reached the job on partition %d (%d of %d tasks ran)", home, away, i, tasks)
+		}
+	}
+	cancel()
+	if err := <-workerDone; err != nil {
+		t.Fatalf("worker loop: %v", err)
+	}
+	if ws, err := d.clients[home].Workers(context.Background()); err != nil || len(ws) != 0 {
+		t.Fatalf("partition %d still lists %d workers (err=%v), want the worker gone", home, len(ws), err)
 	}
 }
 

@@ -1,7 +1,6 @@
 package client_test
 
 import (
-	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
@@ -21,25 +20,24 @@ import (
 	"gridsched/internal/service/client"
 )
 
-// answer is a scripted reply to a lease request (a pull, or a stream open)
-// or to a report: refuse with status (a 429 carries Retry-After: 1), sever
-// the connection without answering, or accept — a lease request then gets
-// one frame: the assignment named by grant (leased for ttl, a minute if
-// zero, with staged files newly fetched for it), or nothing but an open-job
-// count of zero.
+// answer is a scripted reply to a lease request (a stream open) or to a
+// report: refuse with status (a 429 carries Retry-After: 1), sever the
+// connection without answering, or accept — a lease request then gets one
+// frame: the assignment named by grant (with staged files newly fetched for
+// it), or nothing but an open-job count of zero.
 type answer struct {
 	status int
 	sever  bool
 	grant  string
-	ttl    time.Duration
 	staged int
 }
 
 // scriptedSched is a scripted gridschedd. It records every request in
-// arrival order — REGISTER, LEASE <worker> (whichever lease protocol),
-// REPORT <worker> <assignment>=<outcome>..., DEREGISTER <worker> — and
-// answers in whichever codec the request negotiates, so the table runs
-// under GRIDSCHED_TEST_CODEC=binary too.
+// arrival order — REGISTER, LEASE <worker> (a stream open), REPORT <worker>
+// <assignment>=<outcome>..., DEREGISTER <worker> — and answers in whichever
+// codec the request negotiates, so the table runs under
+// GRIDSCHED_TEST_CODEC=binary too. Every stream must be opened at depth one,
+// the default.
 type scriptedSched struct {
 	t        *testing.T
 	register func(n int) int    // status for the n-th registration; nil or 0 accepts
@@ -123,28 +121,10 @@ func (s *scriptedSched) handler() http.Handler {
 		s.note("deregister", "DEREGISTER "+r.PathValue("id"))
 		_, _ = w.Write([]byte(`{}`))
 	})
-	frame := func(a answer) *api.LeaseBatch {
-		lb := &api.LeaseBatch{}
-		if a.grant != "" {
-			ttl := cmp.Or(a.ttl, time.Minute)
-			lb.Assignments = []api.Assignment{{ID: a.grant, JobID: "j1", LeaseTTLMillis: ttl.Milliseconds(), Staged: a.staged}}
-			lb.OpenJobs = 1
-		}
-		return lb
-	}
-	mux.HandleFunc("POST /v1/workers/{id}/pull", func(w http.ResponseWriter, r *http.Request) {
-		a := s.lease(s.note("lease", "LEASE "+r.PathValue("id")))
-		if s.refuse(w, a) {
-			return
-		}
-		lb := frame(a)
-		resp := &api.PullResponse{Status: api.StatusEmpty, OpenJobs: lb.OpenJobs}
-		if len(lb.Assignments) > 0 {
-			resp.Status, resp.Assignment = api.StatusAssigned, &lb.Assignments[0]
-		}
-		s.reply(w, r, http.StatusOK, resp)
-	})
 	mux.HandleFunc("GET /v1/workers/{id}/stream", func(w http.ResponseWriter, r *http.Request) {
+		if got := r.URL.Query().Get("batch"); got != "1" {
+			s.t.Errorf("stream opened with batch=%q, want 1: a default WorkerConfig holds one lease at a time", got)
+		}
 		a := s.lease(s.note("lease", "LEASE "+r.PathValue("id")))
 		if s.refuse(w, a) {
 			return
@@ -153,7 +133,12 @@ func (s *scriptedSched) handler() http.Handler {
 		if api.AcceptsBinary(r.Header.Get("Accept")) {
 			codec, ct = api.Binary, api.ContentTypeStreamBinary
 		}
-		payload, err := codec.Marshal(frame(a))
+		lb := &api.LeaseBatch{}
+		if a.grant != "" {
+			lb.Assignments = []api.Assignment{{ID: a.grant, JobID: "j1", LeaseTTLMillis: time.Minute.Milliseconds(), Staged: a.staged}}
+			lb.OpenJobs = 1
+		}
+		payload, err := codec.Marshal(lb)
 		if err != nil {
 			s.t.Error(err)
 		}
@@ -180,10 +165,9 @@ func (s *scriptedSched) handler() http.Handler {
 	return mux
 }
 
-// TestWorkerLoopConformance pins RunWorker's one loop from the outside:
-// for each way a worker's life can go, the exact requests it sends and
-// what it returns — the same under both lease sources, which differ only
-// in what a LEASE is on the wire.
+// TestWorkerLoopConformance pins RunWorker's loop from the outside: for
+// each way a worker's life can go, the exact requests a default worker
+// sends over its lease stream and what it returns.
 func TestWorkerLoopConformance(t *testing.T) {
 	stopWhenIdle := func(context.Context, *api.PullResponse) (bool, error) { return true, nil }
 	stopOnReport := func(context.Context, *api.Assignment, string, *api.ReportResponse) bool { return true }
@@ -351,113 +335,44 @@ func TestWorkerLoopConformance(t *testing.T) {
 		},
 	}
 
-	for _, source := range []struct {
-		name  string
-		batch int
-	}{{"pull", 0}, {"stream", 4}} {
-		for _, r := range rows {
-			t.Run(source.name+"/"+r.name, func(t *testing.T) {
-				s := &scriptedSched{t: t, register: r.register, lease: r.lease, report: r.report, n: map[string]int{}}
-				ts := httptest.NewServer(s.handler())
-				defer ts.Close()
-				// No connection reuse: net/http quietly replays an idempotent
-				// request (the stream's GET) whose reused connection was
-				// severed, which would hide the very error a row scripts.
-				cl := client.New(ts.URL, &http.Client{Transport: &http.Transport{DisableKeepAlives: true}})
-
-				ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
-				defer cancel()
-				cfg := r.cfg
-				cfg.StreamBatch = source.batch
-				cfg.PollWait = 50 * time.Millisecond
-				if r.hold != nil {
-					*r.hold = *newHold()
-					go func() {
-						<-r.hold.started
-						cancel()
-						time.Sleep(20 * time.Millisecond)
-						close(r.hold.release)
-					}()
-				}
-				start := time.Now()
-				err := cl.RunWorker(ctx, cfg)
-				if r.wantErr == nil && err != nil || r.wantErr != nil && !r.wantErr(err) {
-					t.Fatalf("RunWorker returned %v", err)
-				}
-				if took := time.Since(start); took < r.minTime {
-					t.Fatalf("run took %s, want at least %s", took, r.minTime)
-				}
-				if r.hold != nil {
-					if got, want := <-r.hold.interrupted, cfg.DrainGrace == 0; got != want {
-						t.Fatalf("execution interrupted = %v, want %v", got, want)
-					}
-				}
-				s.mu.Lock()
-				defer s.mu.Unlock()
-				if !slices.Equal(s.log, r.want) {
-					t.Fatalf("requests:\n got %q\nwant %q", s.log, r.want)
-				}
-			})
-		}
-	}
-}
-
-// TestPullSourceHeartbeatNotices covers the one thing only the pull source
-// does: it keeps its lease alive itself, and what the heartbeat hears
-// becomes a cancellation notice. `cancelled` (a replica finished elsewhere)
-// interrupts the execution, which is reported as a failure; `gone` (the
-// lease expired and the task was requeued) interrupts it too, and the
-// report is skipped — it could only come back stale. Either way the worker
-// goes on to its next pull on the same registration.
-func TestPullSourceHeartbeatNotices(t *testing.T) {
-	for state, want := range map[string][]string{
-		api.HeartbeatCancelled: {"REGISTER", "LEASE w1", "HEARTBEAT a1", "REPORT w1 a1=failure", "LEASE w1", "DEREGISTER w1"},
-		api.HeartbeatGone:      {"REGISTER", "LEASE w1", "HEARTBEAT a1", "LEASE w1", "DEREGISTER w1"},
-	} {
-		t.Run(state, func(t *testing.T) {
-			s := &scriptedSched{t: t, n: map[string]int{}, lease: func(n int) answer {
-				if n == 1 {
-					return answer{grant: "a1", ttl: 90 * time.Millisecond}
-				}
-				return answer{}
-			}}
-			mux := http.NewServeMux()
-			mux.Handle("/", s.handler())
-			mux.HandleFunc("POST /v1/assignments/{id}/heartbeat", func(w http.ResponseWriter, r *http.Request) {
-				s.note("heartbeat", "HEARTBEAT "+r.PathValue("id"))
-				s.reply(w, r, http.StatusOK, &api.HeartbeatResponse{State: state})
-			})
-			ts := httptest.NewServer(mux)
+	for _, r := range rows {
+		// Named for the lease protocol: a LEASE is a stream open.
+		t.Run("stream/"+r.name, func(t *testing.T) {
+			s := &scriptedSched{t: t, register: r.register, lease: r.lease, report: r.report, n: map[string]int{}}
+			ts := httptest.NewServer(s.handler())
 			defer ts.Close()
+			// No connection reuse: net/http quietly replays an idempotent
+			// request (the stream's GET) whose reused connection was
+			// severed, which would hide the very error a row scripts.
+			cl := client.New(ts.URL, &http.Client{Transport: &http.Transport{DisableKeepAlives: true}})
 
 			ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
 			defer cancel()
-			interrupted, idles := false, 0
-			err := client.New(ts.URL, nil).RunWorker(ctx, client.WorkerConfig{
-				PollWait: 50 * time.Millisecond,
-				Execute: func(ctx context.Context, _ core.WorkerRef, _ *api.Assignment) error {
-					select {
-					case <-ctx.Done():
-						interrupted = true
-					case <-time.After(5 * time.Second):
-					}
-					return nil
-				},
-				OnIdle: func(context.Context, *api.PullResponse) (bool, error) {
-					idles++
-					return true, nil
-				},
-			})
-			if err != nil {
+			if r.hold != nil {
+				go func() {
+					<-r.hold.started
+					cancel()
+					time.Sleep(20 * time.Millisecond)
+					close(r.hold.release)
+				}()
+			}
+			start := time.Now()
+			err := cl.RunWorker(ctx, r.cfg)
+			if r.wantErr == nil && err != nil || r.wantErr != nil && !r.wantErr(err) {
 				t.Fatalf("RunWorker returned %v", err)
 			}
-			if !interrupted || idles != 1 {
-				t.Fatalf("execution interrupted = %v with %d idle callbacks, want true and 1 (the empty poll)", interrupted, idles)
+			if took := time.Since(start); took < r.minTime {
+				t.Fatalf("run took %s, want at least %s", took, r.minTime)
+			}
+			if r.hold != nil {
+				if got, want := <-r.hold.interrupted, r.cfg.DrainGrace == 0; got != want {
+					t.Fatalf("execution interrupted = %v, want %v", got, want)
+				}
 			}
 			s.mu.Lock()
 			defer s.mu.Unlock()
-			if !slices.Equal(s.log, want) {
-				t.Fatalf("requests:\n got %q\nwant %q", s.log, want)
+			if !slices.Equal(s.log, r.want) {
+				t.Fatalf("requests:\n got %q\nwant %q", s.log, r.want)
 			}
 		})
 	}

@@ -40,7 +40,6 @@ func TestRunWorkerAuthFailureIsTerminal(t *testing.T) {
 	go func() {
 		done <- cl.RunWorker(context.Background(), client.WorkerConfig{
 			ReconnectWait: 10 * time.Millisecond,
-			PollWait:      50 * time.Millisecond,
 		})
 	}()
 	select {
@@ -57,52 +56,6 @@ func TestRunWorkerAuthFailureIsTerminal(t *testing.T) {
 	}
 	if n := registers.Load(); n != 0 {
 		t.Fatalf("unauthenticated worker reached the service %d times", n)
-	}
-}
-
-// TestRunWorkerShedPullBacksOff: a 429 on pull (load shed) must NOT tear
-// the worker down or re-register it — the worker backs off and pulls
-// again against its existing registration.
-func TestRunWorkerShedPullBacksOff(t *testing.T) {
-	s := &scriptedSched{t: t}
-	var registers, pulls atomic.Int64
-	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/workers", func(w http.ResponseWriter, r *http.Request) {
-		registers.Add(1)
-		s.reply(w, r, http.StatusCreated, &api.RegisterResponse{WorkerID: "w1"})
-	})
-	mux.HandleFunc("POST /v1/workers/w1/pull", func(w http.ResponseWriter, r *http.Request) {
-		if pulls.Add(1) <= 2 {
-			w.Header().Set("Retry-After", "1")
-			w.WriteHeader(http.StatusTooManyRequests)
-			_, _ = w.Write([]byte(`{"error":"overloaded; shed, retry later"}`))
-			return
-		}
-		s.reply(w, r, http.StatusOK, &api.PullResponse{Status: api.StatusEmpty})
-	})
-	mux.HandleFunc("DELETE /v1/workers/w1", func(w http.ResponseWriter, r *http.Request) {
-		_, _ = w.Write([]byte(`{}`))
-	})
-	ts := httptest.NewServer(mux)
-	defer ts.Close()
-
-	start := time.Now()
-	err := client.New(ts.URL, nil).RunWorker(context.Background(), client.WorkerConfig{
-		OnIdle: func(ctx context.Context, resp *api.PullResponse) (bool, error) { return true, nil },
-	})
-	if err != nil {
-		t.Fatalf("RunWorker: %v", err)
-	}
-	if got := registers.Load(); got != 1 {
-		t.Fatalf("registered %d times across shed pulls, want 1", got)
-	}
-	if got := pulls.Load(); got != 3 {
-		t.Fatalf("pulls = %d, want 3 (2 shed + 1 idle)", got)
-	}
-	// Two backoffs, each honoring the 1s Retry-After hint (jittered down
-	// to no less than half).
-	if elapsed := time.Since(start); elapsed < time.Second {
-		t.Fatalf("worker retried shed pulls after only %s; Retry-After ignored", elapsed)
 	}
 }
 

@@ -1,13 +1,11 @@
 package client
 
 import (
-	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"net/http"
 	"slices"
-	"sync/atomic"
 	"time"
 
 	"gridsched/internal/core"
@@ -22,11 +20,6 @@ type WorkerConfig struct {
 	// jobs submitted with Requires only dispatch to workers whose tags
 	// cover every required one.
 	Tags []string
-	// PollWait is the server-side long-poll budget per pull request (unused
-	// with StreamBatch). Defaults to 2s; the worker simply pulls again on an
-	// empty poll, so this bounds reaction time to shutdown, not to new work
-	// (new work wakes parked polls immediately).
-	PollWait time.Duration
 	// StageDelay, when non-nil, models file staging cost: the worker
 	// sleeps StageDelay(assignment.Staged) before executing, under the
 	// execution context (a cancellation aborts the wait).
@@ -37,26 +30,28 @@ type WorkerConfig struct {
 	// An error is reported to the server as a failed execution (the
 	// scheduler requeues the task); it does not stop the worker loop.
 	Execute func(ctx context.Context, ref core.WorkerRef, a *api.Assignment) error
-	// OnIdle is consulted whenever a frame without grants or cancellation
-	// notices — an empty poll, a stream keepalive — leaves the worker with
-	// nothing queued, running or waiting to be reported; resp carries the
-	// server's open-job count. Returning stop ends the loop. Nil means keep
-	// going until ctx is cancelled.
+	// OnIdle is consulted whenever a frame without grants — a changed
+	// open-job count, a keepalive — leaves the worker with nothing queued,
+	// running or waiting to be reported; resp carries the server's open-job
+	// count. The stream's first frame comes at once, so a worker started
+	// before any job is submitted is idle at once. Returning stop ends the
+	// loop. Nil means keep going until ctx is cancelled.
 	OnIdle func(ctx context.Context, resp *api.PullResponse) (stop bool, err error)
 	// OnReport is consulted after every report the server answered;
 	// returning stop ends the loop without asking for another lease. A
 	// job-draining worker uses it to exit the moment its report completes
-	// the job (rep.JobState) instead of discovering it on the next empty
-	// poll. outcome is what this worker reported (api.OutcomeSuccess or
+	// the job (rep.JobState) instead of discovering it on the next idle
+	// frame. outcome is what this worker reported (api.OutcomeSuccess or
 	// api.OutcomeFailure) — an interrupted or failed execution reports
 	// failure — and a hook counting completions must filter on it and on
 	// rep.Accepted (a report whose lease had expired comes back Stale).
 	OnReport func(ctx context.Context, a *api.Assignment, outcome string, rep *api.ReportResponse) (stop bool)
-	// StreamBatch selects where leases come from, and nothing else. Zero:
-	// long-poll pulls, one lease at a time, kept alive by heartbeats from
-	// this worker. Positive: one GET /v1/workers/{id}/stream connection on
-	// which the server keeps up to StreamBatch assignments prefetched and
-	// renews them itself while the stream is open. See docs/PROTOCOL.md.
+	// StreamBatch is the depth of the worker's lease stream, one GET
+	// /v1/workers/{id}/stream connection on which the server keeps up to
+	// that many assignments prefetched and renews them itself while the
+	// stream is open (docs/PROTOCOL.md). Zero means one: the worker holds
+	// one lease at a time and is granted its next task only once it is
+	// idle, the worker-centric model.
 	StreamBatch int
 	// ReconnectWait, when positive, makes the worker survive server
 	// outages: transport-level failures (connection refused while
@@ -73,8 +68,8 @@ type WorkerConfig struct {
 	// partition with the most open jobs, so an idle fleet drains a
 	// partition that recovered work after an outage instead of starving
 	// it. Against a single gridschedd re-registering is a harmless no-op
-	// move. Zero disables rebalancing. A streaming worker's idle frames are
-	// the keepalives, one per third of a lease TTL.
+	// move. Zero disables rebalancing. An idle worker's frames are the
+	// stream's keepalives, one per third of a lease TTL.
 	RebalanceWait time.Duration
 	// DrainGrace, when positive, makes shutdown graceful: after ctx is
 	// cancelled an in-flight execution keeps running for up to this long
@@ -89,10 +84,10 @@ type WorkerConfig struct {
 
 // RunWorker registers a worker and runs the full protocol loop — lease,
 // execute, report — until ctx is cancelled (returns nil), a hook stops it
-// (nil), or a protocol error occurs. Leases come from long-poll pulls kept
-// alive by heartbeats, or with StreamBatch from a lease stream; everything
-// else is one loop, and one table says what a failed request means,
-// whether it registered, asked for leases or reported outcomes:
+// (nil), or a protocol error occurs. Leases come from a lease stream of
+// depth StreamBatch, which the server keeps alive; outcomes go back through
+// ReportBatch. One table says what a failed request means, whether it
+// registered, opened the stream or reported outcomes:
 //
 //   - 401/403: the credential was rejected (or revoked mid-run). Terminal —
 //     re-sending the same bad token is the one retry that can never work.
@@ -101,10 +96,9 @@ type WorkerConfig struct {
 //     re-registering would only add load.
 //   - 404: the registration lapsed (the process was suspended, or the
 //     server restarted: registrations are not journaled). Re-register.
-//   - 409: the server believes the worker is attached or still holds a
-//     lease — a reply was lost in transit, or it has not noticed a dropped
-//     stream yet. Deregister (which requeues whatever it held) and
-//     re-register rather than die on a transient network fault. An idle
+//   - 409: a stream is still attached — the server has not noticed the
+//     previous one drop yet. Deregister (which requeues whatever it held)
+//     and re-register rather than die on a transient network fault. An idle
 //     worker that RebalanceWait moves on does the same, for the fresh
 //     placement.
 //   - a stream that drops after it opened is reopened at once, on the same
@@ -131,12 +125,9 @@ func (c *Client) RunWorker(ctx context.Context, cfg WorkerConfig) error {
 }
 
 func (c *Client) runWorker(ctx context.Context, cfg WorkerConfig) error {
-	if cfg.PollWait <= 0 {
-		cfg.PollWait = 2 * time.Second
-	}
+	cfg.StreamBatch = max(cfg.StreamBatch, 1)
 	w := workerLoop{c: c, cfg: cfg}
 	var reg *api.RegisterResponse // nil: not (or no longer) registered
-	var src leaseSource
 	defer func() {
 		if reg != nil {
 			dctx, cancel := context.WithTimeout(context.WithoutCancel(ctx), 2*time.Second)
@@ -147,16 +138,11 @@ func (c *Client) runWorker(ctx context.Context, cfg WorkerConfig) error {
 	for ctx.Err() == nil {
 		var err error
 		if reg == nil {
-			if reg, err = c.RegisterWorker(ctx, cfg.Site, cfg.Tags); err == nil {
-				src = &pullSource{c: c, workerID: reg.WorkerID, wait: cfg.PollWait}
-				if cfg.StreamBatch > 0 {
-					src = &streamSource{c: c, workerID: reg.WorkerID, batch: cfg.StreamBatch}
-				}
-			}
+			reg, err = c.RegisterWorker(ctx, cfg.Site, cfg.Tags)
 		}
 		if err == nil {
 			var done bool
-			if done, err = w.serve(ctx, reg, src); done {
+			if done, err = w.serve(ctx, reg); done {
 				return err
 			}
 		}
@@ -221,163 +207,14 @@ var (
 	errRebalance = errors.New("client: idle worker rebalancing")
 )
 
-// leaseSource is where a registration's leases come from and how they are
-// kept alive: it hides which of the two wire protocols is spoken
-// (docs/PROTOCOL.md) and nothing else. next is called from one goroutine
-// at a time and report from another.
-type leaseSource interface {
-	// next blocks for the next frame: grants, cancellation notices, the
-	// server's open-job count. A nil frame says nothing; ask again.
-	next(ctx context.Context) (*api.LeaseBatch, error)
-	// report lands outcomes; results are positional.
-	report(ctx context.Context, items []api.ReportItem) ([]api.ReportResponse, error)
-	// close releases the connection, if there is one. No next is running.
-	close()
-}
-
-// streamSource leases over GET /v1/workers/{id}/stream: the server pushes
-// frames and renews what the worker holds for as long as the stream is
-// open.
-type streamSource struct {
-	c        *Client
-	workerID string
-	batch    int
-	ls       *LeaseStream
-}
-
-func (s *streamSource) next(ctx context.Context) (*api.LeaseBatch, error) {
-	if s.ls == nil {
-		ls, err := s.c.StreamLeases(ctx, s.workerID, s.batch)
-		if err != nil {
-			return nil, err
-		}
-		s.ls = ls
-	}
-	lb, err := s.ls.Next()
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", errStreamDropped, err)
-	}
-	return lb, nil
-}
-
-func (s *streamSource) report(ctx context.Context, items []api.ReportItem) ([]api.ReportResponse, error) {
-	return s.c.ReportBatch(ctx, s.workerID, items)
-}
-
-func (s *streamSource) close() {
-	if s.ls != nil {
-		s.ls.Close()
-		s.ls = nil
-	}
-}
-
-// pullSource leases over POST /v1/workers/{id}/pull, one lease at a time:
-// a pull's reply is a frame of at most one assignment, and while that
-// assignment is out a heartbeat renews it every third of its TTL — a reply
-// of cancelled or gone becomes a cancellation notice — until report ends
-// it. Only a report that landed lets the source pull again: a worker that
-// still holds a lease is refused (409).
-type pullSource struct {
-	c        *Client
-	workerID string
-	wait     time.Duration
-	// hb is the heartbeat of the assignment that is out, nil when none is:
-	// set by next with the grant, cleared by report once the outcome landed.
-	hb atomic.Pointer[heartbeat]
-}
-
-// heartbeat renews one pulled assignment from a goroutine of its own, which
-// report stops and joins before it sends anything: a heartbeat that reached
-// the server after the report would be answered `gone`, which is not news.
-type heartbeat struct {
-	id   string
-	stop context.CancelFunc
-	// notices carries the cancellation notice, should the server answer
-	// cancelled or gone, and is closed once stopped. Buffered(1).
-	notices chan *api.LeaseBatch
-	// gone: the server no longer knows the lease (it expired and the task was
-	// requeued), so a report would only come back stale. Read once stopped.
-	gone bool
-}
-
-func (p *pullSource) next(ctx context.Context) (*api.LeaseBatch, error) {
-	if hb := p.hb.Load(); hb != nil {
-		select {
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		case lb := <-hb.notices:
-			// A notice, or nothing: stopped, so being reported, and the loop
-			// asks again once that is settled (it may fail, or a hook may stop
-			// the worker).
-			return lb, nil
-		}
-	}
-	resp, err := p.c.Pull(ctx, p.workerID, p.wait)
-	if err != nil {
-		return nil, err
-	}
-	lb := &api.LeaseBatch{OpenJobs: resp.OpenJobs}
-	if a := resp.Assignment; resp.Status == api.StatusAssigned {
-		lb.Assignments = []api.Assignment{*a}
-		hbCtx, stop := context.WithCancel(ctx)
-		hb := &heartbeat{id: a.ID, stop: stop, notices: make(chan *api.LeaseBatch, 1)}
-		p.hb.Store(hb)
-		go p.heartbeat(hbCtx, hb, cmp.Or(time.Duration(a.LeaseTTLMillis)*time.Millisecond/3, time.Second))
-	}
-	return lb, nil
-}
-
-func (p *pullSource) heartbeat(ctx context.Context, hb *heartbeat, every time.Duration) {
-	defer close(hb.notices)
-	t := time.NewTicker(every)
-	defer t.Stop()
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case <-t.C:
-		}
-		rep, err := p.c.Heartbeat(ctx, hb.id, p.workerID)
-		if err != nil || rep.State == api.HeartbeatActive {
-			continue // an error is transient; the lease survives until TTL
-		}
-		hb.gone = rep.State == api.HeartbeatGone
-		hb.notices <- &api.LeaseBatch{Cancelled: []string{hb.id}}
-		<-ctx.Done()
-		return
-	}
-}
-
-// report lands the outcome of the assignment that is out — all that items
-// can hold, a pull worker has one lease — or, when none is out, outcomes that
-// an earlier registration left pending.
-func (p *pullSource) report(ctx context.Context, items []api.ReportItem) ([]api.ReportResponse, error) {
-	hb := p.hb.Load()
-	if hb != nil {
-		hb.stop()
-		for range hb.notices { // until closed: the heartbeat has returned
-		}
-		if hb.gone {
-			p.hb.Store(nil)
-			return slices.Repeat([]api.ReportResponse{{Stale: true}}, len(items)), nil
-		}
-	}
-	results, err := p.c.ReportBatch(ctx, p.workerID, items)
-	if err == nil {
-		p.hb.Store(nil)
-	}
-	return results, err
-}
-
-func (p *pullSource) close() {}
-
-// serve runs the worker on one source until the worker is done (done, with
-// the error to return, if any) or a request failed (!done, with the error
-// for RunWorker's table). The loop executes assignments one at a time off
-// the queue of prefetched leases and reports outcomes in batches. On a
-// failed request nothing is left in flight or queued — only pending
-// survives.
-func (w *workerLoop) serve(ctx context.Context, reg *api.RegisterResponse, src leaseSource) (done bool, err error) {
+// serve runs the worker on one lease stream (GET /v1/workers/{id}/stream:
+// the server pushes frames and renews what the worker holds for as long as
+// it is open) until the worker is done (done, with the error to return, if
+// any) or a request failed (!done, with the error for RunWorker's table).
+// The loop executes assignments one at a time off the queue of prefetched
+// leases and reports outcomes in batches. On a failed request nothing is
+// left in flight or queued — only pending survives.
+func (w *workerLoop) serve(ctx context.Context, reg *api.RegisterResponse) (done bool, err error) {
 	cfg := w.cfg
 	ref := core.WorkerRef{Site: reg.Site, Worker: reg.Worker}
 	// Flush at half the pipeline depth: unreported completions occupy
@@ -387,9 +224,9 @@ func (w *workerLoop) serve(ctx context.Context, reg *api.RegisterResponse, src l
 
 	// Frames are read one at a time, each by its own goroutine, and the next
 	// read starts only once the loop has dealt with the last frame — a hook
-	// that stops the worker on an empty poll stops it before another poll.
+	// that stops the worker on an idle frame stops it before another read.
 	// Reads outlive ctx: during a graceful drain the in-flight lease must
-	// stay alive (an open stream, heartbeats) until it is reported.
+	// stay alive (the stream stays open) until it is reported.
 	type frame struct {
 		lb  *api.LeaseBatch
 		err error
@@ -397,12 +234,28 @@ func (w *workerLoop) serve(ctx context.Context, reg *api.RegisterResponse, src l
 	rctx, stopReads := context.WithCancel(context.WithoutCancel(ctx))
 	reads := make(chan frame, 1)
 	reading := false
+	var ls *LeaseStream // opened by the first read, after the first flush
+	read := func() (*api.LeaseBatch, error) {
+		if ls == nil {
+			var err error
+			if ls, err = w.c.StreamLeases(rctx, reg.WorkerID, cfg.StreamBatch); err != nil {
+				return nil, err
+			}
+		}
+		lb, err := ls.Next()
+		if err != nil {
+			return nil, fmt.Errorf("%w: %v", errStreamDropped, err)
+		}
+		return lb, nil
+	}
 	defer func() {
 		stopReads()
 		if reading {
 			<-reads
 		}
-		src.close()
+		if ls != nil {
+			ls.Close()
+		}
 	}()
 
 	var (
@@ -441,7 +294,7 @@ func (w *workerLoop) serve(ctx context.Context, reg *api.RegisterResponse, src l
 		// Reports must not die with ctx: a short detached context lets a
 		// draining worker land its outcomes.
 		fctx, cancel := context.WithTimeout(context.WithoutCancel(ctx), 5*time.Second)
-		results, err := src.report(fctx, items)
+		results, err := w.c.ReportBatch(fctx, reg.WorkerID, items)
 		cancel()
 		if err != nil {
 			if w.failing.IsZero() {
@@ -480,7 +333,7 @@ func (w *workerLoop) serve(ctx context.Context, reg *api.RegisterResponse, src l
 		if !reading && ctx.Err() == nil {
 			reading = true
 			go func() {
-				lb, err := src.next(rctx)
+				lb, err := read()
 				reads <- frame{lb, err}
 			}()
 		}
@@ -503,9 +356,6 @@ func (w *workerLoop) serve(ctx context.Context, reg *api.RegisterResponse, src l
 				return false, f.err
 			}
 			lb := f.lb
-			if lb == nil {
-				break // nothing to say yet; ask again
-			}
 			w.shed = 0
 			for i := range lb.Assignments {
 				queue = append(queue, &lb.Assignments[i])
@@ -523,9 +373,7 @@ func (w *workerLoop) serve(ctx context.Context, reg *api.RegisterResponse, src l
 					queue = slices.Delete(queue, i, i+1)
 				}
 			}
-			// A frame that carries notices is not an idle frame: the pull
-			// source's come from a heartbeat, which has no open-job count.
-			if inflight != nil || len(queue) > 0 || len(w.pending) > 0 || len(lb.Cancelled) > 0 {
+			if inflight != nil || len(queue) > 0 || len(w.pending) > 0 {
 				idleSince = time.Time{}
 				break
 			}

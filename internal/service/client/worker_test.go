@@ -45,7 +45,6 @@ func TestWorkerDrainsInFlightTaskOnShutdown(t *testing.T) {
 	workerDone := make(chan error, 1)
 	go func() {
 		workerDone <- cl.RunWorker(ctx, client.WorkerConfig{
-			PollWait:   100 * time.Millisecond,
 			DrainGrace: 10 * time.Second,
 			Execute: func(execCtx context.Context, ref core.WorkerRef, a *api.Assignment) error {
 				close(started)
@@ -109,7 +108,6 @@ func TestWorkerAbortsWithoutDrainGrace(t *testing.T) {
 	workerDone := make(chan error, 1)
 	go func() {
 		workerDone <- cl.RunWorker(ctx, client.WorkerConfig{
-			PollWait: 100 * time.Millisecond,
 			Execute: func(execCtx context.Context, ref core.WorkerRef, a *api.Assignment) error {
 				close(started)
 				<-execCtx.Done()
@@ -131,12 +129,11 @@ func TestWorkerAbortsWithoutDrainGrace(t *testing.T) {
 	}
 }
 
-// TestPullWorkerKeepsFinishedWorkWhenReportFails: a long-poll worker whose
-// report is refused (429) or cut off mid-request used to throw the outcome
-// away — the lease stayed attached, the next pull answered 409, the worker
-// deregistered, and the task ran a second time. The outcome now waits for a
-// report to land: every task runs once, on one registration.
-func TestPullWorkerKeepsFinishedWorkWhenReportFails(t *testing.T) {
+// TestWorkerKeepsFinishedWorkWhenReportFails: a worker whose report is
+// refused (429) or cut off mid-request keeps the outcome until a report
+// lands, instead of throwing it away and running the task a second time:
+// every task runs once, on one registration, and no report is stale.
+func TestWorkerKeepsFinishedWorkWhenReportFails(t *testing.T) {
 	for name, fail := range map[string]func(http.ResponseWriter){
 		"429": func(w http.ResponseWriter) {
 			w.WriteHeader(http.StatusTooManyRequests)
@@ -181,7 +178,6 @@ func TestPullWorkerKeepsFinishedWorkWhenReportFails(t *testing.T) {
 			defer cancel()
 			executed := 0
 			err = cl.RunWorker(ctx, client.WorkerConfig{
-				PollWait:      100 * time.Millisecond,
 				ReconnectWait: 10 * time.Millisecond,
 				Execute: func(context.Context, core.WorkerRef, *api.Assignment) error {
 					executed++
@@ -208,92 +204,5 @@ func TestPullWorkerKeepsFinishedWorkWhenReportFails(t *testing.T) {
 				t.Fatalf("%d stale reports, want 0: the retried report must be the first to land", got)
 			}
 		})
-	}
-}
-
-// TestPullWorkerStopsHeartbeatingBeforeItReports: a long-poll worker's
-// heartbeat must be over before the report that ends the lease goes out. A
-// heartbeat that reaches the server after that report is answered `gone`,
-// and a worker that takes that for news about its NEXT lease skips that
-// lease's report (the task runs twice, the worker re-registers) and calls
-// OnIdle while jobs are still open. The window is one report round trip, so
-// the report reply is delayed past a heartbeat tick (TTL/3) for tasks that
-// themselves outlast a tick.
-func TestPullWorkerStopsHeartbeatingBeforeItReports(t *testing.T) {
-	const tasks = 4
-	s, err := service.New(service.Config{
-		Topology:     service.Topology{Sites: 1, WorkersPerSite: 1, CapacityFiles: 64},
-		NewScheduler: gridsched.SchedulerFactory(),
-		LeaseTTL:     300 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	var registrations atomic.Int64
-	h := s.Handler()
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.Method == http.MethodPost && r.URL.Path == "/v1/workers" {
-			registrations.Add(1)
-		}
-		if strings.HasSuffix(r.URL.Path, "/reports") {
-			// The report lands at once; only its reply is slow.
-			rec := httptest.NewRecorder()
-			h.ServeHTTP(rec, r)
-			time.Sleep(150 * time.Millisecond)
-			for k, v := range rec.Header() {
-				w.Header()[k] = v
-			}
-			w.WriteHeader(rec.Code)
-			_, _ = w.Write(rec.Body.Bytes())
-			return
-		}
-		h.ServeHTTP(w, r)
-	}))
-	defer ts.Close()
-	cl := client.New(ts.URL, nil)
-	jobID, err := cl.SubmitJob(context.Background(), "slow-report", "workqueue", 0, smallWorkload(tasks))
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	executed, falseIdle := 0, 0
-	err = cl.RunWorker(ctx, client.WorkerConfig{
-		PollWait: 100 * time.Millisecond,
-		Execute: func(ctx context.Context, _ core.WorkerRef, _ *api.Assignment) error {
-			executed++
-			select {
-			case <-ctx.Done():
-				return ctx.Err()
-			case <-time.After(120 * time.Millisecond):
-				return nil
-			}
-		},
-		OnIdle: func(_ context.Context, resp *api.PullResponse) (bool, error) {
-			if resp.OpenJobs > 0 {
-				return false, nil
-			}
-			if st, err := cl.Job(context.Background(), jobID); err != nil || st.State != api.JobCompleted {
-				falseIdle++
-				return false, err
-			}
-			return true, nil
-		},
-	})
-	if err != nil {
-		t.Fatalf("worker loop: %v", err)
-	}
-	st, err := cl.Job(context.Background(), jobID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.State != api.JobCompleted || st.Completed != tasks || st.Dispatched != tasks || st.Expired != 0 {
-		t.Fatalf("job: %+v, want %d tasks dispatched and completed once each", st, tasks)
-	}
-	if executed != tasks || registrations.Load() != 1 || falseIdle != 0 {
-		t.Fatalf("executed %d tasks on %d registrations with %d idle callbacks while the job was open, want %d, 1, 0",
-			executed, registrations.Load(), falseIdle, tasks)
 	}
 }

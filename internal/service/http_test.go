@@ -36,9 +36,9 @@ func coaddWorkload(t *testing.T, tasks int) *workload.Workload {
 }
 
 // TestEndToEndWorkloadOverHTTP is the acceptance scenario: a Coadd workload
-// submitted over HTTP completes via 8 concurrent pull-based workers, a
-// killed worker's task is requeued after lease expiry, and no completion is
-// duplicated.
+// submitted over HTTP completes via 8 concurrent workers, a killed worker's
+// task (it pulled once and went silent) is requeued after lease expiry, and
+// no completion is duplicated.
 func TestEndToEndWorkloadOverHTTP(t *testing.T) {
 	svc, err := gridsched.NewService(gridsched.ServiceConfig{
 		Topology: gridsched.ServiceTopology{
@@ -91,7 +91,6 @@ func TestEndToEndWorkloadOverHTTP(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			err := cl.RunWorker(ctx, client.WorkerConfig{
-				PollWait: 200 * time.Millisecond,
 				Execute: func(execCtx context.Context, ref core.WorkerRef, a *api.Assignment) error {
 					executions.Add(1)
 					perTask[a.Task.ID].Add(1)

@@ -518,8 +518,7 @@ func TestReplicaCancellationPropagates(t *testing.T) {
 		for site := range 2 {
 			go func() {
 				errs <- cl.RunWorker(ctx, client.WorkerConfig{
-					Site:     &site,
-					PollWait: 50 * time.Millisecond,
+					Site: &site,
 					Execute: func(execCtx context.Context, _ core.WorkerRef, _ *api.Assignment) error {
 						if starts.Add(1) == 1 {
 							<-execCtx.Done()

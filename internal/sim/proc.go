@@ -25,7 +25,7 @@ type resumeMsg struct {
 // process runs at any instant, on one thread, without the Go scheduler
 // choosing who is next.
 //
-// Who may call what: the blocking methods (Sleep, Yield, Queue.Recv,
+// Who may call what: the blocking methods (Sleep, Queue.Recv,
 // Signal.Wait, Signal.WaitTimeout) take the process they block and must be
 // called from inside that process's body — never from an event callback,
 // another process or another goroutine. Everything non-blocking (Kernel.Go,
@@ -140,10 +140,6 @@ func (p *Proc) Sleep(d Time) {
 	p.k.scheduleWake(d, p, resumeMsg{})
 	p.park()
 }
-
-// Yield suspends the process and reschedules it at the same virtual time,
-// after all currently queued same-time events.
-func (p *Proc) Yield() { p.Sleep(0) }
 
 // LiveProcs returns the number of processes that have been spawned and have
 // not yet finished.

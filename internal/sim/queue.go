@@ -19,9 +19,6 @@ func NewQueue[T any](k *Kernel) *Queue[T] {
 // Len returns the number of buffered items.
 func (q *Queue[T]) Len() int { return len(q.items) }
 
-// Waiters returns the number of processes blocked in Recv.
-func (q *Queue[T]) Waiters() int { return len(q.waiters) }
-
 // Push enqueues v. If a process is blocked in Recv, it is scheduled to
 // resume at the current virtual time with v.
 func (q *Queue[T]) Push(v T) {

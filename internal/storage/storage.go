@@ -134,9 +134,6 @@ func (s *Store) grow(f workload.FileID) {
 	s.files = files
 }
 
-// Capacity returns the maximum number of resident files.
-func (s *Store) Capacity() int { return s.capacity }
-
 // Len returns the number of resident files.
 func (s *Store) Len() int { return s.count }
 

@@ -116,10 +116,6 @@ func (g *Graph) AddLink(a, b NodeID, bandwidth, latency float64) LinkID {
 	return id
 }
 
-// Incident returns the ids of links touching n. The returned slice is shared;
-// callers must not modify it.
-func (g *Graph) Incident(n NodeID) []LinkID { return g.adj[n] }
-
 // Other returns the endpoint of link l that is not n.
 func (g *Graph) Other(l LinkID, n NodeID) NodeID {
 	link := g.Links[l]
@@ -127,17 +123,6 @@ func (g *Graph) Other(l LinkID, n NodeID) NodeID {
 		return link.B
 	}
 	return link.A
-}
-
-// NodesOfKind returns the ids of all nodes with the given kind, in id order.
-func (g *Graph) NodesOfKind(kind NodeKind) []NodeID {
-	var out []NodeID
-	for _, n := range g.Nodes {
-		if n.Kind == kind {
-			out = append(out, n.ID)
-		}
-	}
-	return out
 }
 
 type dijkstraItem struct {
