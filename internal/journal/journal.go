@@ -50,6 +50,7 @@
 package journal
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -560,7 +561,9 @@ func ReadLog(path string, afterLSN uint64, fn func(lsn uint64, payload []byte) e
 	}
 	info.ValidSize = int64(len(logMagic))
 
-	r := &countingReader{r: f, n: info.ValidSize}
+	// One read(2) per 64 KiB, not two per record; the counter sits above the
+	// buffer, so it counts the bytes the scan consumed, not those read ahead.
+	r := &countingReader{r: bufio.NewReaderSize(f, 64<<10), n: info.ValidSize}
 	header := make([]byte, frameHeaderLen)
 	var payload []byte
 	lastLSN := uint64(0)

@@ -2,6 +2,7 @@ package journal_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -113,6 +114,52 @@ func TestTornTailIsTruncated(t *testing.T) {
 		// Restore the 3-record file for the next tail variant.
 		if err := os.WriteFile(path, whole, 0o644); err != nil {
 			t.Fatal(err)
+		}
+	}
+}
+
+// TestTornTailValidSize: ReadLog reads the log through a buffer, far ahead
+// of the frame it is validating, but ValidSize counts only the frames it
+// validated. With the tail several buffer fills in, a log that ends cleanly
+// and each way a tail can fail report the intact prefix to the byte.
+func TestTornTailValidSize(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "wal")
+	w := openWriter(t, path, journal.SyncNever, 0, 0)
+	const n = 200 // ~200 KB of frames
+	for i := 0; i < n; i++ {
+		if _, err := w.Append(bytes.Repeat([]byte{byte(i)}, 1000+i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	whole, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	header := func(length uint32, lsn uint64) []byte {
+		h := binary.LittleEndian.AppendUint32(nil, length)
+		h = binary.LittleEndian.AppendUint32(h, 0) // no frame's CRC
+		return binary.LittleEndian.AppendUint64(h, lsn)
+	}
+	for _, tc := range []struct {
+		name string
+		tail []byte
+	}{
+		{"clean end", nil},
+		{"short header", []byte{0x10, 0, 0}},
+		{"short payload", append(header(1000, n+1), "partial"...)},
+		{"bad crc", append(header(4, n+1), "abcd"...)},
+		{"stale lsn", append(header(4, n), "abcd"...)},
+		{"oversized length", header(journal.MaxRecordLen+1, n+1)},
+	} {
+		if err := os.WriteFile(path, append(append([]byte{}, whole...), tc.tail...), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		info, got := readAll(t, path, 0)
+		if info.Torn != (tc.tail != nil) || len(got) != n || info.LastLSN != n || info.ValidSize != int64(len(whole)) {
+			t.Errorf("%s: info %+v after %d records, want ValidSize %d", tc.name, info, len(got), len(whole))
 		}
 	}
 }

@@ -818,7 +818,7 @@ func TestOversizeBodyIs413(t *testing.T) {
 		// A name that never ends: the limit, not the decoder, stops the read.
 		head := []byte(`{"name":"`)
 		if codec == api.Binary {
-			head = []byte{'G', 2, 1, 0xff, 0xff, 0xff, 0x7f}
+			head = []byte{'G', 3, 1, 0xff, 0xff, 0xff, 0x7f}
 		}
 		for _, via := range []struct{ name, url string }{{"direct", d.servers[0].URL}, {"routed", d.router.URL}} {
 			body := io.MultiReader(bytes.NewReader(head), io.LimitReader(filler{}, 65<<20))

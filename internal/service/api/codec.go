@@ -12,9 +12,10 @@
 //
 // Binary layout: every message is
 //
-//	'G' 0x02 <msg-type byte> <fields...>
+//	'G' 0x03 <msg-type byte> <fields...>
 //
-// with zigzag varint for integers, uvarint for lengths and counts,
+// with zigzag varint for integers (a task's file ids as the differences
+// between neighbours), uvarint for lengths and counts,
 // length-prefixed strings and blobs, a 0/1 byte for booleans and
 // optional-field markers, and one enum byte for the small closed string
 // sets (pull status, heartbeat state, outcome, job state). Decoding is
@@ -32,6 +33,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
+	"math/bits"
 	"reflect"
 	"strings"
 
@@ -69,20 +72,31 @@ var (
 
 const (
 	binMagic = 'G'
-	// binVersion 2 appended the context-aware scheduling fields:
-	// SubmitJobRequest gained Requires + DeadlineMillis, RegisterRequest
-	// gained Tags. The decoder is strict, so version 1 captures are
-	// rejected rather than misparsed.
-	binVersion = 2
+	// binVersion 3 codes a task's file ids as differences (Coder.files);
+	// version 2 had appended the context-aware scheduling fields. The
+	// decoder is strict, so older captures are rejected rather than
+	// misparsed.
+	binVersion = 3
 )
 
 // storedWorkloadHeader heads a stored workload (EncodeWorkload). Stored
 // documents outlive the process that wrote them, so they carry their own
 // magic and version rather than the wire's: a binVersion bump that leaves
 // the workload fields alone must not orphan every data dir. Changing
-// Coder.Workload's field list means bumping the last byte here and
-// teaching DecodeWorkload the old one.
-var storedWorkloadHeader = []byte{'G', 'W', 1}
+// Coder.Workload's field list means bumping the last byte here; the
+// previous version is then refused by name (ErrLegacyFormat), never read.
+// Version 2 codes file ids as differences.
+var storedWorkloadHeader = []byte{'G', 'W', 2}
+
+// legacyWorkloadHeader heads a stored workload an older gridschedd wrote,
+// its file ids each a varint of its own.
+var legacyWorkloadHeader = []byte{'G', 'W', 1}
+
+// ErrLegacyFormat refuses what only an older gridschedd wrote to its data
+// dir: a stored workload here, and the service's journal records and
+// manifests. Such a data dir cannot be upgraded in place.
+var ErrLegacyFormat = errors.New("written by a gridschedd older than disk format 4, which this binary does not read; " +
+	"finish the data dir's jobs with the binary that wrote it, then start this one on an empty -data-dir")
 
 // MaxFramePayload bounds one stream frame (and one binary message read
 // through ReadFrame): large enough for any real lease batch, small enough
@@ -181,18 +195,21 @@ func addressed(v any) any {
 // storedWorkloadHeader followed by the workload fields exactly as a binary
 // SubmitJobRequest carries them.
 func EncodeWorkload(w *workload.Workload) []byte {
-	// Coadd-shaped workloads run ~2.5 bytes per file reference; reserve
-	// from the task count so the common case grows the buffer a few times,
-	// not dozens.
-	c := NewEncoder(append(make([]byte, 0, 64+len(w.Name)+256*len(w.Tasks)), storedWorkloadHeader...))
+	// Coadd-shaped workloads run ~1.2 bytes per file reference; reserve
+	// from the task count so the common case does not grow the buffer.
+	c := NewEncoder(append(make([]byte, 0, 64+len(w.Name)+128*len(w.Tasks)), storedWorkloadHeader...))
 	c.Workload(w)
 	return c.b
 }
 
 // DecodeWorkload is EncodeWorkload's strict inverse: wrong header,
-// truncation, and trailing bytes are all errors.
+// truncation, and trailing bytes are all errors, and an older version's
+// header is ErrLegacyFormat.
 func DecodeWorkload(data []byte) (*workload.Workload, error) {
-	if !bytes.HasPrefix(data, storedWorkloadHeader) {
+	switch {
+	case bytes.HasPrefix(data, legacyWorkloadHeader):
+		return nil, fmt.Errorf("version 1 stored workload: %w", ErrLegacyFormat)
+	case !bytes.HasPrefix(data, storedWorkloadHeader):
 		return nil, fmt.Errorf("api: not a gridsched stored workload (%d bytes)", len(data))
 	}
 	c := Coder{b: data, off: len(storedWorkloadHeader), decode: true}
@@ -356,8 +373,83 @@ func (c *Coder) task(t *workload.Task, pool *[]workload.FileID) {
 		// error, after which every count reads as 0.
 		t.Files, *pool = (*pool)[:n:n], (*pool)[n:]
 	}
-	Nums(c, t.Files)
+	c.files(t.Files)
 }
+
+// files codes the elements of a sized list of file ids, each as the zigzag
+// varint of its difference from the one before it (the first's from 0).
+// These are where a workload's bytes go, ~79 ids to a Coadd task, and a
+// task's ids come in a few runs of neighbours: most differences take one
+// byte where most ids took three. Any order codes, and one list has one
+// encoding: the differences are the list's own, and decoding refuses a
+// running sum an int32 cannot hold, as it would an id.
+func (c *Coder) files(s []workload.FileID) {
+	if !c.decode {
+		prev := int64(0)
+		for _, id := range s {
+			c.b = binary.AppendVarint(c.b, int64(id)-prev)
+			prev = int64(id)
+		}
+		return
+	}
+	prev := int64(0)
+	for i := 0; i < len(s) && c.err == nil; {
+		// The one-byte differences that open an eight-byte word, from one
+		// load: the rest of the word is masked to zero differences, so the
+		// loop applies eight without a branch on any varint's length, and the
+		// ids it writes past them are written again by the next pass.
+		if len(s)-i >= 8 && len(c.b)-c.off >= 8 {
+			w := binary.LittleEndian.Uint64(c.b[c.off:])
+			k := bits.TrailingZeros64(w&varintMore) >> 3 // 8 when no byte continues
+			w &= 1<<(8*k) - 1
+			out := uint64(0) // every sum's offset from MinInt32, or-ed: above 32 bits iff one left int32
+			for j, dst := 0, (*[8]workload.FileID)(s[i:]); j < 8; j, w = j+1, w>>8 {
+				prev += int64(w>>1&0x3f) ^ -int64(w&1)
+				out |= uint64(prev - math.MinInt32)
+				dst[j] = workload.FileID(prev)
+			}
+			if out>>32 != 0 {
+				c.fail("api: file id out of int32 range before offset %d", c.off+k)
+				return
+			}
+			c.off += k
+			i += k
+			if k == 8 {
+				continue
+			}
+		}
+		// A difference near ±2^63 wraps the sum, but never into int32's range.
+		prev += c.diff()
+		if prev != int64(int32(prev)) {
+			c.fail("api: file id %d out of int32 range before offset %d", prev, c.off)
+			return
+		}
+		s[i] = workload.FileID(prev)
+		i++
+	}
+}
+
+// diff reads one zigzag varint as varint does, its one- and two-byte forms
+// inline: the differences the word pass leaves are mostly the jumps between
+// runs of a Coadd task's ids, and the last few of a list.
+func (c *Coder) diff() int64 {
+	var x uint64
+	switch b := c.b[c.off:]; {
+	case len(b) >= 1 && b[0] < 0x80:
+		x = uint64(b[0])
+		c.off++
+	case len(b) >= 2 && b[1]-1 < 0x7f: // the second byte ends it and is no padding zero
+		x = uint64(b[0]&0x7f) | uint64(b[1])<<7
+		c.off += 2
+	default:
+		return c.varint()
+	}
+	return int64(x>>1) ^ -int64(x&1)
+}
+
+// varintMore is every byte's continuation bit, for a word of eight varint
+// bytes: a byte without it ends a varint.
+const varintMore = 0x8080808080808080
 
 // Workload lists the workload document's fields. It decodes into two
 // allocations besides the Workload itself: the task array and one array
@@ -397,8 +489,25 @@ func (c *Coder) fileRefs(tasks int) int {
 	return refs
 }
 
-// skipVarints steps over n varints: a varint ends at its first byte under 0x80.
+// skipVarints steps over n varints: a varint ends at its first byte under
+// 0x80. While more than one is left it counts the ends a word at a time,
+// and in the word that holds the n-th, finds it by its bit; one varint on
+// its own (a task id, a one-file list) is a few bytes, stepped over one by
+// one.
 func (c *Coder) skipVarints(n int) {
+	for n > 1 && c.err == nil && len(c.b)-c.off >= 8 {
+		ends := ^binary.LittleEndian.Uint64(c.b[c.off:]) & varintMore
+		if k := bits.OnesCount64(ends); k < n {
+			n -= k
+			c.off += 8
+			continue
+		}
+		for ; n > 1; n-- {
+			ends &= ends - 1
+		}
+		c.off += bits.TrailingZeros64(ends)>>3 + 1
+		return
+	}
 	for n > 0 && c.err == nil {
 		if c.off >= len(c.b) {
 			c.fail("api: truncated binary message")
@@ -435,7 +544,7 @@ var (
 //
 // A field list is a function of a *Coder and a value that names the value's
 // fields once, in order, each with its primitive: the methods below, and
-// Num, Nums, Sized and Opt. The coder's mode decides whether the walk writes
+// Num, Sized and Opt. The coder's mode decides whether the walk writes
 // them or reads them.
 type Coder struct {
 	b      []byte
@@ -533,20 +642,6 @@ func Num[T ~int | ~int32 | ~int64 | ~uint64](c *Coder, v *T) {
 		*v = numOf[T](c)
 	} else {
 		c.b = binary.AppendVarint(c.b, int64(*v))
-	}
-}
-
-// Nums codes the elements of a sized list of integers, each as Num does.
-// These two loops are where a workload's bytes go, ~79 file ids to a task.
-func Nums[T ~int | ~int32 | ~int64 | ~uint64](c *Coder, s []T) {
-	if c.decode {
-		for i := range s {
-			s[i] = numOf[T](c)
-		}
-		return
-	}
-	for _, v := range s {
-		c.b = binary.AppendVarint(c.b, int64(v))
 	}
 }
 

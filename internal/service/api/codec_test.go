@@ -5,6 +5,8 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"math"
+	"math/rand/v2"
 	"reflect"
 	"testing"
 
@@ -164,9 +166,9 @@ func TestBinaryStrictDecode(t *testing.T) {
 		bad, good []byte
 		v         any
 	}{
-		{[]byte{'G', 2, 5, 0x82, 0x00}, []byte{'G', 2, 5, 0x02}, &api.PullRequest{}},
-		{[]byte{'G', 2, 6, 1, 1, 0, 0, 0x80, 0x80, 0x80, 0x80, 0x10, 0, 0, 0, 0},
-			[]byte{'G', 2, 6, 1, 1, 0, 0, 0xfe, 0xff, 0xff, 0xff, 0x0f, 0, 0, 0, 0}, &api.PullResponse{}},
+		{[]byte{'G', 3, 5, 0x82, 0x00}, []byte{'G', 3, 5, 0x02}, &api.PullRequest{}},
+		{[]byte{'G', 3, 6, 1, 1, 0, 0, 0x80, 0x80, 0x80, 0x80, 0x10, 0, 0, 0, 0},
+			[]byte{'G', 3, 6, 1, 1, 0, 0, 0xfe, 0xff, 0xff, 0xff, 0x0f, 0, 0, 0, 0}, &api.PullResponse{}},
 	} {
 		if err := api.Binary.Unmarshal(tc.good, fresh(tc.v)); err != nil {
 			t.Fatalf("%T %x: %v", tc.v, tc.good, err)
@@ -255,15 +257,193 @@ func TestDecodeWorkloadAllocations(t *testing.T) {
 		t.Fatalf("%v allocations to decode a 600-task workload, want at most 4", allocs)
 	}
 
-	// A varint the sizing pass steps over and the reading pass rejects.
+	// Varints the sizing pass steps over and the reading pass rejects: one
+	// padded with zero bytes, in the two-byte form it reads inline and in
+	// longer ones, and one of eleven bytes.
 	short := api.EncodeWorkload(&workload.Workload{Name: "x", NumFiles: 9, Tasks: []workload.Task{{ID: 0, Files: []workload.FileID{5}}}})
 	if last := short[len(short)-1]; last != 0x0a { // zigzag(5)
 		t.Fatalf("the encoding ends in %#x, not in the file id", last)
 	}
-	long := append(short[:len(short)-1:len(short)-1], 0x8a, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x00)
-	if _, err := api.DecodeWorkload(long); err == nil {
-		t.Fatal("an eleven-byte varint decoded")
+	for _, long := range [][]byte{{0x8a, 0x00}, {0x8a, 0x80, 0x00}, {0x8a, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x00}} {
+		if _, err := api.DecodeWorkload(append(short[:len(short)-1:len(short)-1], long...)); err == nil {
+			t.Fatalf("the file id coded as %x decoded", long)
+		}
 	}
+}
+
+// fileLists are the file lists the coding must carry, each with the bytes it
+// codes to: the differences between neighbours, the first from 0.
+var fileLists = []struct {
+	name  string
+	files []workload.FileID
+	bytes int
+}{
+	{"empty", nil, 0},
+	{"one run", []workload.FileID{100, 101, 102, 103}, 2 + 3},
+	{"unsorted", []workload.FileID{9, 2, 7, 0}, 4},
+	{"duplicates", []workload.FileID{4, 4, 4, 3, 3}, 5},
+	// Runs of adjacent ids with jumps between them, across eight-byte words:
+	// the shape of a Coadd task's list.
+	{"runs", []workload.FileID{5, 6, 7, 8, 9, 10, 11, 2867, 2868, 2869, 2870, 2871, 2872, 2873, 2874, 2875,
+		25501, 25502, 25503, 25504, 25505, 25506, 25507, 25508, 25509, 31098, 31099}, 1 + 6 + 2 + 8 + 3 + 8 + 2 + 1},
+	// Differences an int32 cannot hold, between ids it can.
+	{"int32 ends", []workload.FileID{math.MinInt32, math.MaxInt32, math.MinInt32, math.MinInt32 + 1, math.MaxInt32 - 1, math.MaxInt32}, 5 + 5 + 5 + 1 + 5 + 1},
+	{"int32 ends, word-long runs", []workload.FileID{math.MaxInt32 - 9, math.MaxInt32 - 8, math.MaxInt32 - 7, math.MaxInt32 - 6, math.MaxInt32 - 5,
+		math.MaxInt32 - 4, math.MaxInt32 - 3, math.MaxInt32 - 2, math.MaxInt32 - 1, math.MaxInt32,
+		math.MinInt32, math.MinInt32 + 1, math.MinInt32 + 2, math.MinInt32 + 3, math.MinInt32 + 4, math.MinInt32 + 5, math.MinInt32 + 6,
+		math.MinInt32 + 7, math.MinInt32 + 8}, 5 + 9 + 5 + 8},
+}
+
+// TestFileListCoding: every list of fileLists codes to the bytes it should,
+// alone and after another task's list, and decodes to itself — through the
+// stored workload and through a lease — with every cut of it refused.
+func TestFileListCoding(t *testing.T) {
+	for _, tc := range fileLists {
+		t.Run(tc.name, func(t *testing.T) {
+			w := &workload.Workload{Name: "w", NumFiles: 1, Tasks: []workload.Task{{ID: 0}, {ID: 1, Files: tc.files}}}
+			w.Tasks[0].Files = tc.files
+			data := api.EncodeWorkload(w)
+			empty := api.EncodeWorkload(&workload.Workload{Name: "w", NumFiles: 1, Tasks: []workload.Task{{ID: 0}, {ID: 1}}})
+			if got := (len(data) - len(empty)) / 2; got != tc.bytes {
+				t.Errorf("the list codes to %d bytes, want %d", got, tc.bytes)
+			}
+			got, err := api.DecodeWorkload(data)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, w) {
+				t.Fatalf("decodes to %v, want %v", got.Tasks, w.Tasks)
+			}
+			for n := range data {
+				if _, err := api.DecodeWorkload(data[:n:n]); err == nil {
+					t.Fatalf("the first %d of %d bytes decoded", n, len(data))
+				}
+			}
+			lease := &api.PullResponse{Status: api.StatusAssigned, Assignment: &api.Assignment{ID: "a", JobID: "j", Task: w.Tasks[1]}}
+			msg, err := api.Binary.Marshal(lease)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var back api.PullResponse
+			if err := api.Binary.Unmarshal(msg, &back); err != nil || !reflect.DeepEqual(&back, lease) {
+				t.Fatalf("lease decodes to %+v, %v", back.Assignment, err)
+			}
+		})
+	}
+}
+
+// TestFileListRefusesIdsBeyondInt32: a difference that takes the running
+// sum out of int32 is refused, whether the decoder reads it on its own or
+// in a word of one-byte differences, above MaxInt32 or below MinInt32.
+func TestFileListRefusesIdsBeyondInt32(t *testing.T) {
+	run := func(first workload.FileID, step int) []workload.FileID {
+		files := []workload.FileID{first}
+		for range 8 {
+			files = append(files, files[len(files)-1]+workload.FileID(step))
+		}
+		return files
+	}
+	for _, tc := range []struct {
+		name       string
+		files      []workload.FileID
+		last, over byte // the list's last byte, and the one that takes it out
+	}{
+		{"alone", []workload.FileID{math.MaxInt32, math.MaxInt32 - 1}, 0x01, 0x02}, // -1 → +1
+		{"in a word, up", run(math.MaxInt32-8, 1), 0x02, 0x04},                     // +1 → +2
+		{"in a word, down", run(math.MinInt32+8, -1), 0x01, 0x03},                  // -1 → -2
+	} {
+		data := api.EncodeWorkload(&workload.Workload{Name: "w", Tasks: []workload.Task{{Files: tc.files}}})
+		if _, err := api.DecodeWorkload(data); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if data[len(data)-1] != tc.last {
+			t.Fatalf("%s: the encoding ends in %#x, not in the last difference", tc.name, data[len(data)-1])
+		}
+		data[len(data)-1] = tc.over
+		if w, err := api.DecodeWorkload(data); err == nil {
+			t.Fatalf("%s: decoded to %v", tc.name, w.Tasks[0].Files)
+		}
+	}
+}
+
+// TestWorkloadDecodeAlignments: the sizing pass and the word-wide reading
+// pass meet lists at every offset in a word, beside ids and differences of
+// every length from one byte to five.
+func TestWorkloadDecodeAlignments(t *testing.T) {
+	rng := rand.New(rand.NewPCG(31, 4))
+	for range 500 {
+		w := &workload.Workload{Name: "w"}
+		for range 1 + rng.IntN(12) {
+			task := workload.Task{ID: workload.TaskID(rng.Int32N(1 << (6 + 7*rng.IntN(4))))}
+			id := rng.Int64N(1 << 32)
+			for range rng.IntN(24) {
+				id += rng.Int64N(1<<(1+7*rng.IntN(5))) - 1<<(7*rng.IntN(5))
+				task.Files = append(task.Files, workload.FileID(id)) // wrapped into int32
+			}
+			w.Tasks = append(w.Tasks, task)
+		}
+		data := api.EncodeWorkload(w)
+		got, err := api.DecodeWorkload(data)
+		if err != nil {
+			t.Fatalf("%v: %v", w.Tasks, err)
+		}
+		if !reflect.DeepEqual(got, w) {
+			t.Fatalf("decodes to %v, want %v", got.Tasks, w.Tasks)
+		}
+	}
+}
+
+// FuzzDecodeWorkload throws arbitrary bytes at the stored-workload decoder,
+// which every restart runs on the workload files of its data dir. Nothing
+// may panic or allocate beyond a multiple of the input (the fuzzer's own
+// limits), and whatever it accepts must re-encode to the very bytes it came
+// from and decode to the same value again.
+func FuzzDecodeWorkload(f *testing.F) {
+	_, golden := readGolden(f)
+	f.Add(golden["StoredWorkload"])
+	w := &workload.Workload{Name: "lists", NumFiles: 9}
+	for i, tc := range fileLists {
+		w.Tasks = append(w.Tasks, workload.Task{ID: workload.TaskID(i), Files: tc.files})
+	}
+	f.Add(api.EncodeWorkload(w))
+	f.Add([]byte{'G', 'W', 2, 0, 0, 0})
+	f.Add([]byte{'G', 'W', 1, 0, 0, 0})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		w, err := api.DecodeWorkload(data)
+		if err != nil {
+			return
+		}
+		re := api.EncodeWorkload(w)
+		if !bytes.Equal(re, data) {
+			t.Fatalf("accepted %x, re-encodes to %x", data, re)
+		}
+		again, err := api.DecodeWorkload(re)
+		if err != nil {
+			t.Fatalf("re-encoding of an accepted workload refused: %v", err)
+		}
+		if !reflect.DeepEqual(again, w) {
+			t.Fatalf("re-encoding decodes to\n%+v\nfirst decode\n%+v", again, w)
+		}
+	})
+}
+
+// BenchmarkDecodeWorkload decodes the stored workload of the paper's
+// 6,000-task Coadd job, as a restart does once per running job; bytes/task
+// is the document's size over its task count.
+func BenchmarkDecodeWorkload(b *testing.B) {
+	w, err := workload.GenerateCoadd(workload.CoaddSmallConfig(workload.DefaultCoaddSeed))
+	if err != nil {
+		b.Fatal(err)
+	}
+	data := api.EncodeWorkload(w)
+	b.SetBytes(int64(len(data)))
+	b.ReportAllocs()
+	for b.Loop() {
+		if _, err := api.DecodeWorkload(data); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(len(data))/float64(len(w.Tasks)), "bytes/task")
 }
 
 func TestBinaryRejectsUnknownEnumOnEncode(t *testing.T) {

@@ -15,11 +15,11 @@ import (
 )
 
 // update rewrites the golden file from the encoder in the tree. The file
-// pins wire format version 2 and the stored-workload document version 1:
+// pins wire format version 3 and the stored-workload document version 2:
 // regenerating it is part of a version bump, never of a refactor.
-var update = flag.Bool("update", false, "rewrite testdata/wire-v2.golden from the current encoder")
+var update = flag.Bool("update", false, "rewrite testdata/wire-v3.golden from the current encoder")
 
-const goldenPath = "testdata/wire-v2.golden"
+const goldenPath = "testdata/wire-v3.golden"
 
 type goldenEntry struct {
 	name string
@@ -139,7 +139,7 @@ func readGolden(tb testing.TB) (names []string, byName map[string][]byte) {
 }
 
 // TestWireBytesUnchanged holds the codec to the pinned bytes of wire format
-// 2: each entry encodes to exactly them, and they decode to exactly the value.
+// 3: each entry encodes to exactly them, and they decode to exactly the value.
 func TestWireBytesUnchanged(t *testing.T) {
 	entries := goldenEntries()
 	if *update {

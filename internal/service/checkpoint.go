@@ -19,7 +19,7 @@
 // stopped relying on it. A crash between any two steps leaves at worst
 // unreferenced files, which the next recovery sweeps.
 //
-// Both are api.Coder field lists (disk format 3; docs/PROTOCOL.md has the
+// Both are api.Coder field lists (disk format 4; docs/PROTOCOL.md has the
 // tables). The manifest travels as the replication catch-up document too,
 // there with every running job's workload inline: one self-contained body,
 // assembled from these files on the leader (checkpointDocument) and split
@@ -58,7 +58,11 @@ const (
 // manifestHeader heads a manifest and a catch-up document. Like the stored
 // workload's header it is versioned on its own, apart from the wire's: its
 // last byte is the disk format.
-var manifestHeader = []byte{'G', 'M', 3}
+var manifestHeader = []byte{'G', 'M', 4}
+
+// legacyManifestHeader heads disk format 3's manifest and catch-up document,
+// whose workloads code each file id as a varint of its own.
+var legacyManifestHeader = []byte{'G', 'M', 3}
 
 func workloadPath(dir, jobID string) string {
 	return filepath.Join(dir, workloadPrefix+jobID+workloadSuffix)
@@ -215,7 +219,7 @@ type snapJob struct {
 	Transfers  int64
 }
 
-// The field lists of the manifest (disk format 3). Each names its type's
+// The field lists of the manifest (disk format 4). Each names its type's
 // fields once, in order; the coder's mode decides whether the walk writes
 // them or reads them.
 
@@ -300,9 +304,11 @@ func encodeSnapshot(snap *snapshot) ([]byte, error) {
 func decodeSnapshot(data []byte) (*snapshot, error) {
 	switch {
 	case len(data) > 0 && data[0] == '{':
-		return nil, fmt.Errorf("JSON checkpoint document: %w", errLegacyFormat)
+		return nil, fmt.Errorf("JSON checkpoint document: %w", api.ErrLegacyFormat)
+	case bytes.HasPrefix(data, legacyManifestHeader):
+		return nil, fmt.Errorf("disk format 3 checkpoint document: %w", api.ErrLegacyFormat)
 	case !bytes.HasPrefix(data, manifestHeader):
-		return nil, fmt.Errorf("not a disk format 3 checkpoint document (%d bytes)", len(data))
+		return nil, fmt.Errorf("not a disk format 4 checkpoint document (%d bytes)", len(data))
 	}
 	snap := &snapshot{}
 	c := api.NewDecoder(data[len(manifestHeader):])

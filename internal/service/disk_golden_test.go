@@ -18,11 +18,11 @@ import (
 )
 
 // update rewrites the golden file from the encoder in the tree. The file
-// pins disk format 3 — the journal record, the manifest and the catch-up
+// pins disk format 4 — the journal record, the manifest and the catch-up
 // document: regenerating it is part of a format bump, never of a refactor.
-var update = flag.Bool("update", false, "rewrite testdata/disk-v3.golden from the current encoder")
+var update = flag.Bool("update", false, "rewrite testdata/disk-v4.golden from the current encoder")
 
-const diskGoldenPath = "testdata/disk-v3.golden"
+const diskGoldenPath = "testdata/disk-v4.golden"
 
 // goldenManifest is a manifest with every kind of entry: a running job with
 // draws, a running job without (its ledger is re-asked), a completed job,
@@ -126,7 +126,7 @@ func readDiskGolden(tb testing.TB) (names []string, byName map[string][]byte) {
 }
 
 // TestDiskBytesUnchanged holds the journal record and checkpoint encoders to
-// the pinned bytes of disk format 3: each entry encodes to exactly them, they
+// the pinned bytes of disk format 4: each entry encodes to exactly them, they
 // decode to exactly the value, and every cut of them is refused.
 func TestDiskBytesUnchanged(t *testing.T) {
 	entries := diskEntries()
@@ -175,7 +175,7 @@ func TestDiskBytesUnchanged(t *testing.T) {
 
 // TestManifestStopsOlderBinaries: a binary older than disk format 3 reads
 // snapshot.json as JSON and then removes every workload file its manifest
-// does not name. The format 3 manifest keeps that name and is not JSON, so
+// does not name. The binary manifest keeps that name and is not JSON, so
 // such a binary fails on it before it removes anything; under another name
 // it would read the dir as one without a checkpoint and delete every
 // running job's workload.
@@ -185,7 +185,7 @@ func TestManifestStopsOlderBinaries(t *testing.T) {
 	}
 	_, golden := readDiskGolden(t)
 	if json.Valid(golden["manifest"]) || json.Valid(golden["catch-up"]) {
-		t.Fatal("a disk format 3 checkpoint document parses as JSON")
+		t.Fatal("a disk format 4 checkpoint document parses as JSON")
 	}
 }
 

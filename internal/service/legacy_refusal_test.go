@@ -16,6 +16,7 @@ import (
 	"gridsched/internal/replicate"
 	"gridsched/internal/service"
 	"gridsched/internal/service/api"
+	"gridsched/internal/workload"
 )
 
 // legacyRecord is a journal record as binaries up to PR 15 wrote them.
@@ -56,6 +57,89 @@ const v2Manifest = `{"version":2,"seq":4,"lastLsn":9,"carry":{"jobs":1},` +
 	`"state":"running","tasks":2,"submittedMs":5,"tenant":"gold","weight":1,` +
 	`"ledger":"AAAAAAAAAAAAAAAAAAAAAAAAAAAA","draws":0}]}`
 
+// v3Work is a workload whose file lists disk formats 3 and 4 code apart.
+func v3Work() *workload.Workload {
+	return &workload.Workload{Name: "v3", NumFiles: 16, Tasks: []workload.Task{
+		{ID: 0, Files: []workload.FileID{3, 4, 5}},
+		{ID: 1, Files: []workload.FileID{9, 2}},
+	}}
+}
+
+// v3Workload writes w's fields as disk format 3 coded them: as format 4
+// does, but with every file id a varint of its own where format 4 codes the
+// differences.
+func v3Workload(c *api.Coder, w *workload.Workload) {
+	c.Str(&w.Name)
+	api.Num(c, &w.NumFiles)
+	for i := range api.Sized(c, &w.Tasks) {
+		t := &w.Tasks[i]
+		api.Num(c, &t.ID)
+		for j := range api.Sized(c, &t.Files) {
+			api.Num(c, &t.Files[j])
+		}
+	}
+}
+
+// v3Submit appends, as disk format 3 journaled it, the submit of job j1 of
+// tenant gold: tag 0x11, then its fields, w (nil: none) coded by v3Workload.
+func v3Submit(dst []byte, w *workload.Workload) []byte {
+	c := api.NewEncoder(append(dst, 0x11))
+	ts, seed, weight, deadline := int64(1700000000000), int64(7), 1, int64(0)
+	job, name, algorithm, submission, tenant := "j1", "sweep", "workqueue", "", "gold"
+	api.Num(&c, &ts)
+	for _, s := range []*string{&job, &name, &algorithm} {
+		c.Str(s)
+	}
+	api.Num(&c, &seed)
+	c.Str(&submission)
+	c.Str(&tenant)
+	api.Num(&c, &weight)
+	c.Strs(new([]string))
+	api.Num(&c, &deadline)
+	if api.Opt(&c, &w) != nil {
+		v3Workload(&c, w)
+	}
+	out, _ := c.Out()
+	return out
+}
+
+// v3Manifest is a manifest as disk format 3 wrote it, header 'G' 'M' 3:
+// tenant gold with quota 3, and job j1, running, whose submit record is
+// v3Submit's. With its workload inline it is the catch-up document a
+// leader of that format streams.
+func v3Manifest(w *workload.Workload) []byte {
+	c := api.NewEncoder([]byte{'G', 'M', 3})
+	// seq, partition index and count, lastLsn, the eight carried counters,
+	// vtime.
+	for _, v := range []int64{4, 0, 1, 9, 1, 0, 0, 0, 0, 0, 0, 0, 0} {
+		api.Num(&c, &v)
+	}
+	tenants, quota, dispatches, state := []string{"gold"}, 3, 0, api.JobRunning
+	for i := range api.Sized(&c, &tenants) {
+		c.Str(&tenants[i])
+		api.Num(&c, &quota)
+		api.Num(&c, &dispatches)
+	}
+	out, _ := c.Out()
+	c = api.NewEncoder(v3Submit(append(out, 1), w)) // one job
+	c.Str(&state)
+	// tasks, finished, fair, an empty ledger, no draws, the seven summary
+	// counters; then no worker slots.
+	for _, v := range []int64{2, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0} {
+		api.Num(&c, &v)
+	}
+	out, _ = c.Out()
+	return out
+}
+
+// v3StoredWorkload is a workload file as disk format 3 wrote it.
+func v3StoredWorkload() []byte {
+	c := api.NewEncoder([]byte{'G', 'W', 1})
+	v3Workload(&c, v3Work())
+	out, _ := c.Out()
+	return out
+}
+
 // writeLog makes dir/wal.log a well-framed log of one record.
 func writeLog(t *testing.T, dir string, payload []byte) {
 	t.Helper()
@@ -92,7 +176,7 @@ func wantLegacyRefusal(t *testing.T, err error, format string) {
 	if err == nil {
 		t.Fatalf("a %s was accepted", format)
 	}
-	for _, want := range []string{format, "older than disk format 3", "finish the data dir's jobs with the binary that wrote it", "empty -data-dir"} {
+	for _, want := range []string{format, "older than disk format 4", "finish the data dir's jobs with the binary that wrote it", "empty -data-dir"} {
 		if !strings.Contains(err.Error(), want) {
 			t.Errorf("refusal does not say %q: %v", want, err)
 		}
@@ -100,12 +184,13 @@ func wantLegacyRefusal(t *testing.T, err error, format string) {
 }
 
 // TestLegacyFormatsRefused: the formats whose readers are gone — the JSON
-// journal record of the oldest binaries, disk format 2's records, and the
-// JSON manifest of formats 1 and 2 — are still outside input. A data
-// dir holding one fails to start, as a leader and as a standby, with an error
-// that says what it is and what to do, and is left exactly as it was. A
-// standby streamed one by an older leader — a frame, a catch-up document —
-// halts rather than apply it, with nothing of it in its data dir.
+// journal record of the oldest binaries, disk format 2's records, the JSON
+// manifest of formats 1 and 2, and disk format 3's records, manifest and
+// workload files — are still outside input. A data dir holding one fails to
+// start, as a leader and as a standby, with an error that says what it is
+// and what to do, and is left exactly as it was. A standby streamed one by
+// an older leader — a frame, a catch-up document — halts rather than apply
+// it, with nothing of it in its data dir.
 func TestLegacyFormatsRefused(t *testing.T) {
 	manifest := func(doc string) func(*testing.T, string) {
 		return func(t *testing.T, dir string) {
@@ -129,6 +214,23 @@ func TestLegacyFormatsRefused(t *testing.T) {
 			`{"id":"j1","name":"a","algorithm":"rest","seed":1,"state":"running","tasks":2,"submittedMs":5,` +
 			`"ledger":[{"op":0,"t":1,"s":0,"w":0,"ms":6}]}]}`)},
 		{"manifest/v2", "JSON checkpoint document", manifest(v2Manifest)},
+		{"journal/v3 submit", "disk format 3 journal record", journalOf(v3Submit(nil, v3Work()))},
+		{"manifest/v3", "disk format 3 checkpoint document", manifest(string(v3Manifest(nil)))},
+		// A format 4 checkpoint whose running job's workload file a format 3
+		// binary wrote.
+		{"workload/v3", "version 1 stored workload", func(t *testing.T, dir string) {
+			s, err := service.New(durableConfig(dir))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := s.SubmitJob(api.SubmitJobRequest{Name: "sweep", Algorithm: "workqueue", Workload: v3Work()}); err != nil {
+				t.Fatal(err)
+			}
+			s.Close() // checkpoints: the manifest and workload-j1.bin
+			if err := os.WriteFile(filepath.Join(dir, "workload-j1.bin"), v3StoredWorkload(), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
@@ -161,6 +263,8 @@ func TestLegacyFormatsRefused(t *testing.T) {
 		{"standby", "JSON journal record", []byte(legacyRecord), ""},
 		{"standby/v2 frame", "disk format 2 journal record", v2SubmitRecord(), ""},
 		{"standby/v2 catch-up", "JSON checkpoint document", nil, v2Manifest},
+		{"standby/v3 frame", "disk format 3 journal record", v3Submit(nil, v3Work()), ""},
+		{"standby/v3 catch-up", "disk format 3 checkpoint document", nil, string(v3Manifest(v3Work()))},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			leaderDir := t.TempDir()

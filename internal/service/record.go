@@ -1,19 +1,19 @@
 // The journal record: what one WAL frame's payload says, and its bytes.
 //
-// # Format (disk format 3)
+// # Format (disk format 4)
 //
 // A record is one api.Coder field list (record.fields): the first byte is
 // its type tag, then its timestamp, then what its type carries, each field
 // in the wire's primitives (zigzag varint integers, length-prefixed
 // strings). docs/PROTOCOL.md has the table.
 //
-// Disk format 2 tagged its records 1–4, and the oldest binaries journaled
-// JSON documents ('{'); neither is a tag of this range, so either record is
-// refused by name (errLegacyFormat) rather than misread.
+// Disk format 3 tagged its records 0x11–0x16 (its submit's file ids each a
+// varint of its own), disk format 2 1–4, and the oldest binaries journaled
+// JSON documents ('{'); none is a tag of this range, so each such record is
+// refused by name (api.ErrLegacyFormat) rather than misread.
 package service
 
 import (
-	"errors"
 	"fmt"
 
 	"gridsched/internal/service/api"
@@ -38,8 +38,8 @@ const (
 )
 
 // recordOps are the record types, in tag order: Names[i] is tagged
-// First+i. Tags 1–4 were disk format 2's.
-var recordOps = api.Enum{What: "journal record type", First: 0x11,
+// First+i. Tags 1–4 were disk format 2's, 0x11–0x16 disk format 3's.
+var recordOps = api.Enum{What: "journal record type", First: 0x21,
 	Names: []string{opSubmit, opDispatch, opReport, opExpire, opDelete, opQuota}}
 
 // maxLeaseRecordLen bounds an encoded lease record with minted ids
@@ -158,12 +158,6 @@ func (rec *record) appendTo(dst []byte) []byte {
 	return out
 }
 
-// errLegacyFormat refuses what only an older binary wrote: a JSON or disk
-// format 2 journal record, a JSON manifest or catch-up document. Such a
-// data dir cannot be upgraded in place.
-var errLegacyFormat = errors.New("written by a gridschedd older than disk format 3, which this binary does not read; " +
-	"finish the data dir's jobs with the binary that wrote it, then start this one on an empty -data-dir")
-
 // decodeRecord reads one journal payload. The bytes are outside input:
 // every length is checked against what is left, and nothing in the result
 // aliases payload. What the record then names — a job, a task, a worker
@@ -172,9 +166,11 @@ func decodeRecord(payload []byte) (record, error) {
 	var rec record
 	switch {
 	case len(payload) > 0 && payload[0] == '{':
-		return rec, fmt.Errorf("JSON journal record: %w", errLegacyFormat)
+		return rec, fmt.Errorf("JSON journal record: %w", api.ErrLegacyFormat)
 	case len(payload) > 0 && payload[0] >= 1 && payload[0] <= 4:
-		return rec, fmt.Errorf("disk format 2 journal record: %w", errLegacyFormat)
+		return rec, fmt.Errorf("disk format 2 journal record: %w", api.ErrLegacyFormat)
+	case len(payload) > 0 && payload[0] >= 0x11 && payload[0] <= 0x16:
+		return rec, fmt.Errorf("disk format 3 journal record: %w", api.ErrLegacyFormat)
 	}
 	c := api.NewDecoder(payload)
 	rec.fields(&c)

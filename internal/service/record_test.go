@@ -39,14 +39,14 @@ func recordSamples() map[string]*record {
 }
 
 // TestRecordRoundTrip: every op decodes to exactly what was encoded, and no
-// encoding could be taken for a record older binaries wrote: JSON, or disk
-// format 2's, tagged 1–4.
+// encoding could be taken for a record older binaries wrote: JSON, disk
+// format 2's, tagged 1–4, or disk format 3's, tagged 0x11–0x16.
 func TestRecordRoundTrip(t *testing.T) {
 	for name, rec := range recordSamples() {
 		t.Run(name, func(t *testing.T) {
 			enc := rec.appendTo(nil)
-			if enc[0] <= 4 || enc[0] >= 0x20 {
-				t.Fatalf("tag byte %#x is not in (4, 0x20)", enc[0])
+			if enc[0] <= 0x16 || enc[0] >= 0x30 {
+				t.Fatalf("tag byte %#x is not in (0x16, 0x30)", enc[0])
 			}
 			got, err := decodeRecord(enc)
 			if err != nil {

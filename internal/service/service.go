@@ -704,7 +704,7 @@ func (s *Service) SubmitJob(req api.SubmitJobRequest) (string, error) {
 	if s.pst != nil {
 		// Sized as api.EncodeWorkload sizes its document, which is nearly
 		// all of the record.
-		payload = rec.appendTo(make([]byte, 0, 512+256*len(w.Tasks)))
+		payload = rec.appendTo(make([]byte, 0, 512+128*len(w.Tasks)))
 	}
 	sh := s.shardOf(j.id)
 	sh.mu.Lock()
