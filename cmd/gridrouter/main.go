@@ -18,8 +18,7 @@
 // partitions in the X-Gridsched-Partitions-Down header instead of
 // failing the read), /metrics federates each partition's exposition with
 // a partition label, /readyz is ready only when every partition is, and
-// GET /v1/partitions serves the live topology that partition-aware
-// clients use to bypass the router on id-keyed traffic.
+// GET /v1/partitions serves the live topology.
 package main
 
 import (

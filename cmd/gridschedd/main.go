@@ -63,6 +63,7 @@ package main
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -80,6 +81,7 @@ import (
 	"gridsched/internal/journal"
 	"gridsched/internal/metrics"
 	"gridsched/internal/middleware"
+	"gridsched/internal/service/api"
 	"gridsched/internal/storage"
 )
 
@@ -116,7 +118,7 @@ func bootstrapHandler() http.Handler {
 	mux.HandleFunc("GET /readyz", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
 		w.WriteHeader(http.StatusServiceUnavailable)
-		fmt.Fprintln(w, `{"status":"recovering"}`)
+		_ = json.NewEncoder(w).Encode(api.Readiness{Status: "recovering", Role: api.RoleRecovering})
 	})
 	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json")

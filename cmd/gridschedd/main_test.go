@@ -7,9 +7,12 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
+
+	"gridsched/internal/service/api"
 )
 
 func TestRunRejectsBadFlags(t *testing.T) {
@@ -18,6 +21,21 @@ func TestRunRejectsBadFlags(t *testing.T) {
 	}
 	if err := run(context.Background(), []string{"-sites", "0", "-addr", "127.0.0.1:0"}, nil); err == nil {
 		t.Fatal("accepted zero sites")
+	}
+}
+
+// TestBootstrapReadiness: while a durable daemon replays, /readyz is a 503
+// whose body names both the status and the role, as docs/PROTOCOL.md
+// promises.
+func TestBootstrapReadiness(t *testing.T) {
+	rw := httptest.NewRecorder()
+	bootstrapHandler().ServeHTTP(rw, httptest.NewRequest(http.MethodGet, "/readyz", nil))
+	var rd api.Readiness
+	if err := json.Unmarshal(rw.Body.Bytes(), &rd); err != nil {
+		t.Fatalf("readyz body %q: %v", rw.Body, err)
+	}
+	if rw.Code != http.StatusServiceUnavailable || rd.Status != "recovering" || rd.Role != api.RoleRecovering {
+		t.Fatalf("bootstrap readyz: %d %+v, want 503 recovering/recovering", rw.Code, rd)
 	}
 }
 

@@ -653,8 +653,8 @@ func Handler(svc *service.Service) http.Handler { return svc.Handler() }
 // throughput across parts independent gridschedd partitions, each a
 // journaled SyncAlways service behind its own real TCP socket — the
 // horizontal scale-out configuration of docs/PARTITIONING.md with the
-// router bypassed (partition-aware clients talk to the owning partition
-// directly, so the steady-state data path has no extra hop to measure).
+// router bypassed (each worker talks to its partition directly, so the
+// steady-state data path has no extra hop to measure).
 // One streaming binary-codec worker per partition: every granted lease
 // frame and every report batch costs one fsync on that partition's WAL,
 // which is the durable dispatch bottleneck partitioning multiplies.

@@ -53,8 +53,8 @@ func TestFsyncFailurePoisonsWriter(t *testing.T) {
 	if _, err := w.Append([]byte("after")); !errors.Is(err, faultinject.ErrInjected) {
 		t.Fatalf("Append after fsync poison: %v (want ErrInjected)", err)
 	}
-	if _, err := w.AppendBatch([][]byte{[]byte("batch")}); !errors.Is(err, faultinject.ErrInjected) {
-		t.Fatalf("AppendBatch after fsync poison: %v (want ErrInjected)", err)
+	if _, err := w.Append([]byte("group"), []byte("of two")); !errors.Is(err, faultinject.ErrInjected) {
+		t.Fatalf("group Append after fsync poison: %v (want ErrInjected)", err)
 	}
 	if err := w.Sync(); !errors.Is(err, faultinject.ErrInjected) {
 		t.Fatalf("Sync after fsync poison: %v (want ErrInjected)", err)

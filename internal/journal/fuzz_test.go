@@ -1,6 +1,8 @@
 package journal_test
 
 import (
+	"bytes"
+	"errors"
 	"os"
 	"path/filepath"
 	"testing"
@@ -38,8 +40,10 @@ func fuzzSeedLog(f *testing.F, payloads []string, tail []byte) {
 // a ValidSize that never exceeds the file, a validated prefix that
 // re-reads to the identical record sequence, and a prefix OpenWriter can
 // truncate to and keep appending after — i.e. any torn, bit-flipped, or
-// adversarial log converges to a healthy one. CI runs this as a 30-second
-// smoke (-fuzztime); longer local runs just go deeper.
+// adversarial log converges to a healthy one. The tail reader, over the
+// same bytes, must yield exactly ReadLog's records and then ErrNoFrame: the
+// two share one frame decoder. CI runs this as a 30-second smoke
+// (-fuzztime); longer local runs just go deeper.
 func FuzzReadFrame(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte("GSWAL001"))
@@ -48,6 +52,8 @@ func FuzzReadFrame(f *testing.F) {
 	fuzzSeedLog(f, []string{`{"op":"submit"}`, `{"op":"dispatch","task":3}`}, nil)
 	fuzzSeedLog(f, []string{"x"}, []byte{0x55, 0xAA, 0x00, 0x01, 0x02})
 	fuzzSeedLog(f, []string{""}, []byte{0xFF, 0xFF, 0xFF, 0x7F})
+	// A whole frame whose LSN does not rise: both readers must stop before it.
+	fuzzSeedLog(f, []string{"a", "b"}, journal.AppendFrame(nil, 2, []byte("stale")))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		dir := t.TempDir()
@@ -56,8 +62,10 @@ func FuzzReadFrame(f *testing.F) {
 			t.Fatal(err)
 		}
 		var lsns []uint64
+		var payloads [][]byte
 		info, err := journal.ReadLog(path, 0, func(lsn uint64, payload []byte) error {
 			lsns = append(lsns, lsn)
+			payloads = append(payloads, bytes.Clone(payload))
 			return nil
 		})
 		if err != nil {
@@ -76,6 +84,26 @@ func FuzzReadFrame(f *testing.F) {
 		}
 		if len(lsns) > 0 && info.LastLSN != lsns[len(lsns)-1] {
 			t.Fatalf("LastLSN %d, last delivered %d", info.LastLSN, lsns[len(lsns)-1])
+		}
+
+		// The tail reader decodes with the same frame reader: over the same
+		// bytes it yields ReadLog's records, then reports the end of what is
+		// visible. (A torn magic reads as a log rotated below the reader.)
+		if info.ValidSize >= int64(len("GSWAL001")) {
+			tr, err := journal.OpenTail(path, 0)
+			if err != nil {
+				t.Fatalf("OpenTail over a log ReadLog accepted: %v", err)
+			}
+			for i, want := range lsns {
+				lsn, payload, err := tr.Next()
+				if err != nil || lsn != want || !bytes.Equal(payload, payloads[i]) {
+					t.Fatalf("tail frame %d: lsn %d %q, %v; ReadLog had lsn %d %q", i, lsn, payload, err, want, payloads[i])
+				}
+			}
+			if _, _, err := tr.Next(); !errors.Is(err, journal.ErrNoFrame) {
+				t.Fatalf("tail past ValidSize %d: %v (want ErrNoFrame)", info.ValidSize, err)
+			}
+			tr.Close()
 		}
 
 		// The validated prefix must re-read to the identical sequence.

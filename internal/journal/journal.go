@@ -20,12 +20,18 @@
 // encoding workload-<job>.bin uses (internal/service/record.go has the
 // layout, docs/ARCHITECTURE.md the data-dir format).
 //
+// This package owns the frame from end to end: AppendFrame is its one
+// encoder and FrameReader.Next its one decoder. ReadLog and TailReader read
+// the log with it, and the replication stream (internal/replicate) carries
+// the same frames, each after a type byte, to a standby.
+//
 // # Durability
 //
-// Append writes the frame to the file with a single write(2), so an
-// acknowledged record survives a crash of the process (SIGKILL included)
-// as soon as Append returns: the bytes are in the OS page cache. What the
-// fsync mode controls is durability against a crash of the *machine*:
+// Append takes a group of records; concurrent callers combine, and each
+// batch reaches the file with a single write(2), so an acknowledged record
+// survives a crash of the process (SIGKILL included) as soon as Append
+// returns: the bytes are in the OS page cache. What the fsync mode
+// controls is durability against a crash of the *machine*:
 //
 //   - SyncAlways: WaitDurable blocks until an fsync covers the record.
 //     Concurrent waiters are group-committed: one fsync acknowledges every
@@ -58,6 +64,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -113,15 +120,83 @@ const (
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
-// frameCRC checksums a frame's LSN bytes (as framed: little endian) and its
-// payload. The LSN comes as the caller's slice of the frame — a local
-// array would escape through the checksum call, one allocation per record.
-func frameCRC(lsn, payload []byte) uint32 {
-	return crc32.Update(crc32.Checksum(lsn, crcTable), crcTable, payload)
+// maxRetainedBatch is the largest batch buffer Append keeps for reuse; one
+// that a big record grew past it is dropped after its write.
+const maxRetainedBatch = 64 << 10
+
+var (
+	// ErrClosed is returned by operations on a closed (or crashed) writer.
+	ErrClosed = errors.New("journal: writer closed")
+	// ErrRecordTooLarge refuses a payload over MaxRecordLen. It fails the
+	// Append that brought it and nobody else: the payload is never queued.
+	ErrRecordTooLarge = errors.New("journal: record exceeds the log's record cap")
+	// ErrBadFrame reports a frame that fails validation: a length over the
+	// reader's cap, an LSN out of order, or a CRC mismatch.
+	ErrBadFrame = errors.New("journal: bad frame")
+)
+
+// AppendFrame appends payload framed as the record with the given LSN to
+// dst. It is the one frame encoder: the log, and the replication stream
+// after its type byte, carry exactly these bytes. The CRC is taken over the
+// copy in dst, so payload does not escape.
+func AppendFrame(dst []byte, lsn uint64, payload []byte) []byte {
+	start := len(dst)
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(payload)))
+	dst = binary.LittleEndian.AppendUint32(dst, 0) // the CRC, once the rest is in
+	dst = binary.LittleEndian.AppendUint64(dst, lsn)
+	dst = append(dst, payload...)
+	binary.LittleEndian.PutUint32(dst[start+4:], crc32.Checksum(dst[start+8:], crcTable))
+	return dst
 }
 
-// ErrClosed is returned by operations on a closed (or crashed) writer.
-var ErrClosed = errors.New("journal: writer closed")
+// FrameReader decodes consecutive frames from a buffered stream: a log past
+// its magic (ReadLog, TailReader) or a replication stream past each
+// message's type byte. Its Next is the one frame decoder.
+type FrameReader struct {
+	r   *bufio.Reader
+	buf []byte // the last frame read: header, then payload
+}
+
+// NewFrameReader decodes frames from r.
+func NewFrameReader(r *bufio.Reader) *FrameReader { return &FrameReader{r: r} }
+
+// Next decodes the next frame, whose payload may be at most limit bytes and
+// whose LSN may not be below least. It returns io.EOF when the stream ends on
+// a frame boundary, io.ErrUnexpectedEOF when it ends inside a frame, and
+// ErrBadFrame for a frame that fails validation. The payload is valid until
+// the next call.
+func (d *FrameReader) Next(limit int, least uint64) (uint64, []byte, error) {
+	frame := append(d.buf[:0], make([]byte, frameHeaderLen)...)
+	if _, err := io.ReadFull(d.r, frame); err != nil {
+		return 0, nil, err
+	}
+	length := binary.LittleEndian.Uint32(frame)
+	lsn := binary.LittleEndian.Uint64(frame[8:])
+	if int64(length) > int64(limit) {
+		return 0, nil, fmt.Errorf("%w: %d-byte payload over the %d-byte cap", ErrBadFrame, length, limit)
+	}
+	if lsn < least {
+		return 0, nil, fmt.Errorf("%w: lsn %d, want at least %d", ErrBadFrame, lsn, least)
+	}
+	for n := frameHeaderLen + int(length); len(frame) < n; {
+		// Grow with the bytes that arrive, not with what the header claims:
+		// a corrupt length costs no more memory than the stream holds.
+		frame = slices.Grow(frame, min(n, max(2*len(frame), 4<<10))-len(frame))
+		m, err := io.ReadFull(d.r, frame[len(frame):min(n, cap(frame))])
+		frame = frame[:len(frame)+m]
+		if err == io.EOF {
+			err = io.ErrUnexpectedEOF
+		}
+		if err != nil {
+			return 0, nil, err
+		}
+	}
+	d.buf = frame
+	if crc32.Checksum(frame[8:], crcTable) != binary.LittleEndian.Uint32(frame[4:]) {
+		return 0, nil, fmt.Errorf("%w: crc mismatch at lsn %d", ErrBadFrame, lsn)
+	}
+	return lsn, frame[frameHeaderLen:], nil
+}
 
 // File is the handle a Writer appends to. *os.File satisfies it; tests
 // substitute a fault-injecting implementation (internal/faultinject.File)
@@ -150,9 +225,16 @@ type Writer struct {
 	interval time.Duration
 	met      *Metrics
 
+	// The append queue (see Append). qmu is taken before any other lock.
+	qmu     sync.Mutex
+	qcond   *sync.Cond
+	queued  uint64 // last LSN handed out
+	open    []byte // frames queued, not yet handed to a write
+	spare   []byte // the buffer of the batch in flight, the next open one
+	writing bool   // a batch write is in flight
+
 	mu       sync.Mutex // file writes, rotation
 	f        File
-	scratch  []byte
 	appended atomic.Uint64 // last LSN written
 
 	syncMu  sync.Mutex
@@ -238,6 +320,7 @@ func OpenWriterFile(f File, mode Mode, interval time.Duration, lastLSN uint64, v
 		interval: interval,
 		met:      met,
 		f:        f,
+		queued:   lastLSN,
 		notify:   make(chan struct{}),
 		wake:     make(chan struct{}, 1),
 		stop:     make(chan struct{}),
@@ -245,66 +328,85 @@ func OpenWriterFile(f File, mode Mode, interval time.Duration, lastLSN uint64, v
 	}
 	w.appended.Store(lastLSN)
 	w.durable = lastLSN
+	w.qcond = sync.NewCond(&w.qmu)
 	w.syncCh = sync.NewCond(&w.syncMu)
 	go w.flusher()
 	return w, nil
 }
 
-// Append frames payload, assigns it the next LSN, and writes it with one
-// write(2). The record is process-crash durable when Append returns;
-// machine-crash durability is WaitDurable's job.
-func (w *Writer) Append(payload []byte) (uint64, error) {
-	return w.AppendBatch([][]byte{payload})
-}
-
-// AppendBatch frames every payload as consecutive records and writes the
-// whole group with ONE write(2) — the group-append primitive behind the
-// service's commit stage, where records accumulated while a previous
-// write was in flight land together. Returns the LSN of the first record;
-// the i-th payload has LSN first+i. All-or-nothing: a short or failed
-// write poisons the writer (the service treats that as fail-stop), so no
-// prefix of the batch is ever acknowledged piecemeal.
-func (w *Writer) AppendBatch(payloads [][]byte) (uint64, error) {
-	need := 0
+// Append frames each payload as a record, assigns the group consecutive
+// LSNs, and returns the first; the i-th payload has LSN first+i. It returns
+// once the whole group is written: the records are process-crash durable,
+// and machine-crash durability is WaitDurable's job. An empty group appends
+// nothing and returns 0. The payloads are copied; the caller's buffers are
+// its own again on return.
+//
+// Concurrent callers combine. A group is framed into the open batch under
+// one lock hold, and the first caller to find no write in flight becomes the
+// writer of everything queued so far: one write(2) for the lot. LSN order is
+// call order, which is what lets callers fix a record's place in the log by
+// appending inside the critical section that orders it. A payload over
+// MaxRecordLen fails its own call with ErrRecordTooLarge before anything is
+// queued. A failed write poisons the writer and fails every call queued
+// behind it, so no group is ever acknowledged in part.
+func (w *Writer) Append(payloads ...[]byte) (uint64, error) {
 	for _, p := range payloads {
 		if len(p) > MaxRecordLen {
-			return 0, fmt.Errorf("journal: record %d bytes exceeds cap %d", len(p), MaxRecordLen)
+			return 0, fmt.Errorf("%w: %d bytes, cap %d", ErrRecordTooLarge, len(p), MaxRecordLen)
 		}
-		need += frameHeaderLen + len(p)
 	}
 	if len(payloads) == 0 {
-		return 0, fmt.Errorf("journal: empty batch")
+		return 0, nil
 	}
-	w.mu.Lock()
-	defer w.mu.Unlock()
+	w.qmu.Lock()
+	defer w.qmu.Unlock()
 	if err := w.failed(); err != nil {
 		return 0, err
 	}
-	first := w.appended.Load() + 1
-	if cap(w.scratch) < need {
-		w.scratch = make([]byte, need)
+	first := w.queued + 1
+	for _, p := range payloads {
+		w.queued++
+		w.open = AppendFrame(w.open, w.queued, p)
 	}
-	buf := w.scratch[:need]
-	off := 0
-	for i, p := range payloads {
-		lsn := first + uint64(i)
-		binary.LittleEndian.PutUint32(buf[off:off+4], uint32(len(p)))
-		binary.LittleEndian.PutUint64(buf[off+8:off+16], lsn)
-		binary.LittleEndian.PutUint32(buf[off+4:off+8], frameCRC(buf[off+8:off+16], p))
-		copy(buf[off+frameHeaderLen:], p)
-		off += frameHeaderLen + len(p)
+	for last := w.queued; w.appended.Load() < last; {
+		if err := w.failed(); err != nil {
+			return 0, err
+		}
+		if w.writing {
+			w.qcond.Wait()
+			continue
+		}
+		frames, upto := w.open, w.queued
+		w.open, w.writing = w.spare[:0], true
+		w.qmu.Unlock()
+		w.write(frames, upto) // a failure poisons the writer: failed() reports it
+		w.qmu.Lock()
+		if cap(frames) > maxRetainedBatch {
+			frames = nil
+		}
+		w.spare, w.writing = frames, false
+		w.qcond.Broadcast()
 	}
-	if _, err := w.f.Write(buf); err != nil {
-		w.poison(err)
-		return 0, err
-	}
-	w.appended.Store(first + uint64(len(payloads)) - 1)
-	if w.met != nil {
-		w.met.Records.Add(int64(len(payloads)))
-		w.met.Bytes.Add(int64(need))
-	}
-	w.notifyAppend()
 	return first, nil
+}
+
+// write puts one batch of frames, the last of them upto, in the file.
+func (w *Writer) write(frames []byte, upto uint64) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if w.failed() != nil {
+		return
+	}
+	if _, err := w.f.Write(frames); err != nil {
+		w.poison(err)
+		return
+	}
+	if w.met != nil {
+		w.met.Records.Add(int64(upto - w.appended.Load()))
+		w.met.Bytes.Add(int64(len(frames)))
+	}
+	w.appended.Store(upto)
+	w.notifyAppend()
 }
 
 // notifyAppend wakes every AppendNotify waiter (close-and-replace, the
@@ -501,7 +603,7 @@ func (w *Writer) shutdown(reportCloseErr bool) error {
 	return nil
 }
 
-// failed reports the terminal error, if any. Callers hold w.mu.
+// failed reports the terminal error, if any.
 func (w *Writer) failed() error {
 	w.syncMu.Lock()
 	defer w.syncMu.Unlock()
@@ -549,8 +651,10 @@ func ReadLog(path string, afterLSN uint64, fn func(lsn uint64, payload []byte) e
 	}
 	defer f.Close()
 
+	// One read(2) per 64 KiB, not two per record.
+	r := bufio.NewReaderSize(f, 64<<10)
 	magic := make([]byte, len(logMagic))
-	if _, err := io.ReadFull(f, magic); err != nil {
+	if _, err := io.ReadFull(r, magic); err != nil {
 		// Even the magic is torn; treat as empty (a fresh OpenWriter
 		// rewrites it).
 		info.Torn = true
@@ -560,39 +664,14 @@ func ReadLog(path string, afterLSN uint64, fn func(lsn uint64, payload []byte) e
 		return info, fmt.Errorf("journal: %s is not a gridsched log (bad magic)", path)
 	}
 	info.ValidSize = int64(len(logMagic))
-
-	// One read(2) per 64 KiB, not two per record; the counter sits above the
-	// buffer, so it counts the bytes the scan consumed, not those read ahead.
-	r := &countingReader{r: bufio.NewReaderSize(f, 64<<10), n: info.ValidSize}
-	header := make([]byte, frameHeaderLen)
-	var payload []byte
-	lastLSN := uint64(0)
+	frames := NewFrameReader(r)
 	for {
-		if _, err := io.ReadFull(r, header); err != nil {
-			info.Torn = !errors.Is(err, io.EOF)
+		lsn, payload, err := frames.Next(MaxRecordLen, info.LastLSN+1)
+		if err != nil {
+			info.Torn = err != io.EOF
 			return info, nil
 		}
-		length := binary.LittleEndian.Uint32(header[0:4])
-		crc := binary.LittleEndian.Uint32(header[4:8])
-		lsn := binary.LittleEndian.Uint64(header[8:16])
-		if length > MaxRecordLen || lsn <= lastLSN {
-			info.Torn = true
-			return info, nil
-		}
-		if cap(payload) < int(length) {
-			payload = make([]byte, length)
-		}
-		payload = payload[:length]
-		if _, err := io.ReadFull(r, payload); err != nil {
-			info.Torn = true
-			return info, nil
-		}
-		if frameCRC(header[8:16], payload) != crc {
-			info.Torn = true
-			return info, nil
-		}
-		lastLSN = lsn
-		info.ValidSize = r.n
+		info.ValidSize += frameHeaderLen + int64(len(payload))
 		info.LastLSN = lsn
 		if lsn > afterLSN {
 			info.Records++
@@ -603,17 +682,6 @@ func ReadLog(path string, afterLSN uint64, fn func(lsn uint64, payload []byte) e
 			}
 		}
 	}
-}
-
-type countingReader struct {
-	r io.Reader
-	n int64
-}
-
-func (c *countingReader) Read(p []byte) (int, error) {
-	n, err := c.r.Read(p)
-	c.n += int64(n)
-	return n, err
 }
 
 // tempMark sits between a file's final name and the random suffix of its

@@ -3,6 +3,7 @@ package journal_test
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -343,17 +344,17 @@ func TestParseMode(t *testing.T) {
 	}
 }
 
-// TestAppendBatchFramesConsecutively: the commit stage's group append must
-// be indistinguishable, on disk, from the same records appended one at a
-// time — consecutive LSNs, every frame CRC-valid, one durability wait
-// covering the lot.
-func TestAppendBatchFramesConsecutively(t *testing.T) {
+// TestAppendGroupFramesConsecutively: a group append must be
+// indistinguishable, on disk, from the same records appended one at a time —
+// consecutive LSNs, every frame CRC-valid, one durability wait covering the
+// lot.
+func TestAppendGroupFramesConsecutively(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "batch.log")
 	w, err := journal.OpenWriter(path, journal.SyncAlways, 0, 0, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	first, err := w.AppendBatch([][]byte{[]byte("a"), []byte("bb"), []byte("")})
+	first, err := w.Append([]byte("a"), []byte("bb"), []byte(""))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -361,10 +362,13 @@ func TestAppendBatchFramesConsecutively(t *testing.T) {
 		t.Fatalf("first LSN %d, want 1", first)
 	}
 	if lsn, err := w.Append([]byte("solo")); err != nil || lsn != 4 {
-		t.Fatalf("append after batch: lsn %d, %v (want 4)", lsn, err)
+		t.Fatalf("append after group: lsn %d, %v (want 4)", lsn, err)
 	}
 	if err := w.WaitDurable(4); err != nil {
 		t.Fatal(err)
+	}
+	if lsn, err := w.Append(); err != nil || lsn != 0 || w.LastLSN() != 4 {
+		t.Fatalf("empty group: lsn %d, %v, log at %d (want 0, nil, 4)", lsn, err, w.LastLSN())
 	}
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
@@ -386,7 +390,103 @@ func TestAppendBatchFramesConsecutively(t *testing.T) {
 			t.Fatalf("record %d = %q, want %q", i, got[i], want[i])
 		}
 	}
-	if _, err := w.AppendBatch(nil); err == nil {
-		t.Fatal("empty batch accepted")
+}
+
+// TestOversizedRecordFailsOnlyItsCaller: a payload the log cannot frame is
+// refused before it is queued, so the appends racing it — in the live
+// service a dispatch or an expiry, which fail-stop on any journal error —
+// all succeed, with consecutive LSNs.
+func TestOversizedRecordFailsOnlyItsCaller(t *testing.T) {
+	w, err := journal.OpenWriter(filepath.Join(t.TempDir(), "wal.log"), journal.SyncNever, 0, 0, 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	huge := make([]byte, journal.MaxRecordLen+1) // never touched: refused by length
+
+	const writers, each = 8, 200
+	var wg sync.WaitGroup
+	lsns := make(chan uint64, writers*each)
+	for g := 0; g < writers; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			small := []byte("an expiry-sized record")
+			for i := 0; i < each; i++ {
+				if g == 0 && i%10 == 0 {
+					if _, err := w.Append(small, huge); !errors.Is(err, journal.ErrRecordTooLarge) {
+						t.Errorf("oversized group: err = %v, want ErrRecordTooLarge", err)
+					}
+				}
+				lsn, err := w.Append(small)
+				if err != nil {
+					t.Errorf("ordinary append failed beside an oversized one: %v", err)
+					return
+				}
+				lsns <- lsn
+			}
+		}()
+	}
+	wg.Wait()
+	close(lsns)
+	seen := make(map[uint64]bool)
+	for lsn := range lsns {
+		seen[lsn] = true
+	}
+	for lsn := uint64(1); lsn <= writers*each; lsn++ {
+		if !seen[lsn] {
+			t.Fatalf("lsn %d missing: %d distinct LSNs for %d appends", lsn, len(seen), writers*each)
+		}
+	}
+	if got := w.LastLSN(); got != writers*each {
+		t.Fatalf("log holds %d records, want %d (none of the refused groups)", got, writers*each)
+	}
+}
+
+// TestConcurrentGroupsStayWhole: groups appended from many goroutines at
+// once are combined into shared writes, yet each group keeps the
+// consecutive LSNs Append returned, and every record reads back under its
+// own LSN.
+func TestConcurrentGroupsStayWhole(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "wal.log")
+	w := openWriter(t, path, journal.SyncNever, 0, 0)
+	const writers, groups = 8, 100
+	want := make(map[uint64]string)
+	var mu sync.Mutex
+	var wg sync.WaitGroup
+	for g := 0; g < writers; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < groups; i++ {
+				var group [][]byte
+				for k := 0; k < 3; k++ {
+					group = append(group, fmt.Appendf(nil, "%d-%d-%d", g, i, k))
+				}
+				first, err := w.Append(group...)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				mu.Lock()
+				for k, p := range group {
+					want[first+uint64(k)] = string(p)
+				}
+				mu.Unlock()
+			}
+		}()
+	}
+	wg.Wait()
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	info, err := journal.ReadLog(path, 0, func(lsn uint64, payload []byte) error {
+		if want[lsn] != string(payload) {
+			t.Errorf("lsn %d holds %q, Append promised %q", lsn, payload, want[lsn])
+		}
+		return nil
+	})
+	if err != nil || info.Torn || info.Records != writers*groups*3 || len(want) != info.Records {
+		t.Fatalf("read back %+v, %v; %d LSNs handed out", info, err, len(want))
 	}
 }

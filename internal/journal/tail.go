@@ -1,7 +1,7 @@
 package journal
 
 import (
-	"encoding/binary"
+	"bufio"
 	"errors"
 	"io"
 	"os"
@@ -36,10 +36,12 @@ var ErrRotated = errors.New("journal: log rotated under tail reader")
 
 // TailReader reads validated frames from a (possibly live) log file.
 type TailReader struct {
-	f       *os.File
-	off     int64  // offset of the next unread frame
-	last    uint64 // last LSN yielded (or the afterLSN floor)
-	scratch []byte
+	f      *os.File
+	r      *bufio.Reader
+	frames *FrameReader
+	off    int64  // offset of the next unread frame
+	prev   uint64 // LSN of the last frame read
+	after  uint64 // frames at or below it are skipped
 }
 
 // OpenTail opens the log at path for tail-following and positions the
@@ -49,73 +51,55 @@ func OpenTail(path string, after uint64) (*TailReader, error) {
 	if err != nil {
 		return nil, err
 	}
+	r := bufio.NewReaderSize(f, 64<<10)
+	t := &TailReader{f: f, r: r, frames: NewFrameReader(r), off: int64(len(logMagic)), after: after}
 	magic := make([]byte, len(logMagic))
-	if _, err := io.ReadFull(f, magic); err != nil {
+	_, err = io.ReadFull(r, magic)
+	switch {
+	case err == io.EOF || err == io.ErrUnexpectedEOF:
 		// Magic not yet (re)written — treat as an empty log positioned at
 		// its eventual start; Next reports ErrNoFrame until it appears.
-		if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
-			return &TailReader{f: f, off: int64(len(logMagic)), last: after}, nil
+		err = t.rewind()
+		if err == nil {
+			return t, nil
 		}
-		f.Close()
-		return nil, err
+	case err == nil && string(magic) != string(logMagic):
+		err = errors.New("journal: " + path + " is not a gridsched log (bad magic)")
+	case err == nil:
+		return t, nil
 	}
-	if string(magic) != string(logMagic) {
-		f.Close()
-		return nil, errors.New("journal: " + path + " is not a gridsched log (bad magic)")
-	}
-	return &TailReader{f: f, off: int64(len(logMagic)), last: after}, nil
+	f.Close()
+	return nil, err
 }
 
-// Next returns the next frame with LSN above the floor. The payload is
+// Next returns the next frame with LSN above OpenTail's after. The payload is
 // valid until the following Next call. ErrNoFrame means "nothing more is
 // visible yet"; ErrRotated means the file shrank below the reader.
 func (t *TailReader) Next() (uint64, []byte, error) {
 	for {
-		lsn, payload, err := t.readFrame()
+		lsn, payload, err := t.frames.Next(MaxRecordLen, t.prev+1)
 		if err != nil {
-			return 0, nil, err
+			return 0, nil, t.tailErr(err)
 		}
-		if lsn > t.last {
-			t.last = lsn
+		t.off += frameHeaderLen + int64(len(payload))
+		t.prev = lsn
+		if lsn > t.after {
 			return lsn, payload, nil
 		}
 	}
 }
 
-// readFrame validates and consumes the frame at t.off, regardless of the
-// LSN floor.
-func (t *TailReader) readFrame() (uint64, []byte, error) {
-	var header [frameHeaderLen]byte
-	if _, err := t.f.ReadAt(header[:], t.off); err != nil {
-		return 0, nil, t.tailErr(err)
-	}
-	length := binary.LittleEndian.Uint32(header[0:4])
-	crc := binary.LittleEndian.Uint32(header[4:8])
-	lsn := binary.LittleEndian.Uint64(header[8:16])
-	if length > MaxRecordLen {
-		// On a live log a garbage header can only be a mid-rotation read;
-		// the Rotations check in the caller's loop converts this stall
-		// into a restart.
-		return 0, nil, ErrNoFrame
-	}
-	if cap(t.scratch) < int(length) {
-		t.scratch = make([]byte, length)
-	}
-	payload := t.scratch[:length]
-	if _, err := t.f.ReadAt(payload, t.off+frameHeaderLen); err != nil {
-		return 0, nil, t.tailErr(err)
-	}
-	if frameCRC(header[8:16], payload) != crc {
-		return 0, nil, ErrNoFrame
-	}
-	t.off += frameHeaderLen + int64(length)
-	return lsn, payload, nil
-}
-
-// tailErr classifies a short read: the file either has not grown to the
-// frame yet (ErrNoFrame) or was truncated below the reader (ErrRotated).
+// tailErr puts the reader back at the start of the frame it could not read,
+// so the next call reads it again whole, and classifies the failure: the
+// file either has not grown to a complete frame yet (ErrNoFrame) or was
+// truncated below the reader (ErrRotated). On a live log a frame that fails
+// validation is one still being written, or a mid-rotation read, which the
+// Rotations check in the caller's loop turns into a restart.
 func (t *TailReader) tailErr(err error) error {
-	if !errors.Is(err, io.EOF) && !errors.Is(err, io.ErrUnexpectedEOF) {
+	if rerr := t.rewind(); rerr != nil {
+		return rerr
+	}
+	if err != io.EOF && err != io.ErrUnexpectedEOF && !errors.Is(err, ErrBadFrame) {
 		return err
 	}
 	st, serr := t.f.Stat()
@@ -123,6 +107,13 @@ func (t *TailReader) tailErr(err error) error {
 		return ErrRotated
 	}
 	return ErrNoFrame
+}
+
+// rewind drops what was read ahead and seeks back to t.off.
+func (t *TailReader) rewind() error {
+	t.r.Reset(t.f)
+	_, err := t.f.Seek(t.off, io.SeekStart)
+	return err
 }
 
 // Close releases the file handle.

@@ -116,9 +116,6 @@ func New(cfg Config) (*Router, error) {
 	return rt, nil
 }
 
-// Count returns the number of partitions.
-func (rt *Router) Count() int { return len(rt.urls) }
-
 func (rt *Router) mark(i int, err error) {
 	rt.mu.Lock()
 	if err != nil {

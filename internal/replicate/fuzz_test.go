@@ -6,6 +6,7 @@ import (
 	"io"
 	"testing"
 
+	"gridsched/internal/journal"
 	"gridsched/internal/replicate"
 )
 
@@ -40,8 +41,9 @@ func (h *fuzzHandler) Heartbeat(lastLSN uint64) {
 }
 
 // fuzzSeedStream encodes a valid message sequence (with an optional raw
-// tail) to seed the corpus with structurally interesting inputs.
-func fuzzSeedStream(f *testing.F, build func(e *replicate.Encoder) error, tail []byte) {
+// tail), replayed from position from, to seed the corpus with structurally
+// interesting inputs.
+func fuzzSeedStream(f *testing.F, from uint64, build func(e *replicate.Encoder) error, tail []byte) {
 	f.Helper()
 	var buf bytes.Buffer
 	e := replicate.NewEncoder(&buf)
@@ -51,7 +53,7 @@ func fuzzSeedStream(f *testing.F, build func(e *replicate.Encoder) error, tail [
 	if err := e.Flush(); err != nil {
 		f.Fatal(err)
 	}
-	f.Add(append(buf.Bytes(), tail...), uint64(0))
+	f.Add(append(buf.Bytes(), tail...), from)
 }
 
 // FuzzReplicationStream is the streaming-reader sibling of
@@ -64,26 +66,26 @@ func fuzzSeedStream(f *testing.F, build func(e *replicate.Encoder) error, tail [
 // (io.ErrUnexpectedEOF).
 func FuzzReplicationStream(f *testing.F) {
 	f.Add([]byte{}, uint64(0))
-	f.Add([]byte("\n"), uint64(0))
-	f.Add([]byte(`{"type":"frame","lsn":1,"size":1}`+"\nx"), uint64(0))
-	f.Add([]byte(`{"type":"frame","lsn":9,"size":1}`+"\nx"), uint64(3))
-	f.Add([]byte(`{"type":"heartbeat","lsn":0}`+"\n"), uint64(7))
-	f.Add([]byte(`{"type":"snapshot","lsn":2,"size":2}`+"\n{}"), uint64(5))
+	f.Add([]byte{replicate.TypeFrame}, uint64(0))
+	f.Add([]byte(`{"type":"frame","lsn":1,"size":1}`+"\nx"), uint64(0)) // the older format
+	fuzzSeedStream(f, 3, func(e *replicate.Encoder) error { return e.Frame(9, []byte("x")) }, nil)
+	fuzzSeedStream(f, 7, func(e *replicate.Encoder) error { return e.Heartbeat(0) }, nil)
+	fuzzSeedStream(f, 5, func(e *replicate.Encoder) error { return e.Snapshot(2, []byte("{}")) }, nil)
 	// Clean sequence: heartbeat, snapshot, contiguous frames.
-	fuzzSeedStream(f, func(e *replicate.Encoder) error {
+	fuzzSeedStream(f, 0, func(e *replicate.Encoder) error {
 		if err := e.Heartbeat(4); err != nil {
 			return err
 		}
-		if err := e.Snapshot(4, []byte(`{"lastLsn":4}`)); err != nil {
+		if err := e.Snapshot(4, []byte("a catch-up document")); err != nil {
 			return err
 		}
-		if err := e.Frame(5, []byte(`{"op":"submit"}`)); err != nil {
+		if err := e.Frame(5, []byte("submit")); err != nil {
 			return err
 		}
-		return e.Frame(6, []byte(`{"op":"dispatch"}`))
+		return e.Frame(6, []byte("dispatch"))
 	}, nil)
 	// Duplicate frame then a gap, plus a torn tail.
-	fuzzSeedStream(f, func(e *replicate.Encoder) error {
+	fuzzSeedStream(f, 0, func(e *replicate.Encoder) error {
 		if err := e.Frame(1, []byte("a")); err != nil {
 			return err
 		}
@@ -91,7 +93,7 @@ func FuzzReplicationStream(f *testing.F) {
 			return err
 		}
 		return e.Frame(3, []byte("c"))
-	}, []byte(`{"type":"frame","lsn":4,"size":100}`+"\ntruncated"))
+	}, append([]byte{replicate.TypeFrame}, journal.AppendFrame(nil, 4, []byte("truncated"))[:12]...))
 
 	f.Fuzz(func(t *testing.T, data []byte, from uint64) {
 		h := &fuzzHandler{t: t, last: from}

@@ -6,17 +6,19 @@
 //
 // # Wire format
 //
-// The stream is a sequence of messages, each a single JSON header line
-// terminated by '\n', optionally followed by exactly Size raw bytes:
+// The stream is a sequence of messages, each one type byte followed by one
+// journal frame (internal/journal: length, CRC-32C, LSN, payload) — the
+// bytes the leader's log holds, decoded by the reader that reads the log:
 //
-//	{"type":"snapshot","lsn":<lastLSN>,"size":<n>}\n<n snapshot bytes>
-//	{"type":"frame","lsn":<lsn>,"size":<n>}\n<n record-payload bytes>
-//	{"type":"heartbeat","lsn":<leader lastLSN>}\n
+//	'H' frame(lsn = leader's last LSN, empty payload)    heartbeat
+//	'F' frame(lsn, one journal record)                    frame
+//	'S' frame(lsn = LSN it covers, one catch-up document) snapshot
 //
-// Frame payloads are the journal record payloads — NOT the on-disk frame
-// encoding; the follower's own Writer reframes them, which is what makes
-// the LSN handshake airtight: the follower's writer assigns exactly the
-// streamed LSN or the follower halts.
+// The follower checks each frame's CRC before it applies anything, then
+// appends the payload through its own journal.Writer, which must assign
+// exactly the streamed LSN or the follower halts. A stream in the older
+// format, a JSON header line per message, starts with '{' and halts at
+// its first byte.
 //
 // # Resumption and catch-up
 //
@@ -39,7 +41,6 @@ package replicate
 
 import (
 	"bufio"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -47,43 +48,32 @@ import (
 	"gridsched/internal/journal"
 )
 
-// Message types.
+// Message types: the byte before each message's frame.
 const (
-	TypeSnapshot  = "snapshot"
-	TypeFrame     = "frame"
-	TypeHeartbeat = "heartbeat"
+	TypeHeartbeat byte = 'H'
+	TypeFrame     byte = 'F'
+	TypeSnapshot  byte = 'S'
 )
 
 // MaxSnapshotLen bounds a streamed snapshot body.
 const MaxSnapshotLen = 1 << 30
 
-// maxHeaderLine bounds one JSON header line.
-const maxHeaderLine = 4096
-
 // ErrDiverged marks a protocol violation that could make the follower's
 // log disagree with the leader's — an LSN gap, a regressing snapshot, a
-// malformed header. The follower halts the stream instead of applying.
+// malformed message. The follower halts the stream instead of applying.
 var ErrDiverged = errors.New("replicate: stream diverged")
-
-// Header is the JSON header line of one stream message.
-type Header struct {
-	Type string `json:"type"`
-	LSN  uint64 `json:"lsn"`
-	Size int64  `json:"size,omitempty"`
-}
 
 // Msg is one decoded stream message. Payload aliases a reused buffer:
 // valid only until the next Decoder.Next call.
 type Msg struct {
-	Type    string
+	Type    byte
 	LSN     uint64
 	Payload []byte
 }
 
 // Encoder writes stream messages. Not safe for concurrent use.
 type Encoder struct {
-	w  *bufio.Writer
-	hd []byte
+	w *bufio.Writer
 }
 
 // NewEncoder wraps w.
@@ -91,104 +81,62 @@ func NewEncoder(w io.Writer) *Encoder {
 	return &Encoder{w: bufio.NewWriterSize(w, 32<<10)}
 }
 
-func (e *Encoder) header(h Header) error {
-	b, err := json.Marshal(h)
-	if err != nil {
-		return err
-	}
-	e.hd = append(e.hd[:0], b...)
-	e.hd = append(e.hd, '\n')
-	_, err = e.w.Write(e.hd)
+func (e *Encoder) msg(typ byte, lsn uint64, payload []byte) error {
+	_, err := e.w.Write(journal.AppendFrame(append(e.w.AvailableBuffer(), typ), lsn, payload))
 	return err
 }
 
-// Frame writes one journal frame.
-func (e *Encoder) Frame(lsn uint64, payload []byte) error {
-	if err := e.header(Header{Type: TypeFrame, LSN: lsn, Size: int64(len(payload))}); err != nil {
-		return err
-	}
-	_, err := e.w.Write(payload)
-	return err
-}
+// Frame writes one journal record.
+func (e *Encoder) Frame(lsn uint64, payload []byte) error { return e.msg(TypeFrame, lsn, payload) }
 
 // Snapshot writes a snapshot catch-up message; lsn is the LSN the
 // snapshot covers.
-func (e *Encoder) Snapshot(lsn uint64, data []byte) error {
-	if err := e.header(Header{Type: TypeSnapshot, LSN: lsn, Size: int64(len(data))}); err != nil {
-		return err
-	}
-	_, err := e.w.Write(data)
-	return err
-}
+func (e *Encoder) Snapshot(lsn uint64, data []byte) error { return e.msg(TypeSnapshot, lsn, data) }
 
 // Heartbeat writes a liveness/lag beacon carrying the leader's last LSN.
-func (e *Encoder) Heartbeat(lastLSN uint64) error {
-	return e.header(Header{Type: TypeHeartbeat, LSN: lastLSN})
-}
+func (e *Encoder) Heartbeat(lastLSN uint64) error { return e.msg(TypeHeartbeat, lastLSN, nil) }
 
 // Flush pushes buffered bytes to the underlying writer.
 func (e *Encoder) Flush() error { return e.w.Flush() }
 
 // Decoder reads stream messages. Not safe for concurrent use.
 type Decoder struct {
-	r   *bufio.Reader
-	buf []byte
+	r      *bufio.Reader
+	frames *journal.FrameReader
 }
 
 // NewDecoder wraps r.
 func NewDecoder(r io.Reader) *Decoder {
-	return &Decoder{r: bufio.NewReaderSize(r, 32<<10)}
+	br := bufio.NewReaderSize(r, 32<<10)
+	return &Decoder{r: br, frames: journal.NewFrameReader(br)}
 }
 
 // Next decodes one message. io.EOF at a message boundary means the
-// stream ended cleanly; every malformed input maps to ErrDiverged.
+// stream ended cleanly, io.ErrUnexpectedEOF that it tore inside one; every
+// malformed message maps to ErrDiverged.
 func (d *Decoder) Next() (Msg, error) {
-	line, err := d.r.ReadSlice('\n')
+	typ, err := d.r.ReadByte()
 	if err != nil {
-		if errors.Is(err, io.EOF) && len(line) == 0 {
-			return Msg{}, io.EOF
-		}
-		if errors.Is(err, bufio.ErrBufferFull) {
-			return Msg{}, fmt.Errorf("%w: header line exceeds %d bytes", ErrDiverged, maxHeaderLine)
-		}
-		if errors.Is(err, io.EOF) {
-			return Msg{}, io.ErrUnexpectedEOF
-		}
 		return Msg{}, err
 	}
-	if len(line) > maxHeaderLine {
-		return Msg{}, fmt.Errorf("%w: header line exceeds %d bytes", ErrDiverged, maxHeaderLine)
-	}
-	var h Header
-	if err := json.Unmarshal(line, &h); err != nil {
-		return Msg{}, fmt.Errorf("%w: bad header: %v", ErrDiverged, err)
-	}
-	var limit int64
-	switch h.Type {
+	var limit int
+	switch typ {
+	case TypeHeartbeat:
 	case TypeFrame:
 		limit = journal.MaxRecordLen
 	case TypeSnapshot:
 		limit = MaxSnapshotLen
-	case TypeHeartbeat:
-		if h.Size != 0 {
-			return Msg{}, fmt.Errorf("%w: heartbeat with body", ErrDiverged)
-		}
-		return Msg{Type: h.Type, LSN: h.LSN}, nil
 	default:
-		return Msg{}, fmt.Errorf("%w: unknown message type %q", ErrDiverged, h.Type)
+		return Msg{}, fmt.Errorf("%w: unknown message type byte %#02x", ErrDiverged, typ)
 	}
-	if h.Size < 0 || h.Size > limit {
-		return Msg{}, fmt.Errorf("%w: %s size %d out of bounds", ErrDiverged, h.Type, h.Size)
-	}
-	if int64(cap(d.buf)) < h.Size {
-		d.buf = make([]byte, h.Size)
-	}
-	d.buf = d.buf[:h.Size]
-	if _, err := io.ReadFull(d.r, d.buf); err != nil {
-		if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
-			return Msg{}, io.ErrUnexpectedEOF
-		}
+	lsn, payload, err := d.frames.Next(limit, 0)
+	switch {
+	case err == io.EOF:
+		return Msg{}, io.ErrUnexpectedEOF
+	case errors.Is(err, journal.ErrBadFrame):
+		return Msg{}, fmt.Errorf("%w: %c message: %v", ErrDiverged, typ, err)
+	case err != nil:
 		return Msg{}, err
 	}
-	return Msg{Type: h.Type, LSN: h.LSN, Payload: d.buf}, nil
+	return Msg{Type: typ, LSN: lsn, Payload: payload}, nil
 }

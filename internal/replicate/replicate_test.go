@@ -3,8 +3,8 @@ package replicate_test
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
-	"fmt"
 	"io"
 	"path/filepath"
 	"strings"
@@ -111,25 +111,50 @@ func TestCodecRoundTrip(t *testing.T) {
 }
 
 func TestDecoderRejectsMalformed(t *testing.T) {
-	cases := map[string]string{
-		"bad json":          "not json\n",
-		"unknown type":      `{"type":"gossip","lsn":1}` + "\n",
-		"negative size":     `{"type":"frame","lsn":1,"size":-4}` + "\n",
-		"oversized frame":   fmt.Sprintf(`{"type":"frame","lsn":1,"size":%d}`+"\n", int64(journal.MaxRecordLen)+1),
-		"heartbeat w/ body": `{"type":"heartbeat","lsn":1,"size":3}` + "\nabc",
-		"huge header":       `{"type":"frame","lsn":1,"pad":"` + strings.Repeat("x", 8192) + `"}` + "\n",
+	frame := func(typ byte, lsn uint64, payload string) []byte {
+		return journal.AppendFrame([]byte{typ}, lsn, []byte(payload))
+	}
+	flipped := frame(replicate.TypeFrame, 1, "payload")
+	flipped[len(flipped)-1] ^= 1
+	oversized := frame(replicate.TypeFrame, 1, "")
+	binary.LittleEndian.PutUint32(oversized[1:], journal.MaxRecordLen+1)
+	cases := map[string][]byte{
+		"unknown type":      frame('G', 1, ""),
+		"json header":       []byte(`{"type":"frame","lsn":1,"size":1}` + "\nx"),
+		"bad crc":           flipped,
+		"oversized frame":   oversized,
+		"heartbeat w/ body": frame(replicate.TypeHeartbeat, 1, "abc"),
 	}
 	for name, in := range cases {
-		d := replicate.NewDecoder(strings.NewReader(in))
+		d := replicate.NewDecoder(bytes.NewReader(in))
 		if _, err := d.Next(); !errors.Is(err, replicate.ErrDiverged) {
 			t.Errorf("%s: %v (want ErrDiverged)", name, err)
 		}
 	}
-	// A truncated body is a transport failure, not divergence: the
+	// A truncated message is a transport failure, not divergence: the
 	// follower may reconnect and resume.
-	d := replicate.NewDecoder(strings.NewReader(`{"type":"frame","lsn":1,"size":10}` + "\nshort"))
-	if _, err := d.Next(); !errors.Is(err, io.ErrUnexpectedEOF) {
-		t.Fatalf("truncated body: %v (want io.ErrUnexpectedEOF)", err)
+	whole := frame(replicate.TypeFrame, 1, "0123456789")
+	for _, cut := range []int{1, 5, len(whole) - 1} {
+		d := replicate.NewDecoder(bytes.NewReader(whole[:cut]))
+		if _, err := d.Next(); !errors.Is(err, io.ErrUnexpectedEOF) {
+			t.Fatalf("cut at %d: %v (want io.ErrUnexpectedEOF)", cut, err)
+		}
+	}
+}
+
+// TestOlderStreamFormatHalts: a leader still on the JSON-header stream
+// format is refused at its first byte, before anything is applied — leader
+// and standby upgrade together.
+func TestOlderStreamFormatHalts(t *testing.T) {
+	older := `{"type":"heartbeat","lsn":1}` + "\n" +
+		`{"type":"frame","lsn":1,"size":1}` + "\na" +
+		`{"type":"frame","lsn":2,"size":1}` + "\nb"
+	rec := &recorder{t: t}
+	if err := replicate.Replay(strings.NewReader(older), 0, rec); !errors.Is(err, replicate.ErrDiverged) {
+		t.Fatalf("older stream: %v (want ErrDiverged)", err)
+	}
+	if len(rec.frames) != 0 || len(rec.snapshots) != 0 || len(rec.heartbeats) != 0 {
+		t.Fatalf("applied from an older stream: frames %v snapshots %v heartbeats %v", rec.frames, rec.snapshots, rec.heartbeats)
 	}
 }
 

@@ -347,9 +347,8 @@ type PartitionInfo struct {
 	Status string `json:"status,omitempty"`
 }
 
-// PartitionTopology is the GET /v1/partitions body. A partition-aware
-// client fetches it once (from the router) and routes id-keyed requests
-// straight to the owning partition, skipping the router hop.
+// PartitionTopology is the GET /v1/partitions body: the deployment's
+// partitions and their liveness, for operators and probes.
 type PartitionTopology struct {
 	// Count is the number of partitions; 1 means unpartitioned.
 	Count int `json:"count"`

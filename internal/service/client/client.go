@@ -24,7 +24,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"gridsched/internal/partition"
 	"gridsched/internal/service/api"
 	"gridsched/internal/workload"
 )
@@ -50,13 +49,6 @@ type Client struct {
 	sweepFails int
 	sweepDelay time.Duration
 	sweepSleep time.Duration
-
-	// topo is the learned partition topology (RefreshPartitions): when
-	// set, id-keyed requests and keyed submissions go straight to the
-	// owning partition — zero router hops on the hot path. A transport
-	// failure on a direct partition link drops the topology, falling back
-	// through the configured endpoints (the router) until refreshed.
-	topo atomic.Pointer[partitionTopo]
 
 	// ResubmitWindow bounds how long SubmitJob keeps resubmitting through
 	// transient failures (connection refused/reset, server restarting)
@@ -220,79 +212,6 @@ func (c *Client) follow(from, leader string) {
 	c.cur = len(c.endpoints) - 1
 }
 
-// partitionTopo is the learned partition layout: urls[i] is the base URL
-// of partition i of count.
-type partitionTopo struct {
-	count int
-	urls  []string
-}
-
-// baseFor names the partition base URL owning a request, or ok=false for
-// requests that must go through the configured endpoints (aggregated
-// reads, unkeyed registrations, everything without a partition key).
-func (t *partitionTopo) baseFor(path string, in any) (string, bool) {
-	var id string
-	switch {
-	case path == "/v1/jobs":
-		// Submissions route by their idempotency key — the same hash the
-		// router uses, so a direct submit and its routed retry dedupe on
-		// the same partition.
-		if req, ok := in.(*api.SubmitJobRequest); ok && req.SubmissionID != "" {
-			return t.urls[partition.SubmitOwner(req.SubmissionID, t.count)], true
-		}
-		return "", false
-	case strings.HasPrefix(path, "/v1/jobs/"):
-		id = path[len("/v1/jobs/"):]
-	case strings.HasPrefix(path, "/v1/workers/"):
-		id = path[len("/v1/workers/"):]
-	case strings.HasPrefix(path, "/v1/assignments/"):
-		id = path[len("/v1/assignments/"):]
-	default:
-		return "", false
-	}
-	if i := strings.IndexByte(id, '/'); i >= 0 {
-		id = id[:i]
-	}
-	if p, ok := partition.Owner(id, t.count); ok {
-		return t.urls[p], true
-	}
-	return "", false
-}
-
-// RefreshPartitions fetches GET /v1/partitions from the current endpoint
-// (normally a gridrouter) and, when it describes a partitioned deployment
-// with full URLs, switches the client to partition-aware routing: every
-// id-keyed request and keyed submission then goes straight to the owning
-// partition, adding zero extra hops to the hot dispatch path. Against an
-// unpartitioned server (or a bare partition, which does not know its
-// peers' URLs) the call clears any stale topology and the client keeps
-// using its configured endpoints. The learned topology is dropped
-// automatically when a direct partition link fails; call this again after
-// recovery to re-learn it.
-func (c *Client) RefreshPartitions(ctx context.Context) (*api.PartitionTopology, error) {
-	var topo api.PartitionTopology
-	if err := c.do(ctx, http.MethodGet, "/v1/partitions", nil, &topo); err != nil {
-		return nil, err
-	}
-	usable := topo.Count > 1 && len(topo.Partitions) == topo.Count
-	if usable {
-		urls := make([]string, topo.Count)
-		for _, p := range topo.Partitions {
-			if p.Index < 0 || p.Index >= topo.Count || p.URL == "" {
-				usable = false
-				break
-			}
-			urls[p.Index] = strings.TrimRight(p.URL, "/")
-		}
-		if usable {
-			c.topo.Store(&partitionTopo{count: topo.Count, urls: urls})
-			return &topo, nil
-		}
-	}
-	c.topo.Store(nil)
-	return &topo, nil
-}
-
 // APIError is a non-2xx server reply.
 type APIError struct {
 	StatusCode int
@@ -309,17 +228,13 @@ func (e *APIError) Error() string {
 // send issues one request and returns the reply once its status line is in,
 // the body still unread and the caller's to close. It is the one place
 // requests leave the client, so everything every request shares lives
-// here: the pending sweep-backoff sleep, routing (the owning partition when
-// the topology is known, else the current endpoint), the Content-Type of an
-// encoded body, the Accept header advertising binary when wantBin, a
-// submit's key repeated in api.SubmissionIDHeader, the bearer token,
-// failover — a transport error rotates to the next endpoint
-// (or drops a topology whose direct link failed, so the retry goes back
-// through the router, which can still reach the surviving partitions), a
-// 421 follows the announced leader — and the *APIError for a non-2xx
-// reply. The failed attempt's error is still returned: retrying is the
-// caller's policy (SubmitJobIdempotent, RunWorker), and their next attempt
-// lands on the new endpoint.
+// here: the pending sweep-backoff sleep, the current endpoint, the
+// Content-Type of an encoded body, the Accept header advertising binary when
+// wantBin, a submit's key repeated in api.SubmissionIDHeader, the bearer
+// token, failover — a transport error rotates to the next endpoint, a 421
+// follows the announced leader — and the *APIError for a non-2xx reply. The
+// failed attempt's error is still returned: retrying is the caller's policy
+// (SubmitJobIdempotent, RunWorker); its next attempt uses the new endpoint.
 func (c *Client) send(ctx context.Context, method, path string, in any, wantBin bool) (*http.Response, error) {
 	if d := c.takeSweepSleep(); d > 0 {
 		if err := sleepCtx(ctx, d); err != nil {
@@ -343,12 +258,7 @@ func (c *Client) send(ctx context.Context, method, path string, in any, wantBin 
 		}
 		body = bytes.NewReader(b)
 	}
-	base, routed := c.Endpoint(), false
-	if t := c.topo.Load(); t != nil {
-		if b, ok := t.baseFor(path, in); ok {
-			base, routed = b, true
-		}
-	}
+	base := c.Endpoint()
 	req, err := http.NewRequestWithContext(ctx, method, base+path, body)
 	if err != nil {
 		return nil, err
@@ -371,11 +281,7 @@ func (c *Client) send(ctx context.Context, method, path string, in any, wantBin 
 	resp, err := c.http.Do(req)
 	if err != nil {
 		if ctx.Err() == nil {
-			if routed {
-				c.topo.Store(nil)
-			} else {
-				c.failover(base)
-			}
+			c.failover(base)
 		}
 		return nil, err
 	}

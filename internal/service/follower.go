@@ -20,7 +20,7 @@ import (
 // data dir by the code that opens a leader (open), minus the scheduler
 // factory, so its jobs are shells (jobstate.go) whose counters and states
 // move exactly as the leader's did at no scheduler cost. The replica
-// journals each frame through its commit stage, applies it, checkpoints
+// journals each frame through its own journal writer, applies it, checkpoints
 // itself with the leader's snapshot, and serves the leader's route table
 // (http.go); the Follower itself keeps only the stream. Promote ends it and
 // runs the full recovery path (New) over the replicated data dir — the code
@@ -157,8 +157,8 @@ func (f *Follower) run() {
 // since a poisoned writer can never apply another frame.
 var errFollowerWAL = errors.New("service: follower journal failed")
 
-// ApplyFrame decodes one streamed record, persists it through the replica's
-// commit stage and applies it; a checkpoint follows when one is due.
+// ApplyFrame decodes one streamed record, appends it to the replica's
+// journal and applies it; a checkpoint follows when one is due.
 // replicate.Replay has already proven lsn is exactly last+1. A record this
 // binary cannot decode — an older leader's — is refused before it reaches
 // the data dir.
@@ -211,7 +211,7 @@ func (f *Follower) ApplySnapshot(lsn uint64, data []byte) error {
 		return fmt.Errorf("%w: undecodable snapshot: %v", replicate.ErrDiverged, err)
 	}
 	if snap.LastLSN != lsn {
-		return fmt.Errorf("%w: snapshot body covers lsn %d, header says %d", replicate.ErrDiverged, snap.LastLSN, lsn)
+		return fmt.Errorf("%w: snapshot body covers lsn %d, its frame says %d", replicate.ErrDiverged, snap.LastLSN, lsn)
 	}
 	// Restore before writeCheckpoint drops the inline workloads (a running
 	// job without one is refused: the message is self-contained, no workload

@@ -205,7 +205,7 @@ func (s *Service) Report(assignmentID, workerID, outcome string) (*api.ReportRes
 // accounting intact when a worker retries a whole batch after a dropped
 // connection: items that landed the first time come back stale, never
 // double-counted. The batch's WAL records go through ONE contiguous
-// commit-stage append per shard group (consecutive LSNs, one write(2)), the
+// journal append per shard group (consecutive LSNs, one write(2)), the
 // groups in the order their shards first appear in the batch, and one
 // durability wait covers them all, amortizing the fsync that dominates a
 // journaled report's cost.

@@ -16,12 +16,11 @@ import (
 
 // persistence is the journaling state of a Service with Config.DataDir
 // set. carry is guarded by the coordinator mutex; sinceSnapshot is
-// atomic; stage serializes appends (commit.go); stored and atStep belong
-// to the checkpoint path and are guarded by snapMu.
+// atomic; w orders appends itself; stored and atStep belong to the
+// checkpoint path and are guarded by snapMu.
 type persistence struct {
 	dir           string
 	w             *journal.Writer
-	stage         *commitStage
 	carry         carryCounters
 	sinceSnapshot atomic.Int64 // records appended since the last snapshot
 	// stored lists the running jobs whose workload file is durable in dir,
@@ -51,9 +50,9 @@ func (p *persistence) reached(step string) error {
 
 func (s *Service) walPath() string { return filepath.Join(s.pst.dir, walFile) }
 
-// appendRecord journals rec through the commit stage. Callers hold the
-// lock that owns rec's state change (the job's shard, or the coordinator
-// for records whose WAL position must match arbiter order); the returned
+// appendRecord journals rec. Callers hold the lock that owns rec's state
+// change (the job's shard, or the coordinator for records whose WAL
+// position must match arbiter order); the returned
 // LSN is what waitDurable (outside every lock) keys on. An error leaves
 // service state untouched, so callers that can abort cleanly (submit,
 // report, delete) surface it to the client. The append-then-apply pair
@@ -72,13 +71,13 @@ func (s *Service) appendRecord(rec *record) (uint64, error) {
 
 // appendEncoded journals payloads encoded ahead of time — a submit, or a
 // batch of reports — as one contiguous WAL append (consecutive LSNs, one
-// write(2) — see commitStage.appendAll), returning the first LSN.
+// write(2) — see journal.Writer.Append), returning the first LSN.
 // All-or-nothing: on error nothing was appended, so the caller may abort
 // without applying any of the group. Like appendRecord, call while holding
 // the lock that owns the records' WAL order.
 func (s *Service) appendEncoded(payloads ...[]byte) (uint64, error) {
-	first, err := s.pst.stage.appendAll(payloads...)
-	if errors.Is(err, errRecordTooLarge) {
+	first, err := s.pst.w.Append(payloads...)
+	if errors.Is(err, journal.ErrRecordTooLarge) {
 		return 0, errf(http.StatusRequestEntityTooLarge, "service: %v", err)
 	}
 	if err != nil {

@@ -2,14 +2,10 @@ package service
 
 import (
 	"bytes"
-	"errors"
-	"path/filepath"
 	"reflect"
 	"slices"
-	"sync"
 	"testing"
 
-	"gridsched/internal/journal"
 	"gridsched/internal/service/api"
 	"gridsched/internal/workload"
 )
@@ -134,57 +130,5 @@ func TestReplayBoundsChecksCoordinates(t *testing.T) {
 				t.Fatal("applied")
 			}
 		})
-	}
-}
-
-// TestOversizedRecordFailsOnlyItsCaller: a payload the log cannot frame is
-// refused before it joins a batch, so the appends racing it — in the live
-// service a dispatch or an expiry, which fail-stop on any journal error —
-// all succeed, with consecutive LSNs.
-func TestOversizedRecordFailsOnlyItsCaller(t *testing.T) {
-	w, err := journal.OpenWriter(filepath.Join(t.TempDir(), "wal.log"), journal.SyncNever, 0, 0, 0, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer w.Close()
-	stage := newCommitStage(w)
-	huge := make([]byte, journal.MaxRecordLen+1) // never touched: refused by length
-
-	const writers, each = 8, 200
-	var wg sync.WaitGroup
-	lsns := make(chan uint64, writers*each)
-	for g := 0; g < writers; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			small := (&record{Op: opExpire, Ts: 1, Job: "j1"}).appendTo(nil)
-			for i := 0; i < each; i++ {
-				if g == 0 && i%10 == 0 {
-					if _, err := stage.appendAll(small, huge); !errors.Is(err, errRecordTooLarge) {
-						t.Errorf("oversized group: err = %v, want errRecordTooLarge", err)
-					}
-				}
-				lsn, err := stage.appendAll(small)
-				if err != nil {
-					t.Errorf("ordinary append failed beside an oversized one: %v", err)
-					return
-				}
-				lsns <- lsn
-			}
-		}()
-	}
-	wg.Wait()
-	close(lsns)
-	seen := make(map[uint64]bool)
-	for lsn := range lsns {
-		seen[lsn] = true
-	}
-	for lsn := uint64(1); lsn <= writers*each; lsn++ {
-		if !seen[lsn] {
-			t.Fatalf("lsn %d missing: %d distinct LSNs for %d appends", lsn, len(seen), writers*each)
-		}
-	}
-	if got := w.LastLSN(); got != writers*each {
-		t.Fatalf("log holds %d records, want %d (none of the refused groups)", got, writers*each)
 	}
 }

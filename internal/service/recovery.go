@@ -136,9 +136,8 @@ func (s *Service) open() (stale bool, err error) {
 
 	// 3. Log tail: the records the checkpoint does not cover, each applied
 	// as it is read. Then the writer opens over the validated prefix
-	// (truncating any torn tail), and the commit stage comes up with it:
-	// every append from here on — a leader's expiry records, a standby's
-	// streamed frames — goes through it.
+	// (truncating any torn tail): every append from here on — a leader's
+	// expiry records, a standby's streamed frames — goes through it.
 	info, err := journal.ReadLog(s.walPath(), snap.LastLSN, s.applyFrame)
 	if err != nil {
 		return false, err
@@ -155,14 +154,13 @@ func (s *Service) open() (stale bool, err error) {
 }
 
 // openJournal opens the log writer at position last over the log's first
-// validSize bytes (0 resets the file to a fresh empty log), and the commit
-// stage over it.
+// validSize bytes (0 resets the file to a fresh empty log).
 func (s *Service) openJournal(last uint64, validSize int64) error {
 	w, err := journal.OpenWriter(s.walPath(), s.cfg.Fsync, fsyncInterval, last, validSize, s.jmet)
 	if err != nil {
 		return err
 	}
-	s.pst.w, s.pst.stage = w, newCommitStage(w)
+	s.pst.w = w
 	return nil
 }
 

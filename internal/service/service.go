@@ -38,13 +38,13 @@
 //     job's shard alone.
 //   - The worker registry (leases.go) owns worker registrations and
 //     (site, worker) slots.
-//   - The commit stage (commit.go) serializes journal appends from all
-//     shards into the single totally-ordered WAL, batching concurrent
-//     appends into one write(2); fsync waits happen outside every lock.
+//   - The journal writer (internal/journal) orders appends from all shards
+//     into the single totally-ordered WAL, combining concurrent appends
+//     into one write(2); fsync waits happen outside every lock.
 //
 // Lock ordering: a shard lock may be held while acquiring the coordinator
 // or the registry (one at a time, never both); the coordinator may be held
-// while acquiring the commit stage or the wakeup hub; no path ever holds
+// while appending to the journal or acquiring the wakeup hub; no path ever holds
 // two shard locks (the stop-the-world snapshot is the one exception and
 // acquires shards in index order). Read-mostly endpoints (/v1/status,
 // /v1/tenants, /metrics) are served from atomic counters plus brief

@@ -5,7 +5,7 @@
 // guarded by that stripe's mutex.
 // Submits, reports, heartbeats, and lease expiries on different jobs
 // therefore never contend; only the brief which-job decision (dispatch.go)
-// and the WAL total order (commit.go) are shared.
+// and the WAL total order (the journal writer) are shared.
 //
 // Lock ordering (see the package comment): a shard may acquire the
 // coordinator or the registry while held; nothing acquires a shard while
