@@ -104,6 +104,8 @@ func (f *File) Seek(offset int64, whence int) (int64, error) {
 	return f.inner.Seek(offset, whence)
 }
 
+func (f *File) ReadAt(p []byte, off int64) (int, error) { return f.inner.ReadAt(p, off) }
+
 func (f *File) Truncate(size int64) error { return f.inner.Truncate(size) }
 
 func (f *File) Stat() (os.FileInfo, error) { return f.inner.Stat() }

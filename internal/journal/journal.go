@@ -21,9 +21,10 @@
 // layout, docs/ARCHITECTURE.md the data-dir format).
 //
 // This package owns the frame from end to end: AppendFrame is its one
-// encoder and FrameReader.Next its one decoder. ReadLog and TailReader read
-// the log with it, and the replication stream (internal/replicate) carries
-// the same frames, each after a type byte, to a standby.
+// encoder and FrameReader.Next its one decoder. ReadLog is the one reader of
+// the log file. A standby is served the frames the Writer keeps in memory
+// (Frames), each after a type byte on the replication stream
+// (internal/replicate).
 //
 // # Durability
 //
@@ -149,9 +150,15 @@ func AppendFrame(dst []byte, lsn uint64, payload []byte) []byte {
 	return dst
 }
 
+// FrameLen returns the length, header included, of the frame frames starts
+// with: a run of whole frames splits at FrameLen.
+func FrameLen(frames []byte) int {
+	return frameHeaderLen + int(binary.LittleEndian.Uint32(frames))
+}
+
 // FrameReader decodes consecutive frames from a buffered stream: a log past
-// its magic (ReadLog, TailReader) or a replication stream past each
-// message's type byte. Its Next is the one frame decoder.
+// its magic (ReadLog) or a replication stream past each message's type
+// byte. Its Next is the one frame decoder.
 type FrameReader struct {
 	r   *bufio.Reader
 	buf []byte // the last frame read: header, then payload
@@ -204,6 +211,7 @@ func (d *FrameReader) Next(limit int, least uint64) (uint64, []byte, error) {
 // silently acknowledging records the log did not keep.
 type File interface {
 	io.Writer
+	io.ReaderAt
 	io.Seeker
 	io.Closer
 	Sync() error
@@ -243,14 +251,15 @@ type Writer struct {
 	err     error  // terminal write/sync failure, or ErrClosed
 	closed  bool   // shutdown ran; distinct from err, which poison also sets
 
-	// rotations counts Rotate calls. Tail-following readers (the
-	// replication streamer) snapshot it before scanning and restart when
-	// it moves: a rotation invalidates every byte offset they held.
-	rotations atomic.Uint64
+	// cur holds what the file holds since the last rotation, prev the
+	// segment before it: what Frames serves a streamer from. heldMu is
+	// taken under mu by write and Rotate, alone by Frames.
+	heldMu    sync.Mutex
+	cur, prev segment
 
 	// notify is closed and replaced by the first append after AppendNotify
-	// handed it out, so a tail-following reader can block for "new frames"
-	// without polling and an append nobody follows allocates nothing.
+	// handed it out, so a streamer can block for "new frames" without
+	// polling and an append nobody follows allocates nothing.
 	notifyMu      sync.Mutex
 	notify        chan struct{}
 	notifyAwaited bool // notify was handed out since it was last replaced
@@ -328,6 +337,25 @@ func OpenWriterFile(f File, mode Mode, interval time.Duration, lastLSN uint64, v
 	}
 	w.appended.Store(lastLSN)
 	w.durable = lastLSN
+	w.cur.first = lastLSN + 1
+	if validSize > int64(len(logMagic)) {
+		// A log that is not empty at open (recovery could not compact it, or
+		// a standby restarted) is held as if this writer had written it —
+		// when its LSNs run one by one up to lastLSN, as this package writes
+		// them. ReadLog's prefix rises strictly: its ends tell.
+		frames := make([]byte, validSize-int64(len(logMagic)))
+		if _, err := f.ReadAt(frames, int64(len(logMagic))); err != nil {
+			f.Close()
+			return nil, err
+		}
+		held := segment{first: lastLSN + 1}
+		held.add(frames)
+		held.first -= uint64(len(held.offs))
+		if held.lsn(0) == held.first && held.lsn(len(held.offs)-1) == lastLSN {
+			w.cur = held
+		}
+	}
+	w.prev.first = w.cur.first
 	w.qcond = sync.NewCond(&w.qmu)
 	w.syncCh = sync.NewCond(&w.syncMu)
 	go w.flusher()
@@ -405,8 +433,50 @@ func (w *Writer) write(frames []byte, upto uint64) {
 		w.met.Records.Add(int64(upto - w.appended.Load()))
 		w.met.Bytes.Add(int64(len(frames)))
 	}
+	w.heldMu.Lock()
+	w.cur.add(frames)
+	w.heldMu.Unlock()
 	w.appended.Store(upto)
 	w.notifyAppend()
+}
+
+// segment is the frames the log held between two rotations — one
+// checkpoint interval — as the file held them: the frame with LSN first+i
+// starts at frames[offs[i]].
+type segment struct {
+	first  uint64
+	frames []byte
+	offs   []int
+}
+
+// add appends a run of whole frames, the next ones in LSN order. The bytes
+// already in the segment are never written again: a view of them stays
+// valid however the segment grows.
+func (seg *segment) add(frames []byte) {
+	for off := 0; off < len(frames); off += FrameLen(frames[off:]) {
+		seg.offs = append(seg.offs, len(seg.frames)+off)
+	}
+	seg.frames = append(seg.frames, frames...)
+}
+
+// lsn is the LSN the i-th frame's header carries.
+func (seg *segment) lsn(i int) uint64 { return binary.LittleEndian.Uint64(seg.frames[seg.offs[i]+8:]) }
+
+// Frames returns the frames the writer holds with LSN above after, as the
+// log holds them, from after+1 to the end of their segment: a streamer asks
+// again from the last LSN it got until nothing comes back. held is false
+// when frame after+1 is older than the segment before the last rotation.
+// A frame is handed out once its write(2) returned; a view is never
+// written again.
+func (w *Writer) Frames(after uint64) (frames []byte, held bool) {
+	w.heldMu.Lock()
+	defer w.heldMu.Unlock()
+	for _, seg := range [...]*segment{&w.prev, &w.cur} {
+		if i := after + 1 - seg.first; after+1 >= seg.first && i < uint64(len(seg.offs)) {
+			return seg.frames[seg.offs[i]:len(seg.frames):len(seg.frames)], true
+		}
+	}
+	return nil, after+1 >= w.prev.first
 }
 
 // notifyAppend wakes every AppendNotify waiter (close-and-replace, the
@@ -422,8 +492,8 @@ func (w *Writer) notifyAppend() {
 }
 
 // AppendNotify returns a channel closed after the next append (or
-// rotation, or shutdown — any event that should make a tail follower
-// look again). Subscribe BEFORE checking for new frames, then wait.
+// rotation, or shutdown — any event that should make a streamer look
+// again). Subscribe BEFORE asking Frames, then wait.
 func (w *Writer) AppendNotify() <-chan struct{} {
 	w.notifyMu.Lock()
 	ch := w.notify
@@ -431,10 +501,6 @@ func (w *Writer) AppendNotify() <-chan struct{} {
 	w.notifyMu.Unlock()
 	return ch
 }
-
-// Rotations counts Rotate calls; tail followers snapshot it to detect
-// that their byte offsets went stale.
-func (w *Writer) Rotations() uint64 { return w.rotations.Load() }
 
 // WaitDurable blocks until the record at lsn is fsync-covered (SyncAlways)
 // or returns immediately (SyncBatch, SyncNever). Callers must not hold
@@ -528,7 +594,9 @@ func (w *Writer) flusher() {
 
 // Rotate empties the log after a snapshot made its contents redundant. The
 // LSN sequence continues; the truncation is fsynced so a machine crash
-// cannot resurrect pre-snapshot records behind the snapshot's back.
+// cannot resurrect pre-snapshot records behind the snapshot's back. What
+// the log held becomes the writer's previous segment, and the one before
+// it is let go: a streamer that still needed it is sent the checkpoint.
 func (w *Writer) Rotate() error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -554,7 +622,9 @@ func (w *Writer) Rotate() error {
 	w.durable = w.appended.Load()
 	w.syncCh.Broadcast()
 	w.syncMu.Unlock()
-	w.rotations.Add(1)
+	w.heldMu.Lock()
+	w.prev, w.cur = w.cur, segment{first: w.appended.Load() + 1}
+	w.heldMu.Unlock()
 	w.notifyAppend()
 	return nil
 }
@@ -591,7 +661,7 @@ func (w *Writer) shutdown(reportCloseErr bool) error {
 	if already {
 		return nil
 	}
-	w.notifyAppend() // unblock tail followers so they observe the close
+	w.notifyAppend() // unblock streamers so they observe the close
 	close(w.stop)
 	<-w.done
 	w.mu.Lock()
@@ -618,7 +688,7 @@ func (w *Writer) poison(err error) {
 	}
 	w.syncCh.Broadcast()
 	w.syncMu.Unlock()
-	w.notifyAppend() // tail followers must notice the failure, not hang
+	w.notifyAppend() // streamers must notice the failure, not hang
 }
 
 // LogInfo describes what ReadLog recovered.

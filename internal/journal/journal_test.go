@@ -490,3 +490,65 @@ func TestConcurrentGroupsStayWhole(t *testing.T) {
 		t.Fatalf("read back %+v, %v; %d LSNs handed out", info, err, len(want))
 	}
 }
+
+// TestAppendNotifyWakesWaiters: AppendNotify's channel closes on append,
+// rotation, and shutdown — everything a parked streamer must wake for.
+func TestAppendNotifyWakesWaiters(t *testing.T) {
+	w, _ := openStreamWriter(t)
+	wait := func(ch <-chan struct{}, what string) {
+		t.Helper()
+		select {
+		case <-ch:
+		case <-time.After(5 * time.Second):
+			t.Fatalf("notify channel never closed after %s", what)
+		}
+	}
+	ch := w.AppendNotify()
+	if _, err := w.Append([]byte("x")); err != nil {
+		t.Fatal(err)
+	}
+	wait(ch, "append")
+	ch = w.AppendNotify()
+	if err := w.Rotate(); err != nil {
+		t.Fatal(err)
+	}
+	wait(ch, "rotate")
+	ch = w.AppendNotify()
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	wait(ch, "close")
+}
+
+// TestAppendWithoutFollowerAllocatesNothing: the notify channel is only
+// replaced once somebody took it, so a log nobody streams appends without
+// allocating per record (what the writer holds grows by doubling) — and
+// one that is streamed still wakes every time.
+func TestAppendWithoutFollowerAllocatesNothing(t *testing.T) {
+	w, _ := openStreamWriter(t)
+	payload := []byte("a record of ordinary size, nobody listening")
+	if _, err := w.Append(payload); err != nil { // sizes the frame buffer
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(200, func() {
+		if _, err := w.Append(payload); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Fatalf("Append allocates %v times per record with no follower", n)
+	}
+	for i := 0; i < 3; i++ {
+		ch := w.AppendNotify()
+		if again := w.AppendNotify(); again != ch {
+			t.Fatal("two subscriptions between appends got different channels")
+		}
+		if _, err := w.Append(payload); err != nil {
+			t.Fatal(err)
+		}
+		select {
+		case <-ch:
+		default:
+			t.Fatalf("round %d: append did not close the channel a follower held", i)
+		}
+	}
+}

@@ -23,11 +23,11 @@
 // # Resumption and catch-up
 //
 // A follower connects with ?from=<lsn>, the last LSN it holds. The
-// leader serves lsn+1, lsn+2, … from its live WAL via a tail-following
-// reader (journal.TailReader). When the requested position was compacted
-// away by snapshot rotation, the leader ships its current snapshot file
-// first ("snapshot" message, lsn = the LSN the snapshot covers) and
-// resumes framing from there. Heartbeats flow whenever the stream is
+// leader serves lsn+1, lsn+2, … verbatim from the frames its journal
+// writer holds (journal.Writer.Frames: two checkpoint intervals). The
+// catch-up document ('S', lsn = the LSN it covers) goes only to a follower
+// that attaches behind the leader's checkpoint or falls two rotations
+// behind; framing resumes past it. Heartbeats flow whenever the stream is
 // idle so the follower can measure lag and detect leader death.
 //
 // # Safety
@@ -88,6 +88,19 @@ func (e *Encoder) msg(typ byte, lsn uint64, payload []byte) error {
 
 // Frame writes one journal record.
 func (e *Encoder) Frame(lsn uint64, payload []byte) error { return e.msg(TypeFrame, lsn, payload) }
+
+// Frames writes a run of whole journal frames, as journal.Writer.Frames
+// hands them out, one message each: the type byte, then the frame's bytes
+// verbatim. It returns how many it wrote.
+func (e *Encoder) Frames(frames []byte) (n int, err error) {
+	for ; len(frames) > 0 && err == nil; n++ {
+		size := journal.FrameLen(frames)
+		_ = e.w.WriteByte(TypeFrame) // a bufio.Writer's error sticks: Write reports it
+		_, err = e.w.Write(frames[:size])
+		frames = frames[size:]
+	}
+	return n, err
+}
 
 // Snapshot writes a snapshot catch-up message; lsn is the LSN the
 // snapshot covers.

@@ -5,10 +5,12 @@ import (
 	"context"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"io"
 	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -265,18 +267,20 @@ func TestReplayOrdering(t *testing.T) {
 }
 
 // sourceEnv is one leader-side WAL plus a Source wired to it the way
-// internal/service wires the live journal.
+// internal/service wires the live journal. Its checkpoint is the LSN the
+// last rotate covered, and its catch-up document that LSN in decimal.
 type sourceEnv struct {
+	path string
 	w    *journal.Writer
 	src  *replicate.Source
 	done chan struct{}
+	ckpt atomic.Uint64
 }
 
 func newSourceEnv(t *testing.T) *sourceEnv {
 	t.Helper()
-	dir := t.TempDir()
-	walPath := filepath.Join(dir, "wal.log")
-	w, err := journal.OpenWriter(walPath, journal.SyncNever, 0, 0, 0, &journal.Metrics{})
+	path := filepath.Join(t.TempDir(), "wal.log")
+	w, err := journal.OpenWriter(path, journal.SyncNever, 0, 0, 0, &journal.Metrics{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -289,19 +293,78 @@ func newSourceEnv(t *testing.T) *sourceEnv {
 			close(done)
 		}
 	})
-	return &sourceEnv{
-		w: w,
-		src: &replicate.Source{
-			WALPath: walPath,
-			// No checkpoint until a test installs one.
-			Snapshot:  func(uint64) (uint64, []byte, error) { return 0, nil, nil },
-			LastLSN:   w.LastLSN,
-			Notify:    w.AppendNotify,
-			Rotations: w.Rotations,
-			Done:      done,
-			Heartbeat: 50 * time.Millisecond,
+	env := &sourceEnv{path: path, w: w, done: done}
+	env.src = &replicate.Source{
+		Log: w,
+		Snapshot: func(next uint64) (uint64, []byte, error) {
+			if lsn := env.ckpt.Load(); lsn > 0 && lsn >= next {
+				return lsn, fmt.Append(nil, lsn), nil
+			}
+			return env.ckpt.Load(), nil, nil
 		},
-		done: done,
+		Done:      done,
+		Heartbeat: 50 * time.Millisecond,
+	}
+	return env
+}
+
+// rotate checkpoints the way the service does: the checkpoint is in place
+// before the log rotates.
+func (env *sourceEnv) rotate(t *testing.T) {
+	t.Helper()
+	env.ckpt.Store(env.w.LastLSN())
+	if err := env.w.Rotate(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func (env *sourceEnv) append(t *testing.T, payloads ...string) {
+	t.Helper()
+	for _, p := range payloads {
+		if _, err := env.w.Append([]byte(p)); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// serve streams from the given position into a decoder, past the
+// heartbeat every stream starts with.
+func (env *sourceEnv) serve(t *testing.T, from uint64) *replicate.Decoder {
+	t.Helper()
+	pr, pw := io.Pipe()
+	ctx, cancel := context.WithCancel(context.Background())
+	t.Cleanup(func() { cancel(); pr.Close() })
+	go func() { pw.CloseWithError(env.src.Serve(ctx, pw, from)) }()
+	d := replicate.NewDecoder(pr)
+	if msg, err := d.Next(); err != nil || msg.Type != replicate.TypeHeartbeat {
+		t.Fatalf("first message %c@%d, %v; want a heartbeat", msg.Type, msg.LSN, err)
+	}
+	return d
+}
+
+// pauseAfterFirstFrames holds the streamer inside its first OnFrames call —
+// its position already past what it wrote — until the returned resume is
+// called; paused is closed once it is held.
+func (env *sourceEnv) pauseAfterFirstFrames() (paused <-chan struct{}, resume func()) {
+	p, r := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	env.src.OnFrames = func(int) { once.Do(func() { close(p); <-r }) }
+	return p, func() { close(r) }
+}
+
+// expect reads the next message that is not a heartbeat and requires its
+// type and LSN.
+func expect(t *testing.T, d *replicate.Decoder, typ byte, lsn uint64) replicate.Msg {
+	t.Helper()
+	for {
+		msg, err := d.Next()
+		if err == nil && msg.Type == replicate.TypeHeartbeat {
+			continue
+		}
+		if err != nil || msg.Type != typ || msg.LSN != lsn {
+			t.Fatalf("message %c@%d, %v; want %c@%d", msg.Type, msg.LSN, err, typ, lsn)
+		}
+		return msg
 	}
 }
 
@@ -383,12 +446,12 @@ func TestSourceSnapshotCatchUp(t *testing.T) {
 	}
 	// Seed the writer's LSN sequence at 5 so the next append is 6.
 	env.w.Close()
-	w, err := journal.OpenWriter(env.src.WALPath, journal.SyncNever, 0, 5, 0, &journal.Metrics{})
+	w, err := journal.OpenWriter(env.path, journal.SyncNever, 0, 5, 0, &journal.Metrics{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer w.Close()
-	env.src.LastLSN, env.src.Notify, env.src.Rotations = w.LastLSN, w.AppendNotify, w.Rotations
+	env.src.Log = w
 	if lsn, err := w.Append([]byte("six")); err != nil || lsn != 6 {
 		t.Fatalf("append: lsn %d err %v", lsn, err)
 	}
@@ -445,4 +508,65 @@ func TestSourceResumesFrom(t *testing.T) {
 		}
 	}
 	close(env.done)
+}
+
+// TestSourceRotationMidStream is the leader checkpointing before its
+// streamer forwarded the interval's last records: the frames continue from
+// the interval the writer still holds, and no catch-up document is sent.
+func TestSourceRotationMidStream(t *testing.T) {
+	env := newSourceEnv(t)
+	paused, resume := env.pauseAfterFirstFrames()
+	env.append(t, "a")
+	d := env.serve(t, 0)
+	<-paused
+	env.append(t, "b")
+	env.rotate(t)
+	env.append(t, "c")
+	resume()
+	for i, want := range []string{"a", "b", "c"} {
+		if msg := expect(t, d, replicate.TypeFrame, uint64(i+1)); string(msg.Payload) != want {
+			t.Fatalf("frame %d: %q, want %q", i+1, msg.Payload, want)
+		}
+	}
+}
+
+// TestSourceTwoRotationsBehind: a streamer two rotations behind is owed a
+// frame the writer let go, so it is sent the checkpoint once, then frames.
+func TestSourceTwoRotationsBehind(t *testing.T) {
+	env := newSourceEnv(t)
+	paused, resume := env.pauseAfterFirstFrames()
+	env.append(t, "a")
+	d := env.serve(t, 0)
+	<-paused
+	env.append(t, "b")
+	env.rotate(t)
+	env.append(t, "c")
+	env.rotate(t)
+	env.append(t, "d")
+	resume()
+	expect(t, d, replicate.TypeFrame, 1)
+	if msg := expect(t, d, replicate.TypeSnapshot, 3); string(msg.Payload) != "3" {
+		t.Fatalf("catch-up document %q, want the checkpoint at 3", msg.Payload)
+	}
+	expect(t, d, replicate.TypeFrame, 4)
+	env.append(t, "e")
+	expect(t, d, replicate.TypeFrame, 5)
+}
+
+// TestSourceAttachBehindCheckpoint: a follower attaching behind the
+// checkpoint is sent it first, though the writer still holds the frames;
+// one attaching at it is sent frames only.
+func TestSourceAttachBehindCheckpoint(t *testing.T) {
+	env := newSourceEnv(t)
+	env.append(t, "a", "b", "c")
+	env.rotate(t)
+	env.append(t, "d")
+	d := env.serve(t, 1)
+	expect(t, d, replicate.TypeSnapshot, 3)
+	expect(t, d, replicate.TypeFrame, 4)
+
+	d = env.serve(t, 3)
+	expect(t, d, replicate.TypeFrame, 4)
+	env.append(t, "e")
+	expect(t, d, replicate.TypeFrame, 5)
 }

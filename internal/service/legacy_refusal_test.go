@@ -268,9 +268,19 @@ func TestLegacyFormatsRefused(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			leaderDir := t.TempDir()
+			walPath := filepath.Join(leaderDir, "wal.log")
 			if tc.frame != nil {
 				writeLog(t, leaderDir, tc.frame)
 			}
+			info, err := journal.ReadLog(walPath, 0, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			leaderLog, err := journal.OpenWriter(walPath, journal.SyncNever, 0, info.LastLSN, info.ValidSize, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer leaderLog.Close()
 			stop := make(chan struct{})
 			defer close(stop)
 			srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -280,17 +290,14 @@ func TestLegacyFormatsRefused(t *testing.T) {
 					return
 				}
 				src := &replicate.Source{
-					WALPath: filepath.Join(leaderDir, "wal.log"),
+					Log: leaderLog,
 					Snapshot: func(next uint64) (uint64, []byte, error) {
 						if tc.catchUp == "" || next > 9 {
 							return 0, nil, nil
 						}
 						return 9, []byte(tc.catchUp), nil
 					},
-					LastLSN:   func() uint64 { return 1 },
-					Notify:    func() <-chan struct{} { return nil },
-					Rotations: func() uint64 { return 0 },
-					Done:      stop,
+					Done: stop,
 				}
 				_ = src.Serve(r.Context(), w, from)
 			}))

@@ -88,6 +88,7 @@ import (
 	"gridsched/internal/core"
 	"gridsched/internal/journal"
 	"gridsched/internal/metrics"
+	"gridsched/internal/partition"
 	"gridsched/internal/service/api"
 	"gridsched/internal/workload"
 )
@@ -432,6 +433,10 @@ func (s *Service) applyRecord(rec *record) error {
 	case opSubmit:
 		if rec.Workload == nil {
 			return fmt.Errorf("service: submit record %s has no workload", rec.Job)
+		}
+		if p, ok := partition.Owner(rec.Job, s.cfg.PartitionCount); !ok || p != s.cfg.PartitionIndex {
+			return fmt.Errorf("service: submit record %s belongs to partition %d of %d, configured as %d of %d (re-partitioning needs a migration, not a restart)",
+				rec.Job, p, s.cfg.PartitionCount, s.cfg.PartitionIndex, s.cfg.PartitionCount)
 		}
 		j := s.newJob(rec, len(rec.Workload.Tasks))
 		if err := s.rebuild(j, rec.Workload); err != nil {

@@ -13,7 +13,8 @@ import (
 )
 
 // Leader side of WAL replication: GET /v1/replication/stream hands the
-// connection to a replicate.Source that tail-follows the live journal.
+// connection to a replicate.Source that streams the frames the live
+// journal writer holds.
 // The endpoint is admin-gated by the ingress chain (middleware.Auth
 // treats /v1/replication/ as an admin surface) and requires -data-dir —
 // an in-memory service has no log to stream.
@@ -47,15 +48,10 @@ func (s *Service) handleReplicationStream(w http.ResponseWriter, r *http.Request
 		return
 	}
 	src := &replicate.Source{
-		WALPath:   s.walPath(),
-		Snapshot:  s.catchUpSnapshot,
-		LastLSN:   s.pst.w.LastLSN,
-		Notify:    s.pst.w.AppendNotify,
-		Rotations: s.pst.w.Rotations,
-		Done:      s.sweepStop, // closed by Close/CrashForTest
-		OnFrame: func() {
-			s.repl.FramesStreamed.Add(1)
-		},
+		Log:      s.pst.w,
+		Snapshot: s.catchUpSnapshot,
+		Done:     s.sweepStop, // closed by Close/CrashForTest
+		OnFrames: func(n int) { s.repl.FramesStreamed.Add(int64(n)) },
 	}
 	w.Header().Set("Content-Type", "application/x-gridsched-replication")
 	w.WriteHeader(http.StatusOK)

@@ -2,7 +2,9 @@ package service_test
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -20,6 +22,7 @@ import (
 	"gridsched/internal/replicate"
 	"gridsched/internal/service"
 	"gridsched/internal/service/api"
+	"gridsched/internal/service/client"
 	"gridsched/internal/workload"
 )
 
@@ -117,27 +120,114 @@ func TestStandbyCheckpointsItself(t *testing.T) {
 	}
 }
 
+// TestStandbyKeepsUpAcrossCheckpoints: a standby attached before the first
+// submit, and caught up after every request, is never sent the catch-up
+// document, wherever inside a multi-record append the leader's checkpoint
+// falls due. A worker streams k-grant lease frames and reports each as one
+// k-item batch; SnapshotEvery puts the first checkpoint's due record at
+// every position of a lease frame and of a report batch. The leader rotates
+// inside the request that appended the due record, before its streamer can
+// have forwarded it: on one core the streamer runs only after the rotation,
+// and must still be served the interval's last records as frames.
+func TestStandbyKeepsUpAcrossCheckpoints(t *testing.T) {
+	const k, rounds = 4, 16
+	// Polled tightly, as TestStandbyCheckpointsItself does: the leader is not
+	// given idle time in which its streamer could catch up by luck.
+	caughtUp := func(t *testing.T, fl *service.Follower, leader *service.Service) {
+		t.Helper()
+		for deadline := time.Now().Add(10 * time.Second); fl.LastLSN() < leader.ReplicationLastLSN(); time.Sleep(50 * time.Microsecond) {
+			if err := fl.Halted(); err != nil || time.Now().After(deadline) {
+				t.Fatalf("standby at lsn %d, leader at %d (halted: %v)", fl.LastLSN(), leader.ReplicationLastLSN(), err)
+			}
+		}
+	}
+	for every := k + 1; every <= 3*k; every++ {
+		// The submit is record 1, so the checkpoint falls due n records after
+		// it: at the first lease frame's last grant, in the first report
+		// batch, or in the second lease frame.
+		n := every - 1
+		kind := "lease frame, grant"
+		if (n-1)/k == 1 {
+			kind = "report batch, item"
+		}
+		t.Run(fmt.Sprintf("%s %d of %d", kind, (n-1)%k+1, k), func(t *testing.T) {
+			cfg := durableConfig(t.TempDir())
+			cfg.SnapshotEvery = every
+			leader, err := service.New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(leader.Close)
+			srv := httptest.NewServer(leader.Handler())
+			t.Cleanup(srv.Close)
+			fl := startFollower(t, srv.URL)
+
+			if _, err := leader.SubmitJob(api.SubmitJobRequest{Name: "frames", Algorithm: "combined.2", Workload: syntheticWorkload(4*k*rounds, 3), Seed: 7}); err != nil {
+				t.Fatal(err)
+			}
+			caughtUp(t, fl, leader)
+			reg := register(t, leader, 0)
+			ls, err := client.New(srv.URL, nil).StreamLeases(context.Background(), reg.WorkerID, k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer ls.Close()
+			for r := 0; r < rounds; r++ {
+				var items []api.ReportItem
+				for len(items) < k {
+					lb, err := ls.Next()
+					if err != nil {
+						t.Fatalf("round %d: lease stream: %v", r, err)
+					}
+					for _, a := range lb.Assignments {
+						items = append(items, api.ReportItem{AssignmentID: a.ID, Outcome: api.OutcomeSuccess})
+					}
+				}
+				caughtUp(t, fl, leader)
+				if _, err := leader.ReportBatch(reg.WorkerID, items); err != nil {
+					t.Fatal(err)
+				}
+				caughtUp(t, fl, leader)
+			}
+			if leader.Counters().Snapshots.Load() < 2 {
+				t.Fatalf("the leader checkpointed %d times over %d records", leader.Counters().Snapshots.Load(), leader.ReplicationLastLSN())
+			}
+			if got := fl.ReplicationCounters().SnapshotsApplied.Load(); got != 0 {
+				t.Fatalf("the standby was sent %d catch-up snapshots: it was not caught up throughout", got)
+			}
+		})
+	}
+}
+
 // TestStandbyPartitionIdentity: a standby checks whose data it holds where
 // a leader does, and whose it is being sent — while its leader is alive,
-// not inside Promote.
+// not inside Promote — whether the leader sends its checkpoint or, before
+// its first one, its submit records.
 func TestStandbyPartitionIdentity(t *testing.T) {
-	dir := t.TempDir()
-	leader, err := service.New(partitionedConfig(dir, 1, 2))
-	if err != nil {
-		t.Fatal(err)
+	// leaderOf serves partition 1 of 2 over dir, one job submitted.
+	leaderOf := func(t *testing.T, dir string, checkpoint bool) string {
+		leader, err := service.New(partitionedConfig(dir, 1, 2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(leader.Close)
+		if _, err := leader.SubmitJob(api.SubmitJobRequest{Name: "theirs", Algorithm: "workqueue", Workload: smallWorkload(2)}); err != nil {
+			t.Fatal(err)
+		}
+		if checkpoint {
+			if err := leader.SnapshotForTest(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		srv := httptest.NewServer(leader.Handler())
+		t.Cleanup(srv.Close)
+		return srv.URL
 	}
-	t.Cleanup(leader.Close)
-	if _, err := leader.SubmitJob(api.SubmitJobRequest{Name: "theirs", Algorithm: "workqueue", Workload: smallWorkload(2)}); err != nil {
-		t.Fatal(err)
-	}
-	if err := leader.SnapshotForTest(); err != nil {
-		t.Fatal(err)
-	}
-	srv := httptest.NewServer(leader.Handler())
-	t.Cleanup(srv.Close)
 
 	t.Run("another partition's data dir", func(t *testing.T) {
-		fl, err := service.NewFollower(partitionedConfig(copyDirForTest(t, dir), 0, 2), service.FollowerConfig{Leader: srv.URL})
+		dir := t.TempDir()
+		url := leaderOf(t, dir, true)
+		fl, err := service.NewFollower(partitionedConfig(copyDirForTest(t, dir), 0, 2), service.FollowerConfig{Leader: url})
 		if err == nil {
 			fl.Close()
 		}
@@ -145,27 +235,39 @@ func TestStandbyPartitionIdentity(t *testing.T) {
 			t.Fatalf("standby 0 of 2 over partition 1's data dir: err = %v, want the migration refusal", err)
 		}
 	})
-	t.Run("another partition's leader", func(t *testing.T) {
-		fdir := t.TempDir()
-		fl, err := service.NewFollower(partitionedConfig(fdir, 0, 2), service.FollowerConfig{
-			Leader: srv.URL, ReconnectMax: 100 * time.Millisecond,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer fl.Close()
-		for deadline := time.Now().Add(10 * time.Second); fl.Halted() == nil; time.Sleep(2 * time.Millisecond) {
-			if time.Now().After(deadline) {
-				t.Fatalf("standby 0 of 2 at lsn %d has not halted on partition 1's catch-up snapshot", fl.LastLSN())
+	for _, tc := range []struct {
+		name       string
+		checkpoint bool // the leader sends its checkpoint, else its submit record
+	}{
+		{"another partition's leader", true},
+		{"another partition's leader, before its first checkpoint", false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			url := leaderOf(t, t.TempDir(), tc.checkpoint)
+			fdir := t.TempDir()
+			fl, err := service.NewFollower(partitionedConfig(fdir, 0, 2), service.FollowerConfig{
+				Leader: url, ReconnectMax: 100 * time.Millisecond,
+			})
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-		if msg := fl.Halted().Error(); !strings.Contains(msg, replicate.ErrDiverged.Error()) || !strings.Contains(msg, "partition 1 of 2") {
-			t.Fatalf("halt does not name the divergence and the partition: %v", fl.Halted())
-		}
-		if got := dirNames(t, fdir); !reflect.DeepEqual(got, []string{"wal.log"}) || fileSize(t, filepath.Join(fdir, "wal.log")) != 8 {
-			t.Fatalf("the refused snapshot touched the data dir: %v", got)
-		}
-	})
+			defer fl.Close()
+			for deadline := time.Now().Add(10 * time.Second); fl.Halted() == nil; time.Sleep(2 * time.Millisecond) {
+				if time.Now().After(deadline) {
+					t.Fatalf("standby 0 of 2 at lsn %d has not halted on partition 1's stream", fl.LastLSN())
+				}
+			}
+			if msg := fl.Halted().Error(); !strings.Contains(msg, replicate.ErrDiverged.Error()) || !strings.Contains(msg, "partition 1 of 2") {
+				t.Fatalf("halt does not name the divergence and the partition: %v", fl.Halted())
+			}
+			if !tc.checkpoint {
+				return
+			}
+			if got := dirNames(t, fdir); !reflect.DeepEqual(got, []string{"wal.log"}) || fileSize(t, filepath.Join(fdir, "wal.log")) != 8 {
+				t.Fatalf("the refused snapshot touched the data dir: %v", got)
+			}
+		})
+	}
 }
 
 // testStandbyCheckpointCrash is TestCheckpointCrashOrdering's standby leg:
