@@ -3,14 +3,16 @@
 // inline link and image, and verifies that relative targets exist —
 // including `#anchor` fragments, which are checked against the target
 // file's headings using GitHub's slug rules. External (http/https/mailto)
-// links are skipped: CI must not flake on someone else's server.
+// links are skipped: CI must not flake on someone else's server. In a file
+// named CHANGES.md it also holds every entry (a paragraph starting with its
+// change number, "PR <n>") numbered 29 or later to at most 150 words.
 //
 // Usage:
 //
-//	doccheck README.md docs
+//	doccheck README.md docs CHANGES.md
 //
-// Exit status is nonzero if any link is broken, with one line per
-// finding. The CI docs job runs it over README.md and docs/ so the
+// Exit status is nonzero on any finding, with one line per finding. The CI
+// docs job runs it over README.md, docs/ and CHANGES.md so the
 // documentation surface cannot rot silently.
 package main
 
@@ -20,6 +22,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"strconv"
 	"strings"
 	"unicode"
 )
@@ -39,13 +42,13 @@ func main() {
 		fmt.Println(p)
 	}
 	if len(problems) > 0 {
-		fmt.Fprintf(os.Stderr, "doccheck: %d broken link(s)\n", len(problems))
+		fmt.Fprintf(os.Stderr, "doccheck: %d problem(s)\n", len(problems))
 		os.Exit(1)
 	}
 }
 
 // run checks every markdown file under the given paths and returns one
-// line per broken link.
+// line per finding.
 func run(paths []string) ([]string, error) {
 	var files []string
 	for _, p := range paths {
@@ -86,13 +89,17 @@ func run(paths []string) ([]string, error) {
 // does not use them).
 var linkRe = regexp.MustCompile(`!?\[[^\]]*\]\(([^)\s]+)\)`)
 
-// checkFile validates every relative link in one markdown file.
+// checkFile validates every relative link in one markdown file, and the
+// entry lengths of a CHANGES.md.
 func checkFile(path string) ([]string, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
 	var problems []string
+	if filepath.Base(path) == "CHANGES.md" {
+		problems = checkEntries(path, string(data))
+	}
 	inFence := false
 	for ln, line := range strings.Split(string(data), "\n") {
 		// Links inside fenced code blocks are literal text, not links.
@@ -111,6 +118,38 @@ func checkFile(path string) ([]string, error) {
 		}
 	}
 	return problems, nil
+}
+
+// Entries of CHANGES.md from capFrom on may hold at most maxEntryWords
+// words (ROADMAP item 13(c)).
+const (
+	capFrom       = 29
+	maxEntryWords = 150
+)
+
+// entryRe matches the first line of a CHANGES.md entry and captures its PR
+// number.
+var entryRe = regexp.MustCompile(`^PR (\d+)\b`)
+
+// checkEntries returns one line per CHANGES.md entry over the word cap. An
+// entry runs from its "PR <n>" line to the next entry or blank line.
+func checkEntries(path, text string) []string {
+	var problems []string
+	lines := strings.Split(text, "\n")
+	for i := 0; i < len(lines); i++ {
+		m := entryRe.FindStringSubmatch(lines[i])
+		if m == nil {
+			continue
+		}
+		words := len(strings.Fields(lines[i]))
+		for j := i + 1; j < len(lines) && strings.TrimSpace(lines[j]) != "" && !entryRe.MatchString(lines[j]); j++ {
+			words += len(strings.Fields(lines[j]))
+		}
+		if n, _ := strconv.Atoi(m[1]); n >= capFrom && words > maxEntryWords {
+			problems = append(problems, fmt.Sprintf("%s:%d: PR %d entry has %d words, over the cap of %d", path, i+1, n, words, maxEntryWords))
+		}
+	}
+	return problems
 }
 
 // checkTarget resolves one link target relative to the file containing it

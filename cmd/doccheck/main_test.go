@@ -1,6 +1,7 @@
 package main
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -64,6 +65,30 @@ func TestDoccheckFindsBrokenLinks(t *testing.T) {
 	}
 }
 
+func TestDoccheckCapsChangesEntries(t *testing.T) {
+	dir := t.TempDir()
+	// entry is the first line of entry n: its two-word label, then text.
+	entry := func(n int, text string) string { return fmt.Sprintf("PR %d%s", n, text) }
+	words := func(n int) string { return strings.Repeat(" word", n) }
+	write(t, filepath.Join(dir, "CHANGES.md"), strings.Join([]string{
+		entry(capFrom-1, words(160)), // before the cap
+		entry(capFrom, words(148)),   // 150 words: at the cap
+		entry(capFrom+1, words(149)),
+		entry(capFrom+1, " fix-up: two"), // an entry may run over several lines
+		"lines" + words(146),
+		"",
+		entry(capFrom+2, " short."),
+	}, "\n"))
+	problems, err := run([]string{filepath.Join(dir, "CHANGES.md")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	joined := strings.Join(problems, "\n")
+	if len(problems) != 2 || !strings.Contains(joined, ":3: "+entry(capFrom+1, " entry has 151 words")) || !strings.Contains(joined, ":4: "+entry(capFrom+1, " entry has 151 words")) {
+		t.Fatalf("want lines 3 and 4 over the cap, got:\n%s", joined)
+	}
+}
+
 func TestSlugify(t *testing.T) {
 	for heading, want := range map[string]string{
 		"# Fair-share arbitration":          "fair-share-arbitration",
@@ -79,9 +104,9 @@ func TestSlugify(t *testing.T) {
 	}
 }
 
-// TestRepositoryDocsAreClean runs the checker over the real README and
-// docs/ tree, so `go test` fails on a broken doc link even before the
-// dedicated CI job runs.
+// TestRepositoryDocsAreClean runs the checker over the real README, docs/
+// tree and CHANGES.md, so `go test` fails on a broken doc link or an
+// over-long entry even before the dedicated CI job runs.
 func TestRepositoryDocsAreClean(t *testing.T) {
 	root := "../.."
 	if _, err := os.Stat(filepath.Join(root, "README.md")); err != nil {
@@ -90,6 +115,7 @@ func TestRepositoryDocsAreClean(t *testing.T) {
 	problems, err := run([]string{
 		filepath.Join(root, "README.md"),
 		filepath.Join(root, "docs"),
+		filepath.Join(root, "CHANGES.md"),
 	})
 	if err != nil {
 		t.Fatal(err)

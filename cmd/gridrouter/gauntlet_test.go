@@ -1,17 +1,13 @@
 package main
 
 import (
-	"bytes"
 	"context"
-	"errors"
 	"fmt"
 	"net"
-	"net/http"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"sync"
-	"syscall"
 	"testing"
 	"time"
 
@@ -19,92 +15,8 @@ import (
 	"gridsched/internal/partition"
 	"gridsched/internal/service/api"
 	"gridsched/internal/service/client"
-	"gridsched/internal/workload"
+	"gridsched/internal/testkit"
 )
-
-// daemon is one gridschedd partition subprocess under test (the same
-// harness shape as cmd/gridschedd's recovery gauntlet).
-type daemon struct {
-	cmd      *exec.Cmd
-	stderr   bytes.Buffer
-	waitCh   chan error
-	waitOnce sync.Once
-	waitErr  error
-}
-
-func (d *daemon) wait() error {
-	d.waitOnce.Do(func() { d.waitErr = <-d.waitCh })
-	return d.waitErr
-}
-
-// startDaemon starts one partition. Every child started here — a restart
-// like the first start — is killed and reaped when the test ends, whichever
-// way it ends: the caller has nothing to defer and nothing to forget.
-func startDaemon(t *testing.T, bin string, args ...string) *daemon {
-	t.Helper()
-	d := &daemon{waitCh: make(chan error, 1)}
-	d.cmd = exec.Command(bin, args...)
-	d.cmd.Stdout = &d.stderr
-	d.cmd.Stderr = &d.stderr
-	if err := d.cmd.Start(); err != nil {
-		t.Fatal(err)
-	}
-	go func() { d.waitCh <- d.cmd.Wait() }()
-	t.Cleanup(d.stop)
-	return d
-}
-
-// alive reports whether the daemon's process still exists.
-func (d *daemon) alive() bool {
-	return syscall.Kill(d.cmd.Process.Pid, 0) == nil
-}
-
-// kill9 SIGKILLs the partition — no shutdown snapshot, no journal sync.
-func (d *daemon) kill9(t *testing.T) {
-	t.Helper()
-	select {
-	case err := <-d.waitCh:
-		t.Fatalf("partition died before the kill (%v):\n%s", err, d.stderr.String())
-	default:
-	}
-	if err := d.cmd.Process.Kill(); err != nil {
-		t.Fatal(err)
-	}
-	_ = d.wait()
-}
-
-func (d *daemon) stop() {
-	_ = d.cmd.Process.Kill()
-	_ = d.wait()
-}
-
-func waitHealthy(t *testing.T, cl *client.Client) {
-	t.Helper()
-	deadline := time.Now().Add(20 * time.Second)
-	for time.Now().Before(deadline) {
-		ctx, cancel := context.WithTimeout(context.Background(), time.Second)
-		_, err := cl.Health(ctx)
-		cancel()
-		if err == nil {
-			return
-		}
-		time.Sleep(25 * time.Millisecond)
-	}
-	t.Fatal("endpoint never became healthy")
-}
-
-func gauntletWorkload(tasks, filesPer int) *workload.Workload {
-	numFiles := tasks*filesPer/2 + filesPer
-	w := &workload.Workload{Name: "partition-gauntlet", NumFiles: numFiles}
-	for i := 0; i < tasks; i++ {
-		task := workload.Task{ID: workload.TaskID(i)}
-		for f := 0; f < filesPer; f++ {
-			task.Files = append(task.Files, workload.FileID((i*filesPer/2+f)%numFiles))
-		}
-		w.Tasks = append(w.Tasks, task)
-	}
-	return w
-}
 
 // submissionFor finds an idempotency key hashing to the wanted partition,
 // so the gauntlet can plant one job on each side deterministically.
@@ -144,23 +56,23 @@ func TestPartitionGauntletKill9(t *testing.T) {
 
 	// Registered before any child is started, so it runs after every
 	// child's own cleanup: nothing this test started may outlive it.
-	var children []*daemon
+	var children []*testkit.Daemon
 	t.Cleanup(func() {
 		for _, d := range children {
-			if d.alive() {
-				t.Errorf("gridschedd pid %d (%v) is still running after the test", d.cmd.Process.Pid, d.cmd.Args[1:])
+			if d.Alive() {
+				t.Errorf("gridschedd pid %d (%v) is still running after the test", d.Cmd.Process.Pid, d.Cmd.Args[1:])
 			}
 		}
 	})
-	start := func(args []string) *daemon {
-		d := startDaemon(t, bin, args...)
+	start := func(args []string) *testkit.Daemon {
+		d := testkit.StartDaemon(t, bin, args...)
 		children = append(children, d)
 		return d
 	}
 
 	// Reserve ports: partitions re-bind theirs across restarts.
 	addrs := make([]string, parts)
-	daemons := make([]*daemon, parts)
+	daemons := make([]*testkit.Daemon, parts)
 	partArgs := make([][]string, parts)
 	for i := 0; i < parts; i++ {
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -177,7 +89,7 @@ func TestPartitionGauntletKill9(t *testing.T) {
 			"-partition-index", fmt.Sprint(i), "-partition-count", fmt.Sprint(parts),
 		}
 		daemons[i] = start(partArgs[i])
-		waitHealthy(t, client.New("http://"+addrs[i], nil))
+		testkit.WaitHealthy(t, client.New("http://"+addrs[i], nil))
 	}
 
 	// The router runs in-process (it is the unit under test here).
@@ -200,7 +112,7 @@ func TestPartitionGauntletKill9(t *testing.T) {
 		t.Fatal("router never became ready")
 	}
 	cl := client.New("http://"+routerAddr, nil)
-	waitHealthy(t, cl)
+	testkit.WaitHealthy(t, cl)
 
 	// One job per partition, planted by idempotency key.
 	ctx, cancelWorkers := context.WithCancel(context.Background())
@@ -209,7 +121,7 @@ func TestPartitionGauntletKill9(t *testing.T) {
 	for i := 0; i < parts; i++ {
 		id, err := cl.SubmitJobIdempotent(ctx, api.SubmitJobRequest{
 			Name: fmt.Sprintf("gauntlet-%d", i), Algorithm: "combined.2", Seed: 11,
-			Workload:     gauntletWorkload(tasks, 4),
+			Workload:     testkit.GauntletWorkload(tasks, 4),
 			SubmissionID: submissionFor(i, parts),
 		})
 		if err != nil {
@@ -257,7 +169,7 @@ func TestPartitionGauntletKill9(t *testing.T) {
 
 	// Let traffic flow, then SIGKILL partition 1 mid-dispatch.
 	time.Sleep(600 * time.Millisecond)
-	daemons[1].kill9(t)
+	daemons[1].Kill9(t)
 
 	// The surviving partition keeps dispatching during the outage: its
 	// job's completion count must keep rising while partition 1 is down.
@@ -285,10 +197,10 @@ func TestPartitionGauntletKill9(t *testing.T) {
 
 	// Restart partition 1: journal replay must bring its job back.
 	daemons[1] = start(partArgs[1])
-	waitHealthy(t, client.New("http://"+addrs[1], nil))
+	testkit.WaitHealthy(t, client.New("http://"+addrs[1], nil))
 	st1, err := jobStatus(cl, jobIDs[1])
 	if err != nil {
-		t.Fatalf("restarted partition lost its job: %v\npartition output:\n%s", err, daemons[1].stderr.String())
+		t.Fatalf("restarted partition lost its job: %v\npartition output:\n%s", err, daemons[1].Stderr.String())
 	}
 	t.Logf("after restart: job1 %d/%d completed, %d dispatched", st1.Completed, st1.Tasks, st1.Dispatched)
 
@@ -331,20 +243,10 @@ func TestPartitionGauntletKill9(t *testing.T) {
 	}
 }
 
-// jobStatus reads one job's status through the router, riding out the
-// recovery-replay window (503 while a partition replays its WAL).
+// jobStatus rides out up to 15s of a restarted partition's recovery
+// replay, 2s a read.
 func jobStatus(cl *client.Client, jobID string) (*api.JobStatus, error) {
-	deadline := time.Now().Add(15 * time.Second)
-	for {
-		js, err := jobStatusNoRetry(cl, jobID)
-		var ae *client.APIError
-		if err != nil && errors.As(err, &ae) &&
-			ae.StatusCode == http.StatusServiceUnavailable && time.Now().Before(deadline) {
-			time.Sleep(25 * time.Millisecond)
-			continue
-		}
-		return js, err
-	}
+	return testkit.JobStatus(cl, jobID, 15*time.Second, 2*time.Second)
 }
 
 func jobStatusNoRetry(cl *client.Client, jobID string) (*api.JobStatus, error) {

@@ -16,6 +16,7 @@ import (
 	"gridsched/internal/core"
 	"gridsched/internal/service/api"
 	"gridsched/internal/service/client"
+	"gridsched/internal/testkit"
 )
 
 // reservePort grabs a free localhost port and releases it for a daemon to
@@ -102,29 +103,29 @@ func TestFailoverGauntletKill9(t *testing.T) {
 	standbyURL := "http://" + standbyAddr
 	topo := []string{"-sites", "2", "-workers", "4", "-capacity", "200", "-lease", "2s"}
 
-	leader := startDaemon(t, bin, append([]string{
+	leader := testkit.StartDaemon(t, bin, append([]string{
 		"-addr", leaderAddr,
 		"-data-dir", t.TempDir(), "-fsync", "batch", "-snapshot-every", "500",
 	}, topo...)...)
-	standby := startDaemon(t, bin, append([]string{
+	standby := testkit.StartDaemon(t, bin, append([]string{
 		"-addr", standbyAddr, "-follow", leaderURL,
 		"-data-dir", t.TempDir(), "-fsync", "batch", "-snapshot-every", "500",
 	}, topo...)...)
 
 	cl := client.NewMulti([]string{leaderURL, standbyURL}, nil)
-	waitHealthy(t, cl)
+	testkit.WaitHealthy(t, cl)
 
 	// Tracked submissions: one big job the workers grind on, plus a
 	// handful of small acked jobs that must survive the failover.
 	ctx, cancelAll := context.WithCancel(context.Background())
 	defer cancelAll()
-	bigJob, err := cl.SubmitJob(ctx, "failover-big", "combined.2", 17, gauntletWorkload(tasks, 4))
+	bigJob, err := cl.SubmitJob(ctx, "failover-big", "combined.2", 17, testkit.GauntletWorkload(tasks, 4))
 	if err != nil {
 		t.Fatal(err)
 	}
 	acked := []string{bigJob}
 	for i := 0; i < 4; i++ {
-		id, err := cl.SubmitJob(ctx, fmt.Sprintf("failover-small-%d", i), "rest", int64(i), gauntletWorkload(6, 2))
+		id, err := cl.SubmitJob(ctx, fmt.Sprintf("failover-small-%d", i), "rest", int64(i), testkit.GauntletWorkload(6, 2))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -188,7 +189,7 @@ func TestFailoverGauntletKill9(t *testing.T) {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("phase 1 stalled at %d completions\nleader:\n%s", n, leader.stderr.String())
+			t.Fatalf("phase 1 stalled at %d completions\nleader:\n%s", n, leader.Stderr.String())
 		}
 		time.Sleep(20 * time.Millisecond)
 	}
@@ -218,7 +219,7 @@ func TestFailoverGauntletKill9(t *testing.T) {
 			default:
 			}
 			sctx, scancel := context.WithTimeout(noise, 300*time.Millisecond)
-			_, _ = ncl.SubmitJob(sctx, fmt.Sprintf("noise-%d", i), "workqueue", int64(i), gauntletWorkload(3, 1))
+			_, _ = ncl.SubmitJob(sctx, fmt.Sprintf("noise-%d", i), "workqueue", int64(i), testkit.GauntletWorkload(3, 1))
 			_, _ = ncl.Jobs(sctx)
 			scancel()
 			time.Sleep(10 * time.Millisecond)
@@ -228,7 +229,7 @@ func TestFailoverGauntletKill9(t *testing.T) {
 	// The failover: kill -9 the leader mid-traffic, promote the standby,
 	// and demand it serves within the budget.
 	time.Sleep(50 * time.Millisecond) // let noise actually overlap the kill
-	leader.kill9(t)
+	leader.Kill9(t)
 
 	promoteStart := time.Now()
 	pctx, pcancel := context.WithTimeout(context.Background(), 10*time.Second)
@@ -239,7 +240,7 @@ func TestFailoverGauntletKill9(t *testing.T) {
 	}
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
-		t.Fatalf("promote: %v\nstandby:\n%s", err, standby.stderr.String())
+		t.Fatalf("promote: %v\nstandby:\n%s", err, standby.Stderr.String())
 	}
 	var promoted api.PromoteResponse
 	if err := json.NewDecoder(resp.Body).Decode(&promoted); err != nil {
@@ -247,7 +248,7 @@ func TestFailoverGauntletKill9(t *testing.T) {
 	}
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK || promoted.Role != api.RoleLeader {
-		t.Fatalf("promote: http %d, %+v\nstandby:\n%s", resp.StatusCode, promoted, standby.stderr.String())
+		t.Fatalf("promote: http %d, %+v\nstandby:\n%s", resp.StatusCode, promoted, standby.Stderr.String())
 	}
 	// Serving check inside the latency budget: the promoted node answers a
 	// real read with the replicated state.
@@ -314,7 +315,7 @@ func TestFailoverGauntletKill9(t *testing.T) {
 	var final *api.JobStatus
 	for {
 		if time.Now().After(drainDeadline) {
-			t.Fatalf("big job never completed after failover; last %+v\nstandby:\n%s", final, standby.stderr.String())
+			t.Fatalf("big job never completed after failover; last %+v\nstandby:\n%s", final, standby.Stderr.String())
 		}
 		st, err := jobStatus(ncl, bigJob)
 		if err == nil {
@@ -394,7 +395,7 @@ func TestFollowerDaemonAutoPromotes(t *testing.T) {
 
 	cl := client.New(leaderURL, nil)
 	ctx := context.Background()
-	jobID, err := cl.SubmitJob(ctx, "survivor", "rest", 3, gauntletWorkload(8, 2))
+	jobID, err := cl.SubmitJob(ctx, "survivor", "rest", 3, testkit.GauntletWorkload(8, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -427,7 +428,7 @@ func TestFollowerDaemonAutoPromotes(t *testing.T) {
 	if err != nil || st.Name != "survivor" {
 		t.Fatalf("replicated job after auto-promotion: %+v, %v", st, err)
 	}
-	if _, err := scl.SubmitJob(ctx, "post-promotion", "workqueue", 1, gauntletWorkload(3, 1)); err != nil {
+	if _, err := scl.SubmitJob(ctx, "post-promotion", "workqueue", 1, testkit.GauntletWorkload(3, 1)); err != nil {
 		t.Fatalf("promoted node rejected a submit: %v", err)
 	}
 

@@ -2,7 +2,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"log"
 	"net/http"
@@ -71,16 +70,10 @@ func runFollower(ctx context.Context, env followerEnv) error {
 			if errors.As(err, &se) {
 				code = se.Code
 			}
-			w.Header().Set("Content-Type", "application/json")
-			w.WriteHeader(code)
-			_ = json.NewEncoder(w).Encode(api.ErrorResponse{Error: err.Error()})
+			api.WriteJSON(w, code, api.ErrorResponse{Error: err.Error()})
 			return
 		}
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(http.StatusOK)
-		_ = json.NewEncoder(w).Encode(api.PromoteResponse{
-			Role: api.RoleLeader, LastLSN: svc.ReplicationLastLSN(),
-		})
+		api.WriteJSON(w, http.StatusOK, api.PromoteResponse{Role: api.RoleLeader, LastLSN: svc.ReplicationLastLSN()})
 	})
 	mux.Handle("/", fl.Handler())
 	env.wrapper.store(env.buildIngress(mux, nil))

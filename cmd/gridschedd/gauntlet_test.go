@@ -1,117 +1,22 @@
 package main
 
 import (
-	"bytes"
 	"context"
-	"errors"
 	"math/rand"
 	"net"
-	"net/http"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"sync"
-	"syscall"
 	"testing"
 	"time"
 
 	"gridsched/internal/core"
 	"gridsched/internal/service/api"
 	"gridsched/internal/service/client"
+	"gridsched/internal/testkit"
 	"gridsched/internal/workload"
 )
-
-// daemon is one gridschedd subprocess under test.
-type daemon struct {
-	cmd      *exec.Cmd
-	stderr   bytes.Buffer
-	waitCh   chan error
-	waitOnce sync.Once
-	waitErr  error
-}
-
-// wait reaps the process exactly once; safe to call repeatedly (kill9
-// followed by the cleanup's stop).
-func (d *daemon) wait() error {
-	d.waitOnce.Do(func() { d.waitErr = <-d.waitCh })
-	return d.waitErr
-}
-
-// startDaemon starts one gridschedd. Every child started here — a restart
-// like the first start — is killed and reaped when the test ends, whichever
-// way it ends: the caller has nothing to defer and nothing to forget. The
-// check that the pid is really gone is registered before the kill, so it
-// runs after it; by the time the last cleanup returns every pid this test
-// started has been seen dead.
-func startDaemon(t *testing.T, bin string, args ...string) *daemon {
-	t.Helper()
-	d := &daemon{waitCh: make(chan error, 1)}
-	d.cmd = exec.Command(bin, args...)
-	d.cmd.Stdout = &d.stderr
-	d.cmd.Stderr = &d.stderr
-	if err := d.cmd.Start(); err != nil {
-		t.Fatal(err)
-	}
-	go func() { d.waitCh <- d.cmd.Wait() }()
-	t.Cleanup(func() {
-		if syscall.Kill(d.cmd.Process.Pid, 0) == nil {
-			t.Errorf("gridschedd pid %d (%v) is still running after the test", d.cmd.Process.Pid, d.cmd.Args[1:])
-		}
-	})
-	t.Cleanup(d.stop)
-	return d
-}
-
-// kill9 SIGKILLs the daemon — no shutdown snapshot, no journal sync, the
-// exact failure mode the journal exists for. Fails the test if the daemon
-// already died on its own (a panic, say).
-func (d *daemon) kill9(t *testing.T) {
-	t.Helper()
-	select {
-	case err := <-d.waitCh:
-		t.Fatalf("daemon died before the kill (%v):\n%s", err, d.stderr.String())
-	default:
-	}
-	if err := d.cmd.Process.Kill(); err != nil {
-		t.Fatal(err)
-	}
-	_ = d.wait()
-}
-
-func (d *daemon) stop() {
-	_ = d.cmd.Process.Kill()
-	_ = d.wait()
-}
-
-func waitHealthy(t *testing.T, cl *client.Client) {
-	t.Helper()
-	deadline := time.Now().Add(20 * time.Second)
-	for time.Now().Before(deadline) {
-		ctx, cancel := context.WithTimeout(context.Background(), time.Second)
-		_, err := cl.Health(ctx)
-		cancel()
-		if err == nil {
-			return
-		}
-		time.Sleep(25 * time.Millisecond)
-	}
-	t.Fatal("daemon never became healthy")
-}
-
-// gauntletWorkload builds tasks tasks of filesPer files with wrapping file
-// ids (neighbors share inputs).
-func gauntletWorkload(tasks, filesPer int) *workload.Workload {
-	numFiles := tasks*filesPer/2 + filesPer
-	w := &workload.Workload{Name: "gauntlet", NumFiles: numFiles}
-	for i := 0; i < tasks; i++ {
-		task := workload.Task{ID: workload.TaskID(i)}
-		for f := 0; f < filesPer; f++ {
-			task.Files = append(task.Files, workload.FileID((i*filesPer/2+f)%numFiles))
-		}
-		w.Tasks = append(w.Tasks, task)
-	}
-	return w
-}
 
 // TestRecoveryGauntletKill9 is the acceptance gauntlet: a real gridschedd
 // binary serving an 8-worker sweep from a -data-dir is SIGKILLed at
@@ -153,12 +58,12 @@ func TestRecoveryGauntletKill9(t *testing.T) {
 	}
 
 	cl := client.New("http://"+addr, nil)
-	d := startDaemon(t, bin, args...)
-	waitHealthy(t, cl)
+	d := testkit.StartDaemon(t, bin, args...)
+	testkit.WaitHealthy(t, cl)
 
 	ctx, cancelWorkers := context.WithCancel(context.Background())
 	defer cancelWorkers()
-	jobID, err := cl.SubmitJob(ctx, "gauntlet", "combined.2", 11, gauntletWorkload(tasks, 4))
+	jobID, err := cl.SubmitJob(ctx, "gauntlet", "combined.2", 11, testkit.GauntletWorkload(tasks, 4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,12 +107,12 @@ func TestRecoveryGauntletKill9(t *testing.T) {
 		if err == nil && st.State == api.JobCompleted {
 			t.Logf("job finished before crash %d; gauntlet still validates recovery of the completed state", crash)
 		}
-		d.kill9(t)
-		d = startDaemon(t, bin, args...)
-		waitHealthy(t, cl)
+		d.Kill9(t)
+		d = testkit.StartDaemon(t, bin, args...)
+		testkit.WaitHealthy(t, cl)
 		st, err = jobStatus(cl, jobID)
 		if err != nil {
-			t.Fatalf("after restart %d, job lost: %v\ndaemon output:\n%s", crash, err, d.stderr.String())
+			t.Fatalf("after restart %d, job lost: %v\ndaemon output:\n%s", crash, err, d.Stderr.String())
 		}
 		t.Logf("restart %d: %d/%d completed, %d dispatched, %d expired",
 			crash+1, st.Completed, st.Tasks, st.Dispatched, st.Expired)
@@ -218,7 +123,7 @@ func TestRecoveryGauntletKill9(t *testing.T) {
 	var final *api.JobStatus
 	for {
 		if time.Now().After(deadline) {
-			t.Fatalf("job never completed; last status %+v\ndaemon output:\n%s", final, d.stderr.String())
+			t.Fatalf("job never completed; last status %+v\ndaemon output:\n%s", final, d.Stderr.String())
 		}
 		st, err := jobStatus(cl, jobID)
 		if err == nil {
@@ -251,24 +156,10 @@ func TestRecoveryGauntletKill9(t *testing.T) {
 	}
 }
 
-// jobStatus reads one job's status, riding out the recovery-replay
-// window after a restart: /healthz answers while the WAL is still
-// replaying, so a read racing the replay legitimately gets a 503 until
-// /readyz flips.
+// jobStatus rides out up to 10s of a restarted daemon's recovery replay,
+// 1s a read.
 func jobStatus(cl *client.Client, jobID string) (*api.JobStatus, error) {
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		ctx, cancel := context.WithTimeout(context.Background(), time.Second)
-		js, err := cl.Job(ctx, jobID)
-		cancel()
-		var ae *client.APIError
-		if err != nil && errors.As(err, &ae) &&
-			ae.StatusCode == http.StatusServiceUnavailable && time.Now().Before(deadline) {
-			time.Sleep(25 * time.Millisecond)
-			continue
-		}
-		return js, err
-	}
+	return testkit.JobStatus(cl, jobID, 10*time.Second, time.Second)
 }
 
 // TestDaemonPersistsAcrossCleanRestart covers the flag plumbing end to
@@ -302,7 +193,7 @@ func TestDaemonPersistsAcrossCleanRestart(t *testing.T) {
 		}
 		cl := client.New("http://"+addr, nil)
 		if submit {
-			if _, err := cl.SubmitJob(ctx, "persist", "rest", 0, gauntletWorkload(10, 3)); err != nil {
+			if _, err := cl.SubmitJob(ctx, "persist", "rest", 0, testkit.GauntletWorkload(10, 3)); err != nil {
 				t.Fatal(err)
 			}
 		} else {

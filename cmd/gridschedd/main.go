@@ -63,7 +63,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -116,9 +115,7 @@ func bootstrapHandler() http.Handler {
 		fmt.Fprintln(w, `{"status":"starting"}`)
 	})
 	mux.HandleFunc("GET /readyz", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(http.StatusServiceUnavailable)
-		_ = json.NewEncoder(w).Encode(api.Readiness{Status: "recovering", Role: api.RoleRecovering})
+		api.WriteJSON(w, http.StatusServiceUnavailable, api.Readiness{Status: "recovering", Role: api.RoleRecovering})
 	})
 	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json")

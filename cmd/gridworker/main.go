@@ -110,8 +110,8 @@ func run(ctx context.Context, args []string) error {
 				cfg.Site = site
 			}
 			if *oneShot {
-				cfg.OnIdle = func(_ context.Context, resp *api.PullResponse) (bool, error) {
-					return resp.OpenJobs == 0, nil
+				cfg.OnIdle = func(_ context.Context, openJobs int) (bool, error) {
+					return openJobs == 0, nil
 				}
 			}
 			if err := cl.RunWorker(ctx, cfg); err != nil {

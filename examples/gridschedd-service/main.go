@@ -105,8 +105,8 @@ func main() {
 					}
 					return nil
 				},
-				OnIdle: func(_ context.Context, resp *api.PullResponse) (bool, error) {
-					return resp.OpenJobs == 0, nil
+				OnIdle: func(_ context.Context, openJobs int) (bool, error) {
+					return openJobs == 0, nil
 				},
 			})
 			if err != nil {

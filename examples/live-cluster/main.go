@@ -100,8 +100,8 @@ func drain(algorithm string, w *gridsched.Workload) (*api.JobStatus, uint64) {
 					},
 					// The service hosts this one job, so "no open jobs" and
 					// "job completed" coincide.
-					OnIdle: func(_ context.Context, resp *api.PullResponse) (bool, error) {
-						return resp.OpenJobs == 0, nil
+					OnIdle: func(_ context.Context, openJobs int) (bool, error) {
+						return openJobs == 0, nil
 					},
 					OnReport: func(_ context.Context, _ *api.Assignment, _ string, rep *api.ReportResponse) bool {
 						return rep.JobState == api.JobCompleted

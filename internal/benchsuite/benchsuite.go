@@ -16,7 +16,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"net/http"
 	"net/http/httptest"
 	"os"
 	"sync"
@@ -59,17 +58,6 @@ func Experiment(id string) func(b *testing.B) {
 			if len(reports) == 0 || len(reports[0].Rows) == 0 {
 				panic(fmt.Sprintf("benchsuite: %s: empty report", id))
 			}
-		}
-	}
-}
-
-// ExperimentFullScale returns a benchmark running an artifact at full
-// 6,000-task scale (workload generation only; no simulation).
-func ExperimentFullScale(id string) func(b *testing.B) {
-	return func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			_, err := gridsched.RunExperiment(id, gridsched.ExperimentOptions{Tasks: 6000, Seeds: []int64{1}})
-			must(err, id)
 		}
 	}
 }
@@ -644,10 +632,6 @@ func ServiceDispatchParallel(shards int) func(b *testing.B) {
 		wg.Wait()
 	}
 }
-
-// Handler exposes the service handler type for TCP variants without
-// making consumers import net/http/httptest here.
-func Handler(svc *service.Service) http.Handler { return svc.Handler() }
 
 // ServiceDispatchPartitioned measures aggregate durable dispatch
 // throughput across parts independent gridschedd partitions, each a

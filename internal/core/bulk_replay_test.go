@@ -60,7 +60,7 @@ func recordHistory(t *testing.T, w *workload.Workload, cfg WorkerCentricConfig, 
 			if status != Assigned {
 				continue
 			}
-			fetched, evicted, err := stores[at.Site].CommitBatch(task.Files)
+			fetched, evicted, err := stores[at.Site].CommitBatchInto(task.Files, nil, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -161,9 +161,9 @@ func TestBulkReplayMatchesReask(t *testing.T) {
 						if s.Draws() != live.Draws() {
 							t.Errorf("%s: %d draws, the run took %d", name, s.Draws(), live.Draws())
 						}
-						if s.Remaining() != live.Remaining() || s.Pending() != live.Pending() {
+						if s.Remaining() != live.Remaining() || s.pendingN != live.pendingN {
 							t.Errorf("%s: remaining %d pending %d, the run has %d and %d",
-								name, s.Remaining(), s.Pending(), live.Remaining(), live.Pending())
+								name, s.Remaining(), s.pendingN, live.Remaining(), live.pendingN)
 						}
 						if !reflect.DeepEqual(s.alive, live.alive) || !reflect.DeepEqual(s.completed, live.completed) {
 							t.Errorf("%s: pending or completed set differs from the run's", name)

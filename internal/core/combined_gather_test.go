@@ -104,9 +104,9 @@ func TestCombinedGatherPrunedMatchesFull(t *testing.T) {
 					}
 					// Fewer pending tasks than ChooseN: drain, comparing as
 					// the queue shrinks to two, one and no candidates.
-					for s.Pending() > 0 {
+					for s.pendingN > 0 {
 						if _, st := s.NextFor(WorkerRef{Site: 0}); st != Assigned {
-							t.Fatalf("status %v with %d pending", st, s.Pending())
+							t.Fatalf("status %v with %d pending", st, s.pendingN)
 						}
 						checkPrunedGather(t, s, 0)
 					}

@@ -231,19 +231,15 @@ func (idx *fileIndex) neighboursOf(w *workload.Workload, batch []workload.FileID
 // over w under a combined metric then uses to cut its NoteBatch cost, with
 // no effect on any decision. A caller about to run a sweep of schedulers
 // over one workload calls it once before the first; a caller that builds
-// one scheduler per workload should not call it.
-func ShareIndex(w *workload.Workload) {
+// one scheduler per workload should not call it. It reports whether the
+// index already carried the table.
+func ShareIndex(w *workload.Workload) (already bool) {
 	idx := indexFor(w)
-	if idx.neighbours.Load() == nil {
-		idx.neighbours.CompareAndSwap(nil, newNeighbourTable(w, idx))
+	if idx.neighbours.Load() != nil {
+		return true
 	}
-}
-
-// IndexShared reports whether w's cached file index carries the table
-// ShareIndex builds.
-func IndexShared(w *workload.Workload) bool {
-	idx := cachedIndex(w, nil)
-	return idx != nil && idx.neighbours.Load() != nil
+	idx.neighbours.CompareAndSwap(nil, newNeighbourTable(w, idx))
+	return false
 }
 
 func newFileIndex(w *workload.Workload) *fileIndex {
@@ -382,7 +378,8 @@ func dropDeadIndexEntry(key weak.Pointer[workload.Workload]) {
 // WorkerCentric under overlap/rest) build the mirror without it: refs and
 // refSum are then nil. Such a mirror is updated by its owner, which has
 // class structures to move with overlap (siteIndex.noteBatch,
-// affinitySite.noteBatch); noteBatch here is for a mirror that tracks.
+// affinitySite.noteBatch). The tests' definition of a batch's effect on a
+// mirror that tracks is siteMirror.noteBatch in golden_reference_test.go.
 type siteMirror struct {
 	idx       *fileIndex
 	trackRefs bool
@@ -404,51 +401,6 @@ func newSiteMirror(idx *fileIndex, tasks int, trackRefs bool) *siteMirror {
 		m.refSum = make([]int64, tasks)
 	}
 	return m
-}
-
-// noteBatch applies one committed batch to a mirror that tracks references:
-// evictions leave, fetched files arrive, and every batch file gains one
-// reference. This is the definition the schedulers' own batch updates are
-// checked against — the test-only naive references read the arrays it
-// leaves directly.
-//
-// Redundant events — a fetch of an already-resident file, an eviction of an
-// absent one — are ignored, which keeps the invariant 0 <= overlap[t] <=
-// |files(t)| even for callers that do not track residency themselves. (The
-// engines never send them: fetched/evicted come from storage.Store, which
-// reports only actual insertions and evictions.)
-func (m *siteMirror) noteBatch(batch, fetched, evicted []workload.FileID) {
-	for _, f := range evicted {
-		if !m.resident[f] {
-			continue
-		}
-		m.resident[f] = false
-		r := int64(m.refs[f])
-		for _, t := range m.idx.byFile[f] {
-			m.overlap[t]--
-			m.refSum[t] -= r
-		}
-	}
-	for _, f := range fetched {
-		if m.resident[f] {
-			continue
-		}
-		m.resident[f] = true
-		r := int64(m.refs[f])
-		for _, t := range m.idx.byFile[f] {
-			m.overlap[t]++
-			m.refSum[t] += r
-		}
-	}
-	for _, f := range batch {
-		m.refs[f]++
-		if !m.resident[f] {
-			continue
-		}
-		for _, t := range m.idx.byFile[f] {
-			m.refSum[t]++
-		}
-	}
 }
 
 // noteResidency applies one committed batch to the resident set and the

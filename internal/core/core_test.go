@@ -391,8 +391,8 @@ func TestWorkerCentricRequeuesFailedTask(t *testing.T) {
 	// Fail the middle task: it must become pending again, exactly once.
 	s.OnExecutionFailed(got[1], WorkerRef{Site: 0})
 	s.OnExecutionFailed(got[1], WorkerRef{Site: 0}) // duplicate report
-	if s.Pending() != 1 {
-		t.Fatalf("pending = %d, want 1", s.Pending())
+	if s.pendingN != 1 {
+		t.Fatalf("pending = %d, want 1", s.pendingN)
 	}
 	task, st := s.NextFor(WorkerRef{Site: 0})
 	if st != Assigned || task.ID != got[1] {
@@ -401,8 +401,8 @@ func TestWorkerCentricRequeuesFailedTask(t *testing.T) {
 	// Failure after completion is ignored.
 	s.OnTaskComplete(got[1], WorkerRef{Site: 0})
 	s.OnExecutionFailed(got[1], WorkerRef{Site: 0})
-	if s.Pending() != 0 {
-		t.Fatalf("pending = %d after post-completion failure", s.Pending())
+	if s.pendingN != 0 {
+		t.Fatalf("pending = %d after post-completion failure", s.pendingN)
 	}
 }
 

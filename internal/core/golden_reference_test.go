@@ -334,9 +334,9 @@ func goldenDriver(t *testing.T, w *workload.Workload, cfg WorkerCentricConfig, s
 			// Each scheduler's makespan derives from its own returned
 			// task — staging cost + compute cost on the site's clock —
 			// so equal makespans are a consequence, not an assumption.
-			optMissing := stores[site].Missing(to.Files)
-			refMissing := stores[site].Missing(tr.Files)
-			fetched, evicted, err := stores[site].CommitBatch(to.Files)
+			optMissing := stores[site].AppendMissing(nil, to.Files)
+			refMissing := stores[site].AppendMissing(nil, tr.Files)
+			fetched, evicted, err := stores[site].CommitBatchInto(to.Files, nil, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -366,8 +366,8 @@ func goldenDriver(t *testing.T, w *workload.Workload, cfg WorkerCentricConfig, s
 	if optMakespan != refMakespan {
 		t.Fatalf("makespans diverged: %v vs %v", optMakespan, refMakespan)
 	}
-	if opt.Pending() != 0 || len(ref.pending) != 0 {
-		t.Fatalf("pending left over: optimized %d, reference %d", opt.Pending(), len(ref.pending))
+	if opt.pendingN != 0 || len(ref.pending) != 0 {
+		t.Fatalf("pending left over: optimized %d, reference %d", opt.pendingN, len(ref.pending))
 	}
 	if built := len(opt.indexList); built != len(stores) {
 		t.Fatalf("%d site indexes built, %d sites were used", built, len(stores))
@@ -426,5 +426,50 @@ func TestFenwickOrderStatistics(t *testing.T) {
 	f.add(0, 1)
 	if got := f.kth(0); got != 0 {
 		t.Fatalf("after re-add: kth(0) = %d, want 0", got)
+	}
+}
+
+// noteBatch applies one committed batch to a mirror that tracks references:
+// evictions leave, fetched files arrive, and every batch file gains one
+// reference. This is the definition the schedulers' own batch updates are
+// checked against — the naive references read the arrays it leaves
+// directly.
+//
+// Redundant events — a fetch of an already-resident file, an eviction of an
+// absent one — are ignored, which keeps the invariant 0 <= overlap[t] <=
+// |files(t)| even for callers that do not track residency themselves. (The
+// engines never send them: fetched/evicted come from storage.Store, which
+// reports only actual insertions and evictions.)
+func (m *siteMirror) noteBatch(batch, fetched, evicted []workload.FileID) {
+	for _, f := range evicted {
+		if !m.resident[f] {
+			continue
+		}
+		m.resident[f] = false
+		r := int64(m.refs[f])
+		for _, t := range m.idx.byFile[f] {
+			m.overlap[t]--
+			m.refSum[t] -= r
+		}
+	}
+	for _, f := range fetched {
+		if m.resident[f] {
+			continue
+		}
+		m.resident[f] = true
+		r := int64(m.refs[f])
+		for _, t := range m.idx.byFile[f] {
+			m.overlap[t]++
+			m.refSum[t] += r
+		}
+	}
+	for _, f := range batch {
+		m.refs[f]++
+		if !m.resident[f] {
+			continue
+		}
+		for _, t := range m.idx.byFile[f] {
+			m.refSum[t]++
+		}
 	}
 }

@@ -119,7 +119,7 @@ func (s *naiveStorageAffinity) initialAssign() error {
 		t := s.w.Tasks[best]
 		taken[best] = true
 		unassigned--
-		fetched, evicted, err := images[site].CommitBatch(t.Files)
+		fetched, evicted, err := images[site].CommitBatchInto(t.Files, nil, nil)
 		if err != nil {
 			return fmt.Errorf("core: virtual storage: %w", err)
 		}
@@ -472,7 +472,7 @@ func TestStorageAffinityMatchesNaiveScan(t *testing.T) {
 			}
 			var running []exec
 			started := func(task workload.Task, at WorkerRef) {
-				fetched, evicted, err := stores[at.Site].CommitBatch(task.Files)
+				fetched, evicted, err := stores[at.Site].CommitBatchInto(task.Files, nil, nil)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -188,9 +188,6 @@ func (s *WorkerCentric) NoteBatch(site int, batch, fetched, evicted []workload.F
 // Remaining implements Scheduler.
 func (s *WorkerCentric) Remaining() int { return s.remaining }
 
-// Pending returns the number of unassigned tasks.
-func (s *WorkerCentric) Pending() int { return s.pendingN }
-
 // NextFor implements Scheduler: the per-site weight-class indexes yield the
 // same task CalculateWeight + ChooseTask(n) would pick from a full scan.
 func (s *WorkerCentric) NextFor(at WorkerRef) (workload.Task, Status) {

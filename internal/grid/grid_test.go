@@ -316,12 +316,12 @@ func TestChurnConfigValidation(t *testing.T) {
 func TestTraceTimelineInvariants(t *testing.T) {
 	w := smallWorkload(t, 100)
 	cfg := smallConfig(w)
-	tr := trace.NewMemory()
+	tr := &memTracer{}
 	cfg.Tracer = tr
 	res := runWC(t, cfg, core.MetricRest, 1)
 
-	assigned := tr.OfKind(trace.TaskAssigned)
-	completed := tr.OfKind(trace.TaskCompleted)
+	assigned := tr.ofKind(trace.TaskAssigned)
+	completed := tr.ofKind(trace.TaskCompleted)
 	if len(assigned) != 100 || len(completed) != 100 {
 		t.Fatalf("assigned=%d completed=%d, want 100 each", len(assigned), len(completed))
 	}
@@ -331,7 +331,7 @@ func TestTraceTimelineInvariants(t *testing.T) {
 	// Per task: assigned -> enqueued -> compute-start -> completed, with
 	// non-decreasing timestamps.
 	for id := int64(0); id < 100; id++ {
-		tl := tr.TaskTimeline(id)
+		tl := tr.taskTimeline(id)
 		var kinds []trace.Kind
 		for i, e := range tl {
 			kinds = append(kinds, e.Kind)
@@ -361,11 +361,11 @@ func TestTraceRecordsChurnTransitions(t *testing.T) {
 	cfg := smallConfig(w)
 	cfg.ChurnMeanUpSec = 30_000
 	cfg.ChurnMeanDownSec = 5_000
-	tr := trace.NewMemory()
+	tr := &memTracer{}
 	cfg.Tracer = tr
 	runWC(t, cfg, core.MetricRest, 1)
-	downs := tr.OfKind(trace.WorkerDown)
-	ups := tr.OfKind(trace.WorkerUp)
+	downs := tr.ofKind(trace.WorkerDown)
+	ups := tr.ofKind(trace.WorkerUp)
 	if len(downs) == 0 {
 		t.Fatal("no worker-down events under churn")
 	}
@@ -382,7 +382,7 @@ func TestReplicationPushesPopularFiles(t *testing.T) {
 		IntervalSec:    10_000,
 		MaxPerInterval: 50,
 	}
-	tr := trace.NewMemory()
+	tr := &memTracer{}
 	cfg.Tracer = tr
 	res := runWC(t, cfg, core.MetricRest, 1)
 	if res.Metrics.TasksCompleted != 250 {
@@ -395,7 +395,7 @@ func TestReplicationPushesPopularFiles(t *testing.T) {
 	if replicas == 0 {
 		t.Fatal("no proactive replicas pushed")
 	}
-	if got := len(tr.OfKind(trace.FileReplicated)); int64(got) != replicas {
+	if got := len(tr.ofKind(trace.FileReplicated)); int64(got) != replicas {
 		t.Fatalf("trace saw %d replications, metrics %d", got, replicas)
 	}
 }
@@ -448,27 +448,30 @@ func TestReplicationDeterministic(t *testing.T) {
 	}
 }
 
-func TestAnalyzeRealRunTimeline(t *testing.T) {
-	w := smallWorkload(t, 150)
-	cfg := smallConfig(w)
-	tr := trace.NewMemory()
-	cfg.Tracer = tr
-	res := runWC(t, cfg, core.MetricCombined, 2)
-	a, err := trace.Analyze(tr.Events())
-	if err != nil {
-		t.Fatal(err)
+// memTracer records a run's timeline in order. The simulator delivers
+// events from one goroutine, so it needs no lock.
+type memTracer struct{ events []trace.Event }
+
+func (m *memTracer) Record(e trace.Event) { m.events = append(m.events, e) }
+
+// ofKind returns the recorded events of one kind, in order.
+func (m *memTracer) ofKind(k trace.Kind) []trace.Event {
+	var out []trace.Event
+	for _, e := range m.events {
+		if e.Kind == k {
+			out = append(out, e)
+		}
 	}
-	if a.TasksCompleted != res.Metrics.TasksCompleted {
-		t.Fatalf("analysis completions %d != metrics %d", a.TasksCompleted, res.Metrics.TasksCompleted)
+	return out
+}
+
+// taskTimeline returns every event touching the given task, in order.
+func (m *memTracer) taskTimeline(task int64) []trace.Event {
+	var out []trace.Event
+	for _, e := range m.events {
+		if e.Task == task {
+			out = append(out, e)
+		}
 	}
-	if a.Horizon != res.Metrics.MakespanSec {
-		t.Fatalf("horizon %v != makespan %v", a.Horizon, res.Metrics.MakespanSec)
-	}
-	if len(a.Workers) != cfg.Sites*cfg.WorkersPerSite {
-		t.Fatalf("workers analyzed = %d", len(a.Workers))
-	}
-	busy := a.MeanBusyFraction()
-	if busy <= 0 || busy > 1.000001 {
-		t.Fatalf("mean busy fraction = %v", busy)
-	}
+	return out
 }

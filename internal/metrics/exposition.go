@@ -88,19 +88,6 @@ func Table[T any](rows []T, of func(*T) []Label, cols ...Column[T]) []Metric {
 	return ms
 }
 
-// Lookup finds the sample of family name whose labels are exactly labels
-// (suffix "" except for a summary's "_sum" and "_count").
-func Lookup(ms []Metric, name, suffix string, labels ...Label) (float64, bool) {
-	for i := range ms {
-		for _, s := range ms[i].Samples {
-			if ms[i].Name == name && s.Suffix == suffix && slices.Equal(s.Labels, labels) {
-				return s.Value, true
-			}
-		}
-	}
-	return 0, false
-}
-
 var labelEscaper = strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
 
 // Write prints ms in the text exposition format, in one write. Metrics of

@@ -1,4 +1,4 @@
-package metrics
+package metrics_test
 
 import (
 	"bytes"
@@ -10,6 +10,9 @@ import (
 	"regexp"
 	"strings"
 	"testing"
+
+	. "gridsched/internal/metrics"
+	"gridsched/internal/testkit"
 )
 
 // TestReadRefuses: the defects Read exists to catch, each a body some
@@ -72,7 +75,7 @@ func TestWriteGroupsAndEscapes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v, ok := Lookup(ms, "b", "", Label{"partition", "1"}, Label{"job", awkward}); !ok || v != 0.5 {
+	if v, ok := testkit.Lookup(ms, "b", "", Label{"partition", "1"}, Label{"job", awkward}); !ok || v != 0.5 {
 		t.Fatalf("the escaped label did not read back: %+v", ms)
 	}
 	clash := []Metric{{Name: "a", Kind: KindGauge}, {Name: "a", Kind: KindCounter}}

@@ -38,14 +38,6 @@ func (m *SiteMetrics) MeanWaitSec() float64 {
 	return m.WaitTimeSum / float64(m.Requests)
 }
 
-// MeanTransferSec returns the mean fetch time per batch request.
-func (m *SiteMetrics) MeanTransferSec() float64 {
-	if m.Requests == 0 {
-		return 0
-	}
-	return m.TransferTimeSum / float64(m.Requests)
-}
-
 // Collector gathers a run's metrics.
 type Collector struct {
 	Sites []SiteMetrics `json:"sites"`
@@ -90,15 +82,6 @@ func (c *Collector) TotalBytesFetched() float64 {
 	var n float64
 	for i := range c.Sites {
 		n += c.Sites[i].BytesFetched
-	}
-	return n
-}
-
-// TotalRequests sums batch requests across sites.
-func (c *Collector) TotalRequests() int64 {
-	var n int64
-	for i := range c.Sites {
-		n += c.Sites[i].Requests
 	}
 	return n
 }

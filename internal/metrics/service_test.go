@@ -1,8 +1,11 @@
-package metrics
+package metrics_test
 
 import (
 	"bytes"
 	"testing"
+
+	. "gridsched/internal/metrics"
+	"gridsched/internal/testkit"
 )
 
 // scrape is what a scraper sees of declared: written, then read back
@@ -33,7 +36,7 @@ func wantSample(t *testing.T, ms []Metric, kind Kind, name, suffix string, value
 			t.Errorf("%s is a %s, want %s", name, m.Kind, kind)
 		}
 	}
-	v, ok := Lookup(ms, name, suffix, labels...)
+	v, ok := testkit.Lookup(ms, name, suffix, labels...)
 	if !ok {
 		t.Errorf("no series %s%s%v", name, suffix, labels)
 	} else if v != value {

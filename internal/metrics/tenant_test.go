@@ -1,8 +1,10 @@
-package metrics
+package metrics_test
 
 import (
 	"math"
 	"testing"
+
+	. "gridsched/internal/metrics"
 )
 
 func TestShareWindowEvictsOldest(t *testing.T) {

@@ -11,6 +11,8 @@ import (
 	"sync"
 
 	"gridsched/internal/metrics"
+
+	"gridsched/internal/service/api"
 )
 
 // Principal is an authenticated caller: the tenant its bearer token maps
@@ -157,13 +159,13 @@ func Auth(store *TokenStore, c *metrics.IngressCounters) Middleware {
 				c.AuthFailures.Add(1)
 				Logf(r.Context(), "auth=rejected reason=\"missing or unknown bearer token\"")
 				w.Header().Set("WWW-Authenticate", `Bearer realm="gridsched"`)
-				writeJSONError(w, http.StatusUnauthorized, "missing or invalid bearer token")
+				api.WriteJSON(w, http.StatusUnauthorized, api.ErrorResponse{Error: "missing or invalid bearer token"})
 				return
 			}
 			if adminEndpoint(r) && !p.Admin {
 				c.AuthDenied.Add(1)
 				Logf(r.Context(), "auth=denied tenant=%q reason=\"admin endpoint\"", p.Tenant)
-				writeJSONError(w, http.StatusForbidden, "admin token required")
+				api.WriteJSON(w, http.StatusForbidden, api.ErrorResponse{Error: "admin token required"})
 				return
 			}
 			// Inside a Logging request WithPrincipal stores into the shared

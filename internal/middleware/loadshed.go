@@ -11,6 +11,8 @@ import (
 	"time"
 
 	"gridsched/internal/metrics"
+
+	"gridsched/internal/service/api"
 )
 
 // LoadShedConfig parameterizes latency-based load shedding.
@@ -242,7 +244,7 @@ func LoadShed(cfg LoadShedConfig, c *metrics.IngressCounters) Middleware {
 				s.c.ObserveShed(tenant)
 				Logf(r.Context(), "shed=true tenant=%q weight=%d bar=%d", tenant, weight, bar)
 				w.Header().Set("Retry-After", retrySecs)
-				writeJSONError(w, http.StatusTooManyRequests, "overloaded; shed, retry later")
+				api.WriteJSON(w, http.StatusTooManyRequests, api.ErrorResponse{Error: "overloaded; shed, retry later"})
 				return
 			}
 			pk, r := parkedCounter(r)

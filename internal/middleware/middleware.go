@@ -28,12 +28,7 @@
 // service's /metrics output. docs/INGRESS.md is the operator guide.
 package middleware
 
-import (
-	"encoding/json"
-	"net/http"
-
-	"gridsched/internal/service/api"
-)
+import "net/http"
 
 // Middleware is one onion layer: it receives the next handler and returns
 // the wrapped one.
@@ -101,12 +96,3 @@ func (w *statusWriter) Flush() {
 
 // Unwrap lets http.ResponseController reach the underlying writer.
 func (w *statusWriter) Unwrap() http.ResponseWriter { return w.ResponseWriter }
-
-// writeJSONError emits the protocol's standard error body
-// (api.ErrorResponse) — middleware rejections look exactly like service
-// rejections to clients.
-func writeJSONError(w http.ResponseWriter, code int, msg string) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	_ = json.NewEncoder(w).Encode(api.ErrorResponse{Error: msg})
-}

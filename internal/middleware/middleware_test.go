@@ -16,6 +16,7 @@ import (
 
 	"gridsched/internal/metrics"
 	"gridsched/internal/service/api"
+	"gridsched/internal/testkit"
 )
 
 func TestChainOrder(t *testing.T) {
@@ -478,7 +479,7 @@ func TestLoadShedWeightedOrdering(t *testing.T) {
 	}
 
 	shedOf := func(tenant string) int64 {
-		v, _ := metrics.Lookup(c.Metrics(), "gridsched_ingress_tenant_sheds_total", "", metrics.Label{Name: "tenant", Value: tenant})
+		v, _ := testkit.Lookup(c.Metrics(), "gridsched_ingress_tenant_sheds_total", "", metrics.Label{Name: "tenant", Value: tenant})
 		return int64(v)
 	}
 	if shedOf("bronze") < 2 || shedOf("gold") != 1 {
@@ -582,11 +583,11 @@ func TestMetricsText(t *testing.T) {
 		"gridsched_ingress_requests_total": 1, // probes and /metrics are exempt
 		"gridsched_ingress_sheds_total":    1,
 	} {
-		if v, ok := metrics.Lookup(ms, name, ""); !ok || v != want {
+		if v, ok := testkit.Lookup(ms, name, ""); !ok || v != want {
 			t.Errorf("%s = %v (present %v), want %v", name, v, ok, want)
 		}
 	}
-	if v, ok := metrics.Lookup(ms, "gridsched_ingress_tenant_sheds_total", "", metrics.Label{Name: "tenant", Value: "acme"}); !ok || v != 1 {
+	if v, ok := testkit.Lookup(ms, "gridsched_ingress_tenant_sheds_total", "", metrics.Label{Name: "tenant", Value: "acme"}); !ok || v != 1 {
 		t.Errorf("per-tenant shed series = %v (present %v), want 1", v, ok)
 	}
 }

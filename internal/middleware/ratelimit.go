@@ -10,6 +10,8 @@ import (
 	"time"
 
 	"gridsched/internal/metrics"
+
+	"gridsched/internal/service/api"
 )
 
 // RateLimitConfig parameterizes the token-bucket rate limiter.
@@ -197,7 +199,7 @@ func throttle(w http.ResponseWriter, retry time.Duration) {
 		secs = 1
 	}
 	w.Header().Set("Retry-After", strconv.FormatInt(secs, 10))
-	writeJSONError(w, http.StatusTooManyRequests, "rate limit exceeded; retry later")
+	api.WriteJSON(w, http.StatusTooManyRequests, api.ErrorResponse{Error: "rate limit exceeded; retry later"})
 }
 
 // clientIP is the remote address without the port; the rate-limit key for

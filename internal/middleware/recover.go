@@ -8,11 +8,13 @@ import (
 	"runtime/debug"
 
 	"gridsched/internal/metrics"
+
+	"gridsched/internal/service/api"
 )
 
 // Recover converts a handler panic into a 500 response plus a metric
 // (IngressCounters.Panics) instead of letting net/http kill the
-// connection — or, under the in-process transport, the whole caller. The
+// connection (the in-process transport fails the round trip). The
 // panic value and stack go to out (default os.Stderr) immediately, and a
 // line lands in the request's buffered log so the Logging flush carries
 // the trace ID alongside.
@@ -39,7 +41,7 @@ func Recover(c *metrics.IngressCounters, out io.Writer) Middleware {
 				fmt.Fprintf(out, "ingress: panic serving %s %s (trace %s): %v\n%s",
 					r.Method, r.URL.Path, TraceID(r.Context()), p, debug.Stack())
 				if sw.status == 0 {
-					writeJSONError(sw, http.StatusInternalServerError, "internal server error")
+					api.WriteJSON(sw, http.StatusInternalServerError, api.ErrorResponse{Error: "internal server error"})
 				}
 			}()
 			next.ServeHTTP(sw, r)

@@ -56,12 +56,6 @@ type Flow struct {
 	mark     uint32 // component-walk visitation epoch
 }
 
-// Rate returns the flow's current max-min fair allocation in bytes/s.
-func (f *Flow) Rate() float64 { return f.rate }
-
-// Remaining returns the bytes not yet delivered as of the last re-rate.
-func (f *Flow) Remaining() float64 { return f.remaining }
-
 // Stats aggregates network activity over a run.
 type Stats struct {
 	FlowsStarted   int
@@ -110,19 +104,6 @@ func New(k *sim.Kernel, g *topology.Graph) *Network {
 		unfrozen:  make([]int32, links),
 	}
 }
-
-// Stats returns a copy of the accumulated statistics.
-func (n *Network) Stats() Stats {
-	cp := n.stats
-	cp.LinkBytes = make(map[topology.LinkID]float64, len(n.stats.LinkBytes))
-	for k, v := range n.stats.LinkBytes {
-		cp.LinkBytes[k] = v
-	}
-	return cp
-}
-
-// ActiveFlows returns the number of in-flight flows.
-func (n *Network) ActiveFlows() int { return len(n.active) }
 
 // Transfer moves bytes from src to dst, blocking the calling process for the
 // route propagation latency plus the congestion-dependent transfer time.

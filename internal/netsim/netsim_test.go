@@ -38,7 +38,7 @@ func TestSingleFlowTransferTime(t *testing.T) {
 	if !almost(end, 10.5) { // 0.5 latency + 1000/100
 		t.Fatalf("end = %v, want 10.5", end)
 	}
-	st := n.Stats()
+	st := n.stats
 	if st.FlowsCompleted != 1 || !almost(st.BytesDelivered, 1000) {
 		t.Fatalf("stats = %+v", st)
 	}
@@ -139,8 +139,8 @@ func TestMaxMinClassic(t *testing.T) {
 		}
 	})
 	k.RunUntil(1) // let the start event fire; flows far from done
-	if !almost(x.Rate(), 50) || !almost(y.Rate(), 50) || !almost(z.Rate(), 150) {
-		t.Fatalf("rates = %v %v %v, want 50 50 150", x.Rate(), y.Rate(), z.Rate())
+	if !almost(x.rate, 50) || !almost(y.rate, 50) || !almost(z.rate, 150) {
+		t.Fatalf("rates = %v %v %v, want 50 50 150", x.rate, y.rate, z.rate)
 	}
 }
 
@@ -191,16 +191,16 @@ func TestRandomFlowsConservation(t *testing.T) {
 		}
 		k.Schedule(0, func() {}) // ensure kernel has work even if flows=0
 		k.Run()
-		completed = n.Stats().FlowsCompleted
+		completed = n.stats.FlowsCompleted
 		if completed != flows {
 			t.Errorf("completed %d of %d flows", completed, flows)
 			return false
 		}
-		if !almost(n.Stats().BytesDelivered, totalBytes) {
-			t.Errorf("delivered %v, want %v", n.Stats().BytesDelivered, totalBytes)
+		if !almost(n.stats.BytesDelivered, totalBytes) {
+			t.Errorf("delivered %v, want %v", n.stats.BytesDelivered, totalBytes)
 			return false
 		}
-		if n.ActiveFlows() != 0 {
+		if len(n.active) != 0 {
 			return false
 		}
 		return true

@@ -124,7 +124,7 @@ func mergeTenants(parts []*[]api.TenantStatus) []api.TenantStatus {
 func (rt *Router) handleTenantQuota(w http.ResponseWriter, r *http.Request) {
 	body, err := io.ReadAll(io.LimitReader(r.Body, maxReplyBytes))
 	if err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Sprintf("reading body: %v", err))
+		api.WriteJSON(w, http.StatusBadRequest, api.ErrorResponse{Error: fmt.Sprintf("reading body: %v", err)})
 		return
 	}
 	parts, denied, failed := fanOutAs[api.TenantStatus](rt, r.Context(), http.MethodPut,
@@ -132,16 +132,16 @@ func (rt *Router) handleTenantQuota(w http.ResponseWriter, r *http.Request) {
 		func(code int) bool { return code/100 == 4 })
 	switch {
 	case denied != nil:
-		writeError(w, denied.code, denied.msg)
+		api.WriteJSON(w, denied.code, api.ErrorResponse{Error: denied.msg})
 	case failed != nil:
-		writeError(w, http.StatusServiceUnavailable,
-			fmt.Sprintf("quota applied partially: %v (retry to converge)", failed))
+		api.WriteJSON(w, http.StatusServiceUnavailable,
+			api.ErrorResponse{Error: fmt.Sprintf("quota applied partially: %v (retry to converge)", failed)})
 	default:
 		rows := make([]*[]api.TenantStatus, len(parts))
 		for i, p := range parts {
 			rows[i] = &[]api.TenantStatus{*p}
 		}
-		writeJSON(w, http.StatusOK, mergeTenants(rows)[0])
+		api.WriteJSON(w, http.StatusOK, mergeTenants(rows)[0])
 	}
 }
 
@@ -173,7 +173,7 @@ func (rt *Router) topology(ctx context.Context) api.PartitionTopology {
 // health. Partition-aware clients fetch this once and route id-keyed
 // traffic directly.
 func (rt *Router) handlePartitions(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, rt.topology(r.Context()))
+	api.WriteJSON(w, http.StatusOK, rt.topology(r.Context()))
 }
 
 // handleReadyz aggregates readiness: 200 only when every partition is
@@ -189,7 +189,7 @@ func (rt *Router) handleReadyz(w http.ResponseWriter, r *http.Request) {
 			break
 		}
 	}
-	writeJSON(w, code, topo)
+	api.WriteJSON(w, code, topo)
 }
 
 // handleHealthz sums live-partition job/worker gauges; unreachable

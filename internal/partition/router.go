@@ -104,8 +104,8 @@ func New(cfg Config) (*Router, error) {
 			FlushInterval: -1,
 			ErrorHandler: func(w http.ResponseWriter, r *http.Request, err error) {
 				rt.mark(i, err)
-				writeError(w, http.StatusServiceUnavailable,
-					fmt.Sprintf("partition %d unreachable: %v", i, err))
+				api.WriteJSON(w, http.StatusServiceUnavailable,
+					api.ErrorResponse{Error: fmt.Sprintf("partition %d unreachable: %v", i, err)})
 			},
 			ModifyResponse: func(*http.Response) error {
 				rt.mark(i, nil)
@@ -149,18 +149,6 @@ func (rt *Router) pick() int {
 	return start
 }
 
-func writeError(w http.ResponseWriter, code int, msg string) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	_ = json.NewEncoder(w).Encode(api.ErrorResponse{Error: msg})
-}
-
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	_ = json.NewEncoder(w).Encode(v)
-}
-
 // Handler returns the router's HTTP surface: the service's own route
 // table, with id-keyed routes forwarded to the owning partition, unkeyed
 // placements spread round-robin, and cross-partition reads aggregated.
@@ -187,8 +175,8 @@ func (rt *Router) Handler() http.Handler {
 	// Everything else (replication internals, promotion) is a
 	// per-partition operator action with no routing key.
 	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
-		writeError(w, http.StatusNotFound,
-			fmt.Sprintf("partition router: %s %s has no routing key; address a partition directly (GET /v1/partitions lists them)", r.Method, r.URL.Path))
+		api.WriteJSON(w, http.StatusNotFound,
+			api.ErrorResponse{Error: fmt.Sprintf("partition router: %s %s has no routing key; address a partition directly (GET /v1/partitions lists them)", r.Method, r.URL.Path)})
 	})
 	return mux
 }
@@ -200,8 +188,8 @@ func (rt *Router) forwardByID(pathValue string) http.HandlerFunc {
 		id := r.PathValue(pathValue)
 		owner, ok := Owner(id, len(rt.urls))
 		if !ok {
-			writeError(w, http.StatusNotFound,
-				fmt.Sprintf("partition router: id %q has no partition key", id))
+			api.WriteJSON(w, http.StatusNotFound,
+				api.ErrorResponse{Error: fmt.Sprintf("partition router: id %q has no partition key", id)})
 			return
 		}
 		rt.proxies[owner].ServeHTTP(w, r)
@@ -379,7 +367,7 @@ func (rt *Router) send(ctx context.Context, i int, method, path, auth string, bo
 // partition answered at all.
 func finishAggregate[V any](w http.ResponseWriter, parts []*V, denied *refusal, body any) {
 	if denied != nil {
-		writeError(w, denied.code, denied.msg)
+		api.WriteJSON(w, denied.code, api.ErrorResponse{Error: denied.msg})
 		return
 	}
 	var downIdx []string
@@ -392,12 +380,12 @@ func finishAggregate[V any](w http.ResponseWriter, parts []*V, denied *refusal, 
 		}
 	}
 	if alive == 0 {
-		writeError(w, http.StatusServiceUnavailable,
-			fmt.Sprintf("all %d partitions unreachable", len(parts)))
+		api.WriteJSON(w, http.StatusServiceUnavailable,
+			api.ErrorResponse{Error: fmt.Sprintf("all %d partitions unreachable", len(parts))})
 		return
 	}
 	if len(downIdx) > 0 {
 		w.Header().Set(api.PartitionsDownHeader, strings.Join(downIdx, ","))
 	}
-	writeJSON(w, http.StatusOK, body)
+	api.WriteJSON(w, http.StatusOK, body)
 }

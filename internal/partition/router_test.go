@@ -22,6 +22,7 @@ import (
 	"gridsched/internal/service"
 	"gridsched/internal/service/api"
 	"gridsched/internal/service/client"
+	"gridsched/internal/testkit"
 	"gridsched/internal/workload"
 )
 
@@ -332,7 +333,7 @@ func TestRouterMetricsConformance(t *testing.T) {
 	direct := make([][]metrics.Metric, 2)
 	for i := range direct {
 		direct[i] = scrape(d.servers[i].URL, http.StatusOK, "")
-		if v, ok := metrics.Lookup(direct[i], "gridsched_jobs_submitted_total", ""); !ok || v == 0 {
+		if v, ok := testkit.Lookup(direct[i], "gridsched_jobs_submitted_total", ""); !ok || v == 0 {
 			t.Fatalf("partition %d has no bare gridsched_jobs_submitted_total (or no job): %v, %v", i, v, ok)
 		}
 	}
@@ -358,7 +359,7 @@ func TestRouterMetricsConformance(t *testing.T) {
 			if isDown {
 				want = 0
 			}
-			if v, ok := metrics.Lookup(fed, "gridsched_partition_up", "", part); !ok || v != want {
+			if v, ok := testkit.Lookup(fed, "gridsched_partition_up", "", part); !ok || v != want {
 				t.Errorf("%s: gridsched_partition_up%v = %v (present %v), want %v", tc.name, part, v, ok, want)
 			}
 			if isDown {
@@ -368,7 +369,7 @@ func TestRouterMetricsConformance(t *testing.T) {
 			for _, m := range direct[i] {
 				for _, s := range m.Samples {
 					samples++
-					if _, ok := metrics.Lookup(fed, m.Name, s.Suffix, append([]metrics.Label{part}, s.Labels...)...); !ok {
+					if _, ok := testkit.Lookup(fed, m.Name, s.Suffix, append([]metrics.Label{part}, s.Labels...)...); !ok {
 						t.Errorf("%s: partition %d's %s%s%v is not in the federation", tc.name, i, m.Name, s.Suffix, s.Labels)
 					}
 				}

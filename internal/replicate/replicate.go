@@ -86,9 +86,6 @@ func (e *Encoder) msg(typ byte, lsn uint64, payload []byte) error {
 	return err
 }
 
-// Frame writes one journal record.
-func (e *Encoder) Frame(lsn uint64, payload []byte) error { return e.msg(TypeFrame, lsn, payload) }
-
 // Frames writes a run of whole journal frames, as journal.Writer.Frames
 // hands them out, one message each: the type byte, then the frame's bytes
 // verbatim. It returns how many it wrote.

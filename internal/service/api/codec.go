@@ -35,6 +35,7 @@ import (
 	"io"
 	"math"
 	"math/bits"
+	"net/http"
 	"reflect"
 	"strings"
 
@@ -129,6 +130,15 @@ func ReadFrame(br *bufio.Reader) ([]byte, error) {
 		return nil, err
 	}
 	return payload, nil
+}
+
+// WriteJSON answers with status code and v as its JSON body. Every JSON
+// reply the servers write goes through it, error bodies (ErrorResponse)
+// included.
+func WriteJSON(w http.ResponseWriter, code int, v any) {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(code)
+	_ = json.NewEncoder(w).Encode(v)
 }
 
 // IsBinary reports whether a Content-Type names the binary codec.

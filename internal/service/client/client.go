@@ -17,7 +17,6 @@ import (
 	"io"
 	"net/http"
 	"net/url"
-	"os"
 	"strconv"
 	"strings"
 	"sync"
@@ -65,14 +64,7 @@ type Client struct {
 	AuthToken string
 
 	// binWire is the codec SetCodec selected: binary when set, else JSON.
-	// GRIDSCHED_TEST_CODEC, read at construction, sets it too — the hook the
-	// CI codec matrix uses to run the whole e2e suite over each wire format.
 	binWire atomic.Bool
-	// binReplies/jsonReplies count 2xx replies to binary-capable calls by
-	// the codec the server actually used — the observable a conformance
-	// test needs to prove binary was really on the wire.
-	binReplies  atomic.Int64
-	jsonReplies atomic.Int64
 }
 
 // SetCodec selects the wire format for the hot-path payloads:
@@ -92,12 +84,6 @@ func (c *Client) SetCodec(mode string) error {
 		return nil
 	}
 	return fmt.Errorf("client: unknown codec %q (want json or binary)", mode)
-}
-
-// CodecCounts returns how many 2xx replies to binary-capable calls
-// arrived in each codec.
-func (c *Client) CodecCounts() (binary, jsonCount int64) {
-	return c.binReplies.Load(), c.jsonReplies.Load()
 }
 
 // New builds a client for the server at base (e.g. "http://host:8080").
@@ -124,18 +110,7 @@ func NewMulti(endpoints []string, httpClient *http.Client) *Client {
 	for i, e := range endpoints {
 		eps[i] = strings.TrimRight(e, "/")
 	}
-	c := &Client{endpoints: eps, http: httpClient}
-	// GRIDSCHED_TEST_CODEC forces every client built in this process onto
-	// one wire format — the CI conformance matrix sets it to run the e2e
-	// suites under each codec. A bad value fails loudly: a typo silently
-	// testing JSON twice is exactly the failure mode the matrix exists to
-	// prevent.
-	if mode := os.Getenv("GRIDSCHED_TEST_CODEC"); mode != "" {
-		if err := c.SetCodec(mode); err != nil {
-			panic(fmt.Sprintf("client: GRIDSCHED_TEST_CODEC: %v", err))
-		}
-	}
-	return c
+	return &Client{endpoints: eps, http: httpClient}
 }
 
 // Endpoint returns the endpoint requests currently go to.
@@ -311,7 +286,6 @@ func (c *Client) do(ctx context.Context, method, path string, in, out any) error
 		return err
 	}
 	if api.IsBinary(resp.Header.Get("Content-Type")) {
-		c.binReplies.Add(1)
 		data, err := io.ReadAll(resp.Body)
 		if err != nil {
 			return err
@@ -319,17 +293,16 @@ func (c *Client) do(ctx context.Context, method, path string, in, out any) error
 		return api.Binary.Unmarshal(data, out)
 	}
 	if wantBin {
-		return c.refuseJSONReply(method + " " + path)
+		return refuseJSONReply(method + " " + path)
 	}
 	return json.NewDecoder(resp.Body).Decode(out)
 }
 
-// refuseJSONReply records a JSON reply to a request that demanded binary,
-// and refuses it: decoding it would work — which is exactly why it must
-// not pass: a silent fallback would let the conformance matrix "pass"
-// without binary ever touching the wire.
-func (c *Client) refuseJSONReply(what string) error {
-	c.jsonReplies.Add(1)
+// refuseJSONReply refuses a JSON reply to a request that demanded binary:
+// decoding it would work — which is exactly why it must not pass: a silent
+// fallback would let the conformance matrix "pass" without binary ever
+// touching the wire.
+func refuseJSONReply(what string) error {
 	return fmt.Errorf("client: server answered %s in JSON despite binary codec (silent fallback refused)", what)
 }
 

@@ -13,6 +13,7 @@ import (
 	"gridsched/internal/service"
 	"gridsched/internal/service/api"
 	"gridsched/internal/service/client"
+	"gridsched/internal/testkit"
 	"gridsched/internal/workload"
 )
 
@@ -53,12 +54,12 @@ func TestSubmitIdempotentAcrossServerRestart(t *testing.T) {
 
 	s1 := durableService(t, dir)
 	ts1 := httptest.NewServer(s1.Handler())
-	id1, err := client.New(ts1.URL, nil).SubmitJobIdempotent(ctx, req)
+	id1, err := testkit.WireCodec(t, client.New(ts1.URL, nil)).SubmitJobIdempotent(ctx, req)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Same key on the same process first (the in-memory dedupe path).
-	again, err := client.New(ts1.URL, nil).SubmitJobIdempotent(ctx, req)
+	again, err := testkit.WireCodec(t, client.New(ts1.URL, nil)).SubmitJobIdempotent(ctx, req)
 	if err != nil || again != id1 {
 		t.Fatalf("same-process resubmit: %q, %v; want %q", again, err, id1)
 	}
@@ -69,14 +70,14 @@ func TestSubmitIdempotentAcrossServerRestart(t *testing.T) {
 	defer s2.Close()
 	ts2 := httptest.NewServer(s2.Handler())
 	defer ts2.Close()
-	id2, err := client.New(ts2.URL, nil).SubmitJobIdempotent(ctx, req)
+	id2, err := testkit.WireCodec(t, client.New(ts2.URL, nil)).SubmitJobIdempotent(ctx, req)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if id2 != id1 {
 		t.Fatalf("restart resubmit created %q, original was %q", id2, id1)
 	}
-	jobs, err := client.New(ts2.URL, nil).Jobs(ctx)
+	jobs, err := testkit.WireCodec(t, client.New(ts2.URL, nil)).Jobs(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +95,7 @@ func TestSubmitRetryExhaustionSurfacesLastTransportError(t *testing.T) {
 	dead := ts.URL
 	ts.Close()
 
-	cl := client.New(dead, nil)
+	cl := testkit.WireCodec(t, client.New(dead, nil))
 	cl.ResubmitWindow = 300 * time.Millisecond
 	start := time.Now()
 	_, err := cl.SubmitJob(context.Background(), "doomed", "workqueue", 0, smallWorkload(2))
@@ -139,7 +140,7 @@ func TestSubmitRetriesThrough503(t *testing.T) {
 	}))
 	defer ts.Close()
 
-	cl := client.New(ts.URL, nil)
+	cl := testkit.WireCodec(t, client.New(ts.URL, nil))
 	id, err := cl.SubmitJob(context.Background(), "late", "workqueue", 0, smallWorkload(4))
 	if err != nil {
 		t.Fatal(err)

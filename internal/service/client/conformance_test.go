@@ -18,6 +18,7 @@ import (
 	"gridsched/internal/core"
 	"gridsched/internal/service/api"
 	"gridsched/internal/service/client"
+	"gridsched/internal/testkit"
 )
 
 // answer is a scripted reply to a lease request (a stream open) or to a
@@ -169,7 +170,7 @@ func (s *scriptedSched) handler() http.Handler {
 // each way a worker's life can go, the exact requests a default worker
 // sends over its lease stream and what it returns.
 func TestWorkerLoopConformance(t *testing.T) {
-	stopWhenIdle := func(context.Context, *api.PullResponse) (bool, error) { return true, nil }
+	stopWhenIdle := func(context.Context, int) (bool, error) { return true, nil }
 	stopOnReport := func(context.Context, *api.Assignment, string, *api.ReportResponse) bool { return true }
 	first := func(a answer) func(int) answer {
 		return func(n int) answer {
@@ -344,7 +345,7 @@ func TestWorkerLoopConformance(t *testing.T) {
 			// No connection reuse: net/http quietly replays an idempotent
 			// request (the stream's GET) whose reused connection was
 			// severed, which would hide the very error a row scripts.
-			cl := client.New(ts.URL, &http.Client{Transport: &http.Transport{DisableKeepAlives: true}})
+			cl := testkit.WireCodec(t, client.New(ts.URL, &http.Client{Transport: &http.Transport{DisableKeepAlives: true}}))
 
 			ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
 			defer cancel()

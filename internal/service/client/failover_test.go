@@ -5,12 +5,23 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"gridsched/internal/service/api"
 )
+
+// wireCodec is testkit.WireCodec for this package's own tests, which
+// testkit cannot serve because it imports this package.
+func wireCodec(t testing.TB, c *Client) *Client {
+	t.Helper()
+	if err := c.SetCodec(os.Getenv("GRIDSCHED_TEST_CODEC")); err != nil {
+		t.Fatalf("GRIDSCHED_TEST_CODEC: %v", err)
+	}
+	return c
+}
 
 func TestNextDelayEnvelope(t *testing.T) {
 	within := func(got, lo, hi time.Duration) {
@@ -65,7 +76,7 @@ func TestClientFailsOverOnTransportError(t *testing.T) {
 	dead := httptest.NewServer(http.NotFoundHandler())
 	dead.Close() // reserve then release: a connect-refused endpoint
 
-	c := NewMulti([]string{dead.URL, live.URL}, nil)
+	c := wireCodec(t, NewMulti([]string{dead.URL, live.URL}, nil))
 	if _, err := c.Health(context.Background()); err == nil {
 		t.Fatal("first attempt against the dead endpoint succeeded")
 	}
@@ -94,7 +105,7 @@ func TestClientFollowsLeaderHint(t *testing.T) {
 	}))
 	t.Cleanup(follower.Close)
 
-	c := NewMulti([]string{follower.URL}, nil)
+	c := wireCodec(t, NewMulti([]string{follower.URL}, nil))
 	_, err := c.Health(context.Background())
 	if err == nil {
 		t.Fatal("421 response did not surface as an error")

@@ -16,6 +16,7 @@ import (
 	"gridsched/internal/middleware"
 	"gridsched/internal/service/api"
 	"gridsched/internal/service/client"
+	"gridsched/internal/testkit"
 )
 
 // TestRunWorkerAuthFailureIsTerminal is the regression test for the
@@ -34,7 +35,7 @@ func TestRunWorkerAuthFailureIsTerminal(t *testing.T) {
 	ts := httptest.NewServer(chain)
 	defer ts.Close()
 
-	cl := client.New(ts.URL, nil)
+	cl := testkit.WireCodec(t, client.New(ts.URL, nil))
 	cl.AuthToken = "revoked"
 	done := make(chan error, 1)
 	go func() {
@@ -84,7 +85,7 @@ func TestSubmitJobIdempotentRetriesAcrossFailover(t *testing.T) {
 	}))
 	t.Cleanup(follower.Close)
 
-	c := client.NewMulti([]string{follower.URL}, nil)
+	c := testkit.WireCodec(t, client.NewMulti([]string{follower.URL}, nil))
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	id, err := c.SubmitJobIdempotent(ctx, api.SubmitJobRequest{
@@ -122,7 +123,7 @@ func TestSubmitRetriesShed(t *testing.T) {
 	}))
 	defer ts.Close()
 
-	id, err := client.New(ts.URL, nil).SubmitJobIdempotent(context.Background(), api.SubmitJobRequest{
+	id, err := testkit.WireCodec(t, client.New(ts.URL, nil)).SubmitJobIdempotent(context.Background(), api.SubmitJobRequest{
 		Name: "shed-retry", Algorithm: "workqueue", Workload: smallWorkload(2),
 		SubmissionID: "shed-key-1",
 	})
@@ -144,7 +145,7 @@ func TestAPIErrorRetryAfter(t *testing.T) {
 	}))
 	defer ts.Close()
 
-	_, err := client.New(ts.URL, nil).Job(context.Background(), "j1")
+	_, err := testkit.WireCodec(t, client.New(ts.URL, nil)).Job(context.Background(), "j1")
 	var ae *client.APIError
 	if !errors.As(err, &ae) || ae.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("err = %v, want APIError 429", err)
@@ -169,7 +170,7 @@ func TestClientSendsBearer(t *testing.T) {
 	ts := httptest.NewServer(chain)
 	defer ts.Close()
 
-	cl := client.New(ts.URL, nil)
+	cl := testkit.WireCodec(t, client.New(ts.URL, nil))
 	if _, err := cl.Jobs(context.Background()); err == nil {
 		t.Fatal("tokenless request passed auth")
 	}

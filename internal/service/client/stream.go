@@ -68,11 +68,10 @@ func (c *Client) StreamLeases(ctx context.Context, workerID string, batch int) (
 	codec := api.JSON
 	if resp.Header.Get("Content-Type") == api.ContentTypeStreamBinary {
 		codec = api.Binary
-		c.binReplies.Add(1)
 	} else if c.binWire.Load() {
 		resp.Body.Close()
 		cancel()
-		return nil, c.refuseJSONReply("the lease stream")
+		return nil, refuseJSONReply("the lease stream")
 	}
 	return &LeaseStream{
 		body:   resp.Body,

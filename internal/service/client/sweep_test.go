@@ -51,7 +51,7 @@ func TestSweepBackoffFullyDownDeployment(t *testing.T) {
 	srv := healthStub(t)
 	ep1, f1 := faultedEndpoint(t, srv)
 	ep2, f2 := faultedEndpoint(t, srv)
-	c := NewMulti([]string{ep1, ep2}, nil)
+	c := wireCodec(t, NewMulti([]string{ep1, ep2}, nil))
 	ctx := context.Background()
 
 	start := time.Now()
@@ -90,7 +90,7 @@ func TestSweepBackoffFullyDownDeployment(t *testing.T) {
 func TestSweepBackoffNotArmedWithLiveEndpoint(t *testing.T) {
 	srv := healthStub(t)
 	dead, _ := faultedEndpoint(t, srv)
-	c := NewMulti([]string{dead, srv.URL}, nil)
+	c := wireCodec(t, NewMulti([]string{dead, srv.URL}, nil))
 	ctx := context.Background()
 
 	for i := 0; i < 6; i++ {
@@ -108,7 +108,7 @@ func TestSweepBackoffNotArmedWithLiveEndpoint(t *testing.T) {
 func TestSweepBackoffSingleEndpoint(t *testing.T) {
 	srv := healthStub(t)
 	dead, _ := faultedEndpoint(t, srv)
-	c := New(dead, nil)
+	c := wireCodec(t, New(dead, nil))
 	ctx := context.Background()
 
 	start := time.Now()

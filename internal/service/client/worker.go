@@ -32,11 +32,11 @@ type WorkerConfig struct {
 	Execute func(ctx context.Context, ref core.WorkerRef, a *api.Assignment) error
 	// OnIdle is consulted whenever a frame without grants — a changed
 	// open-job count, a keepalive — leaves the worker with nothing queued,
-	// running or waiting to be reported; resp carries the server's open-job
-	// count. The stream's first frame comes at once, so a worker started
-	// before any job is submitted is idle at once. Returning stop ends the
-	// loop. Nil means keep going until ctx is cancelled.
-	OnIdle func(ctx context.Context, resp *api.PullResponse) (stop bool, err error)
+	// running or waiting to be reported; openJobs is the frame's count of
+	// jobs with work left. The stream's first frame comes at once, so a
+	// worker started before any job is submitted is idle at once. Returning
+	// stop ends the loop. Nil means keep going until ctx is cancelled.
+	OnIdle func(ctx context.Context, openJobs int) (stop bool, err error)
 	// OnReport is consulted after every report the server answered;
 	// returning stop ends the loop without asking for another lease. A
 	// job-draining worker uses it to exit the moment its report completes
@@ -378,7 +378,7 @@ func (w *workerLoop) serve(ctx context.Context, reg *api.RegisterResponse) (done
 				break
 			}
 			if cfg.OnIdle != nil {
-				stop, err := cfg.OnIdle(ctx, &api.PullResponse{Status: api.StatusEmpty, OpenJobs: lb.OpenJobs})
+				stop, err := cfg.OnIdle(ctx, lb.OpenJobs)
 				if err != nil || stop {
 					return true, err
 				}

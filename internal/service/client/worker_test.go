@@ -14,6 +14,7 @@ import (
 	"gridsched/internal/service"
 	"gridsched/internal/service/api"
 	"gridsched/internal/service/client"
+	"gridsched/internal/testkit"
 )
 
 // TestWorkerDrainsInFlightTaskOnShutdown: with DrainGrace set, cancelling
@@ -31,7 +32,7 @@ func TestWorkerDrainsInFlightTaskOnShutdown(t *testing.T) {
 	defer s.Close()
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
-	cl := client.New(ts.URL, nil)
+	cl := testkit.WireCodec(t, client.New(ts.URL, nil))
 
 	jobID, err := cl.SubmitJob(context.Background(), "drain", "workqueue", 0, smallWorkload(1))
 	if err != nil {
@@ -97,7 +98,7 @@ func TestWorkerAbortsWithoutDrainGrace(t *testing.T) {
 	defer s.Close()
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
-	cl := client.New(ts.URL, nil)
+	cl := testkit.WireCodec(t, client.New(ts.URL, nil))
 
 	jobID, err := cl.SubmitJob(context.Background(), "abort", "workqueue", 0, smallWorkload(1))
 	if err != nil {
@@ -168,7 +169,7 @@ func TestWorkerKeepsFinishedWorkWhenReportFails(t *testing.T) {
 				h.ServeHTTP(w, r)
 			}))
 			defer ts.Close()
-			cl := client.New(ts.URL, nil)
+			cl := testkit.WireCodec(t, client.New(ts.URL, nil))
 			jobID, err := cl.SubmitJob(context.Background(), "keep", "workqueue", 0, smallWorkload(tasks))
 			if err != nil {
 				t.Fatal(err)
@@ -183,8 +184,8 @@ func TestWorkerKeepsFinishedWorkWhenReportFails(t *testing.T) {
 					executed++
 					return nil
 				},
-				OnIdle: func(_ context.Context, resp *api.PullResponse) (bool, error) {
-					return resp.OpenJobs == 0, nil
+				OnIdle: func(_ context.Context, openJobs int) (bool, error) {
+					return openJobs == 0, nil
 				},
 			})
 			if err != nil {

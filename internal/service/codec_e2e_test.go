@@ -5,6 +5,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -12,20 +13,40 @@ import (
 	"gridsched/internal/service"
 	"gridsched/internal/service/api"
 	"gridsched/internal/service/client"
+	"gridsched/internal/testkit"
 )
+
+// replyCodecs is an http.RoundTripper that counts the 2xx replies to
+// requests demanding binary by the codec they came back in.
+type replyCodecs struct {
+	binary, json atomic.Int64
+}
+
+func (rc *replyCodecs) RoundTrip(req *http.Request) (*http.Response, error) {
+	resp, err := http.DefaultTransport.RoundTrip(req)
+	if err == nil && resp.StatusCode/100 == 2 && api.AcceptsBinary(req.Header.Get("Accept")) {
+		if api.IsBinary(resp.Header.Get("Content-Type")) {
+			rc.binary.Add(1)
+		} else {
+			rc.json.Add(1)
+		}
+	}
+	return resp, err
+}
 
 // TestBinaryCodecConformance runs the whole dispatch protocol — submit,
 // register, stream, batched report, pull, heartbeat, single report — under
-// the strict binary codec and then checks the client's reply counters:
-// every binary-capable call must have been answered in binary, none in
-// JSON. This is the observable the CI codec matrix gates on; a server that
+// the strict binary codec and then counts the replies on the wire: every
+// binary-capable call must have been answered in binary, none in JSON.
+// This is the observable the CI codec matrix gates on; a server that
 // quietly fell back to JSON would fail here, not pass by accident.
 func TestBinaryCodecConformance(t *testing.T) {
 	const tasks = 24
 	s := newService(t, service.Config{})
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(ts.Close)
-	cl := client.New(ts.URL, nil)
+	replies := &replyCodecs{}
+	cl := client.New(ts.URL, &http.Client{Transport: replies})
 	if err := cl.SetCodec("binary"); err != nil {
 		t.Fatal(err)
 	}
@@ -42,8 +63,8 @@ func TestBinaryCodecConformance(t *testing.T) {
 	err = cl.RunWorker(ctx, client.WorkerConfig{
 		StreamBatch: 4,
 		Execute:     func(context.Context, core.WorkerRef, *api.Assignment) error { return nil },
-		OnIdle: func(_ context.Context, resp *api.PullResponse) (bool, error) {
-			return resp.OpenJobs == 0, nil
+		OnIdle: func(_ context.Context, openJobs int) (bool, error) {
+			return openJobs == 0, nil
 		},
 	})
 	if err != nil {
@@ -77,7 +98,7 @@ func TestBinaryCodecConformance(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	bin, jsonReplies := cl.CodecCounts()
+	bin, jsonReplies := replies.binary.Load(), replies.json.Load()
 	if bin == 0 {
 		t.Fatal("no binary replies observed — binary never reached the wire")
 	}
@@ -103,7 +124,7 @@ func TestBinaryCodecRefusesSilentFallback(t *testing.T) {
 	s := newService(t, service.Config{})
 	ts := httptest.NewServer(stripAccept(s.Handler()))
 	t.Cleanup(ts.Close)
-	cl := client.New(ts.URL, nil)
+	cl := testkit.WireCodec(t, client.New(ts.URL, nil))
 	if err := cl.SetCodec("auto"); err == nil {
 		t.Fatal(`SetCodec("auto") accepted`)
 	}
@@ -120,7 +141,7 @@ func TestBinaryCodecRefusesSilentFallback(t *testing.T) {
 	// The stream negotiates per-connection and must refuse the same way.
 	// Register through a JSON client (pinned, so the conformance matrix's
 	// env override cannot flip it) so a worker exists to stream for.
-	jcl := client.New(ts.URL, nil)
+	jcl := testkit.WireCodec(t, client.New(ts.URL, nil))
 	if err := jcl.SetCodec("json"); err != nil {
 		t.Fatal(err)
 	}

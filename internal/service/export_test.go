@@ -4,7 +4,12 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+
+	"gridsched/internal/metrics"
 )
+
+// ReplicationCounters exposes the follower's replication metrics.
+func (f *Follower) ReplicationCounters() *metrics.ReplicationCounters { return f.repl }
 
 // CrashForTest kills the service the way SIGKILL would: the sweeper stops,
 // parked long polls fail, and the journal's file descriptor is closed with

@@ -14,6 +14,7 @@ import (
 	"gridsched/internal/service"
 	"gridsched/internal/service/api"
 	"gridsched/internal/service/client"
+	"gridsched/internal/testkit"
 )
 
 // submitTenant submits a workqueue job under a tenant and weight.
@@ -637,7 +638,7 @@ func TestTenantHTTPSurface(t *testing.T) {
 	s := newService(t, service.Config{})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
-	cl := client.New(ts.URL, nil)
+	cl := testkit.WireCodec(t, client.New(ts.URL, nil))
 	ctx := context.Background()
 
 	if _, err := cl.SubmitTenantJob(ctx, "acme", 3, "job", "workqueue", 0, syntheticWorkload(20, 2)); err != nil {

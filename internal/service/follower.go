@@ -327,10 +327,7 @@ func (f *Follower) Handler() http.Handler {
 // client's endpoint failover follows.
 func (f *Follower) redirectToLeader(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set(api.LeaderHeader, f.cfg.Leader)
-	writeJSON(w, http.StatusMisdirectedRequest, api.ErrorResponse{
+	api.WriteJSON(w, http.StatusMisdirectedRequest, api.ErrorResponse{
 		Error: fmt.Sprintf("follower: %s %s must go to the leader at %s", r.Method, r.URL.Path, f.cfg.Leader),
 	})
 }
-
-// ReplicationCounters exposes the follower's metrics for embedding.
-func (f *Follower) ReplicationCounters() *metrics.ReplicationCounters { return f.repl }

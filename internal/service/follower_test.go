@@ -12,10 +12,12 @@ import (
 	"testing"
 	"time"
 
+	"gridsched/internal/journal"
 	"gridsched/internal/replicate"
 	"gridsched/internal/service"
 	"gridsched/internal/service/api"
 	"gridsched/internal/service/client"
+	"gridsched/internal/testkit"
 )
 
 // startFollower spins up a hot standby replicating the leader at
@@ -307,7 +309,7 @@ type leaseStream struct {
 
 func (m *mirror) stream(workerID string, batch int) *leaseStream {
 	m.t.Helper()
-	ls, err := client.New(m.url, nil).StreamLeases(context.Background(), workerID, batch)
+	ls, err := testkit.WireCodec(m.t, client.New(m.url, nil)).StreamLeases(context.Background(), workerID, batch)
 	if err != nil {
 		m.t.Fatal(err)
 	}
@@ -648,8 +650,9 @@ func TestFollowerHaltsOnDivergence(t *testing.T) {
 			return
 		}
 		enc := replicate.NewEncoder(w)
-		_ = enc.Frame(1, service.QuotaRecordForTest("ta", 5, 1))
-		_ = enc.Frame(3, service.QuotaRecordForTest("tb", 9, 2)) // gap: 2 skipped
+		frames := journal.AppendFrame(nil, 1, service.QuotaRecordForTest("ta", 5, 1))
+		frames = journal.AppendFrame(frames, 3, service.QuotaRecordForTest("tb", 9, 2)) // gap: 2 skipped
+		_, _ = enc.Frames(frames)
 		_ = enc.Flush()
 	}))
 	t.Cleanup(leader.Close)

@@ -52,7 +52,7 @@ var routes = []route{
 // get is the handler of a route that answers 200 with one view of the state.
 func get[T any](view func(*Service) T) func(*Service, http.ResponseWriter, *http.Request) {
 	return func(s *Service, w http.ResponseWriter, _ *http.Request) {
-		writeJSON(w, http.StatusOK, view(s))
+		api.WriteJSON(w, http.StatusOK, view(s))
 	}
 }
 
@@ -79,19 +79,13 @@ func serveRoutes(svc func() *Service) *http.ServeMux {
 	return mux
 }
 
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	_ = json.NewEncoder(w).Encode(v)
-}
-
 func writeError(w http.ResponseWriter, err error) {
 	var se *Error
 	if errors.As(err, &se) {
-		writeJSON(w, se.Code, api.ErrorResponse{Error: se.Msg})
+		api.WriteJSON(w, se.Code, api.ErrorResponse{Error: se.Msg})
 		return
 	}
-	writeJSON(w, http.StatusInternalServerError, api.ErrorResponse{Error: err.Error()})
+	api.WriteJSON(w, http.StatusInternalServerError, api.ErrorResponse{Error: err.Error()})
 }
 
 // readBody decodes the request body with whichever codec its Content-Type
@@ -135,7 +129,7 @@ func writeReply(w http.ResponseWriter, r *http.Request, code int, v any) {
 			return
 		}
 	}
-	writeJSON(w, code, v)
+	api.WriteJSON(w, code, v)
 }
 
 // answer is a handler's last step: the reply, or the error there was instead.
@@ -293,5 +287,5 @@ func (s *Service) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	if rd.Leader != "" {
 		w.Header().Set(api.LeaderHeader, rd.Leader)
 	}
-	writeJSON(w, http.StatusOK, rd)
+	api.WriteJSON(w, http.StatusOK, rd)
 }

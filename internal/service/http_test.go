@@ -21,6 +21,7 @@ import (
 	"gridsched/internal/service"
 	"gridsched/internal/service/api"
 	"gridsched/internal/service/client"
+	"gridsched/internal/testkit"
 	"gridsched/internal/workload"
 )
 
@@ -55,7 +56,7 @@ func TestEndToEndWorkloadOverHTTP(t *testing.T) {
 	defer svc.Close()
 	ts := httptest.NewServer(svc.Handler())
 	defer ts.Close()
-	cl := client.New(ts.URL, nil)
+	cl := testkit.WireCodec(t, client.New(ts.URL, nil))
 
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
@@ -100,8 +101,8 @@ func TestEndToEndWorkloadOverHTTP(t *testing.T) {
 					}
 					return nil
 				},
-				OnIdle: func(idleCtx context.Context, resp *api.PullResponse) (bool, error) {
-					return resp.OpenJobs == 0, nil
+				OnIdle: func(idleCtx context.Context, openJobs int) (bool, error) {
+					return openJobs == 0, nil
 				},
 			})
 			if err != nil && ctx.Err() == nil {
@@ -164,7 +165,7 @@ func TestHTTPSubmitRejectsUnknownAlgorithm(t *testing.T) {
 	defer svc.Close()
 	ts := httptest.NewServer(svc.Handler())
 	defer ts.Close()
-	cl := client.New(ts.URL, nil)
+	cl := testkit.WireCodec(t, client.New(ts.URL, nil))
 	_, err = cl.SubmitJob(context.Background(), "bad", "bogus", 0, syntheticWorkload(1, 1))
 	var ae *client.APIError
 	if err == nil {
@@ -179,7 +180,7 @@ func TestHealthzAndMetricsEndpoints(t *testing.T) {
 	svc := newService(t, service.Config{Topology: service.Topology{Sites: 1, WorkersPerSite: 1, CapacityFiles: 100}})
 	ts := httptest.NewServer(svc.Handler())
 	defer ts.Close()
-	cl := client.New(ts.URL, nil)
+	cl := testkit.WireCodec(t, client.New(ts.URL, nil))
 
 	h, err := cl.Health(context.Background())
 	if err != nil {

@@ -16,6 +16,7 @@ import (
 	"gridsched/internal/service"
 	"gridsched/internal/service/api"
 	"gridsched/internal/service/client"
+	"gridsched/internal/testkit"
 )
 
 // TestIngressAuthEndToEnd drives the real service through the full ingress
@@ -60,7 +61,7 @@ func TestIngressAuthEndToEnd(t *testing.T) {
 		}
 	}
 
-	gold := client.New(ts.URL, nil)
+	gold := testkit.WireCodec(t, client.New(ts.URL, nil))
 	gold.AuthToken = "gold-token"
 	// A tenant token cannot submit on another tenant's behalf...
 	_, err = gold.SubmitTenantJob(ctx, "bronze", 1, "sneaky", "workqueue", 0, syntheticWorkload(8, 1))
@@ -87,7 +88,7 @@ func TestIngressAuthEndToEnd(t *testing.T) {
 	} else if !errors.As(err, &ae) || ae.StatusCode != http.StatusForbidden {
 		t.Fatalf("non-admin quota override: %v, want 403", err)
 	}
-	admin := client.New(ts.URL, nil)
+	admin := testkit.WireCodec(t, client.New(ts.URL, nil))
 	admin.AuthToken = "admin-token"
 	if _, err := admin.SetTenantQuota(ctx, "gold", 4); err != nil {
 		t.Fatalf("admin quota override: %v", err)
@@ -97,7 +98,7 @@ func TestIngressAuthEndToEnd(t *testing.T) {
 	// outright (403, before any state check), while the owner reaches the
 	// delete path itself — the job is still running, so the service
 	// answers 409, proving the request got past authorization.
-	bronze := client.New(ts.URL, nil)
+	bronze := testkit.WireCodec(t, client.New(ts.URL, nil))
 	bronze.AuthToken = "bronze-token"
 	if err := bronze.DeleteJob(ctx, id); !errors.As(err, &ae) || ae.StatusCode != http.StatusForbidden {
 		t.Fatalf("cross-tenant delete: %v, want 403", err)
@@ -132,7 +133,7 @@ func TestIngressIdleLongPollsDoNotShed(t *testing.T) {
 	}, svc.Handler()))
 	defer ts.Close()
 	ctx := context.Background()
-	cl := client.New(ts.URL, nil)
+	cl := testkit.WireCodec(t, client.New(ts.URL, nil))
 	reg, err := cl.Register(ctx, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -187,9 +188,9 @@ func TestIngressOverloadShedsLightTenantLast(t *testing.T) {
 
 	// One long-running job per tenant establishes the weights the shedder
 	// orders by: gold 4, bronze 1.
-	gold := client.New(ts.URL, nil)
+	gold := testkit.WireCodec(t, client.New(ts.URL, nil))
 	gold.AuthToken = "gold-token"
-	bronze := client.New(ts.URL, nil)
+	bronze := testkit.WireCodec(t, client.New(ts.URL, nil))
 	bronze.AuthToken = "bronze-token"
 	if _, err := gold.SubmitTenantJob(ctx, "gold", 4, "gold-load", "workqueue", 0, syntheticWorkload(4000, 1)); err != nil {
 		t.Fatal(err)
@@ -244,7 +245,7 @@ func TestIngressOverloadShedsLightTenantLast(t *testing.T) {
 
 	goldOK, bronzeOK := admitted["gold"], admitted["bronze"]
 	shedOf := func(tenant string) float64 {
-		v, _ := metrics.Lookup(c.Metrics(), "gridsched_ingress_tenant_sheds_total", "", metrics.Label{Name: "tenant", Value: tenant})
+		v, _ := testkit.Lookup(c.Metrics(), "gridsched_ingress_tenant_sheds_total", "", metrics.Label{Name: "tenant", Value: tenant})
 		return v
 	}
 	t.Logf("admitted pulls: gold=%d bronze=%d; sheds: gold=%v bronze=%v level=%d p99=%s",

@@ -423,7 +423,7 @@ func TestSiteStoresAreBuiltOnFirstCommit(t *testing.T) {
 				i, step.site, res.staged, built(), step.staged, step.want)
 		}
 	}
-	if got := j.stores[1].Len(); got != 2 {
-		t.Fatalf("site 1 holds %d files, want the 2 committed there", got)
+	if missing := j.stores[1].AppendMissing(nil, []workload.FileID{0, 1, 2}); len(missing) != 1 || missing[0] != 2 {
+		t.Fatalf("site 1 lacks files %v, want only file 2: the 2 others were committed there", missing)
 	}
 }

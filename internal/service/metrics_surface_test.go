@@ -22,6 +22,7 @@ import (
 	"gridsched/internal/service"
 	"gridsched/internal/service/api"
 	"gridsched/internal/service/client"
+	"gridsched/internal/testkit"
 )
 
 // metricsScrapes is what the scripted scenario leaves at each /metrics
@@ -90,7 +91,7 @@ func runMetricsScenario(t *testing.T) metricsScrapes {
 
 	ctx := context.Background()
 	as := func(token string) *client.Client {
-		cl := client.New(front.URL, nil)
+		cl := testkit.WireCodec(t, client.New(front.URL, nil))
 		cl.AuthToken = token
 		return cl
 	}
@@ -349,7 +350,7 @@ func TestMetricsConformance(t *testing.T) {
 				t.Errorf("the scenario left %s only %d series", fam, len(m.Samples))
 			}
 		}
-		if _, ok := metrics.Lookup(leader, fam, ""); ok {
+		if _, ok := testkit.Lookup(leader, fam, ""); ok {
 			t.Errorf("%s has an unlabelled series", fam)
 		}
 	}
@@ -365,7 +366,7 @@ func TestMetricsConformance(t *testing.T) {
 		}
 	}
 	follower := readSurface(t, "follower", got.follower)
-	if v, ok := metrics.Lookup(follower, "gridsched_replication_role", "", metrics.Label{Name: "role", Value: "follower"}); !ok || v != 1 {
+	if v, ok := testkit.Lookup(follower, "gridsched_replication_role", "", metrics.Label{Name: "role", Value: "follower"}); !ok || v != 1 {
 		t.Errorf("standby's role gauge: %v, %v", v, ok)
 	}
 }
@@ -422,7 +423,7 @@ func TestMetricsTableMatchesSurfaces(t *testing.T) {
 	own := func(ms []metrics.Metric) []metrics.Metric { // minus what the leader behind it serves
 		var out []metrics.Metric
 		for _, m := range ms {
-			if _, isLeaders := metrics.Lookup(leader, m.Name, m.Samples[0].Suffix, dropPartition(m.Samples[0].Labels)...); !isLeaders {
+			if _, isLeaders := testkit.Lookup(leader, m.Name, m.Samples[0].Suffix, dropPartition(m.Samples[0].Labels)...); !isLeaders {
 				out = append(out, m)
 			}
 		}

@@ -17,6 +17,7 @@ import (
 	"gridsched/internal/service"
 	"gridsched/internal/service/api"
 	"gridsched/internal/service/client"
+	"gridsched/internal/testkit"
 )
 
 // leaseDriver is one way of speaking the worker protocol. The schedule in
@@ -199,7 +200,7 @@ func TestPullAndStreamAreOneProtocol(t *testing.T) {
 		if stream {
 			ts := httptest.NewServer(s.Handler())
 			defer ts.Close()
-			sd := &streamDriver{protoRun: p, cl: client.New(ts.URL, nil), streams: make([]*client.LeaseStream, 4), want: pullTrace}
+			sd := &streamDriver{protoRun: p, cl: testkit.WireCodec(t, client.New(ts.URL, nil)), streams: make([]*client.LeaseStream, 4), want: pullTrace}
 			defer func() { // before ts.Close, which waits for open responses
 				for _, ls := range sd.streams {
 					if ls != nil {

@@ -1,5 +1,5 @@
-// The deterministic policy-trace gate: scripted worker timelines from
-// internal/sim replayed against the REAL service — fake clock, seeded
+// The deterministic policy-trace gate: scripted worker timelines, ordered
+// by the internal/sim kernel, replayed against the REAL service — fake clock, seeded
 // schedulers, HTTP client in whatever codec GRIDSCHED_TEST_CODEC selects —
 // so straggler speculation, context gating, constraint matching, and
 // deadline urgency are validated end to end on the production dispatch
@@ -10,6 +10,8 @@ package service_test
 
 import (
 	"context"
+	"fmt"
+	"math"
 	"net/http/httptest"
 	"sync/atomic"
 	"testing"
@@ -20,6 +22,7 @@ import (
 	"gridsched/internal/service/api"
 	"gridsched/internal/service/client"
 	"gridsched/internal/sim"
+	"gridsched/internal/testkit"
 )
 
 // policyClock is the fake service clock: a fixed base plus a virtual
@@ -67,11 +70,12 @@ func newPolicyEnv(t *testing.T, sites, workersPerSite int, speculate bool) *poli
 	t.Cleanup(s.Close)
 	srv := httptest.NewServer(s.Handler())
 	t.Cleanup(srv.Close)
-	return &policyEnv{s: s, cl: client.New(srv.URL, nil), clk: clk}
+	return &policyEnv{s: s, cl: testkit.WireCodec(t, client.New(srv.URL, nil)), clk: clk}
 }
 
-// liveBackend adapts the env to sim.PolicyBackend. Worker-facing calls go
-// through the HTTP client so the wire codec is really exercised; clock
+// liveBackend is the scheduling surface a trace drives; every call
+// completes, with all its effects, before it returns. Worker-facing calls
+// go through the HTTP client so the wire codec is really exercised; clock
 // advancement and completion checks go straight to the service.
 type liveBackend struct {
 	env  *policyEnv
@@ -129,13 +133,152 @@ func (b *liveBackend) Open() (bool, error) {
 	return false, nil
 }
 
-// runPolicy drives one script against the env's service and returns the
-// trace summary.
-func runPolicy(t *testing.T, env *policyEnv, script sim.PolicyScript, jobIDs ...string) *sim.PolicyResult {
+// policyWorker scripts one worker's behavior.
+type policyWorker struct {
+	// Site the worker registers at.
+	Site int
+	// Tags are the capability tags it registers with.
+	Tags []string
+	// TaskMillis is how long the worker takes to execute one task.
+	TaskMillis int64
+	// FailEvery makes every Nth execution (1-based) report failure;
+	// 0 never fails. FailEvery=1 is a permanently flaky worker.
+	FailEvery int
+}
+
+// policyScript is one scripted timeline.
+type policyScript struct {
+	Workers []policyWorker
+	// PollMillis is the idle re-poll cadence; defaults to 50ms.
+	PollMillis int64
+	// LimitMillis aborts the trace if the service has not drained by
+	// then; defaults to 10 minutes of virtual time.
+	LimitMillis int64
+}
+
+// policyResult summarizes one trace run.
+type policyResult struct {
+	// MakespanMillis is the virtual time of the last applied completion.
+	MakespanMillis int64
+	// Applied counts completions the service accepted as fresh.
+	Applied int
+	// Failed counts executions scripted to fail.
+	Failed int
+	// Stale counts reports the service rejected as stale or cancelled
+	// (e.g. the losing lease of a speculated task).
+	Stale int
+	// AppliedByWorker is Applied split by worker index.
+	AppliedByWorker []int
+}
+
+// runPolicy replays script against the env's service and returns the trace
+// summary. The trace runs on the discrete-event kernel, so all activity is
+// single-threaded and ordered by (virtual time, schedule sequence); the
+// service clock is advanced to the kernel's before every interaction, which
+// makes lease sweeps and straggler detection a pure function of the script.
+// The trace ends when no job is running and every in-flight execution has
+// reported; it fails the test at LimitMillis.
+func runPolicy(t *testing.T, env *policyEnv, script policyScript, jobIDs ...string) *policyResult {
 	t.Helper()
-	res, err := sim.RunPolicyTrace(script, &liveBackend{env: env, jobs: jobIDs})
-	if err != nil {
-		t.Fatal(err)
+	b := &liveBackend{env: env, jobs: jobIDs}
+	poll := script.PollMillis
+	if poll <= 0 {
+		poll = 50
+	}
+	limit := script.LimitMillis
+	if limit <= 0 {
+		limit = 10 * 60 * 1000
+	}
+	k := sim.NewKernel()
+	res := &policyResult{AppliedByWorker: make([]int, len(script.Workers))}
+	ids := make([]string, len(script.Workers))
+	execs := make([]int, len(script.Workers)) // executions started, for FailEvery
+	var traceErr error
+	drained := false
+
+	millis := func() int64 { return int64(math.Round(k.Now() * 1000)) }
+	// fail records the first error; every pending event then returns
+	// without touching the service, so the kernel drains at once.
+	fail := func(err error) {
+		if traceErr == nil {
+			traceErr = err
+		}
+	}
+
+	var pullLoop func(i int)
+	pullLoop = func(i int) {
+		if traceErr != nil || drained {
+			return
+		}
+		now := millis()
+		b.AdvanceTo(now)
+		aid, ok, err := b.Pull(ids[i])
+		if err != nil {
+			fail(fmt.Errorf("worker %d pull at t=%dms: %w", i, now, err))
+			return
+		}
+		if !ok {
+			open, err := b.Open()
+			if err != nil {
+				fail(err)
+				return
+			}
+			if !open {
+				drained = true // this worker observed the drain; all others stop at their next wake
+				return
+			}
+			k.Schedule(float64(poll)/1000, func() { pullLoop(i) })
+			return
+		}
+		execs[i]++
+		scripted := script.Workers[i]
+		failThis := scripted.FailEvery > 0 && execs[i]%scripted.FailEvery == 0
+		k.Schedule(float64(scripted.TaskMillis)/1000, func() {
+			if traceErr != nil {
+				return
+			}
+			done := millis()
+			b.AdvanceTo(done)
+			applied, err := b.Report(ids[i], aid, failThis)
+			if err != nil {
+				fail(fmt.Errorf("worker %d report at t=%dms: %w", i, done, err))
+				return
+			}
+			switch {
+			case failThis:
+				res.Failed++
+			case applied:
+				res.Applied++
+				res.AppliedByWorker[i]++
+				res.MakespanMillis = done
+			default:
+				res.Stale++
+			}
+			pullLoop(i)
+		})
+	}
+
+	for i := range script.Workers {
+		id, err := b.Register(script.Workers[i].Site, script.Workers[i].Tags)
+		if err != nil {
+			t.Fatalf("worker %d register: %v", i, err)
+		}
+		ids[i] = id
+		idx := i
+		k.Schedule(0, func() { pullLoop(idx) })
+	}
+	k.RunUntil(float64(limit) / 1000)
+	if traceErr != nil {
+		t.Fatal(traceErr)
+	}
+	if !drained {
+		open, err := b.Open()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if open {
+			t.Fatalf("trace did not drain within %dms (applied %d)", limit, res.Applied)
+		}
 	}
 	return res
 }
@@ -143,13 +286,13 @@ func runPolicy(t *testing.T, env *policyEnv, script sim.PolicyScript, jobIDs ...
 // slowWorkerScript is the acceptance scenario: ten single-worker sites,
 // nine fast (200ms per task) and one 20x slower — the classic 10%-slow-
 // worker heterogeneity from the paper's target environment.
-func slowWorkerScript() sim.PolicyScript {
-	ws := make([]sim.PolicyWorker, 10)
+func slowWorkerScript() policyScript {
+	ws := make([]policyWorker, 10)
 	for i := range ws {
-		ws[i] = sim.PolicyWorker{Site: i, TaskMillis: 200}
+		ws[i] = policyWorker{Site: i, TaskMillis: 200}
 	}
 	ws[9].TaskMillis = 4000
-	return sim.PolicyScript{Workers: ws, PollMillis: 50}
+	return policyScript{Workers: ws, PollMillis: 50}
 }
 
 // TestPolicyTraceSpeculationImprovesMakespan is the headline gate: on the
@@ -159,7 +302,7 @@ func slowWorkerScript() sim.PolicyScript {
 // wire.
 func TestPolicyTraceSpeculationImprovesMakespan(t *testing.T) {
 	const tasks = 60
-	run := func(speculate bool) (*sim.PolicyResult, *api.JobStatus) {
+	run := func(speculate bool) (*policyResult, *api.JobStatus) {
 		env := newPolicyEnv(t, 10, 1, speculate)
 		jobID, err := env.cl.SubmitJob(context.Background(), "hetero", "workqueue", 1, syntheticWorkload(tasks, 2))
 		if err != nil {
@@ -211,7 +354,7 @@ func TestPolicyTraceSpeculationImprovesMakespan(t *testing.T) {
 // twice and demands bit-identical summaries: the harness is only a CI
 // gate if it cannot flake.
 func TestPolicyTraceMakespanDeterministic(t *testing.T) {
-	run := func() *sim.PolicyResult {
+	run := func() *policyResult {
 		env := newPolicyEnv(t, 10, 1, true)
 		jobID, err := env.cl.SubmitJob(context.Background(), "det", "workqueue", 1, syntheticWorkload(60, 2))
 		if err != nil {
@@ -242,8 +385,8 @@ func TestPolicyTraceContextGateStarvesFlakyWorker(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := runPolicy(t, env, sim.PolicyScript{
-		Workers: []sim.PolicyWorker{
+	res := runPolicy(t, env, policyScript{
+		Workers: []policyWorker{
 			{Site: 0, TaskMillis: 100},
 			{Site: 1, TaskMillis: 100, FailEvery: 1}, // every execution fails
 		},
@@ -283,8 +426,8 @@ func TestPolicyTraceRequiresTags(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := runPolicy(t, env, sim.PolicyScript{
-		Workers: []sim.PolicyWorker{
+	res := runPolicy(t, env, policyScript{
+		Workers: []policyWorker{
 			{Site: 0, TaskMillis: 100, Tags: []string{"gpu", "avx"}},
 			{Site: 1, TaskMillis: 100},
 		},

@@ -573,12 +573,12 @@ func TestServiceNeverSharesAnIndex(t *testing.T) {
 		t.Fatalf("the factory built %d schedulers, want one at submit and one at recovery", len(seen))
 	}
 	for i, w := range seen {
-		if core.IndexShared(w) {
+		if core.ShareIndex(w) {
 			t.Errorf("workload %d of the job carries a neighbour table", i)
 		}
 	}
 	// And the question can be answered yes: asked for, the table is there.
-	if core.ShareIndex(seen[1]); !core.IndexShared(seen[1]) {
-		t.Fatal("IndexShared is false after ShareIndex")
+	if !core.ShareIndex(seen[1]) {
+		t.Fatal("the table ShareIndex built is gone")
 	}
 }

@@ -12,6 +12,7 @@ import (
 	"gridsched/internal/service"
 	"gridsched/internal/service/api"
 	"gridsched/internal/service/client"
+	"gridsched/internal/testkit"
 	"gridsched/internal/workload"
 )
 
@@ -509,7 +510,7 @@ func TestReplicaCancellationPropagates(t *testing.T) {
 	t.Run("RunWorker", func(t *testing.T) {
 		s := newService(t, service.Config{Topology: topo, LeaseTTL: 600 * time.Millisecond})
 		jobID := submit(t, s)
-		cl := client.InProcess(s.Handler())
+		cl := testkit.WireCodec(t, client.InProcess(s.Handler()))
 		ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
 		defer cancel()
 		var starts atomic.Int64
@@ -526,8 +527,8 @@ func TestReplicaCancellationPropagates(t *testing.T) {
 						}
 						return nil
 					},
-					OnIdle: func(_ context.Context, resp *api.PullResponse) (bool, error) {
-						return resp.OpenJobs == 0, nil
+					OnIdle: func(_ context.Context, openJobs int) (bool, error) {
+						return openJobs == 0, nil
 					},
 				})
 			}()

@@ -23,6 +23,7 @@ import (
 	"gridsched/internal/service"
 	"gridsched/internal/service/api"
 	"gridsched/internal/service/client"
+	"gridsched/internal/testkit"
 	"gridsched/internal/workload"
 )
 
@@ -167,7 +168,7 @@ func TestStandbyKeepsUpAcrossCheckpoints(t *testing.T) {
 			}
 			caughtUp(t, fl, leader)
 			reg := register(t, leader, 0)
-			ls, err := client.New(srv.URL, nil).StreamLeases(context.Background(), reg.WorkerID, k)
+			ls, err := testkit.WireCodec(t, client.New(srv.URL, nil)).StreamLeases(context.Background(), reg.WorkerID, k)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -16,6 +16,7 @@ import (
 	"gridsched/internal/service"
 	"gridsched/internal/service/api"
 	"gridsched/internal/service/client"
+	"gridsched/internal/testkit"
 )
 
 // startHTTP serves s over a real listener and returns a client pointed at
@@ -25,7 +26,7 @@ func startHTTP(t *testing.T, s *service.Service) *client.Client {
 	t.Helper()
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(ts.Close)
-	return client.New(ts.URL, nil)
+	return testkit.WireCodec(t, client.New(ts.URL, nil))
 }
 
 // TestStreamWorkerDrivesJobToCompletion is the tentpole's end-to-end
@@ -61,8 +62,8 @@ func TestStreamWorkerDrivesJobToCompletion(t *testing.T) {
 							perTask[a.Task.ID].Add(1)
 							return nil
 						},
-						OnIdle: func(_ context.Context, resp *api.PullResponse) (bool, error) {
-							return resp.OpenJobs == 0, nil
+						OnIdle: func(_ context.Context, openJobs int) (bool, error) {
+							return openJobs == 0, nil
 						},
 					})
 				}()

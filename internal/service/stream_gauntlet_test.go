@@ -12,6 +12,7 @@ import (
 	"gridsched/internal/service"
 	"gridsched/internal/service/api"
 	"gridsched/internal/service/client"
+	"gridsched/internal/testkit"
 )
 
 // TestStreamDropGauntlet is the fault-injection gauntlet for the streaming
@@ -47,7 +48,7 @@ func TestStreamDropGauntlet(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer proxy.Close()
-	cl := client.New("http://"+proxy.Addr(), nil)
+	cl := testkit.WireCodec(t, client.New("http://"+proxy.Addr(), nil))
 
 	ctx, cancel := context.WithTimeout(context.Background(), 90*time.Second)
 	defer cancel()
@@ -82,8 +83,8 @@ func TestStreamDropGauntlet(t *testing.T) {
 				}
 				return nil
 			},
-			OnIdle: func(_ context.Context, resp *api.PullResponse) (bool, error) {
-				return resp.OpenJobs == 0, nil
+			OnIdle: func(_ context.Context, openJobs int) (bool, error) {
+				return openJobs == 0, nil
 			},
 		})
 	}()

@@ -16,6 +16,7 @@ import (
 	"gridsched/internal/service"
 	"gridsched/internal/service/api"
 	"gridsched/internal/service/client"
+	"gridsched/internal/testkit"
 )
 
 // TestConcurrentMixedTraffic drives every mutation class at once across
@@ -258,7 +259,7 @@ func TestSpeculativeChurnStress(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer proxy.Close()
-	cl := client.New("http://"+proxy.Addr(), nil)
+	cl := testkit.WireCodec(t, client.New("http://"+proxy.Addr(), nil))
 
 	jobID, err := s.SubmitJob(api.SubmitJobRequest{Name: "spec-churn", Algorithm: "workqueue", Workload: syntheticWorkload(tasks, 2), Seed: 11})
 	if err != nil {
@@ -300,8 +301,8 @@ func TestSpeculativeChurnStress(t *testing.T) {
 				}
 				return nil
 			},
-			OnIdle: func(_ context.Context, resp *api.PullResponse) (bool, error) {
-				return resp.OpenJobs == 0, nil
+			OnIdle: func(_ context.Context, openJobs int) (bool, error) {
+				return openJobs == 0, nil
 			},
 		})
 	}()

@@ -53,15 +53,9 @@ type Event struct {
 	wakeMsg  resumeMsg
 }
 
-// At returns the virtual time the event is scheduled for.
-func (e *Event) At() Time { return e.at }
-
 // Cancel prevents the event from firing. Cancelling an already-fired or
 // already-cancelled event is a no-op.
 func (e *Event) Cancel() { e.canceled = true }
-
-// Canceled reports whether Cancel was called.
-func (e *Event) Canceled() bool { return e.canceled }
 
 type eventHeap []*Event
 
@@ -100,10 +94,9 @@ func (h *eventHeap) Pop() any {
 // concurrent use from multiple goroutines; its processes are coroutines of
 // the goroutine that calls Run, not goroutines of their own.
 type Kernel struct {
-	now     Time
-	seq     uint64
-	events  eventHeap
-	stopped bool
+	now    Time
+	seq    uint64
+	events eventHeap
 
 	procs   int // live (not yet finished) processes
 	procSeq int
@@ -193,19 +186,15 @@ func (k *Kernel) Reschedule(e *Event, delay Time) {
 	}
 }
 
-// Stop makes Run return after the current event completes.
-func (k *Kernel) Stop() { k.stopped = true }
-
-// Run executes events in timestamp order until the queue is empty or Stop is
-// called. It returns the final virtual time.
+// Run executes events in timestamp order until the queue is empty. It
+// returns the final virtual time.
 func (k *Kernel) Run() Time { return k.RunUntil(Forever) }
 
 // RunUntil executes events with timestamp <= limit. Events scheduled beyond
 // the limit remain queued; the clock advances to the last executed event (or
 // stays put if none ran).
 func (k *Kernel) RunUntil(limit Time) Time {
-	k.stopped = false
-	for !k.stopped && len(k.events) > 0 {
+	for len(k.events) > 0 {
 		next := k.events[0]
 		if next.at > limit {
 			break
@@ -229,6 +218,3 @@ func (k *Kernel) RunUntil(limit Time) Time {
 	}
 	return k.now
 }
-
-// Pending returns the number of queued (possibly cancelled) events.
-func (k *Kernel) Pending() int { return len(k.events) }

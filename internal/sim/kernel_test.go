@@ -50,8 +50,8 @@ func TestKernelCancel(t *testing.T) {
 	if fired {
 		t.Fatal("cancelled event fired")
 	}
-	if !e.Canceled() {
-		t.Fatal("Canceled() = false after Cancel")
+	if !e.canceled {
+		t.Fatal("not marked canceled after Cancel")
 	}
 }
 
@@ -79,29 +79,12 @@ func TestKernelRunUntil(t *testing.T) {
 	if count != 5 {
 		t.Fatalf("count = %d after RunUntil(5), want 5", count)
 	}
-	if k.Pending() != 5 {
-		t.Fatalf("pending = %d, want 5", k.Pending())
+	if len(k.events) != 5 {
+		t.Fatalf("pending = %d, want 5", len(k.events))
 	}
 	k.Run()
 	if count != 10 {
 		t.Fatalf("count = %d after Run, want 10", count)
-	}
-}
-
-func TestKernelStop(t *testing.T) {
-	k := NewKernel()
-	count := 0
-	for i := 1; i <= 10; i++ {
-		k.Schedule(Time(i), func() {
-			count++
-			if count == 3 {
-				k.Stop()
-			}
-		})
-	}
-	k.RunUntil(Forever)
-	if count != 3 {
-		t.Fatalf("count = %d, want 3 (Stop ignored?)", count)
 	}
 }
 

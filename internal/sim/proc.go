@@ -47,15 +47,6 @@ type Proc struct {
 	slot   int  // index in Kernel.live
 }
 
-// Name returns the process name given to Go.
-func (p *Proc) Name() string { return p.name }
-
-// ID returns the kernel-unique process id.
-func (p *Proc) ID() int { return p.id }
-
-// Kernel returns the kernel this process runs on.
-func (p *Proc) Kernel() *Kernel { return p.k }
-
 // Now returns the current virtual time.
 func (p *Proc) Now() Time { return p.k.now }
 
@@ -140,10 +131,6 @@ func (p *Proc) Sleep(d Time) {
 	p.k.scheduleWake(d, p, resumeMsg{})
 	p.park()
 }
-
-// LiveProcs returns the number of processes that have been spawned and have
-// not yet finished.
-func (k *Kernel) LiveProcs() int { return k.procs }
 
 // Shutdown force-terminates every parked process. It must be called after
 // Run returns (kernel context). Each parked process unwinds via an internal

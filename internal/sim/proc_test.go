@@ -21,8 +21,8 @@ func TestProcSleepAdvancesClock(t *testing.T) {
 	if wake != 3.5 {
 		t.Fatalf("woke at %v, want 3.5", wake)
 	}
-	if k.LiveProcs() != 0 {
-		t.Fatalf("live procs = %d, want 0", k.LiveProcs())
+	if k.procs != 0 {
+		t.Fatalf("live procs = %d, want 0", k.procs)
 	}
 }
 
@@ -216,12 +216,12 @@ func TestShutdownReleasesParkedProcs(t *testing.T) {
 		})
 	}
 	k.Run()
-	if k.LiveProcs() != 3 {
-		t.Fatalf("live procs = %d before shutdown, want 3", k.LiveProcs())
+	if k.procs != 3 {
+		t.Fatalf("live procs = %d before shutdown, want 3", k.procs)
 	}
 	k.Shutdown()
-	if k.LiveProcs() != 0 {
-		t.Fatalf("live procs = %d after shutdown, want 0", k.LiveProcs())
+	if k.procs != 0 {
+		t.Fatalf("live procs = %d after shutdown, want 0", k.procs)
 	}
 	if cleaned != 3 {
 		t.Fatalf("deferred cleanups ran %d times, want 3", cleaned)
@@ -322,12 +322,12 @@ func TestShutdownLeavesNoGoroutineBehind(t *testing.T) {
 		p.Sleep(1)
 	})
 	k.RunUntil(10)
-	if k.LiveProcs() != 4 {
-		t.Fatalf("live procs = %d before shutdown, want 4", k.LiveProcs())
+	if k.procs != 4 {
+		t.Fatalf("live procs = %d before shutdown, want 4", k.procs)
 	}
 	k.Shutdown()
-	if k.LiveProcs() != 0 {
-		t.Fatalf("live procs = %d after shutdown, want 0", k.LiveProcs())
+	if k.procs != 0 {
+		t.Fatalf("live procs = %d after shutdown, want 0", k.procs)
 	}
 	for _, name := range []string{"sleep", "recv", "wait", "wait-timeout", "returns"} {
 		if cleaned[name] != 1 {
@@ -382,8 +382,8 @@ func TestProcFailureSurfacesInRun(t *testing.T) {
 		if reached {
 			t.Errorf("%s: the body ran on past its failure", tc.name)
 		}
-		if k.LiveProcs() != 1 {
-			t.Errorf("%s: live procs = %d, want the bystander alone", tc.name, k.LiveProcs())
+		if k.procs != 1 {
+			t.Errorf("%s: live procs = %d, want the bystander alone", tc.name, k.procs)
 		}
 		k.Shutdown()
 

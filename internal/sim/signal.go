@@ -26,9 +26,6 @@ func NewSignal(k *Kernel) *Signal {
 // Fired reports whether Fire has been called.
 func (s *Signal) Fired() bool { return s.fired }
 
-// Value returns the value passed to Fire (nil before Fire).
-func (s *Signal) Value() any { return s.val }
-
 // Reset returns a fired signal to the unfired state so it can be reused,
 // saving an allocation on request/reply hot loops. Resetting a signal that
 // still has waiters (fired or not) panics: their wake is in flight and a

@@ -134,34 +134,13 @@ func (s *Store) grow(f workload.FileID) {
 	s.files = files
 }
 
-// Len returns the number of resident files.
-func (s *Store) Len() int { return s.count }
-
-// Stats returns a copy of the activity counters.
-func (s *Store) Stats() Stats { return s.stats }
-
 // Contains reports whether f is resident.
 func (s *Store) Contains(f workload.FileID) bool {
 	return int(f) < len(s.files) && s.files[f].slot != noSlot
 }
 
-// References returns how many past task executions at this site referenced
-// f. The count survives eviction: it is site history, not cache state.
-func (s *Store) References(f workload.FileID) int {
-	if int(f) >= len(s.files) {
-		return 0
-	}
-	return int(s.files[f].refs)
-}
-
-// Missing returns the subset of files not resident, preserving order.
-func (s *Store) Missing(files []workload.FileID) []workload.FileID {
-	return s.AppendMissing(nil, files)
-}
-
 // AppendMissing appends the non-resident subset of files to dst (order
-// preserved) and returns the extended slice — the allocation-free form of
-// Missing for callers with a reusable buffer.
+// preserved) and returns the extended slice.
 func (s *Store) AppendMissing(dst, files []workload.FileID) []workload.FileID {
 	for _, f := range files {
 		if !s.Contains(f) {
@@ -169,18 +148,6 @@ func (s *Store) AppendMissing(dst, files []workload.FileID) []workload.FileID {
 		}
 	}
 	return dst
-}
-
-// Overlap returns |files ∩ resident| — the paper's overlap cardinality
-// between a task and this storage (§2.2).
-func (s *Store) Overlap(files []workload.FileID) int {
-	n := 0
-	for _, f := range files {
-		if s.Contains(f) {
-			n++
-		}
-	}
-	return n
 }
 
 // unlink removes slot i from the recency list.
@@ -238,18 +205,13 @@ func (s *Store) insert(f workload.FileID) {
 	s.stats.Inserts++
 }
 
-// CommitBatch makes every file in files resident and counts one reference
-// per file, evicting non-batch files as needed. It returns the files that
-// were fetched (previously missing) and the files evicted to make room.
-// The batch itself is never evicted: a task needs all its inputs resident
-// at once (assumption 5), so a batch larger than capacity is an error.
-func (s *Store) CommitBatch(files []workload.FileID) (fetched, evicted []workload.FileID, err error) {
-	return s.CommitBatchInto(files, nil, nil)
-}
-
-// CommitBatchInto is CommitBatch appending into caller-provided fetched and
-// evicted buffers (pass them length-zero), the allocation-free form for
-// hot dispatch paths. The returned slices alias the buffers.
+// CommitBatchInto makes every file in files resident and counts one
+// reference per file, evicting non-batch files as needed. It appends the
+// files that were fetched (previously missing) to fetched and the files
+// evicted to make room to evicted (pass them length-zero; the returned
+// slices alias them). The batch itself is never evicted: a task needs all
+// its inputs resident at once (assumption 5), so a batch larger than
+// capacity is an error.
 func (s *Store) CommitBatchInto(files, fetched, evicted []workload.FileID) ([]workload.FileID, []workload.FileID, error) {
 	if len(files) > s.capacity {
 		return nil, nil, fmt.Errorf("storage: batch of %d exceeds capacity %d", len(files), s.capacity)
@@ -324,14 +286,4 @@ func (s *Store) evictOne(pinBatch bool) workload.FileID {
 		return f
 	}
 	return -1
-}
-
-// Resident returns the resident files in recency order (most recent first).
-// It allocates a fresh slice.
-func (s *Store) Resident() []workload.FileID {
-	out := make([]workload.FileID, 0, s.count)
-	for i := s.head; i != noSlot; i = s.slots[i].next {
-		out = append(out, workload.FileID(s.slots[i].file))
-	}
-	return out
 }

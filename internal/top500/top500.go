@@ -55,18 +55,3 @@ func (s *Sampler) Sample() float64 {
 	}
 	return r / s.divisor
 }
-
-// SampleN returns n worker speeds in MFLOPS.
-func (s *Sampler) SampleN(n int) []float64 {
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = s.Sample()
-	}
-	return out
-}
-
-// MinSpeed and MaxSpeed bound what Sample can return (MFLOPS).
-func MinSpeed() float64 { return rank500Mflops / 100 }
-
-// MaxSpeed returns the largest speed Sample can return (MFLOPS).
-func MaxSpeed() float64 { return rank1Mflops / 100 }

@@ -47,64 +47,6 @@ type Tracer interface {
 	Record(Event)
 }
 
-// Memory accumulates events in order.
-type Memory struct {
-	mu     sync.Mutex
-	events []Event
-}
-
-var _ Tracer = (*Memory)(nil)
-
-// NewMemory returns an empty in-memory tracer.
-func NewMemory() *Memory { return &Memory{} }
-
-// Record implements Tracer.
-func (m *Memory) Record(e Event) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.events = append(m.events, e)
-}
-
-// Events returns a copy of the recorded timeline.
-func (m *Memory) Events() []Event {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return append([]Event(nil), m.events...)
-}
-
-// Len returns the number of recorded events.
-func (m *Memory) Len() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return len(m.events)
-}
-
-// OfKind returns the recorded events of one kind, in order.
-func (m *Memory) OfKind(k Kind) []Event {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	var out []Event
-	for _, e := range m.events {
-		if e.Kind == k {
-			out = append(out, e)
-		}
-	}
-	return out
-}
-
-// TaskTimeline returns every event touching the given task, in order.
-func (m *Memory) TaskTimeline(task int64) []Event {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	var out []Event
-	for _, e := range m.events {
-		if e.Task == task {
-			out = append(out, e)
-		}
-	}
-	return out
-}
-
 // JSONWriter streams events as JSON lines.
 type JSONWriter struct {
 	mu  sync.Mutex
