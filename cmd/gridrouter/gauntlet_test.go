@@ -147,7 +147,6 @@ func TestPartitionGauntletKill9(t *testing.T) {
 			_ = cl.RunWorker(ctx, client.WorkerConfig{
 				Site:          &site,
 				ReconnectWait: 100 * time.Millisecond,
-				RebalanceWait: time.Second,
 				Execute: func(execCtx context.Context, ref core.WorkerRef, a *api.Assignment) error {
 					select {
 					case <-execCtx.Done():

@@ -50,25 +50,14 @@ func main() {
 // run starts the router and blocks until ctx is cancelled. onReady, when
 // non-nil, receives the bound address (tests bind ":0").
 func run(ctx context.Context, args []string, onReady func(addr string)) error {
-	fs := flag.NewFlagSet("gridrouter", flag.ContinueOnError)
-	var (
-		addr  = fs.String("addr", ":8080", "listen address")
-		parts = fs.String("partitions", "", "comma-separated partition base URLs, in partition-index order")
-		aggTO = fs.Duration("aggregate-timeout", 10*time.Second, "per-partition time budget for aggregated reads and probes")
-	)
+	fs, addr, cfg := flags()
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if *parts == "" {
+	if len(cfg.Partitions) == 0 {
 		return fmt.Errorf("-partitions is required (comma-separated base URLs in partition-index order)")
 	}
-	var urls []string
-	for _, u := range strings.Split(*parts, ",") {
-		if u = strings.TrimSpace(u); u != "" {
-			urls = append(urls, u)
-		}
-	}
-	rt, err := partition.New(partition.Config{Partitions: urls, AggregateTimeout: *aggTO})
+	rt, err := partition.New(*cfg)
 	if err != nil {
 		return err
 	}
@@ -79,7 +68,7 @@ func run(ctx context.Context, args []string, onReady func(addr string)) error {
 	srv := &http.Server{Handler: rt.Handler()}
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- srv.Serve(ln) }()
-	log.Printf("gridrouter: listening on %s, routing %d partitions: %s", ln.Addr(), len(urls), strings.Join(urls, " "))
+	log.Printf("gridrouter: listening on %s, routing %d partitions: %s", ln.Addr(), len(cfg.Partitions), strings.Join(cfg.Partitions, " "))
 	if onReady != nil {
 		onReady(ln.Addr().String())
 	}
@@ -98,4 +87,23 @@ func run(ctx context.Context, args []string, onReady func(addr string)) error {
 		return nil
 	}
 	return err
+}
+
+// flags declares gridrouter's flag set: the listen address, and the
+// router's Config field by field.
+func flags() (*flag.FlagSet, *string, *partition.Config) {
+	cfg := &partition.Config{}
+	fs := flag.NewFlagSet("gridrouter", flag.ContinueOnError)
+	addr := fs.String("addr", ":8080", "listen address")
+	fs.Func("partitions", "comma-separated partition base URLs, in partition-index order", func(s string) error {
+		cfg.Partitions = nil
+		for _, u := range strings.Split(s, ",") {
+			if u = strings.TrimSpace(u); u != "" {
+				cfg.Partitions = append(cfg.Partitions, u)
+			}
+		}
+		return nil
+	})
+	fs.DurationVar(&cfg.AggregateTimeout, "aggregate-timeout", 10*time.Second, "per-partition time budget for aggregated reads and probes")
+	return fs, addr, cfg
 }

@@ -13,15 +13,12 @@ import (
 	"gridsched/internal/service/api"
 )
 
-// followerEnv is everything runFollower needs from run(): the service
-// configuration a promotion will use, the replication flags, and the
-// hooks into the serving machinery (handler swap, shutdown).
+// followerEnv is everything runFollower needs from run(): the daemon's
+// settings (the service configuration a promotion will use, the
+// replication flags), and the hooks into the serving machinery (handler
+// swap, shutdown).
 type followerEnv struct {
-	svcCfg      gridsched.ServiceConfig
-	leader      string
-	token       string
-	autoPromote time.Duration
-
+	d            *daemon
 	wrapper      *swappable
 	buildIngress func(h http.Handler, tenantWeight func(string) int64) http.Handler
 	closeApp     *atomic.Pointer[func()]
@@ -34,10 +31,7 @@ type followerEnv struct {
 // replicated data dir and swaps the promoted service's handler in; the
 // listener, its port, and the ingress chain all stay.
 func runFollower(ctx context.Context, env followerEnv) error {
-	fl, err := gridsched.NewFollower(env.svcCfg, gridsched.FollowerConfig{
-		Leader: env.leader,
-		Token:  env.token,
-	})
+	fl, err := gridsched.NewFollower(env.d.svc, env.d.follow)
 	if err != nil {
 		return err
 	}
@@ -78,8 +72,8 @@ func runFollower(ctx context.Context, env followerEnv) error {
 	mux.Handle("/", fl.Handler())
 	env.wrapper.store(env.buildIngress(mux, nil))
 
-	if env.autoPromote > 0 {
-		go watchLeader(ctx, fl, env.autoPromote, promote)
+	if env.d.autoPromote > 0 {
+		go watchLeader(ctx, fl, env.d.autoPromote, promote)
 	}
 	return nil
 }

@@ -129,56 +129,18 @@ func bootstrapHandler() http.Handler {
 // non-nil, receives the bound address once the service answers traffic
 // (tests bind ":0").
 func run(ctx context.Context, args []string, onReady func(addr string)) error {
-	fs := flag.NewFlagSet("gridschedd", flag.ContinueOnError)
-	var (
-		addr     = fs.String("addr", ":8080", "listen address")
-		sites    = fs.Int("sites", 10, "sites in the worker pool")
-		workers  = fs.Int("workers", 4, "worker slots per site")
-		capacity = fs.Int("capacity", 6000, "per-site store capacity in files")
-		policy   = fs.String("policy", "lru", "store replacement policy: lru or fifo")
-		lease    = fs.Duration("lease", 15*time.Second, "worker/assignment lease TTL")
-		sweep    = fs.Duration("sweep", 0, "lease sweep interval (0: lease/4)")
-		shards   = fs.Int("shards", 0, "job-state lock stripes (0: sized to the machine; see docs/ARCHITECTURE.md)")
-		quota    = fs.Int("tenant-quota", 0, "per-tenant cap on concurrently leased assignments (0: unlimited; override per tenant via PUT /v1/tenants/{tenant})")
-		pprof    = fs.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/")
-		tokens   = fs.String("auth-tokens", "", "bearer-token file enabling per-tenant auth (\"<token> <tenant> [admin]\" per line; SIGHUP reloads)")
-		rate     = fs.Float64("rate-limit", 0, "sustained requests/second allowed per client IP (tenant buckets scale by weight; 0 disables)")
-		burst    = fs.Float64("rate-burst", 0, "rate-limit bucket depth (0: 2x rate-limit)")
-		shedP99  = fs.Duration("shed-p99", 0, "shed pulls/submits with 429 when request p99 exceeds this bound, low-weight tenants first (0 disables)")
-		dataDir  = fs.String("data-dir", "", "journal+snapshot directory; empty disables durability")
-		fsync    = fs.String("fsync", "batch", "journal fsync mode: always, batch or never")
-		snapshot = fs.Int("snapshot-every", 4096, "journal records between compacting snapshots")
-		spec     = fs.Bool("speculate", false, "re-execute straggler leases speculatively (first report wins; see docs/SCHEDULING.md)")
-		partIdx  = fs.Int("partition-index", 0, "this daemon's partition index in a partitioned deployment (see docs/PARTITIONING.md)")
-		partCnt  = fs.Int("partition-count", 0, "total partitions in the deployment (0 or 1: standalone); ids mint in this partition's residue class")
-		follow   = fs.String("follow", "", "run as a hot standby replicating the leader at this base URL (requires -data-dir); read-only until promoted")
-		replTok  = fs.String("replication-token", "", "bearer token presented to the leader's replication stream (an admin token when the leader runs -auth-tokens)")
-		autoProm = fs.Duration("auto-promote", 0, "standby only: promote automatically after this long without leader contact (0: manual promotion via POST /v1/replication/promote)")
-	)
+	fs, d := flags()
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if *follow != "" && *dataDir == "" {
+	if d.follow.Leader != "" && d.svc.DataDir == "" {
 		return fmt.Errorf("-follow requires -data-dir (the standby's reason to exist is the replicated journal)")
-	}
-	var pol storage.Policy
-	switch *policy {
-	case "lru":
-		pol = storage.LRU
-	case "fifo":
-		pol = storage.FIFO
-	default:
-		return fmt.Errorf("unknown policy %q (want lru or fifo)", *policy)
-	}
-	mode, err := journal.ParseMode(*fsync)
-	if err != nil {
-		return err
 	}
 
 	// Bind before recovery: a restarting durable daemon is reachable for
 	// liveness/readiness probes while it replays, instead of looking dead
 	// to its orchestrator for the whole replay.
-	ln, err := net.Listen("tcp", *addr)
+	ln, err := net.Listen("tcp", d.addr)
 	if err != nil {
 		return err
 	}
@@ -188,34 +150,15 @@ func run(ctx context.Context, args []string, onReady func(addr string)) error {
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- srv.Serve(ln) }()
 
-	svcCfg := gridsched.ServiceConfig{
-		Topology: gridsched.ServiceTopology{
-			Sites:          *sites,
-			WorkersPerSite: *workers,
-			CapacityFiles:  *capacity,
-			Policy:         pol,
-		},
-		LeaseTTL:          *lease,
-		SweepInterval:     *sweep,
-		Shards:            *shards,
-		PartitionIndex:    *partIdx,
-		PartitionCount:    *partCnt,
-		TenantMaxInFlight: *quota,
-		DataDir:           *dataDir,
-		Fsync:             mode,
-		SnapshotEvery:     *snapshot,
-		Speculation:       *spec,
-	}
-
-	var store *middleware.TokenStore
-	if *tokens != "" {
-		store, err = middleware.LoadTokenFile(*tokens)
+	if d.tokens != "" {
+		store, err := middleware.LoadTokenFile(d.tokens)
 		if err != nil {
 			_ = srv.Close()
 			<-serveErr
 			return err
 		}
-		log.Printf("gridschedd: auth enabled, %d tokens loaded from %s (SIGHUP reloads)", store.Len(), *tokens)
+		d.ingress.Tokens = store
+		log.Printf("gridschedd: auth enabled, %d tokens loaded from %s (SIGHUP reloads)", store.Len(), d.tokens)
 		hup := make(chan os.Signal, 1)
 		signal.Notify(hup, syscall.SIGHUP)
 		defer signal.Stop(hup)
@@ -225,24 +168,19 @@ func run(ctx context.Context, args []string, onReady func(addr string)) error {
 					log.Printf("gridschedd: token reload failed, previous table kept: %v", err)
 					continue
 				}
-				log.Printf("gridschedd: reloaded %d tokens from %s", store.Len(), *tokens)
+				log.Printf("gridschedd: reloaded %d tokens from %s", store.Len(), d.tokens)
 			}
 		}()
 	}
-	ingress := metrics.NewIngressCounters()
+	d.ingress.Counters = metrics.NewIngressCounters()
 	// buildIngress fronts h with the full production middleware chain (and
 	// -pprof's handlers). tenantWeight may be nil — a follower has no
 	// fair-share arbiter to resolve weights against.
 	buildIngress := func(h http.Handler, tenantWeight func(string) int64) http.Handler {
-		handler := middleware.Ingress(middleware.Config{
-			Counters:     ingress,
-			Tokens:       store,
-			RateLimit:    *rate,
-			RateBurst:    *burst,
-			ShedP99:      *shedP99,
-			TenantWeight: tenantWeight,
-		}, h)
-		if *pprof {
+		mw := d.ingress
+		mw.TenantWeight = tenantWeight
+		handler := middleware.Ingress(mw, h)
+		if d.pprof {
 			// Mount the profiling handlers next to the service without going
 			// through http.DefaultServeMux, so -pprof stays strictly opt-in.
 			mux := http.NewServeMux()
@@ -261,40 +199,39 @@ func run(ctx context.Context, args []string, onReady func(addr string)) error {
 	// it from "close the follower" to "close the promoted service".
 	var closeApp atomic.Pointer[func()]
 
-	if *follow != "" {
+	if d.follow.Leader != "" {
 		if err := runFollower(ctx, followerEnv{
-			svcCfg: svcCfg, leader: *follow, token: *replTok, autoPromote: *autoProm,
-			wrapper: wrapper, buildIngress: buildIngress, closeApp: &closeApp,
+			d: d, wrapper: wrapper, buildIngress: buildIngress, closeApp: &closeApp,
 		}); err != nil {
 			_ = srv.Close()
 			<-serveErr
 			return err
 		}
 		log.Printf("gridschedd: standby listening on %s, replicating %s (promote: POST /v1/replication/promote)",
-			ln.Addr(), *follow)
+			ln.Addr(), d.follow.Leader)
 	} else {
 		recoverStart := time.Now()
-		svc, err := gridsched.NewService(svcCfg)
+		svc, err := gridsched.NewService(d.svc)
 		if err != nil {
 			_ = srv.Close()
 			<-serveErr
 			return err
 		}
-		if *dataDir != "" {
+		if d.svc.DataDir != "" {
 			c := svc.Counters()
 			log.Printf("gridschedd: recovered %s in %s: %d records (%d events folded, %d re-asked); %s (fsync=%s, snapshot every %d records)",
-				*dataDir, time.Since(recoverStart).Round(time.Millisecond),
+				d.svc.DataDir, time.Since(recoverStart).Round(time.Millisecond),
 				c.ReplayRecords.Load(), c.ReplayFolded.Load(), c.ReplayReasked.Load(),
-				c.ReplayPhaseSummary(), mode, *snapshot)
+				c.ReplayPhaseSummary(), d.svc.Fsync, d.svc.SnapshotEvery)
 		}
 		closer := func() { svc.Close() }
 		closeApp.Store(&closer)
 		wrapper.store(buildIngress(svc.Handler(), svc.TenantWeight))
 		log.Printf("gridschedd: listening on %s (%d sites x %d workers, capacity %d files, lease %s)",
-			ln.Addr(), *sites, *workers, *capacity, *lease)
-		if *partCnt > 1 {
+			ln.Addr(), d.svc.Sites, d.svc.WorkersPerSite, d.svc.CapacityFiles, d.svc.LeaseTTL)
+		if n := d.svc.PartitionCount; n > 1 {
 			log.Printf("gridschedd: partition %d of %d (minting ids in residue class %d mod %d; front with gridrouter)",
-				*partIdx, *partCnt, *partIdx, *partCnt)
+				d.svc.PartitionIndex, n, d.svc.PartitionIndex, n)
 		}
 	}
 	if onReady != nil {
@@ -319,4 +256,67 @@ func run(ctx context.Context, args []string, onReady func(addr string)) error {
 		return nil
 	}
 	return err
+}
+
+// daemon is what gridschedd's flags set: each flag is declared once, onto
+// the field the daemon reads.
+type daemon struct {
+	addr   string
+	pprof  bool
+	tokens string // the -auth-tokens file, loaded into ingress.Tokens
+
+	svc         gridsched.ServiceConfig
+	ingress     middleware.Config
+	follow      gridsched.FollowerConfig
+	autoPromote time.Duration
+}
+
+// flags declares gridschedd's flag set over a daemon holding its defaults.
+func flags() (*flag.FlagSet, *daemon) {
+	d := &daemon{svc: gridsched.ServiceConfig{
+		Topology: gridsched.ServiceTopology{Policy: storage.LRU},
+		Fsync:    journal.SyncBatch,
+	}}
+	fs := flag.NewFlagSet("gridschedd", flag.ContinueOnError)
+	fs.StringVar(&d.addr, "addr", ":8080", "listen address")
+	fs.IntVar(&d.svc.Sites, "sites", 10, "sites in the worker pool")
+	fs.IntVar(&d.svc.WorkersPerSite, "workers", 4, "worker slots per site")
+	fs.IntVar(&d.svc.CapacityFiles, "capacity", 6000, "per-site store capacity in files")
+	enumVar(fs, &d.svc.Policy, "policy", "store replacement policy: lru or fifo", func(s string) (storage.Policy, error) {
+		for _, p := range []storage.Policy{storage.LRU, storage.FIFO} {
+			if s == p.String() {
+				return p, nil
+			}
+		}
+		return 0, fmt.Errorf("unknown policy %q (want lru or fifo)", s)
+	})
+	fs.DurationVar(&d.svc.LeaseTTL, "lease", 15*time.Second, "worker/assignment lease TTL")
+	fs.DurationVar(&d.svc.SweepInterval, "sweep", 0, "lease sweep interval (0: lease/4)")
+	fs.IntVar(&d.svc.Shards, "shards", 0, "job-state lock stripes (0: sized to the machine; see docs/ARCHITECTURE.md)")
+	fs.IntVar(&d.svc.TenantMaxInFlight, "tenant-quota", 0, "per-tenant cap on concurrently leased assignments (0: unlimited; override per tenant via PUT /v1/tenants/{tenant})")
+	fs.BoolVar(&d.pprof, "pprof", false, "expose net/http/pprof under /debug/pprof/")
+	fs.StringVar(&d.tokens, "auth-tokens", "", "bearer-token file enabling per-tenant auth (\"<token> <tenant> [admin]\" per line; SIGHUP reloads)")
+	fs.Float64Var(&d.ingress.RateLimit, "rate-limit", 0, "sustained requests/second allowed per client IP (tenant buckets scale by weight; 0 disables)")
+	fs.Float64Var(&d.ingress.RateBurst, "rate-burst", 0, "rate-limit bucket depth (0: 2x rate-limit)")
+	fs.DurationVar(&d.ingress.ShedP99, "shed-p99", 0, "shed pulls/submits with 429 when request p99 exceeds this bound, low-weight tenants first (0 disables)")
+	fs.StringVar(&d.svc.DataDir, "data-dir", "", "journal+snapshot directory; empty disables durability")
+	enumVar(fs, &d.svc.Fsync, "fsync", "journal fsync mode: always, batch or never", journal.ParseMode)
+	fs.IntVar(&d.svc.SnapshotEvery, "snapshot-every", 4096, "journal records between compacting snapshots")
+	fs.BoolVar(&d.svc.Speculation, "speculate", false, "re-execute straggler leases speculatively (first report wins; see docs/SCHEDULING.md)")
+	fs.IntVar(&d.svc.PartitionIndex, "partition-index", 0, "this daemon's partition index in a partitioned deployment (see docs/PARTITIONING.md)")
+	fs.IntVar(&d.svc.PartitionCount, "partition-count", 0, "total partitions in the deployment (0 or 1: standalone); ids mint in this partition's residue class")
+	fs.StringVar(&d.follow.Leader, "follow", "", "run as a hot standby replicating the leader at this base URL (requires -data-dir); read-only until promoted")
+	fs.StringVar(&d.follow.Token, "replication-token", "", "bearer token presented to the leader's replication stream (an admin token when the leader runs -auth-tokens)")
+	fs.DurationVar(&d.autoPromote, "auto-promote", 0, "standby only: promote automatically after this long without leader contact (0: manual promotion via POST /v1/replication/promote)")
+	return fs, d
+}
+
+// enumVar is fs.Func for a field whose String names its value: the flag
+// sets *p through parse, and -help shows *p's value as the default.
+func enumVar[T fmt.Stringer](fs *flag.FlagSet, p *T, name, usage string, parse func(string) (T, error)) {
+	fs.Func(name, usage, func(s string) (err error) {
+		*p, err = parse(s)
+		return err
+	})
+	fs.Lookup(name).DefValue = (*p).String()
 }

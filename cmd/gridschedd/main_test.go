@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"gridsched/internal/service/api"
+	"gridsched/internal/testkit"
 )
 
 func TestRunRejectsBadFlags(t *testing.T) {
@@ -136,4 +137,11 @@ func TestDaemonServesProtocol(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		t.Fatal("daemon did not shut down")
 	}
+}
+
+// TestFlagsMatchREADME: the flag set, names and defaults, is README's
+// "gridschedd flags" table.
+func TestFlagsMatchREADME(t *testing.T) {
+	fs, _ := flags()
+	testkit.FlagsMatchTable(t, fs, "../../README.md", "**gridschedd flags")
 }

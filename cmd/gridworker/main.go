@@ -49,67 +49,80 @@ func main() {
 	}
 }
 
-func run(ctx context.Context, args []string) error {
+// worker is what gridworker's flags set; the WorkerConfig fields a flag
+// sets are declared onto it directly.
+type worker struct {
+	server, token, codec string
+	n, site              int
+	taskTime             time.Duration
+	exitWhenIdle, quiet  bool
+	cfg                  client.WorkerConfig
+}
+
+// flags declares gridworker's flag set over a worker holding its defaults.
+func flags() (*flag.FlagSet, *worker) {
+	w := &worker{}
 	fs := flag.NewFlagSet("gridworker", flag.ContinueOnError)
-	var (
-		server  = fs.String("server", "http://localhost:8080", "gridschedd base URL")
-		n       = fs.Int("n", 1, "number of workers to run")
-		site    = fs.Int("site", -1, "pin workers to this site (-1: server balances)")
-		taskDur = fs.Duration("task-time", 0, "simulated execution time per task file (e.g. 5ms)")
-		oneShot = fs.Bool("exit-when-idle", false, "exit once no jobs remain open (at once if none is open yet)")
-		quiet   = fs.Bool("quiet", false, "suppress per-task logging")
-		reconn  = fs.Duration("reconnect", 0, "retry interval across server outages (0: fail fast)")
-		drain   = fs.Duration("drain", 30*time.Second, "on SIGINT/SIGTERM, let an in-flight task finish and report for up to this long (0: abort it immediately)")
-		token   = fs.String("auth-token", "", "bearer token for a gridschedd running with -auth-tokens")
-		codec   = fs.String("codec", "json", "wire codec: json or binary (strict, no silent fallback)")
-		batch   = fs.Int("batch", 1, "lease stream depth: how many tasks the server keeps granted to each worker")
-		tags    = fs.String("tags", "", "comma-separated capability tags to advertise (e.g. gpu,avx512)")
-	)
+	fs.StringVar(&w.server, "server", "http://localhost:8080", "gridschedd base URL")
+	fs.IntVar(&w.n, "n", 1, "number of workers to run")
+	fs.IntVar(&w.site, "site", -1, "pin workers to this site (-1: server balances)")
+	fs.DurationVar(&w.taskTime, "task-time", 0, "simulated execution time per task file (e.g. 5ms)")
+	fs.BoolVar(&w.exitWhenIdle, "exit-when-idle", false, "exit once no jobs remain open (at once if none is open yet)")
+	fs.BoolVar(&w.quiet, "quiet", false, "suppress per-task logging")
+	fs.DurationVar(&w.cfg.ReconnectWait, "reconnect", 0, "retry interval across server outages (0: fail fast)")
+	fs.DurationVar(&w.cfg.DrainGrace, "drain", 30*time.Second, "on SIGINT/SIGTERM, let an in-flight task finish and report for up to this long (0: abort it immediately)")
+	fs.StringVar(&w.token, "auth-token", "", "bearer token for a gridschedd running with -auth-tokens")
+	fs.StringVar(&w.codec, "codec", "json", "wire codec: json or binary (strict, no silent fallback)")
+	fs.IntVar(&w.cfg.StreamBatch, "batch", 1, "lease stream depth: how many tasks the server keeps granted to each worker")
+	fs.Func("tags", "comma-separated capability tags to advertise (e.g. gpu,avx512)", func(s string) error {
+		w.cfg.Tags = splitTags(s)
+		return nil
+	})
+	return fs, w
+}
+
+func run(ctx context.Context, args []string) error {
+	fs, wk := flags()
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if *n < 1 {
-		return fmt.Errorf("-n = %d", *n)
+	if wk.n < 1 {
+		return fmt.Errorf("-n = %d", wk.n)
 	}
-	if *batch < 1 {
-		return fmt.Errorf("-batch = %d", *batch)
+	if wk.cfg.StreamBatch < 1 {
+		return fmt.Errorf("-batch = %d", wk.cfg.StreamBatch)
 	}
 
-	cl := client.New(*server, nil)
-	cl.AuthToken = *token
-	if err := cl.SetCodec(*codec); err != nil {
+	cl := client.New(wk.server, nil)
+	cl.AuthToken = wk.token
+	if err := cl.SetCodec(wk.codec); err != nil {
 		return err
 	}
 	var wg sync.WaitGroup
-	errs := make(chan error, *n)
-	for i := 0; i < *n; i++ {
+	errs := make(chan error, wk.n)
+	for i := 0; i < wk.n; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			cfg := client.WorkerConfig{
-				Tags:          splitTags(*tags),
-				StreamBatch:   *batch,
-				ReconnectWait: *reconn,
-				DrainGrace:    *drain,
-				Execute: func(execCtx context.Context, ref core.WorkerRef, a *api.Assignment) error {
-					if d := *taskDur * time.Duration(len(a.Task.Files)); d > 0 {
-						select {
-						case <-execCtx.Done():
-							return nil
-						case <-time.After(d):
-						}
+			cfg := wk.cfg
+			cfg.Execute = func(execCtx context.Context, ref core.WorkerRef, a *api.Assignment) error {
+				if d := wk.taskTime * time.Duration(len(a.Task.Files)); d > 0 {
+					select {
+					case <-execCtx.Done():
+						return nil
+					case <-time.After(d):
 					}
-					if !*quiet {
-						log.Printf("worker site %d/%d: task %d of job %s done (%d files, %d staged)",
-							ref.Site, ref.Worker, a.Task.ID, a.JobID, len(a.Task.Files), a.Staged)
-					}
-					return nil
-				},
+				}
+				if !wk.quiet {
+					log.Printf("worker site %d/%d: task %d of job %s done (%d files, %d staged)",
+						ref.Site, ref.Worker, a.Task.ID, a.JobID, len(a.Task.Files), a.Staged)
+				}
+				return nil
 			}
-			if *site >= 0 {
-				cfg.Site = site
+			if wk.site >= 0 {
+				cfg.Site = &wk.site
 			}
-			if *oneShot {
+			if wk.exitWhenIdle {
 				cfg.OnIdle = func(_ context.Context, openJobs int) (bool, error) {
 					return openJobs == 0, nil
 				}

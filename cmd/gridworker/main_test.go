@@ -9,6 +9,7 @@ import (
 	"gridsched"
 	"gridsched/internal/service"
 	"gridsched/internal/service/api"
+	"gridsched/internal/testkit"
 	"gridsched/internal/workload"
 )
 
@@ -63,4 +64,11 @@ func TestWorkersDrainJobAndExitWhenIdle(t *testing.T) {
 	if st.State != api.JobCompleted || st.Completed != 30 {
 		t.Fatalf("job after workers exited: %+v", st)
 	}
+}
+
+// TestFlagsMatchREADME: the flag set, names and defaults, is README's
+// "gridworker flags" table.
+func TestFlagsMatchREADME(t *testing.T) {
+	fs, _ := flags()
+	testkit.FlagsMatchTable(t, fs, "../../README.md", "**gridworker flags")
 }

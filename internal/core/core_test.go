@@ -495,3 +495,38 @@ func TestIndexForConcurrent(t *testing.T) {
 		t.Fatal("the shared workload's index did not stay cached")
 	}
 }
+
+// TestWorkqueueIgnoresStorage: workqueue keeps no site state, so attaching
+// a site and noting its batches change no dispatch.
+func TestWorkqueueIgnoresStorage(t *testing.T) {
+	s := NewWorkqueue(wl(t, 5, []int{0}, []int{1}, []int{2}))
+	s.AttachSite(1)
+	s.NoteBatch(1, fids(2), fids(2), fids(0))
+	for i := 0; i < 3; i++ {
+		if task, st := s.NextFor(WorkerRef{Site: 1}); st != Assigned || task.ID != workload.TaskID(i) {
+			t.Fatalf("dispatch %d: task %d status %v, want FIFO order", i, task.ID, st)
+		}
+	}
+}
+
+func TestContextAwareName(t *testing.T) {
+	s := NewContextAware(NewWorkqueue(wl(t, 1, []int{0})), nil)
+	if got := s.Name(); got != "context:workqueue" {
+		t.Fatalf("name = %q, want the inner name behind context:", got)
+	}
+}
+
+// TestCountingSourceSeed: reseeding restarts the stream and its draw count,
+// as a fresh source would.
+func TestCountingSourceSeed(t *testing.T) {
+	c := &countingSource{src: rand.NewSource(1)}
+	first := c.Int63()
+	c.Int63()
+	c.Seed(1)
+	if c.n != 0 {
+		t.Fatalf("draws after Seed = %d, want 0", c.n)
+	}
+	if got := c.Int63(); got != first || c.n != 1 {
+		t.Fatalf("after Seed: value %d (draws %d), want %d (1)", got, c.n, first)
+	}
+}

@@ -125,3 +125,39 @@ func TestBatchModeFsyncFailurePoisons(t *testing.T) {
 		t.Fatalf("Append after batch fsync poison: %v (want ErrInjected)", err)
 	}
 }
+
+// TestReopenedWriterHoldsLogThroughWrapper: a writer opened over a wrapped
+// file that already holds records reads them back through the wrapper's
+// ReadAt and hands them out as held frames, as it does over a plain file.
+func TestReopenedWriterHoldsLogThroughWrapper(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "wal.log")
+	w, err := journal.OpenWriter(path, journal.SyncAlways, 0, 0, 0, &journal.Metrics{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range []string{"one", "two"} {
+		if _, err := w.Append([]byte(p)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	info, err := journal.ReadLog(path, 0, func(uint64, []byte) error { return nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := faultinject.OpenFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err = journal.OpenWriterFile(f, journal.SyncAlways, 0, info.LastLSN, info.ValidSize, &journal.Metrics{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	// The frames are the log past its 8-byte magic.
+	if frames, held := w.Frames(0); !held || int64(len(frames)) != info.ValidSize-8 {
+		t.Fatalf("reopened writer holds %d bytes (held %v), want the log's %d frame bytes", len(frames), held, info.ValidSize-8)
+	}
+}

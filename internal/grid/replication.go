@@ -45,7 +45,6 @@ type ReplicationConfig struct {
 	// the network.
 	MaxPerInterval int                 `json:"maxPerInterval"`
 	Strategy       ReplicationStrategy `json:"strategy"`
-	Seed           int64               `json:"seed"`
 }
 
 // normalize fills defaults; the zero config stays disabled.
@@ -80,7 +79,7 @@ func (c *ReplicationConfig) normalize() error {
 // replicator is the background popularity-driven push process.
 func (e *engine) replicator(p *sim.Proc) {
 	cfg := e.cfg.Replication
-	rng := rand.New(rand.NewSource(cfg.Seed + 0x5eed))
+	rng := rand.New(rand.NewSource(0x5eed))
 	pushed := make([]bool, e.cfg.Workload.NumFiles)
 	for e.remaining > 0 {
 		p.Sleep(cfg.IntervalSec)

@@ -138,12 +138,12 @@ func adminEndpoint(r *http.Request) bool {
 	return r.Method == http.MethodPut && strings.HasPrefix(r.URL.Path, "/v1/tenants/")
 }
 
-// Auth enforces per-tenant bearer-token authentication on every
+// auth enforces per-tenant bearer-token authentication on every
 // non-exempt endpoint: no or unknown token is a 401, a valid token
 // without admin privileges hitting an admin endpoint is a 403. The
-// authenticated principal rides the request context (PrincipalFrom);
+// authenticated principal rides the request state (PrincipalFrom);
 // internal/service uses it to bind submissions to the token's tenant.
-func Auth(store *TokenStore, c *metrics.IngressCounters) Middleware {
+func auth(store *TokenStore, c *metrics.IngressCounters) layer {
 	return func(next http.Handler) http.Handler {
 		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 			if Exempt(r.URL.Path) {
@@ -168,12 +168,8 @@ func Auth(store *TokenStore, c *metrics.IngressCounters) Middleware {
 				api.WriteJSON(w, http.StatusForbidden, api.ErrorResponse{Error: "admin token required"})
 				return
 			}
-			// Inside a Logging request WithPrincipal stores into the shared
-			// request state and returns the same context, so the request
-			// clone (and its allocation) is skipped on the hot path.
-			if ctx := WithPrincipal(r.Context(), p); ctx != r.Context() {
-				r = r.WithContext(ctx)
-			}
+			st := state(r)
+			st.principal, st.hasPrincipal = p, true
 			next.ServeHTTP(w, r)
 		})
 	}
@@ -193,43 +189,25 @@ func bearerToken(r *http.Request) (string, bool) {
 	return h[len(prefix):], true
 }
 
-// WithPrincipal attaches an authenticated principal to ctx. Inside a
-// Logging request it reuses the request state (no allocation); otherwise
-// it falls back to a plain context value, which is what lets tests and
-// embedders seed principals without the full chain.
-func WithPrincipal(ctx context.Context, p Principal) context.Context {
-	if st, _ := ctx.Value(reqStateKey).(*reqState); st != nil {
-		st.principal, st.hasPrincipal = p, true
-		return ctx
-	}
-	return context.WithValue(ctx, principalKey, p)
-}
-
 // PrincipalFrom returns the request's authenticated principal, if any.
 func PrincipalFrom(ctx context.Context) (Principal, bool) {
 	if st, _ := ctx.Value(reqStateKey).(*reqState); st != nil && st.hasPrincipal {
 		return st.principal, true
 	}
-	p, ok := ctx.Value(principalKey).(Principal)
-	return p, ok
+	return Principal{}, false
 }
 
-// resolveWeight resolves an authenticated tenant's fair-share weight at
+// resolveWeight resolves the authenticated tenant's fair-share weight at
 // most once per request: the first caller in the chain (rate limiter or
-// shedder) pays the resolver's cost — typically a scheduler lock — and
-// the raw result is cached in the request state for the rest of the
-// chain. Callers apply their own clamping. A nil resolver is weight 1.
-func resolveWeight(ctx context.Context, resolve func(string) int64, tenant string) int64 {
+// shedder) pays the resolver's cost — typically a scheduler lock — and the
+// raw result is cached in the request state for the rest of the chain.
+// Callers apply their own clamping. A nil resolver is weight 1.
+func (st *reqState) resolveWeight(resolve func(string) int64) int64 {
 	if resolve == nil {
 		return 1
 	}
-	st, _ := ctx.Value(reqStateKey).(*reqState)
-	if st != nil && st.hasWeight {
-		return st.weight
+	if !st.hasWeight {
+		st.weight, st.hasWeight = resolve(st.principal.Tenant), true
 	}
-	w := resolve(tenant)
-	if st != nil {
-		st.weight, st.hasWeight = w, true
-	}
-	return w
+	return st.weight
 }

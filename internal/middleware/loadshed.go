@@ -7,7 +7,6 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"gridsched/internal/metrics"
@@ -15,47 +14,11 @@ import (
 	"gridsched/internal/service/api"
 )
 
-// LoadShedConfig parameterizes latency-based load shedding.
-type LoadShedConfig struct {
-	// P99 is the bound: when the 99th percentile of recent request
-	// latencies exceeds it, the shedder starts rejecting sheddable
-	// requests (pulls and submits) with 429 + Retry-After. Must be > 0 to
-	// install the middleware.
-	P99 time.Duration
-	// MinSamples is how many samples must be resident before the shedder
-	// trusts a p99. 0 picks 64.
-	MinSamples int
-	// EvalEvery is the evaluation cadence: p99 is recomputed and the shed
-	// level adjusted at most this often, one step per tick. 0 picks 250ms.
-	EvalEvery time.Duration
-	// RetryAfter is the Retry-After hint on shed responses. 0 picks 1s.
-	RetryAfter time.Duration
-	// TenantWeight resolves an authenticated tenant's fair-share weight
-	// (internal/service.Service.TenantWeight); it decides WHO sheds
-	// first. Nil, or an unauthenticated request, counts as weight 1;
-	// results < 0 clamp to 0 (shed first).
-	TenantWeight func(tenant string) int64
-	// Now is the clock (tests); nil is time.Now.
-	Now func() time.Time
-}
+// shedRetryAfter is the Retry-After hint on shed responses.
+const shedRetryAfter = time.Second
 
 // shedWindow is the latency sample window size (metrics.LatencyWindow).
 const shedWindow = 1024
-
-func (c *LoadShedConfig) normalize() {
-	if c.MinSamples <= 0 {
-		c.MinSamples = 64
-	}
-	if c.EvalEvery <= 0 {
-		c.EvalEvery = 250 * time.Millisecond
-	}
-	if c.RetryAfter <= 0 {
-		c.RetryAfter = time.Second
-	}
-	if c.Now == nil {
-		c.Now = time.Now
-	}
-}
 
 // weightStale is how long a weight class stays in the shed ladder after
 // its last request; stale classes fall off so departed tenants do not
@@ -67,7 +30,7 @@ const weightStale = time.Minute
 // tenants shed first, paying tenants last" is an ordering guarantee, not
 // a probability:
 //
-//   - Every EvalEvery, p99 over the sample window is recomputed. Above
+//   - Every ShedEvalEvery, p99 over the sample window is recomputed. Above
 //     the bound (with enough samples): the level climbs one step. At or
 //     below it — or when no fresh samples arrived, i.e. everything is
 //     being shed — the level decays one step.
@@ -77,9 +40,10 @@ const weightStale = time.Minute
 //     heaviest class sheds only at the top of the ladder, and the decay
 //     tick readmits it first.
 type shedder struct {
-	cfg LoadShedConfig
-	c   *metrics.IngressCounters
-	win *metrics.LatencyWindow
+	cfg        *Config
+	c          *metrics.IngressCounters
+	win        *metrics.LatencyWindow
+	retryAfter time.Duration // shedRetryAfter; tests change it
 
 	mu        sync.RWMutex
 	lastEval  time.Time
@@ -89,18 +53,23 @@ type shedder struct {
 	weights   map[int64]time.Time
 }
 
-// weightOf resolves the request's shed weight from its authenticated
-// tenant.
-func (s *shedder) weightOf(r *http.Request) (weight int64, tenant string) {
-	weight = 1
-	if p, ok := PrincipalFrom(r.Context()); ok {
-		tenant = p.Tenant
-		weight = resolveWeight(r.Context(), s.cfg.TenantWeight, tenant)
-		if weight < 0 {
-			weight = 0
-		}
+func newShedder(cfg *Config) *shedder {
+	return &shedder{
+		cfg:        cfg,
+		c:          cfg.Counters,
+		win:        metrics.NewLatencyWindow(shedWindow),
+		retryAfter: shedRetryAfter,
+		weights:    make(map[int64]time.Time),
 	}
-	return weight, tenant
+}
+
+// weightOf resolves the request's shed weight from its authenticated
+// tenant: 1 when there is none, and results < 0 clamp to 0 (shed first).
+func (s *shedder) weightOf(st *reqState) (weight int64, tenant string) {
+	if !st.hasPrincipal {
+		return 1, ""
+	}
+	return max(st.resolveWeight(s.cfg.TenantWeight), 0), st.principal.Tenant
 }
 
 // evaluate adjusts the shed level at the configured cadence and returns
@@ -113,7 +82,7 @@ func (s *shedder) weightOf(r *http.Request) (weight int64, tenant string) {
 func (s *shedder) evaluate(now time.Time, weight int64) int64 {
 	s.mu.RLock()
 	seen, known := s.weights[weight]
-	due := now.Sub(s.lastEval) >= s.cfg.EvalEvery
+	due := now.Sub(s.lastEval) >= s.cfg.ShedEvalEvery
 	bar := s.bar
 	s.mu.RUnlock()
 	if !due && known && now.Sub(seen) < weightStale/2 {
@@ -122,7 +91,7 @@ func (s *shedder) evaluate(now time.Time, weight int64) int64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.weights[weight] = now
-	if now.Sub(s.lastEval) < s.cfg.EvalEvery {
+	if now.Sub(s.lastEval) < s.cfg.ShedEvalEvery {
 		return s.bar
 	}
 	s.lastEval = now
@@ -132,7 +101,7 @@ func (s *shedder) evaluate(now time.Time, weight int64) int64 {
 	p99 := s.win.Percentile(0.99)
 	s.c.RequestP99Nanos.Store(int64(p99))
 	switch {
-	case fresh && s.win.Samples() >= s.cfg.MinSamples && p99 > s.cfg.P99:
+	case fresh && s.win.Samples() >= s.cfg.ShedMinSamples && p99 > s.cfg.ShedP99:
 		s.level++
 	case s.level > 0:
 		s.level--
@@ -166,34 +135,11 @@ func (s *shedder) evaluate(now time.Time, weight int64) int64 {
 // client default 2s) would be sampled as a ~2s latency, breach any
 // realistic p99 bound, and shed a completely unloaded system.
 // internal/service reports each pull's accumulated park through here.
-// Outside a chain that tracks parked time it is a no-op.
+// Outside the ingress chain it is a no-op.
 func ObserveParked(ctx context.Context, d time.Duration) {
-	if d <= 0 {
-		return
-	}
-	if st, _ := ctx.Value(reqStateKey).(*reqState); st != nil {
+	if st, _ := ctx.Value(reqStateKey).(*reqState); st != nil && d > 0 {
 		st.parked.Add(int64(d))
-		return
 	}
-	if pk, _ := ctx.Value(parkedKey).(*atomic.Int64); pk != nil {
-		pk.Add(int64(d))
-	}
-}
-
-// parkedCounter returns the request's parked-time accumulator, reusing
-// the Logging request state when present (the production chain: zero
-// extra allocation) and otherwise installing a dedicated counter so a
-// standalone LoadShed still excludes long-poll waits.
-func parkedCounter(r *http.Request) (*atomic.Int64, *http.Request) {
-	ctx := r.Context()
-	if st, _ := ctx.Value(reqStateKey).(*reqState); st != nil {
-		return &st.parked, r
-	}
-	if pk, _ := ctx.Value(parkedKey).(*atomic.Int64); pk != nil {
-		return pk, r
-	}
-	pk := new(atomic.Int64)
-	return pk, r.WithContext(context.WithValue(ctx, parkedKey, pk))
 }
 
 // sheddable reports whether the request may be shed: new work entering
@@ -213,47 +159,33 @@ func sheddable(r *http.Request) bool {
 	return false
 }
 
-// LoadShed is the admission-control middleware: it samples every
-// non-exempt request's latency into a bounded window and, when the p99
-// breaches cfg.P99, sheds pulls and submits with 429 + Retry-After —
-// lightest weight classes first (see shedder). Time a handler reports as
+// wrap is the admission-control layer: it samples every non-exempt
+// request's latency into a bounded window and, when the p99 breaches
+// ShedP99, sheds pulls and submits with 429 + Retry-After — lightest
+// weight classes first (see shedder). Time a handler reports as
 // deliberately parked (ObserveParked: long-poll pull waits) is excluded
 // from the sample, so idle workers polling an empty queue do not read as
-// multi-second latencies. Shed responses are not sampled, so a fully
-// shed system goes quiet, the window stales, and the decay tick readmits
+// multi-second latencies. Shed responses are not sampled, so a fully shed
+// system goes quiet, the window stales, and the decay tick readmits
 // traffic — heaviest tenants first.
-func LoadShed(cfg LoadShedConfig, c *metrics.IngressCounters) Middleware {
-	cfg.normalize()
-	s := &shedder{
-		cfg:     cfg,
-		c:       c,
-		win:     metrics.NewLatencyWindow(shedWindow),
-		weights: make(map[int64]time.Time),
-	}
-	retrySecs := strconv.FormatInt(int64((cfg.RetryAfter+time.Second-1)/time.Second), 10)
-	return func(next http.Handler) http.Handler {
-		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			if Exempt(r.URL.Path) {
-				next.ServeHTTP(w, r)
-				return
-			}
-			now := s.cfg.Now()
-			weight, tenant := s.weightOf(r)
-			bar := s.evaluate(now, weight)
-			if bar > 0 && weight <= bar && sheddable(r) {
-				s.c.ObserveShed(tenant)
-				Logf(r.Context(), "shed=true tenant=%q weight=%d bar=%d", tenant, weight, bar)
-				w.Header().Set("Retry-After", retrySecs)
-				api.WriteJSON(w, http.StatusTooManyRequests, api.ErrorResponse{Error: "overloaded; shed, retry later"})
-				return
-			}
-			pk, r := parkedCounter(r)
+func (s *shedder) wrap(next http.Handler) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if Exempt(r.URL.Path) {
 			next.ServeHTTP(w, r)
-			if lat := s.cfg.Now().Sub(now) - time.Duration(pk.Load()); lat > 0 {
-				s.win.Observe(lat)
-			} else {
-				s.win.Observe(0)
-			}
-		})
-	}
+			return
+		}
+		now := s.cfg.Now()
+		st := state(r)
+		weight, tenant := s.weightOf(st)
+		bar := s.evaluate(now, weight)
+		if bar > 0 && weight <= bar && sheddable(r) {
+			s.c.ObserveShed(tenant)
+			Logf(r.Context(), "shed=true tenant=%q weight=%d bar=%d", tenant, weight, bar)
+			w.Header().Set("Retry-After", strconv.FormatInt(int64((s.retryAfter+time.Second-1)/time.Second), 10))
+			api.WriteJSON(w, http.StatusTooManyRequests, api.ErrorResponse{Error: "overloaded; shed, retry later"})
+			return
+		}
+		next.ServeHTTP(w, r)
+		s.win.Observe(max(s.cfg.Now().Sub(now)-time.Duration(st.parked.Load()), 0))
+	})
 }

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"os"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -66,11 +65,7 @@ func newTraceID() string {
 
 type ctxKey int
 
-const (
-	reqStateKey ctxKey = iota
-	principalKey
-	parkedKey
-)
+const reqStateKey ctxKey = 0
 
 // reqState is the per-request scratch the chain shares through the
 // context: the trace ID, the status-recording response writer, the
@@ -101,17 +96,18 @@ type reqState struct {
 	parked atomic.Int64
 }
 
-// Logging is the outermost production middleware: it assigns (or adopts)
+// state returns the request state logging installed.
+func state(r *http.Request) *reqState {
+	return r.Context().Value(reqStateKey).(*reqState)
+}
+
+// logging is the outermost layer: it assigns (or adopts)
 // the request's trace ID, exposes it via the response header and the
 // context, and times the request. Log lines appended via Logf are
 // buffered in the request's state and flushed — with the trace ID, route,
 // status, and duration — only when the response is an error or a shed
 // (5xx, 401, 403, 429), so a healthy request writes nothing anywhere.
-// out defaults to os.Stderr.
-func Logging(out io.Writer) Middleware {
-	if out == nil {
-		out = os.Stderr
-	}
+func logging(out io.Writer) layer {
 	return func(next http.Handler) http.Handler {
 		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 			// TraceHeader is already in canonical MIME form, so indexing
@@ -176,7 +172,7 @@ func (st *reqState) flush(out io.Writer, r *http.Request, status int, d time.Dur
 const maxBufferedLines = 64
 
 // Logf appends one line to the request's buffered log (capped at
-// maxBufferedLines; see above). Outside a Logging request (no state in
+// maxBufferedLines; see above). Outside the ingress chain (no state in
 // ctx) it is a no-op, so library code can call it unconditionally.
 func Logf(ctx context.Context, format string, args ...any) {
 	st, _ := ctx.Value(reqStateKey).(*reqState)
@@ -193,7 +189,7 @@ func Logf(ctx context.Context, format string, args ...any) {
 	st.mu.Unlock()
 }
 
-// TraceID returns the request's trace ID ("" outside a Logging request).
+// TraceID returns the request's trace ID ("" outside the ingress chain).
 func TraceID(ctx context.Context) string {
 	if st, _ := ctx.Value(reqStateKey).(*reqState); st != nil {
 		return st.trace

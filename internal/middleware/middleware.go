@@ -1,26 +1,28 @@
-// Package middleware is gridschedd's production ingress: an onion-model,
-// express/koa-style composable chain of http.Handler wrappers installed
-// in front of the service mux (internal/service) by the daemon
+// Package middleware is gridschedd's production ingress: one fixed chain
+// of http.Handler wrappers, built by Ingress from one Config, installed in
+// front of the service mux (internal/service) by the daemon
 // (cmd/gridschedd), and by a process that embeds the service and reaches it
 // over client.InProcess (examples/live-cluster).
 //
-// Five middlewares ship here, applied in one explicit, fixed order
-// (outermost first — see Ingress):
+// The chain's layers, outermost first (see Ingress):
 //
-//  1. Logging — request-scoped structured logging with generated trace
+//  1. logging — request-scoped structured logging with generated trace
 //     IDs propagated via the X-Trace-Id header and the request context.
 //     Log lines are buffered per request and flushed only on error or
 //     shed, so the happy path pays near zero.
-//  2. Recover — converts handler panics into 500s plus a metric instead
-//     of killing the daemon.
-//  3. MetricsText — appends the chain's own counters to GET /metrics.
-//  4. Auth — per-tenant bearer-token authentication from a hot-reloadable
+//  2. recoverPanics — converts handler panics into 500s plus a metric
+//     instead of killing the daemon.
+//  3. metricsText — appends the chain's own counters to GET /metrics.
+//  4. auth — per-tenant bearer-token authentication from a hot-reloadable
 //     token file; admin endpoints require an admin token.
-//  5. RateLimit — token buckets keyed by client IP and by authenticated
-//     tenant, tenant limits scaled by fair-share weight.
-//  6. LoadShed — latency-based admission control: when the request p99
-//     breaches a bound, pulls and submits are shed 429 + Retry-After,
+//  5. the rate limiter — token buckets keyed by client IP and by
+//     authenticated tenant, tenant limits scaled by fair-share weight.
+//  6. the load shedder — latency-based admission control: when the request
+//     p99 breaches a bound, pulls and submits are shed 429 + Retry-After,
 //     low-weight tenants first and the heaviest tenants last.
+//
+// The layers are not a kit: each relies on logging having installed the
+// request state first, which only Ingress guarantees.
 //
 // GET /healthz, /readyz, and /metrics bypass auth, rate limiting, and
 // shedding (Exempt) so probes never lie about the process. Decisions are
@@ -30,13 +32,13 @@ package middleware
 
 import "net/http"
 
-// Middleware is one onion layer: it receives the next handler and returns
-// the wrapped one.
-type Middleware func(http.Handler) http.Handler
+// layer is one onion layer: it receives the next handler and returns the
+// wrapped one.
+type layer func(http.Handler) http.Handler
 
-// Chain wraps h in mw such that mw[0] is the outermost layer — requests
+// chain wraps h in mw such that mw[0] is the outermost layer — requests
 // traverse mw[0], mw[1], …, then h; responses unwind in reverse.
-func Chain(h http.Handler, mw ...Middleware) http.Handler {
+func chain(h http.Handler, mw ...layer) http.Handler {
 	for i := len(mw) - 1; i >= 0; i-- {
 		h = mw[i](h)
 	}
@@ -56,18 +58,12 @@ func Exempt(path string) bool {
 }
 
 // statusWriter records the response status so outer layers (logging,
-// recovery, metrics append) can observe what inner layers wrote. wrapStatus
-// reuses an existing wrapper, so one request allocates at most one.
+// recovery, metrics append) can observe what inner layers wrote. logging
+// installs the request's one statusWriter; the layers below it find it as
+// their http.ResponseWriter.
 type statusWriter struct {
 	http.ResponseWriter
 	status int
-}
-
-func wrapStatus(w http.ResponseWriter) *statusWriter {
-	if sw, ok := w.(*statusWriter); ok {
-		return sw
-	}
-	return &statusWriter{ResponseWriter: w}
 }
 
 func (w *statusWriter) WriteHeader(code int) {

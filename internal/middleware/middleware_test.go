@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -21,7 +22,7 @@ import (
 
 func TestChainOrder(t *testing.T) {
 	var got []string
-	tag := func(name string) Middleware {
+	tag := func(name string) layer {
 		return func(next http.Handler) http.Handler {
 			return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 				got = append(got, name)
@@ -29,7 +30,7 @@ func TestChainOrder(t *testing.T) {
 			})
 		}
 	}
-	h := Chain(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	h := chain(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		got = append(got, "handler")
 	}), tag("a"), tag("b"), tag("c"))
 	h.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest("GET", "/x", nil))
@@ -45,12 +46,12 @@ func TestChainOrder(t *testing.T) {
 func TestRecoverPanic(t *testing.T) {
 	c := metrics.NewIngressCounters()
 	var log bytes.Buffer
-	h := Chain(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	h := chain(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.URL.Path == "/boom" {
 			panic("kaboom")
 		}
 		w.WriteHeader(http.StatusOK)
-	}), Logging(&log), Recover(c, &log))
+	}), logging(&log), recoverPanics(c, &log))
 
 	rec := httptest.NewRecorder()
 	h.ServeHTTP(rec, httptest.NewRequest("POST", "/boom", nil))
@@ -80,9 +81,9 @@ func TestRecoverPanic(t *testing.T) {
 // client-supplied ID is adopted instead.
 func TestTraceID(t *testing.T) {
 	var seen string
-	h := Chain(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	h := chain(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		seen = TraceID(r.Context())
-	}), Logging(&bytes.Buffer{}))
+	}), logging(&bytes.Buffer{}))
 
 	rec := httptest.NewRecorder()
 	h.ServeHTTP(rec, httptest.NewRequest("GET", "/x", nil))
@@ -132,10 +133,10 @@ func TestTraceID(t *testing.T) {
 func TestLoggingBuffered(t *testing.T) {
 	var out bytes.Buffer
 	status := http.StatusOK
-	h := Chain(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	h := chain(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		Logf(r.Context(), "step=%s", "probe")
 		w.WriteHeader(status)
-	}), Logging(&out))
+	}), logging(&out))
 
 	h.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest("GET", "/ok", nil))
 	if out.Len() != 0 {
@@ -151,10 +152,10 @@ func TestLoggingBuffered(t *testing.T) {
 }
 
 func authedChain(store *TokenStore, c *metrics.IngressCounters) http.Handler {
-	return Chain(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	return chain(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		p, _ := PrincipalFrom(r.Context())
 		fmt.Fprintf(w, "tenant=%s admin=%v", p.Tenant, p.Admin)
-	}), Logging(&bytes.Buffer{}), Auth(store, c))
+	}), logging(&bytes.Buffer{}), auth(store, c))
 }
 
 func get(t *testing.T, h http.Handler, method, path, token string) *httptest.ResponseRecorder {
@@ -289,10 +290,8 @@ func (c *fakeClock) advance(d time.Duration) {
 // the next whole token.
 func TestBucketRefill(t *testing.T) {
 	clock := newFakeClock()
-	l := &limiter{
-		cfg: RateLimitConfig{Rate: 2, Burst: 2, Now: clock.now, MaxBuckets: 16},
-		ip:  make(map[string]*bucket), ten: make(map[string]*bucket),
-	}
+	l := newLimiter(&Config{RateLimit: 2, RateBurst: 2, Now: clock.now})
+	l.maxBuckets = 16
 
 	for i := 0; i < 2; i++ {
 		if ok, _ := l.take(l.ip, "k", 2, 2, clock.now()); !ok {
@@ -326,19 +325,17 @@ func TestBucketRefill(t *testing.T) {
 }
 
 // TestRateLimitEvictionSparesWeightedTenants: tenant buckets are created
-// with burst = Burst×weight, so a weight-4 tenant actively being limited
-// holds more than cfg.Burst tokens most of the time. Eviction must judge
+// with burst = RateBurst×weight, so a weight-4 tenant actively being
+// limited holds more than RateBurst tokens most of the time. Eviction must judge
 // each bucket against its OWN capacity — deleting the tenant's bucket
 // would recreate it full on the next request, resetting the limit and
 // granting a free 4× burst whenever the table is under pressure.
 func TestRateLimitEvictionSparesWeightedTenants(t *testing.T) {
 	clock := newFakeClock()
-	l := &limiter{
-		cfg: RateLimitConfig{Rate: 1, Burst: 2, MaxBuckets: 64, Now: clock.now},
-		ip:  make(map[string]*bucket), ten: make(map[string]*bucket),
-	}
+	l := newLimiter(&Config{RateLimit: 1, RateBurst: 2, Now: clock.now})
+	l.maxBuckets = 64
 	// The weight-4 tenant (rate 4, burst 8) spends one token: 7 left —
-	// above cfg.Burst (2) but below its own capacity, i.e. mid-spend.
+	// above RateBurst (2) but below its own capacity, i.e. mid-spend.
 	l.take(l.ten, "gold", 4, 8, clock.now())
 	// An IP bucket goes idle long enough to refill completely.
 	l.take(l.ip, "198.51.100.9", 1, 2, clock.now())
@@ -359,15 +356,16 @@ func TestRateLimitEvictionSparesWeightedTenants(t *testing.T) {
 // TestRateLimitHardBound: a sustained flood of unique client IPs creates
 // buckets that are all mid-spend (not reclaimable by evict), so the
 // limiter must fall back to dropping the least recently active — the
-// table may never exceed MaxBuckets.
+// table may never exceed its bound.
 func TestRateLimitHardBound(t *testing.T) {
 	clock := newFakeClock()
-	cfg := RateLimitConfig{Rate: 1, Burst: 4, MaxBuckets: 8, Now: clock.now}
-	l := &limiter{cfg: cfg, ip: make(map[string]*bucket), ten: make(map[string]*bucket)}
+	cfg := Config{RateLimit: 1, RateBurst: 4, Now: clock.now}
+	l := newLimiter(&cfg)
+	l.maxBuckets = 8
 	for i := 0; i < 100; i++ {
-		l.take(l.ip, fmt.Sprintf("10.0.%d.%d", i/256, i%256), cfg.Rate, cfg.Burst, clock.now())
-		if n := len(l.ip) + len(l.ten); n > cfg.MaxBuckets {
-			t.Fatalf("bucket table grew to %d after %d unique IPs, want <= %d", n, i+1, cfg.MaxBuckets)
+		l.take(l.ip, fmt.Sprintf("10.0.%d.%d", i/256, i%256), cfg.RateLimit, cfg.RateBurst, clock.now())
+		if n := len(l.ip) + len(l.ten); n > l.maxBuckets {
+			t.Fatalf("bucket table grew to %d after %d unique IPs, want <= %d", n, i+1, l.maxBuckets)
 		}
 	}
 }
@@ -375,9 +373,10 @@ func TestRateLimitHardBound(t *testing.T) {
 func TestRateLimitMiddleware(t *testing.T) {
 	clock := newFakeClock()
 	c := metrics.NewIngressCounters()
-	h := Chain(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.WriteHeader(http.StatusOK)
-	}), RateLimit(RateLimitConfig{Rate: 1, Burst: 1, Now: clock.now}, c))
+	h := Ingress(Config{Counters: c, Log: &bytes.Buffer{}, RateLimit: 1, RateBurst: 1, Now: clock.now},
+		http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			w.WriteHeader(http.StatusOK)
+		}))
 
 	req := func(path string) *httptest.ResponseRecorder {
 		r := httptest.NewRequest("POST", path, nil)
@@ -415,22 +414,25 @@ func TestLoadShedWeightedOrdering(t *testing.T) {
 	c := metrics.NewIngressCounters()
 	weights := map[string]int64{"bronze": 1, "gold": 4}
 	slow := true // while set, the handler "takes" 1ms of fake time
-	h := Chain(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	h := Ingress(Config{
+		Counters:       c,
+		Log:            &bytes.Buffer{},
+		Tokens:         NewTokenStore(map[string]Principal{"tok-bronze": {Tenant: "bronze"}, "tok-gold": {Tenant: "gold"}}),
+		ShedP99:        500 * time.Microsecond,
+		ShedMinSamples: 2,
+		ShedEvalEvery:  10 * time.Millisecond,
+		TenantWeight:   func(tn string) int64 { return weights[tn] },
+		Now:            clock.now,
+	}, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if slow {
 			clock.advance(time.Millisecond)
 		}
 		w.WriteHeader(http.StatusOK)
-	}), LoadShed(LoadShedConfig{
-		P99:          500 * time.Microsecond,
-		MinSamples:   2,
-		EvalEvery:    10 * time.Millisecond,
-		TenantWeight: func(tn string) int64 { return weights[tn] },
-		Now:          clock.now,
-	}, c))
+	}))
 
 	send := func(tenant, method, path string) int {
 		r := httptest.NewRequest(method, path, nil)
-		r = r.WithContext(WithPrincipal(r.Context(), Principal{Tenant: tenant}))
+		r.Header.Set("Authorization", "Bearer tok-"+tenant)
 		rec := httptest.NewRecorder()
 		h.ServeHTTP(rec, r)
 		return rec.Code
@@ -495,12 +497,12 @@ func TestLoadShedWeightedOrdering(t *testing.T) {
 // wait via ObserveParked, and the shedder must subtract it — otherwise
 // every empty 2s poll reads as a 2s latency, breaches any realistic p99
 // bound, and sheds a completely unloaded system. Exercised both through
-// the full chain (Logging carries the counter) and standalone (LoadShed
-// installs its own).
+// the full chain (auth and rate limiting in front of the shedder) and with
+// the shedder the only layer enabled.
 func TestLoadShedIgnoresParkedWaits(t *testing.T) {
 	for _, tc := range []struct {
-		name       string
-		withLogger bool
+		name string
+		full bool
 	}{{"full chain", true}, {"standalone", false}} {
 		t.Run(tc.name, func(t *testing.T) {
 			clock := newFakeClock()
@@ -510,21 +512,23 @@ func TestLoadShedIgnoresParkedWaits(t *testing.T) {
 				ObserveParked(r.Context(), 2*time.Second)
 				w.WriteHeader(http.StatusOK)
 			})
-			shed := LoadShed(LoadShedConfig{
-				P99: 250 * time.Millisecond, MinSamples: 2,
-				EvalEvery: 10 * time.Millisecond, Now: clock.now,
-			}, c)
-			var h http.Handler
-			if tc.withLogger {
-				h = Chain(handler, Logging(&bytes.Buffer{}), shed)
-			} else {
-				h = Chain(handler, shed)
+			cfg := Config{
+				Counters: c, Log: &bytes.Buffer{},
+				ShedP99: 250 * time.Millisecond, ShedMinSamples: 2,
+				ShedEvalEvery: 10 * time.Millisecond, Now: clock.now,
 			}
+			if tc.full {
+				cfg.Tokens = NewTokenStore(map[string]Principal{"tok": {Tenant: "idle"}})
+				cfg.RateLimit = 1000
+			}
+			h := Ingress(cfg, handler)
 			// Every request is 2s of fake time apart, so each one lands on
 			// an eval tick with a full window of parked-only samples.
 			for i := 0; i < 20; i++ {
 				rec := httptest.NewRecorder()
-				h.ServeHTTP(rec, httptest.NewRequest("POST", "/v1/workers/w1/pull", nil))
+				req := httptest.NewRequest("POST", "/v1/workers/w1/pull", nil)
+				req.Header.Set("Authorization", "Bearer tok")
+				h.ServeHTTP(rec, req)
 				if rec.Code != http.StatusOK {
 					t.Fatalf("pull %d shed (%d) on an idle system: parked waits counted as latency", i, rec.Code)
 				}
@@ -539,12 +543,14 @@ func TestLoadShedIgnoresParkedWaits(t *testing.T) {
 func TestLoadShedRetryAfterHeader(t *testing.T) {
 	clock := newFakeClock()
 	c := metrics.NewIngressCounters()
-	h := Chain(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	s := newShedder(&Config{
+		Counters: c, ShedP99: time.Millisecond, ShedMinSamples: 1,
+		ShedEvalEvery: 10 * time.Millisecond, Now: clock.now,
+	})
+	s.retryAfter = 3 * time.Second
+	h := chain(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		clock.advance(5 * time.Millisecond)
-	}), LoadShed(LoadShedConfig{
-		P99: time.Millisecond, MinSamples: 1, EvalEvery: 10 * time.Millisecond,
-		RetryAfter: 3 * time.Second, Now: clock.now,
-	}, c))
+	}), logging(&bytes.Buffer{}), s.wrap)
 	r := httptest.NewRequest("POST", "/v1/jobs", nil)
 	h.ServeHTTP(httptest.NewRecorder(), r)
 	clock.advance(11 * time.Millisecond)
@@ -606,5 +612,27 @@ func TestPercentile(t *testing.T) {
 	}
 	if lw.Samples() != 8 || lw.Total() != 100 {
 		t.Fatalf("Samples=%d Total=%d, want 8/100", lw.Samples(), lw.Total())
+	}
+}
+
+// TestResponseControllerReachesTheConnection: a handler behind the chain
+// can still set its connection's deadlines with http.ResponseController,
+// which finds the server's writer through statusWriter.Unwrap.
+func TestResponseControllerReachesTheConnection(t *testing.T) {
+	srv := httptest.NewServer(Ingress(Config{Log: &bytes.Buffer{}}, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if err := http.NewResponseController(w).SetWriteDeadline(time.Now().Add(time.Minute)); err != nil {
+			w.WriteHeader(http.StatusNotImplemented)
+			fmt.Fprint(w, err)
+		}
+	})))
+	defer srv.Close()
+	resp, err := http.Get(srv.URL + "/v1/jobs")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		body, _ := io.ReadAll(resp.Body)
+		t.Fatalf("status %d: %s", resp.StatusCode, body)
 	}
 }

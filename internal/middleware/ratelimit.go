@@ -9,50 +9,19 @@ import (
 	"sync"
 	"time"
 
-	"gridsched/internal/metrics"
-
 	"gridsched/internal/service/api"
 )
 
-// RateLimitConfig parameterizes the token-bucket rate limiter.
-type RateLimitConfig struct {
-	// Rate is the sustained request rate (requests/second) allowed per
-	// client IP. Each authenticated tenant additionally gets a bucket of
-	// Rate × weight — a heavier (paying) tenant's fleet may collectively
-	// go proportionally faster. Must be > 0 to install the middleware.
-	Rate float64
-	// Burst is the bucket depth per client IP (tenant buckets scale by
-	// weight too). 0 picks 2×Rate, at least 1.
-	Burst float64
-	// TenantWeight resolves an authenticated tenant's fair-share weight
-	// (internal/service.Service.TenantWeight). Nil, or results < 1, count
-	// as weight 1 so an unknown tenant still gets the base rate.
-	TenantWeight func(tenant string) int64
-	// MaxBuckets is a hard bound on the bucket table: refilled buckets
-	// are evicted when it fills, and if none are reclaimable the least
-	// recently active are dropped, so a flood of unique spoofed client
-	// IPs cannot grow the table without bound. 0 picks 65536.
-	MaxBuckets int
-	// Now is the clock (tests); nil is time.Now.
-	Now func() time.Time
-}
-
-func (c *RateLimitConfig) normalize() {
-	if c.Burst <= 0 {
-		c.Burst = math.Max(2*c.Rate, 1)
-	}
-	if c.MaxBuckets <= 0 {
-		c.MaxBuckets = 65536
-	}
-	if c.Now == nil {
-		c.Now = time.Now
-	}
-}
+// maxBuckets is a hard bound on the bucket table: refilled buckets are
+// evicted when it fills, and if none are reclaimable the least recently
+// active are dropped, so a flood of unique spoofed client IPs cannot grow
+// the table without bound.
+const maxBuckets = 65536
 
 // bucket is one token bucket: tokens at the last refill time. rate and
 // burst are the bucket's OWN parameters — tenant buckets scale by weight,
 // so eviction must compare against them, not the base config: a weight-4
-// tenant mid-spend holds more than cfg.Burst tokens while still being
+// tenant mid-spend holds more than RateBurst tokens while still being
 // actively limited.
 type bucket struct {
 	tokens float64
@@ -66,10 +35,15 @@ type bucket struct {
 // over both maps is plenty: an uncontended lock plus two map operations
 // is tens of nanoseconds, far below the JSON codec this chain fronts.
 type limiter struct {
-	cfg RateLimitConfig
-	mu  sync.Mutex
-	ip  map[string]*bucket
-	ten map[string]*bucket
+	cfg        *Config
+	maxBuckets int // maxBuckets; tests shrink it
+	mu         sync.Mutex
+	ip         map[string]*bucket
+	ten        map[string]*bucket
+}
+
+func newLimiter(cfg *Config) *limiter {
+	return &limiter{cfg: cfg, maxBuckets: maxBuckets, ip: make(map[string]*bucket), ten: make(map[string]*bucket)}
 }
 
 // take spends one token from key's bucket in table m (refilled at rate,
@@ -81,13 +55,13 @@ func (l *limiter) take(m map[string]*bucket, key string, rate, burst float64, no
 	defer l.mu.Unlock()
 	b := m[key]
 	if b == nil {
-		if len(l.ip)+len(l.ten) >= l.cfg.MaxBuckets {
+		if len(l.ip)+len(l.ten) >= l.maxBuckets {
 			l.evict(now)
-			// MaxBuckets is a hard bound, not advisory: if nothing was
+			// maxBuckets is a hard bound, not advisory: if nothing was
 			// refilled enough to reclaim — every resident bucket mid-spend
 			// is exactly the unique-key-flood shape — force out the least
 			// recently active instead of growing the table.
-			if over := len(l.ip) + len(l.ten) - l.cfg.MaxBuckets + 1; over > 0 {
+			if over := len(l.ip) + len(l.ten) - l.maxBuckets + 1; over > 0 {
 				l.evictOldest(over)
 			}
 		}
@@ -129,7 +103,7 @@ func (l *limiter) evict(now time.Time) {
 // whose loss costs their owners at most one fresh burst. Callers hold
 // l.mu.
 func (l *limiter) evictOldest(n int) {
-	if batch := l.cfg.MaxBuckets / 16; batch > n {
+	if batch := l.maxBuckets / 16; batch > n {
 		n = batch
 	}
 	type ref struct {
@@ -152,42 +126,40 @@ func (l *limiter) evictOldest(n int) {
 	}
 }
 
-// RateLimit rejects requests above the configured token-bucket rates with
+// wrap rejects requests above the configured token-bucket rates with
 // 429 + Retry-After. Two keys gate every non-exempt request: the client
 // IP (connection origin, pre-auth abuse control) and, when the request is
 // authenticated, the tenant (aggregate across the tenant's whole fleet,
 // scaled by its fair-share weight).
-func RateLimit(cfg RateLimitConfig, c *metrics.IngressCounters) Middleware {
-	cfg.normalize()
-	l := &limiter{cfg: cfg, ip: make(map[string]*bucket), ten: make(map[string]*bucket)}
-	return func(next http.Handler) http.Handler {
-		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			if Exempt(r.URL.Path) {
-				next.ServeHTTP(w, r)
-				return
+func (l *limiter) wrap(next http.Handler) http.Handler {
+	cfg, c := l.cfg, l.cfg.Counters
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if Exempt(r.URL.Path) {
+			next.ServeHTTP(w, r)
+			return
+		}
+		now := cfg.Now()
+		if ok, retry := l.take(l.ip, clientIP(r), cfg.RateLimit, cfg.RateBurst, now); !ok {
+			c.ThrottledIP.Add(1)
+			Logf(r.Context(), "throttle=ip retryAfter=%s", retry)
+			throttle(w, retry)
+			return
+		}
+		if st := state(r); st.hasPrincipal {
+			tenant := st.principal.Tenant
+			weight := float64(1)
+			if tw := st.resolveWeight(cfg.TenantWeight); tw > 1 {
+				weight = float64(tw)
 			}
-			now := cfg.Now()
-			if ok, retry := l.take(l.ip, clientIP(r), cfg.Rate, cfg.Burst, now); !ok {
-				c.ThrottledIP.Add(1)
-				Logf(r.Context(), "throttle=ip retryAfter=%s", retry)
+			if ok, retry := l.take(l.ten, tenant, cfg.RateLimit*weight, cfg.RateBurst*weight, now); !ok {
+				c.ThrottledTenant.Add(1)
+				Logf(r.Context(), "throttle=tenant tenant=%q retryAfter=%s", tenant, retry)
 				throttle(w, retry)
 				return
 			}
-			if p, ok := PrincipalFrom(r.Context()); ok {
-				weight := float64(1)
-				if tw := resolveWeight(r.Context(), cfg.TenantWeight, p.Tenant); tw > 1 {
-					weight = float64(tw)
-				}
-				if ok, retry := l.take(l.ten, p.Tenant, cfg.Rate*weight, cfg.Burst*weight, now); !ok {
-					c.ThrottledTenant.Add(1)
-					Logf(r.Context(), "throttle=tenant tenant=%q retryAfter=%s", p.Tenant, retry)
-					throttle(w, retry)
-					return
-				}
-			}
-			next.ServeHTTP(w, r)
-		})
-	}
+		}
+		next.ServeHTTP(w, r)
+	})
 }
 
 // throttle writes the protocol's 429: Retry-After in whole seconds

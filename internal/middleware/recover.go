@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"os"
 	"runtime/debug"
 
 	"gridsched/internal/metrics"
@@ -12,22 +11,19 @@ import (
 	"gridsched/internal/service/api"
 )
 
-// Recover converts a handler panic into a 500 response plus a metric
+// recoverPanics converts a handler panic into a 500 response plus a metric
 // (IngressCounters.Panics) instead of letting net/http kill the
 // connection (the in-process transport fails the round trip). The
-// panic value and stack go to out (default os.Stderr) immediately, and a
-// line lands in the request's buffered log so the Logging flush carries
-// the trace ID alongside.
+// panic value and stack go to out immediately, and a line lands in the
+// request's buffered log so the logging flush carries the trace ID
+// alongside.
 //
 // http.ErrAbortHandler is re-panicked untouched: it is net/http's
 // sanctioned way to abort a response and is not a failure.
-func Recover(c *metrics.IngressCounters, out io.Writer) Middleware {
-	if out == nil {
-		out = os.Stderr
-	}
+func recoverPanics(c *metrics.IngressCounters, out io.Writer) layer {
 	return func(next http.Handler) http.Handler {
 		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			sw := wrapStatus(w)
+			sw := w.(*statusWriter)
 			defer func() {
 				p := recover()
 				if p == nil {
@@ -49,19 +45,19 @@ func Recover(c *metrics.IngressCounters, out io.Writer) Middleware {
 	}
 }
 
-// MetricsText appends the ingress chain's own families to a successful
+// metricsText appends the ingress chain's own families to a successful
 // GET /metrics response. The chain's families are none of the inner
 // handler's, so writing them after its body leaves every family one group
 // and keeps the two decoupled: internal/service serves its families without
 // knowing a chain exists, and the chain adds its own on the way out.
-func MetricsText(c *metrics.IngressCounters) Middleware {
+func metricsText(c *metrics.IngressCounters) layer {
 	return func(next http.Handler) http.Handler {
 		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 			if r.Method != http.MethodGet || r.URL.Path != "/metrics" {
 				next.ServeHTTP(w, r)
 				return
 			}
-			sw := wrapStatus(w)
+			sw := w.(*statusWriter)
 			next.ServeHTTP(sw, r)
 			if sw.status == http.StatusOK {
 				_ = metrics.Write(sw, c.Metrics())

@@ -29,9 +29,6 @@ type Config struct {
 	// entry must be the daemon running with -partition-index i. Length is
 	// the partition count.
 	Partitions []string
-	// Transport is the outbound round-tripper for forwarded requests. Nil
-	// uses a pooled transport sized for many concurrent worker streams.
-	Transport http.RoundTripper
 	// AggregateTimeout bounds each per-partition leg of a fan-out read
 	// (GET /v1/jobs, /v1/tenants, /v1/workers, /metrics, probes).
 	// Defaults to 10s. Keyed forwards are not bounded by the router; the
@@ -60,12 +57,10 @@ func New(cfg Config) (*Router, error) {
 	if len(cfg.Partitions) == 0 {
 		return nil, fmt.Errorf("partition: no partitions configured")
 	}
-	transport := cfg.Transport
-	if transport == nil {
-		t := http.DefaultTransport.(*http.Transport).Clone()
-		t.MaxIdleConnsPerHost = 256
-		transport = t
-	}
+	// One pooled transport, sized for many concurrent worker streams,
+	// carries forwards and fan-out reads alike.
+	transport := http.DefaultTransport.(*http.Transport).Clone()
+	transport.MaxIdleConnsPerHost = 256
 	rt := &Router{
 		urls:   make([]string, len(cfg.Partitions)),
 		client: &http.Client{Transport: transport},
@@ -226,8 +221,9 @@ func (rt *Router) handleRegister(w http.ResponseWriter, r *http.Request) {
 // whichever partition round-robin offers next. Without this, a restarted
 // partition that recovered open jobs from its journal would never see a
 // worker again — the fleet migrated to the survivors during the outage
-// and idle workers have no reason to move on their own (they do, via
-// WorkerConfig.RebalanceWait, but only back through this placement).
+// and idle workers have no reason to move on their own (client.RunWorker
+// re-registers after one idle lease TTL, but lands back only through this
+// placement).
 // Ties — including the all-idle steady state, where every partition
 // reports zero — fall back to round-robin. Registration is rare, so the
 // health probe per call is cheap.

@@ -186,7 +186,7 @@ func TestRouterAggregation(t *testing.T) {
 		t.Fatalf("per-partition jobs %d+%d, want %v", len(a), len(b), perPart)
 	}
 
-	h, err := d.cl.Health(ctx)
+	h, err := testkit.Call[api.Health](ctx, d.cl, http.MethodGet, "/healthz", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,7 +227,7 @@ func TestRouterAggregation(t *testing.T) {
 	}
 	// A quota override cannot land everywhere: 503, so the caller retries.
 	var ae *client.APIError
-	if _, err := d.cl.SetTenantQuota(ctx, "tenant-0", 2); !errors.As(err, &ae) ||
+	if _, err := testkit.Call[api.TenantStatus](ctx, d.cl, http.MethodPut, "/v1/tenants/tenant-0", api.TenantQuotaRequest{MaxInFlight: 2}); !errors.As(err, &ae) ||
 		ae.StatusCode != http.StatusServiceUnavailable || !strings.Contains(ae.Message, "applied partially") {
 		t.Fatalf("quota with partition 1 down: %v, want 503 applied partially", err)
 	}
@@ -426,7 +426,7 @@ func TestRouterAggregationForwardsAuth(t *testing.T) {
 	if err != nil || len(jobs) != 6 {
 		t.Fatalf("aggregated jobs with a tenant token: %d jobs, err %v (want 6)", len(jobs), err)
 	}
-	workers, err := d.cl.Workers(ctx)
+	workers, err := testkit.Call[[]api.WorkerStatus](ctx, d.cl, http.MethodGet, "/v1/workers", nil)
 	if err != nil || len(workers) != 1 {
 		t.Fatalf("aggregated workers with a tenant token: %d workers, err %v (want 1)", len(workers), err)
 	}
@@ -446,15 +446,15 @@ func TestRouterAggregationForwardsAuth(t *testing.T) {
 	anon := client.New(d.router.URL, nil)
 	_, err = anon.Jobs(ctx)
 	wantStatus("jobs without a token", err, http.StatusUnauthorized)
-	_, err = anon.Workers(ctx)
+	_, err = testkit.Call[[]api.WorkerStatus](ctx, anon, http.MethodGet, "/v1/workers", nil)
 	wantStatus("workers without a token", err, http.StatusUnauthorized)
 	_, err = anon.Tenants(ctx)
 	wantStatus("tenants without a token", err, http.StatusUnauthorized)
-	_, err = d.cl.SetTenantQuota(ctx, "astro", 3)
+	_, err = testkit.Call[api.TenantStatus](ctx, d.cl, http.MethodPut, "/v1/tenants/astro", api.TenantQuotaRequest{MaxInFlight: 3})
 	wantStatus("quota with a tenant token", err, http.StatusForbidden)
 	admin := client.New(d.router.URL, nil)
 	admin.AuthToken = "tok-admin"
-	_, err = admin.SetTenantQuota(ctx, "astro", -1)
+	_, err = testkit.Call[api.TenantStatus](ctx, admin, http.MethodPut, "/v1/tenants/astro", api.TenantQuotaRequest{MaxInFlight: -1})
 	wantStatus("a negative quota", err, http.StatusBadRequest)
 	// A refusal is an answer: the partitions must not have been marked down.
 	resp, err := http.Get(d.router.URL + "/v1/partitions")
@@ -473,7 +473,7 @@ func TestRouterAggregationForwardsAuth(t *testing.T) {
 	}
 
 	// The admin's quota override lands on every partition.
-	st, err := admin.SetTenantQuota(ctx, "astro", 3)
+	st, err := testkit.Call[api.TenantStatus](ctx, admin, http.MethodPut, "/v1/tenants/astro", api.TenantQuotaRequest{MaxInFlight: 3})
 	if err != nil || st.MaxInFlight != 3 {
 		t.Fatalf("quota with the admin token: %+v, err %v", st, err)
 	}
@@ -545,7 +545,7 @@ func TestRouterWorkerFlow(t *testing.T) {
 				t.Fatalf("assignment %q minted by partition %d granted to worker of partition %d",
 					resp.Assignment.ID, owner, w.owner)
 			}
-			if _, err := d.cl.Heartbeat(ctx, resp.Assignment.ID, w.id); err != nil {
+			if _, err := testkit.Call[api.HeartbeatResponse](ctx, d.cl, http.MethodPost, "/v1/assignments/"+resp.Assignment.ID+"/heartbeat", api.HeartbeatRequest{WorkerID: w.id}); err != nil {
 				t.Fatal(err)
 			}
 			rep, err := d.cl.Report(ctx, resp.Assignment.ID, w.id, api.OutcomeSuccess)
@@ -578,8 +578,9 @@ func TestRouterWorkerFlow(t *testing.T) {
 // cmd/gridrouter covers it against real processes; this covers it
 // in-process.)
 func TestIdleWorkerRebalances(t *testing.T) {
-	// An idle worker's frames are its stream's keepalives, one per third of
-	// a lease TTL: keep that well under the test's patience.
+	// An idle worker moves after one lease TTL without open jobs, noticed at
+	// its stream's keepalives, one per third of a TTL: keep that well under
+	// the test's patience.
 	d := newDeploymentWith(t, 2, func(h http.Handler) http.Handler { return h }, 600*time.Millisecond)
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
@@ -589,7 +590,6 @@ func TestIdleWorkerRebalances(t *testing.T) {
 	workerDone := make(chan error, 1)
 	go func() {
 		workerDone <- d.cl.RunWorker(ctx, client.WorkerConfig{
-			RebalanceWait: 150 * time.Millisecond,
 			Execute: func(_ context.Context, _ core.WorkerRef, a *api.Assignment) error {
 				executed <- a.JobID
 				return nil
@@ -602,7 +602,7 @@ func TestIdleWorkerRebalances(t *testing.T) {
 	home := -1
 	for home < 0 {
 		for i, cl := range d.clients {
-			if ws, err := cl.Workers(ctx); err != nil {
+			if ws, err := testkit.Call[[]api.WorkerStatus](ctx, cl, http.MethodGet, "/v1/workers", nil); err != nil {
 				t.Fatal(err)
 			} else if len(ws) == 1 {
 				home = i
@@ -633,7 +633,7 @@ func TestIdleWorkerRebalances(t *testing.T) {
 	if err := <-workerDone; err != nil {
 		t.Fatalf("worker loop: %v", err)
 	}
-	if ws, err := d.clients[home].Workers(context.Background()); err != nil || len(ws) != 0 {
+	if ws, err := testkit.Call[[]api.WorkerStatus](context.Background(), d.clients[home], http.MethodGet, "/v1/workers", nil); err != nil || len(ws) != 0 {
 		t.Fatalf("partition %d still lists %d workers (err=%v), want the worker gone", home, len(ws), err)
 	}
 }

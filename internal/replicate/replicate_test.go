@@ -302,8 +302,7 @@ func newSourceEnv(t *testing.T) *sourceEnv {
 			}
 			return env.ckpt.Load(), nil, nil
 		},
-		Done:      done,
-		Heartbeat: 50 * time.Millisecond,
+		Done: done,
 	}
 	return env
 }

@@ -24,12 +24,13 @@ type Source struct {
 	Snapshot func(next uint64) (lsn uint64, doc []byte, err error)
 	// Done, when closed, ends the stream (service shutdown). Optional.
 	Done <-chan struct{}
-	// Heartbeat is the idle beacon cadence; 0 picks 1s.
-	Heartbeat time.Duration
 	// OnFrames, if set, is told how many frames each write streamed
 	// (metrics).
 	OnFrames func(n int)
 }
+
+// heartbeat is the idle beacon cadence.
+var heartbeat = time.Second
 
 // Serve streams frames with LSN > from to w until ctx or Done ends, or a
 // write fails (follower gone). The checkpoint is sent instead of frames to
@@ -46,11 +47,7 @@ func (s *Source) Serve(ctx context.Context, w io.Writer, from uint64) error {
 		}
 		return nil
 	}
-	hb := s.Heartbeat
-	if hb <= 0 {
-		hb = time.Second
-	}
-	tick := time.NewTicker(hb)
+	tick := time.NewTicker(heartbeat)
 	defer tick.Stop()
 
 	// Immediate heartbeat: the follower learns the leader's position (and

@@ -94,6 +94,14 @@ func TestBinaryRoundTrip(t *testing.T) {
 	}
 }
 
+func TestJSONSupportsEveryMessage(t *testing.T) {
+	for _, m := range append(messages(), &api.ErrorResponse{}) {
+		if !api.JSON.Supports(m) {
+			t.Errorf("JSON does not support %T", m)
+		}
+	}
+}
+
 func TestBinarySupportsValueAndPointerForms(t *testing.T) {
 	if !api.Binary.Supports(api.PullResponse{}) || !api.Binary.Supports(&api.PullResponse{}) {
 		t.Fatal("PullResponse not supported")

@@ -16,7 +16,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"net/url"
 	"strconv"
 	"strings"
 	"sync"
@@ -442,12 +441,6 @@ func (c *Client) Job(ctx context.Context, jobID string) (*api.JobStatus, error) 
 	return &st, nil
 }
 
-// DeleteJob drops a completed job's record (retention control); running
-// jobs cannot be deleted.
-func (c *Client) DeleteJob(ctx context.Context, jobID string) error {
-	return c.do(ctx, http.MethodDelete, "/v1/jobs/"+jobID, nil, nil)
-}
-
 // Jobs lists every resident job.
 func (c *Client) Jobs(ctx context.Context) ([]api.JobStatus, error) {
 	var out []api.JobStatus
@@ -461,19 +454,6 @@ func (c *Client) Tenants(ctx context.Context) ([]api.TenantStatus, error) {
 	var out []api.TenantStatus
 	err := c.do(ctx, http.MethodGet, "/v1/tenants", nil, &out)
 	return out, err
-}
-
-// SetTenantQuota overrides a tenant's in-flight concurrency quota
-// (maxInFlight > 0 caps it; 0 reverts to the server default). On a
-// journaled server the override survives restarts.
-func (c *Client) SetTenantQuota(ctx context.Context, tenant string, maxInFlight int) (*api.TenantStatus, error) {
-	var st api.TenantStatus
-	err := c.do(ctx, http.MethodPut, "/v1/tenants/"+url.PathEscape(tenant),
-		api.TenantQuotaRequest{MaxInFlight: maxInFlight}, &st)
-	if err != nil {
-		return nil, err
-	}
-	return &st, nil
 }
 
 // Register enrolls a worker. site pins it to a site; nil lets the server
@@ -490,14 +470,6 @@ func (c *Client) RegisterWorker(ctx context.Context, site *int, tags []string) (
 		return nil, err
 	}
 	return &resp, nil
-}
-
-// Workers lists the registered workers with their accumulated context —
-// capability tags, task-throughput and failure-rate estimates.
-func (c *Client) Workers(ctx context.Context) ([]api.WorkerStatus, error) {
-	var out []api.WorkerStatus
-	err := c.do(ctx, http.MethodGet, "/v1/workers", nil, &out)
-	return out, err
 }
 
 // Deregister removes a worker; its outstanding assignment, if any, is
@@ -517,17 +489,6 @@ func (c *Client) Pull(ctx context.Context, workerID string, wait time.Duration) 
 	return &resp, nil
 }
 
-// Heartbeat renews an assignment's lease.
-func (c *Client) Heartbeat(ctx context.Context, assignmentID, workerID string) (*api.HeartbeatResponse, error) {
-	var resp api.HeartbeatResponse
-	err := c.do(ctx, http.MethodPost, "/v1/assignments/"+assignmentID+"/heartbeat",
-		&api.HeartbeatRequest{WorkerID: workerID}, &resp)
-	if err != nil {
-		return nil, err
-	}
-	return &resp, nil
-}
-
 // Report ends an assignment with api.OutcomeSuccess or api.OutcomeFailure.
 func (c *Client) Report(ctx context.Context, assignmentID, workerID, outcome string) (*api.ReportResponse, error) {
 	var resp api.ReportResponse
@@ -537,13 +498,4 @@ func (c *Client) Report(ctx context.Context, assignmentID, workerID, outcome str
 		return nil, err
 	}
 	return &resp, nil
-}
-
-// Health checks /healthz.
-func (c *Client) Health(ctx context.Context) (*api.Health, error) {
-	var h api.Health
-	if err := c.do(ctx, http.MethodGet, "/healthz", nil, &h); err != nil {
-		return nil, err
-	}
-	return &h, nil
 }

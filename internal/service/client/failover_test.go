@@ -56,6 +56,11 @@ func TestSleepCtx(t *testing.T) {
 	}
 }
 
+// health is GET /healthz through the client's one request path.
+func (c *Client) health(ctx context.Context) error {
+	return c.do(ctx, http.MethodGet, "/healthz", nil, &api.Health{})
+}
+
 // leaderStub is a minimal leader answering /healthz and counting hits.
 func leaderStub(t *testing.T, hits *atomic.Int64) *httptest.Server {
 	t.Helper()
@@ -77,13 +82,13 @@ func TestClientFailsOverOnTransportError(t *testing.T) {
 	dead.Close() // reserve then release: a connect-refused endpoint
 
 	c := wireCodec(t, NewMulti([]string{dead.URL, live.URL}, nil))
-	if _, err := c.Health(context.Background()); err == nil {
+	if err := c.health(context.Background()); err == nil {
 		t.Fatal("first attempt against the dead endpoint succeeded")
 	}
 	if got := c.Endpoint(); got != live.URL {
 		t.Fatalf("after transport error: endpoint %q, want %q", got, live.URL)
 	}
-	if _, err := c.Health(context.Background()); err != nil {
+	if err := c.health(context.Background()); err != nil {
 		t.Fatalf("after failover: %v", err)
 	}
 	if hits.Load() != 1 {
@@ -106,7 +111,7 @@ func TestClientFollowsLeaderHint(t *testing.T) {
 	t.Cleanup(follower.Close)
 
 	c := wireCodec(t, NewMulti([]string{follower.URL}, nil))
-	_, err := c.Health(context.Background())
+	err := c.health(context.Background())
 	if err == nil {
 		t.Fatal("421 response did not surface as an error")
 	}
@@ -117,7 +122,7 @@ func TestClientFollowsLeaderHint(t *testing.T) {
 	if got := c.Endpoint(); got != leader.URL {
 		t.Fatalf("after 421 hint: endpoint %q, want %q", got, leader.URL)
 	}
-	if _, err := c.Health(context.Background()); err != nil {
+	if err := c.health(context.Background()); err != nil {
 		t.Fatalf("retry at hinted leader: %v", err)
 	}
 	if hits.Load() != 1 {

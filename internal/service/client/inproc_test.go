@@ -11,7 +11,6 @@ import (
 	"testing"
 	"time"
 
-	"gridsched/internal/metrics"
 	"gridsched/internal/middleware"
 	"gridsched/internal/service/api"
 	"gridsched/internal/service/client"
@@ -167,9 +166,9 @@ func TestInProcessHasOnePath(t *testing.T) {
 			},
 		},
 		{
-			name: "a panic behind middleware.Recover",
+			name: "a panic behind the ingress chain",
 			serve: func(release <-chan struct{}, exited chan<- struct{}) http.Handler {
-				return middleware.Recover(metrics.NewIngressCounters(), io.Discard)(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				return middleware.Ingress(middleware.Config{Log: io.Discard}, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 					close(exited)
 					panic("boom")
 				}))

@@ -56,7 +56,7 @@ func TestSweepBackoffFullyDownDeployment(t *testing.T) {
 
 	start := time.Now()
 	for i := 0; i < 6; i++ {
-		if _, err := c.Health(ctx); err == nil {
+		if err := c.health(ctx); err == nil {
 			t.Fatal("health against a fully faulted deployment succeeded")
 		}
 	}
@@ -76,7 +76,7 @@ func TestSweepBackoffFullyDownDeployment(t *testing.T) {
 	// schedule.
 	f1.Restore()
 	f2.Restore()
-	if _, err := c.Health(ctx); err != nil {
+	if err := c.health(ctx); err != nil {
 		t.Fatalf("health after faults cleared: %v", err)
 	}
 	if fails, delay, pending := sweepState(c); fails != 0 || delay != 0 || pending != 0 {
@@ -94,7 +94,7 @@ func TestSweepBackoffNotArmedWithLiveEndpoint(t *testing.T) {
 	ctx := context.Background()
 
 	for i := 0; i < 6; i++ {
-		if _, err := c.Health(ctx); err != nil && i > 0 {
+		if err := c.health(ctx); err != nil && i > 0 {
 			t.Fatalf("call %d with a live endpoint in rotation: %v", i, err)
 		}
 	}
@@ -113,7 +113,7 @@ func TestSweepBackoffSingleEndpoint(t *testing.T) {
 
 	start := time.Now()
 	for i := 0; i < 4; i++ {
-		if _, err := c.Health(ctx); err == nil {
+		if err := c.health(ctx); err == nil {
 			t.Fatal("health against a faulted endpoint succeeded")
 		}
 	}

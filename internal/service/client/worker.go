@@ -61,16 +61,6 @@ type WorkerConfig struct {
 	// not worker registrations — re-registration is the designed reconnect
 	// path. Zero keeps the historical fail-fast behavior.
 	ReconnectWait time.Duration
-	// RebalanceWait, when positive, lets an idle worker move to where the
-	// work is: after this long of idle frames (see OnIdle) with zero open
-	// jobs on its current server, the worker deregisters and re-registers.
-	// Behind a partition router a fresh registration is placed on the live
-	// partition with the most open jobs, so an idle fleet drains a
-	// partition that recovered work after an outage instead of starving
-	// it. Against a single gridschedd re-registering is a harmless no-op
-	// move. Zero disables rebalancing. An idle worker's frames are the
-	// stream's keepalives, one per third of a lease TTL.
-	RebalanceWait time.Duration
 	// DrainGrace, when positive, makes shutdown graceful: after ctx is
 	// cancelled an in-flight execution keeps running for up to this long
 	// — its lease kept alive meanwhile — so the task finishes and its
@@ -99,8 +89,12 @@ type WorkerConfig struct {
 //   - 409: a stream is still attached — the server has not noticed the
 //     previous one drop yet. Deregister (which requeues whatever it held)
 //     and re-register rather than die on a transient network fault. An idle
-//     worker that RebalanceWait moves on does the same, for the fresh
-//     placement.
+//     worker does the same once it has seen zero open jobs for one lease
+//     TTL, for a fresh placement: behind a partition router that lands it
+//     on the live partition with the most open jobs, so an idle fleet
+//     drains a partition that recovered work after an outage instead of
+//     starving it. Against a single gridschedd the move is a harmless
+//     no-op.
 //   - a stream that drops after it opened is reopened at once, on the same
 //     registration.
 //   - transport errors, 503, 421: terminal unless ReconnectWait is set.
@@ -203,7 +197,7 @@ var (
 	// errStreamDropped is a lease stream that died after it opened.
 	errStreamDropped = errors.New("client: lease stream dropped")
 	// errRebalance ends a registration that has sat idle on a server with
-	// no open jobs for RebalanceWait.
+	// no open jobs for one lease TTL.
 	errRebalance = errors.New("client: idle worker rebalancing")
 )
 
@@ -384,11 +378,11 @@ func (w *workerLoop) serve(ctx context.Context, reg *api.RegisterResponse) (done
 				}
 			}
 			switch {
-			case cfg.RebalanceWait <= 0 || lb.OpenJobs > 0:
+			case lb.OpenJobs > 0:
 				idleSince = time.Time{}
 			case idleSince.IsZero():
 				idleSince = time.Now()
-			case time.Since(idleSince) >= cfg.RebalanceWait:
+			case time.Since(idleSince) >= time.Duration(reg.LeaseTTLMillis)*time.Millisecond:
 				return false, errRebalance
 			}
 		case outcome := <-resCh: // nil, or drained, while nothing is in flight

@@ -1,7 +1,9 @@
 package service_test
 
 import (
+	"bytes"
 	"context"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -91,8 +93,27 @@ func TestBinaryCodecConformance(t *testing.T) {
 	if err != nil || resp.Status != api.StatusAssigned {
 		t.Fatalf("pull: %+v, %v", resp, err)
 	}
-	if _, err := cl.Heartbeat(ctx, resp.Assignment.ID, reg.WorkerID); err != nil {
+	// The Go client has no heartbeat (a stream renews its own leases), so
+	// this one goes out by hand, binary both ways.
+	body, err := api.Binary.Marshal(&api.HeartbeatRequest{WorkerID: reg.WorkerID})
+	if err != nil {
 		t.Fatal(err)
+	}
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, ts.URL+"/v1/assignments/"+resp.Assignment.ID+"/heartbeat", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("Content-Type", api.ContentTypeBinary)
+	req.Header.Set("Accept", api.ContentTypeBinary)
+	hr, err := (&http.Client{Transport: replies}).Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reply, err := io.ReadAll(hr.Body)
+	hr.Body.Close()
+	var hb api.HeartbeatResponse
+	if err != nil || hr.StatusCode != http.StatusOK || api.Binary.Unmarshal(reply, &hb) != nil {
+		t.Fatalf("heartbeat: %d %q, %v", hr.StatusCode, reply, err)
 	}
 	if _, err := cl.Report(ctx, resp.Assignment.ID, reg.WorkerID, api.OutcomeSuccess); err != nil {
 		t.Fatal(err)

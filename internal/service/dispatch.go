@@ -22,6 +22,7 @@
 package service
 
 import (
+	"fmt"
 	"sync"
 	"time"
 
@@ -276,7 +277,7 @@ func (s *Service) tryJobLocked(sh *shard, j *job, workerID string, ref core.Work
 			s.jobCompleted()
 		}
 	default:
-		panicf("service: unknown scheduler status %v", status)
+		panic(fmt.Sprintf("service: unknown scheduler status %v", status))
 	}
 	return nil, api.Assignment{}, 0
 }
@@ -319,7 +320,7 @@ func (s *Service) grantLocked(sh *shard, j *job, t *tenantState, task workload.T
 		// Unreachable while tryJobLocked's checks hold. Stop before the
 		// journal takes a record no replay would accept: a restart from here
 		// recovers, a restart after it would not.
-		panicf("service: job %s: granting task %d to %+v, which already runs it", j.id, task.ID, ref)
+		panic(fmt.Sprintf("service: job %s: granting task %d to %+v, which already runs it", j.id, task.ID, ref))
 	}
 	a := &assignment{
 		id:       s.nextID('a'),

@@ -4,9 +4,14 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"time"
 
 	"gridsched/internal/metrics"
 )
+
+// The package's followers reconnect within a tenth of a second, so a test
+// that restarts or swaps a leader waits no longer than that.
+func init() { reconnectMax = 100 * time.Millisecond }
 
 // ReplicationCounters exposes the follower's replication metrics.
 func (f *Follower) ReplicationCounters() *metrics.ReplicationCounters { return f.repl }

@@ -644,7 +644,7 @@ func TestTenantHTTPSurface(t *testing.T) {
 	if _, err := cl.SubmitTenantJob(ctx, "acme", 3, "job", "workqueue", 0, syntheticWorkload(20, 2)); err != nil {
 		t.Fatal(err)
 	}
-	st, err := cl.SetTenantQuota(ctx, "acme", 2)
+	st, err := testkit.Call[api.TenantStatus](ctx, cl, http.MethodPut, "/v1/tenants/acme", api.TenantQuotaRequest{MaxInFlight: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -658,7 +658,7 @@ func TestTenantHTTPSurface(t *testing.T) {
 	if len(tenants) != 1 || tenants[0].Tenant != "acme" || tenants[0].ShareTarget != 1 {
 		t.Fatalf("tenant listing %+v", tenants)
 	}
-	if _, err := cl.SetTenantQuota(ctx, "acme", -1); err == nil {
+	if _, err := testkit.Call[api.TenantStatus](ctx, cl, http.MethodPut, "/v1/tenants/acme", api.TenantQuotaRequest{MaxInFlight: -1}); err == nil {
 		t.Fatal("negative quota accepted over HTTP")
 	}
 

@@ -60,10 +60,10 @@ type FollowerConfig struct {
 	// Token, when non-empty, is the bearer token presented on the stream
 	// request; it must resolve to an admin principal on the leader.
 	Token string
-	// ReconnectMax caps the backoff between stream reconnect attempts.
-	// 0 picks 2s.
-	ReconnectMax time.Duration
 }
+
+// reconnectMax caps the backoff between stream reconnect attempts.
+var reconnectMax = 2 * time.Second
 
 // streamClient performs the stream request: no client-level timeout, the
 // stream is long-lived.
@@ -83,9 +83,6 @@ func NewFollower(cfg Config, fcfg FollowerConfig) (*Follower, error) {
 	}
 	if fcfg.Leader == "" {
 		return nil, fmt.Errorf("service: follower requires a leader URL")
-	}
-	if fcfg.ReconnectMax <= 0 {
-		fcfg.ReconnectMax = 2 * time.Second
 	}
 	f := &Follower{
 		svcCfg: cfg,
@@ -144,7 +141,7 @@ func (f *Follower) run() {
 			return
 		}
 		f.repl.Reconnects.Add(1)
-		backoff = min(max(2*backoff, 100*time.Millisecond), f.cfg.ReconnectMax)
+		backoff = min(max(2*backoff, 100*time.Millisecond), reconnectMax)
 		select {
 		case <-f.ctx.Done():
 			return

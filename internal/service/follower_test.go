@@ -30,10 +30,7 @@ func startFollower(t *testing.T, leaderURL string) *service.Follower {
 // startFollowerIn is startFollower over a data dir the test can inspect.
 func startFollowerIn(t *testing.T, dir, leaderURL string) *service.Follower {
 	t.Helper()
-	fl, err := service.NewFollower(durableConfig(dir), service.FollowerConfig{
-		Leader:       leaderURL,
-		ReconnectMax: 100 * time.Millisecond,
-	})
+	fl, err := service.NewFollower(durableConfig(dir), service.FollowerConfig{Leader: leaderURL})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -693,7 +690,7 @@ func TestFollowerResumesAcrossRestart(t *testing.T) {
 
 	dir := t.TempDir()
 	cfg := durableConfig(dir)
-	fl, err := service.NewFollower(cfg, service.FollowerConfig{Leader: srv.URL, ReconnectMax: 100 * time.Millisecond})
+	fl, err := service.NewFollower(cfg, service.FollowerConfig{Leader: srv.URL})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -707,7 +704,7 @@ func TestFollowerResumesAcrossRestart(t *testing.T) {
 
 	pullSequence(t, s, 3) // progress while the standby is down
 
-	fl2, err := service.NewFollower(cfg, service.FollowerConfig{Leader: srv.URL, ReconnectMax: 100 * time.Millisecond})
+	fl2, err := service.NewFollower(cfg, service.FollowerConfig{Leader: srv.URL})
 	if err != nil {
 		t.Fatal(err)
 	}

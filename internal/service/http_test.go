@@ -182,7 +182,7 @@ func TestHealthzAndMetricsEndpoints(t *testing.T) {
 	defer ts.Close()
 	cl := testkit.WireCodec(t, client.New(ts.URL, nil))
 
-	h, err := cl.Health(context.Background())
+	h, err := testkit.Call[api.Health](context.Background(), cl, http.MethodGet, "/healthz", nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -83,14 +83,14 @@ func TestIngressAuthEndToEnd(t *testing.T) {
 	}
 
 	// Admin endpoint: tenant token 403, admin token 200.
-	if _, err := gold.SetTenantQuota(ctx, "gold", 4); err == nil {
+	if _, err := testkit.Call[api.TenantStatus](ctx, gold, http.MethodPut, "/v1/tenants/gold", api.TenantQuotaRequest{MaxInFlight: 4}); err == nil {
 		t.Fatal("non-admin quota override accepted")
 	} else if !errors.As(err, &ae) || ae.StatusCode != http.StatusForbidden {
 		t.Fatalf("non-admin quota override: %v, want 403", err)
 	}
 	admin := testkit.WireCodec(t, client.New(ts.URL, nil))
 	admin.AuthToken = "admin-token"
-	if _, err := admin.SetTenantQuota(ctx, "gold", 4); err != nil {
+	if _, err := testkit.Call[api.TenantStatus](ctx, admin, http.MethodPut, "/v1/tenants/gold", api.TenantQuotaRequest{MaxInFlight: 4}); err != nil {
 		t.Fatalf("admin quota override: %v", err)
 	}
 
@@ -100,13 +100,13 @@ func TestIngressAuthEndToEnd(t *testing.T) {
 	// answers 409, proving the request got past authorization.
 	bronze := testkit.WireCodec(t, client.New(ts.URL, nil))
 	bronze.AuthToken = "bronze-token"
-	if err := bronze.DeleteJob(ctx, id); !errors.As(err, &ae) || ae.StatusCode != http.StatusForbidden {
+	if _, err := testkit.Call[any](ctx, bronze, http.MethodDelete, "/v1/jobs/"+id, nil); !errors.As(err, &ae) || ae.StatusCode != http.StatusForbidden {
 		t.Fatalf("cross-tenant delete: %v, want 403", err)
 	}
-	if err := gold.DeleteJob(ctx, id); !errors.As(err, &ae) || ae.StatusCode != http.StatusConflict {
+	if _, err := testkit.Call[any](ctx, gold, http.MethodDelete, "/v1/jobs/"+id, nil); !errors.As(err, &ae) || ae.StatusCode != http.StatusConflict {
 		t.Fatalf("owner delete of running job: %v, want 409", err)
 	}
-	if err := admin.DeleteJob(ctx, id); !errors.As(err, &ae) || ae.StatusCode != http.StatusConflict {
+	if _, err := testkit.Call[any](ctx, admin, http.MethodDelete, "/v1/jobs/"+id, nil); !errors.As(err, &ae) || ae.StatusCode != http.StatusConflict {
 		t.Fatalf("admin delete of running job: %v, want 409", err)
 	}
 	if c.AuthFailures.Load() == 0 || c.AuthDenied.Load() == 0 {

@@ -303,9 +303,7 @@ func TestLegacyFormatsRefused(t *testing.T) {
 			}))
 			defer srv.Close()
 			fdir := t.TempDir()
-			fl, err := service.NewFollower(durableConfig(fdir), service.FollowerConfig{
-				Leader: srv.URL, ReconnectMax: 100 * time.Millisecond,
-			})
+			fl, err := service.NewFollower(durableConfig(fdir), service.FollowerConfig{Leader: srv.URL})
 			if err != nil {
 				t.Fatal(err)
 			}

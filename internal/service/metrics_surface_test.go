@@ -113,7 +113,7 @@ func runMetricsScenario(t *testing.T) metricsScrapes {
 	// One 401, one 403.
 	_, err := as("").Jobs(ctx)
 	wantStatus(err, http.StatusUnauthorized)
-	_, err = gold.SetTenantQuota(ctx, "gold", 1)
+	_, err = testkit.Call[api.TenantStatus](ctx, gold, http.MethodPut, "/v1/tenants/gold", api.TenantQuotaRequest{MaxInFlight: 1})
 	wantStatus(err, http.StatusForbidden)
 
 	// Three jobs, two tenants, two algorithms; the one-task job completes.
@@ -169,7 +169,7 @@ func runMetricsScenario(t *testing.T) metricsScrapes {
 		}
 		clk.ms.Add(int64(40 + 10*i))
 		if i == 1 {
-			_, err := w.cl.Heartbeat(ctx, w.held.ID, w.id)
+			_, err := testkit.Call[api.HeartbeatResponse](ctx, w.cl, http.MethodPost, "/v1/assignments/"+w.held.ID+"/heartbeat", api.HeartbeatRequest{WorkerID: w.id})
 			must(err)
 		}
 		outcome := api.OutcomeSuccess
@@ -183,9 +183,9 @@ func runMetricsScenario(t *testing.T) metricsScrapes {
 
 	// Quota throttle: one lease per tenant, then a third worker finds both
 	// tenants at their cap.
-	_, err = admin.SetTenantQuota(ctx, "gold", 1)
+	_, err = testkit.Call[api.TenantStatus](ctx, admin, http.MethodPut, "/v1/tenants/gold", api.TenantQuotaRequest{MaxInFlight: 1})
 	must(err)
-	_, err = admin.SetTenantQuota(ctx, "bronze", 1)
+	_, err = testkit.Call[api.TenantStatus](ctx, admin, http.MethodPut, "/v1/tenants/bronze", api.TenantQuotaRequest{MaxInFlight: 1})
 	must(err)
 	if pull(w1) == nil || pull(w2) == nil {
 		t.Fatal("a tenant under its quota was refused a lease")
@@ -204,7 +204,7 @@ func runMetricsScenario(t *testing.T) metricsScrapes {
 		DataDir:        t.TempDir(),
 		Fsync:          journal.SyncBatch,
 		SnapshotEvery:  cfg.SnapshotEvery,
-	}, service.FollowerConfig{Leader: bare.URL, ReconnectMax: 100 * time.Millisecond})
+	}, service.FollowerConfig{Leader: bare.URL})
 	must(err)
 	t.Cleanup(fl.Close)
 

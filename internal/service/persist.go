@@ -2,6 +2,7 @@ package service
 
 import (
 	"errors"
+	"fmt"
 	"log"
 	"net/http"
 	"path/filepath"
@@ -101,7 +102,7 @@ func (s *Service) mustAppend(rec *record) uint64 {
 		if s.closed.Load() {
 			return 0
 		}
-		panicf("service: write-ahead journal failed: %v", err)
+		panic(fmt.Sprintf("service: write-ahead journal failed: %v", err))
 	}
 	return lsn
 }

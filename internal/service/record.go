@@ -153,7 +153,7 @@ func (rec *record) appendTo(dst []byte) []byte {
 	rec.fields(&c)
 	out, err := c.Out()
 	if err != nil {
-		panicf("service: journal encode: %v", err)
+		panic(fmt.Sprintf("service: journal encode: %v", err))
 	}
 	return out
 }

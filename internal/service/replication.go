@@ -15,7 +15,7 @@ import (
 // Leader side of WAL replication: GET /v1/replication/stream hands the
 // connection to a replicate.Source that streams the frames the live
 // journal writer holds.
-// The endpoint is admin-gated by the ingress chain (middleware.Auth
+// The endpoint is admin-gated by the ingress chain (its auth layer
 // treats /v1/replication/ as an admin surface) and requires -data-dir —
 // an in-memory service has no log to stream.
 

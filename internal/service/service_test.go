@@ -3,6 +3,7 @@ package service_test
 import (
 	"context"
 	"errors"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -412,6 +413,9 @@ func TestSubmitValidation(t *testing.T) {
 	_, err := s.JobStatus("nope")
 	if !errors.As(err, &se) {
 		t.Fatalf("JobStatus error %T, want *service.Error", err)
+	}
+	if err.Error() != se.Msg || !strings.Contains(se.Msg, "nope") {
+		t.Fatalf("JobStatus error %q, want its message naming the job", err)
 	}
 	// Jobs enter by algorithm name alone, so a service no factory could
 	// build a job for is refused at construction.

@@ -85,7 +85,7 @@ func (s *Service) unlockAll() {
 func (s *Service) mustApply(sh *shard, j *job, e ledgerRec, fresh bool) applied {
 	res, err := s.apply(&sh.stage, j, e, fresh)
 	if err != nil {
-		panicf("service: job %s: %v", j.id, err)
+		panic(fmt.Sprintf("service: job %s: %v", j.id, err))
 	}
 	return res
 }
@@ -402,10 +402,4 @@ func (s *Service) sweep(now time.Time) {
 		s.hub.broadcast()
 	}
 	s.snapshotIfDue()
-}
-
-// panicf exists so shard paths that must not continue (capacity invariants
-// validated at submission) fail loudly with context.
-func panicf(format string, args ...any) {
-	panic(fmt.Sprintf(format, args...))
 }

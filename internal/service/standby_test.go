@@ -246,9 +246,7 @@ func TestStandbyPartitionIdentity(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			url := leaderOf(t, t.TempDir(), tc.checkpoint)
 			fdir := t.TempDir()
-			fl, err := service.NewFollower(partitionedConfig(fdir, 0, 2), service.FollowerConfig{
-				Leader: url, ReconnectMax: 100 * time.Millisecond,
-			})
+			fl, err := service.NewFollower(partitionedConfig(fdir, 0, 2), service.FollowerConfig{Leader: url})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -293,7 +291,7 @@ func testStandbyCheckpointCrash(t *testing.T, step string, onDisk func(t *testin
 	fcfg := durableConfig(fdir)
 	fcfg.SnapshotEvery = every
 	start := func() *service.Follower {
-		fl, err := service.NewFollower(fcfg, service.FollowerConfig{Leader: srv.URL, ReconnectMax: 100 * time.Millisecond})
+		fl, err := service.NewFollower(fcfg, service.FollowerConfig{Leader: srv.URL})
 		if err != nil {
 			t.Fatalf("standby over the data dir: %v", err)
 		}

@@ -92,7 +92,7 @@ func WaitHealthy(t *testing.T, cl *client.Client) {
 	deadline := time.Now().Add(20 * time.Second)
 	for time.Now().Before(deadline) {
 		ctx, cancel := context.WithTimeout(context.Background(), time.Second)
-		_, err := cl.Health(ctx)
+		_, err := Call[api.Health](ctx, cl, http.MethodGet, "/healthz", nil)
 		cancel()
 		if err == nil {
 			return

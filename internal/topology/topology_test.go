@@ -194,3 +194,14 @@ func TestSpeedDistJitterBounds(t *testing.T) {
 		}
 	}
 }
+
+func TestNodeKindString(t *testing.T) {
+	for k, want := range map[NodeKind]string{
+		KindWAN: "wan", KindMAN: "man", KindLAN: "lan", KindSite: "site",
+		KindFileServer: "fileserver", KindScheduler: "scheduler", NodeKind(0): "kind(0)",
+	} {
+		if got := k.String(); got != want {
+			t.Errorf("NodeKind(%d) = %q, want %q", int(k), got, want)
+		}
+	}
+}

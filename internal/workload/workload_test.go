@@ -421,3 +421,18 @@ func TestGeometricHelper(t *testing.T) {
 		t.Fatalf("geometric mean = %v, want ~%v", got, mean)
 	}
 }
+
+// TestNearestCovered: a task whose window covers no image is anchored to
+// the covered image nearest its center, the earlier one on a tie, with the
+// center clamped into the run.
+func TestNearestCovered(t *testing.T) {
+	run := &coaddRun{
+		covered: []bool{false, true, false, false, true, false},
+		fileIDs: []FileID{-1, 10, -1, -1, 11, -1},
+	}
+	for from, want := range map[int]FileID{-3: 10, 0: 10, 2: 10, 3: 11, 5: 11, 9: 11} {
+		if got := nearestCovered(run, from); got != want {
+			t.Errorf("nearestCovered(%d) = %d, want %d", from, got, want)
+		}
+	}
+}

@@ -26,8 +26,7 @@ import (
 //     bench);
 //   - init functions, package-level variable initializers and blank
 //     `var _ I = …` assertions;
-//   - the exported API of the root package and of the Go SDK
-//     internal/service/client;
+//   - the exported API of the root package;
 //   - every method of a reachable type that lets it satisfy an interface
 //     declared in the module or in a standard package the module imports,
 //     and net/http's unexported Unwrap() http.ResponseWriter convention.
@@ -195,7 +194,7 @@ func (w *walk) graph(cp *checkedPkg, benchPkgs []listedPkg) {
 	for _, b := range benchPkgs {
 		isBench = isBench || b.ImportPath == cp.ImportPath
 	}
-	api := cp.ImportPath == "gridsched" || cp.ImportPath == "gridsched/internal/service/client"
+	api := cp.ImportPath == "gridsched"
 	report := !isBench && (cp.Name == "main" || w.importedByProduct(cp.ImportPath))
 	for _, f := range cp.files {
 		ast.Inspect(f, func(n ast.Node) bool {
