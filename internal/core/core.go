@@ -53,8 +53,8 @@ const (
 	// would still have to be transferred.
 	MetricRest
 	// MetricCombined is ref_t/totalRef + rest_t/totalRest: normalized past
-	// references plus normalized rest (the paper's stated intent; see
-	// DESIGN.md on the formula's typo).
+	// references plus normalized rest (the paper's stated intent; its
+	// typeset formula inverts the rest term, see MetricCombinedLiteral).
 	MetricCombined
 	// MetricCombinedLiteral is ref_t/totalRef + totalRest/rest_t, the
 	// formula exactly as typeset in the paper. Kept for the ablation.

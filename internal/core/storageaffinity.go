@@ -251,7 +251,7 @@ func (s *StorageAffinity) Remaining() int { return s.remaining }
 // prediction evicts like the real storage will). The assignment is still
 // committed entirely up front on predicted content — which is exactly what
 // exposes the premature-decision problem at small capacities — while task
-// counts stay balanced. See DESIGN.md ("Storage affinity details").
+// counts stay balanced.
 func (s *StorageAffinity) initialAssign() error {
 	images := make([]*storage.Store, s.cfg.Sites)
 	drafting := make([]*affinitySite, s.cfg.Sites)

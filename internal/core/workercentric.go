@@ -244,8 +244,8 @@ func (s *WorkerCentric) chooseTask(x *siteIndex) workload.TaskID {
 	}
 
 	// Tasks that fully overlap the site's storage need zero transfers;
-	// rest_t = 1/0 diverges there, which we resolve (documented in
-	// DESIGN.md) by always preferring full-overlap tasks, ranked by
+	// rest_t = 1/0 diverges there, which we resolve (the paper leaves the
+	// case open) by always preferring full-overlap tasks, ranked by
 	// overlap cardinality. They live in class 0 (missing == 0), ordered by
 	// (|files| desc, id asc) — exactly the weight order of the naive
 	// scan's full-overlap pass.

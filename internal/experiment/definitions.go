@@ -121,7 +121,7 @@ func Figure4And5(opts Options) (fig4, fig5 *Report, err error) {
 	fig4 = Figure4Style(sw)
 	fig5 = Figure5Style(sw)
 	fig5.Notes = append(fig5.Notes,
-		"redundant transfers = fetches beyond the first fetch of each distinct file; see EXPERIMENTS.md for why this matches the paper's y-axis",
+		"redundant transfers = fetches beyond the first fetch of each distinct file; the paper's y-axis sits far below the distinct-file count, so it cannot be counting total fetches",
 		"total fetches = redundant + distinct files referenced")
 	return fig4, fig5, nil
 }
@@ -279,7 +279,8 @@ func ablationReport(id, title string, sw *Sweep) *Report {
 }
 
 // AblationCombined compares the paper's Combined formula as intended vs. as
-// typeset (see DESIGN.md on the typo).
+// typeset: core.MetricCombined against core.MetricCombinedLiteral, whose
+// totalRest/rest_t inverts the rest term the text describes.
 func AblationCombined(opts Options) (*Report, error) {
 	opts.Normalize()
 	w, err := coaddWorkload(opts)

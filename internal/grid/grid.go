@@ -66,8 +66,9 @@ type Config struct {
 	ChurnMeanDownSec float64 `json:"churnMeanDownSec"`
 }
 
-// Paper defaults (Table 1 plus calibration constants documented in
-// DESIGN.md / EXPERIMENTS.md).
+// Paper defaults: the paper's Table 1, plus the calibration constants the
+// simulation needs beyond it. The shape tests (shapes_test.go at the module
+// root) check the paper's qualitative claims under them.
 const (
 	DefaultCapacityFiles   = 6000
 	DefaultWorkersPerSite  = 1

@@ -113,8 +113,9 @@ func TestReferenceCDFMonotoneAndAnchored(t *testing.T) {
 }
 
 // TestCoaddMatchesTable2 pins the canonical trace to the paper's Table 2 /
-// Figure 3 characteristics (within the tolerance a synthetic regeneration
-// can promise; exact paper-vs-measured numbers live in EXPERIMENTS.md).
+// Figure 3 characteristics, within the tolerance a synthetic regeneration
+// can promise: the trace is regenerated from the paper's statistics, not
+// read from the original logs.
 func TestCoaddMatchesTable2(t *testing.T) {
 	w, err := GenerateCoadd(CoaddSmallConfig(DefaultCoaddSeed))
 	if err != nil {

@@ -1,8 +1,8 @@
 package gridsched
 
-// Shape-regression tests: reduced-scale versions of the qualitative claims
-// EXPERIMENTS.md validates at paper scale. If one of these breaks, the
-// reproduction story broke — not just a number.
+// Shape-regression tests: reduced-scale versions of the paper's qualitative
+// claims, which `cmd/experiments` reproduces at paper scale. If one of these
+// breaks, the reproduction story broke — not just a number.
 
 import (
 	"testing"
