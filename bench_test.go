@@ -241,7 +241,7 @@ func BenchmarkEndToEndSimulation(b *testing.B) {
 // triggering request sees it; the two reported metrics are what every
 // other request sees and what the disk sees:
 //
-//	pause-ms/op     mean lockAll→unlockAll stop-the-world span
+//	pause-ms/op     mean stop-the-world span (the service lock held)
 //	snapshot-B/op   bytes the checkpoint wrote
 //
 // Resident workload bytes grow 16x from jobs=1 to jobs=16; neither metric

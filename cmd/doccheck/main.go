@@ -5,15 +5,16 @@
 // file's headings using GitHub's slug rules. External (http/https/mailto)
 // links are skipped: CI must not flake on someone else's server. In a file
 // named CHANGES.md it also holds every entry (a paragraph starting with its
-// change number, "PR <n>") numbered 29 or later to at most 150 words.
+// change number, "PR <n>") numbered 29 or later to at most 150 words, and
+// it holds each file named in budget to its byte cap.
 //
-// Usage:
+// Usage (from the repository root, the paths budget is keyed by):
 //
-//	doccheck README.md docs CHANGES.md
+//	doccheck README.md PERFORMANCE.md docs CHANGES.md
 //
 // Exit status is nonzero on any finding, with one line per finding. The CI
-// docs job runs it over README.md, docs/ and CHANGES.md so the
-// documentation surface cannot rot silently.
+// docs job runs it over README.md, PERFORMANCE.md, docs/ and CHANGES.md so
+// the documentation surface cannot rot or grow silently.
 package main
 
 import (
@@ -100,6 +101,9 @@ func checkFile(path string) ([]string, error) {
 	if filepath.Base(path) == "CHANGES.md" {
 		problems = checkEntries(path, string(data))
 	}
+	if max, ok := budget[filepath.ToSlash(filepath.Clean(path))]; ok && len(data) > max {
+		problems = append(problems, fmt.Sprintf("%s: %d bytes, over its budget of %d: cut prose to make room", path, len(data), max))
+	}
 	inFence := false
 	for ln, line := range strings.Split(string(data), "\n") {
 		// Links inside fenced code blocks are literal text, not links.
@@ -118,6 +122,21 @@ func checkFile(path string) ([]string, error) {
 		}
 	}
 	return problems, nil
+}
+
+// budget caps the size in bytes of the prose files, keyed by their path from
+// the repository root (ROADMAP item 16(b)). A cap is the file's size when it
+// was set and is only ever lowered, so prose that is added displaces prose.
+// CHANGES.md and ROADMAP.md have none.
+var budget = map[string]int{
+	"PERFORMANCE.md":       153978,
+	"README.md":            23341,
+	"docs/ARCHITECTURE.md": 35807,
+	"docs/INGRESS.md":      8867,
+	"docs/PARTITIONING.md": 9504,
+	"docs/PROTOCOL.md":     58971,
+	"docs/REPLICATION.md":  21204,
+	"docs/SCHEDULING.md":   8814,
 }
 
 // Entries of CHANGES.md from capFrom on may hold at most maxEntryWords

@@ -104,19 +104,51 @@ func TestSlugify(t *testing.T) {
 	}
 }
 
-// TestRepositoryDocsAreClean runs the checker over the real README, docs/
-// tree and CHANGES.md, so `go test` fails on a broken doc link or an
-// over-long entry even before the dedicated CI job runs.
+// TestDoccheckHoldsProseBudget: a file named in budget may grow to its cap
+// and not a byte past it, whether named or found in a directory; a file
+// the budget does not name has no cap.
+func TestDoccheckHoldsProseBudget(t *testing.T) {
+	t.Chdir(t.TempDir())
+	fill := func(path string, n int) {
+		write(t, path, strings.Repeat("a", n))
+	}
+	fill("README.md", budget["README.md"])
+	fill("docs/PROTOCOL.md", budget["docs/PROTOCOL.md"])
+	fill("NOTES.md", 1<<20)
+	problems, err := run([]string{"README.md", "docs", "NOTES.md"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(problems) != 0 {
+		t.Fatalf("files at their caps: %v", problems)
+	}
+
+	fill("README.md", budget["README.md"]+1)
+	fill("docs/PROTOCOL.md", budget["docs/PROTOCOL.md"]+1)
+	problems, err = run([]string{"./README.md", "docs", "NOTES.md"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []string{
+		fmt.Sprintf("./README.md: %d bytes, over its budget of %d: cut prose to make room", budget["README.md"]+1, budget["README.md"]),
+		fmt.Sprintf("docs/PROTOCOL.md: %d bytes, over its budget of %d: cut prose to make room", budget["docs/PROTOCOL.md"]+1, budget["docs/PROTOCOL.md"]),
+	}
+	if strings.Join(problems, "\n") != strings.Join(want, "\n") {
+		t.Fatalf("files one byte over their caps:\n%s\nwant:\n%s", strings.Join(problems, "\n"), strings.Join(want, "\n"))
+	}
+}
+
+// TestRepositoryDocsAreClean runs the checker over the real README,
+// PERFORMANCE.md, docs/ tree and CHANGES.md, so `go test` fails on a broken
+// doc link, an over-long entry or a file over its budget even before the
+// dedicated CI job runs.
 func TestRepositoryDocsAreClean(t *testing.T) {
 	root := "../.."
 	if _, err := os.Stat(filepath.Join(root, "README.md")); err != nil {
 		t.Skip("repository root not reachable from test binary")
 	}
-	problems, err := run([]string{
-		filepath.Join(root, "README.md"),
-		filepath.Join(root, "docs"),
-		filepath.Join(root, "CHANGES.md"),
-	})
+	t.Chdir(root)
+	problems, err := run([]string{"README.md", "PERFORMANCE.md", "docs", "CHANGES.md"})
 	if err != nil {
 		t.Fatal(err)
 	}

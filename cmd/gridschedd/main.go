@@ -11,7 +11,6 @@
 //	gridschedd -data-dir d -fsync always              # fsync before every acknowledgement
 //	gridschedd -data-dir d -snapshot-every 10000      # compaction cadence in journal records
 //	gridschedd -tenant-quota 8                        # multi-tenant fair share (docs/ARCHITECTURE.md)
-//	gridschedd -shards 16                             # job-state lock stripes (0: sized to the machine)
 //	gridschedd -auth-tokens tokens.conf               # per-tenant bearer auth (SIGHUP reloads the file)
 //	gridschedd -rate-limit 500 -rate-burst 1000       # token-bucket throttling per IP and tenant
 //	gridschedd -shed-p99 250ms                        # shed pulls/submits when p99 breaches the bound
@@ -292,7 +291,6 @@ func flags() (*flag.FlagSet, *daemon) {
 	})
 	fs.DurationVar(&d.svc.LeaseTTL, "lease", 15*time.Second, "worker/assignment lease TTL")
 	fs.DurationVar(&d.svc.SweepInterval, "sweep", 0, "lease sweep interval (0: lease/4)")
-	fs.IntVar(&d.svc.Shards, "shards", 0, "job-state lock stripes (0: sized to the machine; see docs/ARCHITECTURE.md)")
 	fs.IntVar(&d.svc.TenantMaxInFlight, "tenant-quota", 0, "per-tenant cap on concurrently leased assignments (0: unlimited; override per tenant via PUT /v1/tenants/{tenant})")
 	fs.BoolVar(&d.pprof, "pprof", false, "expose net/http/pprof under /debug/pprof/")
 	fs.StringVar(&d.tokens, "auth-tokens", "", "bearer-token file enabling per-tenant auth (\"<token> <tenant> [admin]\" per line; SIGHUP reloads)")

@@ -109,7 +109,7 @@ type WorkerRef struct {
 // Concurrency contract: implementations are not safe for concurrent use;
 // the engine serializes access. The simulator is single-threaded; the
 // gridschedd service (internal/service) makes every scheduler call under
-// the owning job's shard lock.
+// its one service lock.
 type Scheduler interface {
 	Name() string
 	AttachSite(site int)

@@ -63,6 +63,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"slices"
@@ -278,9 +279,22 @@ type Writer struct {
 // must pass ReadLog's ValidSize, never a guess, or risk discarding a
 // healthy log. met may be nil.
 func OpenWriter(path string, mode Mode, interval time.Duration, lastLSN uint64, validSize int64, met *Metrics) (*Writer, error) {
-	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
+	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_EXCL, 0o644)
+	created := err == nil
+	if errors.Is(err, fs.ErrExist) {
+		f, err = os.OpenFile(path, os.O_RDWR, 0o644)
+	}
 	if err != nil {
 		return nil, err
+	}
+	if created {
+		// A new file's name persists only once its directory is fsynced:
+		// without this, records acknowledged before the first checkpoint
+		// could vanish with the entry in a machine crash.
+		if err := syncDir(filepath.Dir(path)); err != nil {
+			f.Close()
+			return nil, err
+		}
 	}
 	return OpenWriterFile(f, mode, interval, lastLSN, validSize, met)
 }
@@ -799,6 +813,32 @@ func RemoveTemp(dir string) error {
 			continue
 		}
 		if err := os.Remove(filepath.Join(dir, ent.Name())); err != nil && !os.IsNotExist(err) {
+			return err
+		}
+	}
+	return nil
+}
+
+// MkdirAll is os.MkdirAll that also fsyncs the parent of every directory
+// it creates, so a new directory's name survives a machine crash.
+func MkdirAll(dir string) error {
+	var created []string
+	for d := filepath.Clean(dir); ; d = filepath.Dir(d) {
+		if _, err := os.Stat(d); err == nil {
+			break
+		} else if !os.IsNotExist(err) {
+			return err
+		}
+		created = append(created, d)
+		if filepath.Dir(d) == d {
+			break
+		}
+	}
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return err
+	}
+	for _, d := range created {
+		if err := syncDir(filepath.Dir(d)); err != nil {
 			return err
 		}
 	}

@@ -34,10 +34,6 @@ type ServiceCounters struct {
 	ActiveWorkers atomic.Int64
 	ActiveLeases  atomic.Int64
 	OpenJobs      atomic.Int64
-	// Shards is the configured lock-stripe count — a static gauge that
-	// lets dashboards correlate dispatch latency with the concurrency
-	// layout of the process that produced it.
-	Shards atomic.Int64
 
 	// Dispatch latency summary: time spent choosing + staging a task on a
 	// successful pull, accumulated as a Prometheus-style summary (count +
@@ -65,7 +61,7 @@ type ServiceCounters struct {
 	ReplayFolded  atomic.Int64
 	ReplayReasked atomic.Int64
 
-	// Stop-the-world snapshot pause (the lockAll hold across state
+	// Stop-the-world snapshot pause (the service-lock hold across state
 	// collection, marshal, file replacement, and log rotation): last
 	// observed, running maximum, and running total, in nanoseconds. With
 	// Snapshots the total gives the mean pause, and its rate is the share
@@ -155,7 +151,6 @@ func (c *ServiceCounters) Metrics() []Metric {
 		Gauge("gridsched_active_workers", &c.ActiveWorkers),
 		Gauge("gridsched_active_leases", &c.ActiveLeases),
 		Gauge("gridsched_open_jobs", &c.OpenJobs),
-		Gauge("gridsched_shards", &c.Shards),
 		Counter("gridsched_snapshots_total", &c.Snapshots),
 		Gauge("gridsched_snapshot_bytes", &c.SnapshotBytes),
 		Gauge("gridsched_replay_records", &c.ReplayRecords),

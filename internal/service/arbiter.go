@@ -18,11 +18,11 @@
 //
 // Tenants additionally carry a concurrency quota (maxInFlight), enforced
 // at lease grant: a tenant at its quota is skipped (counted as a
-// throttle) until a report or lease expiry returns capacity. Under
-// concurrent pulls the grant goes through a reservation (see
-// tryJobLocked) so racing pulls cannot overshoot the cap. Quotas are
-// liveness-side only — they never affect recovery replay, which re-applies
-// recorded dispatches rather than re-running the arbiter.
+// throttle) until a report or lease expiry returns capacity. The check and
+// the grant run in one hold of the service lock, so concurrent pulls
+// cannot overshoot the cap. Quotas are liveness-side only — they never
+// affect recovery replay, which re-applies recorded dispatches rather than
+// re-running the arbiter.
 //
 // Determinism: (fair, seq) is a total order, so the arbiter's choice is a
 // pure function of the tags, and the tags are reconstructed exactly on
@@ -30,7 +30,7 @@
 // tail records re-apply charges in log order — see recovery.go). A
 // recovered service therefore makes the identical dispatch sequence an
 // uninterrupted one would have made. All arbiter state is guarded by the
-// coordinator mutex (dispatch.go).
+// service lock (Service.mu).
 package service
 
 import "gridsched/internal/metrics"
@@ -52,22 +52,16 @@ const shareWindowSize = 1024
 // reference. Retention follows job retention: a tenant stays resident (in
 // memory, in /v1/tenants and /metrics, and — quota and dispatch totals —
 // in snapshots) while any of its job records do or a quota override is
-// set, and is pruned when the last anchor goes away (see
-// coordinator.prune) — so churning tenant names cannot grow the daemon
-// without bound.
+// set, and is pruned when the last anchor goes away (see arbiter.prune) —
+// so churning tenant names cannot grow the daemon without bound.
 type tenantState struct {
 	name     string
 	weight   int64 // Σ running jobs' weights
 	running  int   // running jobs
 	inFlight int   // leased assignments
-	// reserved counts quota slots held by pulls between the pre-NextFor
-	// quota check and the grant (or release); inFlight+reserved is the
-	// figure the cap is enforced against, so concurrent pulls cannot
-	// overshoot it.
-	reserved int
 	// records counts resident job records (running or completed-but-
-	// retained) — the O(1) replacement for scanning every shard's job
-	// table when deciding whether the tenant can be pruned.
+	// retained) — the O(1) replacement for scanning the job table when
+	// deciding whether the tenant can be pruned.
 	records int
 	// quota overrides the server-wide default cap when > 0; 0 defers to
 	// Config.TenantMaxInFlight. Set via PUT /v1/tenants/{tenant} and
@@ -77,13 +71,13 @@ type tenantState struct {
 	throttles  int64 // quota skips, process-local
 }
 
-// arbiter is the fair-share bookkeeping embedded in the dispatch
-// coordinator; every field is guarded by the coordinator mutex.
+// arbiter is the fair-share bookkeeping; every field is guarded by the
+// service lock.
 type arbiter struct {
 	// heap is a min-heap of runnable jobs ordered by (fair, seq): the
 	// root is the most underserved job. heapIdx on the job tracks its
 	// position; -1 means not in the heap. Jobs stay in the heap for their
-	// whole running life — dispatch snapshots and sorts it rather than
+	// whole running life — dispatch copies and re-heaps it rather than
 	// popping (dispatch.go).
 	heap []*job
 	// vtime is the virtual time floor: the pre-charge tag of the most
@@ -95,6 +89,38 @@ type arbiter struct {
 	// window is the sliding dispatch window behind the achieved-share
 	// gauges.
 	window *metrics.ShareWindow
+}
+
+func newArbiter() arbiter {
+	return arbiter{
+		tenants: make(map[string]*tenantState),
+		window:  metrics.NewShareWindow(shareWindowSize),
+	}
+}
+
+// runnableWeight is the summed weight of all running jobs — the
+// denominator of every tenant's share target.
+func (a *arbiter) runnableWeight() int64 {
+	total := int64(0)
+	for _, t := range a.tenants {
+		total += t.weight
+	}
+	return total
+}
+
+// prune drops a tenant's state when nothing keeps it relevant: no quota
+// override, no live leases, no running jobs, and no resident job records
+// (running or completed-but-retained; counted, not scanned). Called at
+// every event that can strip a tenant of its last anchor — job-record
+// deletion, quota-override revert, lease end, and the post-recovery sweep
+// — so churning tenant names cannot grow the daemon, its snapshots, or
+// its metrics without bound.
+func (a *arbiter) prune(name string) {
+	t := a.tenants[name]
+	if t == nil || t.quota != 0 || t.running != 0 || t.inFlight != 0 || t.records != 0 {
+		return
+	}
+	delete(a.tenants, name)
 }
 
 // tenant returns the state for name, creating it on first reference.

@@ -262,8 +262,7 @@ func BenchmarkDispatchSpeculative(b *testing.B) {
 }
 
 // parallelWorkers and parallelJobs fix the scale of the multi-core
-// dispatch benchmark: 8 concurrent workers drawing from 8 resident jobs,
-// the sharded core's acceptance configuration.
+// dispatch benchmark: 8 concurrent workers drawing from 8 resident jobs.
 const (
 	parallelWorkers = 8
 	parallelJobs    = 8
@@ -273,95 +272,85 @@ const (
 // with parallelWorkers workers pulling and reporting concurrently against
 // parallelJobs resident worker-centric jobs, driving the Service API
 // directly (no HTTP codec, so the number isolates the dispatch core, not
-// the transport). The shards sub-benchmark sets the lock-stripe count:
-// shards=1 approximates the old single-mutex service (every job behind one
-// stripe), shards=8 lets jobs' scheduler work proceed in parallel. Compare
-// the two on a multi-core runner for the scaling headline; on a
-// single-core machine they should be within noise, which bounds the
-// refactor's overhead.
+// the transport). Every pull and report contends on the one service lock.
 func BenchmarkServiceDispatchParallel(b *testing.B) {
-	for _, shards := range []int{1, 8} {
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			svc, err := service.New(service.Config{
-				Topology:     service.Topology{Sites: parallelWorkers, WorkersPerSite: 1, CapacityFiles: 1024},
-				NewScheduler: gridsched.SchedulerFactory(),
-				Shards:       shards,
+	svc, err := service.New(service.Config{
+		Topology:     service.Topology{Sites: parallelWorkers, WorkersPerSite: 1, CapacityFiles: 1024},
+		NewScheduler: gridsched.SchedulerFactory(),
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer svc.Close()
+
+	var submitMu sync.Mutex
+	batch := 0
+	submit := func() error {
+		submitMu.Lock()
+		defer submitMu.Unlock()
+		if svc.Counters().OpenJobs.Load() > int64(parallelJobs/2) {
+			return nil // another worker already refilled
+		}
+		for k := 0; k < parallelJobs; k++ {
+			_, err := svc.SubmitJob(api.SubmitJobRequest{
+				Name: fmt.Sprintf("par-%d-%d", batch, k), Algorithm: "rest",
+				Workload: dispatchWorkload(50_000), Seed: int64(k),
 			})
 			if err != nil {
-				b.Fatal(err)
+				return err
 			}
-			defer svc.Close()
-
-			var submitMu sync.Mutex
-			batch := 0
-			submit := func() error {
-				submitMu.Lock()
-				defer submitMu.Unlock()
-				if svc.Counters().OpenJobs.Load() > int64(parallelJobs/2) {
-					return nil // another worker already refilled
-				}
-				for k := 0; k < parallelJobs; k++ {
-					_, err := svc.SubmitJob(api.SubmitJobRequest{
-						Name: fmt.Sprintf("par-%d-%d", batch, k), Algorithm: "rest",
-						Workload: dispatchWorkload(50_000), Seed: int64(k),
-					})
-					if err != nil {
-						return err
-					}
-				}
-				batch++
-				return nil
-			}
-			if err := submit(); err != nil {
-				b.Fatal(err)
-			}
-			regs := make([]string, parallelWorkers)
-			for i := range regs {
-				reg, err := svc.Register(i)
+		}
+		batch++
+		return nil
+	}
+	if err := submit(); err != nil {
+		b.Fatal(err)
+	}
+	regs := make([]string, parallelWorkers)
+	for i := range regs {
+		reg, err := svc.Register(i)
+		if err != nil {
+			b.Fatal(err)
+		}
+		regs[i] = reg.WorkerID
+	}
+	b.ResetTimer()
+	var wg sync.WaitGroup
+	for i := 0; i < parallelWorkers; i++ {
+		n := b.N / parallelWorkers
+		if i < b.N%parallelWorkers {
+			n++
+		}
+		if n == 0 {
+			continue
+		}
+		wg.Add(1)
+		go func(workerID string, n int) {
+			defer wg.Done()
+			for done := 0; done < n; {
+				resp, err := svc.Pull(nil, workerID, 0)
 				if err != nil {
-					b.Fatal(err)
+					b.Error(err)
+					return
 				}
-				regs[i] = reg.WorkerID
-			}
-			b.ResetTimer()
-			var wg sync.WaitGroup
-			for i := 0; i < parallelWorkers; i++ {
-				n := b.N / parallelWorkers
-				if i < b.N%parallelWorkers {
-					n++
-				}
-				if n == 0 {
+				if resp.Status != api.StatusAssigned {
+					// Jobs drained mid-benchmark (rare: every 400k
+					// dispatches); refill outside the counted work.
+					if err := submit(); err != nil {
+						b.Error(err)
+						return
+					}
 					continue
 				}
-				wg.Add(1)
-				go func(workerID string, n int) {
-					defer wg.Done()
-					for done := 0; done < n; {
-						resp, err := svc.Pull(nil, workerID, 0)
-						if err != nil {
-							b.Error(err)
-							return
-						}
-						if resp.Status != api.StatusAssigned {
-							// Jobs drained mid-benchmark (rare: every 400k
-							// dispatches); refill outside the counted work.
-							if err := submit(); err != nil {
-								b.Error(err)
-								return
-							}
-							continue
-						}
-						if _, err := svc.Report(resp.Assignment.ID, workerID, api.OutcomeSuccess); err != nil {
-							b.Error(err)
-							return
-						}
-						done++
-					}
-				}(regs[i], n)
+				if _, err := svc.Report(resp.Assignment.ID, workerID, api.OutcomeSuccess); err != nil {
+					b.Error(err)
+					return
+				}
+				done++
 			}
-			wg.Wait()
-		})
+		}(regs[i], n)
 	}
+	wg.Wait()
 }
 
 // wireBatch is the streaming pipeline depth of the wire and partitioned

@@ -56,8 +56,8 @@ type slotStats struct {
 }
 
 // telemetry is the worker-context store. Leaf lock: nothing is acquired
-// while tel.mu is held, and it may be taken under shard, coordinator, or
-// registry locks.
+// while tel.mu is held, and it may be taken under the service lock or the
+// registry.
 type telemetry struct {
 	mu    sync.Mutex
 	slots [][]slotStats // [site][worker]
@@ -212,7 +212,7 @@ func (t *telemetry) observed() []workerSlot {
 
 // durRing is a per-job ring of recent completed-task durations in
 // milliseconds, backing the straggler percentile. Liveness state only: it
-// is guarded by the job's shard lock, never journaled, and starts empty
+// is guarded by the service lock, never journaled, and starts empty
 // after recovery (post-crash there are no live leases to speculate on, so
 // nothing is lost).
 type durRing struct {

@@ -1,98 +1,20 @@
-// The dispatch coordinator: the small, separately locked nucleus that
-// decides WHICH runnable job a worker pull draws from. It owns the
-// fair-share arbiter heap and virtual time (arbiter.go), the per-tenant
-// quota table, and the submission-dedup index — and nothing else. A pull
-// consults it twice per dispatch, microseconds each time: once to snapshot
-// the fair-ordered candidate list, and once to commit the grant (quota
-// accounting, fair charge, and the dispatch record's WAL position, whose
-// order relative to other charges is what keeps recovery bit-exact). The
-// scheduler call, staging, and lease bookkeeping — the expensive part —
-// run under the chosen job's shard alone, so pulls serving different jobs
-// proceed in parallel.
-//
-// Candidate traversal is two-pass: the first pass visits jobs in strict
-// (fair, seq) order but skips a job whose shard lock is momentarily held
-// by another pull (TryLock), so concurrent workers fan out across stripes
-// instead of convoying behind the single most-underserved job; the second
-// pass revisits the skipped jobs with blocking acquires, guaranteeing a
-// pull never misses dispatchable work. Under a sequential caller — every
-// determinism-sensitive test, and any single-worker deployment — no lock
-// is ever contended, both passes collapse to the exact fair order, and
-// the dispatch sequence is identical to the old single-lock scan.
+// Dispatch: which runnable job a worker pull draws from, and the grant.
+// One hold of the service lock covers the whole decision — the candidate
+// order, the quota check, the scheduler call, the fair charge, the
+// dispatch record's WAL position and the lease — so the quota check and
+// the grant can never disagree, and the WAL order of dispatch records is
+// the order their fair charges were applied, which is what keeps recovery
+// bit-exact.
 package service
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
 	"gridsched/internal/core"
-	"gridsched/internal/metrics"
 	"gridsched/internal/service/api"
 	"gridsched/internal/workload"
 )
-
-// coordinator is the dispatch-decision state. See the file comment.
-type coordinator struct {
-	mu sync.Mutex
-	arbiter
-	// submissions maps client idempotency keys to job ids.
-	submissions map[string]string
-}
-
-func newCoordinator() *coordinator {
-	return &coordinator{
-		arbiter: arbiter{
-			tenants: make(map[string]*tenantState),
-			window:  metrics.NewShareWindow(shareWindowSize),
-		},
-		submissions: make(map[string]string),
-	}
-}
-
-// runnableWeight is the summed weight of all running jobs — the
-// denominator of every tenant's share target. Callers hold c.mu.
-func (c *coordinator) runnableWeight() int64 {
-	total := int64(0)
-	for _, t := range c.tenants {
-		total += t.weight
-	}
-	return total
-}
-
-// prune drops a tenant's state when nothing keeps it relevant: no quota
-// override, no live or reserved leases, no running jobs, and no resident
-// job records (running or completed-but-retained; counted, not scanned).
-// Called at every event that can strip a tenant of its last anchor —
-// job-record deletion, quota-override revert, lease end, and the
-// post-recovery sweep — so churning tenant names cannot grow the daemon,
-// its snapshots, or its metrics without bound. Callers hold c.mu.
-func (c *coordinator) prune(name string) {
-	t := c.tenants[name]
-	if t == nil || t.quota != 0 || t.running != 0 || t.inFlight != 0 || t.reserved != 0 || t.records != 0 {
-		return
-	}
-	delete(c.tenants, name)
-}
-
-// candidate is one runnable job with its fair tag copied under the
-// coordinator lock, so the out-of-lock ordering reads a consistent
-// snapshot.
-type candidate struct {
-	j      *job
-	fair   uint64
-	seq    int64
-	urgent bool
-}
-
-// candScratch is the per-pull candidate workspace, pooled so the hot
-// path allocates nothing once warm.
-type candScratch struct {
-	cands []candidate
-	retry []candidate
-}
-
-var candPool = sync.Pool{New: func() any { return &candScratch{} }}
 
 // candLess orders candidates deadline-urgent jobs first, then
 // most-underserved, submission order on ties — the heap's (fair, seq)
@@ -101,7 +23,7 @@ var candPool = sync.Pool{New: func() any { return &candScratch{} }}
 // still pays full fair charge for every dispatch, so the boost is a
 // soft priority that starves no one (the boosted job's fair tag races
 // ahead and the others win the next tie).
-func candLess(a, b candidate) bool {
+func candLess(a, b *job) bool {
 	if a.urgent != b.urgent {
 		return a.urgent
 	}
@@ -112,7 +34,7 @@ func candLess(a, b candidate) bool {
 }
 
 // candDown sifts index i of a candidate min-heap.
-func candDown(h []candidate, i int) {
+func candDown(h []*job, i int) {
 	n := len(h)
 	for {
 		l, r := 2*i+1, 2*i+2
@@ -132,16 +54,16 @@ func candDown(h []candidate, i int) {
 }
 
 // candInit heapifies in O(n); candPop then yields candidates in exact
-// (fair, seq) order at O(log n) each. Lazy selection: a pull that
+// (urgent, fair, seq) order at O(log n) each. Lazy selection: a pull that
 // dispatches off the first candidate — the common case — pays O(n) for
-// the snapshot copy + heapify and a single pop, never a full sort.
-func candInit(h []candidate) {
+// the copy + heapify and a single pop, never a full sort.
+func candInit(h []*job) {
 	for i := len(h)/2 - 1; i >= 0; i-- {
 		candDown(h, i)
 	}
 }
 
-func candPop(h []candidate) (candidate, []candidate) {
+func candPop(h []*job) (*job, []*job) {
 	min := h[0]
 	last := len(h) - 1
 	h[0] = h[last]
@@ -158,75 +80,30 @@ func candPop(h []candidate) (candidate, []candidate) {
 // nothing was dispatchable), its wire form, and the dispatch record's LSN
 // for the caller's durability wait.
 func (s *Service) dispatchOnce(workerID string, ref core.WorkerRef, tags []string, now time.Time) (*assignment, api.Assignment, uint64) {
-	c := s.coord
-	scratch := candPool.Get().(*candScratch)
-	defer func() {
-		scratch.cands, scratch.retry = scratch.cands[:0], scratch.retry[:0]
-		candPool.Put(scratch)
-	}()
-	c.mu.Lock()
-	cands := scratch.cands[:0]
-	for _, j := range c.heap {
-		cands = append(cands, candidate{j: j, fair: j.fair, seq: j.seq, urgent: j.urgent.Load()})
-	}
-	c.mu.Unlock()
-	scratch.cands = cands
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.cands = append(s.cands[:0], s.arb.heap...)
+	cands := s.cands
 	candInit(cands)
-
-	// Pass 0 pops candidates lazily in exact (fair, seq) order, skipping
-	// stripes another pull is inside; pass 1 revisits the skipped ones
-	// (already in fair order — they were popped in it) with blocking
-	// acquires.
-	retry := scratch.retry[:0]
-	for pass := 0; pass < 2; pass++ {
-		remaining := len(cands)
-		if pass == 1 {
-			remaining = len(retry)
-		}
-		for i := 0; i < remaining; i++ {
-			var cd candidate
-			if pass == 0 {
-				cd, cands = candPop(cands)
-			} else {
-				cd = retry[i]
-			}
-			sh := s.shardOf(cd.j.id)
-			if pass == 0 {
-				if !sh.mu.TryLock() {
-					// Another pull is inside this stripe; try the next-most
-					// underserved job first and come back.
-					retry = append(retry, cd)
-					continue
-				}
-			} else {
-				sh.mu.Lock()
-			}
-			a, wire, lsn := s.tryJobLocked(sh, cd.j, workerID, ref, tags, now)
-			sh.mu.Unlock()
-			if a != nil {
-				scratch.retry = retry
-				return a, wire, lsn
-			}
+	for len(cands) > 0 {
+		var j *job
+		j, cands = candPop(cands)
+		if a, wire, lsn := s.tryJobLocked(j, workerID, ref, tags, now); a != nil {
+			return a, wire, lsn
 		}
 	}
-	scratch.retry = retry
 	return nil, api.Assignment{}, 0
 }
 
 // tryJobLocked decides whether the job has a task for the worker — a
 // speculative twin of a queued straggler first, else whatever the job's
 // scheduler picks, which is not asked while the slot runs a twin — and
-// grants it. Callers hold sh.mu.
-//
-// Quota is enforced by reservation: the tenant's slot is reserved under
-// the coordinator BEFORE NextFor runs (NextFor mutates scheduler state —
-// including the randomized pick stream — only when its assignment is
-// used, so a throttled tenant's scheduler must not even be consulted),
-// and converted to an in-flight charge or released afterwards. The
-// reservation keeps concurrent pulls from overshooting a cap that a
-// pre-check alone would allow.
-func (s *Service) tryJobLocked(sh *shard, j *job, workerID string, ref core.WorkerRef, tags []string, now time.Time) (*assignment, api.Assignment, uint64) {
-	if sh.jobs[j.id] != j || j.state != api.JobRunning || j.sched == nil {
+// grants it. A tenant at its quota is skipped before the scheduler is
+// consulted: NextFor mutates scheduler state — including the randomized
+// pick stream — so a throttled tenant's scheduler must not even be asked.
+// Callers hold s.mu.
+func (s *Service) tryJobLocked(j *job, workerID string, ref core.WorkerRef, tags []string, now time.Time) (*assignment, api.Assignment, uint64) {
+	if s.jobs[j.id] != j || j.state != api.JobRunning || j.sched == nil {
 		return nil, api.Assignment{}, 0
 	}
 	if !tagsSatisfy(j.requires, tags) {
@@ -235,16 +112,11 @@ func (s *Service) tryJobLocked(sh *shard, j *job, workerID string, ref core.Work
 		// state (or its RNG stream) and recovery replay stays exact.
 		return nil, api.Assignment{}, 0
 	}
-	c := s.coord
-	c.mu.Lock()
-	t := c.tenant(j.tenant)
-	if q := c.quotaFor(t, s.cfg.TenantMaxInFlight); q > 0 && t.inFlight+t.reserved >= q {
+	t := s.arb.tenant(j.tenant)
+	if q := s.arb.quotaFor(t, s.cfg.TenantMaxInFlight); q > 0 && t.inFlight >= q {
 		t.throttles++
-		c.mu.Unlock()
 		return nil, api.Assignment{}, 0
 	}
-	t.reserved++
-	c.mu.Unlock()
 
 	task, spec := s.stragglerForLocked(j, ref)
 	status := core.Assigned
@@ -259,13 +131,9 @@ func (s *Service) tryJobLocked(sh *shard, j *job, workerID string, ref core.Work
 	default:
 		task, status = j.sched.NextFor(ref)
 	}
-	if status == core.Assigned {
-		return s.grantLocked(sh, j, t, task, spec, workerID, ref, now)
-	}
-	c.mu.Lock()
-	t.reserved--
-	c.mu.Unlock()
 	switch status {
+	case core.Assigned:
+		return s.grantLocked(j, t, task, spec, workerID, ref, now)
 	case core.Wait:
 		// Nothing for this worker now; the caller tries the next-most
 		// underserved job.
@@ -289,7 +157,7 @@ func (s *Service) tryJobLocked(sh *shard, j *job, workerID string, ref core.Work
 // NoteBatch — and the twin answers to the scheduler under the PRIMARY's
 // ref, so every later callback resolves to the one execution the scheduler
 // knows about. First report wins; the loser hits the cancelled rejection.
-// Callers hold the job's shard.
+// Callers hold s.mu.
 func (s *Service) stragglerForLocked(j *job, ref core.WorkerRef) (workload.Task, bool) {
 	// Scan the queue (sweep-sorted by task id) for the first entry whose
 	// primary is still live and whose replicas all run on OTHER workers —
@@ -314,8 +182,8 @@ func (s *Service) stragglerForLocked(j *job, ref core.WorkerRef) (workload.Task,
 // grantLocked leases the decided task to the worker: journal → apply →
 // lease. It is the one grant tail — a scheduler pick and a speculative
 // twin differ only in the event's op and in the fair charge. Callers hold
-// sh.mu and one reserved quota slot of t.
-func (s *Service) grantLocked(sh *shard, j *job, t *tenantState, task workload.Task, spec bool, workerID string, ref core.WorkerRef, now time.Time) (*assignment, api.Assignment, uint64) {
+// s.mu and have checked t's quota.
+func (s *Service) grantLocked(j *job, t *tenantState, task workload.Task, spec bool, workerID string, ref core.WorkerRef, now time.Time) (*assignment, api.Assignment, uint64) {
 	if j.find(task.ID, ref) != nil {
 		// Unreachable while tryJobLocked's checks hold. Stop before the
 		// journal takes a record no replay would accept: a restart from here
@@ -332,36 +200,28 @@ func (s *Service) grantLocked(sh *shard, j *job, t *tenantState, task workload.T
 	if spec {
 		e.Op = ledgerSpecDispatch
 	}
-	var lsn uint64
-	c := s.coord
-	c.mu.Lock()
-	t.reserved--
 	t.inFlight++
 	t.dispatches++
 	if !spec {
 		// A twin is neither charged nor re-sifted: it redoes work the job
 		// was charged for at the primary's grant; billing it again would
 		// penalize a job for its straggler.
-		c.charge(j)
+		s.arb.charge(j)
 	}
-	c.window.Observe(j.tenant)
+	s.arb.window.Observe(j.tenant)
+	var lsn uint64
 	if s.pst != nil {
-		// Appended inside the coordinator critical section: the WAL order
-		// of dispatch records must equal the order their fair charges were
-		// applied, or recovery's in-LSN-order re-charging would diverge.
 		// The scheduler already moved (NextFor is the decision), so this
-		// append cannot abort — mustAppend fail-stops on journal I/O
-		// errors.
+		// append cannot abort — mustAppend fail-stops on journal I/O errors.
 		lsn = s.mustAppend(&record{
 			Op: opDispatch, Ts: e.Ts, Job: j.id,
 			Task: e.Task, Site: e.Site, Worker: e.Worker,
 			Assignment: a.id, Spec: spec,
 		})
 	}
-	c.mu.Unlock()
-	res := s.mustApply(sh, j, e, true)
+	res := s.mustApply(j, e, true)
 	a.x, a.staged = res.x, res.staged
-	sh.assignments[a.id] = a
+	s.assignments[a.id] = a
 	s.noteDeadline(a.deadline)
 	s.counters.Assignments.Add(1)
 	s.counters.ActiveLeases.Add(1)

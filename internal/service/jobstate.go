@@ -8,7 +8,7 @@
 // failure | expire). The three roles differ only in where the event comes
 // from and what they do with the result:
 //
-//   - live (dispatch.go, leases.go, shard.go): decide (NextFor, or a
+//   - live (dispatch.go, leases.go): decide (NextFor, or a
 //     straggler's task for a twin) → journal → apply → live-only effects
 //     (metrics counters, hub broadcast, lease bookkeeping);
 //   - recovery (recovery.go): decode → ReplayAssign in place of NextFor →
@@ -37,7 +37,7 @@ import (
 // exec is one open execution of a task: an entry in its job's table from
 // the dispatch event that opened it to the report or expiry that closes
 // it. At most one exists per (task, worker slot) — a slot runs a task at
-// most once at a time. Guarded by the job's shard.
+// most once at a time. Guarded by the service lock.
 type exec struct {
 	task workload.TaskID
 	ref  core.WorkerRef
@@ -179,30 +179,52 @@ func (s *Service) newJob(rec *record, tasks int) *job {
 	}
 }
 
-// addJobLocked makes j resident: on its shard, in the submission index,
-// anchored on its tenant and — while it runs — admitted to the arbiter
-// with tag fair. The tenant record is anchored here, at materialization,
-// so a later delete (dropJobLocked, which decrements) always runs against
-// a count that included the job. Callers hold the job's shard and the
-// coordinator; recovery only takes the latter, and calls this from its
-// serial steps alone (a checkpoint's shells in manifest order, the tail's
-// submits in LSN order) — the arbiter's heap, the submission index and the
-// shard's table are shared, so a restore goroutine never gets here.
+// addJobLocked makes j resident: in the job table, in the submission
+// index, anchored on its tenant and — while it runs — admitted to the
+// arbiter with tag fair. The tenant record is anchored here, at
+// materialization, so a later delete (dropJobLocked, which decrements)
+// always runs against a count that included the job. Callers hold s.mu;
+// recovery calls this from its serial steps alone (a checkpoint's shells
+// in manifest order, the tail's submits in LSN order) — the arbiter's
+// heap, the submission index and the job table are shared, so a restore
+// goroutine never gets here.
 func (s *Service) addJobLocked(j *job, fair uint64) {
-	c := s.coord
 	if j.state == api.JobRunning {
-		c.admit(j, fair)
-		if j.deadlineMs > 0 && s.now().UnixMilli() >= j.deadlineMs {
-			// Already past deadline: urgent from the start; the sweeper
-			// keeps the flag current from here on.
-			j.urgent.Store(true)
-		}
+		s.arb.admit(j, fair)
+		// Already past deadline: urgent from the start; the sweeper keeps
+		// the flag current from here on.
+		j.urgent = j.deadlineMs > 0 && s.now().UnixMilli() >= j.deadlineMs
 	}
-	c.tenant(j.tenant).records++
+	s.arb.tenant(j.tenant).records++
 	if j.submissionID != "" {
-		c.submissions[j.submissionID] = j.id
+		s.submissions[j.submissionID] = j.id
 	}
-	s.shardOf(j.id).jobs[j.id] = j
+	s.jobs[j.id] = j
+}
+
+// dropJobLocked removes a job record; with journaling the job's totals are
+// folded into the snapshot carry so the global counters stay exact.
+// Dropping a tenant's last anchor also retires the tenant. Callers hold
+// s.mu.
+func (s *Service) dropJobLocked(j *job) {
+	delete(s.jobs, j.id)
+	if j.submissionID != "" {
+		delete(s.submissions, j.submissionID)
+	}
+	if t := s.arb.tenants[j.tenant]; t != nil {
+		t.records--
+	}
+	s.arb.prune(j.tenant)
+	if s.pst != nil {
+		s.pst.carry.Jobs++
+		s.pst.carry.CompletedJobs++
+		s.pst.carry.Dispatched += int64(j.dispatched)
+		s.pst.carry.Completions += int64(j.completed)
+		s.pst.carry.Failures += int64(j.failed)
+		s.pst.carry.Cancellations += int64(j.cancelled)
+		s.pst.carry.Expired += int64(j.expired)
+		s.pst.carry.Speculated += int64(j.speculated)
+	}
 }
 
 // attach gives a job its workload and scheduler, and a place for each
@@ -233,6 +255,25 @@ func (s *Service) storeAt(j *job, site int) (*storage.Store, error) {
 	return st, nil
 }
 
+// staging is the scratch one apply stages a dispatch's files through:
+// CommitBatchInto fills the two lists and NoteBatch consumes them before
+// apply returns, so one pair serves any number of applies that cannot
+// overlap — the live service's under s.mu, a restore goroutine's in turn.
+type staging struct {
+	fetchBuf, evictBuf []workload.FileID
+}
+
+// mustApply is apply on the live paths, where the event was just decided
+// against this very table: an error is a broken invariant, not bad input.
+// Callers hold s.mu.
+func (s *Service) mustApply(j *job, e ledgerRec, fresh bool) applied {
+	res, err := s.apply(&s.stage, j, e, fresh)
+	if err != nil {
+		panic(fmt.Sprintf("service: job %s: %v", j.id, err))
+	}
+	return res
+}
+
 // applied is what one event did, for the caller's role-specific effects.
 type applied struct {
 	// x is the execution the event opened (dispatch) or closed (report,
@@ -259,7 +300,7 @@ type applied struct {
 // An error means the event contradicts the table (it names no open
 // execution, or an execution already open): corruption on replay, a broken
 // invariant live. Nothing was changed. Callers own j — live, by holding
-// its shard, whose scratch they pass as st; in recovery, by being the only
+// s.mu, and they pass s.stage as st; in recovery, by being the only
 // goroutine that has the job — and a dispatch's scheduler decision (NextFor
 // or ReplayAssign) is already made.
 func (s *Service) apply(st *staging, j *job, e ledgerRec, fresh bool) (applied, error) {
@@ -388,7 +429,8 @@ func (s *Service) apply(st *staging, j *job, e ledgerRec, fresh bool) (applied, 
 // state, cancel-marking every execution still open first. The marking is
 // what makes releasing the scheduler safe against late reports and
 // expiries: a cancelled execution only ever counts. The job also leaves
-// the arbiter's runnable set. Callers hold the job's shard.
+// the arbiter's runnable set. Callers hold s.mu, or are recovery's serial
+// steps.
 func (s *Service) completeJob(j *job, tsMillis int64) {
 	j.state = api.JobCompleted
 	j.finished = time.UnixMilli(tsMillis)
@@ -401,8 +443,5 @@ func (s *Service) completeJob(j *job, tsMillis int64) {
 		j.execs = nil
 	}
 	j.w, j.sched, j.stores, j.ledger = nil, nil, nil, nil
-	c := s.coord
-	c.mu.Lock()
-	c.retire(j)
-	c.mu.Unlock()
+	s.arb.retire(j)
 }

@@ -113,9 +113,7 @@ func newApplyFixture(t *testing.T, tasks int, sched core.Scheduler) (*Service, *
 	if sched != nil {
 		s.attach(j, w, sched)
 	}
-	s.coord.mu.Lock()
 	s.addJobLocked(j, 0)
-	s.coord.mu.Unlock()
 	return s, j
 }
 
@@ -215,11 +213,10 @@ func TestApplyCallbackTrace(t *testing.T) {
 					sched = &recSched{} // its trace must stay empty
 				}
 				s, j := newApplyFixture(t, tc.tasks, attached)
-				sh := s.shardOf(j.id)
 				for i, st := range tc.steps {
 					before := len(sched.trace)
 					e := ledgerRec{Op: st.op, Task: st.task, Site: st.site, Worker: st.worker, Ts: int64(2000 + i)}
-					if _, err := s.apply(&sh.stage, j, e, true); err != nil {
+					if _, err := s.apply(&s.stage, j, e, true); err != nil {
 						t.Fatalf("step %d: %v", i, err)
 					}
 					if got := sched.trace[before:]; attached != nil && !slices.Equal(got, st.want) {
@@ -249,9 +246,8 @@ func TestApplyCallbackTrace(t *testing.T) {
 func TestApplyRejectsContradictions(t *testing.T) {
 	fake := &recSched{tasks: 2, done: map[workload.TaskID]bool{}}
 	s, j := newApplyFixture(t, 2, fake)
-	sh := s.shardOf(j.id)
 	apply := func(op uint8, task workload.TaskID, site, worker int32) error {
-		_, err := s.apply(&sh.stage, j, ledgerRec{Op: op, Task: task, Site: site, Worker: worker, Ts: 1}, true)
+		_, err := s.apply(&s.stage, j, ledgerRec{Op: op, Task: task, Site: site, Worker: worker, Ts: 1}, true)
 		return err
 	}
 	if err := apply(ledgerDispatch, 0, 0, 0); err != nil {
@@ -397,7 +393,6 @@ func TestTwinSlotIsNotOfferedMore(t *testing.T) {
 func TestSiteStoresAreBuiltOnFirstCommit(t *testing.T) {
 	fake := &recSched{tasks: 3, done: map[workload.TaskID]bool{}}
 	s, j := newApplyFixture(t, 3, fake)
-	sh := s.shardOf(j.id)
 	built := func() (n int) {
 		for _, st := range j.stores {
 			if st != nil {
@@ -414,7 +409,7 @@ func TestSiteStoresAreBuiltOnFirstCommit(t *testing.T) {
 		site         int32
 		staged, want int
 	}{{0, 1, 1, 1}, {1, 1, 1, 1}, {2, 0, 1, 2}} {
-		res, err := s.apply(&sh.stage, j, ledgerRec{Op: ledgerDispatch, Task: step.task, Site: step.site, Ts: int64(2000 + i)}, true)
+		res, err := s.apply(&s.stage, j, ledgerRec{Op: ledgerDispatch, Task: step.task, Site: step.site, Ts: int64(2000 + i)}, true)
 		if err != nil {
 			t.Fatal(err)
 		}

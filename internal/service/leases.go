@@ -1,16 +1,17 @@
 // The worker registry and the lease protocol surface (register,
-// deregister, heartbeat, report — a single one is a batch of one). The
-// registry is a leaf lock guarding worker registrations, (site, worker)
-// slots, and each worker's outstanding-lease set and lease session
-// (session.go); everything lease-state-ful about an assignment itself
-// (deadline, the live lease table, and the job-table execution it leases)
-// lives on the owning job's shard. A report or heartbeat therefore touches
-// two locks back to back — registry to resolve the assignment, shard to act
-// on it — and never blocks traffic for unrelated jobs. What a report or an
-// expiry does to the job is not decided here: the lease paths journal the
-// event, hand it to the job state machine's apply (jobstate.go), and do the
-// live-only rest — metrics counters, wakeups, finishLease — from what apply
-// says happened (shard.go: endLeaseLocked).
+// deregister, heartbeat, report — a single one is a batch of one), and
+// the ends of a lease: report, expiry, and the sweep that finds expired
+// leases and registrations. The registry is a leaf lock guarding worker
+// registrations, (site, worker) slots, and each worker's outstanding-lease
+// set and lease session (session.go); everything lease-state-ful about an
+// assignment itself (deadline, the live lease table, and the job-table
+// execution it leases) is guarded by the service lock. A report or
+// heartbeat therefore takes the registry to resolve the assignment, lets
+// go, and takes the service lock to act on it. What a report or an expiry
+// does to the job is not decided here: the lease paths journal the event,
+// hand it to the job state machine's apply (jobstate.go), and do the
+// live-only rest — metrics counters, wakeups, finishLeaseLocked — from
+// what apply says happened (endLeaseLocked).
 package service
 
 import (
@@ -18,11 +19,13 @@ import (
 	"maps"
 	"net/http"
 	"slices"
+	"sort"
 	"sync"
 	"time"
 
 	"gridsched/internal/core"
 	"gridsched/internal/service/api"
+	"gridsched/internal/workload"
 )
 
 // registry guards worker registrations and slots.
@@ -135,10 +138,7 @@ func (s *Service) Deregister(workerID string) error {
 	r.removeLocked(w)
 	s.counters.ActiveWorkers.Add(-1)
 	r.mu.Unlock()
-	now := s.now()
-	for _, a := range orphans {
-		s.expireLease(a, now)
-	}
+	s.expireLeases(s.now(), orphans...)
 	s.hub.broadcast()
 	s.snapshotIfDue()
 	return nil
@@ -150,10 +150,9 @@ func (s *Service) Deregister(workerID string) error {
 // lease was still live and whether its execution has been cancelled (a
 // replica completed elsewhere).
 func (s *Service) renewLease(a *assignment, now time.Time) (live, cancelled bool) {
-	sh := s.shardOf(a.job.id)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if sh.assignments[a.id] != a {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.assignments[a.id] != a {
 		return false, false
 	}
 	a.deadline = now.Add(s.cfg.LeaseTTL)
@@ -205,13 +204,12 @@ func (s *Service) Report(assignmentID, workerID, outcome string) (*api.ReportRes
 // accounting intact when a worker retries a whole batch after a dropped
 // connection: items that landed the first time come back stale, never
 // double-counted. The batch's WAL records go through ONE contiguous
-// journal append per shard group (consecutive LSNs, one write(2)), the
-// groups in the order their shards first appear in the batch, and one
+// journal append in item order (consecutive LSNs, one write(2)), and one
 // durability wait covers them all, amortizing the fsync that dominates a
 // journaled report's cost.
 func (s *Service) ReportBatch(workerID string, items []api.ReportItem) (*api.ReportBatchResponse, error) {
 	// A worker's outstanding leases are capped at maxStreamBatch, so no
-	// honest batch is bigger; an unbounded one would hold sh.mu across an
+	// honest batch is bigger; an unbounded one would hold s.mu across an
 	// arbitrarily large journal append.
 	if len(items) > maxStreamBatch {
 		return nil, errf(http.StatusBadRequest, "service: batch of %d reports exceeds the %d-item cap", len(items), maxStreamBatch)
@@ -226,14 +224,10 @@ func (s *Service) ReportBatch(workerID string, items []api.ReportItem) (*api.Rep
 	}
 	now := s.now()
 	results := make([]api.ReportResponse, len(items))
-	// One entry per item, on the stack so that a batch of one allocates
-	// nothing for it: the live lease the item names and its job's shard. sh
-	// goes back to nil once the item is answered.
-	var buf [maxStreamBatch]struct {
-		a  *assignment
-		sh *shard
-	}
-	work := buf[:len(items)]
+	// The live lease each item names, on the stack so that a batch of one
+	// allocates nothing for it; nil once the item is answered stale.
+	var buf [maxStreamBatch]*assignment
+	live := buf[:len(items)]
 
 	// Resolve every lease in one registry pass (one registration renewal).
 	// An unknown worker makes every item stale.
@@ -242,119 +236,367 @@ func (s *Service) ReportBatch(workerID string, items []api.ReportItem) (*api.Rep
 	if w := r.workers[workerID]; w != nil {
 		w.expires = now.Add(s.cfg.LeaseTTL)
 		for i := range items {
-			work[i].a = w.assignments[items[i].AssignmentID]
+			live[i] = w.assignments[items[i].AssignmentID]
 		}
 	}
 	r.mu.Unlock()
-	stale := func(i int) {
-		s.counters.StaleReports.Add(1)
-		results[i].Stale = true
-		work[i].a, work[i].sh = nil, nil
-	}
-	for i := range work {
-		a := work[i].a
+
+	s.mu.Lock()
+	// Re-validate under the service lock and journal the whole batch with
+	// one contiguous append BEFORE applying anything: if the append fails
+	// the batch is refused with every lease intact, and the worker's retry
+	// (or eventual lease expiry) keeps state and log agreeing. The encoded
+	// records sit back to back in recs, with a view of each in payloads.
+	var recs []byte
+	var payloads [][]byte
+	for i, a := range live {
 		// A duplicate id resolves for its FIRST occurrence only: a later one
 		// is what a second call would be — the lease is gone by then — and
 		// applying it twice would double-journal and double-count (and find
 		// j.sched nil if the first apply completed the job).
 		for k := 0; k < i && a != nil; k++ {
-			if work[k].a == a {
+			if live[k] == a {
 				a = nil
 			}
 		}
-		if a == nil {
-			stale(i)
+		if a == nil || s.assignments[a.id] != a {
+			s.counters.StaleReports.Add(1)
+			results[i].Stale = true
+			live[i] = nil
 			continue
 		}
-		work[i].sh = s.shardOf(a.job.id)
+		if rec, ok := s.leaseRecord(a, opReport, items[i].Outcome, now); ok {
+			if recs == nil {
+				recs = make([]byte, 0, len(items)*maxLeaseRecordLen)
+			}
+			n := len(recs)
+			recs = rec.appendTo(recs)
+			payloads = append(payloads, recs[n:])
+		}
 	}
-
-	// Live leases go shard by shard, in item order within each (ledger and
-	// WAL order inside a shard match the batch's order).
-	var maxLSN uint64
-	var failed error
+	var lsn uint64
+	if len(payloads) > 0 {
+		first, err := s.appendEncoded(payloads...)
+		if err != nil {
+			s.mu.Unlock()
+			return nil, err
+		}
+		lsn = first + uint64(len(payloads)) - 1
+	}
 	wake := false
-	// One shard group's encoded records, back to back, and a view of each.
-	// (A view taken before recs outgrows its array keeps the old array, whose
-	// bytes nothing writes again.)
-	var recs []byte
-	var payloads [][]byte
-	for i := range work {
-		sh := work[i].sh
-		if sh == nil {
-			continue // stale, or answered with an earlier item's shard
+	for i, a := range live {
+		if a == nil {
+			continue
 		}
-		group := work[i:]
-		sh.mu.Lock()
-		// Re-validate under the shard lock and journal the whole group with
-		// one contiguous append BEFORE applying anything: if the append fails
-		// the group is refused with every lease intact, and the worker's
-		// retry (or eventual lease expiry) keeps state and log agreeing.
-		recs, payloads = recs[:0], payloads[:0]
-		for k := range group {
-			g := &group[k]
-			if g.sh != sh {
-				continue
-			}
-			if sh.assignments[g.a.id] != g.a {
-				stale(i + k)
-			} else if rec, ok := s.leaseRecord(sh, g.a, opReport, items[i+k].Outcome, now); ok {
-				if recs == nil {
-					recs = make([]byte, 0, len(group)*maxLeaseRecordLen)
-				}
-				n := len(recs)
-				recs = rec.appendTo(recs)
-				payloads = append(payloads, recs[n:])
-			}
+		op := ledgerFailure
+		if items[i].Outcome == api.OutcomeSuccess {
+			op = ledgerSuccess
 		}
-		if len(payloads) > 0 {
-			var first uint64
-			if first, failed = s.appendEncoded(payloads...); failed == nil {
-				maxLSN = max(maxLSN, first+uint64(len(payloads))-1)
-			}
-		}
-		if failed != nil {
-			sh.mu.Unlock()
-			break
-		}
-		for k := range group {
-			if a := group[k].a; group[k].sh == sh {
-				op := ledgerFailure
-				if items[i+k].Outcome == api.OutcomeSuccess {
-					op = ledgerSuccess
-				}
-				s.endLeaseLocked(sh, a, op, now)
-				results[i+k] = api.ReportResponse{Accepted: true, Cancelled: a.x.cancelled, JobState: a.job.state}
-				group[k].sh = nil
-				// Parked sessions only care about events that can make new
-				// work dispatchable (a failure requeues the task; a freed
-				// quota slot unthrottles a tenant — finishLease handles that
-				// one) or change the open-job count (jobCompleted broadcasts
-				// itself). A plain success or a cancelled replica frees no
-				// work for anyone else, so the common case does not wake the
-				// whole herd just to find nothing.
-				wake = wake || op == ledgerFailure && !a.x.cancelled
-			}
-		}
-		sh.mu.Unlock()
+		s.endLeaseLocked(a, op, now)
+		results[i] = api.ReportResponse{Accepted: true, Cancelled: a.x.cancelled, JobState: a.job.state}
+		// Parked sessions only care about events that can make new work
+		// dispatchable (a failure requeues the task; a freed quota slot
+		// unthrottles a tenant — finishLeaseLocked handles that one) or
+		// change the open-job count (jobCompleted broadcasts itself). A
+		// plain success or a cancelled replica frees no work for anyone
+		// else, so the common case does not wake the whole herd just to
+		// find nothing.
+		wake = wake || op == ledgerFailure && !a.x.cancelled
 	}
-	// Only now, with every group applied: the first finishLease nudges the
-	// worker's session, and one that wakes while most of the batch is still
-	// held would grant a sliver of a frame.
-	for _, it := range work {
-		if it.a != nil && it.sh == nil {
-			s.finishLease(it.a)
+	// Only now, with the whole batch applied: the first finishLeaseLocked
+	// nudges the worker's session, and one that wakes while most of the
+	// batch is still held would grant a sliver of a frame.
+	for _, a := range live {
+		if a != nil {
+			s.finishLeaseLocked(a)
 		}
 	}
-	if failed != nil {
-		return nil, failed
-	}
+	s.mu.Unlock()
 	if wake {
 		s.hub.broadcast()
 	}
 	s.snapshotIfDue()
-	if err := s.waitDurable(maxLSN); err != nil {
+	if err := s.waitDurable(lsn); err != nil {
 		return nil, err
 	}
 	return &api.ReportBatchResponse{Results: results}, nil
+}
+
+// jobCompleted is the live side of a job's completion: the gauges move and
+// every parked session wakes (the open-job count changed).
+func (s *Service) jobCompleted() {
+	s.counters.JobsCompleted.Add(1)
+	s.counters.OpenJobs.Add(-1)
+	s.hub.broadcast()
+}
+
+// endLeaseLocked ends a live lease with a report (ledgerSuccess,
+// ledgerFailure) or without one (ledgerExpire): the event is applied to
+// the job and the live-only effects follow from what it did. Whoever
+// journals the event does so first. Callers hold s.mu, have verified the
+// lease is live (s.assignments[a.id] == a), and must finishLeaseLocked(a).
+func (s *Service) endLeaseLocked(a *assignment, op uint8, now time.Time) {
+	delete(s.assignments, a.id)
+	j, x := a.job, a.x
+	// Residency guard: a cancelled replica's lease can outlive its
+	// completed-then-DELETEd job. Its end still counts in memory, but it is
+	// not history anyone can replay — no journal record (leaseRecord), so
+	// no telemetry fold either: the EWMAs stay a function of the journal.
+	res := s.mustApply(j, ledgerRec{
+		Op: op, Task: x.task, Site: int32(x.ref.Site), Worker: int32(x.ref.Worker), Ts: now.UnixMilli(),
+	}, s.jobs[j.id] == j)
+	switch {
+	case x.cancelled:
+		s.counters.Cancellations.Add(1)
+	case op == ledgerSuccess:
+		if x.granted > 0 {
+			j.durs.add(now.UnixMilli() - x.granted)
+		}
+		delete(j.specMarked, x.task)
+		s.counters.Completions.Add(1)
+	case op == ledgerFailure:
+		s.counters.Failures.Add(1)
+	default:
+		s.counters.LeasesExpired.Add(1)
+	}
+	if x.spec {
+		// The twin ended (whichever way): the task may be speculated again
+		// if a remaining lease straggles too.
+		delete(j.specMarked, x.task)
+		if op == ledgerSuccess && !x.cancelled {
+			s.counters.SpeculationWins.Add(1)
+		} else {
+			s.counters.SpeculationLosses.Add(1)
+		}
+	}
+	if res.completed {
+		s.jobCompleted()
+	}
+}
+
+// expireLeaseLocked ends a lease without a report — past its deadline, or
+// its worker gone — unless it already ended (a concurrent report): unless
+// the execution was already cancelled, the task is requeued through the
+// scheduler's failure path. The expiry is journaled like every other
+// scheduler-affecting event: a later dispatch record of the requeued task
+// only replays if the expiry that made it pending replays first. Callers
+// hold s.mu.
+func (s *Service) expireLeaseLocked(a *assignment, now time.Time) {
+	if s.assignments[a.id] != a {
+		return
+	}
+	if rec, ok := s.leaseRecord(a, opExpire, "", now); ok {
+		s.mustAppend(&rec)
+	}
+	s.endLeaseLocked(a, ledgerExpire, now)
+	s.finishLeaseLocked(a)
+}
+
+// expireLeases expires orphans — leases whose worker deregistered, was
+// swept, or opened a stream — that are still live. With none it takes no
+// lock, so a worker that holds no lease can deregister from anywhere.
+func (s *Service) expireLeases(now time.Time, orphans ...*assignment) {
+	if len(orphans) == 0 {
+		return
+	}
+	s.mu.Lock()
+	for _, a := range orphans {
+		s.expireLeaseLocked(a, now)
+	}
+	s.mu.Unlock()
+}
+
+// leaseRecord builds the WAL record for the end of a lease (opReport with
+// its outcome, or opExpire), or false when it must not be journaled. Journal
+// only while the job record is resident: a record naming a dropped job id
+// would be unreplayable after the next snapshot no longer carries the job
+// (recovery would refuse the data dir). Callers hold s.mu.
+func (s *Service) leaseRecord(a *assignment, op, outcome string, now time.Time) (record, bool) {
+	if s.pst == nil || s.jobs[a.job.id] != a.job {
+		return record{}, false
+	}
+	return record{
+		Op: op, Ts: now.UnixMilli(), Job: a.job.id,
+		Task: a.x.task, Site: int32(a.x.ref.Site), Worker: int32(a.x.ref.Worker),
+		Outcome: outcome,
+	}, true
+}
+
+// finishLeaseLocked is the single point where a lease ends (report, expiry,
+// deregistration) after its removal from the lease table: the tenant's
+// in-flight quota capacity returns, the worker's assignment pointer clears,
+// and the lease gauge drops. When the tenant was at its quota — parked
+// pulls may have skipped its runnable jobs — the freed capacity makes work
+// dispatchable again, so this wakes the hub even on a plain success
+// report. Callers hold s.mu; the registry and the hub are leaf locks taken
+// under it.
+func (s *Service) finishLeaseLocked(a *assignment) {
+	t := s.arb.tenant(a.job.tenant)
+	if q := s.arb.quotaFor(t, s.cfg.TenantMaxInFlight); q > 0 && t.inFlight >= q && t.running > 0 {
+		s.hub.broadcast()
+	}
+	t.inFlight--
+	// A lease can be a tenant's last anchor: its job record may have been
+	// deleted while this assignment was still in flight (a cancelled
+	// replica outliving its completed, then deleted, job).
+	s.arb.prune(a.job.tenant)
+	s.reg.mu.Lock()
+	if w := s.reg.workers[a.workerID]; w != nil && w.assignments[a.id] == a {
+		delete(w.assignments, a.id)
+		// The worker has a free place again (targeted — no herd broadcast for
+		// this).
+		w.nudge()
+	}
+	s.reg.mu.Unlock()
+	s.counters.ActiveLeases.Add(-1)
+}
+
+// maybeSweep runs the expiry sweep only when the earliest known deadline
+// is due — the request-path entry point, so parked pulls woken by a
+// broadcast do not all pay the full sweep.
+func (s *Service) maybeSweep(now time.Time) {
+	if ns := s.nextSweep.Load(); ns != 0 && now.UnixNano() < ns {
+		return
+	}
+	s.sweep(now)
+}
+
+// noteDeadline lowers nextSweep to cover a newly created deadline.
+func (s *Service) noteDeadline(t time.Time) {
+	n := t.UnixNano()
+	for {
+		cur := s.nextSweep.Load()
+		if cur != 0 && cur <= n {
+			return
+		}
+		if s.nextSweep.CompareAndSwap(cur, n) {
+			return
+		}
+	}
+}
+
+// specStage is one straggling (job, task) found by a sweep, staged so the
+// enqueue order can be sorted before it becomes visible.
+type specStage struct {
+	j    *job
+	task workload.TaskID
+}
+
+// sweep expires overdue worker registrations and assignment leases, then
+// recomputes the next deadline. The registry is swept first (collecting
+// the expired workers' orphaned assignments) and let go before the service
+// lock is taken for the leases.
+func (s *Service) sweep(now time.Time) {
+	changed := false
+	var next time.Time
+	lower := func(t time.Time) {
+		if next.IsZero() || t.Before(next) {
+			next = t
+		}
+	}
+
+	var orphans []*assignment
+	s.reg.mu.Lock()
+	for _, w := range s.reg.workers {
+		// An attached worker's session renews its registration every turn;
+		// skip it rather than yank the slot from under its own dispatch. (A
+		// session stalled past the registration is picked up by the periodic
+		// sweep after it detaches; its stale deadline must not pin nextSweep
+		// in the past.)
+		expired := now.After(w.expires)
+		if !expired {
+			lower(w.expires)
+		}
+		if !expired || w.attached != "" {
+			continue
+		}
+		orphans = slices.AppendSeq(orphans, maps.Values(w.assignments))
+		s.reg.removeLocked(w)
+		s.counters.ActiveWorkers.Add(-1)
+		s.counters.WorkersExpired.Add(1)
+		changed = true
+	}
+	s.reg.mu.Unlock()
+
+	s.mu.Lock()
+	for _, a := range orphans {
+		s.expireLeaseLocked(a, now)
+	}
+	var stragglers []specStage
+	for _, a := range s.assignments {
+		if now.After(a.deadline) {
+			s.expireLeaseLocked(a, now)
+			changed = true
+			continue
+		}
+		lower(a.deadline)
+		// Straggler detection: a live primary lease whose age has outrun
+		// the job's observed duration distribution gets queued for a
+		// speculative twin. Staged first, queued after, sorted — the
+		// assignment-map iteration order must never leak into the queue
+		// order (determinism).
+		if x := a.x; s.cfg.Speculation && !x.cancelled && !x.spec && x.granted > 0 {
+			j := a.job
+			if s.jobs[j.id] == j && j.state == api.JobRunning && !j.specMarked[x.task] &&
+				shouldSpeculate(now.UnixMilli()-x.granted, &j.durs,
+					speculationPercentile, speculationFactor, speculationMinSamples) {
+				stragglers = append(stragglers, specStage{j: j, task: x.task})
+			}
+		}
+	}
+	sort.Slice(stragglers, func(i, k int) bool {
+		if stragglers[i].j.seq != stragglers[k].j.seq {
+			return stragglers[i].j.seq < stragglers[k].j.seq
+		}
+		return stragglers[i].task < stragglers[k].task
+	})
+	for _, st := range stragglers {
+		if st.j.specMarked[st.task] {
+			continue // two replicas of one task both straggled; queue once
+		}
+		if st.j.specMarked == nil {
+			st.j.specMarked = make(map[workload.TaskID]bool)
+		}
+		st.j.specMarked[st.task] = true
+		st.j.specPending = append(st.j.specPending, st.task)
+		changed = true // wake parked pulls: there is twin work to hand out
+	}
+	// Deadline urgency: project the job's finish as now + mean task
+	// duration × remaining waves over the live worker pool, and boost it
+	// when the projection misses the deadline. Cold start (no duration
+	// samples) boosts only once the deadline itself passed.
+	deadlines := false
+	for _, j := range s.jobs {
+		if j.state != api.JobRunning || j.deadlineMs == 0 {
+			continue
+		}
+		deadlines = true
+		urgent := now.UnixMilli() >= j.deadlineMs
+		if !urgent && j.sched != nil {
+			if mean, ok := j.durs.mean(); ok {
+				workers := max(s.counters.ActiveWorkers.Load(), 1)
+				waves := (int64(j.sched.Remaining()) + workers - 1) / workers
+				urgent = now.UnixMilli()+mean*waves >= j.deadlineMs
+			}
+		}
+		j.urgent = urgent
+	}
+	s.mu.Unlock()
+
+	if next.IsZero() {
+		next = now.Add(s.cfg.SweepInterval)
+	}
+	if s.cfg.Speculation || deadlines {
+		// Straggler detection and urgency are time-driven even when no
+		// lease is near expiry; a far-future lease deadline must not defer
+		// the next look past one sweep interval.
+		if capAt := now.Add(s.cfg.SweepInterval); capAt.Before(next) {
+			next = capAt
+		}
+	}
+	s.nextSweep.Store(next.UnixNano())
+	if changed {
+		s.hub.broadcast()
+	}
+	s.snapshotIfDue()
 }

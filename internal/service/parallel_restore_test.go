@@ -60,7 +60,6 @@ func buildRestoreFleet(t *testing.T, clk *policyClock) (*service.Service, string
 	t.Helper()
 	dir := t.TempDir()
 	cfg := specDurableConfig(dir, clk)
-	cfg.Shards = 2 // ten running jobs on two stripes: every stripe is shared
 	cfg.SnapshotEvery = 1 << 20
 	s, err := service.New(cfg)
 	if err != nil {
@@ -141,7 +140,6 @@ func buildRestoreFleet(t *testing.T, clk *policyClock) (*service.Service, string
 func recoverAt(dir string, clk *policyClock, procs int) (*service.Service, error) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 	cfg := specDurableConfig(dir, clk)
-	cfg.Shards = 2
 	cfg.SnapshotEvery = 1 << 20
 	return service.New(cfg)
 }
@@ -182,7 +180,7 @@ func drainOrder(t *testing.T, s *service.Service, clk *policyClock, at int64) []
 // TestParallelRestoreIdentity: restore rebuilds and replays the running
 // jobs of a checkpoint side by side, and what comes back must not depend on
 // how many did at once. Ten running jobs of mixed algorithms and unequal
-// ledgers share two stripes, next to a completed job; a copy of the data
+// ledgers sit next to a completed job; a copy of the data
 // dir is recovered on one core and on four. Both recoveries must equal each
 // other and the live leader (brought to the same place the only way a live
 // one can be: every worker deregisters) in every job, tenant and slot EWMA,

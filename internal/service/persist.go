@@ -16,7 +16,7 @@ import (
 )
 
 // persistence is the journaling state of a Service with Config.DataDir
-// set. carry is guarded by the coordinator mutex; sinceSnapshot is
+// set. carry is guarded by the service lock; sinceSnapshot is
 // atomic; w orders appends itself; stored and atStep belong to the
 // checkpoint path and are guarded by snapMu.
 type persistence struct {
@@ -51,15 +51,13 @@ func (p *persistence) reached(step string) error {
 
 func (s *Service) walPath() string { return filepath.Join(s.pst.dir, walFile) }
 
-// appendRecord journals rec. Callers hold the lock that owns rec's state
-// change (the job's shard, or the coordinator for records whose WAL
-// position must match arbiter order); the returned
-// LSN is what waitDurable (outside every lock) keys on. An error leaves
-// service state untouched, so callers that can abort cleanly (submit,
-// report, delete) surface it to the client. The append-then-apply pair
-// always sits inside one critical section of a lock the snapshot path
-// acquires, so a snapshot can never claim (via LastLSN) to cover a record
-// whose effect it does not contain.
+// appendRecord journals rec. Callers hold s.mu, the lock that owns rec's
+// state change; the returned LSN is what waitDurable (outside every lock)
+// keys on. An error leaves service state untouched, so callers that can
+// abort cleanly (submit, report, delete) surface it to the client. The
+// append-then-apply pair always sits inside one hold of s.mu, which the
+// checkpoint also holds, so a snapshot can never claim (via LastLSN) to
+// cover a record whose effect it does not contain.
 //
 // Not for a submit: that one record is big enough that encoding it inside
 // the critical section would stall everyone else, so submitJob encodes
@@ -75,7 +73,7 @@ func (s *Service) appendRecord(rec *record) (uint64, error) {
 // write(2) — see journal.Writer.Append), returning the first LSN.
 // All-or-nothing: on error nothing was appended, so the caller may abort
 // without applying any of the group. Like appendRecord, call while holding
-// the lock that owns the records' WAL order.
+// s.mu.
 func (s *Service) appendEncoded(payloads ...[]byte) (uint64, error) {
 	first, err := s.pst.w.Append(payloads...)
 	if errors.Is(err, journal.ErrRecordTooLarge) {
@@ -120,8 +118,7 @@ func (s *Service) waitDurable(lsn uint64) error {
 }
 
 // snapshotIfDue snapshots once enough records accumulated. Callers must
-// hold no service lock: the snapshot's middle step is stop-the-world
-// (lockAll).
+// hold no service lock: the snapshot's middle step holds s.mu.
 func (s *Service) snapshotIfDue() {
 	if s.pst == nil || s.pst.sinceSnapshot.Load() < int64(s.cfg.SnapshotEvery) {
 		return
@@ -141,31 +138,28 @@ func (s *Service) snapshotIfDue() {
 // snapshot checkpoints the full service state and rotates the log, in
 // three steps (checkpoint.go has the layout and why the order is safe):
 //
-//  1. No service-wide lock: write the workload file of every running job
-//     that has none yet. Workloads are immutable after submit, so a shard
-//     is held only long enough to list its jobs.
-//  2. Stop-the-world under every shard plus the coordinator (lockAll):
-//     capture the mutable state, replace the manifest, rotate the log.
-//     With all stripes held no append can be in flight, so LastLSN names a
-//     frozen log position whose every record's effect the manifest
-//     contains. The pause is the manifest's encode (the packed ledgers and
-//     a few counters — nothing proportional to workload bytes) plus three
-//     fsyncs: manifest, directory, truncated log.
+//  1. Mostly unlocked: write the workload file of every running job that
+//     has none yet. Workloads are immutable after submit, so s.mu is held
+//     only long enough to list the jobs.
+//  2. Stop-the-world under s.mu: capture the mutable state, replace the
+//     manifest, rotate the log. With s.mu held no append can be in flight,
+//     so LastLSN names a frozen log position whose every record's effect
+//     the manifest contains. The pause is the manifest's encode (the packed
+//     ledgers and a few counters — nothing proportional to workload bytes)
+//     plus three fsyncs: manifest, directory, truncated log.
 //  3. Unlocked again: sweep the workload files of jobs the manifest no
 //     longer lists as running (snapMu keeps other checkpoint writers out).
 //
 // Callers hold snapMu.
 func (s *Service) snapshot() error {
 	var pending []snapJob
-	for _, sh := range s.shards {
-		sh.mu.Lock()
-		for _, j := range sh.jobs {
-			if _, ok := s.pst.stored[j.id]; !ok && j.state == api.JobRunning {
-				pending = append(pending, snapJob{record: record{Job: j.id, Workload: j.w}, State: j.state})
-			}
+	s.mu.Lock()
+	for _, j := range s.jobs {
+		if _, ok := s.pst.stored[j.id]; !ok && j.state == api.JobRunning {
+			pending = append(pending, snapJob{record: record{Job: j.id, Workload: j.w}, State: j.state})
 		}
-		sh.mu.Unlock()
 	}
+	s.mu.Unlock()
 	written, err := saveWorkloads(s.pst.dir, pending, s.pst.stored)
 	if err != nil {
 		return err
@@ -195,20 +189,20 @@ func (s *Service) snapshot() error {
 }
 
 // checkpointLocked is snapshot's stop-the-world step: capture, manifest,
-// rotation, all inside one lockAll. Returns the captured snapshot and the
-// bytes written.
+// rotation, all inside one hold of s.mu. Returns the captured snapshot and
+// the bytes written.
 func (s *Service) checkpointLocked() (*snapshot, int64, error) {
 	pauseStart := time.Now()
-	s.lockAll()
-	// The locks stay held through the manifest replacement AND the
+	s.mu.Lock()
+	// The lock stays held through the manifest replacement AND the
 	// rotation: Rotate truncates the whole log, so an append landing
 	// between the LastLSN capture and the truncation would be destroyed
-	// without being represented in the manifest. With every stripe held no
-	// such append can exist. The full lockAll→unlockAll span is the
-	// stop-the-world pause every in-flight request rides out; record it so
-	// the pause is visible in /metrics rather than only as tail latency.
+	// without being represented in the manifest. With s.mu held no such
+	// append can exist. The hold is the stop-the-world pause every
+	// in-flight request rides out; record it so the pause is visible in
+	// /metrics rather than only as tail latency.
 	defer func() {
-		s.unlockAll()
+		s.mu.Unlock()
 		s.counters.ObserveSnapshotPause(time.Since(pauseStart).Nanoseconds())
 	}()
 	snap := &snapshot{
@@ -217,15 +211,15 @@ func (s *Service) checkpointLocked() (*snapshot, int64, error) {
 		PartitionCount: s.cfg.PartitionCount,
 		LastLSN:        s.pst.w.LastLSN(),
 		Carry:          s.pst.carry,
-		VTime:          s.coord.vtime,
+		VTime:          s.arb.vtime,
 	}
-	tenantNames := make([]string, 0, len(s.coord.tenants))
-	for name := range s.coord.tenants {
+	tenantNames := make([]string, 0, len(s.arb.tenants))
+	for name := range s.arb.tenants {
 		tenantNames = append(tenantNames, name)
 	}
 	sort.Strings(tenantNames)
 	for _, name := range tenantNames {
-		t := s.coord.tenants[name]
+		t := s.arb.tenants[name]
 		if t.quota == 0 && t.dispatches == 0 {
 			continue // nothing durable to say about this tenant
 		}
@@ -233,15 +227,10 @@ func (s *Service) checkpointLocked() (*snapshot, int64, error) {
 			Name: name, Quota: t.quota, Dispatches: t.dispatches,
 		})
 	}
-	resident := 0
-	for _, sh := range s.shards {
-		resident += len(sh.jobs)
-	}
+	resident := len(s.jobs)
 	jobs := make([]*job, 0, resident)
-	for _, sh := range s.shards {
-		for _, j := range sh.jobs {
-			jobs = append(jobs, j)
-		}
+	for _, j := range s.jobs {
+		jobs = append(jobs, j)
 	}
 	sort.Slice(jobs, func(i, k int) bool { return jobs[i].seq < jobs[k].seq }) // submission order
 	snap.Jobs = make([]snapJob, 0, resident)
@@ -275,7 +264,7 @@ func (s *Service) checkpointLocked() (*snapshot, int64, error) {
 			// Running jobs re-derive speculated (and the rest of the
 			// counters' replayable parts) from the ledger. A job submitted
 			// since step 1 has no workload file yet; writeCheckpoint writes
-			// it here, under the locks — one workload, rarely.
+			// it here, under the lock — one workload, rarely.
 			sj.Workload = j.w
 			sj.Ledger = j.ledger
 			sj.Fair = j.fair

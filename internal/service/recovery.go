@@ -49,11 +49,12 @@
 // re-register on their next pull; the client loop does this transparently.
 //
 // Recovery runs from New, before the sweeper starts and before the service
-// is reachable, so nothing but recovery touches the state. It is serial
-// wherever order is observable and concurrent where it is not:
+// is reachable, so nothing but recovery touches the state and restore
+// takes no lock. It is serial wherever order is observable and concurrent
+// where it is not:
 //
 //   - Serial, in manifest order: tenants, worker telemetry, and every job's
-//     shell — its counters, its place on a shard and in the submission
+//     shell — its counters, its place in the job table and the submission
 //     index, its admission to the arbiter under its checkpointed tag, the
 //     id sequence. These are shared structures, and the arbiter's heap and
 //     the sequence depend on the order they are filled in.
@@ -63,17 +64,14 @@
 //     job and nothing else: a ledger event is not fresh, so apply neither
 //     folds telemetry nor appends; it cannot complete the job (replay
 //     refuses a ledger that would, since the checkpoint lists the job as
-//     running), so the coordinator is never taken; and the staging scratch
-//     is the goroutine's own, not the shard's. Config.NewScheduler and
+//     running), so the arbiter is never touched; and the staging scratch
+//     is the goroutine's own, not the service's. Config.NewScheduler and
 //     Config.CheckWorkload are called from several goroutines at once — as
 //     concurrent live submits already call them.
 //   - Serial again, in LSN order: the log tail, the expiry of what was in
 //     flight, the counters and the compaction. Tail records fold telemetry
 //     and charge the arbiter, both order-dependent; the tail is bounded by
 //     Config.SnapshotEvery, the restore by resident jobs ÷ cores.
-//
-// The shard stripe count is irrelevant to what is recovered: jobs land on
-// whatever stripe the current Config routes them to.
 package service
 
 import (
@@ -99,7 +97,7 @@ import (
 // one — a standby's replica — the same steps leave shells. stale says the
 // dir held something a fresh checkpoint would compact.
 func (s *Service) open() (stale bool, err error) {
-	if err := os.MkdirAll(s.pst.dir, 0o755); err != nil {
+	if err := journal.MkdirAll(s.pst.dir); err != nil {
 		return false, err
 	}
 
@@ -233,10 +231,9 @@ func (s *Service) restore(snap *snapshot, dir string) (int, error) {
 	}
 	s.seq.Store(snap.Seq)
 	s.pst.carry = snap.Carry
-	c := s.coord
-	c.vtime = snap.VTime
+	s.arb.vtime = snap.VTime
 	for _, st := range snap.Tenants {
-		t := c.tenant(st.Name)
+		t := s.arb.tenant(st.Name)
 		t.quota, t.dispatches = st.Quota, st.Dispatches
 	}
 	s.tel.restoreWorkers(snap.Workers)
@@ -255,8 +252,8 @@ func (s *Service) restore(snap *snapshot, dir string) (int, error) {
 	}
 	// A checkpoint can list a tenant whose last job went with a lease still
 	// out (pruned live when the lease ends); recovery must not keep it.
-	for name := range c.tenants {
-		c.prune(name)
+	for name := range s.arb.tenants {
+		s.arb.prune(name)
 	}
 	return events, s.restoreRunning(running, dir)
 }
@@ -277,7 +274,7 @@ type restoring struct {
 
 // restoreShell materializes one checkpoint entry as far as anything outside
 // the job can see it: a completed job whole, as its summary; a running job
-// as a shell on its shard, in the submission index and in the arbiter. A
+// as a shell in the job table, the submission index and the arbiter. A
 // running job keeps the ledger it came with — its events are not fresh.
 func (s *Service) restoreShell(sj *snapJob) (*job, error) {
 	if sj.State != api.JobRunning && sj.State != api.JobCompleted {
@@ -298,9 +295,7 @@ func (s *Service) restoreShell(sj *snapJob) (*job, error) {
 	} else if s.pst != nil {
 		j.ledger = sj.Ledger
 	}
-	s.coord.mu.Lock()
 	s.addJobLocked(j, sj.Fair)
-	s.coord.mu.Unlock()
 	s.bumpSeqFromID(j.id)
 	return j, nil
 }
@@ -419,16 +414,12 @@ func (s *Service) applyFrame(lsn uint64, payload []byte) error {
 }
 
 // applyRecord applies one journal record to the state, in log order, under
-// the locks the live path that wrote it held — the job's shard, the
-// coordinator where it charges: a standby applies streamed records under
-// readers. On a recovery tail nothing else can see the state yet.
+// s.mu, as the live path that wrote it did: a standby applies streamed
+// records under readers. On a recovery tail nothing else can see the state
+// yet.
 func (s *Service) applyRecord(rec *record) error {
-	c := s.coord
-	sh := s.shardOf(rec.Job)
-	if rec.Op != opQuota {
-		sh.mu.Lock()
-		defer sh.mu.Unlock()
-	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	switch rec.Op {
 	case opSubmit:
 		if rec.Workload == nil {
@@ -447,29 +438,25 @@ func (s *Service) applyRecord(rec *record) error {
 			// until a checkpoint has stored it (checkpointLocked lets go).
 			j.w = rec.Workload
 		}
-		c.mu.Lock()
-		s.addJobLocked(j, c.vtime) // exactly the tag admission gave it live
-		c.mu.Unlock()
+		s.addJobLocked(j, s.arb.vtime) // exactly the tag admission gave it live
 		s.bumpSeqFromID(j.id)
 		if j.tasks == 0 {
 			s.completeJob(j, rec.Ts)
 		}
 	case opQuota:
-		c.mu.Lock()
-		c.tenant(rec.Tenant).quota = rec.Quota
-		c.prune(rec.Tenant)
-		c.mu.Unlock()
+		s.arb.tenant(rec.Tenant).quota = rec.Quota
+		s.arb.prune(rec.Tenant)
 	case opDelete:
-		j := sh.jobs[rec.Job]
+		j := s.jobs[rec.Job]
 		if j == nil {
 			return fmt.Errorf("service: journal deletes unknown job %s", rec.Job)
 		}
 		if j.state != api.JobCompleted {
 			return fmt.Errorf("service: journal deletes running job %s", rec.Job)
 		}
-		s.dropJobLocked(sh, j)
+		s.dropJobLocked(j)
 	case opDispatch, opReport, opExpire:
-		j := sh.jobs[rec.Job]
+		j := s.jobs[rec.Job]
 		if j == nil {
 			return fmt.Errorf("service: journal %s record for unknown job %s", rec.Op, rec.Job)
 		}
@@ -478,21 +465,18 @@ func (s *Service) applyRecord(rec *record) error {
 			// Re-apply the fair-share charge in log order: tags and the
 			// virtual time floor end up bit-identical to the crashed
 			// process (the live path appends dispatch records in charge
-			// order, under the coordinator), so the recovered arbiter
-			// makes the same choices an uninterrupted one would have. A
-			// speculative twin never charged the arbiter live; replay must
-			// not either.
-			c.mu.Lock()
-			c.tenant(j.tenant).dispatches++
+			// order), so the recovered arbiter makes the same choices an
+			// uninterrupted one would have. A speculative twin never charged
+			// the arbiter live; replay must not either.
+			s.arb.tenant(j.tenant).dispatches++
 			if !rec.Spec {
-				c.charge(j)
+				s.arb.charge(j)
 			}
-			c.mu.Unlock()
 		}
 		if j.sched != nil {
 			s.counters.ReplayReasked.Add(1)
 		}
-		if err := s.replay(&sh.stage, j, rec.event(), true); err != nil {
+		if err := s.replay(&s.stage, j, rec.event(), true); err != nil {
 			return fmt.Errorf("service: replay job %s (%s): %w", j.id, j.algorithm, err)
 		}
 	default:
@@ -544,14 +528,12 @@ func (s *Service) replay(st *staging, j *job, e ledgerRec, fresh bool) error {
 // leftovers are cancelled replicas nobody will report for; they just go.
 func (s *Service) expireRecovered() (int, error) {
 	var jobs []*job
-	for _, sh := range s.shards {
-		for _, j := range sh.jobs {
-			if j.state == api.JobRunning && len(j.execs) > 0 {
-				jobs = append(jobs, j)
-			}
-			if j.state == api.JobCompleted {
-				j.execs = nil
-			}
+	for _, j := range s.jobs {
+		if j.state == api.JobRunning && len(j.execs) > 0 {
+			jobs = append(jobs, j)
+		}
+		if j.state == api.JobCompleted {
+			j.execs = nil
 		}
 	}
 	sort.Slice(jobs, func(a, b int) bool { return jobs[a].seq < jobs[b].seq })
@@ -580,7 +562,7 @@ func (s *Service) expireRecovered() (int, error) {
 			}
 			s.mustAppend(rec)
 			// Not through applyRecord: this event is new, not replayed.
-			if err := s.replay(&s.shardOf(j.id).stage, j, rec.event(), true); err != nil {
+			if err := s.replay(&s.stage, j, rec.event(), true); err != nil {
 				return expired, fmt.Errorf("service: expire job %s (%s): %w", j.id, j.algorithm, err)
 			}
 			s.counters.RecoveredExpired.Add(1)
@@ -596,21 +578,19 @@ func (s *Service) expireRecovered() (int, error) {
 func (s *Service) restoreCounters() {
 	c := s.pst.carry
 	open := int64(0)
-	for _, sh := range s.shards {
-		for _, j := range sh.jobs {
-			c.Jobs++
-			if j.state == api.JobCompleted {
-				c.CompletedJobs++
-			} else {
-				open++
-			}
-			c.Dispatched += int64(j.dispatched)
-			c.Completions += int64(j.completed)
-			c.Failures += int64(j.failed)
-			c.Cancellations += int64(j.cancelled)
-			c.Expired += int64(j.expired)
-			c.Speculated += int64(j.speculated)
+	for _, j := range s.jobs {
+		c.Jobs++
+		if j.state == api.JobCompleted {
+			c.CompletedJobs++
+		} else {
+			open++
 		}
+		c.Dispatched += int64(j.dispatched)
+		c.Completions += int64(j.completed)
+		c.Failures += int64(j.failed)
+		c.Cancellations += int64(j.cancelled)
+		c.Expired += int64(j.expired)
+		c.Speculated += int64(j.speculated)
 	}
 	s.counters.JobsSubmitted.Store(c.Jobs)
 	s.counters.JobsCompleted.Store(c.CompletedJobs)
@@ -625,8 +605,7 @@ func (s *Service) restoreCounters() {
 
 // idNum extracts the numeric part of a "j<n>"/"a<n>" id (0 when the id
 // does not parse). For jobs it doubles as the arbiter's deterministic
-// tie-breaker AND the shard routing key: it is the submission sequence
-// number, so consecutively submitted jobs round-robin across stripes.
+// tie-breaker: it is the submission sequence number.
 func idNum(id string) int64 {
 	if len(id) < 2 {
 		return 0

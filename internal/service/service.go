@@ -23,34 +23,19 @@
 //
 // # Concurrency model
 //
-// There is no global service mutex. Mutable state is split across four
-// separately locked domains (see docs/ARCHITECTURE.md, "Concurrency
-// model", for the full treatment):
-//
-//   - N lock-striped shards (shard.go) own job state — scheduler, site
-//     stores, replay ledger, assignment leases — keyed by job id, so
-//     submits, reports, heartbeats, and lease expiries on different jobs
-//     never contend.
-//   - The dispatch coordinator (dispatch.go) owns the fair-share arbiter
-//     heap, the per-tenant quota table, and the submission-dedup index.
-//     A pull consults it only to decide WHICH runnable job to offer the
-//     worker to; the scheduler call and lease grant then run under that
-//     job's shard alone.
-//   - The worker registry (leases.go) owns worker registrations and
-//     (site, worker) slots.
-//   - The journal writer (internal/journal) orders appends from all shards
-//     into the single totally-ordered WAL, combining concurrent appends
-//     into one write(2); fsync waits happen outside every lock.
-//
-// Lock ordering: a shard lock may be held while acquiring the coordinator
-// or the registry (one at a time, never both); the coordinator may be held
-// while appending to the journal or acquiring the wakeup hub; no path ever holds
-// two shard locks (the stop-the-world snapshot is the one exception and
-// acquires shards in index order). Read-mostly endpoints (/v1/status,
-// /v1/tenants, /metrics) are served from atomic counters plus brief
-// per-shard copy-on-read, so they never block dispatch. Long-poll waiters
-// park outside every lock on a broadcast hub and are woken by any state
-// change that could make new work dispatchable.
+// One lock, Service.mu, guards the service's state: every job and live
+// lease, the fair-share arbiter, tenant quotas and the submission index
+// (see docs/ARCHITECTURE.md, "Concurrency model"). A dispatch decision,
+// its quota check, the scheduler call and the journal append of its record
+// all happen in one hold, so the WAL order of events is the order they
+// were applied in. Beside it sit leaf locks, taken after Service.mu and
+// never the other way round: the worker registry (leases.go), the wakeup
+// hub and the worker telemetry (context.go). snapMu serializes checkpoints
+// and is taken before Service.mu; the journal writer orders appends itself
+// and fsync waits happen outside every lock. Long-poll waiters park
+// outside every lock on the hub and are woken by any state change that
+// could make new work dispatchable. Scale-out is a partition per process
+// behind gridrouter (docs/PARTITIONING.md), not more locks in one.
 package service
 
 import (
@@ -59,7 +44,6 @@ import (
 	"fmt"
 	"log"
 	"net/http"
-	"runtime"
 	"slices"
 	"sort"
 	"strconv"
@@ -109,10 +93,6 @@ func (t Topology) CheckWorkload(w *workload.Workload) error {
 // the set.
 type SchedulerFactory func(algorithm string, w *workload.Workload, topo Topology, seed int64) (core.Scheduler, error)
 
-// maxShards bounds the stripe count; beyond this the per-shard maps stop
-// paying for themselves.
-const maxShards = 1024
-
 // Config parameterizes a Service.
 type Config struct {
 	Topology
@@ -128,22 +108,13 @@ type Config struct {
 	// gridsched.NewService fills in gridsched.SchedulerFactory.
 	NewScheduler SchedulerFactory
 
-	// Shards is the number of lock-striped job-state shards. Job state is
-	// distributed by job id, so operations on different jobs contend only
-	// when they land on the same stripe. 0 picks a default sized to the
-	// machine (GOMAXPROCS, at least 4, at most 32). The stripe count is a
-	// pure concurrency knob: it never affects scheduling decisions,
-	// journal contents, or recovery (a data dir written under one shard
-	// count recovers under any other).
-	Shards int
-
 	// PartitionIndex and PartitionCount place this service in a
 	// horizontally partitioned deployment (docs/PARTITIONING.md): N
 	// independent gridschedd processes behind a job-keyed router
-	// (cmd/gridrouter). Partition identity is encoded into minted ids the
-	// same way job ids pick a shard stripe: partition i of n mints
-	// job/assignment/worker sequence numbers ≡ i (mod n), so any component
-	// holding an id — the router, a partition-aware client — can name the
+	// (cmd/gridrouter). Partition identity is encoded into minted ids:
+	// partition i of n mints job/assignment/worker sequence numbers ≡ i
+	// (mod n), so any component holding an id — the router, a
+	// partition-aware client — can name the
 	// owning partition with arithmetic alone, no lookup table. The zero
 	// value (0 of 0) normalizes to the standalone identity 0 of 1, whose
 	// id sequence is byte-identical to the pre-partitioning one. The
@@ -216,15 +187,6 @@ func (c *Config) normalize() error {
 	}
 	if c.SweepInterval <= 0 {
 		c.SweepInterval = c.LeaseTTL / 4
-	}
-	if c.Shards < 0 {
-		return fmt.Errorf("service: Shards = %d", c.Shards)
-	}
-	if c.Shards == 0 {
-		c.Shards = min(max(runtime.GOMAXPROCS(0), 4), 32)
-	}
-	if c.Shards > maxShards {
-		c.Shards = maxShards
 	}
 	if c.PartitionCount == 0 {
 		c.PartitionCount = 1
@@ -312,9 +274,8 @@ func errf(code int, format string, args ...any) *Error {
 // there (storeAt).
 //
 // Locking: id, name, algorithm, seed, submissionID, tenant, weight, and
-// seq are immutable after registration. fair and heapIdx belong to the
-// coordinator. Everything else — scheduler, stores, ledger, execs, state,
-// and the counters — belongs to the job's shard.
+// seq are immutable after registration. Everything else is guarded by
+// Service.mu.
 type job struct {
 	id           string
 	name         string
@@ -332,8 +293,7 @@ type job struct {
 	// 1) and journaled resolved, so a changed server default cannot skew
 	// recovery. seq is the numeric part of the job id, the deterministic
 	// tie-breaker. fair is the virtual finish tag; heapIdx the
-	// arbiter-heap position (-1: not runnable/not in heap). Both are
-	// guarded by the coordinator, not the shard.
+	// arbiter-heap position (-1: not runnable/not in heap).
 	tenant  string
 	weight  int
 	seq     int64
@@ -356,7 +316,7 @@ type job struct {
 	// deadlineMs are immutable after registration and journaled with the
 	// submit record; urgent is a sweep-maintained cache of the deadline
 	// projection read by the dispatch candidate ordering. durs,
-	// specPending, and specMarked are shard-guarded liveness state for
+	// specPending, and specMarked are liveness state for
 	// straggler detection: the ring of recent task durations, the sorted
 	// queue of straggling tasks awaiting a speculative twin, and the
 	// tasks already queued or twinned (so one straggler is speculated at
@@ -364,7 +324,7 @@ type job struct {
 	// crash there are no live leases left to speculate on.
 	requires    []string
 	deadlineMs  int64 // soft deadline, unix millis; 0 = none
-	urgent      atomic.Bool
+	urgent      bool
 	durs        durRing
 	specPending []workload.TaskID
 	specMarked  map[workload.TaskID]bool
@@ -423,7 +383,7 @@ const (
 // assignment is a live lease on one execution: the lease-only state
 // around the job-table entry x (which holds task, slot, speculative and
 // cancelled). Everything but deadline is immutable; deadline is guarded by
-// the owning job's shard.
+// Service.mu.
 type assignment struct {
 	id       string
 	job      *job
@@ -484,18 +444,33 @@ type Service struct {
 	seq    atomic.Int64 // job/assignment/worker id sequence
 	closed atomic.Bool
 
-	shards []*shard
-	coord  *coordinator
-	reg    *registry
-	hub    *hub
+	// mu guards the fields from here to cands, pst.carry, and every job and
+	// assignment reachable from them (see the package comment). reg, hub
+	// and tel are leaf locks taken after it.
+	mu sync.Mutex
+	// jobs holds every resident job record by id; assignments every live
+	// lease by assignment id.
+	jobs        map[string]*job
+	assignments map[string]*assignment
+	// arb is the fair-share arbiter and the per-tenant quota table;
+	// submissions maps client idempotency keys to job ids.
+	arb         arbiter
+	submissions map[string]string
+	// stage is the staging scratch of every live apply; cands is
+	// dispatchOnce's candidate heap.
+	stage staging
+	cands []*job
+
+	reg *registry
+	hub *hub
 	// tel is the per-slot worker-context store (tags + outcome EWMAs),
 	// fed from report traffic and consumed by context-aware schedulers,
 	// GET /v1/workers, and /metrics. Leaf lock.
 	tel *telemetry
 
 	// nextSweep is the earliest known lease deadline (unix nanos);
-	// maybeSweep skips the cross-shard sweep until it is due. 0 means
-	// unknown (sweep next time). It may lag behind a deadline created
+	// maybeSweep skips the sweep until it is due. 0 means unknown (sweep
+	// next time). It may lag behind a deadline created
 	// mid-sweep, which costs at most one SweepInterval of expiry delay —
 	// the background sweeper runs unconditionally.
 	nextSweep atomic.Int64
@@ -537,22 +512,20 @@ func New(cfg Config) (*Service, error) {
 // its replica of the leader (open, then applyRecord per streamed frame).
 func newState(cfg Config) *Service {
 	s := &Service{
-		cfg:       cfg,
-		counters:  metrics.NewServiceCounters(),
-		repl:      &metrics.ReplicationCounters{},
-		jmet:      &journal.Metrics{},
-		coord:     newCoordinator(),
-		reg:       newRegistry(cfg.Sites, cfg.WorkersPerSite),
-		hub:       newHub(),
-		tel:       newTelemetry(cfg.Topology),
-		sweepStop: make(chan struct{}),
-		sweepDone: make(chan struct{}),
+		cfg:         cfg,
+		counters:    metrics.NewServiceCounters(),
+		repl:        &metrics.ReplicationCounters{},
+		jmet:        &journal.Metrics{},
+		jobs:        make(map[string]*job),
+		assignments: make(map[string]*assignment),
+		arb:         newArbiter(),
+		submissions: make(map[string]string),
+		reg:         newRegistry(cfg.Sites, cfg.WorkersPerSite),
+		hub:         newHub(),
+		tel:         newTelemetry(cfg.Topology),
+		sweepStop:   make(chan struct{}),
+		sweepDone:   make(chan struct{}),
 	}
-	s.shards = make([]*shard, cfg.Shards)
-	for i := range s.shards {
-		s.shards[i] = newShard()
-	}
-	s.counters.Shards.Store(int64(cfg.Shards))
 	if cfg.DataDir != "" {
 		s.pst = &persistence{dir: cfg.DataDir, mark: time.Now()}
 	}
@@ -635,8 +608,8 @@ func (s *Service) nextID(prefix byte) string {
 // POST /v1/jobs: it validates the request, builds the job's scheduler from
 // the configured factory, journals the submit record (before
 // acknowledging) and registers the job. The record is appended under the
-// coordinator lock, in the same critical section that admits the job at
-// the current virtual time: the WAL position of a submit record relative
+// service lock, in the same critical section that admits the job at the
+// current virtual time: the WAL position of a submit record relative
 // to dispatch records is what lets recovery reconstruct the admission tag
 // bit-exactly.
 //
@@ -657,9 +630,9 @@ func (s *Service) SubmitJob(req api.SubmitJobRequest) (string, error) {
 	}
 	if submissionID != "" {
 		// Fast path: an already-known key skips scheduler construction.
-		s.coord.mu.Lock()
-		id, ok := s.coord.submissions[submissionID]
-		s.coord.mu.Unlock()
+		s.mu.Lock()
+		id, ok := s.submissions[submissionID]
+		s.mu.Unlock()
 		if ok {
 			return id, nil
 		}
@@ -697,49 +670,40 @@ func (s *Service) SubmitJob(req api.SubmitJobRequest) (string, error) {
 	j := s.newJob(rec, len(rec.Workload.Tasks))
 	s.attach(j, w, sched)
 	// Everything the record says is settled by now, so encode it before
-	// taking any lock: it carries the workload, and encoding a 6,000-task
-	// one takes a millisecond or two the shard and the coordinator — i.e.
-	// all dispatch — would otherwise sit out.
+	// taking the lock: it carries the workload, and encoding a 6,000-task
+	// one takes a millisecond or two all dispatch would otherwise sit out.
 	var payload []byte
 	if s.pst != nil {
 		// Sized as api.EncodeWorkload sizes its document, which is nearly
 		// all of the record.
 		payload = rec.appendTo(make([]byte, 0, 512+128*len(w.Tasks)))
 	}
-	sh := s.shardOf(j.id)
-	sh.mu.Lock()
+	s.mu.Lock()
 	if s.closed.Load() {
-		sh.mu.Unlock()
+		s.mu.Unlock()
 		return "", errf(http.StatusServiceUnavailable, "service: closed")
 	}
-	c := s.coord
-	c.mu.Lock()
-	if submissionID != "" {
-		if id, ok := c.submissions[submissionID]; ok {
-			// Lost ack resent: the job already exists.
-			c.mu.Unlock()
-			sh.mu.Unlock()
-			return id, nil
-		}
+	if id, ok := s.submissions[submissionID]; ok {
+		// Lost ack resent: the job already exists.
+		s.mu.Unlock()
+		return id, nil
 	}
 	var lsn uint64
 	if s.pst != nil {
 		lsn, err = s.appendEncoded(payload)
 		if err != nil {
-			c.mu.Unlock()
-			sh.mu.Unlock()
+			s.mu.Unlock()
 			return "", err
 		}
 	}
-	s.addJobLocked(j, c.vtime)
-	c.mu.Unlock()
+	s.addJobLocked(j, s.arb.vtime)
 	s.counters.JobsSubmitted.Add(1)
 	s.counters.OpenJobs.Add(1)
 	if j.tasks == 0 {
 		s.completeJob(j, rec.Ts)
 		s.jobCompleted()
 	}
-	sh.mu.Unlock()
+	s.mu.Unlock()
 	s.hub.broadcast()
 	s.snapshotIfDue()
 	if err := s.waitDurable(lsn); err != nil {
@@ -772,15 +736,14 @@ func (s *Service) buildScheduler(algorithm string, w *workload.Workload, seed in
 // every snapshot, so deletion never makes the global /metrics counters
 // jump backwards across a restart.
 func (s *Service) DeleteJob(jobID string) error {
-	sh := s.shardOf(jobID)
-	sh.mu.Lock()
-	j := sh.jobs[jobID]
+	s.mu.Lock()
+	j := s.jobs[jobID]
 	if j == nil {
-		sh.mu.Unlock()
+		s.mu.Unlock()
 		return errf(http.StatusNotFound, "service: unknown job %q", jobID)
 	}
 	if j.state != api.JobCompleted {
-		sh.mu.Unlock()
+		s.mu.Unlock()
 		return errf(http.StatusConflict, "service: job %q is %s; only completed jobs can be deleted", jobID, j.state)
 	}
 	var lsn uint64
@@ -788,22 +751,21 @@ func (s *Service) DeleteJob(jobID string) error {
 		var err error
 		lsn, err = s.appendRecord(&record{Op: opDelete, Ts: s.now().UnixMilli(), Job: jobID})
 		if err != nil {
-			sh.mu.Unlock()
+			s.mu.Unlock()
 			return err
 		}
 	}
-	s.dropJobLocked(sh, j)
-	sh.mu.Unlock()
+	s.dropJobLocked(j)
+	s.mu.Unlock()
 	s.snapshotIfDue()
 	return s.waitDurable(lsn)
 }
 
 // JobStatus returns one job's observable state.
 func (s *Service) JobStatus(jobID string) (*api.JobStatus, error) {
-	sh := s.shardOf(jobID)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	j := sh.jobs[jobID]
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	j := s.jobs[jobID]
 	if j == nil {
 		return nil, errf(http.StatusNotFound, "service: unknown job %q", jobID)
 	}
@@ -811,25 +773,21 @@ func (s *Service) JobStatus(jobID string) (*api.JobStatus, error) {
 	return &st, nil
 }
 
-// Jobs lists every resident job in submission order. Copy-on-read: each
-// shard is locked just long enough to copy its jobs' summaries, so a
-// status listing never blocks dispatch on the other stripes.
+// Jobs lists every resident job in submission order.
 func (s *Service) Jobs() []api.JobStatus {
-	var out []api.JobStatus
-	for _, sh := range s.shards {
-		sh.mu.Lock()
-		for _, j := range sh.jobs {
-			out = append(out, jobStatusLocked(j))
-		}
-		sh.mu.Unlock()
+	s.mu.Lock()
+	out := make([]api.JobStatus, 0, len(s.jobs))
+	for _, j := range s.jobs {
+		out = append(out, jobStatusLocked(j))
 	}
+	s.mu.Unlock()
 	// Submission order: job ids are minted from one sequence.
 	sort.Slice(out, func(i, k int) bool { return idNum(out[i].ID) < idNum(out[k].ID) })
 	return out
 }
 
 // jobStatusLocked copies one job's summary, in either role. Callers hold
-// the job's shard.
+// s.mu.
 func jobStatusLocked(j *job) api.JobStatus {
 	st := api.JobStatus{
 		ID:              j.id,
@@ -876,8 +834,7 @@ func (s *Service) SetTenantQuota(tenant string, maxInFlight int) (*api.TenantSta
 	if s.closed.Load() {
 		return nil, errf(http.StatusServiceUnavailable, "service: closed")
 	}
-	c := s.coord
-	c.mu.Lock()
+	s.mu.Lock()
 	var lsn uint64
 	if s.pst != nil {
 		var err error
@@ -885,17 +842,17 @@ func (s *Service) SetTenantQuota(tenant string, maxInFlight int) (*api.TenantSta
 			Op: opQuota, Ts: s.now().UnixMilli(), Tenant: tenant, Quota: maxInFlight,
 		})
 		if err != nil {
-			c.mu.Unlock()
+			s.mu.Unlock()
 			return nil, err
 		}
 	}
-	t := c.tenant(tenant)
+	t := s.arb.tenant(tenant)
 	t.quota = maxInFlight
-	st := s.tenantStatusLocked(t, c.runnableWeight())
+	st := s.tenantStatusLocked(t, s.arb.runnableWeight())
 	// Reverting a jobless tenant's quota leaves nothing relevant about it;
 	// drop the state rather than let reverted names accumulate.
-	c.prune(tenant)
-	c.mu.Unlock()
+	s.arb.prune(tenant)
+	s.mu.Unlock()
 	// A raised (or lifted) quota can make a throttled tenant's work
 	// dispatchable; wake parked pulls rather than leaving them to their
 	// poll timeout. Rare operator action, so no need to be selective.
@@ -910,18 +867,17 @@ func (s *Service) SetTenantQuota(tenant string, maxInFlight int) (*api.TenantSta
 // Tenants returns every known tenant's fair-share state, sorted by name
 // (the anonymous default tenant, "", sorts first when present).
 func (s *Service) Tenants() []api.TenantStatus {
-	c := s.coord
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	names := make([]string, 0, len(c.tenants))
-	for name := range c.tenants {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	names := make([]string, 0, len(s.arb.tenants))
+	for name := range s.arb.tenants {
 		names = append(names, name)
 	}
 	sort.Strings(names)
-	total := c.runnableWeight()
+	total := s.arb.runnableWeight()
 	out := make([]api.TenantStatus, 0, len(names))
 	for _, name := range names {
-		out = append(out, s.tenantStatusLocked(c.tenants[name], total))
+		out = append(out, s.tenantStatusLocked(s.arb.tenants[name], total))
 	}
 	return out
 }
@@ -933,25 +889,23 @@ func (s *Service) Tenants() []api.TenantStatus {
 // admission: a tenant running weight-4 work sheds after one running
 // weight-1 work.
 func (s *Service) TenantWeight(tenant string) int64 {
-	c := s.coord
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if t := c.tenants[tenant]; t != nil {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if t := s.arb.tenants[tenant]; t != nil {
 		return t.weight
 	}
 	return 0
 }
 
-// tenantStatusLocked copies one tenant's status. Callers hold the
-// coordinator.
+// tenantStatusLocked copies one tenant's status. Callers hold s.mu.
 func (s *Service) tenantStatusLocked(t *tenantState, totalWeight int64) api.TenantStatus {
 	st := api.TenantStatus{
 		Tenant:        t.name,
 		Weight:        t.weight,
 		RunningJobs:   t.running,
 		InFlight:      t.inFlight,
-		MaxInFlight:   s.coord.quotaFor(t, s.cfg.TenantMaxInFlight),
-		ShareAchieved: s.coord.window.Share(t.name),
+		MaxInFlight:   s.arb.quotaFor(t, s.cfg.TenantMaxInFlight),
+		ShareAchieved: s.arb.window.Share(t.name),
 		Dispatches:    t.dispatches,
 		Throttles:     t.throttles,
 	}
@@ -998,20 +952,18 @@ func (s *Service) Workers() []api.WorkerStatus {
 }
 
 // Health summarizes liveness for /healthz. Jobs still running are counted
-// from the shards — replicated state, so a standby reports its leader's
+// from the job table — replicated state, so a standby reports its leader's
 // figure; workers are liveness, and a standby has none.
 func (s *Service) Health() api.Health {
 	h := api.Health{Status: "ok"}
-	for _, sh := range s.shards {
-		sh.mu.Lock()
-		h.Jobs += len(sh.jobs)
-		for _, j := range sh.jobs {
-			if j.state == api.JobRunning {
-				h.OpenJobs++
-			}
+	s.mu.Lock()
+	h.Jobs = len(s.jobs)
+	for _, j := range s.jobs {
+		if j.state == api.JobRunning {
+			h.OpenJobs++
 		}
-		sh.mu.Unlock()
 	}
+	s.mu.Unlock()
 	s.reg.mu.Lock()
 	h.Workers = len(s.reg.workers)
 	s.reg.mu.Unlock()

@@ -95,11 +95,9 @@ func (s *Service) attachWorker(workerID, kind string) (session, error) {
 	w.expires = now.Add(s.cfg.LeaseTTL)
 	held := slices.Collect(maps.Values(w.assignments))
 	r.mu.Unlock()
-	for _, a := range held {
-		// A concurrent report (the client retrying its pending batch) may
-		// have already ended the lease; only what is still live expires.
-		s.expireLease(a, now)
-	}
+	// A concurrent report (the client retrying its pending batch) may have
+	// already ended a lease; only what is still live expires.
+	s.expireLeases(now, held...)
 	if len(held) > 0 {
 		s.hub.broadcast()
 		s.snapshotIfDue()
@@ -120,8 +118,8 @@ func errUnknownWorker(workerID string) error {
 // frame to deliver; and parks until something changes. deliver says for how
 // long the session may park at most, or !more to end it; tick tells it that
 // the previous park ran out the renewal interval instead of being woken.
-// Locks are taken one at a time (registry, shards inside dispatchOnce), and
-// the durability wait runs outside all of them. parked is the time spent
+// Locks are taken one at a time (registry, the service lock inside
+// dispatchOnce), and the durability wait runs outside all of them. parked is the time spent
 // parked, which is not service latency.
 func (s *Service) serve(done <-chan struct{}, ss session, depth int, deliver func(lb api.LeaseBatch, tick bool) (wait time.Duration, more bool)) (parked time.Duration, err error) {
 	r, wk := s.reg, ss.wk
@@ -247,7 +245,7 @@ func (r *registry) endedLocked(ss session) error {
 // mid-dispatch), returning the task to the queue as if the lease expired
 // instantly.
 func (s *Service) requeueOrphan(a *assignment) {
-	s.expireLease(a, s.now())
+	s.expireLeases(s.now(), a)
 	s.hub.broadcast()
 }
 

@@ -229,8 +229,8 @@ func TestReportBatchValidatesOutcomes(t *testing.T) {
 // batch applies once; the duplicate is stale, exactly as a second single
 // report would be. The nastiest instance is a duplicated final task of a
 // job — the first apply completes the job and releases its scheduler, so
-// a double apply would hit a nil scheduler while holding the shard lock
-// and wedge the shard.
+// a double apply would hit a nil scheduler while holding the service lock
+// and wedge the service.
 func TestReportBatchDuplicateAssignment(t *testing.T) {
 	s := newService(t, service.Config{})
 	cl := startHTTP(t, s)
@@ -261,7 +261,7 @@ func TestReportBatchDuplicateAssignment(t *testing.T) {
 	if got := s.Counters().ActiveLeases.Load(); got != 0 {
 		t.Fatalf("active leases = %d, want 0 (no double decrement)", got)
 	}
-	// The shard must still be usable: a fresh job on the same service
+	// The service must still be usable: a fresh job on it
 	// dispatches and reports normally.
 	submitWorkqueue(t, s, syntheticWorkload(1, 2))
 	pr, err = cl.Pull(ctx, reg.WorkerID, 5*time.Second)
@@ -274,7 +274,7 @@ func TestReportBatchDuplicateAssignment(t *testing.T) {
 }
 
 // TestReportBatchCapEnforced: the documented 256-item cap on the batch
-// report endpoint is a 400, not an invitation to hold the shard lock
+// report endpoint is a 400, not an invitation to hold the service lock
 // across an arbitrarily large journal append.
 func TestReportBatchCapEnforced(t *testing.T) {
 	s := newService(t, service.Config{})

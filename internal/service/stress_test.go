@@ -19,14 +19,14 @@ import (
 	"gridsched/internal/testkit"
 )
 
-// TestConcurrentMixedTraffic drives every mutation class at once across
-// the shard stripes — submits, pulls, success/failure reports, worker
-// churn, job deletion, quota overrides, and status reads — against a
-// journaled service, then proves three invariants survived: no task was
-// acknowledged complete twice, every job drained exactly its task count,
-// and a recovery of the data dir reproduces the same completed set. Run
-// under -race in CI, this is the lock-ordering and lost-wakeup detector
-// for the sharded core.
+// TestConcurrentMixedTraffic drives every mutation class at once —
+// submits, pulls, success/failure reports, worker churn, job deletion,
+// quota overrides, and status reads — against a journaled service, then
+// proves three invariants survived: no task was acknowledged complete
+// twice, every job drained exactly its task count, and a recovery of the
+// data dir reproduces the same completed set. Run under -race in CI, this
+// is the lock-ordering and lost-wakeup detector for the service lock and
+// its leaf locks.
 func TestConcurrentMixedTraffic(t *testing.T) {
 	const (
 		submitters   = 4
@@ -38,7 +38,6 @@ func TestConcurrentMixedTraffic(t *testing.T) {
 	)
 	dir := t.TempDir()
 	cfg := durableConfig(dir)
-	cfg.Shards = 8
 	cfg.SnapshotEvery = 128
 	cfg.LeaseTTL = 5 * time.Second
 	s, err := service.New(cfg)
@@ -54,7 +53,7 @@ func TestConcurrentMixedTraffic(t *testing.T) {
 	var submitted atomic.Int64
 
 	var wg sync.WaitGroup
-	// Submitters: tenant-spread jobs landing on every stripe.
+	// Submitters: tenant-spread jobs.
 	for i := 0; i < submitters; i++ {
 		wg.Add(1)
 		go func(n int) {

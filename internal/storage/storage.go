@@ -57,7 +57,7 @@ const noSlot = int32(-1)
 
 // Store is a bounded file cache. It is not safe for concurrent use; in the
 // simulator all access is serialized by the kernel, and in the service by
-// the shard lock of the job that owns the store.
+// the service lock.
 type Store struct {
 	capacity int
 	policy   Policy
